@@ -22,9 +22,7 @@ struct BenchOptions {
   std::uint64_t seed = 1;
   std::string csv;  ///< optional CSV output path
   bool batch_dispatch = false;
-  bool incremental_availability = false;
   bool delta_maps = false;
-  bool windowed_availability = false;
   std::size_t parallel_shards = 0;
   bool sequential_delivery = false;
   bool sequential_commit = false;
@@ -37,8 +35,6 @@ struct BenchOptions {
   /// without recompiling.
   std::size_t tick_shard_size = 0;
   bool timing_wheel = true;
-  bool plan_gate = true;
-  bool plan_gate_legacy = false;
   bool plan_gate_recheck = false;
   std::string capacity_model = "shared-fifo";
   bool cdn_assist = false;
@@ -51,9 +47,7 @@ struct BenchOptions {
   /// uniformly across the suite.
   void apply_engine(exp::Config& config) const {
     config.enable_batch_dispatch(batch_dispatch);
-    config.enable_incremental_availability(
-        incremental_availability || delta_maps || windowed_availability, delta_maps);
-    config.enable_windowed_availability(windowed_availability);
+    config.engine.delta_maps = delta_maps;
     config.enable_parallel_shards(parallel_shards);
     config.engine.parallel_delivery = !sequential_delivery;
     config.enable_parallel_commit(!sequential_commit);
@@ -63,7 +57,7 @@ struct BenchOptions {
     }
     if (tick_shard_size > 0) config.engine.tick_shard_size = tick_shard_size;
     config.enable_timing_wheel(timing_wheel);
-    config.enable_plan_gate(plan_gate, plan_gate_legacy, plan_gate_recheck);
+    config.engine.plan_gate_recheck = plan_gate_recheck;
     config.engine.supplier_capacity = exp::capacity_from_string(capacity_model);
     config.enable_cdn_assist(cdn_assist);
     config.engine.cdn_assist_rate = cdn_rate;
@@ -82,15 +76,9 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
   flags.define_bool("quick", false, "small sizes / single trial (CI smoke)");
   flags.define_bool("batch-dispatch", false,
                     "batched tick dispatch (identical metrics, fewer events)");
-  flags.define_bool("incremental-availability", false,
-                    "delta-maintained availability views (identical metrics, less scan work)");
   flags.define_bool("delta-maps", false,
-                    "charge availability gossip as buffer-map deltas (implies "
-                    "--incremental-availability; lowers the overhead metric)");
-  flags.define_bool("windowed-availability", false,
-                    "sliding supplier-count windows anchored at the playback cursor "
-                    "(implies --incremental-availability; identical metrics, "
-                    "O(buffer) per-view memory)");
+                    "charge availability gossip as buffer-map deltas (lowers the "
+                    "overhead metric)");
   flags.define_int("parallel-shards", 0,
                    "sharded parallel core: plan lanes / event-queue shards "
                    "(identical metrics at any count; 0 = sequential)");
@@ -116,13 +104,6 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
   flags.define_bool("timing-wheel", true,
                     "timing-wheel event plane (identical metrics, O(1) "
                     "schedule; --timing-wheel=false for the heap baseline)");
-  flags.define_bool("plan-gate", true,
-                    "plan work-set plane: quiescence gate + neighbour-major "
-                    "candidate build (identical metrics, less plan work; "
-                    "--plan-gate=false for the pre-gate baseline)");
-  flags.define_bool("plan-gate-legacy", false,
-                    "maintain a gate-only availability index under the legacy "
-                    "rescan scheduler so the plan gate fires there too");
   flags.define_bool("plan-gate-recheck", false,
                     "debug cross-check: rebuild gated plans and assert they "
                     "are empty (costs what the gate saves)");
@@ -144,9 +125,7 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   options.csv = flags.get("csv");
   options.batch_dispatch = flags.get_bool("batch-dispatch");
-  options.incremental_availability = flags.get_bool("incremental-availability");
   options.delta_maps = flags.get_bool("delta-maps");
-  options.windowed_availability = flags.get_bool("windowed-availability");
   options.parallel_shards = static_cast<std::size_t>(flags.get_int("parallel-shards"));
   options.sequential_delivery = flags.get_bool("sequential-delivery");
   options.sequential_commit = flags.get_bool("sequential-commit");
@@ -156,8 +135,6 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
   options.flash_crowd_duration = flags.get_double("flash-crowd-duration");
   options.tick_shard_size = static_cast<std::size_t>(flags.get_int("tick-shard-size"));
   options.timing_wheel = flags.get_bool("timing-wheel");
-  options.plan_gate = flags.get_bool("plan-gate");
-  options.plan_gate_legacy = flags.get_bool("plan-gate-legacy");
   options.plan_gate_recheck = flags.get_bool("plan-gate-recheck");
   options.capacity_model = flags.get("capacity-model");
   options.cdn_assist = flags.get_bool("cdn-assist");

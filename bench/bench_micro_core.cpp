@@ -234,17 +234,13 @@ BENCHMARK(BM_EngineDispatch)
     ->Args({10000, 1})
     ->Unit(benchmark::kMillisecond);
 
-// Candidate-build cost: the same trimmed-horizon experiment with the
-// availability plane rescanning neighbour buffers per tick (incremental=0)
-// vs maintained by deltas (incremental=1).  The two rows of a size are the
-// same seed and produce bit-identical metrics (stream_determinism_test
-// enforces that); availability_probes counts supplier-membership probes
-// during candidate build and index_updates the delta events that replaced
-// the rescans, so the wall-clock delta and the probe drop isolate the
-// scan-work saving.
+// Candidate-build cost: a trimmed-horizon experiment whose availability
+// views are maintained by deltas.  availability_probes counts
+// supplier-membership probes during candidate build and index_updates the
+// delta events that keep the views current, so the row pair of two sizes
+// shows how scan work and view upkeep scale with the overlay.
 void BM_BuildCandidates(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
-  const bool incremental = state.range(1) != 0;
   std::uint64_t probes = 0;
   std::uint64_t index_updates = 0;
   std::uint64_t delivered = 0;
@@ -253,7 +249,6 @@ void BM_BuildCandidates(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_incremental_availability(incremental);
     config.engine.horizon = 15.0;        // scan cost, not paper metrics
     config.engine.history_seconds = 30.0;
     auto engine = gs::exp::make_engine(config);
@@ -272,13 +267,10 @@ void BM_BuildCandidates(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
 }
 BENCHMARK(BM_BuildCandidates)
-    ->ArgNames({"peers", "incremental"})
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
+    ->ArgNames({"peers"})
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
 // Sharded-core scaling: the same trimmed-horizon experiment sequential
@@ -303,7 +295,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
     config.enable_batch_dispatch(true);
-    config.enable_incremental_availability(true);
     config.enable_parallel_shards(shards);
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
     config.engine.horizon = nodes >= 100000 ? 5.0 : 10.0;
@@ -359,7 +350,6 @@ void BM_DeliveryDrain(benchmark::State& state) {
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
     config.enable_batch_dispatch(true);
-    config.enable_incremental_availability(true);
     config.enable_parallel_shards(shards);
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
     config.engine.horizon = nodes >= 100000 ? 5.0 : 10.0;
@@ -390,71 +380,8 @@ BENCHMARK(BM_DeliveryDrain)
     ->Args({100000, 4})
     ->Unit(benchmark::kMillisecond);
 
-// Plan-gate payoff where the gate genuinely fires: a caught-up steady
-// swarm (sparse_fill=1.0, no synthetic backlog or lag) in which most peers
-// have no missing ∧ supplied work most of the time, so the quiescence gate
-// skips their candidate builds outright.  The rows of a size share the
-// seed and produce bit-identical metrics (stream_determinism_test's
-// PlanGate suite enforces that); plans_gated / plans_built report the gate
-// hit rate and the wall-clock delta is the saving.  The busy-swarm payoff
-// of the bundled neighbour-major candidate build shows up on the
-// BM_FullPipeline / BM_MillionPeer gate axes instead.  Emit BENCH_*.json
-// via
-//   bench_micro_core --benchmark_filter=BM_PlanGate
-//     --benchmark_out=BENCH_plan_gate.json --benchmark_out_format=json
-void BM_PlanGate(benchmark::State& state) {
-  const auto nodes = static_cast<std::size_t>(state.range(0));
-  const bool gate = state.range(1) != 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t gated = 0;
-  std::uint64_t built = 0;
-  std::uint64_t probes = 0;
-  std::uint64_t runs = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    gs::exp::Config config =
-        gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_batch_dispatch(true);
-    config.enable_incremental_availability(true);
-    config.enable_windowed_availability(true);
-    config.enable_peer_pool(true);
-    config.enable_plan_gate(gate);
-    config.engine.tick_shard_size = 1024;  // wide sweeps; dispatch is not the point
-    config.engine.horizon = 2.0;           // plan cost, not paper metrics
-    config.engine.history_seconds = 10.0;
-    config.engine.sparse_fill = 1.0;       // caught-up steady swarm: most peers
-    config.engine.stable_backlog_scale = 0.0;  // quiesce between deliveries, so
-    config.engine.base_lag_segments = 0.0;     // the gate has real work to skip
-    config.engine.hop_lag_seconds = 0.0;
-    auto engine = gs::exp::make_engine(config);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(engine->run());
-    delivered += engine->stats().segments_delivered;
-    gated += engine->stats().plans_gated;
-    built += engine->stats().plans_built;
-    probes += engine->stats().availability_probes;
-    ++runs;
-  }
-  state.counters["delivered"] =
-      benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
-  state.counters["plans_gated"] =
-      benchmark::Counter(static_cast<double>(gated) / static_cast<double>(runs));
-  state.counters["plans_built"] =
-      benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
-  state.counters["availability_probes"] =
-      benchmark::Counter(static_cast<double>(probes) / static_cast<double>(runs));
-}
-BENCHMARK(BM_PlanGate)
-    ->ArgNames({"peers", "gate"})
-    ->Args({100000, 0})
-    ->Args({100000, 1})
-    ->Args({1000000, 0})
-    ->Args({1000000, 1})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-
-// Whole-pipeline throughput: batched dispatch + incremental windowed
-// availability + the memory plane, sequential vs the sharded core, at
+// Whole-pipeline throughput: batched dispatch + the memory plane,
+// sequential vs the sharded core, at
 // N=100000.  This is the "everything on" configuration the scale runs use;
 // the memory counters come from the engine's end-of-run telemetry.  Emit
 // BENCH_*.json via
@@ -465,7 +392,6 @@ void BM_FullPipeline(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(1));
   const bool commit = state.range(2) != 0;
   const bool wheel = state.range(3) != 0;
-  const bool gate = state.range(4) != 0;
   std::uint64_t delivered = 0;
   std::uint64_t events = 0;
   double bytes_per_peer = 0.0;
@@ -485,13 +411,10 @@ void BM_FullPipeline(benchmark::State& state) {
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
     config.enable_batch_dispatch(true);
-    config.enable_incremental_availability(true);
-    config.enable_windowed_availability(true);
     config.enable_parallel_shards(shards);
     config.enable_parallel_commit(commit);
     config.enable_peer_pool(true);
     config.enable_timing_wheel(wheel);
-    config.enable_plan_gate(gate);
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
     config.engine.horizon = 5.0;           // pipeline cost, not paper metrics
     config.engine.history_seconds = 20.0;
@@ -540,25 +463,18 @@ void BM_FullPipeline(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
 }
 BENCHMARK(BM_FullPipeline)
-    ->ArgNames({"peers", "shards", "commit", "wheel", "gate"})
-    ->Args({100000, 0, 1, 0, 1})
-    ->Args({100000, 0, 1, 1, 0})
-    ->Args({100000, 0, 1, 1, 1})
-    ->Args({100000, 4, 0, 1, 1})
-    ->Args({100000, 4, 1, 0, 1})
-    ->Args({100000, 4, 1, 1, 0})
-    ->Args({100000, 4, 1, 1, 1})
+    ->ArgNames({"peers", "shards", "commit", "wheel"})
+    ->Args({100000, 0, 1, 0})
+    ->Args({100000, 0, 1, 1})
+    ->Args({100000, 4, 0, 1})
+    ->Args({100000, 4, 1, 0})
+    ->Args({100000, 4, 1, 1})
     ->Unit(benchmark::kMillisecond);
 
 // Million-peer memory smoke: one trimmed-dynamics switch experiment at
-// N=10^6, legacy containers (pool=0) vs the memory plane (pool=1), plus a
-// gate=0 row isolating the plan work-set plane (quiescence gate +
-// neighbour-major candidate build) on the pooled configuration — at this
-// scale neighbour presence bitsets are cache-cold, so the pooled
-// gate-on/gate-off pair is the headline plan-phase speedup.  The
+// N=10^6, legacy containers (pool=0) vs the memory plane (pool=1).  The
 // point of the pool axis is the footprint, not the wall clock:
-// bytes_per_peer comes from the
-// engine's container accounting and peak_rss_mb from the process high-water
+// bytes_per_peer comes from the engine's container accounting and peak_rss_mb from the process high-water
 // mark (cumulative across rows by nature — run one filter per process for
 // clean RSS numbers).  Fixed-seed metrics are bit-identical across the two
 // rows (stream_determinism_test enforces the flag's purity).  Emit
@@ -569,7 +485,6 @@ void BM_MillionPeer(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   const bool pool = state.range(1) != 0;
   const bool wheel = state.range(2) != 0;
-  const bool gate = state.range(3) != 0;
   std::uint64_t delivered = 0;
   double bytes_per_peer = 0.0;
   double peak_rss = 0.0;
@@ -582,11 +497,8 @@ void BM_MillionPeer(benchmark::State& state) {
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
     config.enable_batch_dispatch(true);
-    config.enable_incremental_availability(true);
-    config.enable_windowed_availability(true);
     config.enable_peer_pool(pool);
     config.enable_timing_wheel(wheel);
-    config.enable_plan_gate(gate);
     config.engine.tick_shard_size = 1024;  // wide sweeps; dispatch is not the point
     config.engine.horizon = 2.0;           // memory smoke, not paper metrics
     config.engine.history_seconds = 10.0;
@@ -615,11 +527,10 @@ void BM_MillionPeer(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
 }
 BENCHMARK(BM_MillionPeer)
-    ->ArgNames({"peers", "pool", "wheel", "gate"})
-    ->Args({1000000, 0, 1, 1})
-    ->Args({1000000, 1, 0, 1})
-    ->Args({1000000, 1, 1, 0})
-    ->Args({1000000, 1, 1, 1})
+    ->ArgNames({"peers", "pool", "wheel"})
+    ->Args({1000000, 0, 1})
+    ->Args({1000000, 1, 0})
+    ->Args({1000000, 1, 1})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -4,7 +4,7 @@
 //
 //   ./sweep_cli --sizes 200,1000 --trials 3 --topology ring --churn 0.05
 //   ./sweep_cli --sizes 500 --qs 80 --neighbor 7 --capacity-model per-link --csv out.csv
-//   ./sweep_cli --sizes 10000 --tick-shard 256 --parallel-shards 8 --incremental-availability
+//   ./sweep_cli --sizes 10000 --tick-shard 256 --parallel-shards 8 --peer-pool
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -58,26 +58,13 @@ int main(int argc, char** argv) {
   flags.define_bool("timing-wheel", true,
                     "timing-wheel event plane (identical metrics, O(1) schedule; "
                     "--timing-wheel=false for the binary-heap baseline)");
-  flags.define_bool("plan-gate", true,
-                    "plan work-set plane: quiescence gate + neighbour-major "
-                    "candidate build (identical metrics, less plan work; "
-                    "--plan-gate=false for the pre-gate baseline)");
-  flags.define_bool("plan-gate-legacy", false,
-                    "maintain a gate-only availability index under the legacy "
-                    "rescan scheduler so the plan gate fires there too");
   flags.define_bool("plan-gate-recheck", false,
                     "debug cross-check: rebuild gated plans and assert they "
                     "are empty (costs what the gate saves)");
-  flags.define_bool("incremental-availability", false,
-                    "delta-maintained availability views (identical metrics, less scan work)");
   flags.define_bool("delta-maps", false,
-                    "charge availability gossip as buffer-map deltas (implies "
-                    "--incremental-availability; lowers the overhead metric)");
+                    "charge availability gossip as buffer-map deltas (lowers the "
+                    "overhead metric)");
   flags.define_int("map-refresh", 10, "adverts between full-map refreshes under --delta-maps");
-  flags.define_bool("windowed-availability", false,
-                    "sliding supplier-count windows anchored at the playback cursor "
-                    "(implies --incremental-availability; identical metrics, "
-                    "O(buffer) per-view memory)");
   flags.define_int("tick-shard", 16, "peers per tick shard (phase group; both dispatch modes)");
   flags.define_int("parallel-shards", 0,
                    "sharded parallel core: plan lanes / event-queue shards "
@@ -136,13 +123,9 @@ int main(int argc, char** argv) {
   base.engine.token_bucket_burst = flags.get_double("token-bucket-burst");
   base.enable_batch_dispatch(flags.get_bool("batch-dispatch"));
   base.enable_timing_wheel(flags.get_bool("timing-wheel"));
-  base.enable_plan_gate(flags.get_bool("plan-gate"), flags.get_bool("plan-gate-legacy"),
-                        flags.get_bool("plan-gate-recheck"));
-  base.enable_incremental_availability(
-      flags.get_bool("incremental-availability") || flags.get_bool("delta-maps"),
-      flags.get_bool("delta-maps"));
+  base.engine.plan_gate_recheck = flags.get_bool("plan-gate-recheck");
+  base.engine.delta_maps = flags.get_bool("delta-maps");
   base.engine.map_refresh_period = static_cast<std::size_t>(flags.get_int("map-refresh"));
-  base.enable_windowed_availability(flags.get_bool("windowed-availability"));
   base.engine.tick_shard_size = static_cast<std::size_t>(flags.get_int("tick-shard"));
   base.enable_parallel_shards(static_cast<std::size_t>(flags.get_int("parallel-shards")));
   base.engine.parallel_delivery = !flags.get_bool("sequential-delivery");

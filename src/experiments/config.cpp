@@ -73,14 +73,18 @@ void Config::validate() const {
     throw std::invalid_argument("trace_path required for kTraceFile");
   }
   if (engine.warmup <= 0.0) throw std::invalid_argument("warmup must be positive");
+  if (engine.tau <= 0.0) throw std::invalid_argument("tau must be positive");
+  if (engine.playback_rate <= 0.0) {
+    throw std::invalid_argument("playback_rate must be positive");
+  }
+  if (engine.buffer_capacity < engine.q_startup) {
+    throw std::invalid_argument("buffer_capacity must hold the q_startup prefix");
+  }
+  if (engine.pending_timeout <= 0.0) {
+    throw std::invalid_argument("pending_timeout must be positive");
+  }
   if (engine.tick_shard_size == 0) {
     throw std::invalid_argument("tick_shard_size must be >= 1");
-  }
-  if (engine.delta_maps && !engine.incremental_availability) {
-    throw std::invalid_argument("delta_maps requires incremental_availability");
-  }
-  if (engine.windowed_availability && !engine.incremental_availability) {
-    throw std::invalid_argument("windowed_availability requires incremental_availability");
   }
   if (engine.map_refresh_period == 0) {
     throw std::invalid_argument("map_refresh_period must be >= 1");

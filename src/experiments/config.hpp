@@ -69,43 +69,6 @@ struct Config {
   /// (EngineStats::events_wheeled and friends) do.
   void enable_timing_wheel(bool on = true) { engine.timing_wheel = on; }
 
-  /// Toggles the plan work-set plane (`--plan-gate`; on by default, pass
-  /// false for the pre-gate baseline): the quiescence gate that skips the
-  /// candidate build for peers with no missing ∧ supplied work, plus the
-  /// neighbour-major candidate enumeration.  Pure mechanism: fixed-seed
-  /// metrics are bit-identical either way; only plan-phase work and the
-  /// gate telemetry (EngineStats::plans_gated/plans_built) change.
-  /// `legacy` additionally maintains a gate-only availability index under
-  /// the legacy rescan scheduler (`--plan-gate-legacy`); `recheck` turns on
-  /// the debug cross-check that re-builds gated plans and asserts
-  /// emptiness (`--plan-gate-recheck`).
-  void enable_plan_gate(bool on = true, bool legacy = false, bool recheck = false) {
-    engine.plan_gate = on;
-    engine.plan_gate_legacy = on && legacy;
-    engine.plan_gate_recheck = on && recheck;
-  }
-
-  /// Turns on the incremental availability plane
-  /// (`--incremental-availability`).  Like batch dispatch this is pure
-  /// mechanism: fixed-seed metrics are bit-identical either way; only the
-  /// candidate-scan work drops.  `delta` additionally charges availability
-  /// gossip as BufferMapDelta exchanges (`--delta-maps`) — an accounting
-  /// change that lowers the overhead-ratio metric by design.
-  void enable_incremental_availability(bool on = true, bool delta = false) {
-    engine.incremental_availability = on;
-    engine.delta_maps = on && delta;
-  }
-
-  /// Turns on windowed availability views (`--windowed-availability`):
-  /// supplier counts keyed on a sliding window anchored at the playback
-  /// cursor, bounding per-view memory at O(buffer_capacity).  Implies the
-  /// incremental availability plane.  Pure mechanism: fixed-seed metrics
-  /// are bit-identical either way.
-  void enable_windowed_availability(bool on = true) {
-    engine.windowed_availability = on;
-    if (on) engine.incremental_availability = true;
-  }
-
   /// Turns on the sharded parallel simulation core with `shards` plan
   /// lanes / event-queue shards (`--parallel-shards`; 0 = sequential).
   /// Pure mechanism: fixed-seed metrics are bit-identical at every shard

@@ -27,7 +27,7 @@ class OverheadAccountant {
   /// `count` full-map exchanges at once (one per neighbour of a tick).
   void charge_buffer_map_exchanges(std::size_t count) noexcept;
   /// One delta advert of `run_count` toggled-bit runs sent to
-  /// `receiver_count` neighbours (incremental availability mode).
+  /// `receiver_count` neighbours (delta_maps accounting).
   void charge_buffer_map_delta(std::size_t run_count, std::size_t receiver_count) noexcept;
   void charge_request(std::size_t segment_count) noexcept;
   void charge_data_segment() noexcept;

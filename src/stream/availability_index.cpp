@@ -16,49 +16,38 @@ std::size_t owner_anchor(const PeerNode& p) {
   return from <= 0 ? 0 : static_cast<std::size_t>(from);
 }
 
+/// Supplier-window span in ids: the candidate range is at most
+/// buffer_capacity wide and starts within a word of the anchored base; the
+/// extra slack tracks a little ahead so slides reconstruct less.
+std::size_t window_span(std::size_t buffer_capacity) {
+  return (buffer_capacity + 192 + kWordBits - 1) / kWordBits * kWordBits;
+}
+
 }  // namespace
 
-void AvailabilityIndex::set_window(std::size_t span_bits) {
-  GS_CHECK(!enabled_) << "set_window must precede build()";
-  GS_CHECK_GT(span_bits, 0u);
-  window_span_ = (span_bits + kWordBits - 1) / kWordBits * kWordBits;
-}
-
-void AvailabilityIndex::set_gate_only() {
-  GS_CHECK(!enabled_) << "set_gate_only must precede build()";
-  gate_only_ = true;
-}
-
-void AvailabilityIndex::enable_work_tracking(PeerPool* pool) {
-  GS_CHECK(!enabled_) << "enable_work_tracking must precede build()";
-  GS_CHECK(pool != nullptr);
-  track_work_ = true;
-  pool_ = pool;
-}
-
-void AvailabilityIndex::build(const net::Graph& graph, const std::vector<PeerNode>& peers) {
+void AvailabilityIndex::build(const net::Graph& graph, const std::vector<PeerNode>& peers,
+                              std::size_t buffer_capacity, PeerPool& pool) {
+  pool_ = &pool;
+  window_span_ = window_span(buffer_capacity);
   views_.assign(peers.size(), View{});
   for (net::NodeId v = 0; v < peers.size(); ++v) {
     if (peers[v].alive() && !peers[v].is_source()) build_view(graph, peers, v);
   }
-  enabled_ = true;
 }
 
 void AvailabilityIndex::build_view(const net::Graph& graph, const std::vector<PeerNode>& peers,
                                    net::NodeId v) {
   View& w = views_[v];
   w.built = true;
-  if (window_span_ > 0) {
-    w.window_base = align_down(owner_anchor(peers[v]));
-    w.supplier_count.assign(window_span_, 0);
-    w.supplied.resize(window_span_);
-  }
+  w.window_base = align_down(owner_anchor(peers[v]));
+  w.supplier_count.assign(window_span_, 0);
+  w.supplied.resize(window_span_);
   for (const net::NodeId nb : graph.neighbors(v)) {
     if (!peers[nb].alive()) continue;
     w.alive_neighbors.push_back(nb);  // graph adjacency is sorted by id
     add_supplier(w, peers[nb]);
   }
-  if (track_work_) recompute_work(v, w, peers[v].received);
+  recompute_work(v, w, peers[v].received);
 }
 
 const AvailabilityIndex::View& AvailabilityIndex::view(net::NodeId v) const {
@@ -67,23 +56,8 @@ const AvailabilityIndex::View& AvailabilityIndex::view(net::NodeId v) const {
   return views_[v];
 }
 
-bool AvailabilityIndex::track_slot(View& w, SegmentId id, std::size_t& slot) const {
+bool AvailabilityIndex::track_slot(const View& w, SegmentId id, std::size_t& slot) const {
   const auto pos = static_cast<std::size_t>(id);
-  if (window_span_ == 0) {
-    const std::size_t needed = pos + 1;
-    if (w.supplier_count.size() < needed) {
-      // Geometric growth: ids arrive in near-streaming order, so this
-      // amortizes to O(1) per delivered segment.
-      const std::size_t grown = std::max(needed, w.supplier_count.size() * 2 + 64);
-      w.supplier_count.resize(grown, 0);
-      w.supplied.resize(grown);
-      // One work-mask bit per supplied word; the new words carry no
-      // suppliers yet, so zero-fill is the correct work state.
-      if (track_work_) w.work_mask.resize((grown + kWordBits - 1) / kWordBits);
-    }
-    slot = pos;
-    return true;
-  }
   if (pos < w.window_base || pos >= w.window_base + window_span_) return false;
   slot = pos - w.window_base;
   return true;
@@ -104,13 +78,11 @@ void AvailabilityIndex::apply_gain(net::NodeId view, SegmentId id) {
     // take the owner's received word — a cold random load per transition
     // at 10^6 peers — so the summary marks the word unconditionally and
     // the owner's next empty build collapses it via try_quiesce.
-    if (track_work_) {
-      const std::size_t word = slot / kWordBits;
-      if (!w.work_mask.test(word)) {
-        w.work_mask.set(word);
-        ++w.work_words;
-        sync_work_lane(view, w);
-      }
+    const std::size_t word = slot / kWordBits;
+    if (!w.work_mask.test(word)) {
+      w.work_mask.set(word);
+      ++w.work_words;
+      sync_work_lane(view, w);
     }
   }
 }
@@ -138,9 +110,7 @@ void AvailabilityIndex::recompute_head_for(const std::vector<PeerNode>& peers,
   recompute_head(views_[view], peers);
 }
 
-void AvailabilityIndex::on_gain(const net::Graph& graph, const std::vector<PeerNode>& peers,
-                                net::NodeId owner, SegmentId id) {
-  (void)peers;
+void AvailabilityIndex::on_gain(const net::Graph& graph, net::NodeId owner, SegmentId id) {
   for (const net::NodeId nb : graph.neighbors(owner)) {
     if (!views_[nb].built) continue;
     apply_gain(nb, id);
@@ -159,7 +129,6 @@ void AvailabilityIndex::on_evict(const net::Graph& graph, const std::vector<Peer
 
 bool AvailabilityIndex::try_quiesce(net::NodeId v, const util::DynamicBitset& received,
                                     SegmentId from) {
-  if (!track_work_) return false;
   View& w = views_[v];
   if (!w.built || w.work_words == 0) return false;
   // One word-level scan over the whole remaining supplied range — not just
@@ -193,7 +162,6 @@ void AvailabilityIndex::on_boundary(const net::Graph& graph, net::NodeId owner, 
 
 void AvailabilityIndex::sync_window(const std::vector<PeerNode>& peers, net::NodeId v,
                                     SegmentId from) {
-  if (window_span_ == 0) return;
   View& w = views_[v];
   GS_CHECK(w.built);
   const std::size_t new_base = align_down(from <= 0 ? 0 : static_cast<std::size_t>(from));
@@ -217,42 +185,39 @@ void AvailabilityIndex::sync_window(const std::vector<PeerNode>& peers, net::Nod
   // presence set right now (a gain followed by an in-batch eviction
   // cancels, matching the dropped pair).
   const std::size_t recon_lo = std::max(old_end, new_base);
-  const std::size_t recon_hi = new_base + window_span_;
   for (const net::NodeId nb : w.alive_neighbors) {
-    const util::DynamicBitset& presence = peers[nb].buffer.presence();
-    for (std::size_t pos = presence.find_first(recon_lo);
-         pos < std::min(recon_hi, presence.size()); pos = presence.find_first(pos + 1)) {
-      const std::size_t slot = pos - new_base;
-      if (w.supplier_count[slot]++ == 0) w.supplied.set(slot);
-    }
+    add_presence(w, peers[nb].buffer.presence(), recon_lo);
   }
   // The slide moved every slot; the window is a handful of words, so a
   // full work recount is cheaper than replaying the shifts.
-  if (track_work_) recompute_work(v, w, peers[v].received);
+  recompute_work(v, w, peers[v].received);
   ++updates_;
 }
 
-void AvailabilityIndex::add_supplier(View& w, const PeerNode& neighbor) const {
-  const util::DynamicBitset& presence = neighbor.buffer.presence();
-  for (std::size_t pos = presence.find_first(w.window_base); pos < presence.size();
+void AvailabilityIndex::add_presence(View& w, const util::DynamicBitset& presence,
+                                     std::size_t from) {
+  const std::size_t end = std::min(w.supplied_end(), presence.size());
+  for (std::size_t pos = presence.find_first(from); pos < end;
        pos = presence.find_first(pos + 1)) {
-    std::size_t slot = 0;
-    if (!track_slot(w, static_cast<SegmentId>(pos), slot)) continue;
+    const std::size_t slot = pos - w.window_base;
     if (w.supplier_count[slot]++ == 0) w.supplied.set(slot);
   }
+}
+
+void AvailabilityIndex::add_supplier(View& w, const PeerNode& neighbor) {
+  add_presence(w, neighbor.buffer.presence(), w.window_base);
   w.head = std::max(w.head, neighbor.buffer.max_id());
   w.boundary_max = std::max(w.boundary_max, neighbor.known_boundary());
 }
 
-void AvailabilityIndex::remove_supplier(View& w, const PeerNode& neighbor) const {
+void AvailabilityIndex::remove_supplier(View& w, const PeerNode& neighbor) {
   const util::DynamicBitset& presence = neighbor.buffer.presence();
-  for (std::size_t pos = presence.find_first(w.window_base); pos < presence.size();
+  const std::size_t end = std::min(w.supplied_end(), presence.size());
+  for (std::size_t pos = presence.find_first(w.window_base); pos < end;
        pos = presence.find_first(pos + 1)) {
-    std::size_t slot = 0;
-    if (!track_slot(w, static_cast<SegmentId>(pos), slot)) continue;
-    auto& count = w.supplier_count[slot];
-    GS_CHECK_GT(count, 0u);
-    if (--count == 0) w.supplied.reset(slot);
+    const std::size_t slot = pos - w.window_base;
+    GS_CHECK_GT(w.supplier_count[slot], 0u);
+    if (--w.supplier_count[slot] == 0) w.supplied.reset(slot);
   }
 }
 
@@ -298,12 +263,12 @@ void AvailabilityIndex::remove_peer(const net::Graph& graph, const std::vector<P
     remove_supplier(w, leaver);
     if (leaver.buffer.max_id() == w.head) recompute_head(w, peers);
     if (leaver.known_boundary() == w.boundary_max) recompute_boundary(w, peers);
-    if (track_work_) recompute_work(nb, w, peers[nb].received);
+    recompute_work(nb, w, peers[nb].received);
     ++updates_;
   }
   views_[v] = View{};
   // A departed peer never plans again; park its gate lane closed.
-  if (pool_ != nullptr && v < pool_->size()) pool_->has_work(v) = 0;
+  pool_->has_work(v) = 0;
 }
 
 void AvailabilityIndex::connect(const std::vector<PeerNode>& peers, net::NodeId u,
@@ -315,7 +280,7 @@ void AvailabilityIndex::connect(const std::vector<PeerNode>& peers, net::NodeId 
     w.alive_neighbors.insert(
         std::lower_bound(w.alive_neighbors.begin(), w.alive_neighbors.end(), other), other);
     add_supplier(w, peers[other]);
-    if (track_work_) recompute_work(self, w, peers[self].received);
+    recompute_work(self, w, peers[self].received);
     ++updates_;
   }
 }
@@ -339,7 +304,6 @@ void AvailabilityIndex::recompute_work(net::NodeId v, View& w,
 }
 
 void AvailabilityIndex::sync_work_lane(net::NodeId v, const View& w) {
-  if (pool_ == nullptr || v >= pool_->size()) return;
   const std::uint8_t want = w.work_words != 0 ? 1 : 0;
   // Transition-only stores: during the parallel delivery merge this byte
   // belongs to the shard that owns view v, and the plan wave only reads it

@@ -1,14 +1,13 @@
 // The availability plane: per-peer neighbour-availability views maintained
 // by deltas instead of per-tick rescans.
 //
-// The legacy hot path re-derives everything from scratch every scheduling
-// period: snapshot_and_learn walks a peer's neighbours for the boundary max,
-// then build_candidates walks them again — once for the head and once per
-// missing segment over the whole window, O(degree x buffer_capacity) per
-// peer per tick.  This index inverts the dataflow: every event that changes
+// Each scheduling period a peer needs "what is missing here and held by an
+// alive neighbour", plus the newest id and switch boundary its neighbours
+// know of.  Re-deriving that per tick costs O(degree x buffer_capacity) per
+// peer; this index inverts the dataflow instead: every event that changes
 // what a neighbourhood can supply (a delivery, a FIFO eviction, a join, a
-// leave, a repair edge, a boundary learned) pushes a delta into the affected
-// peers' views, and the tick just reads them.
+// leave, a repair edge, a boundary learned) pushes a delta into the
+// affected peers' views, and the tick just reads them.
 //
 // Per peer the view keeps
 //   - the alive neighbour list in graph (sorted-id) order,
@@ -16,26 +15,20 @@
 //     the candidate loop can jump straight to missing-and-supplied ids with
 //     DynamicBitset::first_set_and_clear_offset,
 //   - the cached neighbour head (max buffer id any neighbour holds),
-//   - the cached boundary max (newest switch any neighbour knows of).
+//   - the cached boundary max (newest switch any neighbour knows of),
+//   - the plan gate's work summary (see View::work_words).
 //
-// Two keying modes share every code path:
-//   - absolute (default): supplier counts are indexed by absolute segment
-//     id and the arrays grow with the stream — simple and exact, but a
-//     long run accumulates O(total segments) per view;
-//   - windowed (set_window): counts live in a sliding window of
-//     `span` ids anchored at the owner's playback cursor (window_base,
-//     always a multiple of 64 so the supplied bitset stays word-aligned
-//     with the absolute received set).  Deltas outside the window are
-//     dropped; sync_window slides the base forward each tick and *exactly*
-//     reconstructs the newly covered top range from the neighbours'
-//     buffers, so in-window counts always equal the absolute-mode counts —
-//     which is what keeps windowed runs bit-identical (enforced by
-//     stream_determinism_test) while bounding per-view memory at
-//     O(buffer_capacity) for 10^5+-peer runs.
+// Supplier counts live in a sliding window of buffer_capacity + 192 ids
+// anchored at the owner's playback cursor (window_base, always a
+// multiple of 64 so the supplied bitset stays word-aligned with the owner's
+// absolute received set).  Deltas outside the window are dropped;
+// sync_window slides the base forward each tick and *exactly* reconstructs
+// the newly covered top range from the neighbours' buffers, so in-window
+// counts always equal a from-scratch count over the alive neighbours
+// (stream_availability_index_test checks that property; the golden digests
+// in stream_determinism_test pin the end-to-end behaviour), while per-view
+// memory stays O(buffer_capacity) for 10^5+-peer runs.
 //
-// The maintained views are exact mirrors of what the legacy rescan would
-// compute, which is what makes the engine's incremental_availability mode
-// bit-identical to the rescan mode (enforced by stream_determinism_test).
 // State is strictly per view, and the delta entry points are split into
 // apply_gain / apply_evict / recompute_head_for so the sharded engine can
 // drain delivery deltas in parallel: each lane applies the deltas of the
@@ -66,7 +59,7 @@ class AvailabilityIndex {
     /// graph.neighbors() yields once dead peers are skipped.
     std::vector<net::NodeId> alive_neighbors;
     /// supplier_count[slot] = alive neighbours currently holding segment
-    /// window_base + slot (window_base is 0 in absolute mode).
+    /// window_base + slot.
     std::vector<std::uint16_t> supplier_count;
     /// Bit `slot` set iff supplier_count[slot] > 0.
     util::DynamicBitset supplied;
@@ -77,19 +70,18 @@ class AvailabilityIndex {
     SegmentId head = kNoSegment;
     /// max over alive neighbours of known_boundary; -1 when none.
     int boundary_max = -1;
-    /// Plan-gate work summary (enable_work_tracking): a *conservative*
-    /// word-level cover of (supplied & ~owner.received) — every word with a
-    /// missing ∧ supplied segment is marked, but a marked word may have
-    /// gone quiet (the owner received the segments, or suppliers evicted
-    /// them).  Zero work_words therefore *proves* the owner has no
-    /// schedulable work and tick_plan can skip the candidate build
-    /// outright; nonzero just means "build and see".  Kept conservative on
-    /// purpose: deciding exactly at delta time would read the owner's
-    /// received set — a cold random load per delta at 10^6 peers that
-    /// costs more than the empty builds it saves.  The summary is exact
-    /// right after the bulk recomputes (build, window slide, repair edge,
-    /// join) and collapses back to zero via try_quiesce when an empty
-    /// build proves quiescence.
+    /// Plan-gate work summary: a *conservative* word-level cover of
+    /// (supplied & ~owner.received) — every word with a missing ∧ supplied
+    /// segment is marked, but a marked word may have gone quiet (the owner
+    /// received the segments, or suppliers evicted them).  Zero work_words
+    /// therefore *proves* the owner has no schedulable work and tick_plan
+    /// can skip the candidate build outright; nonzero just means "build and
+    /// see".  Kept conservative on purpose: deciding exactly at delta time
+    /// would read the owner's received set — a cold random load per delta
+    /// at 10^6 peers that costs more than the empty builds it saves.  The
+    /// summary is exact right after the bulk recomputes (build, window
+    /// slide, repair edge, join) and collapses back to zero via try_quiesce
+    /// when an empty build proves quiescence.
     std::uint32_t work_words = 0;
     /// Bit `w` set iff word `w` of `supplied` contributes to work_words.
     util::DynamicBitset work_mask;
@@ -100,41 +92,17 @@ class AvailabilityIndex {
     }
   };
 
-  /// True when the engine should *read* views (candidate build, stale
-  /// checks, advert snapshots).  False in gate-only mode, where the index
-  /// is maintained purely to feed the plan gate under the legacy rescan.
-  [[nodiscard]] bool enabled() const noexcept { return enabled_ && !gate_only_; }
-  /// True when the views are being maintained at all — every delta entry
-  /// point (deliveries, evictions, churn, repair edges, boundary learns,
-  /// window slides) must fire while this holds, even in gate-only mode.
-  [[nodiscard]] bool maintained() const noexcept { return enabled_; }
-  [[nodiscard]] bool windowed() const noexcept { return window_span_ > 0; }
-  [[nodiscard]] bool work_tracked() const noexcept { return track_work_; }
-
-  /// Keeps the index maintained but invisible to readers (enabled() stays
-  /// false).  Lets the legacy availability mode run the plan gate without
-  /// switching the scheduler to incremental views.  Call before build().
-  void set_gate_only();
-
-  /// Turns on the per-view work summary and mirrors the zero/nonzero state
-  /// of each view's work_words into `pool->has_work(v)` so the engine's
-  /// plan gate can test quiescence with one byte load.  Call before
-  /// build(); the pool must outlive the index.
-  void enable_work_tracking(PeerPool* pool);
-
-  /// Switches supplier-count keying to a sliding window of `span_bits` ids
-  /// (rounded up to a word multiple) anchored at each owner's playback
-  /// cursor.  Must be called before build().
-  void set_window(std::size_t span_bits);
-
-  /// Builds every live non-source peer's view from the current buffers and
-  /// enables event maintenance.  Call once, after setup/warm-start filled
-  /// the buffers and before the simulation loop delivers anything.
-  void build(const net::Graph& graph, const std::vector<PeerNode>& peers);
+  /// Builds every live non-source peer's view from the current buffers,
+  /// keyed on a window of buffer_capacity + 192 ids (rounded up to whole
+  /// words), and mirrors each view's work summary into `pool.has_work(v)`
+  /// so the engine's plan gate can test quiescence with one byte load (the
+  /// pool must outlive the index).  Call once, after setup/warm-start
+  /// filled the buffers and before the simulation loop delivers anything.
+  void build(const net::Graph& graph, const std::vector<PeerNode>& peers,
+             std::size_t buffer_capacity, PeerPool& pool);
 
   /// `owner`'s buffer gained `id` (delivery or local generation).
-  void on_gain(const net::Graph& graph, const std::vector<PeerNode>& peers, net::NodeId owner,
-               SegmentId id);
+  void on_gain(const net::Graph& graph, net::NodeId owner, SegmentId id);
   /// `owner`'s buffer evicted `victim`.  Call after the eviction, so head
   /// recomputation sees the post-eviction buffers.
   void on_evict(const net::Graph& graph, const std::vector<PeerNode>& peers, net::NodeId owner,
@@ -148,7 +116,7 @@ class AvailabilityIndex {
   /// fresh delta — a pending-deferred id is still missing ∧ supplied, so
   /// the scan seeing nothing also rules out retry-timer wakeups, and ids
   /// behind `from` are dead (the playback anchor never moves backwards).
-  /// Returns true when it cleared.  No-op unless work tracking is on.
+  /// Returns true when it cleared.
   bool try_quiesce(net::NodeId v, const util::DynamicBitset& received, SegmentId from);
 
   // --- journaled delta application (the engine's parallel delivery wave) ---
@@ -178,11 +146,10 @@ class AvailabilityIndex {
   void add_updates(std::uint64_t n) noexcept { updates_ += n; }
 
   /// Slides `v`'s window so it stays anchored at the owner's current
-  /// playback position `from` (windowed mode; no-op otherwise).  Counts
-  /// for the newly covered top range are reconstructed exactly from the
-  /// alive neighbours' buffers, recovering any deltas dropped while those
-  /// ids were beyond the window.  Call from the tick pre phase, after
-  /// playback advanced.
+  /// playback position `from`.  Counts for the newly covered top range are
+  /// reconstructed exactly from the alive neighbours' buffers, recovering
+  /// any deltas dropped while those ids were beyond the window.  Call from
+  /// the tick pre phase, after playback advanced.
   void sync_window(const std::vector<PeerNode>& peers, net::NodeId v, SegmentId from);
 
   /// A fresh joiner `v`, already wired into the graph and present in
@@ -203,12 +170,13 @@ class AvailabilityIndex {
 
  private:
   void build_view(const net::Graph& graph, const std::vector<PeerNode>& peers, net::NodeId v);
-  /// Maps `id` to its count/bitset slot in `w`.  Absolute mode grows the
-  /// arrays and always tracks; windowed mode reports out-of-window ids as
-  /// untracked (false) without touching anything.
-  bool track_slot(View& w, SegmentId id, std::size_t& slot) const;
-  void add_supplier(View& w, const PeerNode& neighbor) const;
-  void remove_supplier(View& w, const PeerNode& neighbor) const;
+  /// Maps `id` to its count/bitset slot in `w`; false (nothing touched)
+  /// when the id lies outside the window.
+  bool track_slot(const View& w, SegmentId id, std::size_t& slot) const;
+  /// Counts every id `presence` holds in [from, w.supplied_end()).
+  static void add_presence(View& w, const util::DynamicBitset& presence, std::size_t from);
+  static void add_supplier(View& w, const PeerNode& neighbor);
+  static void remove_supplier(View& w, const PeerNode& neighbor);
   static void recompute_head(View& w, const std::vector<PeerNode>& peers);
   static void recompute_boundary(View& w, const std::vector<PeerNode>& peers);
   /// Full from-scratch work summary for `w` (bulk ops: build, window
@@ -218,11 +186,8 @@ class AvailabilityIndex {
   /// only, so quiescent stretches stay read-mostly).
   void sync_work_lane(net::NodeId v, const View& w);
 
-  bool enabled_ = false;
-  bool gate_only_ = false;
-  bool track_work_ = false;
   PeerPool* pool_ = nullptr;
-  /// 0 = absolute keying; otherwise the window span in bits (multiple of 64).
+  /// Window span in ids (a multiple of 64); set by build().
   std::size_t window_span_ = 0;
   std::vector<View> views_;
   std::uint64_t updates_ = 0;

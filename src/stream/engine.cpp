@@ -38,8 +38,6 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   // allocation (their supplier lists get the null-arena fallback).
   use_plan_arena_ = config_.peer_pool && config_.parallel_shards == 0;
   GS_CHECK_EQ(latency_.node_count(), graph_.node_count());
-  GS_CHECK(!config_.delta_maps || config_.incremental_availability)
-      << "delta_maps requires incremental_availability";
   if (config_.parallel_shards > 0) {
     // The sweep is the parallel unit, so the sharded core rides on batched
     // dispatch (bit-identical to per-peer dispatch by PR 2's invariant).
@@ -87,8 +85,6 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
       lane_arenas_.push_back(std::make_unique<util::Arena>());
     }
   }
-  GS_CHECK(!config_.windowed_availability || config_.incremental_availability)
-      << "windowed_availability requires incremental_availability";
   if (config_.cdn_assist) {
     // The CDN uplink runs the engine's configured contention policy over
     // the plane's own state; its (non-batchable) delivery events route to
@@ -113,7 +109,6 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   // Join wiring also fires, before the joiner's PeerNode exists — those
   // edges are picked up wholesale by add_peer in handle_join.
   membership_.set_on_edge_added([this](net::NodeId u, net::NodeId v) {
-    if (!availability_.maintained()) return;
     if (u >= peers_.size() || v >= peers_.size()) return;
     availability_.connect(peers_, u, v);
   });
@@ -193,7 +188,7 @@ void Engine::schedule_switch(int switch_index) {
 // has (capacity commits feeding later members' queue-delay reads).
 
 void Engine::tick(PeerNode& p, double now) {
-  if (!tick_pre(p, now, scan_seq_)) return;
+  if (!tick_pre(p, now)) return;
   // Sequential dispatch reuses one plan slot, so the prior tick's supplier
   // lists are dead and the arena can rewind before this tick's candidate
   // build fills it.  (Parallel waves reset their lane arenas at wave start
@@ -202,30 +197,28 @@ void Engine::tick(PeerNode& p, double now) {
     plan_arena_.reset();
     plan_seq_.arena = &plan_arena_;
   }
-  tick_plan(p, now, scan_seq_, plan_seq_);
-  tick_commit(p, now, scan_seq_, plan_seq_, /*validate=*/false);
+  tick_plan(p, now, plan_seq_);
+  tick_commit(p, now, plan_seq_, /*validate=*/false);
   if (cdn_) cdn_assist_tick(p, now);
 }
 
-bool Engine::tick_pre(PeerNode& p, double now, NeighborScan& scan) {
+bool Engine::tick_pre(PeerNode& p, double now) {
   if (!p.alive() || p.is_source()) return false;
   p.in_budget().replenish(config_.tau);
-  snapshot_and_learn(p, scan);
+  snapshot_and_learn(p);
   p.prune_pending(now);
 
   advance_playback(p, now);
   maybe_start_playback(p, now);
-  // Windowed views: re-anchor the supplier window at the settled playback
-  // position so the plan phase's candidate range [from, from + B) is fully
-  // covered.  Writes only this member's own view, so the sequential pre
-  // order is preserved and the parallel plan phase sees a stable window.
-  if (availability_.windowed()) {
-    availability_.sync_window(peers_, p.id, p.playback_anchor());
-  }
+  // Re-anchor the supplier window at the settled playback position so the
+  // plan phase's candidate range [from, from + B) is fully covered.  Writes
+  // only this member's own view, so the sequential pre order is preserved
+  // and the parallel plan phase sees a stable window.
+  availability_.sync_window(peers_, p.id, p.playback_anchor());
   return true;
 }
 
-void Engine::tick_plan(PeerNode& p, double now, const NeighborScan& scan, TickPlan& plan) {
+void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
   plan.planned = false;
   plan.gated = false;
   plan.split_active = false;
@@ -244,15 +237,13 @@ void Engine::tick_plan(PeerNode& p, double now, const NeighborScan& scan, TickPl
   // come back empty (the availability plane saw the last event that could
   // have created missing ∧ supplied work), and an empty build returns
   // right below without drawing from p.rng — so skipping it wholesale is
-  // rng-neutral and every fixed-seed metric stays bit-identical.  The lane
-  // defaults to 1 and only work tracking ever clears it, so this reads
-  // "gate enabled and proven quiescent".
-  if (config_.plan_gate && pool_.has_work(p.id) == 0) {
+  // rng-neutral and every fixed-seed metric stays bit-identical.
+  if (pool_.has_work(p.id) == 0) {
     plan.gated = true;
-    if (config_.plan_gate_recheck) recheck_gate(p, now, scan);
+    if (config_.plan_gate_recheck) recheck_gate(p, now);
     return;
   }
-  build_candidates(p, now, scan, plan);
+  build_candidates(p, now, plan);
   if (plan.candidates.empty()) {
     // An empty build is the cheap moment to settle the conservative work
     // summary: if the supplied ∧ ¬received scan finds nothing at or past
@@ -261,9 +252,7 @@ void Engine::tick_plan(PeerNode& p, double now, const NeighborScan& scan, TickPl
     // paths (the plan lanes partition members), so the writes are
     // race-free, and the decision reads only pre-wave state — identical
     // at every shard count.
-    if (config_.plan_gate) {
-      (void)availability_.try_quiesce(p.id, p.received, p.playback_anchor());
-    }
+    (void)availability_.try_quiesce(p.id, p.received, p.playback_anchor());
     return;
   }
 
@@ -290,23 +279,19 @@ void Engine::tick_plan(PeerNode& p, double now, const NeighborScan& scan, TickPl
   plan.requests = strategies_[p.strategy_index()]->schedule(ctx, plan.candidates);
 }
 
-bool Engine::plan_is_stale(const PeerNode& p, const NeighborScan& scan,
-                           const TickPlan& plan) const {
+bool Engine::plan_is_stale(const PeerNode& p, const TickPlan& plan) const {
   if (dirty_supplier_.empty() || !transfers_.supplier_shared()) return false;
   // The plan's queue-delay reads covered (a subset of) the alive
   // neighbours; per-link capacity can never conflict (requester-keyed).
-  const std::vector<net::NodeId>& alive =
-      availability_.enabled() ? availability_.view(p.id).alive_neighbors : scan.alive;
-  for (const net::NodeId nb : alive) {
+  for (const net::NodeId nb : availability_.view(p.id).alive_neighbors) {
     if (dirty_supplier_[nb] > plan.stamp) return true;
   }
   return false;
 }
 
-void Engine::tick_commit(PeerNode& p, double now, const NeighborScan& scan, TickPlan& plan,
-                         bool validate) {
+void Engine::tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate) {
   if (!plan.planned) return;
-  if (validate && !plan.candidates.empty() && plan_is_stale(p, scan, plan)) {
+  if (validate && !plan.candidates.empty() && plan_is_stale(p, plan)) {
     if (plan.stage) {
       // Stale on a commit lane: nothing may issue from here — the class
       // barrier's fixup queue re-plans this member sequentially, where the
@@ -322,7 +307,7 @@ void Engine::tick_commit(PeerNode& p, double now, const NeighborScan& scan, Tick
     // only supplier scores.
     p.rng = plan.rng_before;
     ++stats_.replanned_ticks;
-    tick_plan(p, now, scan, plan);
+    tick_plan(p, now, plan);
   }
   // Stage mode folds every global counter at the wave's final drain, from
   // the plan's final contents (a fixup re-plan overwrites them first, so
@@ -388,10 +373,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
   // sequential computation and stale ones are re-planned — so this is a
   // pure throughput knob.
   const std::size_t wave = std::max<std::size_t>(32, 16 * lanes);
-  if (batch_scans_.size() < std::min(n, wave)) {
-    batch_scans_.resize(std::min(n, wave));
-    batch_plans_.resize(std::min(n, wave));
-  }
+  if (batch_plans_.size() < std::min(n, wave)) batch_plans_.resize(std::min(n, wave));
   for (std::size_t base = 0; base < n; base += wave) {
     const std::size_t count = std::min(wave, n - base);
     // Rewind the lane arenas on the caller, behind the previous wave's
@@ -405,7 +387,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
     // per-member sweep would produce (nothing a plan reads is written by
     // pre, so running the wave's pres ahead of its plans is invisible).
     for (std::size_t i = 0; i < count; ++i) {
-      batch_plans_[i].live = tick_pre(peers_[members[base + i]], now, batch_scans_[i]);
+      batch_plans_[i].live = tick_pre(peers_[members[base + i]], now);
     }
     // Plan, in parallel: pure reads of shared state plus disjoint writes
     // (each member's own slot and rng).  Each lane bump-allocates supplier
@@ -415,7 +397,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
         count, lanes, [this, &members, base, now](std::size_t i, std::size_t lane) {
           if (!batch_plans_[i].live) return;
           batch_plans_[i].arena = lane_arenas_[lane].get();
-          tick_plan(peers_[members[base + i]], now, batch_scans_[i], batch_plans_[i]);
+          tick_plan(peers_[members[base + i]], now, batch_plans_[i]);
         });
     if (config_.parallel_commit) {
       commit_wave(members, base, count, lanes, now);
@@ -427,8 +409,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
     for (std::size_t i = 0; i < count; ++i) {
       if (!batch_plans_[i].live) continue;
       if (batch_plans_[i].planned) ++stats_.planned_ticks;
-      tick_commit(peers_[members[base + i]], now, batch_scans_[i], batch_plans_[i],
-                  /*validate=*/true);
+      tick_commit(peers_[members[base + i]], now, batch_plans_[i], /*validate=*/true);
       // The CDN step reads only sweep-stable state (buffers, timeline,
       // registry) plus the member's own slot and the CDN's ledger, and the
       // commit loop runs it in member order — exactly the sequential
@@ -476,9 +457,7 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
       count, peers_.size(), [&](std::size_t i) -> const std::vector<net::NodeId>* {
         const TickPlan& plan = batch_plans_[i];
         if (!shared || !plan.live || !plan.planned || plan.candidates.empty()) return nullptr;
-        const net::NodeId v = members[base + i];
-        return availability_.enabled() ? &availability_.view(v).alive_neighbors
-                                       : &batch_scans_[i].alive;
+        return &availability_.view(members[base + i]).alive_neighbors;
       });
   stats_.commit_colour_classes += colouring_.classes;
   if (class_slots_.size() < colouring_.classes) class_slots_.resize(colouring_.classes);
@@ -502,8 +481,7 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
                                                        now](std::size_t k) {
       const std::uint32_t i = slots[k];
       if (!batch_plans_[i].live || !batch_plans_[i].planned) return;
-      tick_commit(peers_[members[base + i]], now, batch_scans_[i], batch_plans_[i],
-                  /*validate=*/true);
+      tick_commit(peers_[members[base + i]], now, batch_plans_[i], /*validate=*/true);
     });
     // Fixup drain, member order within the class: a stale member re-plans
     // against the live plane.  Its conflicting predecessors all sit in
@@ -518,8 +496,8 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
       p.rng = plan.rng_before;
       ++stats_.replanned_ticks;
       ++stats_.commit_conflict_fixups;
-      tick_plan(p, now, batch_scans_[i], plan);
-      tick_commit(p, now, batch_scans_[i], plan, /*validate=*/false);
+      tick_plan(p, now, plan);
+      tick_commit(p, now, plan, /*validate=*/false);
     }
   }
 
@@ -575,38 +553,18 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
   capacity_commits_ = wave_base + count;
 }
 
-void Engine::snapshot_and_learn(PeerNode& p, NeighborScan& scan) {
-  if (availability_.enabled()) {
-    // The maintained view already holds everything the legacy rescan would
-    // re-derive; the tick just reads it (and pays the wire cost).
-    const AvailabilityIndex::View& view = availability_.view(p.id);
-    if (config_.delta_maps) {
-      advert_availability(p, view.alive_neighbors.size());
-    } else {
-      overhead_.charge_buffer_map_exchanges(view.alive_neighbors.size());
-    }
-    if (config_.discover_via_maps && view.boundary_max > p.known_boundary()) {
-      learn_boundaries(p, view.boundary_max, sim_.now());
-    }
-    return;
+void Engine::snapshot_and_learn(PeerNode& p) {
+  // The maintained view already holds what a per-tick exchange would
+  // deliver; the tick just reads it (and pays the wire cost).
+  const AvailabilityIndex::View& view = availability_.view(p.id);
+  if (config_.delta_maps) {
+    advert_availability(p, view.alive_neighbors.size());
+  } else {
+    overhead_.charge_buffer_map_exchanges(view.alive_neighbors.size());
   }
-  // Legacy: one shared pass over the neighbours serves the exchange
-  // accounting, boundary discovery AND build_candidates (alive list + head
-  // stashed in `scan` — nothing between here and the candidate build can
-  // change neighbour state within the tick).
-  scan.alive.clear();
-  scan.head = kNoSegment;
-  scan.owner = p.id;
-  int best_boundary = p.known_boundary();
-  for (const net::NodeId nb : graph_.neighbors(p.id)) {
-    const PeerNode& n = peers_[nb];
-    if (!n.alive()) continue;
-    overhead_.charge_buffer_map_exchange();
-    scan.alive.push_back(nb);
-    scan.head = std::max(scan.head, n.buffer.max_id());
-    if (config_.discover_via_maps) best_boundary = std::max(best_boundary, n.known_boundary());
+  if (config_.discover_via_maps && view.boundary_max > p.known_boundary()) {
+    learn_boundaries(p, view.boundary_max, sim_.now());
   }
-  if (best_boundary > p.known_boundary()) learn_boundaries(p, best_boundary, sim_.now());
 }
 
 void Engine::advert_availability(PeerNode& p, std::size_t receivers) {
@@ -641,20 +599,13 @@ void Engine::advert_availability(PeerNode& p, std::size_t receivers) {
   std::swap(p.advertised_map, advert_scratch_);
 }
 
-void Engine::build_candidates(PeerNode& p, double now, const NeighborScan& scan,
-                              TickPlan& plan) {
+void Engine::build_candidates(PeerNode& p, double now, TickPlan& plan) {
   std::vector<CandidateSegment>& out = plan.candidates;
   const SegmentId from = p.playback_anchor();
-
-  const bool incremental = availability_.enabled();
-  if (!incremental) {
-    GS_CHECK_EQ(scan.owner, p.id);  // the scan scratch is this tick's
-  }
-  const AvailabilityIndex::View* view = incremental ? &availability_.view(p.id) : nullptr;
-  const SegmentId head = incremental ? view->head : scan.head;
-  if (head == kNoSegment || head < from) return;
+  const AvailabilityIndex::View& view = availability_.view(p.id);
+  if (view.head == kNoSegment || view.head < from) return;
   const SegmentId to =
-      std::min<SegmentId>(head, from + static_cast<SegmentId>(config_.buffer_capacity) - 1);
+      std::min<SegmentId>(view.head, from + static_cast<SegmentId>(config_.buffer_capacity) - 1);
 
   const bool split_active =
       p.active_switch() >= 0 && p.known_boundary() >= p.active_switch();
@@ -663,83 +614,41 @@ void Engine::build_candidates(PeerNode& p, double now, const NeighborScan& scan,
                    : kNoSegment;
   const util::ArenaAllocator<SupplierView> salloc(plan.arena);
 
-  // Legacy iterates every missing id and discovers per id that nobody
-  // supplies it; the index jumps straight to missing-and-supplied ids
-  // (word-level intersection), which yields the identical candidate list —
-  // unsupplied ids produce no CandidateSegment either way.
-  const std::vector<net::NodeId>& alive_neighbors =
-      incremental ? view->alive_neighbors : scan.alive;
+  // Jump straight to missing-and-supplied ids: a word-level intersection
+  // of the view's windowed supplied bitset (bit j = id window_base + j)
+  // with the absolute received set.
   const auto next_candidate = [&](SegmentId at) -> SegmentId {
-    if (!incremental) return next_missing(p.received, at);
-    // The supplied bitset may be windowed (bit j = id window_base + j);
-    // absolute keying is the window_base == 0 case of the same walk.
     const std::size_t pos = util::DynamicBitset::first_set_and_clear_offset(
-        view->supplied, view->window_base, p.received, static_cast<std::size_t>(at));
-    if (pos >= view->supplied_end()) return to + 1;  // nothing supplied past `at`
+        view.supplied, view.window_base, p.received, static_cast<std::size_t>(at));
+    if (pos >= view.supplied_end()) return to + 1;  // nothing supplied past `at`
     return static_cast<SegmentId>(pos);
   };
 
-  if (!config_.plan_gate) {
-    // Segment-major supplier enumeration (the pre-plan-gate build, kept
-    // verbatim as the --no-plan-gate reference path).
-    for (SegmentId id = next_candidate(from); id <= to; id = next_candidate(id + 1)) {
-      const double* retry_at = p.pending.find(id);
-      if (retry_at != nullptr && *retry_at > now) continue;
-      CandidateSegment c(salloc);
-      c.id = id;
-      c.epoch =
-          (boundary != kNoSegment && id > boundary) ? StreamEpoch::kNew : StreamEpoch::kOld;
-      // Deferred to the commit phase: build may run on a pool thread.
-      plan.probes += alive_neighbors.size();
-      for (const net::NodeId nb : alive_neighbors) {
-        const PeerNode& n = peers_[nb];
-        if (!n.buffer.contains(id)) continue;
-        SupplierView s;
-        s.node = nb;
-        s.send_rate = n.outbound_rate();
-        s.buffer_position = n.buffer.position_from_tail(id);
-        // The paper's R_ij is a *measured* per-link receiving rate, which
-        // in a real system reflects the link's current load.  Expose the
-        // backlog as the initial queueing estimate so requesters spread
-        // load instead of herding onto the nominally fastest supplier.
-        s.queue_delay = transfers_.queue_delay(p.id, nb, now);
-        c.suppliers.push_back(s);
-      }
-      if (!c.suppliers.empty()) out.push_back(std::move(c));
-    }
-    return;
-  }
-
-  // Neighbour-major enumeration: collect the candidate ids first, then walk
-  // each neighbour once across all of them.  Identical output by
-  // construction — the id walk and pending filter are unchanged (ascending
-  // ids), suppliers still append in ascending-neighbour order, and every
-  // probed value (outbound_rate, queue_delay, buffer state) is stable for
-  // the duration of a plan in both dispatch paths — but each neighbour's
-  // buffer, rate and queue-delay are now touched in one contiguous burst
-  // instead of once per (segment, neighbour) pair, which is where the
-  // segment-major build burns its time at 10^5+ peers (random-access cache
-  // misses, see BM_PlanGate).
+  // Neighbour-major enumeration: collect the candidate ids first (ascending,
+  // minus those whose pending request has not timed out), then walk each
+  // neighbour once across all of them.  Suppliers append in ascending
+  // neighbour order, and every probed value (outbound_rate, queue_delay,
+  // buffer state) is stable for the duration of a plan in both dispatch
+  // paths, so each neighbour's buffer, rate and queue delay are touched in
+  // one contiguous burst instead of once per (segment, neighbour) pair.
   for (SegmentId id = next_candidate(from); id <= to; id = next_candidate(id + 1)) {
     const double* retry_at = p.pending.find(id);
     if (retry_at != nullptr && *retry_at > now) continue;
     CandidateSegment c(salloc);
     c.id = id;
     c.epoch = (boundary != kNoSegment && id > boundary) ? StreamEpoch::kNew : StreamEpoch::kOld;
-    // Same accounting as the segment-major walk: one probe per (visited
-    // segment, alive neighbour) pair, charged whether or not it supplies.
-    plan.probes += alive_neighbors.size();
-    if (incremental) {
-      // The view's supplier count is exactly how many SupplierViews the
-      // neighbour walk will append — one arena allocation per candidate
-      // instead of a doubling chain interleaved across the whole list.
-      c.suppliers.reserve(
-          view->supplier_count[static_cast<std::size_t>(id) - view->window_base]);
-    }
+    // One probe per (visited segment, alive neighbour) pair, charged
+    // whether or not it supplies; deferred to the commit phase because the
+    // build may run on a pool thread.
+    plan.probes += view.alive_neighbors.size();
+    // The view's supplier count is exactly how many SupplierViews the
+    // neighbour walk will append — one arena allocation per candidate
+    // instead of a doubling chain interleaved across the whole list.
+    c.suppliers.reserve(view.supplier_count[static_cast<std::size_t>(id) - view.window_base]);
     out.push_back(std::move(c));
   }
   if (out.empty()) return;
-  for (const net::NodeId nb : alive_neighbors) {
+  for (const net::NodeId nb : view.alive_neighbors) {
     const PeerNode& n = peers_[nb];
     // Hoisted lazily on the first supplied candidate: both are invariant
     // across the plan (rates only change in churn/setup; queue_delay reads
@@ -763,6 +672,10 @@ void Engine::build_candidates(PeerNode& p, double now, const NeighborScan& scan,
       if (((cached_word >> (pos % 64)) & 1u) == 0) continue;
       if (!hoisted) {
         send_rate = n.outbound_rate();
+        // The paper's R_ij is a *measured* per-link receiving rate, which
+        // in a real system reflects the link's current load.  Expose the
+        // backlog as the initial queueing estimate so requesters spread
+        // load instead of herding onto the nominally fastest supplier.
         queue_delay = transfers_.queue_delay(p.id, nb, now);
         hoisted = true;
       }
@@ -774,19 +687,22 @@ void Engine::build_candidates(PeerNode& p, double now, const NeighborScan& scan,
       c.suppliers.push_back(s);
     }
   }
-  // Unsupplied ids produce no CandidateSegment in the segment-major build;
-  // drop them here, preserving ascending-id order.
-  std::erase_if(out, [](const CandidateSegment& c) { return c.suppliers.empty(); });
+  // The view mirrors the alive neighbours' buffers, so every collected id
+  // found at least one supplier.
+  for (const CandidateSegment& c : out) {
+    GS_DCHECK(!c.suppliers.empty()) << "candidate " << c.id << " of peer " << p.id
+                                    << " has no supplier";
+  }
 }
 
-void Engine::recheck_gate(PeerNode& p, double now, const NeighborScan& scan) {
+void Engine::recheck_gate(PeerNode& p, double now) {
   // Scratch plan on the stack: the real plan must stay untouched (the gate
   // skipped it before any field beyond the prologue was written).  The
   // build allocates supplier lists only when a candidate has a supplier,
   // which the check forbids — so no arena is needed.
   TickPlan scratch;
   scratch.candidates.clear();
-  build_candidates(p, now, scan, scratch);
+  build_candidates(p, now, scratch);
   GS_CHECK(scratch.candidates.empty())
       << "plan gate fired for peer " << p.id << " with " << scratch.candidates.size()
       << " buildable candidates at t=" << now;
@@ -888,11 +804,9 @@ void Engine::cdn_assist_tick(PeerNode& p, double now) {
 }
 
 bool Engine::cdn_window_covered(const PeerNode& p, SegmentId begin, SegmentId end) const {
-  // Direct neighbour-buffer probes in every availability mode: the
-  // windowed views may not cover a far-ahead patch window, and the
-  // legacy / incremental / windowed paths must agree bit for bit (the
-  // composition invariant).  Only assisting mid-switch peers pay this
-  // scan, and only until their handoff.
+  // Direct neighbour-buffer probes: the windowed views may not cover a
+  // far-ahead patch window.  Only assisting mid-switch peers pay this scan,
+  // and only until their handoff.
   for (SegmentId id = begin; id <= end; ++id) {
     if (p.has_received(id)) continue;
     bool supplied = false;
@@ -934,16 +848,14 @@ void Engine::deliver_segment(PeerNode& p, SegmentId id, double now, bool count_w
     ++stats_.duplicates;
     return;
   }
-  if (availability_.maintained()) {
-    if (journal_deltas_) {
-      // Batched drain, deferred-mark path: stage the deltas on the book
-      // pass's journal row; the merge wave applies them.
-      emit_view_deltas(p.id, id, evicted, data_shards_);
-    } else {
-      // Publish the buffer change to the neighbourhood's availability views.
-      availability_.on_gain(graph_, peers_, p.id, id);
-      if (evicted != kNoSegment) availability_.on_evict(graph_, peers_, p.id, evicted);
-    }
+  if (journal_deltas_) {
+    // Batched drain, deferred-mark path: stage the deltas on the book
+    // pass's journal row; the merge wave applies them.
+    emit_view_deltas(p.id, id, evicted, data_shards_);
+  } else {
+    // Publish the buffer change to the neighbourhood's availability views.
+    availability_.on_gain(graph_, p.id, id);
+    if (evicted != kNoSegment) availability_.on_evict(graph_, peers_, p.id, evicted);
   }
   deliver_bookkeeping(p, id, now, count_wire);
 }
@@ -1042,7 +954,7 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
           continue;
         }
         batch_outcomes_[idx] = MarkOutcome::kFresh;
-        if (availability_.maintained()) emit_view_deltas(to, id, evicted, s);
+        emit_view_deltas(to, id, evicted, s);
       }
     });
 
@@ -1051,7 +963,7 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
     // exactly as the inline pops would.  Cross-peer state is only written
     // (metric pushes, boundary deltas), never read, so the mark wave's early
     // buffer writes for *other* peers are invisible here.
-    journal_deltas_ = availability_.maintained();
+    journal_deltas_ = true;
     for (std::size_t i = 0; i < count; ++i) {
       if (experiment_done_) break;  // the inline order stops popping here too
       const auto to = static_cast<net::NodeId>(items[i].a);
@@ -1081,40 +993,38 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   // on the supplier counts).  Head recomputation reads other peers'
   // buffers, so it waits for the barrier and runs sequentially against the
   // settled state — which is exactly the head the inline order ends at.
-  if (availability_.maintained()) {
-    util::global_pool().run_batch(shards, lanes, [this](std::size_t t) {
-      std::vector<net::NodeId>& dirty = dirty_views_[t];
-      dirty.clear();
-      std::uint64_t applied = 0;
-      for (std::size_t s = 0; s <= data_shards_; ++s) {
-        for (const ViewDelta& d : delta_journals_[s * data_shards_ + t]) {
-          switch (d.kind) {
-            case ViewDelta::Kind::kGain:
-              availability_.apply_gain(d.view, d.id);
-              break;
-            case ViewDelta::Kind::kEvict:
-              if (availability_.apply_evict(d.view, d.id)) {
-                dirty.push_back(d.view);
-              }
-              break;
-            case ViewDelta::Kind::kBoundary:
-              availability_.apply_boundary(d.view, static_cast<int>(d.id));
-              break;
-          }
-          ++applied;
+  util::global_pool().run_batch(shards, lanes, [this](std::size_t t) {
+    std::vector<net::NodeId>& dirty = dirty_views_[t];
+    dirty.clear();
+    std::uint64_t applied = 0;
+    for (std::size_t s = 0; s <= data_shards_; ++s) {
+      for (const ViewDelta& d : delta_journals_[s * data_shards_ + t]) {
+        switch (d.kind) {
+          case ViewDelta::Kind::kGain:
+            availability_.apply_gain(d.view, d.id);
+            break;
+          case ViewDelta::Kind::kEvict:
+            if (availability_.apply_evict(d.view, d.id)) {
+              dirty.push_back(d.view);
+            }
+            break;
+          case ViewDelta::Kind::kBoundary:
+            availability_.apply_boundary(d.view, static_cast<int>(d.id));
+            break;
         }
+        ++applied;
       }
-      lane_merges_[t] = applied;
-    });
-    std::uint64_t merged = 0;
-    for (std::size_t t = 0; t < shards; ++t) {
-      for (const net::NodeId v : dirty_views_[t]) availability_.recompute_head_for(peers_, v);
-      merged += lane_merges_[t];
     }
-    availability_.add_updates(merged);
-    stats_.delta_journal_merges += merged;
-    for (std::vector<ViewDelta>& journal : delta_journals_) journal.clear();
+    lane_merges_[t] = applied;
+  });
+  std::uint64_t merged = 0;
+  for (std::size_t t = 0; t < shards; ++t) {
+    for (const net::NodeId v : dirty_views_[t]) availability_.recompute_head_for(peers_, v);
+    merged += lane_merges_[t];
   }
+  availability_.add_updates(merged);
+  stats_.delta_journal_merges += merged;
+  for (std::vector<ViewDelta>& journal : delta_journals_) journal.clear();
 
   // Zero only the multiplicity entries this batch touched.
   if (!split) {
@@ -1154,7 +1064,7 @@ void Engine::book_split_drain(const sim::PooledBatchItem* items, std::size_t cou
         continue;
       }
       batch_outcomes_[idx] = MarkOutcome::kFresh;
-      if (availability_.maintained()) emit_view_deltas(to, id, evicted, s);
+      emit_view_deltas(to, id, evicted, s);
       deliver_bookkeeping(p, id, items[idx].at, /*count_wire=*/true);
     }
   });
@@ -1249,21 +1159,19 @@ void Engine::push_to_neighbors(PeerNode& p, SegmentId id, double now) {
 void Engine::learn_boundaries(PeerNode& p, int up_to, double now) {
   if (up_to <= p.known_boundary()) return;
   p.known_boundary() = up_to;
-  if (availability_.maintained()) {
-    if (book_phase_) {
-      // Split book phase: boundary gossip writes *neighbour* views, which
-      // other lanes own — journal it like the gain/evict deltas (the
-      // learning peer's shard is this lane's shard).  boundary_max is
-      // max-monotone, so the deltas commute across the merge's row order,
-      // and no view is read before the next tick pre — after the merge.
-      const std::size_t row = (p.id % data_shards_) * data_shards_;
-      for (const net::NodeId nb : graph_.neighbors(p.id)) {
-        delta_journals_[row + nb % data_shards_].push_back(
-            {nb, static_cast<SegmentId>(up_to), ViewDelta::Kind::kBoundary});
-      }
-    } else {
-      availability_.on_boundary(graph_, p.id, up_to);
+  if (book_phase_) {
+    // Split book phase: boundary gossip writes *neighbour* views, which
+    // other lanes own — journal it like the gain/evict deltas (the
+    // learning peer's shard is this lane's shard).  boundary_max is
+    // max-monotone, so the deltas commute across the merge's row order,
+    // and no view is read before the next tick pre — after the merge.
+    const std::size_t row = (p.id % data_shards_) * data_shards_;
+    for (const net::NodeId nb : graph_.neighbors(p.id)) {
+      delta_journals_[row + nb % data_shards_].push_back(
+          {nb, static_cast<SegmentId>(up_to), ViewDelta::Kind::kBoundary});
     }
+  } else {
+    availability_.on_boundary(graph_, p.id, up_to);
   }
   if (p.is_source()) return;
   if (p.active_switch() >= 0 && up_to >= p.active_switch() && !p.gate_armed() &&

@@ -227,57 +227,16 @@ struct EngineConfig {
   std::size_t flash_crowd_joins = 0;
   double flash_crowd_start = 0.5;
   double flash_crowd_duration = 2.0;
-  /// Incremental availability plane: maintain each peer's merged view of
-  /// neighbour availability (per-segment supplier counts, cached head,
-  /// cached boundary max) by deltas pushed from deliveries, evictions,
-  /// churn and boundary learning, instead of rescanning every neighbour's
-  /// buffer each tick.  Pure mechanism like batch_dispatch: fixed-seed
-  /// metrics are bit-identical with the flag on or off (enforced by
-  /// stream_determinism_test); only the scan work changes (see
-  /// EngineStats::availability_probes and bench BM_BuildCandidates).
-  bool incremental_availability = false;
-  /// Windowed availability views (requires incremental_availability):
-  /// re-keys each view's supplier counts onto a sliding window anchored at
-  /// the peer's playback cursor, bounding per-view memory at
-  /// O(buffer_capacity) instead of O(total stream length) — the 10^5+-peer
-  /// long-run configuration.  Pure mechanism: fixed-seed metrics are
-  /// bit-identical with the flag on or off (enforced by
-  /// stream_determinism_test); the window slides in the tick pre phase and
-  /// reconstructs the entering range exactly from neighbour buffers.
-  bool windowed_availability = false;
-  /// The plan work-set plane (PR 10).  Two coupled mechanisms behind one
-  /// switch, both "identical metrics, less work" like timing_wheel:
-  ///   - the quiescence gate: under incremental availability the index
-  ///     tracks each view's missing ∧ supplied word count and mirrors the
-  ///     zero/nonzero state into PeerPool::has_work, and tick_plan skips
-  ///     the whole NeighborScan + candidate build for peers whose lane
-  ///     reads 0.  tick_plan returns before any strategy rng draw when the
-  ///     candidate list is empty, so a correct gate is rng-neutral and
-  ///     fixed-seed metrics stay bit-identical (enforced by
-  ///     stream_determinism_test at shards 0/1/4/7);
-  ///   - the neighbour-major candidate build: build_candidates collects
-  ///     the missing-and-supplied ids first, then enumerates suppliers
-  ///     neighbour-outer, hoisting each neighbour's rate and queue-delay
-  ///     lookups once per plan instead of once per (segment, neighbour)
-  ///     probe — same candidates, same supplier order, same probe
-  ///     accounting, a fraction of the random memory traffic.
-  /// With the flag off both paths revert to the exact pre-gate code.
-  bool plan_gate = true;
-  /// Maintain the availability index in gate-only mode under the *legacy*
-  /// rescan scheduler (incremental_availability off) so the plan gate can
-  /// fire there too.  Off by default: it adds index upkeep to a mode whose
-  /// point is measuring the rescan cost (bench_ablation_availability).
-  bool plan_gate_legacy = false;
-  /// Debug cross-check: re-run the full candidate build for every gated
-  /// peer and GS_CHECK the result is empty.  Costs what the gate saves;
-  /// wired into the ASan/UBSan CI job and the PlanGate recheck tests.
+  /// Debug cross-check of the plan gate (see tick_plan): re-run the
+  /// candidate build for every gated peer and GS_CHECK the result is empty.
+  /// Costs what the gate saves; wired into the ASan/UBSan CI job and the
+  /// PlanGate recheck tests.
   bool plan_gate_recheck = false;
   /// Charge availability gossip as BufferMapDelta exchanges (changed-bit
   /// runs + base shift) instead of full 620-bit maps, with a full-map
   /// refresh every map_refresh_period adverts and whenever the delta would
   /// not beat the full map.  Accounting-model change: the overhead-ratio
   /// metric drops by design; everything else stays bit-identical.
-  /// Requires incremental_availability.
   bool delta_maps = false;
   /// Adverts between full-map refreshes under delta_maps (>= 1; 1 sends
   /// full maps every period, i.e. the paper's accounting).
@@ -347,15 +306,15 @@ struct EngineStats {
   /// batch_dispatch lowers this without changing any other stat).
   std::uint64_t events_popped = 0;
   /// Supplier-membership probes during candidate build — one per (visited
-  /// segment, neighbour) pair.  The candidate-scan cost diagnostic:
-  /// incremental_availability lowers it without changing any paper metric.
+  /// missing-and-supplied segment, alive neighbour) pair: the candidate-scan
+  /// cost diagnostic.
   std::uint64_t availability_probes = 0;
-  /// Availability-index delta events applied (incremental mode only).
+  /// Availability-index delta events applied.
   std::uint64_t index_updates = 0;
-  /// Plan-gate diagnostics (config_.plan_gate): member ticks whose
-  /// candidate build was skipped because the work lane read quiescent,
-  /// ticks that did build a non-empty candidate list, and gated ticks
-  /// cross-checked by the debug recheck (plan_gate_recheck).
+  /// Plan-gate diagnostics: member ticks whose candidate build was skipped
+  /// because the work lane read quiescent, ticks that did build a
+  /// non-empty candidate list, and gated ticks cross-checked by the debug
+  /// recheck (plan_gate_recheck).
   std::uint64_t plans_gated = 0;
   std::uint64_t plans_built = 0;
   std::uint64_t gate_rechecks = 0;
@@ -502,16 +461,6 @@ class Engine {
   void generate_segment(SessionIndex k, double now);
 
   // --- per-tick pipeline ---
-  /// Legacy-mode neighbour scan scratch: the one shared pass of
-  /// snapshot_and_learn leaves the alive neighbours (graph order) and their
-  /// max held id for build_candidates.  Sequential ticks reuse scan_seq_;
-  /// parallel sweeps keep one slot per member so plans can run
-  /// concurrently.
-  struct NeighborScan {
-    std::vector<net::NodeId> alive;
-    SegmentId head = kNoSegment;
-    net::NodeId owner = 0;
-  };
   /// A delivery issued under the commit wave's stage mode: the capacity
   /// commit and the jitter draw already happened on the lane; only the
   /// simulator event is deferred, posted by the final member-order drain so
@@ -570,39 +519,46 @@ class Engine {
   /// Phase 1: budget replenish, availability exchange, pending prune,
   /// playback — every tick effect another peer (or the timeline) can
   /// observe.  False when the peer does not tick (source / dead).
-  bool tick_pre(PeerNode& p, double now, NeighborScan& scan);
-  /// Phase 2: candidate build + strategy scheduling into `plan`.  Reads
-  /// shared state, writes only `plan` and p.rng — safe to run concurrently
-  /// for distinct peers while nothing mutates.
-  void tick_plan(PeerNode& p, double now, const NeighborScan& scan, TickPlan& plan);
+  bool tick_pre(PeerNode& p, double now);
+  /// Phase 2: the plan gate, then candidate build + strategy scheduling
+  /// into `plan`.  Reads shared state, writes only `plan`, p.rng and p's
+  /// own availability view — safe to run concurrently for distinct peers
+  /// while nothing else mutates.
+  ///
+  /// The gate skips the candidate build for peers whose work lane
+  /// (PeerPool::has_work, mirrored from the availability view's work
+  /// summary) reads quiescent: such a build would come back empty, and an
+  /// empty build returns before any strategy rng draw, so skipping it is
+  /// rng-neutral and every fixed-seed metric is unchanged.
+  void tick_plan(PeerNode& p, double now, TickPlan& plan);
   /// Phase 3: drains the plan in deterministic order — counters, request
   /// issue with rejection fallback, capacity commits.  With `validate`, a
   /// plan whose supplier set was dirtied earlier in the sweep is re-planned
   /// against the live transfer plane (rng rolled back first).
-  void tick_commit(PeerNode& p, double now, const NeighborScan& scan, TickPlan& plan,
-                   bool validate);
+  void tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate);
   /// Could a commit the plan did not observe have changed a queue delay it
   /// read?  Conservative: any alive neighbour's uplink committed to after
   /// the plan's stamp counts (only supplier-keyed capacity models can
   /// conflict — per-link state is requester-local).
-  [[nodiscard]] bool plan_is_stale(const PeerNode& p, const NeighborScan& scan,
-                                   const TickPlan& plan) const;
+  [[nodiscard]] bool plan_is_stale(const PeerNode& p, const TickPlan& plan) const;
   /// The sharded sweep driver: pre in member order, plan on the pool,
   /// commit in member order (see EngineConfig::parallel_shards).
   void run_parallel_sweep(const std::vector<std::uint32_t>& members, double now);
-  /// Availability exchange bookkeeping + boundary discovery.  Legacy mode
-  /// walks the neighbours once into `scan` (one shared pass serving the
-  /// exchange accounting, boundary discovery and build_candidates);
-  /// incremental mode reads the maintained view instead.
-  void snapshot_and_learn(PeerNode& p, NeighborScan& scan);
+  /// Availability exchange bookkeeping + boundary discovery, read off the
+  /// peer's maintained availability view.
+  void snapshot_and_learn(PeerNode& p);
   /// Charges one availability advert from `p` to its `receivers` alive
   /// neighbours under delta_maps accounting (delta or periodic full map).
   void advert_availability(PeerNode& p, std::size_t receivers);
-  void build_candidates(PeerNode& p, double now, const NeighborScan& scan, TickPlan& plan);
+  /// Missing-and-supplied ids in the request window, enumerated from the
+  /// view's supplied bitset, with suppliers collected neighbour-major: each
+  /// alive neighbour's rate and queue delay are read once per plan instead
+  /// of once per (segment, neighbour) probe.
+  void build_candidates(PeerNode& p, double now, TickPlan& plan);
   /// Debug cross-check for the plan gate (config_.plan_gate_recheck): runs
   /// the full candidate build for a gated-out peer on scratch state and
   /// GS_CHECKs that it really had nothing schedulable.
-  void recheck_gate(PeerNode& p, double now, const NeighborScan& scan);
+  void recheck_gate(PeerNode& p, double now);
   /// Issues one scheduled request.  Inline mode (plan.stage false) posts the
   /// delivery event and bumps the global counters directly; stage mode
   /// stages the delivery into the plan, stamps dirty_supplier_ with
@@ -623,8 +579,8 @@ class Engine {
   /// inbound budget.
   void cdn_assist_tick(PeerNode& p, double now);
   /// Every missing id in [begin, end] has at least one alive neighbour
-  /// holding it.  Probes neighbour buffers directly in all availability
-  /// modes so legacy / incremental / windowed runs agree bit for bit.
+  /// holding it.  Probes neighbour buffers directly: the patch window may
+  /// lie beyond the availability views' supplier window.
   [[nodiscard]] bool cdn_window_covered(const PeerNode& p, SegmentId begin,
                                         SegmentId end) const;
   void on_cdn_delivery(net::NodeId to, SegmentId id);
@@ -741,8 +697,8 @@ class Engine {
   SegmentRegistry registry_;
   TransferPlane transfers_;
   SwitchTimeline timeline_;
-  /// Incremental per-peer neighbour-availability views
-  /// (config_.incremental_availability; disabled and empty otherwise).
+  /// Per-peer neighbour-availability views and the plan gate's work
+  /// summaries (built at the start of run()).
   AvailabilityIndex availability_;
   /// CDN patch-source plane (config_.cdn_assist; null otherwise, so the
   /// disabled engine is byte-for-byte the pre-CDN engine).
@@ -754,7 +710,6 @@ class Engine {
   PeerPool pool_;
 
   /// Sequential tick scratch (single-threaded dispatch paths).
-  NeighborScan scan_seq_;
   TickPlan plan_seq_;
   /// Per-tick bump arena behind the sequential plan's supplier lists
   /// (config_.peer_pool with parallel_shards == 0; the arena is
@@ -765,9 +720,8 @@ class Engine {
   /// Advert scratch: build_map_into target reused across all peers' adverts
   /// (swapped with p.advertised_map under delta accounting).
   gossip::BufferMap advert_scratch_;
-  /// Per-member slots for the sharded sweep pipeline (parallel_shards > 0);
-  /// sized to the largest sweep seen and reused.
-  std::vector<NeighborScan> batch_scans_;
+  /// Per-member plan slots for the sharded sweep pipeline
+  /// (parallel_shards > 0); sized to the largest wave seen and reused.
   std::vector<TickPlan> batch_plans_;
   /// dirty_supplier_[v] = value of capacity_commits_ when v's uplink was
   /// last committed to (the plan-staleness test compares it against the

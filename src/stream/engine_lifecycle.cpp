@@ -139,7 +139,7 @@ void Engine::handle_leave(net::NodeId v) {
   }
   // Unregister from the neighbourhood views while the graph still has v's
   // edges; the repair edges membership adds below re-enter via connect().
-  if (availability_.maintained()) availability_.remove_peer(graph_, peers_, v);
+  availability_.remove_peer(graph_, peers_, v);
   membership_.leave(v);
   ++stats_.leaves;
   if (p.tracked() && p.active_switch() >= 0) {
@@ -191,7 +191,7 @@ net::NodeId Engine::handle_join() {
       p.start_id() <= timeline_.session(static_cast<std::size_t>(current)).last) {
     timeline_.init_switch_counters(p, current, sim_.now(), config_.q_startup);
   }
-  if (availability_.maintained()) availability_.add_peer(graph_, peers_, v);
+  availability_.add_peer(graph_, peers_, v);
   start_peer_tick(p, /*initial=*/false);
   return v;
 }
@@ -298,27 +298,10 @@ std::vector<SwitchMetrics> Engine::run() {
   init_peers();
   if (config_.warm_start) warm_start_state();
   // Build the availability views from the settled (possibly warm-started)
-  // buffers; every later change flows in as a delta event.
-  if (config_.incremental_availability) {
-    if (config_.windowed_availability) {
-      // Window span: the candidate range is at most buffer_capacity wide
-      // and starts within a word of the anchored base; the extra slack
-      // tracks a little ahead so slides reconstruct less.
-      availability_.set_window(config_.buffer_capacity + 192);
-    }
-    // The plan gate rides the maintained views for free: work tracking
-    // mirrors each view's missing ∧ supplied word count into the pool's
-    // has_work lane, and tick_plan skips quiescent members.
-    if (config_.plan_gate) availability_.enable_work_tracking(&pool_);
-    availability_.build(graph_, peers_);
-  } else if (config_.plan_gate && config_.plan_gate_legacy) {
-    // Legacy rescan scheduler with the gate: maintain the index purely as
-    // the gate's work tracker (enabled() stays false, so candidate builds
-    // and adverts still run the legacy rescan they are benchmarked as).
-    availability_.set_gate_only();
-    availability_.enable_work_tracking(&pool_);
-    availability_.build(graph_, peers_);
-  }
+  // buffers; every later change flows in as a delta event.  Each view's
+  // work summary feeds the pool's has_work lane, which tick_plan's gate
+  // reads.
+  availability_.build(graph_, peers_, config_.buffer_capacity, pool_);
   start_session(0);
   for (std::size_t i = 0; i < timeline_.switch_count(); ++i) {
     schedule_switch(static_cast<int>(i));

@@ -46,8 +46,8 @@ class PeerPool {
   [[nodiscard]] std::uint8_t& tracked(std::size_t i) noexcept { return tracked_[i]; }
   [[nodiscard]] std::uint8_t& gate_armed(std::size_t i) noexcept { return gate_armed_[i]; }
   /// Plan-gate work lane: nonzero while the availability plane sees at
-  /// least one missing-and-supplied segment for this peer (always 1 when
-  /// work tracking is off, so the gate never closes spuriously).  One byte
+  /// least one missing-and-supplied segment for this peer (1 until the
+  /// plane's build() computes it, so the gate never closes spuriously).  One byte
   /// per peer rather than one bit: entries are written by whichever shard
   /// owns the peer's view during the parallel delivery merge, and adjacent
   /// peers belong to different shards — byte stores keep those writers on

@@ -50,6 +50,37 @@ TEST(Config, ValidationErrors) {
   EXPECT_THROW(config.validate(), std::invalid_argument) << "missing trace path";
 }
 
+// Settings the engine cannot honour: a non-advancing scheduling period or
+// playback clock, a buffer that cannot hold the startup prefix, and
+// requests that retry the instant they are issued.
+TEST(Config, RejectsNonPositiveTau) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.tau = 0.0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.tau = -1.0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(Config, RejectsNonPositivePlaybackRate) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.playback_rate = 0.0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(Config, RejectsBufferSmallerThanStartupPrefix) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.buffer_capacity = config.engine.q_startup - 1;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.buffer_capacity = config.engine.q_startup;
+  EXPECT_NO_THROW(config.validate());
+}
+
+TEST(Config, RejectsNonPositivePendingTimeout) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.pending_timeout = 0.0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
 TEST(Config, EnumStringRoundTrip) {
   EXPECT_EQ(algorithm_from_string("fast"), AlgorithmKind::kFast);
   EXPECT_EQ(algorithm_from_string("normal"), AlgorithmKind::kNormal);

@@ -1,15 +1,15 @@
-// Property test for the availability plane's plan-gate work summary: an
-// AvailabilityIndex with work tracking on is driven by a randomized delta
-// stream (deliveries, evictions, leaves, joins, repair edges, boundary
-// learns, window slides) and, at every checkpoint, each built view's
-// summary must satisfy the *conservative* contract behind the engine's
-// quiescence gate:
+// Property test for the availability plane: an AvailabilityIndex is driven
+// by a randomized delta stream (deliveries, evictions, leaves, joins,
+// repair edges, boundary learns, window slides) and, at every checkpoint,
+// each built view must satisfy the exact-mirror property and its plan-gate
+// work summary the *conservative* contract behind the engine's quiescence
+// gate:
 //   - the supplied bitset exactly equals the OR of the alive neighbours'
 //     buffer presence over the window (this part is never approximate);
 //   - the work mask covers every word that really holds supplied ∧
 //     ¬received work — under-reporting is the bug class that would make
 //     the gate skip a peer with schedulable work and drift fixed-seed
-//     metrics (stream_determinism_test's PlanGate suite pins that end to
+//     metrics (stream_determinism_test's Golden digests pin that end to
 //     end); over-reporting is allowed between bulk recomputes and only
 //     costs a wasted build;
 //   - work_words equals the mask's popcount and the pool has_work lane
@@ -48,8 +48,9 @@ struct Swarm {
   std::vector<SegmentId> cursor; // monotone window anchor fed to sync_window
 };
 
+/// (seed, buffer_capacity the index derives its window span from).
 class AvailabilityWorkSummaryTest
-    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<int, std::size_t>> {};
 
 void verify_views(Swarm& s) {
   for (net::NodeId v = 0; v < s.peers.size(); ++v) {
@@ -119,7 +120,7 @@ void verify_views(Swarm& s) {
 }
 
 TEST_P(AvailabilityWorkSummaryTest, CoversFromScratchRecomputeUnderRandomDeltas) {
-  const auto [seed, windowed] = GetParam();
+  const auto [seed, buffer_capacity] = GetParam();
   util::Rng rng(static_cast<std::uint64_t>(seed));
 
   constexpr std::size_t kCore = 20;    // wired and alive from the start
@@ -150,9 +151,7 @@ TEST_P(AvailabilityWorkSummaryTest, CoversFromScratchRecomputeUnderRandomDeltas)
     }
   }
 
-  if (windowed) s.index.set_window(256);
-  s.index.enable_work_tracking(&s.pool);
-  s.index.build(s.graph, s.peers);
+  s.index.build(s.graph, s.peers, buffer_capacity, s.pool);
   for (net::NodeId v = 1; v < kCore; ++v) s.built[v] = true;
   verify_views(s);
 
@@ -183,7 +182,7 @@ TEST_P(AvailabilityWorkSummaryTest, CoversFromScratchRecomputeUnderRandomDeltas)
           std::max<SegmentId>(0, stream_head - rng.uniform_int(0, 40)));
       SegmentId evicted = kNoSegment;
       if (s.peers[v].mark_received(id, &evicted)) {
-        s.index.on_gain(s.graph, s.peers, v, id);
+        s.index.on_gain(s.graph, v, id);
         if (evicted != kNoSegment) s.index.on_evict(s.graph, s.peers, v, evicted);
       }
     } else if (kind < 70) {
@@ -225,9 +224,13 @@ TEST_P(AvailabilityWorkSummaryTest, CoversFromScratchRecomputeUnderRandomDeltas)
   verify_views(s);
 }
 
-INSTANTIATE_TEST_SUITE_P(SeedsByMode, AvailabilityWorkSummaryTest,
+// 64 gives the 256-id window of a short buffer, where slides and
+// out-of-window drops are frequent; 600 is the paper's B, the buffer every
+// stream_determinism_test RunSpec runs with (an 832-id window).
+INSTANTIATE_TEST_SUITE_P(SeedsBySpan, AvailabilityWorkSummaryTest,
                          ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6),
-                                            ::testing::Bool()));
+                                            ::testing::Values(std::size_t{64},
+                                                              std::size_t{600})));
 
 }  // namespace
 }  // namespace gs::stream
