@@ -89,7 +89,7 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
                     "disable the parallel commit + book passes of the sharded "
                     "core (ablation; identical metrics, member-order commits)");
   flags.define_bool("peer-pool", false,
-                    "million-peer memory plane: flat pending/buffer/arrival "
+                    "million-peer memory plane: flat pending/arrival "
                     "structures and the plan arena (identical metrics, "
                     "smaller bytes/peer)");
   flags.define_int("flash-crowd-joins", 0,

@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
                     "disable the parallel commit + book passes of the sharded "
                     "core (ablation; identical metrics, member-order commits)");
   flags.define_bool("peer-pool", false,
-                    "million-peer memory plane: flat pending/buffer/arrival "
+                    "million-peer memory plane: flat pending/arrival "
                     "structures and the plan arena (identical metrics, "
                     "smaller bytes/peer)");
   flags.define_int("flash-crowd-joins", 0,

@@ -80,6 +80,9 @@ void Config::validate() const {
   if (engine.buffer_capacity < engine.q_startup) {
     throw std::invalid_argument("buffer_capacity must hold the q_startup prefix");
   }
+  if (engine.buffer_capacity > stream::StreamBuffer::kMaxCapacity) {
+    throw std::invalid_argument("buffer_capacity must be <= 65535 (uint16 buffer positions)");
+  }
   if (engine.pending_timeout <= 0.0) {
     throw std::invalid_argument("pending_timeout must be positive");
   }

@@ -84,10 +84,10 @@ struct Config {
   void enable_parallel_commit(bool on = true) { engine.parallel_commit = on; }
 
   /// Turns on the million-peer memory plane (`--peer-pool`): flat
-  /// open-addressed pending maps, ring-backed stream buffers, the bounded
-  /// arrival ring and the per-tick plan arena.  Pure mechanism: fixed-seed
-  /// metrics are bit-identical either way; only bytes/peer and allocation
-  /// traffic change (see EngineStats::bytes_per_peer).
+  /// open-addressed pending maps, the bounded arrival ring and the per-tick
+  /// plan arena.  Pure mechanism: fixed-seed metrics are bit-identical
+  /// either way; only bytes/peer and allocation traffic change (see
+  /// EngineStats::bytes_per_peer).
   void enable_peer_pool(bool on = true) { engine.peer_pool = on; }
 
   /// Turns on the CDN-assisted fast switch (`--cdn-assist`): a capacity-

@@ -207,15 +207,14 @@ struct EngineConfig {
   double token_bucket_burst = 4.0;
   /// Million-peer memory plane.  Per-tick-hot peer scalars always live in
   /// the engine's struct-of-arrays PeerPool; this flag additionally swaps
-  /// the per-peer node-based containers for flat ones — the stream buffer's
-  /// deque + unordered_map become a fixed ring + open-addressed map, the
-  /// pending-request book and the playback arrival record lose their heap
-  /// nodes — and backs the sequential tick plan's supplier lists with a
-  /// per-tick bump arena.  Pure mechanism like batch_dispatch: fixed-seed
-  /// metrics are bit-identical with the flag on or off at every shard count
-  /// (enforced by stream_determinism_test); only memory layout and
-  /// allocation traffic change (see EngineStats::bytes_per_peer and bench
-  /// BM_MillionPeer).
+  /// the pending-request book and the playback arrival record for flat
+  /// containers without heap nodes and backs the sequential tick plan's
+  /// supplier lists with a per-tick bump arena.  The stream buffer has one
+  /// backend in both modes; this flag does not select it.  Pure mechanism
+  /// like batch_dispatch: fixed-seed metrics are bit-identical with the flag
+  /// on or off at every shard count (enforced by stream_determinism_test);
+  /// only memory layout and allocation traffic change (see
+  /// EngineStats::bytes_per_peer and bench BM_MillionPeer).
   bool peer_pool = false;
   /// Flash-crowd scenario: this many extra peers join at a uniform pace
   /// over [flash_crowd_start, flash_crowd_start + flash_crowd_duration)

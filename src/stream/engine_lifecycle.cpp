@@ -22,7 +22,7 @@ void Engine::init_peer_state(PeerNode& p, net::NodeId v) {
     p.outbound_rate() = config_.outbound.sample(node_setup);
   }
   p.in_budget() = RateBudget(p.inbound_rate(), config_.budget_carry);
-  p.buffer = StreamBuffer(config_.buffer_capacity, config_.peer_pool);
+  p.buffer = StreamBuffer(config_.buffer_capacity);
   p.playback = Playback(config_.playback_rate, config_.peer_pool);
   p.pending.use_flat(config_.peer_pool);
   p.rng = util::Rng(config_.seed).fork(util::hash_name("peer")).fork(v);

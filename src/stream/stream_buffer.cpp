@@ -1,15 +1,15 @@
 #include "stream/stream_buffer.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "util/check.hpp"
 
 namespace gs::stream {
 
-StreamBuffer::StreamBuffer(std::size_t capacity, bool flat)
-    : capacity_(capacity), flat_mode_(flat) {
+StreamBuffer::StreamBuffer(std::size_t capacity) : capacity_(capacity) {
   GS_CHECK_GE(capacity, 1u);
+  GS_CHECK_LE(capacity, kMaxCapacity) << "positions are uint16 stamp distances";
 }
 
 void StreamBuffer::grow_presence(SegmentId id) {
@@ -20,120 +20,68 @@ void StreamBuffer::grow_presence(SegmentId id) {
   }
 }
 
+void StreamBuffer::grow_ring() {
+  // Relinearise so the oldest element lands at slot 0.  Once count reaches
+  // capacity the ring is exactly `capacity` slots and only eviction runs.
+  std::vector<std::int32_t> bigger(
+      std::min(capacity_, std::max<std::size_t>(16, ring_.size() * 2)));
+  for (std::size_t k = 0; k < count_; ++k) bigger[k] = ring_[ring_slot(k)];
+  ring_ = std::move(bigger);
+  head_ = 0;
+}
+
+void StreamBuffer::grow_stamps(std::size_t span) {
+  stamps_.assign(std::max({std::size_t{64}, stamps_.size() * 2, std::bit_ceil(span + 1)}), 0);
+  mask_ = stamps_.size() - 1;
+  // Held ids carry consecutive sequence numbers ending just below the next.
+  auto seq = static_cast<std::uint16_t>(next_sequence_ - count_);
+  for (std::size_t k = 0; k < count_; ++k) {
+    stamps_[static_cast<std::size_t>(ring_[ring_slot(k)]) & mask_] = seq++;
+  }
+}
+
 SegmentId StreamBuffer::insert(SegmentId id) {
   GS_CHECK_GE(id, 0);
+  GS_CHECK_LE(id, std::numeric_limits<std::int32_t>::max()) << "the ring holds int32 ids";
   if (contains(id)) return kNoSegment;
   grow_presence(id);
 
-  if (flat_mode_) {
-    if (flat_ == nullptr) flat_ = std::make_unique<Flat>();
-    Flat& f = *flat_;
-    SegmentId victim = kNoSegment;
-    if (f.count == capacity_) {
-      // Evict-before-insert keeps the ring at `capacity` slots.  With
-      // capacity >= 1 this picks the same victim and assigns the same
-      // sequence numbers as the legacy insert-then-evict order, so both
-      // backends stay bit-identical.
-      victim = f.ring[f.head];
-      f.head = f.head + 1 == f.ring.size() ? 0 : f.head + 1;
-      --f.count;
-      f.sequence.erase(static_cast<std::int32_t>(victim));
-      presence_.reset(static_cast<std::size_t>(victim));
-      ++evictions_;
-      if (victim == max_id_) {
-        // Rare: the max can only be evicted under heavy id reordering.
-        max_id_ = kNoSegment;
-        for (std::size_t i = 0; i < f.count; ++i) {
-          std::size_t slot = f.head + i;
-          if (slot >= f.ring.size()) slot -= f.ring.size();
-          max_id_ = std::max(max_id_, f.ring[slot]);
-        }
+  SegmentId victim = kNoSegment;
+  if (count_ == capacity_) {
+    // Evict before inserting, so the ring stays at `capacity` slots and the
+    // low edge of the stamp window moves before the span is checked.
+    victim = ring_[head_];
+    head_ = ring_slot(1);
+    --count_;
+    presence_.reset(static_cast<std::size_t>(victim));
+    ++evictions_;
+    if (victim == max_id_) {
+      // Rare: the max can only be evicted under heavy id reordering.
+      max_id_ = kNoSegment;
+      for (std::size_t k = 0; k < count_; ++k) {
+        max_id_ = std::max<SegmentId>(max_id_, ring_[ring_slot(k)]);
       }
-    } else if (f.count == f.ring.size()) {
-      // Grow geometrically towards `capacity`, relinearising so the oldest
-      // element lands at slot 0.  Once count reaches capacity the ring is
-      // exactly `capacity` slots and only the eviction branch runs.
-      std::vector<SegmentId> bigger(
-          std::min(capacity_, std::max<std::size_t>(16, f.ring.size() * 2)), kNoSegment);
-      for (std::size_t i = 0; i < f.count; ++i) {
-        std::size_t slot = f.head + i;
-        if (slot >= f.ring.size()) slot -= f.ring.size();
-        bigger[i] = f.ring[slot];
-      }
-      f.ring = std::move(bigger);
-      f.head = 0;
     }
-    std::size_t tail = f.head + f.count;
-    if (tail >= f.ring.size()) tail -= f.ring.size();
-    f.ring[tail] = id;
-    ++f.count;
-    f.sequence.set(static_cast<std::int32_t>(id),
-                   static_cast<std::uint32_t>(next_sequence_++));
-    presence_.set(static_cast<std::size_t>(id));
-    max_id_ = std::max(max_id_, id);
-    return victim;
+    if (victim == min_id_) {
+      min_id_ = count_ == 0 ? kNoSegment
+                            : static_cast<SegmentId>(
+                                  presence_.find_first(static_cast<std::size_t>(victim)));
+    }
+  } else if (count_ == ring_.size()) {
+    grow_ring();
   }
 
-  if (legacy_ == nullptr) legacy_ = std::make_unique<Legacy>();
-  Legacy& l = *legacy_;
-  l.order.push_back(id);
-  l.sequence[id] = next_sequence_++;
+  const SegmentId low = count_ == 0 ? id : std::min(min_id_, id);
+  const SegmentId high = std::max(max_id_, id);
+  const auto span = static_cast<std::size_t>(high - low);
+  if (span >= stamps_.size()) grow_stamps(span);
+  ring_[ring_slot(count_)] = static_cast<std::int32_t>(id);
+  ++count_;
+  stamps_[static_cast<std::size_t>(id) & mask_] = next_sequence_++;
   presence_.set(static_cast<std::size_t>(id));
-  max_id_ = std::max(max_id_, id);
-
-  if (l.order.size() <= capacity_) return kNoSegment;
-  const SegmentId victim = l.order.front();
-  l.order.pop_front();
-  l.sequence.erase(victim);
-  presence_.reset(static_cast<std::size_t>(victim));
-  ++evictions_;
-  if (victim == max_id_) {
-    // Rare: the max can only be evicted under heavy id reordering.
-    max_id_ = kNoSegment;
-    for (const SegmentId held : l.order) max_id_ = std::max(max_id_, held);
-  }
+  min_id_ = low;
+  max_id_ = high;
   return victim;
-}
-
-bool StreamBuffer::contains(SegmentId id) const noexcept {
-  if (id < 0 || static_cast<std::size_t>(id) >= presence_.size()) return false;
-  return presence_.test(static_cast<std::size_t>(id));
-}
-
-std::size_t StreamBuffer::position_from_tail(SegmentId id) const noexcept {
-  // Every successful insert bumps next_sequence_ by one and appends one
-  // element at the tail, so the distance from the tail is the number of
-  // later insertions plus one.  Evictions remove from the head and do not
-  // change any survivor's distance from the tail.
-  if (flat_mode_) {
-    if (flat_ == nullptr) return 0;
-    const std::uint32_t* seq = flat_->sequence.find(static_cast<std::int32_t>(id));
-    // uint32 wraparound subtraction: the distance is < capacity <= 2^32.
-    return seq == nullptr
-               ? 0
-               : static_cast<std::size_t>(static_cast<std::uint32_t>(next_sequence_) - *seq);
-  }
-  if (legacy_ == nullptr) return 0;
-  const auto it = legacy_->sequence.find(id);
-  if (it == legacy_->sequence.end()) return 0;
-  return static_cast<std::size_t>(next_sequence_ - it->second);
-}
-
-SegmentId StreamBuffer::oldest() const noexcept {
-  if (flat_mode_) {
-    return (flat_ == nullptr || flat_->count == 0) ? kNoSegment : flat_->ring[flat_->head];
-  }
-  return (legacy_ == nullptr || legacy_->order.empty()) ? kNoSegment : legacy_->order.front();
-}
-
-SegmentId StreamBuffer::newest() const noexcept {
-  if (flat_mode_) {
-    if (flat_ == nullptr || flat_->count == 0) return kNoSegment;
-    std::size_t tail = flat_->head + flat_->count - 1;
-    if (tail >= flat_->ring.size()) tail -= flat_->ring.size();
-    return flat_->ring[tail];
-  }
-  return (legacy_ == nullptr || legacy_->order.empty()) ? kNoSegment : legacy_->order.back();
 }
 
 gossip::BufferMap StreamBuffer::build_map(std::size_t window_bits) const {
@@ -149,19 +97,8 @@ void StreamBuffer::build_map_into(std::size_t window_bits, gossip::BufferMap& ou
 }
 
 std::size_t StreamBuffer::memory_bytes() const noexcept {
-  std::size_t total = presence_.memory_bytes();
-  if (flat_ != nullptr) {
-    total += flat_->ring.capacity() * sizeof(SegmentId) + flat_->sequence.memory_bytes();
-  }
-  if (legacy_ != nullptr) {
-    // Node-based estimate: deque block plus a heap node (payload + two
-    // pointers of overhead) per mapped segment.
-    total += legacy_->order.size() * sizeof(SegmentId) + 512 +
-             legacy_->sequence.bucket_count() * sizeof(void*) +
-             legacy_->sequence.size() *
-                 (sizeof(std::pair<SegmentId, std::uint64_t>) + 2 * sizeof(void*));
-  }
-  return total;
+  return presence_.memory_bytes() + ring_.capacity() * sizeof(std::int32_t) +
+         stamps_.capacity() * sizeof(std::uint16_t);
 }
 
 }  // namespace gs::stream

@@ -6,25 +6,29 @@
 // the eviction candidate has position size() <= B.  rarity (eq. 8) uses
 // p_ij / B as the per-supplier replacement probability.
 //
-// Two storage backends share one observable behaviour.  The legacy backend
-// (default) keeps insertion order in a std::deque and sequence numbers in a
-// std::unordered_map.  The flat backend (EngineConfig::peer_pool) replaces
-// them with a fixed ring of `capacity` ids plus a FlatSegmentMap — two
-// contiguous allocations per peer instead of a deque chunk plus a heap node
-// per held segment, which is what makes 10^6 buffers fit.  Either way the
-// state is created lazily on first insert, so an empty buffer owns no heap.
+// One backend in every memory mode, three parts:
+//  - the presence bitset over [0, highest id ever inserted];
+//  - a ring of held ids in insertion order (head = oldest), growing
+//    geometrically to B so a near-empty buffer does not pay for B slots;
+//  - a power-of-two window of uint16 stamps indexed by `id & mask`, holding
+//    the low 16 bits of each held id's insertion sequence.  The window
+//    always covers [lowest held id, highest held id], so held ids never
+//    share a slot.  An insert that widens that span past the window grows
+//    it to the next power of two covering the span (at least double) and
+//    re-stamps the held ids from the ring; it never shrinks.
+// A position is then one stamp load after the presence test.  Held ids
+// carry consecutive sequence numbers, so distances stay exact modulo 2^16
+// as long as B <= 65535 (kMaxCapacity).  All state is created lazily on
+// first insert, so an empty buffer owns no heap.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <unordered_map>
+#include <limits>
 #include <vector>
 
 #include "gossip/buffer_map.hpp"
 #include "util/bitset.hpp"
-#include "util/flat_map.hpp"
 
 namespace gs::stream {
 
@@ -33,30 +37,43 @@ using gossip::kNoSegment;
 
 class StreamBuffer {
  public:
-  /// `flat` selects the ring + flat-map backend (identical behaviour).
-  explicit StreamBuffer(std::size_t capacity, bool flat = false);
+  /// Largest B: the largest distance a uint16 stamp can hold.
+  static constexpr std::size_t kMaxCapacity = std::numeric_limits<std::uint16_t>::max();
+
+  /// `capacity` is B, in [1, kMaxCapacity].
+  explicit StreamBuffer(std::size_t capacity);
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t size() const noexcept {
-    if (flat_mode_) return flat_ ? flat_->count : 0;
-    return legacy_ ? legacy_->order.size() : 0;
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
 
-  /// Inserts `id`; returns the evicted id (kNoSegment if none).  Duplicate
-  /// inserts are no-ops returning kNoSegment.
+  /// Inserts `id` (in [0, INT32_MAX]); returns the evicted id (kNoSegment if
+  /// none).  Duplicate inserts are no-ops returning kNoSegment.
   SegmentId insert(SegmentId id);
 
   /// True if `id` is currently held (inserted and not yet evicted).
-  [[nodiscard]] bool contains(SegmentId id) const noexcept;
+  [[nodiscard]] bool contains(SegmentId id) const noexcept {
+    return id >= 0 && static_cast<std::size_t>(id) < presence_.size() &&
+           presence_.test(static_cast<std::size_t>(id));
+  }
 
   /// Distance from tail: 1 for the newest segment, size() for the oldest.
-  /// Returns 0 if absent.
-  [[nodiscard]] std::size_t position_from_tail(SegmentId id) const noexcept;
+  /// Returns 0 if absent.  Every successful insert takes the next sequence
+  /// number and evictions only remove from the head, so the distance is
+  /// the number of later insertions plus one.
+  [[nodiscard]] std::size_t position_from_tail(SegmentId id) const noexcept {
+    if (!contains(id)) return 0;
+    return static_cast<std::uint16_t>(next_sequence_ -
+                                      stamps_[static_cast<std::size_t>(id) & mask_]);
+  }
 
   /// Oldest (next-to-evict) segment; kNoSegment when empty.
-  [[nodiscard]] SegmentId oldest() const noexcept;
+  [[nodiscard]] SegmentId oldest() const noexcept {
+    return count_ == 0 ? kNoSegment : ring_[head_];
+  }
   /// Most recently inserted segment; kNoSegment when empty.
-  [[nodiscard]] SegmentId newest() const noexcept;
+  [[nodiscard]] SegmentId newest() const noexcept {
+    return count_ == 0 ? kNoSegment : ring_[ring_slot(count_ - 1)];
+  }
 
   /// Highest segment id currently held; kNoSegment when empty.  Maintained
   /// incrementally (streaming arrival is nearly in id order, so the max is
@@ -76,42 +93,34 @@ class StreamBuffer {
 
   [[nodiscard]] std::uint64_t eviction_count() const noexcept { return evictions_; }
 
-  /// Heap bytes owned by the active backend plus the presence bitset.
+  /// Heap bytes owned by the ring, the stamp window and the presence bitset.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
-  /// Legacy backend: deque of ids in insertion order (front = oldest) plus
-  /// id -> insertion sequence number, erased on eviction.
-  struct Legacy {
-    std::deque<SegmentId> order;
-    std::unordered_map<SegmentId, std::uint64_t> sequence;
-  };
-  /// Flat backend: ring of held ids (head = oldest) plus the same id ->
-  /// sequence map, open-addressed.  The ring grows geometrically up to
-  /// `capacity` so a near-empty buffer (short runs, fresh joiners) does not
-  /// pay for B slots up front.  The map narrows both sides to 32 bits —
-  /// segment ids are bounded by rate x horizon and sequence *distances*
-  /// (all position_from_tail needs) stay exact under uint32 wraparound —
-  /// so a slot is 8 bytes, not 16.
-  struct Flat {
-    std::vector<SegmentId> ring;
-    std::size_t head = 0;
-    std::size_t count = 0;
-    util::FlatSegmentMap<std::uint32_t, std::int32_t> sequence;
-  };
-
+  /// Ring slot of the k-th held id in FIFO order (k = 0 is the oldest).
+  [[nodiscard]] std::size_t ring_slot(std::size_t k) const noexcept {
+    const std::size_t slot = head_ + k;
+    return slot >= ring_.size() ? slot - ring_.size() : slot;
+  }
   void grow_presence(SegmentId id);
+  void grow_ring();
+  /// Resizes the stamp window to cover `span` ids and re-stamps the ring.
+  void grow_stamps(std::size_t span);
   [[nodiscard]] SegmentId window_base(std::size_t window_bits) const noexcept {
     if (max_id_ == kNoSegment) return 0;
     return std::max<SegmentId>(0, max_id_ - static_cast<SegmentId>(window_bits) + 1);
   }
 
   std::size_t capacity_;
-  bool flat_mode_;
-  std::unique_ptr<Legacy> legacy_;
-  std::unique_ptr<Flat> flat_;
   util::DynamicBitset presence_;
-  std::uint64_t next_sequence_ = 1;
+  std::vector<std::int32_t> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+  std::vector<std::uint16_t> stamps_;
+  std::size_t mask_ = 0;
+  /// Sequence number the next insert takes, modulo 2^16.
+  std::uint16_t next_sequence_ = 0;
+  SegmentId min_id_ = kNoSegment;
   SegmentId max_id_ = kNoSegment;
   std::uint64_t evictions_ = 0;
 };

@@ -75,6 +75,15 @@ TEST(Config, RejectsBufferSmallerThanStartupPrefix) {
   EXPECT_NO_THROW(config.validate());
 }
 
+// Buffer positions are distances between uint16 insertion stamps.
+TEST(Config, RejectsBufferBeyondUint16Positions) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.buffer_capacity = 65536;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.buffer_capacity = 65535;
+  EXPECT_NO_THROW(config.validate());
+}
+
 TEST(Config, RejectsNonPositivePendingTimeout) {
   Config config = Config::paper_static(100, AlgorithmKind::kFast);
   config.engine.pending_timeout = 0.0;

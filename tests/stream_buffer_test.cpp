@@ -119,34 +119,76 @@ TEST(StreamBuffer, BuildMapEmptyBuffer) {
   EXPECT_EQ(map.available_count(), 0u);
 }
 
-TEST(StreamBuffer, FlatModeMatchesLegacyOnRandomWorkload) {
-  // The flat ring must be observationally identical to the deque+map
-  // implementation: same victims, same max, same positions, same map.
-  util::Rng rng(321);
-  StreamBuffer legacy(32, false);
-  StreamBuffer flat(32, true);
-  SegmentId next = 0;
-  for (int step = 0; step < 5000; ++step) {
-    // Mostly fresh ids with occasional duplicates and out-of-order inserts.
-    SegmentId id;
-    const auto roll = rng.uniform_int(0, 9);
-    if (roll < 7) {
-      id = next++;
-    } else {
-      id = rng.uniform_int(0, next > 0 ? next - 1 : 0);
+// Positions must be exact through every doubling of the stamp window: each
+// regrowth re-stamps the held ids from the ring, so an id that moved to a
+// new slot keeps its FIFO distance.
+TEST(StreamBuffer, WindowRegrowthKeepsPositionsExact) {
+  StreamBuffer buffer(600);
+  std::vector<SegmentId> inserted;
+  SegmentId id = 0;
+  std::size_t last_bytes = buffer.memory_bytes();
+  int regrowths = 0;
+  for (int step = 0; step < 40; ++step) {
+    id += step * step;  // ever wider jumps: the held span outgrows the window
+    buffer.insert(id);
+    inserted.push_back(id);
+    const std::size_t bytes = buffer.memory_bytes() - buffer.presence().memory_bytes();
+    if (bytes > last_bytes) ++regrowths;
+    last_bytes = bytes;
+    for (std::size_t k = 0; k < inserted.size(); ++k) {
+      ASSERT_EQ(buffer.position_from_tail(inserted[k]), inserted.size() - k)
+          << "step " << step << " id " << inserted[k];
     }
-    EXPECT_EQ(legacy.insert(id), flat.insert(id)) << "step " << step;
-    ASSERT_EQ(legacy.size(), flat.size());
-    EXPECT_EQ(legacy.max_id(), flat.max_id());
-    EXPECT_EQ(legacy.oldest(), flat.oldest());
-    const SegmentId probe = rng.uniform_int(0, next > 0 ? next - 1 : 0);
-    EXPECT_EQ(legacy.contains(probe), flat.contains(probe)) << "step " << step;
-    EXPECT_EQ(legacy.position_from_tail(probe), flat.position_from_tail(probe));
   }
-  const auto legacy_map = legacy.build_map(64);
-  const auto flat_map = flat.build_map(64);
-  EXPECT_EQ(legacy_map.base(), flat_map.base());
-  EXPECT_EQ(legacy_map.available_count(), flat_map.available_count());
+  EXPECT_GE(regrowths, 5) << "the workload should double the window several times";
+}
+
+// Evicting the lowest held id moves the window's low edge, so a later insert
+// that is far from the evicted id but close to the survivors needs no
+// regrowth.  Here the lowest id is not the FIFO-oldest one.
+TEST(StreamBuffer, EvictingLowestIdMovesLowEdge) {
+  StreamBuffer buffer(3);
+  buffer.insert(10);
+  buffer.insert(5);
+  buffer.insert(20);
+  EXPECT_EQ(buffer.insert(21), 10);
+  EXPECT_EQ(buffer.insert(22), 5) << "the lowest id is evicted; 20 becomes the low edge";
+  const std::size_t window_bytes = buffer.memory_bytes() - buffer.presence().memory_bytes();
+  // Inserting 80 evicts 20: the held span 21..80 fits the 64-slot window,
+  // 5..80 would not.
+  EXPECT_EQ(buffer.insert(80), 20);
+  EXPECT_EQ(buffer.memory_bytes() - buffer.presence().memory_bytes(), window_bytes);
+  EXPECT_EQ(buffer.position_from_tail(21), 3u);
+  EXPECT_EQ(buffer.position_from_tail(22), 2u);
+  EXPECT_EQ(buffer.position_from_tail(80), 1u);
+
+  // A sliding in-order stream keeps the span at B - 1 forever.
+  StreamBuffer sliding(2);
+  sliding.insert(0);
+  sliding.insert(1);
+  const std::size_t sliding_bytes = sliding.memory_bytes() - sliding.presence().memory_bytes();
+  for (SegmentId next = 2; next < 100000; ++next) sliding.insert(next);
+  EXPECT_EQ(sliding.memory_bytes() - sliding.presence().memory_bytes(), sliding_bytes);
+  EXPECT_EQ(sliding.position_from_tail(99998), 2u);
+  EXPECT_EQ(sliding.position_from_tail(99999), 1u);
+}
+
+// A full paper-sized buffer costs its presence bits, a B-slot int32 ring
+// and a 1024-slot uint16 stamp window (held span 599), nothing more.
+TEST(StreamBuffer, FullBufferFootprint) {
+  StreamBuffer buffer(600);
+  for (SegmentId id = 0; id < 1800; ++id) buffer.insert(id);
+  ASSERT_EQ(buffer.size(), 600u);
+  EXPECT_LE(buffer.memory_bytes(), buffer.presence().memory_bytes() + 600 * 4 + 1024 * 2);
+}
+
+TEST(StreamBufferDeathTest, CapacityBeyondUint16Aborts) {
+  EXPECT_DEATH(StreamBuffer(65536), "uint16");
+}
+
+TEST(StreamBufferDeathTest, IdBeyondInt32Aborts) {
+  StreamBuffer buffer(8);
+  EXPECT_DEATH(buffer.insert(SegmentId{1} << 31), "int32");
 }
 
 // ---------------------------------------------------------------- playback

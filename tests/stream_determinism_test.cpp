@@ -31,6 +31,9 @@ struct RunOutput {
 
 struct RunSpec {
   std::uint64_t seed = 7;
+  /// B.  Small values make nearly every delivery evict, so the buffer's
+  /// oldest and lowest held ids move on almost every insert.
+  std::size_t buffer_capacity = 600;
   bool fast = true;
   bool churn = false;
   bool per_link = false;
@@ -76,6 +79,7 @@ RunOutput run_setup(const RunSpec& setup) {
   EngineConfig config;
   config.seed = setup.seed;
   config.horizon = 120.0;
+  config.buffer_capacity = setup.buffer_capacity;
   if (setup.churn) {
     config.churn_leave_fraction = 0.05;
     config.churn_join_fraction = 0.05;
@@ -557,9 +561,9 @@ TEST(ParallelDelivery, DrainDiagnosticsReportWork) {
 // ---------------------------------------------------------------------------
 // The million-peer memory plane must be *observably invisible* exactly like
 // every mechanism before it: the same seed with peer_pool on and off — flat
-// open-addressed pending maps instead of unordered_map nodes, ring-backed
-// stream buffers instead of deque+map, the bounded arrival ring instead of
-// std::map, and the per-tick plan arena on the sequential path — has to
+// open-addressed pending maps instead of unordered_map nodes, the bounded
+// arrival ring instead of std::map, and the per-tick plan arena on the
+// sequential path — has to
 // reproduce every metric bit for bit, across algorithms, churn, capacity
 // models, multi-switch timelines, dispatch modes and
 // every shard count.  Only bytes/peer and allocation traffic may change.
@@ -1202,6 +1206,9 @@ void PrintTo(const GoldenRow& row, std::ostream* os) { *os << row.name; }
 // Row name = the former case it replaces (Incremental* = IncrementalAvailability
 // vs the rescan, Windowed* = WindowedAvailability, Gate* = PlanGate on vs off).
 // Windowed cases whose spec equals an Incremental row share that row.
+// HeavyEviction* rows run B = 64, so every delivery evicts, also inside the
+// parallel book lanes; they were recorded before the stream buffer's two
+// backends were merged into one.
 const GoldenRow kGoldenRows[] = {
     {"IncrementalFastSwitch", {}, "3a56a9e9415b683b"},
     {"IncrementalNormalSwitch", {.fast = false}, "585d5fbeea3d9fe2"},
@@ -1238,6 +1245,12 @@ const GoldenRow kGoldenRows[] = {
       .parallel = 7},
      "85eaeee05d78cb58"},
     {"GateSteadySwarm", {.seed = 90, .batch = true, .steady = true}, "db8f6e06de9b8987"},
+    {"HeavyEvictionChurn",
+     {.seed = 19, .buffer_capacity = 64, .churn = true},
+     "d5695abe27802bd2"},
+    {"HeavyEvictionShardedPeerPoolChurn",
+     {.seed = 47, .buffer_capacity = 64, .churn = true, .peer_pool = true, .parallel = 4},
+     "40c40050a185e1cd"},
 };
 
 class Golden : public ::testing::TestWithParam<GoldenRow> {};

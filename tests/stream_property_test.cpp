@@ -2,9 +2,12 @@
 // workloads; Playback under randomized arrival schedules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "stream/playback.hpp"
@@ -42,6 +45,21 @@ class ReferenceBuffer {
   }
 
   [[nodiscard]] std::size_t size() const { return order_.size(); }
+  [[nodiscard]] SegmentId oldest() const { return order_.empty() ? kNoSegment : order_.front(); }
+  [[nodiscard]] SegmentId newest() const { return order_.empty() ? kNoSegment : order_.back(); }
+  [[nodiscard]] SegmentId min_id() const {
+    return present_.empty() ? kNoSegment : *present_.begin();
+  }
+  [[nodiscard]] SegmentId max_id() const {
+    return present_.empty() ? kNoSegment : *present_.rbegin();
+  }
+  /// The k-th held id in insertion order (k = 0 is the oldest).
+  [[nodiscard]] SegmentId held(std::size_t k) const { return order_[k]; }
+  /// Held ids at or above `base`.
+  [[nodiscard]] std::size_t count_from(SegmentId base) const {
+    return static_cast<std::size_t>(
+        std::distance(present_.lower_bound(base), present_.end()));
+  }
 
  private:
   std::size_t capacity_;
@@ -49,38 +67,67 @@ class ReferenceBuffer {
   std::set<SegmentId> present_;
 };
 
-class BufferModelTest : public ::testing::TestWithParam<std::uint64_t> {};
+/// (seed, capacity); capacity 0 draws B from [1, 64] with the seed.
+class BufferModelTest
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>> {};
 
 TEST_P(BufferModelTest, AgreesWithReferenceUnderRandomOps) {
-  util::Rng rng(GetParam());
-  const std::size_t capacity = static_cast<std::size_t>(rng.uniform_int(1, 64));
+  util::Rng rng(std::get<0>(GetParam()));
+  const std::size_t capacity = std::get<1>(GetParam()) != 0
+                                   ? std::get<1>(GetParam())
+                                   : static_cast<std::size_t>(rng.uniform_int(1, 64));
   StreamBuffer buffer(capacity);
   ReferenceBuffer reference(capacity);
   SegmentId horizon = 0;
   for (int op = 0; op < 3000; ++op) {
-    // Mostly-forward id stream with occasional re-inserts and gaps.
+    // Mostly-forward id stream with re-inserts, short gaps, long jumps (the
+    // held span outgrows the stamp window) and re-inserts far below the
+    // held minimum (the window must widen downwards).
     SegmentId id;
-    if (rng.bernoulli(0.7)) {
+    const double roll = rng.uniform();
+    if (roll < 0.6) {
       id = horizon++;
-    } else if (rng.bernoulli(0.5) && horizon > 0) {
+    } else if (roll < 0.75 && horizon > 0) {
       id = rng.uniform_int(0, horizon - 1);  // duplicate / old id
-    } else {
+    } else if (roll < 0.85) {
       horizon += rng.uniform_int(1, 5);  // skip ahead (out-of-order arrival)
       id = horizon++;
+    } else if (roll < 0.93) {
+      horizon += rng.uniform_int(100, 3000);  // jump of hundreds to thousands
+      id = horizon++;
+    } else {
+      const SegmentId low = reference.min_id() == kNoSegment ? horizon : reference.min_id();
+      id = std::max<SegmentId>(0, low - rng.uniform_int(100, 3000));
     }
-    ASSERT_EQ(buffer.insert(id), reference.insert(id)) << "op " << op;
+    ASSERT_EQ(buffer.insert(id), reference.insert(id)) << "op " << op << " id " << id;
     ASSERT_EQ(buffer.size(), reference.size());
-    // Spot-check membership and positions on a few random ids.
-    for (int probe = 0; probe < 3; ++probe) {
-      const SegmentId q = rng.uniform_int(0, std::max<SegmentId>(1, horizon));
+    ASSERT_EQ(buffer.max_id(), reference.max_id()) << "op " << op;
+    ASSERT_EQ(buffer.oldest(), reference.oldest()) << "op " << op;
+    ASSERT_EQ(buffer.newest(), reference.newest()) << "op " << op;
+    // Spot-check membership and positions on random ids and on held ids.
+    std::vector<SegmentId> probes;
+    for (int k = 0; k < 3; ++k) {
+      probes.push_back(rng.uniform_int(0, std::max<SegmentId>(1, horizon)));
+      probes.push_back(reference.held(static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(reference.size()) - 1))));
+    }
+    for (const SegmentId q : probes) {
       ASSERT_EQ(buffer.contains(q), reference.contains(q)) << "op " << op << " id " << q;
       ASSERT_EQ(buffer.position_from_tail(q), reference.position_from_tail(q))
           << "op " << op << " id " << q;
     }
+    if (op % 50 == 0) {
+      const gossip::BufferMap map = buffer.build_map(64);
+      const SegmentId base = std::max<SegmentId>(0, reference.max_id() - 63);
+      ASSERT_EQ(map.base(), base) << "op " << op;
+      ASSERT_EQ(map.available_count(), reference.count_from(base)) << "op " << op;
+    }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BufferModelTest, ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+INSTANTIATE_TEST_SUITE_P(Seeds, BufferModelTest,
+                         ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
+                                            ::testing::Values(0, 1, 600)));
 
 class PlaybackPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
