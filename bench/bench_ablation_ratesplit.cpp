@@ -19,6 +19,7 @@ using gs::core::Assignment;
 using gs::core::greedy_assign;
 using gs::core::PriorityParams;
 using gs::core::promote_fresh_candidates;
+using gs::core::ScheduleScratch;
 using gs::core::sort_by_priority;
 using gs::stream::CandidateSegment;
 using gs::stream::ScheduleContext;
@@ -36,16 +37,16 @@ class FixedSplitScheduler final : public gs::stream::SchedulerStrategy {
       const ScheduleContext& ctx, std::vector<CandidateSegment>& candidates) override {
     std::vector<ScheduledRequest> requests;
     if (candidates.empty() || ctx.max_requests == 0) return requests;
-    std::vector<double> priorities = sort_by_priority(ctx, candidates, params_);
+    ScheduleScratch& scratch = ScheduleScratch::local();
+    sort_by_priority(ctx, candidates, params_, scratch);
+    const std::vector<Assignment>& assignments = scratch.assignments;
     if (ctx.s1_end == gs::stream::kNoSegment) {
-      promote_fresh_candidates(ctx, candidates, priorities, params_);
-      for (const Assignment& a : greedy_assign(ctx, candidates, priorities)) {
-        if (requests.size() >= ctx.max_requests) break;
-        requests.push_back({a.id, a.supplier});
-      }
+      promote_fresh_candidates(ctx, params_, scratch);
+      greedy_assign(ctx, candidates, scratch, ctx.max_requests);
+      for (const Assignment& a : assignments) requests.push_back({a.id, a.supplier});
       return requests;
     }
-    const std::vector<Assignment> assignments = greedy_assign(ctx, candidates, priorities);
+    greedy_assign(ctx, candidates, scratch);
     std::vector<const Assignment*> o1;
     std::vector<const Assignment*> o2;
     for (const Assignment& a : assignments) {

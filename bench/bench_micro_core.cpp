@@ -79,12 +79,15 @@ ScheduleContext bench_ctx() {
 void BM_PriorityKernel(benchmark::State& state) {
   gs::util::Rng rng(1);
   const auto candidates = make_candidates(static_cast<std::size_t>(state.range(0)), 5, rng);
-  const ScheduleContext ctx = bench_ctx();
+  ScheduleContext ctx = bench_ctx();
+  gs::util::Rng node_rng(4);
+  ctx.rng = &node_rng;
   const gs::core::PriorityParams params;
+  gs::core::ScheduleScratch scratch;
   for (auto _ : state) {
-    double acc = 0.0;
-    for (const auto& c : candidates) acc += gs::core::segment_priority(c, ctx, params);
-    benchmark::DoNotOptimize(acc);
+    gs::core::sort_by_priority(ctx, candidates, params, scratch);
+    benchmark::DoNotOptimize(scratch.order.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -94,10 +97,15 @@ void BM_GreedyAssign(benchmark::State& state) {
   gs::util::Rng rng(2);
   const auto base = make_candidates(static_cast<std::size_t>(state.range(0)), 5, rng);
   const ScheduleContext ctx = bench_ctx();
-  std::vector<double> priorities(base.size());
-  for (std::size_t i = 0; i < base.size(); ++i) priorities[i] = 1.0 / (1.0 + static_cast<double>(i));
+  gs::core::ScheduleScratch scratch;
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    scratch.priorities.push_back(1.0 / (1.0 + static_cast<double>(i)));
+    scratch.order.push_back(static_cast<std::uint32_t>(i));
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gs::core::greedy_assign(ctx, base, priorities));
+    gs::core::greedy_assign(ctx, base, scratch);
+    benchmark::DoNotOptimize(scratch.assignments.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
@@ -105,13 +113,14 @@ BENCHMARK(BM_GreedyAssign)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_FastSwitchSchedule(benchmark::State& state) {
   gs::util::Rng rng(3);
-  const auto base = make_candidates(static_cast<std::size_t>(state.range(0)), 5, rng);
+  // schedule() leaves the candidates untouched, so one list serves every
+  // iteration.
+  auto candidates = make_candidates(static_cast<std::size_t>(state.range(0)), 5, rng);
   ScheduleContext ctx = bench_ctx();
   gs::util::Rng node_rng(4);
   ctx.rng = &node_rng;
   gs::core::FastSwitchScheduler scheduler;
   for (auto _ : state) {
-    auto candidates = base;
     benchmark::DoNotOptimize(scheduler.schedule(ctx, candidates));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

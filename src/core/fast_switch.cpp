@@ -2,17 +2,24 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "util/check.hpp"
 
 namespace gs::core {
 
-std::vector<double> sort_by_priority(const stream::ScheduleContext& ctx,
-                                     std::vector<stream::CandidateSegment>& candidates,
-                                     const PriorityParams& params) {
-  std::vector<double> priorities(candidates.size());
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
+void sort_by_priority(const stream::ScheduleContext& ctx,
+                      std::span<const stream::CandidateSegment> candidates,
+                      const PriorityParams& params, ScheduleScratch& scratch) {
+  const std::size_t n = candidates.size();
+  GS_CHECK_LE(n, std::numeric_limits<std::uint32_t>::max());
+  std::vector<double>& priorities = scratch.priorities;
+  std::vector<std::uint32_t>& order = scratch.order;
+  std::vector<std::uint64_t>& keys = scratch.keys;
+  priorities.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
     priorities[i] = segment_priority(candidates[i], ctx, params);
   }
   // Sort by quantized priority class (factor-of-two buckets), randomized
@@ -22,63 +29,56 @@ std::vector<double> sort_by_priority(const stream::ScheduleContext& ctx,
   // tree whose interior relays saturate.  Randomizing among near-equal
   // priorities is the standard swarming ingredient of pull-based streaming
   // (both algorithms share it; deadlines still dominate across classes).
-  std::vector<std::size_t> order(candidates.size());
-  std::iota(order.begin(), order.end(), 0);
+  order.resize(n);
+  std::iota(order.begin(), order.end(), 0u);
   if (ctx.rng != nullptr) ctx.rng->shuffle(order);
-  std::stable_sort(order.begin(), order.end(), [&priorities](std::size_t a, std::size_t b) {
-    return priority_class(priorities[a]) > priority_class(priorities[b]);
-  });
-  std::vector<stream::CandidateSegment> sorted;
-  sorted.reserve(candidates.size());
-  std::vector<double> sorted_priorities;
-  sorted_priorities.reserve(candidates.size());
-  for (const std::size_t idx : order) {
-    sorted.push_back(std::move(candidates[idx]));
-    sorted_priorities.push_back(priorities[idx]);
+  // One key per shuffled position k: the class, descending, above k.  The
+  // keys are unique, so sorting them reproduces a stable sort of the
+  // shuffled list by class without calling priority_class per comparison.
+  keys.resize(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto rank = static_cast<std::uint64_t>(std::int64_t{INT32_MAX} -
+                                                 priority_class(priorities[order[k]]));
+    keys[k] = rank << 32 | k;
   }
-  candidates = std::move(sorted);
-  return sorted_priorities;
+  std::sort(keys.begin(), keys.end());
+  for (std::uint64_t& key : keys) key = order[static_cast<std::uint32_t>(key)];
+  for (std::size_t k = 0; k < n; ++k) order[k] = static_cast<std::uint32_t>(keys[k]);
 }
 
-void promote_fresh_candidates(const stream::ScheduleContext& ctx,
-                              std::vector<stream::CandidateSegment>& candidates,
-                              std::vector<double>& priorities, const PriorityParams& params) {
-  if (params.diversity_fraction <= 0.0 || candidates.size() < 2 || ctx.max_requests == 0) return;
+void promote_fresh_candidates(const stream::ScheduleContext& ctx, const PriorityParams& params,
+                              ScheduleScratch& scratch) {
+  std::vector<std::uint32_t>& order = scratch.order;
+  const std::size_t n = order.size();
+  if (params.diversity_fraction <= 0.0 || n < 2 || ctx.max_requests == 0) return;
   const auto n_fresh = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::llround(params.diversity_fraction * static_cast<double>(ctx.max_requests))));
-  if (n_fresh >= candidates.size()) return;
+  if (n_fresh >= n) return;
 
-  // The freshest window: the 3*n_fresh highest ids on offer.  Sampling
-  // n_fresh of them at random (rather than taking the very freshest)
-  // decorrelates the picks of neighbouring peers — the whole point.
-  std::vector<std::size_t> by_id(candidates.size());
-  std::iota(by_id.begin(), by_id.end(), 0);
-  std::sort(by_id.begin(), by_id.end(), [&candidates](std::size_t a, std::size_t b) {
-    return candidates[a].id > candidates[b].id;
-  });
-  const std::size_t window = std::min(candidates.size(), n_fresh * 3);
-  by_id.resize(window);
-  if (ctx.rng != nullptr) ctx.rng->shuffle(by_id);
-  by_id.resize(std::min(n_fresh, window));
+  // The freshest window: the 3*n_fresh highest ids on offer, by id
+  // descending.  Candidates arrive in ascending id order, so these are the
+  // last indices.  Sampling n_fresh of them at random (rather than taking
+  // the very freshest) decorrelates the picks of neighbouring peers — the
+  // whole point.
+  const std::size_t window = std::min(n, n_fresh * 3);
+  std::vector<std::uint64_t>& picks = scratch.keys;
+  picks.resize(window);
+  for (std::size_t k = 0; k < window; ++k) picks[k] = n - 1 - k;
+  if (ctx.rng != nullptr) ctx.rng->shuffle(picks);
+  picks.resize(n_fresh);
 
-  std::vector<char> chosen(candidates.size(), 0);
-  for (const std::size_t idx : by_id) chosen[idx] = 1;
-  std::vector<stream::CandidateSegment> reordered;
-  std::vector<double> reordered_priorities;
-  reordered.reserve(candidates.size());
-  reordered_priorities.reserve(candidates.size());
-  for (const std::size_t idx : by_id) {
-    reordered.push_back(std::move(candidates[idx]));
-    reordered_priorities.push_back(priorities[idx]);
+  // The picks go first in sampled order, the rest keep their priority
+  // order: a stable pass from the back opens n_fresh slots at the front.
+  std::vector<char>& chosen = scratch.taken;
+  chosen.assign(n, 0);
+  for (const std::uint64_t idx : picks) chosen[idx] = 1;
+  std::size_t w = n;
+  for (std::size_t k = n; k-- > 0;) {
+    if (chosen[order[k]] == 0) order[--w] = order[k];
   }
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (chosen[i]) continue;
-    reordered.push_back(std::move(candidates[i]));
-    reordered_priorities.push_back(priorities[i]);
-  }
-  candidates = std::move(reordered);
-  priorities = std::move(reordered_priorities);
+  GS_DCHECK(w == n_fresh);
+  for (std::size_t k = 0; k < n_fresh; ++k) order[k] = static_cast<std::uint32_t>(picks[k]);
 }
 
 std::vector<stream::ScheduledRequest> FastSwitchScheduler::schedule(
@@ -87,32 +87,34 @@ std::vector<stream::ScheduledRequest> FastSwitchScheduler::schedule(
 }
 
 std::vector<stream::ScheduledRequest> FastSwitchScheduler::schedule_with_split(
-    const stream::ScheduleContext& ctx, std::vector<stream::CandidateSegment>& candidates,
+    const stream::ScheduleContext& ctx, std::span<const stream::CandidateSegment> candidates,
     RateSplit* split_out) {
   std::vector<stream::ScheduledRequest> requests;
   if (candidates.empty() || ctx.max_requests == 0) return requests;
 
-  std::vector<double> priorities = sort_by_priority(ctx, candidates, params_);
+  ScheduleScratch& scratch = ScheduleScratch::local();
+  sort_by_priority(ctx, candidates, params_, scratch);
+  const std::vector<Assignment>& assignments = scratch.assignments;
   if (ctx.s1_end == stream::kNoSegment) {
-    promote_fresh_candidates(ctx, candidates, priorities, params_);
-  }
-  const std::vector<Assignment> assignments = greedy_assign(ctx, candidates, priorities);
-  if (assignments.empty()) return requests;
-
-  if (ctx.s1_end == stream::kNoSegment) {
-    // No switch in sight: plain smart-pull by priority.
-    for (const Assignment& a : assignments) {
-      if (requests.size() >= ctx.max_requests) break;
-      requests.push_back({a.id, a.supplier});
-    }
+    // No switch in sight: plain smart-pull by priority, so only the first
+    // max_requests assignments are ever requested.
+    promote_fresh_candidates(ctx, params_, scratch);
+    greedy_assign(ctx, candidates, scratch, ctx.max_requests);
+    requests.reserve(assignments.size());
+    for (const Assignment& a : assignments) requests.push_back({a.id, a.supplier});
     return requests;
   }
+  greedy_assign(ctx, candidates, scratch);
+  if (assignments.empty()) return requests;
 
-  // Step 1 output: O1 / O2 in descending priority order.
-  std::vector<const Assignment*> o1;
-  std::vector<const Assignment*> o2;
-  for (const Assignment& a : assignments) {
-    (a.epoch == stream::StreamEpoch::kOld ? o1 : o2).push_back(&a);
+  // Step 1 output: O1 / O2 (assignment indices) in descending priority
+  // order.
+  std::vector<std::uint32_t>& o1 = scratch.o1;
+  std::vector<std::uint32_t>& o2 = scratch.o2;
+  o1.clear();
+  o2.clear();
+  for (std::uint32_t k = 0; k < assignments.size(); ++k) {
+    (assignments[k].epoch == stream::StreamEpoch::kOld ? o1 : o2).push_back(k);
   }
 
   // Step 2: the capped closed-form split.  |O1|/tau and |O2|/tau are the
@@ -142,42 +144,32 @@ std::vector<stream::ScheduledRequest> FastSwitchScheduler::schedule_with_split(
   // matters beyond aesthetics: the request order is the order transfers
   // queue at suppliers, so a block of S1 requests ahead of every S2 request
   // would push the new stream to the back of every uplink.
-  std::vector<const Assignment*> chosen;
-  chosen.reserve(n1 + n2);
-  {
-    std::size_t i1_taken = 0;
-    std::size_t i2_taken = 0;
-    // Bresenham-style merge: at every step emit from the set that is most
-    // behind its target share.
-    while (i1_taken < n1 || i2_taken < n2) {
-      const double deficit1 =
-          n1 == 0 ? -1.0
-                  : static_cast<double>(n1 - i1_taken) / static_cast<double>(n1);
-      const double deficit2 =
-          n2 == 0 ? -1.0
-                  : static_cast<double>(n2 - i2_taken) / static_cast<double>(n2);
-      if (i2_taken >= n2 || (i1_taken < n1 && deficit1 >= deficit2)) {
-        chosen.push_back(o1[i1_taken++]);
-      } else {
-        chosen.push_back(o2[i2_taken++]);
-      }
+  requests.reserve(std::min(ctx.max_requests, assignments.size()));
+  std::vector<char>& taken = scratch.taken;
+  taken.assign(assignments.size(), 0);
+  const auto take = [&](std::uint32_t k) {
+    requests.push_back({assignments[k].id, assignments[k].supplier});
+    taken[k] = 1;
+  };
+  std::size_t i1_taken = 0;
+  std::size_t i2_taken = 0;
+  // Bresenham-style merge: at every step emit from the set that is most
+  // behind its target share.
+  while ((i1_taken < n1 || i2_taken < n2) && requests.size() < ctx.max_requests) {
+    const double deficit1 =
+        n1 == 0 ? -1.0 : static_cast<double>(n1 - i1_taken) / static_cast<double>(n1);
+    const double deficit2 =
+        n2 == 0 ? -1.0 : static_cast<double>(n2 - i2_taken) / static_cast<double>(n2);
+    if (i2_taken >= n2 || (i1_taken < n1 && deficit1 >= deficit2)) {
+      take(o1[i1_taken++]);
+    } else {
+      take(o2[i2_taken++]);
     }
   }
-
-  std::vector<char> taken(assignments.size(), 0);
-  auto index_of = [&assignments](const Assignment* a) {
-    return static_cast<std::size_t>(a - assignments.data());
-  };
-  for (const Assignment* a : chosen) {
-    if (requests.size() >= ctx.max_requests) break;
-    requests.push_back({a->id, a->supplier});
-    taken[index_of(a)] = 1;
-  }
   // Fill: leftover budget goes to the remaining assignments by priority.
-  for (const Assignment& a : assignments) {
+  for (std::uint32_t k = 0; k < assignments.size(); ++k) {
     if (requests.size() >= ctx.max_requests) break;
-    if (taken[index_of(&a)]) continue;
-    requests.push_back({a.id, a.supplier});
+    if (taken[k] == 0) requests.push_back({assignments[k].id, assignments[k].supplier});
   }
   return requests;
 }

@@ -1,7 +1,7 @@
 // The paper's contribution: the fast source switch algorithm (Algorithm 1).
 //
 // Per scheduling period:
-//   1. compute each candidate's priority (eqs. 6-9) and sort descending;
+//   1. compute each candidate's priority (eqs. 6-9) and rank descending;
 //   2. greedily assign suppliers (earliest expected receive time within the
 //      period), building the ordered sets O1 (old stream) and O2 (new
 //      stream prefix);
@@ -15,6 +15,8 @@
 // Outside a known switch the strategy degenerates to pure priority pulling,
 // which is the standard smart-pull gossip scheduler.
 #pragma once
+
+#include <span>
 
 #include "core/priority.hpp"
 #include "core/rate_solver.hpp"
@@ -31,7 +33,9 @@ class FastSwitchScheduler final : public stream::SchedulerStrategy {
 
   /// Stateless per call — one instance is shared by every peer, and the
   /// sharded engine core invokes it concurrently from plan lanes, so the
-  /// strategy must not touch instance state besides the immutable params.
+  /// strategy must not touch instance state besides the immutable params
+  /// (its working buffers are the calling thread's ScheduleScratch).
+  /// Leaves `candidates` untouched.
   [[nodiscard]] std::vector<stream::ScheduledRequest> schedule(
       const stream::ScheduleContext& ctx,
       std::vector<stream::CandidateSegment>& candidates) override;
@@ -40,26 +44,27 @@ class FastSwitchScheduler final : public stream::SchedulerStrategy {
   /// switch was active (diagnostics / tests; `split_out` may be null and is
   /// untouched when no split happened).
   [[nodiscard]] std::vector<stream::ScheduledRequest> schedule_with_split(
-      const stream::ScheduleContext& ctx, std::vector<stream::CandidateSegment>& candidates,
+      const stream::ScheduleContext& ctx, std::span<const stream::CandidateSegment> candidates,
       RateSplit* split_out);
 
  private:
   PriorityParams params_;
 };
 
-/// Shared helper: sort candidates by priority (descending, stable) and
-/// return the matching priority values.  Exposed for the normal scheduler
-/// and for tests.
-[[nodiscard]] std::vector<double> sort_by_priority(const stream::ScheduleContext& ctx,
-                                                   std::vector<stream::CandidateSegment>& candidates,
-                                                   const PriorityParams& params);
+/// Shared helper, step one of the kernel: fills scratch.priorities with each
+/// candidate's priority and scratch.order with the candidate indices sorted
+/// by descending priority class, randomized within a class by ctx.rng.
+/// Exposed for the normal scheduler and for tests.
+void sort_by_priority(const stream::ScheduleContext& ctx,
+                      std::span<const stream::CandidateSegment> candidates,
+                      const PriorityParams& params, ScheduleScratch& scratch);
 
 /// Shared helper: moves a randomized sample of the freshest candidates to
-/// the front of the (priority-sorted) list so they claim supplier capacity
-/// first.  This is the diversity reservation described in PriorityParams;
-/// call only when no switch split is active.
-void promote_fresh_candidates(const stream::ScheduleContext& ctx,
-                              std::vector<stream::CandidateSegment>& candidates,
-                              std::vector<double>& priorities, const PriorityParams& params);
+/// the front of scratch.order so they claim supplier capacity first.  The
+/// candidates must be in ascending id order (the SchedulerStrategy
+/// contract).  This is the diversity reservation described in
+/// PriorityParams; call only when no switch split is active.
+void promote_fresh_candidates(const stream::ScheduleContext& ctx, const PriorityParams& params,
+                              ScheduleScratch& scratch);
 
 }  // namespace gs::core

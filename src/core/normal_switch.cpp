@@ -1,6 +1,8 @@
 #include "core/normal_switch.hpp"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 
 #include "core/fast_switch.hpp"
 #include "core/supplier_selection.hpp"
@@ -12,35 +14,34 @@ std::vector<stream::ScheduledRequest> NormalSwitchScheduler::schedule(
   std::vector<stream::ScheduledRequest> requests;
   if (candidates.empty() || ctx.max_requests == 0) return requests;
 
-  std::vector<double> priorities = sort_by_priority(ctx, candidates, params_);
+  ScheduleScratch& scratch = ScheduleScratch::local();
+  sort_by_priority(ctx, candidates, params_, scratch);
 
   if (ctx.s1_end == stream::kNoSegment) {
-    promote_fresh_candidates(ctx, candidates, priorities, params_);
+    promote_fresh_candidates(ctx, params_, scratch);
   } else {
-    // Strict S1-first: stable-partition the priority order so every old-
-    // stream candidate precedes every new-stream one (priority order is
+    // Strict S1-first: a stable pass over the priority order puts every
+    // old-stream candidate ahead of every new-stream one (priority order is
     // preserved within each class).
-    std::vector<stream::CandidateSegment> reordered;
-    std::vector<double> reordered_priorities;
-    reordered.reserve(candidates.size());
-    reordered_priorities.reserve(candidates.size());
-    for (int pass = 0; pass < 2; ++pass) {
-      const auto wanted = pass == 0 ? stream::StreamEpoch::kOld : stream::StreamEpoch::kNew;
-      for (std::size_t i = 0; i < candidates.size(); ++i) {
-        if (candidates[i].epoch != wanted) continue;
-        reordered.push_back(std::move(candidates[i]));
-        reordered_priorities.push_back(priorities[i]);
+    std::vector<std::uint32_t>& order = scratch.order;
+    std::vector<std::uint32_t>& s2 = scratch.o2;
+    s2.clear();
+    std::size_t w = 0;
+    for (const std::uint32_t i : order) {
+      if (candidates[i].epoch == stream::StreamEpoch::kOld) {
+        order[w++] = i;
+      } else {
+        s2.push_back(i);
       }
     }
-    candidates = std::move(reordered);
-    priorities = std::move(reordered_priorities);
+    std::copy(s2.begin(), s2.end(), order.begin() + static_cast<std::ptrdiff_t>(w));
   }
 
-  const std::vector<Assignment> assignments = greedy_assign(ctx, candidates, priorities);
-  for (const Assignment& a : assignments) {
-    if (requests.size() >= ctx.max_requests) break;
-    requests.push_back({a.id, a.supplier});
-  }
+  // Requests are the head of the assignment list, so the greedy can stop
+  // at the budget.
+  greedy_assign(ctx, candidates, scratch, ctx.max_requests);
+  requests.reserve(scratch.assignments.size());
+  for (const Assignment& a : scratch.assignments) requests.push_back({a.id, a.supplier});
   return requests;
 }
 

@@ -34,8 +34,8 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   // buckets.  Must precede any scheduling; pop order (and every metric) is
   // bit-identical to the heap backend.
   if (config_.timing_wheel) sim_.enable_timing_wheel(config_.tau);
-  // The per-tick arena is single-threaded; parallel plan lanes keep heap
-  // allocation (their supplier lists get the null-arena fallback).
+  // The per-tick arena is single-threaded, so it serves the sequential path
+  // only; parallel plan lanes bump their own lane arenas (below).
   use_plan_arena_ = config_.peer_pool && config_.parallel_shards == 0;
   GS_CHECK_EQ(latency_.node_count(), graph_.node_count());
   if (config_.parallel_shards > 0) {
@@ -277,6 +277,14 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
     ctx.q2_remaining = p.q2_missing();
   }
   plan.requests = strategies_[p.strategy_index()]->schedule(ctx, plan.candidates);
+  // The SchedulerStrategy contract: the build's ascending id order survives
+  // the call, so tick_commit's supplier fallback can binary-search it.
+  GS_DCHECK(std::is_sorted(plan.candidates.begin(), plan.candidates.end(),
+                           [](const CandidateSegment& a, const CandidateSegment& b) {
+                             return a.id < b.id;
+                           }))
+      << "strategy " << strategies_[p.strategy_index()]->name()
+      << " reordered the candidates of peer " << p.id;
 }
 
 bool Engine::plan_is_stale(const PeerNode& p, const TickPlan& plan) const {
@@ -341,15 +349,18 @@ void Engine::tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate)
   // Supplier fallback on rejection (the strategy names one supplier per
   // segment; a saturated supplier should not cost the whole period when an
   // alternate neighbour also holds the segment).  The candidate walk emits
-  // ascending ids, so the fallback lookup is a binary search — no index to
-  // build, no steady-state allocation.
+  // ascending ids and strategies leave that order alone, so the fallback
+  // lookup is a binary search — no index to build, no steady-state
+  // allocation.
   for (const ScheduledRequest& r : plan.requests) {
     if (p.in_budget().whole() == 0) break;
     if (issue_one(p, r.id, r.supplier, now, plan)) continue;
     const auto it = std::lower_bound(
         plan.candidates.begin(), plan.candidates.end(), r.id,
         [](const CandidateSegment& c, SegmentId id) { return c.id < id; });
-    if (it == plan.candidates.end() || it->id != r.id) continue;
+    GS_CHECK(it != plan.candidates.end() && it->id == r.id)
+        << "request for segment " << r.id << " of peer " << p.id
+        << " names no candidate of its plan";
     for (const SupplierView& alt : it->suppliers) {
       if (alt.node == r.supplier) continue;
       if (issue_one(p, r.id, alt.node, now, plan)) break;

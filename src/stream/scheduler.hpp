@@ -46,8 +46,10 @@ enum class StreamEpoch : std::uint8_t {
 };
 
 /// Supplier lists are rebuilt from scratch every scheduling period, so they
-/// can live in a per-tick arena (EngineConfig::peer_pool's sequential path);
-/// the default-constructed allocator falls back to the heap everywhere else.
+/// can live in a bump arena: the sequential plan's per-tick arena
+/// (EngineConfig::peer_pool) or the planning lane's arena (parallel_shards
+/// > 0).  The default-constructed allocator falls back to the heap, which is
+/// what the sequential path without peer_pool and hand-built lists use.
 using SupplierList = std::vector<SupplierView, util::ArenaAllocator<SupplierView>>;
 
 /// A segment the node needs and at least one neighbour can supply.
@@ -101,10 +103,13 @@ class SchedulerStrategy {
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// Plans this period's requests.  `candidates` is owned by the caller and
-  /// may be reordered in place.  Implementations must return at most
-  /// ctx.max_requests requests, each naming a supplier present in the
-  /// candidate's supplier list, with no duplicate segment ids.
+  /// Plans this period's requests.  `candidates` is owned by the caller,
+  /// arrives in ascending id order and must not be reordered: the engine's
+  /// supplier fallback finds a rejected request's candidate by binary
+  /// search after the call.  Implementations must return at most
+  /// ctx.max_requests requests, each naming a candidate's id and a supplier
+  /// present in that candidate's supplier list, with no duplicate segment
+  /// ids.
   [[nodiscard]] virtual std::vector<ScheduledRequest> schedule(
       const ScheduleContext& ctx, std::vector<CandidateSegment>& candidates) = 0;
 };

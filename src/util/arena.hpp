@@ -8,9 +8,10 @@
 //
 // ArenaAllocator<T> adapts an Arena to the std allocator interface so
 // standard containers (e.g. the candidate supplier lists) can live in it.
-// A null arena falls back to operator new/delete, which is what the
-// parallel plan lanes use: the arena is single-threaded by design, so it is
-// only installed on the sequential path.
+// A null arena falls back to operator new/delete.  An arena is
+// single-threaded by design, so each parallel plan lane bumps its own (the
+// engine's lane arenas), and the sequential path uses a per-tick one under
+// EngineConfig::peer_pool.
 //
 // Lifetime rule: memory from an arena is valid until the next reset().
 // Containers may outlive a reset only if they are cleared first (clearing

@@ -1,6 +1,8 @@
 // Priority model (eqs. 6-9) and Algorithm 1's greedy supplier selection.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/priority.hpp"
@@ -22,6 +24,19 @@ SupplierView supplier(net::NodeId node, double rate, std::size_t position,
   s.buffer_position = position;
   s.queue_delay = queue;
   return s;
+}
+
+/// greedy_assign over `candidates` in list order, candidate i carrying
+/// priorities[i].
+std::vector<Assignment> assign(const ScheduleContext& ctx,
+                               const std::vector<CandidateSegment>& candidates,
+                               std::vector<double> priorities) {
+  ScheduleScratch scratch;
+  scratch.priorities = std::move(priorities);
+  scratch.order.resize(candidates.size());
+  std::iota(scratch.order.begin(), scratch.order.end(), 0u);
+  greedy_assign(ctx, candidates, scratch);
+  return scratch.assignments;
 }
 
 ScheduleContext basic_ctx() {
@@ -134,7 +149,7 @@ TEST(GreedyAssign, PicksEarliestSupplier) {
   std::vector<CandidateSegment> candidates(1);
   candidates[0].id = 101;
   candidates[0].suppliers = {supplier(1, 10.0, 5), supplier(2, 20.0, 5)};
-  const auto assignments = greedy_assign(ctx, candidates, {1.0});
+  const auto assignments = assign(ctx, candidates, {1.0});
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].supplier, 2u) << "1/20 < 1/10";
   EXPECT_NEAR(assignments[0].expected_time, 0.05, 1e-12);
@@ -149,7 +164,7 @@ TEST(GreedyAssign, QueueAccumulatesPerSupplier) {
   candidates[0].suppliers = {supplier(1, 2.0, 5)};
   candidates[1].id = 102;
   candidates[1].suppliers = {supplier(1, 2.0, 5)};
-  const auto assignments = greedy_assign(ctx, candidates, {2.0, 1.0});
+  const auto assignments = assign(ctx, candidates, {2.0, 1.0});
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].id, 101);
 }
@@ -163,7 +178,7 @@ TEST(GreedyAssign, SpillsToSecondSupplier) {
   candidates[0].suppliers = {supplier(1, 4.0, 5), supplier(2, 3.0, 5)};
   candidates[1].id = 102;
   candidates[1].suppliers = {supplier(1, 4.0, 5), supplier(2, 3.0, 5)};
-  const auto assignments = greedy_assign(ctx, candidates, {2.0, 1.0});
+  const auto assignments = assign(ctx, candidates, {2.0, 1.0});
   ASSERT_EQ(assignments.size(), 2u);
   EXPECT_EQ(assignments[0].supplier, 1u);  // 0.25 < 0.333
   EXPECT_EQ(assignments[1].supplier, 2u);  // 0.333 < 0.25 + 0.25
@@ -175,7 +190,7 @@ TEST(GreedyAssign, InitialQueueDelayRespected) {
   candidates[0].id = 101;
   candidates[0].suppliers = {supplier(1, 100.0, 5, /*queue=*/0.99),
                              supplier(2, 2.0, 5, /*queue=*/0.0)};
-  const auto assignments = greedy_assign(ctx, candidates, {1.0});
+  const auto assignments = assign(ctx, candidates, {1.0});
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].supplier, 2u) << "0.5 beats 0.99 + 0.01";
 }
@@ -187,7 +202,7 @@ TEST(GreedyAssign, SkipsSegmentsWithNoFeasibleSupplier) {
   candidates[0].suppliers = {supplier(1, 0.5, 5)};  // transfer 2.0 > period
   candidates[1].id = 102;
   candidates[1].suppliers = {supplier(2, 10.0, 5)};
-  const auto assignments = greedy_assign(ctx, candidates, {2.0, 1.0});
+  const auto assignments = assign(ctx, candidates, {2.0, 1.0});
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].id, 102);
 }
@@ -201,7 +216,7 @@ TEST(GreedyAssign, EpochCarriedThrough) {
   candidates[1].id = 500;
   candidates[1].epoch = StreamEpoch::kNew;
   candidates[1].suppliers = {supplier(2, 10.0, 5)};
-  const auto assignments = greedy_assign(ctx, candidates, {2.0, 1.0});
+  const auto assignments = assign(ctx, candidates, {2.0, 1.0});
   ASSERT_EQ(assignments.size(), 2u);
   EXPECT_EQ(assignments[0].epoch, StreamEpoch::kOld);
   EXPECT_EQ(assignments[1].epoch, StreamEpoch::kNew);
@@ -218,7 +233,7 @@ TEST(GreedyAssign, CapacityPropertyUnderLoad) {
                                                          supplier(2, 5.0, 5)};
     priorities[static_cast<std::size_t>(i)] = 100.0 - i;
   }
-  const auto assignments = greedy_assign(ctx, candidates, priorities);
+  const auto assignments = assign(ctx, candidates, priorities);
   double load1 = 0.0;
   double load2 = 0.0;
   for (const auto& a : assignments) {

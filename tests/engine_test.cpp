@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
+#include <vector>
 
 #include "core/fast_switch.hpp"
 #include "core/normal_switch.hpp"
@@ -256,6 +258,26 @@ TEST(Engine, StatsConsistency) {
   EXPECT_LE(stats.segments_delivered, stats.requests_issued + stats.segments_pushed);
   EXPECT_GT(stats.split_ticks, 0u);
   EXPECT_GT(stats.new_stream_requests, 0u);
+}
+
+TEST(Engine, ShortAcceptHorizonReachesSupplierFallback) {
+  // An accept horizon below tau makes suppliers reject requests the greedy
+  // planned within the period, so tick_commit's fallback looks each
+  // rejected segment up among the plan's candidates (a miss aborts) and
+  // retries its other suppliers — inline and on the parallel commit lanes.
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>> counts;
+  for (const std::size_t shards : {0, 4}) {
+    EngineConfig config = small_config(37);
+    config.accept_horizon = 0.1;
+    config.parallel_shards = shards;
+    auto engine = make_engine(60, 37, config);
+    (void)engine->run();
+    const EngineStats& stats = engine->stats();
+    EXPECT_GT(stats.requests_rejected, 0u) << "shards " << shards;
+    counts.emplace_back(stats.requests_issued, stats.requests_rejected,
+                        stats.segments_delivered);
+  }
+  EXPECT_EQ(counts[0], counts[1]) << "the fallback is shard-count independent";
 }
 
 }  // namespace
