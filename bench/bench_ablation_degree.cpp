@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
           nodes, gs::exp::AlgorithmKind::kFast, options.seed + trial * 1000);
       config.neighbor_target = m;
       options.apply_engine(config);
-      const auto& metrics = gs::exp::run_once(config).primary();
+      const gs::exp::RunResult result = gs::exp::run_once(config);
+      const auto& metrics = result.primary();
       switch_time += metrics.avg_prepared_time();
       finish += metrics.avg_finish_time();
       overhead += metrics.overhead_ratio;

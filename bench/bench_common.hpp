@@ -21,12 +21,10 @@ struct BenchOptions {
   std::size_t trials = 3;
   std::uint64_t seed = 1;
   std::string csv;  ///< optional CSV output path
-  bool batch_dispatch = false;
   bool delta_maps = false;
   std::size_t parallel_shards = 0;
   bool sequential_delivery = false;
   bool sequential_commit = false;
-  bool peer_pool = false;
   std::size_t flash_crowd_joins = 0;
   double flash_crowd_start = 0.5;
   double flash_crowd_duration = 2.0;
@@ -34,7 +32,6 @@ struct BenchOptions {
   /// to exercise sweep granularity (and super-batching under lockstep)
   /// without recompiling.
   std::size_t tick_shard_size = 0;
-  bool timing_wheel = true;
   bool plan_gate_recheck = false;
   std::string capacity_model = "shared-fifo";
   bool cdn_assist = false;
@@ -43,20 +40,17 @@ struct BenchOptions {
   double cdn_resume = 1.0;
 
   /// Applies the engine-level options to a run configuration.  Every bench
-  /// calls this on its base Config so flags like --batch-dispatch work
+  /// calls this on its base Config so flags like --parallel-shards work
   /// uniformly across the suite.
   void apply_engine(exp::Config& config) const {
-    config.enable_batch_dispatch(batch_dispatch);
     config.engine.delta_maps = delta_maps;
     config.enable_parallel_shards(parallel_shards);
     config.engine.parallel_delivery = !sequential_delivery;
     config.enable_parallel_commit(!sequential_commit);
-    config.enable_peer_pool(peer_pool);
     if (flash_crowd_joins > 0) {
       config.enable_flash_crowd(flash_crowd_joins, flash_crowd_start, flash_crowd_duration);
     }
     if (tick_shard_size > 0) config.engine.tick_shard_size = tick_shard_size;
-    config.enable_timing_wheel(timing_wheel);
     config.engine.plan_gate_recheck = plan_gate_recheck;
     config.engine.supplier_capacity = exp::capacity_from_string(capacity_model);
     config.enable_cdn_assist(cdn_assist);
@@ -74,8 +68,6 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
   flags.define_int("trials", 3, "paired trials per size");
   flags.define_int("seed", 1, "base experiment seed");
   flags.define_bool("quick", false, "small sizes / single trial (CI smoke)");
-  flags.define_bool("batch-dispatch", false,
-                    "batched tick dispatch (identical metrics, fewer events)");
   flags.define_bool("delta-maps", false,
                     "charge availability gossip as buffer-map deltas (lowers the "
                     "overhead metric)");
@@ -88,10 +80,6 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
   flags.define_bool("sequential-commit", false,
                     "disable the parallel commit + book passes of the sharded "
                     "core (ablation; identical metrics, member-order commits)");
-  flags.define_bool("peer-pool", false,
-                    "million-peer memory plane: flat pending/arrival "
-                    "structures and the plan arena (identical metrics, "
-                    "smaller bytes/peer)");
   flags.define_int("flash-crowd-joins", 0,
                    "flash-crowd scenario: this many extra peers join shortly "
                    "after the first switch (0 = off)");
@@ -101,9 +89,6 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
                       "seconds over which the crowd is admitted");
   flags.define_int("tick-shard-size", 0,
                    "peers per tick shard / sweep group (0 = engine default)");
-  flags.define_bool("timing-wheel", true,
-                    "timing-wheel event plane (identical metrics, O(1) "
-                    "schedule; --timing-wheel=false for the heap baseline)");
   flags.define_bool("plan-gate-recheck", false,
                     "debug cross-check: rebuild gated plans and assert they "
                     "are empty (costs what the gate saves)");
@@ -124,17 +109,14 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
   options.trials = static_cast<std::size_t>(flags.get_int("trials"));
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   options.csv = flags.get("csv");
-  options.batch_dispatch = flags.get_bool("batch-dispatch");
   options.delta_maps = flags.get_bool("delta-maps");
   options.parallel_shards = static_cast<std::size_t>(flags.get_int("parallel-shards"));
   options.sequential_delivery = flags.get_bool("sequential-delivery");
   options.sequential_commit = flags.get_bool("sequential-commit");
-  options.peer_pool = flags.get_bool("peer-pool");
   options.flash_crowd_joins = static_cast<std::size_t>(flags.get_int("flash-crowd-joins"));
   options.flash_crowd_start = flags.get_double("flash-crowd-start");
   options.flash_crowd_duration = flags.get_double("flash-crowd-duration");
   options.tick_shard_size = static_cast<std::size_t>(flags.get_int("tick-shard-size"));
-  options.timing_wheel = flags.get_bool("timing-wheel");
   options.plan_gate_recheck = flags.get_bool("plan-gate-recheck");
   options.capacity_model = flags.get("capacity-model");
   options.cdn_assist = flags.get_bool("cdn-assist");

@@ -1,7 +1,7 @@
 // Microbenchmarks of the hot kernels (google-benchmark): rate solver,
 // priority computation, Algorithm 1 greedy, buffer-map codec, stream
-// buffer, event queue — plus the end-to-end engine dispatch benchmark
-// comparing per-peer and batched tick dispatch.
+// buffer, event queue — plus end-to-end engine runs (dispatch, candidate
+// build, sharded core, full pipeline, million-peer footprint).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -150,14 +150,11 @@ void BM_StreamBufferInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamBufferInsert);
 
-// Closure events, heap (wheel=0) vs timing-wheel (wheel=1) backend on the
-// same workload: the row pair isolates the O(log n) sift vs O(1) bucket
-// append schedule cost (pop order is identical by contract).
+// Closure events on the timing wheel: schedule a batch spread over 1000
+// one-second buckets, then drain it.
 void BM_EventQueueScheduleRun(benchmark::State& state) {
-  const bool wheel = state.range(1) != 0;
   for (auto _ : state) {
     gs::sim::EventQueue queue;
-    if (wheel) queue.enable_timing_wheel(1.0);
     int sink = 0;
     for (int i = 0; i < state.range(0); ++i) {
       queue.schedule(static_cast<double>((i * 7919) % 1000), [&sink] { ++sink; });
@@ -167,12 +164,7 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EventQueueScheduleRun)
-    ->ArgNames({"events", "wheel"})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1});
+BENCHMARK(BM_EventQueueScheduleRun)->ArgNames({"events"})->Arg(1000)->Arg(10000);
 
 /// Pooled plain-struct events on the same workload as the closure variant
 /// above: the delta is the per-event std::function allocation.
@@ -182,10 +174,8 @@ struct CountingSink final : gs::sim::EventSink {
 };
 
 void BM_EventQueuePooledScheduleRun(benchmark::State& state) {
-  const bool wheel = state.range(1) != 0;
   for (auto _ : state) {
     gs::sim::EventQueue queue;
-    if (wheel) queue.enable_timing_wheel(1.0);
     CountingSink sink;
     for (int i = 0; i < state.range(0); ++i) {
       queue.schedule(static_cast<double>((i * 7919) % 1000), sink,
@@ -196,21 +186,13 @@ void BM_EventQueuePooledScheduleRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EventQueuePooledScheduleRun)
-    ->ArgNames({"events", "wheel"})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1});
+BENCHMARK(BM_EventQueuePooledScheduleRun)->ArgNames({"events"})->Arg(1000)->Arg(10000);
 
 // Engine dispatch cost: a full (trimmed-horizon) switch experiment per
-// iteration, per-peer vs batched tick dispatch.  The two rows of a size are
-// the same seed and produce bit-identical metrics (stream_determinism_test
-// enforces that); only the dispatch mechanism differs, so the wall-clock
-// delta and the events_popped counter isolate the scheduling overhead.
+// iteration; events_popped counts the tick sweeps, deliveries and control
+// events the run dispatched, so the rows show how dispatch scales with N.
 void BM_EngineDispatch(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
-  const bool batch = state.range(1) != 0;
   std::uint64_t events = 0;
   std::uint64_t delivered = 0;
   std::uint64_t runs = 0;
@@ -218,7 +200,6 @@ void BM_EngineDispatch(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_batch_dispatch(batch);
     config.engine.horizon = 15.0;        // dispatch cost, not paper metrics
     config.engine.history_seconds = 30.0;
     auto engine = gs::exp::make_engine(config);
@@ -234,13 +215,10 @@ void BM_EngineDispatch(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
 }
 BENCHMARK(BM_EngineDispatch)
-    ->ArgNames({"peers", "batch"})
-    ->Args({100, 0})
-    ->Args({100, 1})
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({10000, 0})
-    ->Args({10000, 1})
+    ->ArgNames({"peers"})
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
 // Candidate-build cost: a trimmed-horizon experiment whose availability
@@ -303,7 +281,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_batch_dispatch(true);
     config.enable_parallel_shards(shards);
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
     config.engine.horizon = nodes >= 100000 ? 5.0 : 10.0;
@@ -358,7 +335,6 @@ void BM_DeliveryDrain(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_batch_dispatch(true);
     config.enable_parallel_shards(shards);
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
     config.engine.horizon = nodes >= 100000 ? 5.0 : 10.0;
@@ -389,10 +365,9 @@ BENCHMARK(BM_DeliveryDrain)
     ->Args({100000, 4})
     ->Unit(benchmark::kMillisecond);
 
-// Whole-pipeline throughput: batched dispatch + the memory plane,
-// sequential vs the sharded core, at
-// N=100000.  This is the "everything on" configuration the scale runs use;
-// the memory counters come from the engine's end-of-run telemetry.  Emit
+// Whole-pipeline throughput, sequential vs the sharded core (with the
+// commit wave on and off), at N=100000: the configuration the scale runs
+// use; the memory counters come from the engine's end-of-run telemetry.  Emit
 // BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_FullPipeline
 //     --benchmark_out=BENCH_full_pipeline.json --benchmark_out_format=json
@@ -400,7 +375,6 @@ void BM_FullPipeline(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
   const bool commit = state.range(2) != 0;
-  const bool wheel = state.range(3) != 0;
   std::uint64_t delivered = 0;
   std::uint64_t events = 0;
   double bytes_per_peer = 0.0;
@@ -419,11 +393,8 @@ void BM_FullPipeline(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_batch_dispatch(true);
     config.enable_parallel_shards(shards);
     config.enable_parallel_commit(commit);
-    config.enable_peer_pool(true);
-    config.enable_timing_wheel(wheel);
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
     config.engine.horizon = 5.0;           // pipeline cost, not paper metrics
     config.engine.history_seconds = 20.0;
@@ -472,28 +443,20 @@ void BM_FullPipeline(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
 }
 BENCHMARK(BM_FullPipeline)
-    ->ArgNames({"peers", "shards", "commit", "wheel"})
-    ->Args({100000, 0, 1, 0})
-    ->Args({100000, 0, 1, 1})
-    ->Args({100000, 4, 0, 1})
-    ->Args({100000, 4, 1, 0})
-    ->Args({100000, 4, 1, 1})
+    ->ArgNames({"peers", "shards", "commit"})
+    ->Args({100000, 0, 1})
+    ->Args({100000, 4, 0})
+    ->Args({100000, 4, 1})
     ->Unit(benchmark::kMillisecond);
 
 // Million-peer memory smoke: one trimmed-dynamics switch experiment at
-// N=10^6, legacy containers (pool=0) vs the memory plane (pool=1).  The
-// point of the pool axis is the footprint, not the wall clock:
-// bytes_per_peer comes from the engine's container accounting and peak_rss_mb from the process high-water
-// mark (cumulative across rows by nature — run one filter per process for
-// clean RSS numbers).  Fixed-seed metrics are bit-identical across the two
-// rows (stream_determinism_test enforces the flag's purity).  Emit
-// BENCH_*.json via
+// N=10^6.  The point is the footprint, not the wall clock: bytes_per_peer
+// comes from the engine's container accounting and peak_rss_mb from the
+// process high-water mark.  Emit BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_MillionPeer
 //     --benchmark_out=BENCH_million_peer.json --benchmark_out_format=json
 void BM_MillionPeer(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
-  const bool pool = state.range(1) != 0;
-  const bool wheel = state.range(2) != 0;
   std::uint64_t delivered = 0;
   double bytes_per_peer = 0.0;
   double peak_rss = 0.0;
@@ -505,9 +468,6 @@ void BM_MillionPeer(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_batch_dispatch(true);
-    config.enable_peer_pool(pool);
-    config.enable_timing_wheel(wheel);
     config.engine.tick_shard_size = 1024;  // wide sweeps; dispatch is not the point
     config.engine.horizon = 2.0;           // memory smoke, not paper metrics
     config.engine.history_seconds = 10.0;
@@ -536,10 +496,8 @@ void BM_MillionPeer(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
 }
 BENCHMARK(BM_MillionPeer)
-    ->ArgNames({"peers", "pool", "wheel"})
-    ->Args({1000000, 0, 1})
-    ->Args({1000000, 1, 0})
-    ->Args({1000000, 1, 1})
+    ->ArgNames({"peers"})
+    ->Arg(1000000)
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -4,7 +4,7 @@
 //
 //   ./sweep_cli --sizes 200,1000 --trials 3 --topology ring --churn 0.05
 //   ./sweep_cli --sizes 500 --qs 80 --neighbor 7 --capacity-model per-link --csv out.csv
-//   ./sweep_cli --sizes 10000 --tick-shard 256 --parallel-shards 8 --peer-pool
+//   ./sweep_cli --sizes 10000 --tick-shard 256 --parallel-shards 8
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -53,11 +53,6 @@ int main(int argc, char** argv) {
                "supplier capacity model: shared-fifo|per-link|token-bucket");
   flags.define_double("token-bucket-burst", 4.0,
                       "token-bucket burst depth in segments (>= 1)");
-  flags.define_bool("batch-dispatch", false,
-                    "batched tick dispatch (identical metrics, fewer simulator events)");
-  flags.define_bool("timing-wheel", true,
-                    "timing-wheel event plane (identical metrics, O(1) schedule; "
-                    "--timing-wheel=false for the binary-heap baseline)");
   flags.define_bool("plan-gate-recheck", false,
                     "debug cross-check: rebuild gated plans and assert they "
                     "are empty (costs what the gate saves)");
@@ -65,7 +60,7 @@ int main(int argc, char** argv) {
                     "charge availability gossip as buffer-map deltas (lowers the "
                     "overhead metric)");
   flags.define_int("map-refresh", 10, "adverts between full-map refreshes under --delta-maps");
-  flags.define_int("tick-shard", 16, "peers per tick shard (phase group; both dispatch modes)");
+  flags.define_int("tick-shard", 16, "peers per tick shard (phase group and sweep event)");
   flags.define_int("parallel-shards", 0,
                    "sharded parallel core: plan lanes / event-queue shards "
                    "(identical metrics at any count; 0 = sequential)");
@@ -75,10 +70,6 @@ int main(int argc, char** argv) {
   flags.define_bool("sequential-commit", false,
                     "disable the parallel commit + book passes of the sharded "
                     "core (ablation; identical metrics, member-order commits)");
-  flags.define_bool("peer-pool", false,
-                    "million-peer memory plane: flat pending/arrival "
-                    "structures and the plan arena (identical metrics, "
-                    "smaller bytes/peer)");
   flags.define_int("flash-crowd-joins", 0,
                    "flash-crowd scenario: this many extra peers join shortly "
                    "after the first switch (0 = off)");
@@ -121,8 +112,6 @@ int main(int argc, char** argv) {
   base.priority.traditional_rarity = flags.get_bool("traditional-rarity");
   base.engine.supplier_capacity = gs::exp::capacity_from_string(flags.get("capacity-model"));
   base.engine.token_bucket_burst = flags.get_double("token-bucket-burst");
-  base.enable_batch_dispatch(flags.get_bool("batch-dispatch"));
-  base.enable_timing_wheel(flags.get_bool("timing-wheel"));
   base.engine.plan_gate_recheck = flags.get_bool("plan-gate-recheck");
   base.engine.delta_maps = flags.get_bool("delta-maps");
   base.engine.map_refresh_period = static_cast<std::size_t>(flags.get_int("map-refresh"));
@@ -130,7 +119,6 @@ int main(int argc, char** argv) {
   base.enable_parallel_shards(static_cast<std::size_t>(flags.get_int("parallel-shards")));
   base.engine.parallel_delivery = !flags.get_bool("sequential-delivery");
   base.enable_parallel_commit(!flags.get_bool("sequential-commit"));
-  base.enable_peer_pool(flags.get_bool("peer-pool"));
   if (flags.get_int("flash-crowd-joins") > 0) {
     base.enable_flash_crowd(static_cast<std::size_t>(flags.get_int("flash-crowd-joins")),
                             flags.get_double("flash-crowd-start"),

@@ -73,6 +73,17 @@ void Config::validate() const {
     throw std::invalid_argument("trace_path required for kTraceFile");
   }
   if (engine.warmup <= 0.0) throw std::invalid_argument("warmup must be positive");
+  // Negative values would wrap through llround -> size_t into a huge
+  // history or per-period join count, and fractions above 1 compound the
+  // swarm every period; the engine cannot run either to its horizon.
+  if (!(engine.history_seconds >= 0.0)) {
+    throw std::invalid_argument("history_seconds must be >= 0");
+  }
+  for (const double fraction : {engine.churn_leave_fraction, engine.churn_join_fraction}) {
+    if (!(fraction >= 0.0 && fraction <= 1.0)) {
+      throw std::invalid_argument("churn fractions must be in [0, 1]");
+    }
+  }
   if (engine.tau <= 0.0) throw std::invalid_argument("tau must be positive");
   if (engine.playback_rate <= 0.0) {
     throw std::invalid_argument("playback_rate must be positive");

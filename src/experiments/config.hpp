@@ -57,23 +57,10 @@ struct Config {
     engine.churn_join_fraction = fraction;
   }
 
-  /// Turns on batched tick dispatch (`--batch-dispatch` in the CLIs).
-  /// Observable behaviour is unchanged — fixed-seed metrics are
-  /// bit-identical either way — only simulator event counts drop.
-  void enable_batch_dispatch(bool on = true) { engine.batch_dispatch = on; }
-
-  /// Selects the timing-wheel event plane (`--timing-wheel`; on by
-  /// default, pass false for the binary-heap baseline).  Pure mechanism:
-  /// pop order is bit-identical on either backend, so fixed-seed metrics
-  /// never change; only schedule/pop cost and the wheel telemetry
-  /// (EngineStats::events_wheeled and friends) do.
-  void enable_timing_wheel(bool on = true) { engine.timing_wheel = on; }
-
   /// Turns on the sharded parallel simulation core with `shards` plan
   /// lanes / event-queue shards (`--parallel-shards`; 0 = sequential).
   /// Pure mechanism: fixed-seed metrics are bit-identical at every shard
-  /// count; only wall-clock and the shard diagnostics change.  Implies
-  /// batched dispatch.
+  /// count; only wall-clock and the shard diagnostics change.
   void enable_parallel_shards(std::size_t shards) { engine.parallel_shards = shards; }
 
   /// Disables (or re-enables) the parallel commit + book passes of the
@@ -83,17 +70,10 @@ struct Config {
   /// diagnostics change.
   void enable_parallel_commit(bool on = true) { engine.parallel_commit = on; }
 
-  /// Turns on the million-peer memory plane (`--peer-pool`): flat
-  /// open-addressed pending maps, the bounded arrival ring and the per-tick
-  /// plan arena.  Pure mechanism: fixed-seed metrics are bit-identical
-  /// either way; only bytes/peer and allocation traffic change (see
-  /// EngineStats::bytes_per_peer).
-  void enable_peer_pool(bool on = true) { engine.peer_pool = on; }
-
   /// Turns on the CDN-assisted fast switch (`--cdn-assist`): a capacity-
   /// limited patch source bursts the head of the new session to switching
   /// peers and hands off once their gossip suppliers cover the window.
-  /// Unlike the mechanism flags above this changes dynamics *by design*
+  /// Unlike the mechanism options above this changes dynamics *by design*
   /// (that is the point of the assist); with it off the plane is never
   /// constructed and fixed-seed metrics stay bit-identical.  Tune via
   /// engine.cdn_assist_* (rate, latency, pause/resume leads, span).

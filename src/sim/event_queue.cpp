@@ -6,20 +6,12 @@
 
 namespace gs::sim {
 
+EventQueue::EventQueue(double quantum) : quantum_(quantum), wheels_(1, TimingWheel(quantum)) {}
+
 void EventQueue::set_shard_count(std::size_t shards) {
   GS_CHECK_GE(shards, 1u);
   GS_CHECK(empty()) << "shard layout may only change while the queue is empty";
-  heaps_.assign(shards, {});
-  if (wheel_on_) wheels_.assign(shards, TimingWheel(wheel_quantum_));
-  cached_top_ = kNoShard;
-}
-
-void EventQueue::enable_timing_wheel(double quantum) {
-  GS_CHECK_GT(quantum, 0.0);
-  GS_CHECK(empty()) << "the backing store may only change while the queue is empty";
-  wheel_on_ = true;
-  wheel_quantum_ = quantum;
-  wheels_.assign(heaps_.size(), TimingWheel(quantum));
+  wheels_.assign(shards, TimingWheel(quantum_));
   cached_top_ = kNoShard;
 }
 
@@ -38,13 +30,7 @@ EventId EventQueue::push_entry(std::size_t shard, Entry entry) {
   GS_CHECK_LT(shard, shard_count());
   entry.id = next_id_++;
   const EventId id = entry.id;
-  if (wheel_on_) {
-    wheels_[shard].push(std::move(entry));
-  } else {
-    std::vector<Entry>& heap = heaps_[shard];
-    heap.push_back(std::move(entry));
-    std::push_heap(heap.begin(), heap.end(), Later{});
-  }
+  wheels_[shard].push(std::move(entry));
   ++live_;
   cached_top_ = kNoShard;  // the new entry may beat the cached head
   return id;
@@ -84,19 +70,9 @@ bool EventQueue::cancel(EventId id) {
   if (!inserted) return false;
   // The id might belong to an event that already fired; verify it is still
   // resident.  Linear scan is fine: cancels are rare (churn only).
-  bool pending = false;
-  if (wheel_on_) {
-    for (const TimingWheel& wheel : wheels_) {
-      pending = wheel.any([id](const Entry& e) { return e.id == id; });
-      if (pending) break;
-    }
-  } else {
-    for (const std::vector<Entry>& heap : heaps_) {
-      pending = std::any_of(heap.begin(), heap.end(),
-                            [id](const Entry& e) { return e.id == id; });
-      if (pending) break;
-    }
-  }
+  const bool pending = std::any_of(wheels_.begin(), wheels_.end(), [id](const TimingWheel& w) {
+    return w.any([id](const Entry& e) { return e.id == id; });
+  });
   if (!pending) {
     cancelled_.erase(id);
     return false;
@@ -111,30 +87,13 @@ bool EventQueue::empty() const noexcept { return live_ == 0; }
 
 std::size_t EventQueue::size() const noexcept { return live_; }
 
-bool EventQueue::shard_has(std::size_t shard) const {
-  return wheel_on_ ? !wheels_[shard].empty() : !heaps_[shard].empty();
-}
-
-const EventQueue::Entry& EventQueue::shard_head(std::size_t shard) {
-  if (wheel_on_) return wheels_[shard].top();
-  return heaps_[shard].front();
-}
-
-EventQueue::Entry EventQueue::shard_take(std::size_t shard) {
-  if (wheel_on_) return wheels_[shard].pop();
-  std::vector<Entry>& heap = heaps_[shard];
-  std::pop_heap(heap.begin(), heap.end(), Later{});
-  Entry entry = std::move(heap.back());
-  heap.pop_back();
-  return entry;
-}
-
 void EventQueue::skip_cancelled(std::size_t shard) {
-  while (shard_has(shard)) {
-    const auto it = cancelled_.find(shard_head(shard).id);
+  TimingWheel& wheel = wheels_[shard];
+  while (!wheel.empty()) {
+    const auto it = cancelled_.find(wheel.top().id);
     if (it == cancelled_.end()) return;
     cancelled_.erase(it);
-    shard_take(shard);
+    wheel.pop();
   }
 }
 
@@ -143,15 +102,15 @@ std::size_t EventQueue::top_shard() {
   // The deterministic cross-shard merge: among the live shard heads, the
   // (time, sequence) minimum is exactly the entry a single global queue
   // would pop next.  Linear scan — shard counts are small (cores, not
-  // peers) and the per-shard stores already did the ordering work.  The
+  // peers) and the per-shard wheels already did the ordering work.  The
   // memo makes the run loop's next_time() + pop_and_run() pair pay for one
   // scan, not two.
   const std::size_t shards = shard_count();
   std::size_t best = shards;
   for (std::size_t shard = 0; shard < shards; ++shard) {
     skip_cancelled(shard);
-    if (!shard_has(shard)) continue;
-    if (best == shards || Later{}(shard_head(best), shard_head(shard))) {
+    if (wheels_[shard].empty()) continue;
+    if (best == shards || Later{}(wheels_[best].top(), wheels_[shard].top())) {
       best = shard;
     }
   }
@@ -165,14 +124,14 @@ Time EventQueue::next_time() const {
   // top_shard() is non-const (it drops cancelled heads), but observable
   // state is unchanged — logical constness via const_cast.
   auto* self = const_cast<EventQueue*>(this);
-  return self->shard_head(self->top_shard()).at;
+  return self->wheels_[self->top_shard()].top().at;
 }
 
 Time EventQueue::pop_and_run(std::size_t* shard_out) {
   GS_CHECK(!empty());
   const std::size_t shard = top_shard();
   if (shard_out != nullptr) *shard_out = shard;
-  Entry entry = shard_take(shard);
+  Entry entry = wheels_[shard].pop();
   --live_;
   cached_top_ = kNoShard;
   if (entry.sink != nullptr) {
@@ -184,7 +143,7 @@ Time EventQueue::pop_and_run(std::size_t* shard_out) {
 }
 
 bool EventQueue::top_is_batchable() {
-  const Entry& head = shard_head(top_shard());
+  const Entry& head = wheels_[top_shard()].top();
   return head.sink != nullptr && head.sink->batchable();
 }
 
@@ -193,12 +152,12 @@ std::size_t EventQueue::pop_batch(Time limit, std::vector<PooledBatchItem>& out,
   GS_CHECK(!empty());
   out.clear();
   std::size_t shard = top_shard();
-  EventSink* const sink = shard_head(shard).sink;
+  EventSink* const sink = wheels_[shard].top().sink;
   GS_CHECK(sink != nullptr);
   const bool across_times = sink->batch_across_times();
-  const Time first_at = shard_head(shard).at;
+  const Time first_at = wheels_[shard].top().at;
   for (;;) {
-    const Entry entry = shard_take(shard);
+    const Entry entry = wheels_[shard].pop();
     out.push_back({entry.at, entry.a, entry.b});
     --live_;
     cached_top_ = kNoShard;
@@ -208,7 +167,7 @@ std::size_t EventQueue::pop_batch(Time limit, std::vector<PooledBatchItem>& out,
     // timestamp.  Stopping at the first mismatch keeps the batch a prefix
     // of the canonical pop order.
     shard = top_shard();
-    const Entry& next = shard_head(shard);
+    const Entry& next = wheels_[shard].top();
     if (next.sink != sink || next.at > limit) break;
     if (!across_times && next.at != first_at) break;
   }
@@ -217,7 +176,6 @@ std::size_t EventQueue::pop_batch(Time limit, std::vector<PooledBatchItem>& out,
 }
 
 void EventQueue::clear() noexcept {
-  for (std::vector<Entry>& heap : heaps_) heap.clear();
   for (TimingWheel& wheel : wheels_) wheel.clear();
   cancelled_.clear();
   live_ = 0;

@@ -4,24 +4,22 @@
 // same-time events fire in insertion order, which keeps runs bit-for-bit
 // reproducible regardless of the backing store's internals.
 //
-// Two interchangeable backends store the pending set:
-//   - binary heaps (the default): O(log n) schedule and pop;
-//   - hierarchical timing wheels (enable_timing_wheel): amortized O(1)
-//     schedule and O(bucket) pops — see sim/timing_wheel.hpp.  Each bucket
-//     drains through a stable (time, sequence) sort, so the pop order (and
-//     therefore every fixed-seed metric downstream) is bit-identical to the
-//     heap backend; only the schedule/pop cost changes.
+// The store is a hierarchical timing wheel (see sim/timing_wheel.hpp),
+// quantized at a constructor-given quantum: amortized O(1) schedule and
+// O(bucket) pops.  Each bucket drains through a (time, sequence) sort, so
+// the pop order is exactly that of a single (time, sequence) priority
+// queue.
 //
 // The queue is optionally *sharded*: set_shard_count(P) partitions the
-// pending set into P independent stores, and schedule_on(shard, ...) places
+// pending set into P independent wheels, and schedule_on(shard, ...) places
 // an event in a specific partition (the sharded engine routes each peer's
 // delivery events to that peer's shard).  Sequence numbers stay GLOBAL
 // across shards, and the pop side merges the shard heads by
 // (time, sequence) — so the execution order is exactly the order a single
 // unsharded queue would produce, no matter how events are distributed.
 // That merge rule is what keeps sharded runs bit-identical to sequential
-// ones; the shard dimension only buys smaller stores (cheaper push/pop at
-// scale) and a per-peer-partitioned pending set.
+// ones; the shard dimension only buys smaller stores and a
+// per-peer-partitioned pending set.
 //
 // Two kinds of entry share the one sequence domain (so their mutual
 // ordering at a timestamp is still insertion order):
@@ -85,7 +83,9 @@ class EventSink {
 
 class EventQueue {
  public:
-  EventQueue() : heaps_(1) {}
+  /// One shard whose wheel is quantized at `quantum` seconds (> 0; the
+  /// engine passes its tick cadence).
+  explicit EventQueue(double quantum = 1.0);
 
   /// Partitions the pending set into `shards` independent stores (>= 1).
   /// Must be called while the queue is empty — pending events are never
@@ -93,24 +93,11 @@ class EventQueue {
   /// entries between schedule_on targets).  Pop order is unaffected (global
   /// (time, sequence) merge); only schedule_on targets change meaning.
   void set_shard_count(std::size_t shards);
-  [[nodiscard]] std::size_t shard_count() const noexcept {
-    return wheel_on_ ? wheels_.size() : heaps_.size();
-  }
+  [[nodiscard]] std::size_t shard_count() const noexcept { return wheels_.size(); }
 
-  /// Swaps the backing store from per-shard binary heaps to per-shard
-  /// hierarchical timing wheels quantized at `quantum` seconds (the tick
-  /// cadence, for the engine).  Must be called while the queue is empty.
-  /// Pop order is bit-identical to the heap backend (each bucket drains
-  /// through a stable (time, sequence) sort); only schedule/pop cost and
-  /// the wheel telemetry change.  Composes with set_shard_count in either
-  /// order.
-  void enable_timing_wheel(double quantum);
-  [[nodiscard]] bool timing_wheel_enabled() const noexcept { return wheel_on_; }
-
-  /// Wheel-plane telemetry aggregated over the shards (all zero while the
-  /// heap backend is active): entries scheduled through the wheels, entries
-  /// promoted from the overflow wheel / spill heap into finer levels, and
-  /// the spill heap's peak occupancy (max across shards).
+  /// Wheel telemetry aggregated over the shards: entries scheduled through
+  /// the wheels, entries promoted from the overflow wheel / spill heap into
+  /// finer levels, and the spill heap's peak occupancy (max across shards).
   struct WheelTelemetry {
     std::uint64_t scheduled = 0;
     std::uint64_t overflow_promotions = 0;
@@ -174,10 +161,6 @@ class EventQueue {
   using Later = QueueEntryLater;
 
   EventId push_entry(std::size_t shard, Entry entry);
-  /// Backend-neutral shard primitives: occupancy, head peek, head removal.
-  [[nodiscard]] bool shard_has(std::size_t shard) const;
-  [[nodiscard]] const Entry& shard_head(std::size_t shard);
-  Entry shard_take(std::size_t shard);
   /// Removes cancelled entries sitting at `shard`'s head.
   void skip_cancelled(std::size_t shard);
   /// Shard holding the globally earliest live entry; requires !empty().
@@ -191,13 +174,9 @@ class EventQueue {
   /// the caller's scratch memory.
   static constexpr std::size_t kMaxBatch = 4096;
 
-  /// One binary heap per shard (heap backend; the unsharded queue is the
-  /// 1-shard case).  Unused while the wheel backend is active.
-  std::vector<std::vector<Entry>> heaps_;
-  /// One timing wheel per shard (wheel backend; see enable_timing_wheel).
+  double quantum_;
+  /// One timing wheel per shard (the unsharded queue is the 1-shard case).
   std::vector<TimingWheel> wheels_;
-  bool wheel_on_ = false;
-  double wheel_quantum_ = 1.0;
   std::unordered_set<EventId> cancelled_;
   EventId next_id_ = 1;
   std::size_t live_ = 0;

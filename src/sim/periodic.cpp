@@ -109,10 +109,10 @@ void BatchTicker::on_event(std::uint64_t a, std::uint64_t /*b*/) {
   groups_[index].sweeping = false;
   Group& group = groups_[index];
   if (group.members.empty()) return;  // dormant: every member was removed
-  // Re-arm one period ahead.  Under the timing-wheel event plane this is
-  // the fast path the wheel is quantized for: the next tick lands exactly
-  // one near-wheel bucket ahead, so the re-arm is a single bucket append
-  // (no heap sift), and a period's sweeps sort once as that bucket drains.
+  // Re-arm one period ahead.  This is the fast path the engine's timing
+  // wheel is quantized for: the next tick lands exactly one near-wheel
+  // bucket ahead, so the re-arm is a single bucket append (no heap sift),
+  // and a period's sweeps sort once as that bucket drains.
   group.next = now + period_;
   group.pending = sim_.at(group.next, *this, a, 0);
 }

@@ -1,11 +1,12 @@
 // Periodic task helper: re-arms a callback every `period` seconds.
 //
-// Used for per-node scheduling ticks (τ = 1 s in the paper) and the churn
-// process.  Cancellation is needed when a node leaves the overlay.
+// Used for segment generation, the churn process, samplers and other
+// engine-wide periodic work.
 //
-// BatchTicker is the batched counterpart: groups of members that share a
-// tick phase are swept by ONE simulator event per group per period instead
-// of one PeriodicTask per member.
+// BatchTicker drives the per-node scheduling ticks (τ = 1 s in the paper):
+// groups of members that share a tick phase are swept by ONE simulator
+// event per group per period instead of one PeriodicTask per member, and a
+// node leaving the overlay is removed from its group.
 #pragma once
 
 #include <cstdint>
@@ -54,8 +55,8 @@ class PeriodicTask {
 /// per period sweeps them all.
 ///
 /// The dispatch order is *exactly* the order the equivalent per-member
-/// PeriodicTasks would produce, which is what lets fixed-seed runs stay
-/// bit-identical when switching between the two dispatch modes:
+/// PeriodicTasks would produce (the reference sim_property_test holds the
+/// ticker to):
 ///   - members of a group are swept in add order (a per-member task armed
 ///     later would carry a later event sequence number);
 ///   - groups whose fire times tie run in group-creation order (creation

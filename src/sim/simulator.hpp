@@ -3,6 +3,10 @@
 // Time is allowed to be negative — experiments use the paper's convention
 // where t=0 is the source-switch instant and warm-up runs at t<0.
 //
+// The pending set is EventQueue's timing wheel; its quantum is a
+// constructor argument (the engine passes the tick cadence tau, so sweeps
+// land on bucket boundaries and deliveries fill the current bucket).
+//
 // The driver can run *sharded*: enable_shards(P, router) partitions the
 // pending set into P per-shard queues (see EventQueue::set_shard_count) and
 // routes every pooled plain-struct event through `router` to pick its
@@ -29,8 +33,10 @@ class Simulator {
   using ShardRouter = std::function<std::size_t(const EventSink& sink, std::uint64_t a,
                                                 std::uint64_t b)>;
 
-  /// Starts the clock at `start` (may be negative for warm-up phases).
-  explicit Simulator(Time start = 0.0) : now_(start) {}
+  /// Starts the clock at `start` (may be negative for warm-up phases) over
+  /// a timing wheel quantized at `wheel_quantum` seconds (> 0).
+  explicit Simulator(Time start = 0.0, double wheel_quantum = 1.0)
+      : queue_(wheel_quantum), now_(start) {}
 
   [[nodiscard]] Time now() const noexcept { return now_; }
 
@@ -41,18 +47,7 @@ class Simulator {
   void enable_shards(std::size_t shards, ShardRouter router);
   [[nodiscard]] std::size_t shard_count() const noexcept { return queue_.shard_count(); }
 
-  /// Swaps the pending set's backing store from per-shard binary heaps to
-  /// hierarchical timing wheels quantized at `quantum` seconds (the engine
-  /// passes the tick cadence tau).  Call before anything is scheduled.
-  /// Pure mechanism: pop order is bit-identical to the heap backend (see
-  /// EventQueue::enable_timing_wheel), so everything downstream — metrics,
-  /// rng draws, event ids — is unchanged; only schedule/pop cost and the
-  /// wheel telemetry differ.  Composes with enable_shards in either order.
-  void enable_timing_wheel(double quantum) { queue_.enable_timing_wheel(quantum); }
-  [[nodiscard]] bool timing_wheel_enabled() const noexcept {
-    return queue_.timing_wheel_enabled();
-  }
-  /// Wheel telemetry aggregated over the shards (zeros while on heaps).
+  /// Wheel telemetry aggregated over the shards.
   [[nodiscard]] EventQueue::WheelTelemetry wheel_telemetry() const noexcept {
     return queue_.wheel_telemetry();
   }

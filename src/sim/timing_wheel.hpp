@@ -19,9 +19,8 @@
 // Determinism rule: a bucket is sorted by the global (time, sequence) key
 // before it drains, and buckets drain in increasing index order.  Bucket
 // indexing is monotone in time, so the resulting pop sequence is exactly the
-// order a single (time, sequence) binary heap would produce — bit-identical,
-// which is what lets EventQueue swap backends under a flag without touching
-// any fixed-seed metric.
+// order a single (time, sequence) binary heap would produce, which is the
+// ordering contract every fixed-seed metric rests on.
 //
 // Late arrivals — an executing event scheduling into the current (already
 // collected) or an earlier bucket — go to a small side heap that the
@@ -90,7 +89,7 @@ class TimingWheel {
   QueueEntry pop();
 
   /// True if `fn(entry)` holds for any resident entry (cancellation's
-  /// pendingness scan).  O(resident), like the heap backend's linear scan.
+  /// pendingness scan).  O(resident).
   template <typename Fn>
   [[nodiscard]] bool any(Fn&& fn) const {
     for (std::size_t i = front_pos_; i < front_.size(); ++i) {

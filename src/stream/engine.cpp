@@ -17,31 +17,30 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
     : graph_(std::move(graph)),
       latency_(std::move(latency)),
       config_(std::move(config)),
-      sim_(-config_.warmup),
+      // The timing wheel is quantized at the tick cadence: gossip sweeps
+      // land on bucket boundaries and deliveries fill the current-period
+      // bucket, so schedule_on is a bucket append and pops walk pre-sorted
+      // buckets.
+      sim_(-config_.warmup, config_.tau),
       overhead_(config_.wire),
       membership_(graph_, config_.membership_degree,
                   util::Rng(config_.seed).fork(util::hash_name("membership")), &overhead_),
       transfers_(sim_, latency_, config_.supplier_capacity, config_.accept_horizon,
                  [this](net::NodeId to, SegmentId id) { on_delivery(to, id); },
                  config_.token_bucket_burst),
+      ticker_(sim_, config_.tau,
+              [this](std::uint32_t member, double now) { tick(peers_[member], now); }),
       churn_rng_(util::Rng(config_.seed).fork(util::hash_name("churn"))),
       setup_rng_(util::Rng(config_.seed).fork(util::hash_name("setup"))) {
   GS_CHECK(strategy != nullptr);
   strategies_.push_back(std::move(strategy));
-  // Timing-wheel event plane, quantized at the tick cadence: gossip sweeps
-  // land on bucket boundaries and deliveries fill the current-period
-  // bucket, so schedule_on is a bucket append and pops walk pre-sorted
-  // buckets.  Must precede any scheduling; pop order (and every metric) is
-  // bit-identical to the heap backend.
-  if (config_.timing_wheel) sim_.enable_timing_wheel(config_.tau);
-  // The per-tick arena is single-threaded, so it serves the sequential path
-  // only; parallel plan lanes bump their own lane arenas (below).
-  use_plan_arena_ = config_.peer_pool && config_.parallel_shards == 0;
   GS_CHECK_EQ(latency_.node_count(), graph_.node_count());
   if (config_.parallel_shards > 0) {
-    // The sweep is the parallel unit, so the sharded core rides on batched
-    // dispatch (bit-identical to per-peer dispatch by PR 2's invariant).
-    config_.batch_dispatch = true;
+    // The sharded core takes whole sweeps: pre in member order, plan on
+    // the pool, commit in member order (same per-member semantics).
+    ticker_.set_batch_sweep([this](const std::vector<std::uint32_t>& members, double now) {
+      run_parallel_sweep(members, now);
+    });
     // Every pop scans the shard heads, so queue shards beyond a few dozen
     // only add scan cost.  The clamp is a fixed constant (not hardware-
     // dependent) — routing never affects results, but keeping the layout
@@ -180,7 +179,7 @@ void Engine::schedule_switch(int switch_index) {
 
 // ---------------------------------------------------------------- tick ---
 //
-// One tick = pre + plan + commit.  The sequential dispatch paths run the
+// One tick = pre + plan + commit.  The sequential path (tick) runs the
 // three phases back to back per peer, which is byte-for-byte the historical
 // tick; the sharded sweep (run_parallel_sweep) runs pre for every member in
 // order, plans all members concurrently, then commits in order — with the
@@ -193,10 +192,8 @@ void Engine::tick(PeerNode& p, double now) {
   // lists are dead and the arena can rewind before this tick's candidate
   // build fills it.  (Parallel waves reset their lane arenas at wave start
   // instead — a lane's earlier plans must survive to their commit.)
-  if (use_plan_arena_) {
-    plan_arena_.reset();
-    plan_seq_.arena = &plan_arena_;
-  }
+  plan_arena_.reset();
+  plan_seq_.arena = &plan_arena_;
   tick_plan(p, now, plan_seq_);
   tick_commit(p, now, plan_seq_, /*validate=*/false);
   if (cdn_) cdn_assist_tick(p, now);

@@ -105,30 +105,10 @@ struct EngineConfig {
   bool discover_via_maps = true;
   /// Randomize tick phase within the period (desynchronized clients);
   /// ticks are lockstep at period boundaries when false.  Phases are drawn
-  /// per *shard* (see tick_shard_size), not per peer, so the schedule is
-  /// identical under both dispatch modes.
+  /// per *shard* (see tick_shard_size), not per peer.
   bool stagger_ticks = true;
-  /// Batched tick dispatch: sweep each shard's peers with one simulator
-  /// event per period (sim::BatchTicker) instead of one PeriodicTask per
-  /// peer.  Pure mechanism: fixed-seed metrics are bit-identical with the
-  /// flag on or off (enforced by stream_determinism_test); only the event
-  /// count and the scheduling overhead change.
-  bool batch_dispatch = false;
-  /// Timing-wheel event plane: back each event-queue shard with a
-  /// hierarchical timing wheel (near wheel quantized at tau, coarser
-  /// overflow wheel, far-horizon spill heap; see sim/timing_wheel.hpp)
-  /// instead of a binary heap — amortized O(1) schedule/cancel, O(bucket)
-  /// pops.  Pure mechanism like batch_dispatch: each bucket drains through
-  /// a stable (time, sequence) sort, so pop order — and every fixed-seed
-  /// metric — is bit-identical with the flag on or off at every shard
-  /// count (enforced by stream_determinism_test and the sim_property_test
-  /// backend-equivalence property); only schedule/pop cost and the wheel
-  /// telemetry (EngineStats::events_wheeled / wheel_overflow_promotions /
-  /// spill_heap_peak) change.
-  bool timing_wheel = true;
   /// Peers per tick shard: peers [s*size, (s+1)*size) share one stagger
-  /// phase and, under batch_dispatch, one sweep event.  Shared by both
-  /// dispatch modes so they produce the same schedule; must be >= 1.
+  /// phase and one sim::BatchTicker sweep event per period; must be >= 1.
   /// Under parallel_shards this is also the parallel grain: one sweep's
   /// members are planned concurrently, so larger shards amortise the
   /// fork/join cost (scale runs want 128-512).
@@ -136,9 +116,8 @@ struct EngineConfig {
   /// Sharded parallel simulation core.  0 = the classic single-threaded
   /// path.  P >= 1 splits the pending-event set into per-shard queues
   /// (deliveries routed by target peer id, merged deterministically by
-  /// (time, sequence)), forces batch_dispatch on, and runs every tick
-  /// sweep through a three-phase pipeline on up to P lanes of
-  /// util::global_pool():
+  /// (time, sequence)) and runs every tick sweep through a three-phase
+  /// pipeline on up to P lanes of util::global_pool():
   ///   pre    sequential, member order — every cross-peer-visible write
   ///          (availability adverts, boundary learning, playback/metrics);
   ///   plan   parallel, read-only — candidate build + strategy scheduling
@@ -148,10 +127,9 @@ struct EngineConfig {
   ///          counters drain in the deterministic order; a member whose
   ///          supplier backlog an earlier member changed is re-planned
   ///          (rng rolled back) against the live plane.
-  /// Pure mechanism like batch_dispatch: fixed-seed metrics are
-  /// bit-identical for every shard count, including 0 (enforced by
-  /// stream_determinism_test); only wall-clock and the shard diagnostics
-  /// change.
+  /// Pure mechanism: fixed-seed metrics are bit-identical for every shard
+  /// count, including 0 (enforced by stream_determinism_test); only
+  /// wall-clock and the shard diagnostics change.
   std::size_t parallel_shards = 0;
   /// Parallel delivery wave of the sharded core (parallel_shards > 0
   /// only).  Consecutive delivery events are popped as one batch
@@ -205,17 +183,6 @@ struct EngineConfig {
   /// kTokenBucket burst depth in segments (>= 1; 1 degenerates to
   /// kSharedFifo's serialised spacing).
   double token_bucket_burst = 4.0;
-  /// Million-peer memory plane.  Per-tick-hot peer scalars always live in
-  /// the engine's struct-of-arrays PeerPool; this flag additionally swaps
-  /// the pending-request book and the playback arrival record for flat
-  /// containers without heap nodes and backs the sequential tick plan's
-  /// supplier lists with a per-tick bump arena.  The stream buffer has one
-  /// backend in both modes; this flag does not select it.  Pure mechanism
-  /// like batch_dispatch: fixed-seed metrics are bit-identical with the flag
-  /// on or off at every shard count (enforced by stream_determinism_test);
-  /// only memory layout and allocation traffic change (see
-  /// EngineStats::bytes_per_peer and bench BM_MillionPeer).
-  bool peer_pool = false;
   /// Flash-crowd scenario: this many extra peers join at a uniform pace
   /// over [flash_crowd_start, flash_crowd_start + flash_crowd_duration)
   /// (seconds, experiment time — the first switch is at 0, so the defaults
@@ -302,7 +269,7 @@ struct EngineStats {
   std::uint64_t old_stream_requests = 0;
   std::uint64_t new_stream_requests = 0;
   /// Simulator events popped over the whole run (dispatch-cost diagnostic:
-  /// batch_dispatch lowers this without changing any other stat).
+  /// one per tick sweep, delivery, generation and control event).
   std::uint64_t events_popped = 0;
   /// Supplier-membership probes during candidate build — one per (visited
   /// missing-and-supplied segment, alive neighbour) pair: the candidate-scan
@@ -358,12 +325,10 @@ struct EngineStats {
   std::uint64_t arena_chunks = 0;
   std::uint64_t arena_warm_chunks = 0;
   std::uint64_t arena_steady_chunks = 0;
-  /// Timing-wheel event plane (timing_wheel only; zeros on the heap
-  /// backend): events scheduled through the wheels, entries promoted from
-  /// the overflow wheel / spill heap into finer levels as the horizon
-  /// advanced, and the spill heap's peak occupancy (max across shards).
-  /// Pure-mechanism telemetry: the wheel changes no metric, only where
-  /// entries wait and what schedule/pop cost.
+  /// Timing-wheel event plane: events scheduled through the wheels, entries
+  /// promoted from the overflow wheel / spill heap into finer levels as the
+  /// horizon advanced, and the spill heap's peak occupancy (max across
+  /// shards).
   std::uint64_t events_wheeled = 0;
   std::uint64_t wheel_overflow_promotions = 0;
   std::uint64_t spill_heap_peak = 0;
@@ -708,14 +673,12 @@ class Engine {
   /// its slot here (see peer_pool.hpp).
   PeerPool pool_;
 
-  /// Sequential tick scratch (single-threaded dispatch paths).
+  /// Sequential tick scratch (parallel_shards == 0).
   TickPlan plan_seq_;
-  /// Per-tick bump arena behind the sequential plan's supplier lists
-  /// (config_.peer_pool with parallel_shards == 0; the arena is
-  /// single-threaded, so parallel plan lanes keep heap allocation).  Reset
-  /// at the top of every sequential plan — prior plans are dead by then.
+  /// Per-tick bump arena behind the sequential plan's supplier lists (the
+  /// parallel plan lanes bump their own lane_arenas_).  Reset at the top of
+  /// every sequential plan — prior plans are dead by then.
   util::Arena plan_arena_;
-  bool use_plan_arena_ = false;
   /// Advert scratch: build_map_into target reused across all peers' adverts
   /// (swapped with p.advertised_map under delta accounting).
   gossip::BufferMap advert_scratch_;
@@ -806,8 +769,9 @@ class Engine {
   std::unique_ptr<sim::PeriodicTask> flash_task_;
   std::size_t flash_joined_ = 0;
 
-  /// Batched tick dispatch (config_.batch_dispatch only).
-  std::unique_ptr<sim::BatchTicker> ticker_;
+  /// Tick dispatch: one sweep event per tick shard per period.  Declared
+  /// after sim_, so it is destroyed (cancelling its sweeps) first.
+  sim::BatchTicker ticker_;
   /// shard index -> ticker group (initial peers only; kNoTickGroup until
   /// the shard's first non-source peer arms it).
   std::vector<std::size_t> shard_group_;

@@ -23,8 +23,7 @@ void Engine::init_peer_state(PeerNode& p, net::NodeId v) {
   }
   p.in_budget() = RateBudget(p.inbound_rate(), config_.budget_carry);
   p.buffer = StreamBuffer(config_.buffer_capacity);
-  p.playback = Playback(config_.playback_rate, config_.peer_pool);
-  p.pending.use_flat(config_.peer_pool);
+  p.playback = Playback(config_.playback_rate);
   p.rng = util::Rng(config_.seed).fork(util::hash_name("peer")).fork(v);
 }
 
@@ -61,39 +60,20 @@ double Engine::tick_offset(net::NodeId v) const {
 void Engine::start_peer_tick(PeerNode& p, bool initial) {
   if (p.is_source()) return;  // sources never pull
   const double start = sim_.now() + tick_offset(p.id);
-  if (!config_.batch_dispatch) {
-    const net::NodeId id = p.id;
-    p.tick_task = std::make_unique<sim::PeriodicTask>(
-        sim_, start, config_.tau, [this, id](double now) { tick(peers_[id], now); });
-    return;
-  }
-  if (!ticker_) {
-    ticker_ = std::make_unique<sim::BatchTicker>(
-        sim_, config_.tau,
-        [this](std::uint32_t member, double now) { tick(peers_[member], now); });
-    if (config_.parallel_shards > 0) {
-      // The sharded core takes whole sweeps: pre in member order, plan on
-      // the pool, commit in member order (same per-member semantics).
-      ticker_->set_batch_sweep([this](const std::vector<std::uint32_t>& members, double now) {
-        run_parallel_sweep(members, now);
-      });
-    }
-  }
   if (initial) {
     // Initial peers of a shard share the same start time; the shard's
     // group is armed by its first non-source peer, so the group's event
-    // claims exactly the sequence slot that peer's PeriodicTask would.
+    // claims exactly the sequence slot that peer's own periodic tick would.
     const std::size_t shard = p.id / std::max<std::size_t>(1, config_.tick_shard_size);
     if (shard >= shard_group_.size()) shard_group_.resize(shard + 1, kNoTickGroup);
-    if (shard_group_[shard] == kNoTickGroup) shard_group_[shard] = ticker_->add_group(start);
+    if (shard_group_[shard] == kNoTickGroup) shard_group_[shard] = ticker_.add_group(start);
     p.tick_group = shard_group_[shard];
   } else {
     // Joiners tick on their own grid (join time + phase), so they get a
-    // singleton group; its fresh event id matches the fresh PeriodicTask a
-    // per-peer run would create at this very call.
-    p.tick_group = ticker_->add_group(start);
+    // singleton group whose first event is scheduled at this very call.
+    p.tick_group = ticker_.add_group(start);
   }
-  ticker_->add_member(p.tick_group, p.id);
+  ticker_.add_member(p.tick_group, p.id);
 }
 
 // --------------------------------------------------------------- churn ---
@@ -132,11 +112,8 @@ void Engine::handle_leave(net::NodeId v) {
   GS_CHECK(p.alive());
   GS_CHECK(!p.is_source());
   p.alive() = false;
-  if (p.tick_task) p.tick_task->cancel();
-  if (p.tick_group != kNoTickGroup) {
-    ticker_->remove_member(p.tick_group, p.id);
-    p.tick_group = kNoTickGroup;
-  }
+  ticker_.remove_member(p.tick_group, p.id);
+  p.tick_group = kNoTickGroup;
   // Unregister from the neighbourhood views while the graph still has v's
   // edges; the repair edges membership adds below re-enter via connect().
   availability_.remove_peer(graph_, peers_, v);
@@ -348,7 +325,7 @@ std::vector<SwitchMetrics> Engine::run() {
   stats_.events_popped = sim_.run_until(stop_at);
   stats_.index_updates = availability_.updates_applied();
   stats_.cross_shard_events = sim_.cross_shard_scheduled();
-  stats_.superbatch_sweeps = ticker_ ? ticker_->superbatch_count() : 0;
+  stats_.superbatch_sweeps = ticker_.superbatch_count();
   // Lane-arena telemetry: total chunk allocations ever, the total frozen
   // when the adaptive fence armed (0 = never armed), and those past the
   // fence — the zero-allocation claim is that the last is exactly 0 once
@@ -362,7 +339,7 @@ std::vector<SwitchMetrics> Engine::run() {
   stats_.arena_warm_chunks = arena_warm_marked_ ? arena_warm_chunks_ : 0;
   stats_.arena_steady_chunks = arena_warm_marked_ ? arena_chunks - arena_warm_chunks_ : 0;
 
-  // Timing-wheel telemetry (zeros on the heap backend).
+  // Timing-wheel telemetry.
   const sim::EventQueue::WheelTelemetry wheel = sim_.wheel_telemetry();
   stats_.events_wheeled = wheel.scheduled;
   stats_.wheel_overflow_promotions = wheel.overflow_promotions;

@@ -17,10 +17,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 #include "net/graph.hpp"
-#include "sim/periodic.hpp"
 #include "stream/peer_pool.hpp"
 #include "stream/playback.hpp"
 #include "stream/scheduler.hpp"
@@ -34,73 +32,6 @@ namespace gs::stream {
 /// "No batch-ticker group" sentinel for PeerNode::tick_group.
 inline constexpr std::size_t kNoTickGroup = static_cast<std::size_t>(-1);
 
-/// In-flight request book: segment id -> retry-eligible time.  Runs in one
-/// of two modes chosen at peer init: the legacy std::unordered_map, or the
-/// flat open-addressed FlatSegmentMap (EngineConfig::peer_pool) which keeps
-/// entries inline and owns no heap while empty.  Both modes expose the same
-/// operations and, because the engine only ever asks point queries and
-/// value-predicate prunes, identical observable behaviour.
-class PendingMap {
- public:
-  /// Selects the flat backend.  Only valid while empty (peer init).
-  void use_flat(bool flat) noexcept { flat_mode_ = flat; }
-
-  [[nodiscard]] std::size_t size() const noexcept {
-    return flat_mode_ ? flat_.size() : legacy_.size();
-  }
-  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
-
-  [[nodiscard]] const double* find(SegmentId id) const noexcept {
-    if (flat_mode_) return flat_.find(id);
-    const auto it = legacy_.find(id);
-    return it == legacy_.end() ? nullptr : &it->second;
-  }
-  [[nodiscard]] bool contains(SegmentId id) const noexcept { return find(id) != nullptr; }
-
-  /// Inserts or overwrites the retry time for `id`.
-  void set(SegmentId id, double retry_at) {
-    if (flat_mode_) {
-      flat_.set(id, retry_at);
-    } else {
-      legacy_[id] = retry_at;
-    }
-  }
-
-  bool erase(SegmentId id) noexcept {
-    return flat_mode_ ? flat_.erase(id) : legacy_.erase(id) > 0;
-  }
-
-  /// Drops every entry whose retry time is <= `now`.
-  void prune(double now) {
-    if (flat_mode_) {
-      flat_.erase_if([now](double retry_at) { return retry_at <= now; });
-      return;
-    }
-    for (auto it = legacy_.begin(); it != legacy_.end();) {
-      it = it->second <= now ? legacy_.erase(it) : std::next(it);
-    }
-  }
-
-  void clear() noexcept {
-    flat_.clear();
-    legacy_.clear();
-  }
-
-  /// Heap bytes owned by the active backend.
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    if (flat_mode_) return flat_.memory_bytes();
-    // Node-based estimate: bucket array + one node (two pointers of
-    // overhead plus the payload) per entry.
-    return legacy_.bucket_count() * sizeof(void*) +
-           legacy_.size() * (sizeof(std::pair<SegmentId, double>) + 2 * sizeof(void*));
-  }
-
- private:
-  util::FlatSegmentMap<double> flat_;
-  std::unordered_map<SegmentId, double> legacy_;
-  bool flat_mode_ = false;
-};
-
 struct PeerNode {
   net::NodeId id = 0;
 
@@ -110,14 +41,13 @@ struct PeerNode {
   /// Ever-received segment ids (play/accounting source of truth; survives
   /// buffer eviction).
   util::DynamicBitset received;
-  /// id -> retry-eligible time for in-flight requests.
-  PendingMap pending;
+  /// id -> retry-eligible time for in-flight requests.  Flat and
+  /// open-addressed: entries live inline, and an empty book owns no heap.
+  util::FlatSegmentMap<double> pending;
 
   util::Rng rng;
-  /// Per-peer dispatch: the repeating tick event (null under batching).
-  std::unique_ptr<sim::PeriodicTask> tick_task;
-  /// Batched dispatch: index of this peer's sim::BatchTicker group
-  /// (kNoTickGroup when per-peer dispatch is active or the peer left).
+  /// Index of this peer's sim::BatchTicker group (kNoTickGroup for sources,
+  /// which never tick, and once the peer left).
   std::size_t tick_group = kNoTickGroup;
 
   /// Delta availability gossip (EngineConfig::delta_maps): the last full
@@ -221,7 +151,9 @@ struct PeerNode {
 
   /// Drops expired in-flight entries so the segments become requestable
   /// again.
-  void prune_pending(double now) { pending.prune(now); }
+  void prune_pending(double now) {
+    pending.erase_if([now](double retry_at) { return retry_at <= now; });
+  }
 
   /// Extends the contiguous received run from start_id (startup rule).
   void extend_start_run();

@@ -6,8 +6,7 @@
 
 namespace gs::stream {
 
-Playback::Playback(double rate, bool flat)
-    : rate_(rate), interval_(1.0 / rate), flat_mode_(flat) {
+Playback::Playback(double rate) : rate_(rate), interval_(1.0 / rate) {
   GS_CHECK_GT(rate, 0.0);
 }
 
@@ -48,12 +47,8 @@ void Playback::notify_arrival(SegmentId id, double now) {
   // Ahead of the cursor: remember the arrival so the catch-up loop never
   // back-dates this segment's play time.
   if (id >= cursor_ + kArrivalWindow) return;
-  if (flat_mode_) {
-    if (ring_ == nullptr) ring_ = std::make_unique<ArrivalRing>();
-    (*ring_)[slot_of(id)] = ArrivalSlot{id, now};
-  } else {
-    recent_arrivals_[id] = now;
-  }
+  if (ring_ == nullptr) ring_ = std::make_unique<ArrivalRing>();
+  (*ring_)[slot_of(id)] = ArrivalSlot{id, now};
 }
 
 std::size_t Playback::advance(double now, const std::function<bool(SegmentId)>& has,
@@ -68,27 +63,17 @@ std::size_t Playback::advance(double now, const std::function<bool(SegmentId)>& 
     }
     stalled_ = false;
     // Clamp to the recorded arrival: segments that turned up after their
-    // theoretical due time stalled the stream until they arrived.
-    if (flat_mode_) {
-      if (ring_ != nullptr) {
-        ArrivalSlot& slot = (*ring_)[slot_of(cursor_)];
-        if (slot.id == cursor_) {
-          if (slot.time > next_due_) {
-            stall_time_ += slot.time - next_due_;
-            next_due_ = slot.time;
-          }
-          slot.id = kNoSegment;
-          if (next_due_ > now) break;  // resumed beyond the current horizon
+    // theoretical due time stalled the stream until they arrived.  Slots
+    // the cursor passed need no cleanup: they fail the id check and get
+    // overwritten in place.
+    if (ring_ != nullptr) {
+      ArrivalSlot& slot = (*ring_)[slot_of(cursor_)];
+      if (slot.id == cursor_) {
+        if (slot.time > next_due_) {
+          stall_time_ += slot.time - next_due_;
+          next_due_ = slot.time;
         }
-      }
-    } else {
-      const auto it = recent_arrivals_.find(cursor_);
-      if (it != recent_arrivals_.end()) {
-        if (it->second > next_due_) {
-          stall_time_ += it->second - next_due_;
-          next_due_ = it->second;
-        }
-        recent_arrivals_.erase(it);
+        slot.id = kNoSegment;
         if (next_due_ > now) break;  // resumed beyond the current horizon
       }
     }
@@ -97,22 +82,12 @@ std::size_t Playback::advance(double now, const std::function<bool(SegmentId)>& 
     ++plays;
     ++cursor_;
     next_due_ += interval_;
-    if (!flat_mode_) {
-      // Drop stale bookkeeping the cursor has passed (skipped duplicates).
-      // The ring needs no cleanup: passed entries fail the id check and get
-      // overwritten in place.
-      recent_arrivals_.erase(recent_arrivals_.begin(),
-                             recent_arrivals_.lower_bound(cursor_));
-    }
   }
   return plays;
 }
 
 std::size_t Playback::memory_bytes() const noexcept {
-  std::size_t total = ring_ != nullptr ? sizeof(ArrivalRing) : 0;
-  // std::map node estimate: payload plus three pointers and the colour.
-  total += recent_arrivals_.size() * (sizeof(std::pair<SegmentId, double>) + 4 * sizeof(void*));
-  return total;
+  return ring_ != nullptr ? sizeof(ArrivalRing) : 0;
 }
 
 }  // namespace gs::stream

@@ -15,7 +15,6 @@
 #include <array>
 #include <functional>
 #include <limits>
-#include <map>
 #include <memory>
 
 #include "gossip/buffer_map.hpp"
@@ -27,10 +26,8 @@ using gossip::kNoSegment;
 
 class Playback {
  public:
-  /// `rate` is the paper's p (segments/second).  `flat` swaps the
-  /// recent-arrival std::map for a bounded direct-mapped ring
-  /// (EngineConfig::peer_pool); behaviour is identical.
-  explicit Playback(double rate, bool flat = false);
+  /// `rate` is the paper's p (segments/second).
+  explicit Playback(double rate);
 
   [[nodiscard]] bool started() const noexcept { return started_; }
   [[nodiscard]] double rate() const noexcept { return rate_; }
@@ -69,7 +66,7 @@ class Playback {
   std::size_t advance(double now, const std::function<bool(SegmentId)>& has,
                       const std::function<void(SegmentId, double)>& on_play);
 
-  /// Heap bytes owned by the recent-arrival bookkeeping.
+  /// Heap bytes owned by the recent-arrival ring.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
@@ -78,8 +75,7 @@ class Playback {
   /// play times are always later than their arrivals anyway.  (A clamp
   /// could only matter if advance() went uncalled for kArrivalWindow /
   /// rate seconds — 6.4 s at the paper's p = 10 — while ticks run it every
-  /// period.)  Applied identically in both modes, and sized to keep the
-  /// flat ring at 1 KiB per playing peer.
+  /// period.)  Sized to keep the ring at 1 KiB per playing peer.
   static constexpr SegmentId kArrivalWindow = 64;
   static_assert((kArrivalWindow & (kArrivalWindow - 1)) == 0,
                 "ring slots are indexed by id & (kArrivalWindow - 1)");
@@ -102,7 +98,6 @@ class Playback {
 
   double rate_;
   double interval_;
-  bool flat_mode_;
   bool started_ = false;
   SegmentId cursor_ = kNoSegment;
   double next_due_ = 0.0;
@@ -112,9 +107,7 @@ class Playback {
   bool stalled_ = false;
   std::uint64_t played_ = 0;
   /// Arrival times of not-yet-played segments near the cursor (see
-  /// notify_arrival); entries are erased as the cursor passes them.
-  std::map<SegmentId, double> recent_arrivals_;
-  /// Flat replacement for recent_arrivals_, created on first use.
+  /// notify_arrival), created on first use.
   std::unique_ptr<ArrivalRing> ring_;
 };
 

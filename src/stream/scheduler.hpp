@@ -46,10 +46,9 @@ enum class StreamEpoch : std::uint8_t {
 };
 
 /// Supplier lists are rebuilt from scratch every scheduling period, so they
-/// can live in a bump arena: the sequential plan's per-tick arena
-/// (EngineConfig::peer_pool) or the planning lane's arena (parallel_shards
-/// > 0).  The default-constructed allocator falls back to the heap, which is
-/// what the sequential path without peer_pool and hand-built lists use.
+/// live in a bump arena: the sequential plan's per-tick arena or the
+/// planning lane's arena (parallel_shards > 0).  The default-constructed
+/// allocator falls back to the heap, which is what hand-built lists use.
 using SupplierList = std::vector<SupplierView, util::ArenaAllocator<SupplierView>>;
 
 /// A segment the node needs and at least one neighbour can supply.

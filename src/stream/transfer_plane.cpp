@@ -219,9 +219,9 @@ bool TransferPlane::request_staged(PeerNode& requester, const PeerNode& supplier
 void TransferPlane::schedule_delivery(net::NodeId to, SegmentId id, double deliver_at,
                                       double now) {
   // One pooled event per transfer, routed to the target peer's shard.
-  // Deliveries land within accept_horizon + latency of now, so under the
-  // timing-wheel event plane this is an O(1) append into a near-wheel
-  // bucket at most a few quanta ahead — the hot path the wheel exists for.
+  // Deliveries land within accept_horizon + latency of now, so this is an
+  // O(1) append into a near-wheel bucket at most a few quanta ahead — the
+  // hot path the timing wheel exists for.
   sim_.after(deliver_at - now, *this, to, static_cast<std::uint64_t>(id));
 }
 

@@ -10,8 +10,7 @@
 // standard containers (e.g. the candidate supplier lists) can live in it.
 // A null arena falls back to operator new/delete.  An arena is
 // single-threaded by design, so each parallel plan lane bumps its own (the
-// engine's lane arenas), and the sequential path uses a per-tick one under
-// EngineConfig::peer_pool.
+// engine's lane arenas), and the sequential path uses a per-tick one.
 //
 // Lifetime rule: memory from an arena is valid until the next reset().
 // Containers may outlive a reset only if they are cleared first (clearing

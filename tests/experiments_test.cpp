@@ -90,6 +90,33 @@ TEST(Config, RejectsNonPositivePendingTimeout) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
+// A negative history wraps through llround -> size_t into a huge warm-start
+// segment count.
+TEST(Config, RejectsNegativeHistorySeconds) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.history_seconds = -5.0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.history_seconds = 0.0;
+  EXPECT_NO_THROW(config.validate());
+}
+
+// A negative join fraction wraps into a huge per-period join count; one
+// above 1 compounds the swarm every period.
+TEST(Config, RejectsChurnFractionsOutsideUnitInterval) {
+  Config config = Config::paper_dynamic(100, AlgorithmKind::kFast);
+  config.engine.churn_join_fraction = -0.05;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.churn_join_fraction = 3.0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.churn_join_fraction = 0.05;
+  config.engine.churn_leave_fraction = -0.05;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.churn_leave_fraction = 1.5;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.enable_churn(1.0);
+  EXPECT_NO_THROW(config.validate());
+}
+
 TEST(Config, EnumStringRoundTrip) {
   EXPECT_EQ(algorithm_from_string("fast"), AlgorithmKind::kFast);
   EXPECT_EQ(algorithm_from_string("normal"), AlgorithmKind::kNormal);

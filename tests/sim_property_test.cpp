@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -407,14 +408,72 @@ TEST(BatchTickerProperty, SuperBatchedSweepsEqualPerGroupSweeps) {
   }
 }
 
-// --------------------------------------------------- timing-wheel backend ---
+// --------------------------------------------------- timing-wheel store ---
 //
-// The wheel's entire contract is backend equivalence: whatever the workload,
-// the pop sequence must be bit-identical to the binary-heap backend's global
-// (time, sequence) order.  These properties drive both backends with the
-// same random scripts and compare execution traces.
+// The wheel's entire contract is the global (time, sequence) pop order:
+// whatever the workload, the pop sequence must be exactly that of one
+// binary heap over every pending entry.  These properties drive the queue
+// and such a heap with the same random scripts and compare execution traces.
 
-/// One scripted schedule operation, applied identically to both backends.
+/// Reference model of the queue: one (time, id) binary heap over every
+/// shard's entries.  Ids are assigned in scheduling order like EventQueue's,
+/// and entries carry their shard, so a pop reports which shard the queue
+/// must have drained.
+class ReferenceQueue {
+ public:
+  EventId schedule_on(std::size_t shard, Time at, std::function<void()> action) {
+    heap_.push_back({at, next_id_, shard, std::move(action)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    return next_id_++;
+  }
+  EventId schedule(Time at, std::function<void()> action) {
+    return schedule_on(0, at, std::move(action));
+  }
+  /// Pooled events run as closures: the reference models ordering only.
+  EventId schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b) {
+    return schedule(at, [&sink, a, b] { sink.on_event(a, b); });
+  }
+
+  bool cancel(EventId id) {
+    const auto it = std::find_if(heap_.begin(), heap_.end(),
+                                 [id](const Entry& e) { return e.id == id; });
+    if (it == heap_.end()) return false;
+    heap_.erase(it);
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
+    return true;
+  }
+
+  [[nodiscard]] bool empty() const { return heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return heap_.size(); }
+  [[nodiscard]] Time next_time() const { return heap_.front().at; }
+
+  void pop_and_run(std::size_t* shard_out = nullptr) {
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Entry entry = std::move(heap_.back());
+    heap_.pop_back();
+    if (shard_out != nullptr) *shard_out = entry.shard;
+    entry.action();
+  }
+
+ private:
+  struct Entry {
+    Time at = 0.0;
+    EventId id = 0;
+    std::size_t shard = 0;
+    std::function<void()> action;
+  };
+  /// "a fires after b": a max-heap under this order pops the earliest.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.at != b.at ? a.at > b.at : a.id > b.id;
+    }
+  };
+
+  std::vector<Entry> heap_;
+  EventId next_id_ = 1;
+};
+
+/// One scripted schedule operation, applied identically to both queues.
 struct WheelScript {
   Time at = 0.0;
   int tag = 0;
@@ -424,8 +483,8 @@ struct WheelScript {
 };
 
 /// Loads a script into one queue; returns the ids of the top-level entries.
-std::vector<EventId> load_script(EventQueue& queue, RecordingSink& sink,
-                                 std::vector<int>& fired,
+template <typename Queue>
+std::vector<EventId> load_script(Queue& queue, RecordingSink& sink, std::vector<int>& fired,
                                  const std::vector<WheelScript>& script) {
   std::vector<EventId> ids;
   for (const WheelScript& s : script) {
@@ -472,65 +531,55 @@ std::vector<WheelScript> random_script(util::Rng& rng, int count) {
   return script;
 }
 
-TEST(TimingWheelProperty, MixedWorkloadPopsIdenticallyToHeapBackend) {
+TEST(TimingWheelProperty, MixedWorkloadPopsLikeTheReferenceQueue) {
   util::Rng rng(31337);
   for (const double quantum : {0.25, 1.0, 3.0}) {
     for (int trial = 0; trial < 12; ++trial) {
-      EventQueue heap;
-      EventQueue wheel;
-      wheel.enable_timing_wheel(quantum);
-      std::vector<int> heap_fired;
+      ReferenceQueue reference;
+      EventQueue wheel(quantum);
+      std::vector<int> reference_fired;
       std::vector<int> wheel_fired;
-      RecordingSink heap_sink;
-      heap_sink.fired = &heap_fired;
+      RecordingSink reference_sink;
+      reference_sink.fired = &reference_fired;
       RecordingSink wheel_sink;
       wheel_sink.fired = &wheel_fired;
       const std::vector<WheelScript> script = random_script(rng, 150);
-      const std::vector<EventId> heap_ids = load_script(heap, heap_sink, heap_fired, script);
+      const std::vector<EventId> reference_ids =
+          load_script(reference, reference_sink, reference_fired, script);
       const std::vector<EventId> wheel_ids =
           load_script(wheel, wheel_sink, wheel_fired, script);
-      // Random cancellations, mirrored; both backends must agree on hits.
+      // Random cancellations, mirrored; both queues must agree on hits.
       for (int k = 0; k < 25; ++k) {
         const auto victim = static_cast<std::size_t>(rng.uniform_int(0, 149));
-        EXPECT_EQ(heap.cancel(heap_ids[victim]), wheel.cancel(wheel_ids[victim]));
+        EXPECT_EQ(reference.cancel(reference_ids[victim]), wheel.cancel(wheel_ids[victim]));
       }
-      EXPECT_EQ(heap.size(), wheel.size());
-      while (!heap.empty() || !wheel.empty()) {
-        ASSERT_FALSE(heap.empty());
+      EXPECT_EQ(reference.size(), wheel.size());
+      while (!reference.empty() || !wheel.empty()) {
+        ASSERT_FALSE(reference.empty());
         ASSERT_FALSE(wheel.empty());
-        ASSERT_EQ(heap.next_time(), wheel.next_time())
+        ASSERT_EQ(reference.next_time(), wheel.next_time())
             << "quantum " << quantum << " trial " << trial;
-        heap.pop_and_run();
+        reference.pop_and_run();
         wheel.pop_and_run();
       }
-      EXPECT_EQ(heap_fired, wheel_fired) << "quantum " << quantum << " trial " << trial;
+      EXPECT_EQ(reference_fired, wheel_fired) << "quantum " << quantum << " trial " << trial;
       EXPECT_GT(wheel.wheel_telemetry().scheduled, 0u);
-      EXPECT_EQ(heap.wheel_telemetry().scheduled, 0u);
     }
   }
 }
 
-TEST(TimingWheelProperty, ShardedWheelMatchesShardedHeap) {
-  // Cross-shard routing on wheel shards: the merged pop sequence (and the
-  // shard each pop drains from) must equal the heap-backed sharded queue's.
-  // Alternates enable order to prove set_shard_count and
-  // enable_timing_wheel compose both ways.
+TEST(TimingWheelProperty, ShardedWheelMatchesTheReferenceQueue) {
+  // Cross-shard routing on wheel shards: the merged pop sequence, and the
+  // shard each pop drains from, must equal the reference's global order.
   util::Rng rng(90210);
   for (int round = 0; round < 12; ++round) {
     const std::size_t shards = 1 + static_cast<std::size_t>(rng.uniform_int(1, 6));
-    EventQueue heap;
-    heap.set_shard_count(shards);
-    EventQueue wheel;
-    if (round % 2 == 0) {
-      wheel.set_shard_count(shards);
-      wheel.enable_timing_wheel(0.5);
-    } else {
-      wheel.enable_timing_wheel(0.5);
-      wheel.set_shard_count(shards);
-    }
-    std::vector<int> heap_fired;
+    ReferenceQueue reference;
+    EventQueue wheel(0.5);
+    wheel.set_shard_count(shards);
+    std::vector<int> reference_fired;
     std::vector<int> wheel_fired;
-    std::vector<EventId> heap_ids;
+    std::vector<EventId> reference_ids;
     std::vector<EventId> wheel_ids;
     for (int tag = 0; tag < 200; ++tag) {
       // Dense ties plus a far-horizon tail that lands in the spill heap.
@@ -538,61 +587,26 @@ TEST(TimingWheelProperty, ShardedWheelMatchesShardedHeap) {
                                          : std::floor(rng.uniform(0.0, 30000.0));
       const auto shard = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(shards) - 1));
-      heap_ids.push_back(
-          heap.schedule_on(shard, at, [tag, &heap_fired] { heap_fired.push_back(tag); }));
+      reference_ids.push_back(reference.schedule_on(
+          shard, at, [tag, &reference_fired] { reference_fired.push_back(tag); }));
       wheel_ids.push_back(
           wheel.schedule_on(shard, at, [tag, &wheel_fired] { wheel_fired.push_back(tag); }));
     }
     for (int k = 0; k < 30; ++k) {
       const auto victim = static_cast<std::size_t>(rng.uniform_int(0, 199));
-      EXPECT_EQ(heap.cancel(heap_ids[victim]), wheel.cancel(wheel_ids[victim]));
+      EXPECT_EQ(reference.cancel(reference_ids[victim]), wheel.cancel(wheel_ids[victim]));
     }
-    while (!heap.empty()) {
+    while (!reference.empty()) {
       ASSERT_FALSE(wheel.empty());
-      EXPECT_EQ(heap.next_time(), wheel.next_time());
-      std::size_t heap_shard = 99;
+      EXPECT_EQ(reference.next_time(), wheel.next_time());
+      std::size_t reference_shard = 99;
       std::size_t wheel_shard = 99;
-      heap.pop_and_run(&heap_shard);
+      reference.pop_and_run(&reference_shard);
       wheel.pop_and_run(&wheel_shard);
-      EXPECT_EQ(heap_shard, wheel_shard) << "pop drained a different shard";
+      EXPECT_EQ(reference_shard, wheel_shard) << "pop drained a different shard";
     }
     EXPECT_TRUE(wheel.empty());
-    EXPECT_EQ(heap_fired, wheel_fired) << "round " << round;
-  }
-}
-
-TEST(TimingWheelProperty, BatchedPopsMatchHeapBackendBatchedPops) {
-  // pop_batch over wheel shards: batchable pooled runs must be cut at the
-  // same points and carry the same (time, tag) items as the heap backend's.
-  util::Rng rng(555);
-  for (int trial = 0; trial < 12; ++trial) {
-    std::vector<Observation> by_backend[2];
-    std::uint64_t batches[2] = {0, 0};
-    for (const bool use_wheel : {false, true}) {
-      Simulator sim;
-      sim.enable_batch_pop(true);
-      if (use_wheel) sim.enable_timing_wheel(1.0);
-      BatchableSink sink;
-      std::vector<Observation>& out = by_backend[use_wheel ? 1 : 0];
-      sink.fired = &out;
-      sink.sim = &sim;
-      util::Rng gen(static_cast<std::uint64_t>(trial) * 31 + 5);
-      for (std::uint32_t tag = 0; tag < 140; ++tag) {
-        const Time at = std::floor(gen.uniform(0.0, 12.0));  // dense ties
-        if (gen.bernoulli(0.7)) {
-          sim.at(at, sink, tag, 0);
-        } else {
-          sim.at(at, [&out, tag, &sim] { out.emplace_back(sim.now(), 100000 + tag); });
-        }
-      }
-      const std::size_t ran = sim.run_until(20.0);
-      EXPECT_EQ(ran, 140u);
-      batches[use_wheel ? 1 : 0] = sink.batches;
-    }
-    EXPECT_EQ(by_backend[0], by_backend[1]) << "trial " << trial;
-    // Identical pop order implies identical run boundaries.
-    EXPECT_EQ(batches[0], batches[1]) << "trial " << trial;
-    EXPECT_GT(batches[1], 0u);
+    EXPECT_EQ(reference_fired, wheel_fired) << "round " << round;
   }
 }
 
@@ -602,7 +616,6 @@ TEST(TimingWheelProperty, FarHorizonWorkloadExercisesCoarseWheelAndSpill) {
   // non-empty spill peak) and still pop in nondecreasing time order.
   util::Rng rng(2718);
   EventQueue queue;
-  queue.enable_timing_wheel(1.0);
   for (int i = 0; i < 400; ++i) {
     queue.schedule(rng.uniform(0.0, 50000.0), [] {});
   }
@@ -628,13 +641,6 @@ TEST(EventQueueDeathTest, ShardLayoutChangeWithPendingEventsAborts) {
   queue.schedule(1.0, [] {});
   EXPECT_DEATH(queue.set_shard_count(4),
                "shard layout may only change while the queue is empty");
-}
-
-TEST(EventQueueDeathTest, BackendChangeWithPendingEventsAborts) {
-  EventQueue queue;
-  queue.schedule(1.0, [] {});
-  EXPECT_DEATH(queue.enable_timing_wheel(1.0),
-               "backing store may only change while the queue is empty");
 }
 
 TEST(BatchTickerProperty, DestructionCancelsPendingSweeps) {

@@ -2,6 +2,9 @@
 // Playback engine timing, stalls and gates; RateBudget; BandwidthSampler.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <vector>
 
 #include "stream/bandwidth.hpp"
@@ -296,12 +299,74 @@ TEST(Playback, PlayedCountAccumulates) {
   EXPECT_EQ(pb.played_count(), 10u);
 }
 
+/// Reference model of Playback's arrival-driven stall accounting: the same
+/// cursor rules over an unbounded std::map arrival record (erased as the
+/// cursor passes), which the bounded ring must reproduce.
+class MapPlayback {
+ public:
+  explicit MapPlayback(double rate) : interval_(1.0 / rate) {}
+
+  void start(SegmentId first, double now) {
+    started_ = true;
+    cursor_ = first;
+    next_due_ = now;
+  }
+
+  void notify_arrival(SegmentId id, double now) {
+    if (!started_ || id < cursor_) return;
+    if (id == cursor_) {
+      if (next_due_ < now) {
+        stall_time_ += now - next_due_;
+        next_due_ = now;
+      }
+      return;
+    }
+    if (id >= cursor_ + 64) return;  // Playback's arrival window
+    arrivals_[id] = now;
+  }
+
+  void advance(double now, const std::function<bool(SegmentId)>& has,
+               const std::function<void(SegmentId, double)>& on_play) {
+    if (!started_) return;
+    while (next_due_ <= now && has(cursor_)) {
+      const auto it = arrivals_.find(cursor_);
+      if (it != arrivals_.end()) {
+        if (it->second > next_due_) {
+          stall_time_ += it->second - next_due_;
+          next_due_ = it->second;
+        }
+        arrivals_.erase(it);
+        if (next_due_ > now) break;  // resumed beyond the current horizon
+      }
+      on_play(cursor_, next_due_);
+      ++played_;
+      ++cursor_;
+      next_due_ += interval_;
+      arrivals_.erase(arrivals_.begin(), arrivals_.lower_bound(cursor_));
+    }
+  }
+
+  [[nodiscard]] SegmentId cursor() const { return cursor_; }
+  [[nodiscard]] double stall_time() const { return stall_time_; }
+  [[nodiscard]] std::uint64_t played_count() const { return played_; }
+
+ private:
+  double interval_;
+  bool started_ = false;
+  SegmentId cursor_ = kNoSegment;
+  double next_due_ = 0.0;
+  double stall_time_ = 0.0;
+  std::uint64_t played_ = 0;
+  std::map<SegmentId, double> arrivals_;
+};
+
 TEST(Playback, FlatArrivalRingMatchesMapMode) {
   // Arrival-driven stall accounting must not depend on the bookkeeping
-  // structure: drive both modes through identical late-arrival schedules.
+  // structure: drive the ring and the map reference through identical
+  // late-arrival schedules.
   util::Rng rng(654);
-  Playback map_mode(10.0, false);
-  Playback flat_mode(10.0, true);
+  MapPlayback map_mode(10.0);
+  Playback flat_mode(10.0);
   map_mode.start(0, 0.0);
   flat_mode.start(0, 0.0);
   std::vector<bool> have(400, false);

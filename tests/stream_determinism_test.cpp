@@ -38,7 +38,6 @@ struct RunSpec {
   bool churn = false;
   bool per_link = false;
   bool token_bucket = false;
-  bool batch = false;
   bool stagger = true;
   bool delta_maps = false;
   /// The parallel delivery wave + sweep super-batching of the sharded core
@@ -47,17 +46,11 @@ struct RunSpec {
   /// The parallel commit + book passes of the sharded core (effective only
   /// when parallel > 0; defaults on, like the engine).
   bool commit = true;
-  /// Million-peer memory plane: flat pending/buffer/arrival containers and
-  /// the sequential plan arena.
-  bool peer_pool = false;
   /// Flash-crowd joiners admitted shortly after the first switch (0 = off).
   std::size_t flash_joins = 0;
   /// CDN-assisted fast switch (changes dynamics by design when on; off must
   /// stay bit-identical to a build without the plane).
   bool cdn = false;
-  /// Timing-wheel event plane (defaults on, like the engine; false = the
-  /// binary-heap baseline backend).
-  bool wheel = true;
   /// Debug cross-check: re-build gated plans and assert emptiness.
   bool gate_recheck = false;
   /// Caught-up steady swarm (no synthetic backlog or lag): the scenario
@@ -86,15 +79,12 @@ RunOutput run_setup(const RunSpec& setup) {
   }
   if (setup.per_link) config.supplier_capacity = SupplierCapacityModel::kPerLink;
   if (setup.token_bucket) config.supplier_capacity = SupplierCapacityModel::kTokenBucket;
-  config.batch_dispatch = setup.batch;
   config.stagger_ticks = setup.stagger;
   config.delta_maps = setup.delta_maps;
   config.parallel_delivery = setup.delivery_wave;
   config.parallel_commit = setup.commit;
-  config.peer_pool = setup.peer_pool;
   config.flash_crowd_joins = setup.flash_joins;
   config.cdn_assist = setup.cdn;
-  config.timing_wheel = setup.wheel;
   config.plan_gate_recheck = setup.gate_recheck;
   if (setup.steady) {
     config.sparse_fill = 1.0;
@@ -203,81 +193,14 @@ TEST(Determinism, MultiSwitchReproducesIdenticalMetrics) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched tick dispatch must be *observably invisible*: the same seed with
-// batch_dispatch on and off has to reproduce every metric bit for bit, in
-// every scenario dimension (algorithm, churn, capacity model, multi-switch,
-// staggered and lockstep phases).  Only the event count may change.
-
-RunOutput run_batched(RunSpec setup) {
-  setup.batch = true;
-  return run_setup(setup);
-}
-
-TEST(BatchDispatch, FastSwitchMatchesPerPeerDispatch) {
-  RunSpec setup;
-  expect_identical(run_setup(setup), run_batched(setup));
-}
-
-TEST(BatchDispatch, NormalSwitchMatchesPerPeerDispatch) {
-  RunSpec setup;
-  setup.fast = false;
-  expect_identical(run_setup(setup), run_batched(setup));
-}
-
-TEST(BatchDispatch, ChurnMatchesPerPeerDispatch) {
-  RunSpec setup;
-  setup.seed = 19;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_batched(setup));
-}
-
-TEST(BatchDispatch, PerLinkCapacityMatchesPerPeerDispatch) {
-  RunSpec setup;
-  setup.seed = 27;
-  setup.per_link = true;
-  expect_identical(run_setup(setup), run_batched(setup));
-}
-
-TEST(BatchDispatch, MultiSwitchMatchesPerPeerDispatch) {
-  RunSpec setup;
-  setup.seed = 23;
-  setup.sources = {0, 1, 2};
-  setup.switch_times = {0.0, 60.0};
-  expect_identical(run_setup(setup), run_batched(setup));
-}
-
-TEST(BatchDispatch, LockstepTicksMatchPerPeerDispatch) {
-  // Lockstep phases force systematic timestamp ties between peer ticks,
-  // generation, churn and the switch event — the hardest ordering case.
-  RunSpec setup;
-  setup.seed = 31;
-  setup.stagger = false;
-  expect_identical(run_setup(setup), run_batched(setup));
-}
-
-TEST(BatchDispatch, LockstepChurnMatchesPerPeerDispatch) {
-  RunSpec setup;
-  setup.seed = 37;
-  setup.stagger = false;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_batched(setup));
-}
+// Batched tick dispatch (sim::BatchTicker) is the only dispatcher; its former
+// per-peer vs batched cases are Golden rows below.
 
 TEST(BatchDispatch, BatchedRunsReproduceThemselves) {
   RunSpec setup;
   setup.seed = 41;
-  setup.batch = true;
   setup.churn = true;
   expect_identical(run_setup(setup), run_setup(setup));
-}
-
-TEST(BatchDispatch, PopsFewerEventsThanPerPeerDispatch) {
-  RunSpec setup;
-  const RunOutput per_peer = run_setup(setup);
-  const RunOutput batched = run_batched(setup);
-  EXPECT_LT(batched.stats.events_popped, per_peer.stats.events_popped)
-      << "batching should collapse per-peer tick events into shard sweeps";
-  EXPECT_GT(batched.stats.events_popped, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -314,13 +237,13 @@ TEST(DeltaMaps, ChurnRunsReproduceThemselves) {
 }
 
 // ---------------------------------------------------------------------------
-// The sharded parallel core must be *observably invisible* exactly like
-// batch dispatch: the same seed at any shard count — per-shard event queues, parallel tick planning,
+// The sharded parallel core must be *observably invisible*: the same seed
+// at any shard count — per-shard event queues, parallel tick planning,
 // speculative plans re-planned on capacity conflicts — has to reproduce
 // every metric bit for bit against the sequential engine, across
-// algorithms, churn, capacity models, dispatch modes and tick-shard sizes.  Only wall clock and the shard diagnostics
-// (parallel_sweeps / planned_ticks / replanned_ticks / cross_shard_events
-// / events_popped) may change.
+// algorithms, churn, capacity models and tick-shard sizes.  Only wall clock
+// and the shard diagnostics (parallel_sweeps / planned_ticks /
+// replanned_ticks / cross_shard_events / events_popped) may change.
 
 RunOutput run_sharded(RunSpec setup, std::size_t shards) {
   setup.parallel = shards;
@@ -376,29 +299,16 @@ TEST(ParallelShards, MultiSwitchMatchesSequential) {
   expect_identical(run_setup(setup), run_sharded(setup, 4));
 }
 
-TEST(ParallelShards, BatchDispatchComposes) {
-  // parallel_shards forces batch dispatch on; the sequential arm running
-  // per-peer dispatch must still match bit for bit (transitively through
-  // PR 2's batch invariant).
-  RunSpec setup;
-  setup.seed = 43;
-  RunSpec batched = setup;
-  batched.batch = true;
-  expect_identical(run_setup(setup), run_sharded(batched, 4));
-}
-
 TEST(ParallelShards, SevenShardsMatchSequentialAtAnotherSeed) {
   RunSpec setup;
   setup.seed = 47;
   expect_identical(run_setup(setup), run_sharded(setup, 7));
 }
 
-TEST(ParallelShards, BatchChurnComposes) {
-  // Batched dispatch, churn and the sharded core at once.
+TEST(ParallelShards, ChurnMatchesSequentialAtAnotherSeed) {
   RunSpec setup;
   setup.seed = 53;
   setup.churn = true;
-  setup.batch = true;
   expect_identical(run_setup(setup), run_sharded(setup, 4));
 }
 
@@ -452,8 +362,8 @@ TEST(ParallelShards, ShardDiagnosticsReportWork) {
 // be *observably invisible* exactly like the sharded plan wave it extends:
 // the same seed with the wave on and off — and against the fully
 // sequential engine — has to reproduce every metric bit for bit at every
-// shard count, across algorithms, churn, all three capacity models,
-// multi-switch timelines and the batch-dispatch composition.  Only
+// shard count, across algorithms, churn, all three capacity models and
+// multi-switch timelines.  Only
 // wall clock and the drain diagnostics (delivery_batches /
 // delta_journal_merges / superbatch_sweeps) may change.
 
@@ -510,17 +420,6 @@ TEST(ParallelDelivery, MultiSwitchMatchesSequential) {
   expect_identical(run_setup(setup), run_delivery(setup, 4));
 }
 
-TEST(ParallelDelivery, BatchDispatchComposes) {
-  // The availability views feed the journal merge wave while batched
-  // dispatch feeds the sweeps.
-  RunSpec setup;
-  setup.seed = 43;
-  RunSpec stacked = setup;
-  stacked.batch = true;
-  expect_identical(run_setup(setup), run_delivery(stacked, 4));
-  expect_identical(run_setup(setup), run_delivery(stacked, 7));
-}
-
 TEST(ParallelDelivery, LockstepChurnMatchesSequential) {
   // Lockstep phases put every sweep of a period at one timestamp: the
   // super-batch path runs every period, concatenating all groups into one
@@ -559,111 +458,24 @@ TEST(ParallelDelivery, DrainDiagnosticsReportWork) {
 }
 
 // ---------------------------------------------------------------------------
-// The million-peer memory plane must be *observably invisible* exactly like
-// every mechanism before it: the same seed with peer_pool on and off — flat
-// open-addressed pending maps instead of unordered_map nodes, the bounded
-// arrival ring instead of std::map, and the per-tick plan arena on the
-// sequential path — has to
-// reproduce every metric bit for bit, across algorithms, churn, capacity
-// models, multi-switch timelines, dispatch modes and
-// every shard count.  Only bytes/peer and allocation traffic may change.
-
-RunOutput run_pooled(RunSpec setup) {
-  setup.peer_pool = true;
-  return run_setup(setup);
-}
-
-TEST(PeerPool, FastSwitchMatchesLegacyContainers) {
-  RunSpec setup;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, NormalSwitchMatchesLegacyContainers) {
-  RunSpec setup;
-  setup.fast = false;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, ChurnMatchesLegacyContainers) {
-  // Churn exercises joiner pool growth (bind after emplace), leaver pending
-  // erasure through the flat map and buffer teardown through the ring.
-  RunSpec setup;
-  setup.seed = 19;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, TokenBucketCapacityMatchesLegacyContainers) {
-  RunSpec setup;
-  setup.seed = 29;
-  setup.token_bucket = true;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, MultiSwitchMatchesLegacyContainers) {
-  RunSpec setup;
-  setup.seed = 23;
-  setup.sources = {0, 1, 2};
-  setup.switch_times = {0.0, 60.0};
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
-
-TEST(PeerPool, EveryShardCountMatchesLegacySequential) {
-  // The arena only engages at shards=0; the sharded counts prove the flat
-  // containers stay invisible when the plan wave runs without it.
-  RunSpec setup;
-  const RunOutput legacy = run_setup(setup);
-  for (const std::size_t shards : {0u, 1u, 4u, 7u}) {
-    RunSpec pooled = setup;
-    pooled.parallel = shards;
-    expect_identical(legacy, run_pooled(pooled));
-  }
-}
-
-TEST(PeerPool, BatchDispatchComposes) {
-  // The memory plane under batched dispatch: flat containers and the plan
-  // arena fed by sweep events instead of per-peer ticks.
-  RunSpec setup;
-  setup.seed = 43;
-  RunSpec stacked = setup;
-  stacked.batch = true;
-  expect_identical(run_setup(setup), run_pooled(stacked));
-}
-
-TEST(PeerPool, LockstepChurnMatchesLegacyContainers) {
-  RunSpec setup;
-  setup.seed = 37;
-  setup.stagger = false;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_pooled(setup));
-}
+// The memory plane (struct-of-arrays hot scalars, flat pending books, the
+// arrival ring and the plan arenas) is the only one; its former on/off
+// cases are Golden rows below.  The flash-crowd scenario rides the regular
+// join path, so it must be a pure workload knob: deterministic for a fixed
+// seed, and it must admit exactly the configured crowd.
 
 TEST(PeerPool, PooledChurnRunsReproduceThemselves) {
   RunSpec setup;
   setup.seed = 61;
-  setup.peer_pool = true;
   setup.churn = true;
   setup.parallel = 4;
   expect_identical(run_setup(setup), run_setup(setup));
-}
-
-// The flash-crowd scenario rides the regular join path, so it must be a
-// pure workload knob: deterministic for a fixed seed, identical with the
-// memory plane on and off, and it must admit exactly the configured crowd.
-
-TEST(PeerPool, FlashCrowdMatchesAcrossMemoryPlanes) {
-  RunSpec setup;
-  setup.seed = 67;
-  setup.flash_joins = 40;
-  expect_identical(run_setup(setup), run_pooled(setup));
 }
 
 TEST(PeerPool, FlashCrowdRunsReproduceThemselves) {
   RunSpec setup;
   setup.seed = 71;
   setup.flash_joins = 40;
-  setup.peer_pool = true;
-  setup.batch = true;
   expect_identical(run_setup(setup), run_setup(setup));
 }
 
@@ -679,21 +491,17 @@ TEST(PeerPool, FlashCrowdAdmitsTheConfiguredCrowd) {
 TEST(PeerPool, ReportsMemoryTelemetry) {
   RunSpec setup;
   setup.seed = 79;
-  const RunOutput legacy = run_setup(setup);
-  const RunOutput pooled = run_pooled(setup);
-  EXPECT_GT(legacy.stats.peer_state_bytes, 0u);
-  EXPECT_GT(pooled.stats.peer_state_bytes, 0u);
-  EXPECT_GT(legacy.stats.bytes_per_peer, 0.0);
-  EXPECT_LT(pooled.stats.bytes_per_peer, legacy.stats.bytes_per_peer)
-      << "the flat containers should shrink the per-peer footprint";
+  const RunOutput out = run_setup(setup);
+  EXPECT_GT(out.stats.peer_state_bytes, 0u);
+  EXPECT_GT(out.stats.bytes_per_peer, 0.0);
 }
 
 // ---------------------------------------------------------------------------
 // CDN-assisted fast switch.  Unlike the mechanism flags above, the assist
 // changes dynamics *by design*; what must hold is (a) fixed-seed runs with
 // the assist on reproduce themselves bit for bit, (b) the assist composes
-// with every mechanism flag — identical metrics at every shard count and
-// across the memory planes — and (c) with the assist off nothing changes
+// with every mechanism option — identical metrics at every shard count —
+// and (c) with the assist off nothing changes
 // (covered implicitly by every other suite here: those runs never construct
 // the plane).
 
@@ -727,24 +535,6 @@ TEST(CdnAssist, AssistedMetricsIdenticalAtEveryShardCount) {
     sharded.parallel = shards;
     expect_identical(sequential, run_setup(sharded));
   }
-}
-
-TEST(CdnAssist, AssistComposesWithMemoryPlane) {
-  RunSpec setup;
-  setup.seed = 101;
-  setup.cdn = true;
-  RunSpec pooled = setup;
-  pooled.peer_pool = true;
-  expect_identical(run_setup(setup), run_setup(pooled));
-}
-
-TEST(CdnAssist, AssistComposesWithBatchDispatch) {
-  RunSpec setup;
-  setup.seed = 103;
-  setup.cdn = true;
-  RunSpec stacked = setup;
-  stacked.batch = true;
-  expect_identical(run_setup(setup), run_setup(stacked));
 }
 
 TEST(CdnAssist, AssistedFlashCrowdReproducesItself) {
@@ -842,22 +632,14 @@ TEST(ParallelCommit, MultiSwitchMatchesSequential) {
   expect_identical(run_setup(setup), run_commit(setup, 4));
 }
 
-TEST(ParallelCommit, BatchDispatchComposes) {
+TEST(ParallelCommit, OtherSeedsMatchSequential) {
   RunSpec setup;
   setup.seed = 43;
-  RunSpec stacked = setup;
-  stacked.batch = true;
-  expect_identical(run_setup(setup), run_commit(stacked, 4));
-  expect_identical(run_setup(setup), run_commit(stacked, 7));
-}
-
-TEST(ParallelCommit, PeerPoolComposes) {
-  RunSpec setup;
+  expect_identical(run_setup(setup), run_commit(setup, 4));
+  expect_identical(run_setup(setup), run_commit(setup, 7));
   setup.seed = 47;
-  RunSpec pooled = setup;
-  pooled.peer_pool = true;
-  expect_identical(run_setup(setup), run_commit(pooled, 4));
-  expect_identical(run_setup(setup), run_commit(pooled, 4, /*commit=*/false));
+  expect_identical(run_setup(setup), run_commit(setup, 4));
+  expect_identical(run_setup(setup), run_commit(setup, 4, /*commit=*/false));
 }
 
 TEST(ParallelCommit, CdnAssistComposes) {
@@ -985,87 +767,18 @@ TEST(ParallelCommit, SteadyStateArenaAllocationsAreZero) {
 
 // ----------------------------------------------------------- TimingWheel ---
 //
-// The timing-wheel event plane is pure mechanism: every pop must happen in
-// the same global (time, sequence) order the binary-heap backend produces,
-// so fixed-seed metrics are bit-identical wheel on vs off — across shard
-// counts and composed with every other flag family.
-
-RunOutput run_wheel(RunSpec setup, bool wheel) {
-  setup.wheel = wheel;
-  return run_setup(setup);
-}
-
-TEST(TimingWheel, SequentialRunMatchesHeapBackend) {
-  RunSpec setup;
-  setup.seed = 71;
-  expect_identical(run_wheel(setup, false), run_wheel(setup, true));
-}
-
-TEST(TimingWheel, SingleShardMatchesHeapBackend) {
-  RunSpec setup;
-  setup.seed = 72;
-  setup.parallel = 1;
-  expect_identical(run_wheel(setup, false), run_wheel(setup, true));
-}
-
-TEST(TimingWheel, ShardedChurnRunMatchesHeapBackend) {
-  RunSpec setup;
-  setup.seed = 73;
-  setup.parallel = 4;
-  setup.churn = true;
-  expect_identical(run_wheel(setup, false), run_wheel(setup, true));
-}
-
-TEST(TimingWheel, SevenShardMultiSwitchMatchesHeapBackend) {
-  RunSpec setup;
-  setup.seed = 74;
-  setup.parallel = 7;
-  setup.sources = {0, 1, 2};
-  setup.switch_times = {0.0, 40.0};
-  expect_identical(run_wheel(setup, false), run_wheel(setup, true));
-}
-
-TEST(TimingWheel, CdnAssistMatchesHeapBackend) {
-  RunSpec setup;
-  setup.seed = 75;
-  setup.parallel = 4;
-  setup.cdn = true;
-  expect_identical(run_wheel(setup, false), run_wheel(setup, true));
-}
-
-TEST(TimingWheel, FlashCrowdPeerPoolMatchesHeapBackend) {
-  RunSpec setup;
-  setup.seed = 76;
-  setup.parallel = 4;
-  setup.peer_pool = true;
-  setup.flash_joins = 30;
-  expect_identical(run_wheel(setup, false), run_wheel(setup, true));
-}
-
-TEST(TimingWheel, FullCompositionMatchesHeapBackend) {
-  // The kitchen sink: churn + peer pool + token-bucket capacity on 7
-  // shards.
-  RunSpec setup;
-  setup.seed = 77;
-  setup.parallel = 7;
-  setup.churn = true;
-  setup.peer_pool = true;
-  setup.token_bucket = true;
-  expect_identical(run_wheel(setup, false), run_wheel(setup, true));
-}
+// The timing wheel is the event queue's only store; its former wheel vs
+// binary-heap cases are Golden rows below, and sim_property_test holds its
+// pop order to a (time, sequence) reference queue.
 
 TEST(TimingWheel, WheelRunsReproduceThemselvesAndReportTelemetry) {
   RunSpec setup;
   setup.seed = 78;
   setup.parallel = 4;
   setup.churn = true;
-  const RunOutput a = run_wheel(setup, true);
-  expect_identical(a, run_wheel(setup, true));
-  EXPECT_GT(a.stats.events_wheeled, 0u) << "wheel backend reported no scheduled events";
-  const RunOutput heap = run_wheel(setup, false);
-  EXPECT_EQ(heap.stats.events_wheeled, 0u) << "heap backend must report zero wheel telemetry";
-  EXPECT_EQ(heap.stats.wheel_overflow_promotions, 0u);
-  EXPECT_EQ(heap.stats.spill_heap_peak, 0u);
+  const RunOutput a = run_setup(setup);
+  expect_identical(a, run_setup(setup));
+  EXPECT_GT(a.stats.events_wheeled, 0u) << "the wheels reported no scheduled events";
 }
 
 // -------------------------------------------------------------- PlanGate ---
@@ -1084,7 +797,6 @@ TEST(PlanGate, SteadySwarmActuallyGates) {
   RunSpec setup;
   setup.seed = 90;
   setup.steady = true;
-  setup.batch = true;
   const RunOutput gated = run_setup(setup);
   EXPECT_GT(gated.stats.plans_gated, 0u)
       << "steady swarm never gated a plan: work tracking is stuck at has-work";
@@ -1119,10 +831,12 @@ TEST(PlanGate, GatedRunsReproduceThemselvesAndReportTelemetry) {
 
 // ---------------------------------------------------------------- Golden ---
 //
-// Committed digests of fixed-seed runs, recorded before the availability
-// plane's rescan, absolute-keying and ungated twins were deleted: each row
-// is the RunSpec of a former on/off case of those planes, so the one path
-// that remains must still land on the digest both legs produced.  The hash
+// Committed digests of fixed-seed runs, recorded before a plane's twin was
+// deleted (the availability plane's rescan, absolute-keying and ungated
+// twins; the per-peer tick dispatch, the legacy pending and arrival
+// containers and the binary-heap event store): each row is the RunSpec of
+// a former on/off case of those planes, so the one path that remains must
+// still land on the digest both legs produced.  The hash
 // covers the field set bench/e2e's digest_leg covers — every SwitchMetrics
 // field, the overhead accountant's bit counts and the mechanism-invariant
 // EngineStats counters (scan-work, gate, lane and memory telemetry are
@@ -1208,7 +922,11 @@ void PrintTo(const GoldenRow& row, std::ostream* os) { *os << row.name; }
 // Windowed cases whose spec equals an Incremental row share that row.
 // HeavyEviction* rows run B = 64, so every delivery evicts, also inside the
 // parallel book lanes; they were recorded before the stream buffer's two
-// backends were merged into one.
+// backends were merged into one.  BatchDispatch*, PeerPool*, TimingWheel* and
+// CdnAssist* rows replace the per-peer vs batched dispatch, legacy vs flat
+// containers and heap vs wheel cases whose spec no earlier row covers; both
+// legs of every such case gave the row's digest before the per-peer
+// dispatch, the legacy containers and the heap were deleted.
 const GoldenRow kGoldenRows[] = {
     {"IncrementalFastSwitch", {}, "3a56a9e9415b683b"},
     {"IncrementalNormalSwitch", {.fast = false}, "585d5fbeea3d9fe2"},
@@ -1220,11 +938,9 @@ const GoldenRow kGoldenRows[] = {
     {"IncrementalLockstepChurn",
      {.seed = 37, .churn = true, .stagger = false},
      "61756adf79c6a316"},
-    {"IncrementalBatchDispatch", {.seed = 43, .batch = true}, "18c90187517fad70"},
-    {"IncrementalBatchChurn", {.seed = 47, .churn = true, .batch = true}, "737fca75900010ee"},
-    {"IncrementalBatchChurnSelfRepro",
-     {.seed = 53, .churn = true, .batch = true},
-     "e6f109e79343a233"},
+    {"IncrementalBatchDispatch", {.seed = 43}, "18c90187517fad70"},
+    {"IncrementalBatchChurn", {.seed = 47, .churn = true}, "737fca75900010ee"},
+    {"IncrementalBatchChurnSelfRepro", {.seed = 53, .churn = true}, "e6f109e79343a233"},
     {"WindowedParallelDelivery", {.seed = 47, .parallel = 4}, "54eaaa7c5b94baeb"},
     {"GateSequential", {.seed = 81}, "920ec390b1ceb6d3"},
     {"GateSingleShard", {.seed = 82, .parallel = 1}, "9026c23d7837cdab"},
@@ -1233,24 +949,35 @@ const GoldenRow kGoldenRows[] = {
      {.seed = 84, .parallel = 7, .sources = {0, 1, 2}, .switch_times = {0.0, 40.0}},
      "d355bcd95fea3802"},
     {"GateCdnAssist", {.seed = 85, .cdn = true, .parallel = 4}, "6aac0b44e8f0a56a"},
-    {"GateFlashCrowdPeerPool",
-     {.seed = 86, .peer_pool = true, .flash_joins = 30, .parallel = 4},
-     "6b2d545b0f86900f"},
+    {"GateFlashCrowdPeerPool", {.seed = 86, .flash_joins = 30, .parallel = 4}, "6b2d545b0f86900f"},
     {"GateFullComposition",
-     {.seed = 87,
-      .churn = true,
-      .token_bucket = true,
-      .batch = true,
-      .peer_pool = true,
-      .parallel = 7},
+     {.seed = 87, .churn = true, .token_bucket = true, .parallel = 7},
      "85eaeee05d78cb58"},
-    {"GateSteadySwarm", {.seed = 90, .batch = true, .steady = true}, "db8f6e06de9b8987"},
+    {"GateSteadySwarm", {.seed = 90, .steady = true}, "db8f6e06de9b8987"},
     {"HeavyEvictionChurn",
      {.seed = 19, .buffer_capacity = 64, .churn = true},
      "d5695abe27802bd2"},
     {"HeavyEvictionShardedPeerPoolChurn",
-     {.seed = 47, .buffer_capacity = 64, .churn = true, .peer_pool = true, .parallel = 4},
+     {.seed = 47, .buffer_capacity = 64, .churn = true, .parallel = 4},
      "40c40050a185e1cd"},
+    {"BatchDispatchLockstepTicks", {.seed = 31, .stagger = false}, "9aeeceac4578a869"},
+    {"PeerPoolTokenBucket", {.seed = 29, .token_bucket = true}, "5421dbecdd591109"},
+    {"PeerPoolFlashCrowd", {.seed = 67, .flash_joins = 40}, "821559dc73726f46"},
+    {"TimingWheelSequential", {.seed = 71}, "e3d75a7729606254"},
+    {"TimingWheelSingleShard", {.seed = 72, .parallel = 1}, "f290200ceddaf958"},
+    {"TimingWheelShardedChurn", {.seed = 73, .churn = true, .parallel = 4}, "79ec4535f6604583"},
+    {"TimingWheelSevenShardMultiSwitch",
+     {.seed = 74, .parallel = 7, .sources = {0, 1, 2}, .switch_times = {0.0, 40.0}},
+     "47ad35b0376a6a08"},
+    {"TimingWheelCdnAssist", {.seed = 75, .cdn = true, .parallel = 4}, "5dde7d128bf712fb"},
+    {"TimingWheelFlashCrowdPeerPool",
+     {.seed = 76, .flash_joins = 30, .parallel = 4},
+     "f3885fed6c3607dc"},
+    {"TimingWheelFullComposition",
+     {.seed = 77, .churn = true, .token_bucket = true, .parallel = 7},
+     "3e7228598d8b6a02"},
+    {"CdnAssistWithMemoryPlane", {.seed = 101, .cdn = true}, "6434bfdfa4fa2792"},
+    {"CdnAssistWithBatchDispatch", {.seed = 103, .cdn = true}, "ab0f1c9e5573e190"},
 };
 
 class Golden : public ::testing::TestWithParam<GoldenRow> {};

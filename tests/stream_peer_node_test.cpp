@@ -65,18 +65,15 @@ TEST(PeerNode, ExtendStartRunFollowsContiguousPrefix) {
 }
 
 TEST(PeerNode, PrunePendingDropsOnlyExpiredEntries) {
-  for (const bool flat : {false, true}) {
-    PeerNode p;
-    p.pending.use_flat(flat);
-    p.pending.set(1, 5.0);  // retry-eligible at t=5
-    p.pending.set(2, 10.0);
-    p.pending.set(3, 7.5);
-    p.prune_pending(7.5);
-    EXPECT_EQ(p.pending.size(), 1u) << "flat=" << flat;
-    EXPECT_TRUE(p.pending.contains(2)) << "flat=" << flat;
-    p.prune_pending(10.0);
-    EXPECT_TRUE(p.pending.empty()) << "flat=" << flat;
-  }
+  PeerNode p;
+  p.pending.set(1, 5.0);  // retry-eligible at t=5
+  p.pending.set(2, 10.0);
+  p.pending.set(3, 7.5);
+  p.prune_pending(7.5);
+  EXPECT_EQ(p.pending.size(), 1u);
+  EXPECT_TRUE(p.pending.contains(2));
+  p.prune_pending(10.0);
+  EXPECT_TRUE(p.pending.empty());
 }
 
 TEST(PeerNode, PreloadIsIdempotentAvailabilityOnly) {
@@ -91,7 +88,6 @@ TEST(PeerNode, PreloadIsIdempotentAvailabilityOnly) {
 TEST(PeerNode, DefaultsMatchDispatchExpectations) {
   PeerNode p;
   EXPECT_EQ(p.tick_group, kNoTickGroup);
-  EXPECT_EQ(p.tick_task, nullptr);
   EXPECT_TRUE(p.alive());
   EXPECT_EQ(p.active_switch(), -1);
   EXPECT_EQ(p.known_boundary(), -1);
