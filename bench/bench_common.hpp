@@ -23,8 +23,6 @@ struct BenchOptions {
   std::string csv;  ///< optional CSV output path
   bool delta_maps = false;
   std::size_t parallel_shards = 0;
-  bool sequential_delivery = false;
-  bool sequential_commit = false;
   std::size_t flash_crowd_joins = 0;
   double flash_crowd_start = 0.5;
   double flash_crowd_duration = 2.0;
@@ -45,8 +43,6 @@ struct BenchOptions {
   void apply_engine(exp::Config& config) const {
     config.engine.delta_maps = delta_maps;
     config.enable_parallel_shards(parallel_shards);
-    config.engine.parallel_delivery = !sequential_delivery;
-    config.enable_parallel_commit(!sequential_commit);
     if (flash_crowd_joins > 0) {
       config.enable_flash_crowd(flash_crowd_joins, flash_crowd_start, flash_crowd_duration);
     }
@@ -74,12 +70,6 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
   flags.define_int("parallel-shards", 0,
                    "sharded parallel core: plan lanes / event-queue shards "
                    "(identical metrics at any count; 0 = sequential)");
-  flags.define_bool("sequential-delivery", false,
-                    "disable the parallel delivery wave of the sharded core "
-                    "(ablation; identical metrics, inline delivery pops)");
-  flags.define_bool("sequential-commit", false,
-                    "disable the parallel commit + book passes of the sharded "
-                    "core (ablation; identical metrics, member-order commits)");
   flags.define_int("flash-crowd-joins", 0,
                    "flash-crowd scenario: this many extra peers join shortly "
                    "after the first switch (0 = off)");
@@ -111,8 +101,6 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
   options.csv = flags.get("csv");
   options.delta_maps = flags.get_bool("delta-maps");
   options.parallel_shards = static_cast<std::size_t>(flags.get_int("parallel-shards"));
-  options.sequential_delivery = flags.get_bool("sequential-delivery");
-  options.sequential_commit = flags.get_bool("sequential-commit");
   options.flash_crowd_joins = static_cast<std::size_t>(flags.get_int("flash-crowd-joins"));
   options.flash_crowd_start = flags.get_double("flash-crowd-start");
   options.flash_crowd_duration = flags.get_double("flash-crowd-duration");

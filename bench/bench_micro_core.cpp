@@ -313,14 +313,14 @@ BENCHMARK(BM_ShardedDispatch)
 
 // Delivery-drain scaling: the BM_ShardedDispatch configuration with the
 // delivery path isolated — sequential (shards=0, inline delivery pops) vs
-// the sharded core whose batched delivery drain marks buffers in a
-// parallel wave and merges availability deltas per owning shard, with
-// same-timestamp sweeps super-batched.  The rows of a size share the seed
-// and produce bit-identical metrics (stream_determinism_test's
-// ParallelDelivery suite enforces that); the wall-clock delta plus the
-// drain counters (delivery_batches / delta_journal_merges /
-// superbatch_sweeps) report how much of the former sequential remainder
-// the wave absorbed.  Emit BENCH_*.json via
+// the sharded core whose batched delivery drain runs the per-peer
+// bookkeeping in a parallel per-shard book phase and merges availability
+// deltas per owning shard, with same-timestamp sweeps super-batched.  The
+// rows of a size share the seed and produce bit-identical metrics
+// (stream_determinism_test's ParallelShards suite and Golden rows enforce
+// that); the wall-clock delta plus the drain counters (delivery_batches /
+// delta_journal_merges / superbatch_sweeps) report how much of the former
+// sequential remainder the drain absorbed.  Emit BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_DeliveryDrain
 //     --benchmark_out=BENCH_delivery_drain.json --benchmark_out_format=json
 void BM_DeliveryDrain(benchmark::State& state) {
@@ -365,23 +365,20 @@ BENCHMARK(BM_DeliveryDrain)
     ->Args({100000, 4})
     ->Unit(benchmark::kMillisecond);
 
-// Whole-pipeline throughput, sequential vs the sharded core (with the
-// commit wave on and off), at N=100000: the configuration the scale runs
-// use; the memory counters come from the engine's end-of-run telemetry.  Emit
-// BENCH_*.json via
+// Whole-pipeline throughput, sequential vs the sharded core, at N=100000:
+// the configuration the scale runs use; the memory counters come from the
+// engine's end-of-run telemetry.  Emit BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_FullPipeline
 //     --benchmark_out=BENCH_full_pipeline.json --benchmark_out_format=json
 void BM_FullPipeline(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
-  const bool commit = state.range(2) != 0;
   std::uint64_t delivered = 0;
   std::uint64_t events = 0;
   double bytes_per_peer = 0.0;
   std::uint64_t colour_classes = 0;
   std::uint64_t fixups = 0;
   std::uint64_t commits = 0;
-  std::uint64_t books = 0;
   std::uint64_t steady_chunks = 0;
   std::uint64_t wheeled = 0;
   std::uint64_t promotions = 0;
@@ -394,7 +391,6 @@ void BM_FullPipeline(benchmark::State& state) {
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
     config.enable_parallel_shards(shards);
-    config.enable_parallel_commit(commit);
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
     config.engine.horizon = 5.0;           // pipeline cost, not paper metrics
     config.engine.history_seconds = 20.0;
@@ -407,7 +403,6 @@ void BM_FullPipeline(benchmark::State& state) {
     colour_classes += engine->stats().commit_colour_classes;
     fixups += engine->stats().commit_conflict_fixups;
     commits += engine->stats().parallel_commits;
-    books += engine->stats().parallel_books;
     steady_chunks += engine->stats().arena_steady_chunks;
     wheeled += engine->stats().events_wheeled;
     promotions += engine->stats().wheel_overflow_promotions;
@@ -428,8 +423,6 @@ void BM_FullPipeline(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(fixups) / static_cast<double>(runs));
   state.counters["parallel_commits"] =
       benchmark::Counter(static_cast<double>(commits) / static_cast<double>(runs));
-  state.counters["parallel_books"] =
-      benchmark::Counter(static_cast<double>(books) / static_cast<double>(runs));
   state.counters["arena_steady_chunks"] =
       benchmark::Counter(static_cast<double>(steady_chunks) / static_cast<double>(runs));
   state.counters["events_wheeled"] =
@@ -443,10 +436,9 @@ void BM_FullPipeline(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
 }
 BENCHMARK(BM_FullPipeline)
-    ->ArgNames({"peers", "shards", "commit"})
-    ->Args({100000, 0, 1})
-    ->Args({100000, 4, 0})
-    ->Args({100000, 4, 1})
+    ->ArgNames({"peers", "shards"})
+    ->Args({100000, 0})
+    ->Args({100000, 4})
     ->Unit(benchmark::kMillisecond);
 
 // Million-peer memory smoke: one trimmed-dynamics switch experiment at

@@ -64,12 +64,6 @@ int main(int argc, char** argv) {
   flags.define_int("parallel-shards", 0,
                    "sharded parallel core: plan lanes / event-queue shards "
                    "(identical metrics at any count; 0 = sequential)");
-  flags.define_bool("sequential-delivery", false,
-                    "disable the parallel delivery wave of the sharded core "
-                    "(ablation; identical metrics, inline delivery pops)");
-  flags.define_bool("sequential-commit", false,
-                    "disable the parallel commit + book passes of the sharded "
-                    "core (ablation; identical metrics, member-order commits)");
   flags.define_int("flash-crowd-joins", 0,
                    "flash-crowd scenario: this many extra peers join shortly "
                    "after the first switch (0 = off)");
@@ -117,8 +111,6 @@ int main(int argc, char** argv) {
   base.engine.map_refresh_period = static_cast<std::size_t>(flags.get_int("map-refresh"));
   base.engine.tick_shard_size = static_cast<std::size_t>(flags.get_int("tick-shard"));
   base.enable_parallel_shards(static_cast<std::size_t>(flags.get_int("parallel-shards")));
-  base.engine.parallel_delivery = !flags.get_bool("sequential-delivery");
-  base.enable_parallel_commit(!flags.get_bool("sequential-commit"));
   if (flags.get_int("flash-crowd-joins") > 0) {
     base.enable_flash_crowd(static_cast<std::size_t>(flags.get_int("flash-crowd-joins")),
                             flags.get_double("flash-crowd-start"),
@@ -144,10 +136,10 @@ int main(int argc, char** argv) {
   if (flags.get_bool("print-diagnostics")) {
     std::printf("\nengine diagnostics (one fast-algorithm trial per size)\n");
     std::printf("%8s %12s %12s %12s %9s %9s %10s %11s %11s %9s %9s %11s %10s %12s %11s %10s "
-                "%8s %10s %9s %9s %8s %8s %11s %9s\n",
+                "%8s %10s %9s %8s %8s %11s %9s\n",
                 "peers", "events", "wheeled", "probes", "promo", "spill_pk", "idx_upd",
                 "plans_gated", "plans_built", "sweeps", "replan", "cross_shard", "dlv_batch",
-                "journal_mrg", "superbatch", "colour_cls", "fixups", "par_commit", "par_book",
+                "journal_mrg", "superbatch", "colour_cls", "fixups", "par_commit",
                 "flash", "cdn_mb", "assisted", "bytes/peer", "rss_mb");
     for (const std::size_t n : sizes) {
       gs::exp::Config config = base;
@@ -172,7 +164,7 @@ int main(int argc, char** argv) {
       }
       std::printf(
           "%8zu %12llu %12llu %12llu %9llu %9llu %10llu %11llu %11llu %9llu %9llu %11llu "
-          "%10llu %12llu %11llu %10llu %8llu %10llu %9llu %9zu %8.1f %8zu %11s %9s\n",
+          "%10llu %12llu %11llu %10llu %8llu %10llu %9zu %8.1f %8zu %11s %9s\n",
           n, static_cast<unsigned long long>(s.events_popped),
           static_cast<unsigned long long>(s.events_wheeled),
           static_cast<unsigned long long>(s.availability_probes),
@@ -189,8 +181,7 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(s.superbatch_sweeps),
           static_cast<unsigned long long>(s.commit_colour_classes),
           static_cast<unsigned long long>(s.commit_conflict_fixups),
-          static_cast<unsigned long long>(s.parallel_commits),
-          static_cast<unsigned long long>(s.parallel_books), s.flash_joins,
+          static_cast<unsigned long long>(s.parallel_commits), s.flash_joins,
           static_cast<double>(s.cdn_bytes_served) / (1024.0 * 1024.0),
           s.cdn_assisted_switches, bytes_per_peer, rss_mb);
     }

@@ -58,10 +58,13 @@ TopologyKind topology_from_string(std::string_view name) {
 }
 
 void Config::validate() const {
+  // Range checks on floating-point settings are written `!(x > bound)`:
+  // NaN compares false against everything, so `x <= bound` would let it
+  // through to a GS_CHECK deep in the engine.
   if (node_count < 3) throw std::invalid_argument("node_count must be >= 3");
   if (switch_times.empty()) throw std::invalid_argument("at least one switch required");
   for (std::size_t i = 1; i < switch_times.size(); ++i) {
-    if (switch_times[i - 1] >= switch_times[i]) {
+    if (!(switch_times[i - 1] < switch_times[i])) {
       throw std::invalid_argument("switch_times must be strictly increasing");
     }
   }
@@ -72,7 +75,7 @@ void Config::validate() const {
   if (topology == TopologyKind::kTraceFile && trace_path.empty()) {
     throw std::invalid_argument("trace_path required for kTraceFile");
   }
-  if (engine.warmup <= 0.0) throw std::invalid_argument("warmup must be positive");
+  if (!(engine.warmup > 0.0)) throw std::invalid_argument("warmup must be positive");
   // Negative values would wrap through llround -> size_t into a huge
   // history or per-period join count, and fractions above 1 compound the
   // swarm every period; the engine cannot run either to its horizon.
@@ -84,17 +87,23 @@ void Config::validate() const {
       throw std::invalid_argument("churn fractions must be in [0, 1]");
     }
   }
-  if (engine.tau <= 0.0) throw std::invalid_argument("tau must be positive");
-  if (engine.playback_rate <= 0.0) {
+  if (!(engine.tau > 0.0)) throw std::invalid_argument("tau must be positive");
+  if (!(engine.playback_rate > 0.0)) {
     throw std::invalid_argument("playback_rate must be positive");
   }
+  // A source that cannot send leaves the swarm without a stream.
+  if (!(engine.source_outbound > 0.0)) {
+    throw std::invalid_argument("source_outbound must be positive");
+  }
+  // The fast switch's rate split requires Q > 0.
+  if (engine.q_consecutive == 0) throw std::invalid_argument("q_consecutive must be >= 1");
   if (engine.buffer_capacity < engine.q_startup) {
     throw std::invalid_argument("buffer_capacity must hold the q_startup prefix");
   }
   if (engine.buffer_capacity > stream::StreamBuffer::kMaxCapacity) {
     throw std::invalid_argument("buffer_capacity must be <= 65535 (uint16 buffer positions)");
   }
-  if (engine.pending_timeout <= 0.0) {
+  if (!(engine.pending_timeout > 0.0)) {
     throw std::invalid_argument("pending_timeout must be positive");
   }
   if (engine.tick_shard_size == 0) {
@@ -103,7 +112,7 @@ void Config::validate() const {
   if (engine.map_refresh_period == 0) {
     throw std::invalid_argument("map_refresh_period must be >= 1");
   }
-  if (engine.token_bucket_burst < 1.0) {
+  if (!(engine.token_bucket_burst >= 1.0)) {
     throw std::invalid_argument("token_bucket_burst must be >= 1");
   }
   // Catches negative CLI values wrapping through size_t; the engine clamps
@@ -111,24 +120,31 @@ void Config::validate() const {
   if (engine.parallel_shards > 4096) {
     throw std::invalid_argument("parallel_shards out of range (0 = sequential, <= 4096)");
   }
-  if (switch_times.front() < 0.0) {
+  if (!(switch_times.front() >= 0.0)) {
     throw std::invalid_argument("first switch must be at t >= 0 (warm-up is t < 0)");
   }
-  if (engine.flash_crowd_joins > 0 && engine.flash_crowd_duration < 0.0) {
-    throw std::invalid_argument("flash_crowd_duration must be >= 0");
+  if (engine.flash_crowd_joins > 0) {
+    if (engine.flash_crowd_duration < 0.0) {
+      throw std::invalid_argument("flash_crowd_duration must be >= 0");
+    }
+    // The admission pump is scheduled at its first join time, which the
+    // simulator cannot reach before the run starts at -warmup.
+    if (!(switch_times.front() + engine.flash_crowd_start >= -engine.warmup)) {
+      throw std::invalid_argument("flash crowd must start at or after -warmup");
+    }
   }
   if (engine.cdn_assist) {
-    if (engine.cdn_assist_rate <= 0.0) {
+    if (!(engine.cdn_assist_rate > 0.0)) {
       throw std::invalid_argument("cdn_assist_rate must be positive");
     }
-    if (engine.cdn_assist_latency_ms < 0.0) {
+    if (!(engine.cdn_assist_latency_ms >= 0.0)) {
       throw std::invalid_argument("cdn_assist_latency_ms must be >= 0");
     }
-    if (engine.cdn_assist_horizon < 0.0) {
+    if (!(engine.cdn_assist_horizon >= 0.0)) {
       throw std::invalid_argument("cdn_assist_horizon must be >= 0");
     }
-    if (engine.cdn_assist_resume_s < 0.0 ||
-        engine.cdn_assist_pause_s < engine.cdn_assist_resume_s) {
+    if (!(engine.cdn_assist_resume_s >= 0.0 &&
+          engine.cdn_assist_pause_s >= engine.cdn_assist_resume_s)) {
       throw std::invalid_argument("need cdn_assist_pause_s >= cdn_assist_resume_s >= 0");
     }
   }

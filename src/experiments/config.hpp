@@ -63,13 +63,6 @@ struct Config {
   /// count; only wall-clock and the shard diagnostics change.
   void enable_parallel_shards(std::size_t shards) { engine.parallel_shards = shards; }
 
-  /// Disables (or re-enables) the parallel commit + book passes of the
-  /// sharded core (`--sequential-commit`; on by default with
-  /// parallel_shards).  Pure mechanism: fixed-seed metrics are
-  /// bit-identical either way; only wall clock and the commit-wave
-  /// diagnostics change.
-  void enable_parallel_commit(bool on = true) { engine.parallel_commit = on; }
-
   /// Turns on the CDN-assisted fast switch (`--cdn-assist`): a capacity-
   /// limited patch source bursts the head of the new session to switching
   /// peers and hands off once their gossip suppliers cover the window.

@@ -37,7 +37,7 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   GS_CHECK_EQ(latency_.node_count(), graph_.node_count());
   if (config_.parallel_shards > 0) {
     // The sharded core takes whole sweeps: pre in member order, plan on
-    // the pool, commit in member order (same per-member semantics).
+    // the pool, then the commit wave (same per-member semantics).
     ticker_.set_batch_sweep([this](const std::vector<std::uint32_t>& members, double now) {
       run_parallel_sweep(members, now);
     });
@@ -55,14 +55,14 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
       if (&sink == &transfers_) return 1 + static_cast<std::size_t>(a) % shards;
       return 0;
     });
-    // The parallel delivery wave: consecutive delivery events pop as one
-    // batch and drain through the mark/book/merge pipeline; same-timestamp
+    // The batched delivery drain: consecutive delivery events pop as one
+    // batch and drain through the book/tail/merge passes; same-timestamp
     // tick sweeps super-batch through BatchTicker::on_batch.  Fresh-segment
     // push reads neighbour buffers and schedules transfers per delivery,
-    // which only the inline pop order reproduces — the wave stands down.
-    if (config_.parallel_delivery && !config_.push_fresh_segments) {
+    // which only the inline pop order reproduces — the drain stands down.
+    if (!config_.push_fresh_segments) {
       data_shards_ = shards;
-      delta_journals_.resize((shards + 1) * shards);
+      delta_journals_.resize(shards * shards);
       shard_entries_.resize(shards);
       dirty_views_.resize(shards);
       lane_merges_.assign(shards, 0);
@@ -74,9 +74,12 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
           });
       sim_.enable_batch_pop(true);
     }
-    // One bump arena per plan lane: the sweep's candidate supplier lists
-    // stop falling back to the heap (the zero-allocation steady state now
-    // covers the parallel lanes).  Arenas reset at wave starts only.
+    // One bump arena per lane: the sweep's candidate supplier lists stop
+    // falling back to the heap (the zero-allocation steady state covers
+    // the parallel lanes).  Arenas reset at wave starts only.  Lanes beyond
+    // the hardware threads only thrash the scheduler, and results never
+    // depend on the lane count, so every parallel pass runs on
+    // lane_arenas_.size() lanes.
     const std::size_t lanes = std::min<std::size_t>(
         config_.parallel_shards, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
     lane_arenas_.reserve(lanes);
@@ -181,10 +184,11 @@ void Engine::schedule_switch(int switch_index) {
 //
 // One tick = pre + plan + commit.  The sequential path (tick) runs the
 // three phases back to back per peer, which is byte-for-byte the historical
-// tick; the sharded sweep (run_parallel_sweep) runs pre for every member in
-// order, plans all members concurrently, then commits in order — with the
-// plan-staleness check bridging the only cross-member data flow a sweep
-// has (capacity commits feeding later members' queue-delay reads).
+// tick; the sharded sweep (run_parallel_sweep) runs pre for every member of
+// a wave in order, plans them concurrently, then commits them in the commit
+// wave — with the plan-staleness check bridging the only cross-member data
+// flow a sweep has (capacity commits feeding later members' queue-delay
+// reads).
 
 void Engine::tick(PeerNode& p, double now) {
   if (!tick_pre(p, now)) return;
@@ -297,22 +301,14 @@ bool Engine::plan_is_stale(const PeerNode& p, const TickPlan& plan) const {
 void Engine::tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate) {
   if (!plan.planned) return;
   if (validate && !plan.candidates.empty() && plan_is_stale(p, plan)) {
-    if (plan.stage) {
-      // Stale on a commit lane: nothing may issue from here — the class
-      // barrier's fixup queue re-plans this member sequentially, where the
-      // live plane state it observes is exactly the sequential prefix.
-      plan.fixup = true;
-      return;
-    }
     // An earlier member committed capacity on a supplier this plan read:
     // its queue-delay estimates (and therefore the strategy's choices and
     // rng draws) may differ from what the sequential order would produce.
-    // Roll the rng back and re-derive against the live transfer plane —
-    // the candidate *set* cannot change (buffers are stable in a sweep),
-    // only supplier scores.
-    p.rng = plan.rng_before;
-    ++stats_.replanned_ticks;
-    tick_plan(p, now, plan);
+    // Nothing may issue from here — the class barrier's fixup drain
+    // re-plans this member sequentially, where the live plane state it
+    // observes is exactly the sequential prefix.
+    plan.fixup = true;
+    return;
   }
   // Stage mode folds every global counter at the wave's final drain, from
   // the plan's final contents (a fixup re-plan overwrites them first, so
@@ -369,10 +365,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
   const std::size_t n = members.size();
   ++stats_.parallel_sweeps;
   if (dirty_supplier_.size() < peers_.size()) dirty_supplier_.resize(peers_.size(), 0);
-  // Lanes beyond the physical cores only thrash the scheduler (metrics are
-  // lane-count-independent, so the clamp is free).
-  const std::size_t lanes = std::min<std::size_t>(
-      config_.parallel_shards, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+  const std::size_t lanes = lane_arenas_.size();
   // Wave size bounds the speculation window: a member's plan can only go
   // stale against commits of its *own* wave (earlier waves are already
   // committed when it plans), so the stale-replan rate scales with the
@@ -407,24 +400,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
           batch_plans_[i].arena = lane_arenas_[lane].get();
           tick_plan(peers_[members[base + i]], now, batch_plans_[i]);
         });
-    if (config_.parallel_commit) {
-      commit_wave(members, base, count, lanes, now);
-      continue;
-    }
-    // Commit, in member order: the per-shard outboxes (the plans) drain
-    // deterministically — counters, requests, capacity commits, delivery
-    // events — re-planning any member whose speculation went stale.
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!batch_plans_[i].live) continue;
-      if (batch_plans_[i].planned) ++stats_.planned_ticks;
-      tick_commit(peers_[members[base + i]], now, batch_plans_[i], /*validate=*/true);
-      // The CDN step reads only sweep-stable state (buffers, timeline,
-      // registry) plus the member's own slot and the CDN's ledger, and the
-      // commit loop runs it in member order — exactly the sequential
-      // tick()'s interleaving, so assisted runs stay bit-identical at
-      // every shard count.
-      if (cdn_) cdn_assist_tick(peers_[members[base + i]], now);
-    }
+    commit_wave(members, base, count, now);
   }
   // Warm-up fence for the zero-allocation telemetry: lane-arena chunks
   // allocated past the fence count as steady-state allocations.  The fence
@@ -452,7 +428,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
 }
 
 void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t base,
-                         std::size_t count, std::size_t lanes, double now) {
+                         std::size_t count, double now) {
   // Colour by supplier contention.  A slot's contention set is exactly the
   // alive list plan_is_stale reads — it covers every supplier the plan's
   // queue-delay estimates touched and every capacity line its commit can
@@ -485,18 +461,20 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
     // The class commits on lanes: capacity commits and jitter draws land
     // member-locally (disjoint supplier sets within the class), deliveries
     // stage into the plan, counters defer.
-    util::global_pool().run_batch(slots.size(), lanes, [this, &members, base, &slots,
-                                                       now](std::size_t k) {
+    util::global_pool().run_batch(slots.size(), lane_arenas_.size(), [this, &members, base,
+                                                                      &slots, now](std::size_t k) {
       const std::uint32_t i = slots[k];
       if (!batch_plans_[i].live || !batch_plans_[i].planned) return;
       tick_commit(peers_[members[base + i]], now, batch_plans_[i], /*validate=*/true);
     });
-    // Fixup drain, member order within the class: a stale member re-plans
-    // against the live plane.  Its conflicting predecessors all sit in
-    // earlier classes (layered colouring) and are fully committed — the
-    // state it observes is exactly the sequential prefix — and same-class
-    // members touch none of its suppliers, so draining between classes
-    // changes nothing they see.
+    // Fixup drain, member order within the class: a stale member rolls its
+    // rng back and re-plans against the live plane (the candidate *set*
+    // cannot change — buffers are stable in a sweep — only supplier
+    // scores).  Its conflicting predecessors all sit in earlier classes
+    // (layered colouring) and are fully committed — the state it observes
+    // is exactly the sequential prefix — and same-class members touch none
+    // of its suppliers, so draining between classes changes nothing they
+    // see.
     for (const std::uint32_t i : slots) {
       TickPlan& plan = batch_plans_[i];
       if (!plan.fixup) continue;
@@ -512,8 +490,8 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
   // Final drain, member order: fold the deferred counters from each plan's
   // final contents and post the staged delivery events — sim_.after hands
   // out global sequence numbers in call order, so the event stream is
-  // byte-identical to the sequential commit's.  The CDN step interleaves
-  // per member exactly like the sequential loop; deferring it behind the
+  // byte-identical to the sequential tick's.  The CDN step interleaves
+  // per member exactly like the sequential tick; deferring it behind the
   // whole wave's capacity commits is invisible because it reads only
   // sweep-stable state, the member's own slot and the CDN's private ledger.
   for (std::size_t i = 0; i < count; ++i) {
@@ -736,11 +714,11 @@ bool Engine::issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double n
     plan.staged.push_back(d);
     // Deterministic dirty stamp: wave base + 1 + member index.  Every
     // staleness comparison is `stamp_written > stamp_read` with the read
-    // stamp at most the wave base, so any strictly-above-base value is
-    // equivalent to the sequential ++capacity_commits_ — and unlike it,
-    // this one is the same no matter which lane writes it.  Per-link
-    // capacity never reads these stamps (plan_is_stale short-circuits);
-    // skipping the write keeps concurrent same-supplier issues race-free.
+    // stamp at most the wave base, so any strictly-above-base value marks
+    // the supplier dirty — and this one is the same no matter which lane
+    // writes it.  Per-link capacity never reads these stamps
+    // (plan_is_stale short-circuits); skipping the write keeps concurrent
+    // same-supplier issues race-free.
     if (transfers_.supplier_shared()) dirty_supplier_[supplier] = plan.commit_stamp;
     ++plan.issued;
     p.in_budget().spend(1.0);
@@ -753,9 +731,6 @@ bool Engine::issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double n
     ++stats_.requests_rejected;
     return false;
   }
-  // Parallel sweeps track when each uplink was last committed to, so later
-  // members' speculative plans can detect stale queue-delay reads.
-  if (!dirty_supplier_.empty()) dirty_supplier_[supplier] = ++capacity_commits_;
   overhead_.charge_request(1);
   p.in_budget().spend(1.0);
   p.pending.set(id, now + config_.pending_timeout);
@@ -856,21 +831,15 @@ void Engine::deliver_segment(PeerNode& p, SegmentId id, double now, bool count_w
     ++stats_.duplicates;
     return;
   }
-  if (journal_deltas_) {
-    // Batched drain, deferred-mark path: stage the deltas on the book
-    // pass's journal row; the merge wave applies them.
-    emit_view_deltas(p.id, id, evicted, data_shards_);
-  } else {
-    // Publish the buffer change to the neighbourhood's availability views.
-    availability_.on_gain(graph_, p.id, id);
-    if (evicted != kNoSegment) availability_.on_evict(graph_, peers_, p.id, evicted);
-  }
+  // Publish the buffer change to the neighbourhood's availability views.
+  availability_.on_gain(graph_, p.id, id);
+  if (evicted != kNoSegment) availability_.on_evict(graph_, peers_, p.id, evicted);
   deliver_bookkeeping(p, id, now, count_wire);
 }
 
 void Engine::deliver_bookkeeping(PeerNode& p, SegmentId id, double now, bool count_wire) {
-  // Split book phase: the wire counters are globally ordered side effects —
-  // the tail replays them per item in pop order.
+  // Book phase: the wire counters are globally ordered side effects — the
+  // tail replays them per item in pop order.
   if (count_wire && !book_phase_) {
     overhead_.charge_data_segment();
     ++stats_.segments_delivered;
@@ -894,11 +863,11 @@ void Engine::deliver_bookkeeping(PeerNode& p, SegmentId id, double now, bool cou
   }
 }
 
-void Engine::emit_view_deltas(net::NodeId owner, SegmentId gained, SegmentId evicted,
-                              std::size_t source_shard) {
+void Engine::emit_view_deltas(net::NodeId owner, SegmentId gained, SegmentId evicted) {
   // Two passes to mirror the inline order per view: every gain before any
-  // eviction (on_gain's whole neighbour loop runs before on_evict's).
-  const std::size_t row = source_shard * data_shards_;
+  // eviction (on_gain's whole neighbour loop runs before on_evict's).  The
+  // owner's shard is the book lane draining it, so the row is lane-private.
+  const std::size_t row = (owner % data_shards_) * data_shards_;
   for (const net::NodeId nb : graph_.neighbors(owner)) {
     delta_journals_[row + nb % data_shards_].push_back({nb, gained, ViewDelta::Kind::kGain});
   }
@@ -917,137 +886,20 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   }
   ++stats_.delivery_batches;
   const std::size_t shards = data_shards_;
-  const std::size_t lanes = std::min<std::size_t>(
-      shards, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+  const std::size_t lanes = lane_arenas_.size();
 
   // Partition into per-shard delivery lists (pop order preserved within a
-  // list; every delivery of one peer lands in that peer's shard list).
-  // The split book pass drains a shard's items strictly in order, so a
-  // multi-delivery peer's marks interleave with its bookkeeping exactly as
-  // inline; the mark/book path instead defers such peers' marks, tracked
-  // by the per-peer multiplicity counts.
-  const bool split = config_.parallel_commit;
+  // list; every delivery of one peer lands in that peer's shard list, so a
+  // peer with several deliveries in the run has its marks interleave with
+  // its bookkeeping exactly as inline).
   for (std::vector<std::uint32_t>& list : shard_entries_) list.clear();
-  if (!split && batch_peer_count_.size() < peers_.size()) {
-    batch_peer_count_.resize(peers_.size(), 0);
-  }
   batch_outcomes_.assign(count, MarkOutcome::kDead);
   for (std::size_t i = 0; i < count; ++i) {
     const auto to = static_cast<net::NodeId>(items[i].a);
     shard_entries_[to % shards].push_back(static_cast<std::uint32_t>(i));
-    if (!split && batch_peer_count_[to] < 2) ++batch_peer_count_[to];
   }
 
-  if (split) {
-    book_split_drain(items, count, lanes);
-  } else {
-    // Mark wave: each lane owns one shard's peers — pending erases, buffer
-    // writes and received bits touch only this lane's peers, and the staged
-    // availability deltas go to this lane's private journal row.  Safe
-    // concurrent reads only otherwise (graph adjacency, the batch counts).
-    util::global_pool().run_batch(shards, lanes, [this, items](std::size_t s) {
-      for (const std::uint32_t idx : shard_entries_[s]) {
-        const auto to = static_cast<net::NodeId>(items[idx].a);
-        const auto id = static_cast<SegmentId>(items[idx].b);
-        PeerNode& p = peers_[to];
-        p.pending.erase(id);
-        if (!p.alive()) continue;  // left while the segment was in flight
-        if (batch_peer_count_[to] > 1) {
-          batch_outcomes_[idx] = MarkOutcome::kDeferred;
-          continue;
-        }
-        SegmentId evicted = kNoSegment;
-        if (!p.mark_received(id, &evicted)) {
-          batch_outcomes_[idx] = MarkOutcome::kDuplicate;
-          continue;
-        }
-        batch_outcomes_[idx] = MarkOutcome::kFresh;
-        emit_view_deltas(to, id, evicted, s);
-      }
-    });
-
-    // Book pass, pop order: every globally ordered side effect — duplicate
-    // and wire counters, boundary learning, switch metrics, playback — runs
-    // exactly as the inline pops would.  Cross-peer state is only written
-    // (metric pushes, boundary deltas), never read, so the mark wave's early
-    // buffer writes for *other* peers are invisible here.
-    journal_deltas_ = true;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (experiment_done_) break;  // the inline order stops popping here too
-      const auto to = static_cast<net::NodeId>(items[i].a);
-      const auto id = static_cast<SegmentId>(items[i].b);
-      PeerNode& p = peers_[to];
-      switch (batch_outcomes_[i]) {
-        case MarkOutcome::kDead:
-          break;
-        case MarkOutcome::kDeferred:
-          deliver_segment(p, id, items[i].at, /*count_wire=*/true);
-          break;
-        case MarkOutcome::kDuplicate:
-          ++p.duplicates_received;
-          ++stats_.duplicates;
-          break;
-        case MarkOutcome::kFresh:
-          deliver_bookkeeping(p, id, items[i].at, /*count_wire=*/true);
-          break;
-      }
-    }
-    journal_deltas_ = false;
-  }
-
-  // Merge wave: lane t applies the journalled deltas of the views shard t
-  // owns, walking the journal rows in source order (per-owner delta
-  // streams live in one row and stay ordered; cross-owner deltas commute
-  // on the supplier counts).  Head recomputation reads other peers'
-  // buffers, so it waits for the barrier and runs sequentially against the
-  // settled state — which is exactly the head the inline order ends at.
-  util::global_pool().run_batch(shards, lanes, [this](std::size_t t) {
-    std::vector<net::NodeId>& dirty = dirty_views_[t];
-    dirty.clear();
-    std::uint64_t applied = 0;
-    for (std::size_t s = 0; s <= data_shards_; ++s) {
-      for (const ViewDelta& d : delta_journals_[s * data_shards_ + t]) {
-        switch (d.kind) {
-          case ViewDelta::Kind::kGain:
-            availability_.apply_gain(d.view, d.id);
-            break;
-          case ViewDelta::Kind::kEvict:
-            if (availability_.apply_evict(d.view, d.id)) {
-              dirty.push_back(d.view);
-            }
-            break;
-          case ViewDelta::Kind::kBoundary:
-            availability_.apply_boundary(d.view, static_cast<int>(d.id));
-            break;
-        }
-        ++applied;
-      }
-    }
-    lane_merges_[t] = applied;
-  });
-  std::uint64_t merged = 0;
-  for (std::size_t t = 0; t < shards; ++t) {
-    for (const net::NodeId v : dirty_views_[t]) availability_.recompute_head_for(peers_, v);
-    merged += lane_merges_[t];
-  }
-  availability_.add_updates(merged);
-  stats_.delta_journal_merges += merged;
-  for (std::vector<ViewDelta>& journal : delta_journals_) journal.clear();
-
-  // Zero only the multiplicity entries this batch touched.
-  if (!split) {
-    for (std::size_t i = 0; i < count; ++i) {
-      batch_peer_count_[static_cast<net::NodeId>(items[i].a)] = 0;
-    }
-  }
-}
-
-void Engine::book_split_drain(const sim::PooledBatchItem* items, std::size_t count,
-                              std::size_t lanes) {
-  ++stats_.parallel_books;
-  const std::size_t shards = data_shards_;
-
-  // Phase wave: lane s drains shard s's items strictly in pop order —
+  // Book wave: lane s drains shard s's items strictly in pop order —
   // pending erase, buffer mark, and for fresh deliveries the full per-peer
   // bookkeeping (boundary learning, switch progress, playback), all of
   // which writes only the target peer's own state plus the lane's private
@@ -1072,7 +924,7 @@ void Engine::book_split_drain(const sim::PooledBatchItem* items, std::size_t cou
         continue;
       }
       batch_outcomes_[idx] = MarkOutcome::kFresh;
-      emit_view_deltas(to, id, evicted, s);
+      emit_view_deltas(to, id, evicted);
       deliver_bookkeeping(p, id, items[idx].at, /*count_wire=*/true);
     }
   });
@@ -1132,13 +984,51 @@ void Engine::book_split_drain(const sim::PooledBatchItem* items, std::size_t cou
   // reads those flags after the run.  Every logged event marks a
   // false->true transition, so reverting is clearing.  The other post-stop
   // phase effects (buffer marks, playback, gates, journalled deltas) are
-  // unobservable — nothing reads them after the stop, matching the
-  // mark-wave precedent for post-stop buffer writes.
+  // unobservable — nothing reads them after the stop.
   for (; ev < book_merged_.size(); ++ev) {
     const BookEvent& e = book_merged_[ev];
     if (e.kind == BookEvent::Kind::kFinish) peers_[e.peer].sw_finished() = false;
     if (e.kind == BookEvent::Kind::kPrepared) peers_[e.peer].sw_prepared() = false;
   }
+
+  // Merge wave: lane t applies the journalled deltas of the views shard t
+  // owns, walking the journal rows in source order (per-owner delta
+  // streams live in one row and stay ordered; cross-owner deltas commute
+  // on the supplier counts).  Head recomputation reads other peers'
+  // buffers, so it waits for the barrier and runs sequentially against the
+  // settled state — which is exactly the head the inline order ends at.
+  util::global_pool().run_batch(shards, lanes, [this](std::size_t t) {
+    std::vector<net::NodeId>& dirty = dirty_views_[t];
+    dirty.clear();
+    std::uint64_t applied = 0;
+    for (std::size_t s = 0; s < data_shards_; ++s) {
+      for (const ViewDelta& d : delta_journals_[s * data_shards_ + t]) {
+        switch (d.kind) {
+          case ViewDelta::Kind::kGain:
+            availability_.apply_gain(d.view, d.id);
+            break;
+          case ViewDelta::Kind::kEvict:
+            if (availability_.apply_evict(d.view, d.id)) {
+              dirty.push_back(d.view);
+            }
+            break;
+          case ViewDelta::Kind::kBoundary:
+            availability_.apply_boundary(d.view, static_cast<int>(d.id));
+            break;
+        }
+        ++applied;
+      }
+    }
+    lane_merges_[t] = applied;
+  });
+  std::uint64_t merged = 0;
+  for (std::size_t t = 0; t < shards; ++t) {
+    for (const net::NodeId v : dirty_views_[t]) availability_.recompute_head_for(peers_, v);
+    merged += lane_merges_[t];
+  }
+  availability_.add_updates(merged);
+  stats_.delta_journal_merges += merged;
+  for (std::vector<ViewDelta>& journal : delta_journals_) journal.clear();
 }
 
 void Engine::push_to_neighbors(PeerNode& p, SegmentId id, double now) {

@@ -116,70 +116,42 @@ struct EngineConfig {
   /// Sharded parallel simulation core.  0 = the classic single-threaded
   /// path.  P >= 1 splits the pending-event set into per-shard queues
   /// (deliveries routed by target peer id, merged deterministically by
-  /// (time, sequence)) and runs every tick sweep through a three-phase
-  /// pipeline on up to P lanes of util::global_pool():
-  ///   pre    sequential, member order — every cross-peer-visible write
-  ///          (availability adverts, boundary learning, playback/metrics);
-  ///   plan   parallel, read-only — candidate build + strategy scheduling
-  ///          (the dominant tick cost), speculated against the pre-sweep
-  ///          transfer plane; writes only the member's own rng and slot;
-  ///   commit sequential, member order — requests, capacity commits and
-  ///          counters drain in the deterministic order; a member whose
-  ///          supplier backlog an earlier member changed is re-planned
-  ///          (rng rolled back) against the live plane.
-  /// Pure mechanism: fixed-seed metrics are bit-identical for every shard
-  /// count, including 0 (enforced by stream_determinism_test); only
-  /// wall-clock and the shard diagnostics change.
-  std::size_t parallel_shards = 0;
-  /// Parallel delivery wave of the sharded core (parallel_shards > 0
-  /// only).  Consecutive delivery events are popped as one batch
-  /// (Simulator::enable_batch_pop), buffer writes run as a parallel wave
-  /// of per-shard delivery lists, availability deltas are staged into
-  /// per-lane journals and merged per owning shard, and same-timestamp
+  /// (time, sequence)) and runs on min(P, hardware threads) lanes of
+  /// util::global_pool().  Every tick sweep runs in waves of three phases:
+  ///   pre     sequential, member order — every cross-peer-visible write
+  ///           (availability adverts, boundary learning, playback/metrics);
+  ///   plan    parallel, read-only — candidate build + strategy scheduling
+  ///           (the dominant tick cost), speculated against the pre-sweep
+  ///           transfer plane; writes only the member's own rng and slot;
+  ///   commit  the commit wave: members whose plans touch disjoint supplier
+  ///           sets commute, so the wave colours its supplier-contention
+  ///           graph (contention set = the alive-neighbour set the
+  ///           staleness check reads) with a layered greedy colouring — a
+  ///           member's colour exceeds every earlier conflicting member's —
+  ///           and commits class by class on the lanes, staging deliveries
+  ///           per member.  A member whose speculation went stale re-plans
+  ///           (rng rolled back) in its class's sequential fixup drain, and
+  ///           a final member-order drain posts the staged deliveries and
+  ///           deferred counters, so event sequence numbers match the
+  ///           sequential engine exactly.
+  /// Consecutive delivery events pop as one batch
+  /// (Simulator::enable_batch_pop) and drain as a parallel per-target-shard
+  /// book phase (buffer marks, playback, per-peer counters and flags,
+  /// journalled availability and boundary deltas), a short sequential tail
+  /// that replays the metric pushes and wire counters in global pop order,
+  /// and a parallel merge of the journals per owning shard; same-timestamp
   /// tick sweeps of different groups collapse into one super-batched
-  /// pipeline pass (BatchTicker::on_batch).  Pure mechanism like
-  /// parallel_shards itself: fixed-seed metrics are bit-identical with the
-  /// wave on or off at every shard count (enforced by
-  /// stream_determinism_test); only wall clock and the drain diagnostics
-  /// (EngineStats::delivery_batches / delta_journal_merges /
-  /// superbatch_sweeps) change — plus, in the one batch where the
-  /// experiment completes, the tail diagnostics events_popped and
+  /// pipeline pass (BatchTicker::on_batch).  push_fresh_segments turns the
+  /// delivery batching off: push reads neighbour buffers and schedules
+  /// transfers per delivery, which requires the inline pop order.
+  /// Pure mechanism: fixed-seed metrics are bit-identical for every shard
+  /// count, including 0 (enforced by stream_determinism_test); only wall
+  /// clock and the shard, drain and commit diagnostics change — plus, in
+  /// the one batch where the experiment completes, events_popped and
   /// index_updates: the run's final batch is popped whole, so items behind
   /// the completing delivery count as popped (their ordered bookkeeping is
-  /// skipped exactly like the inline stop skips them, keeping every metric
-  /// and compared counter identical).  Automatically disabled when
-  /// push_fresh_segments is on (push reads neighbour buffers and schedules
-  /// transfers per delivery, which requires the inline pop order).
-  bool parallel_delivery = true;
-  /// Parallel commit + book passes of the sharded core (parallel_shards > 0
-  /// only; default on, like parallel_delivery).  Closes the pipeline's last
-  /// sequential fractions:
-  ///   commit  members of a sweep wave whose plans touch disjoint supplier
-  ///           sets commute, so the wave builds a supplier-contention graph
-  ///           (contention set = the alive-neighbour set the staleness check
-  ///           reads), colours it with a layered greedy colouring — a
-  ///           member's colour exceeds every earlier conflicting member's,
-  ///           so class-by-class execution respects the sequential
-  ///           write/read order — and runs each colour class's tick_commit
-  ///           on ThreadPool lanes with deliveries staged per member;
-  ///           members whose speculation went stale mid-class drain through
-  ///           a sequential fixup queue (the replan path generalised), and a
-  ///           final member-order drain replays the staged delivery events
-  ///           and deferred counters so event sequence numbers match the
-  ///           sequential commit exactly;
-  ///   book    deliver_bookkeeping splits into a parallel per-target-shard
-  ///           phase (buffer marks, playback advance, per-peer counters and
-  ///           flags, journalled boundary/availability deltas) plus a short
-  ///           sequential tail that replays the batch's metric pushes and
-  ///           wire counters in global pop order via a stable per-batch sort
-  ///           of the logged events — restoring the exact metric-push and
-  ///           experiment-stop interleaving.
-  /// Pure mechanism like parallel_delivery: fixed-seed metrics are
-  /// bit-identical with the flag on or off at every shard count (enforced
-  /// by stream_determinism_test); only wall clock and the commit-wave
-  /// diagnostics (EngineStats::commit_colour_classes / conflict fixups /
-  /// parallel commits / books) change.
-  bool parallel_commit = true;
+  /// skipped exactly like the inline stop skips them).
+  std::size_t parallel_shards = 0;
   /// kTokenBucket burst depth in segments (>= 1; 1 degenerates to
   /// kSharedFifo's serialised spacing).
   double token_bucket_burst = 4.0;
@@ -289,32 +261,32 @@ struct EngineStats {
   std::uint64_t delta_adverts = 0;
   /// Sharded-core diagnostics (parallel_shards > 0 only): sweeps run
   /// through the three-phase pipeline, member ticks planned in the parallel
-  /// phase, and how many of those were re-planned at commit because an
-  /// earlier member's capacity commit invalidated the speculation.
+  /// phase, and how many of those were re-planned because an earlier
+  /// member's capacity commit invalidated the speculation (always equal to
+  /// commit_conflict_fixups: the fixup drain is the only re-plan).
   std::uint64_t parallel_sweeps = 0;
   std::uint64_t planned_ticks = 0;
   std::uint64_t replanned_ticks = 0;
   /// Events routed into a foreign shard's queue (cross-shard outbox
   /// traffic; see Simulator::cross_shard_scheduled).
   std::uint64_t cross_shard_events = 0;
-  /// Parallel-delivery diagnostics (parallel_shards > 0 with
-  /// parallel_delivery only): multi-event delivery runs drained through
-  /// the wave pipeline, availability deltas merged from the per-lane
-  /// journals, and same-timestamp sweep runs collapsed into one
+  /// Delivery-drain diagnostics (parallel_shards > 0 without
+  /// push_fresh_segments): multi-event delivery runs drained through the
+  /// book phase, tail and merge, availability deltas merged from the
+  /// per-lane journals, and same-timestamp sweep runs collapsed into one
   /// super-batched pipeline pass.
   std::uint64_t delivery_batches = 0;
   std::uint64_t delta_journal_merges = 0;
   std::uint64_t superbatch_sweeps = 0;
-  /// Commit-wave diagnostics (parallel_shards > 0 with parallel_commit
-  /// only): colour classes executed across all commit waves, members
-  /// committed on parallel lanes, members that went stale mid-class and
-  /// drained through the sequential fixup queue (a subset of
-  /// replanned_ticks), and delivery batches drained through the split
-  /// book pass.
+  /// Commit-wave diagnostics (parallel_shards > 0 only): colour classes
+  /// executed across all commit waves; members that went stale mid-class
+  /// and drained through the sequential fixup queue (always equal to
+  /// replanned_ticks); and members committed on parallel lanes.  Every
+  /// planned member commits one way or the other, so
+  /// parallel_commits + commit_conflict_fixups == planned_ticks.
   std::uint64_t commit_colour_classes = 0;
   std::uint64_t commit_conflict_fixups = 0;
   std::uint64_t parallel_commits = 0;
-  std::uint64_t parallel_books = 0;
   /// Lane-arena telemetry (parallel_shards > 0): heap chunks the per-lane
   /// plan arenas ever allocated; the chunk total frozen when the adaptive
   /// warm-up fence armed (after >= 16 parallel sweeps AND 16 consecutive
@@ -428,7 +400,7 @@ class Engine {
   /// A delivery issued under the commit wave's stage mode: the capacity
   /// commit and the jitter draw already happened on the lane; only the
   /// simulator event is deferred, posted by the final member-order drain so
-  /// event sequence numbers match the sequential commit exactly.
+  /// event sequence numbers match the sequential engine exactly.
   struct StagedDelivery {
     SegmentId id = kNoSegment;
     double deliver_at = 0.0;
@@ -454,11 +426,10 @@ class Engine {
     std::vector<CandidateSegment> candidates;
     std::vector<ScheduledRequest> requests;
     std::uint64_t probes = 0;  ///< deferred EngineStats::availability_probes
-    // --- commit-wave state (config_.parallel_commit only) ---
-    /// Stage mode: tick_commit runs on a lane — deliveries are staged into
-    /// `staged`, every global counter/event side effect is deferred to the
-    /// wave's final drain, and a stale plan only raises `fixup` instead of
-    /// re-planning in place.
+    // --- commit-wave state (parallel_shards > 0 only) ---
+    /// Stage mode: tick_commit runs in the commit wave — deliveries are
+    /// staged into `staged` and every global counter/event side effect is
+    /// deferred to the wave's final drain.
     bool stage = false;
     /// Set by a staged stale commit; the per-class fixup drain re-plans and
     /// re-commits this member sequentially after the class barrier.
@@ -468,9 +439,9 @@ class Engine {
     std::uint32_t issued = 0;
     std::uint32_t rejected = 0;
     /// dirty_supplier_ stamp this member's capacity commits write under
-    /// stage mode: wave base + 1 + member index — deterministic, and for
-    /// every `> stamp` staleness comparison equivalent to the sequential
-    /// ++capacity_commits_ value.
+    /// stage mode: wave base + 1 + member index — deterministic, and above
+    /// every stamp a plan of this wave holds (plans stamp at most the wave
+    /// base), so a later-class member that read the supplier goes stale.
     std::uint64_t commit_stamp = 0;
     std::vector<StagedDelivery> staged;
     /// Candidate-list arena of the lane that planned this member (null =
@@ -496,17 +467,17 @@ class Engine {
   /// rng-neutral and every fixed-seed metric is unchanged.
   void tick_plan(PeerNode& p, double now, TickPlan& plan);
   /// Phase 3: drains the plan in deterministic order — counters, request
-  /// issue with rejection fallback, capacity commits.  With `validate`, a
-  /// plan whose supplier set was dirtied earlier in the sweep is re-planned
-  /// against the live transfer plane (rng rolled back first).
+  /// issue with rejection fallback, capacity commits.  With `validate` (a
+  /// commit-wave lane), a plan whose supplier set an earlier colour class
+  /// dirtied issues nothing and raises plan.fixup instead.
   void tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate);
   /// Could a commit the plan did not observe have changed a queue delay it
   /// read?  Conservative: any alive neighbour's uplink committed to after
   /// the plan's stamp counts (only supplier-keyed capacity models can
   /// conflict — per-link state is requester-local).
   [[nodiscard]] bool plan_is_stale(const PeerNode& p, const TickPlan& plan) const;
-  /// The sharded sweep driver: pre in member order, plan on the pool,
-  /// commit in member order (see EngineConfig::parallel_shards).
+  /// The sharded sweep driver: per wave, pre in member order, plan on the
+  /// pool, then the commit wave (see EngineConfig::parallel_shards).
   void run_parallel_sweep(const std::vector<std::uint32_t>& members, double now);
   /// Availability exchange bookkeeping + boundary discovery, read off the
   /// peer's maintained availability view.
@@ -523,18 +494,19 @@ class Engine {
   /// the full candidate build for a gated-out peer on scratch state and
   /// GS_CHECKs that it really had nothing schedulable.
   void recheck_gate(PeerNode& p, double now);
-  /// Issues one scheduled request.  Inline mode (plan.stage false) posts the
-  /// delivery event and bumps the global counters directly; stage mode
-  /// stages the delivery into the plan, stamps dirty_supplier_ with
-  /// plan.commit_stamp and defers the counters (see TickPlan).
+  /// Issues one scheduled request.  Inline mode (plan.stage false, the
+  /// sequential tick) posts the delivery event and bumps the global
+  /// counters directly; stage mode stages the delivery into the plan,
+  /// stamps dirty_supplier_ with plan.commit_stamp and defers the counters
+  /// (see TickPlan).
   bool issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double now, TickPlan& plan);
-  /// The commit wave (config_.parallel_commit): colours wave members
-  /// [base, base + count) of the sweep by supplier contention, runs each
-  /// colour class's tick_commit on pool lanes with per-class sequential
-  /// fixup drains, then replays staged deliveries, deferred counters and
-  /// CDN ticks in member order (see EngineConfig::parallel_commit).
+  /// The commit wave: colours wave members [base, base + count) of the
+  /// sweep by supplier contention, runs each colour class's tick_commit on
+  /// pool lanes with per-class sequential fixup drains, then replays staged
+  /// deliveries, deferred counters and CDN ticks in member order (see
+  /// EngineConfig::parallel_shards).
   void commit_wave(const std::vector<std::uint32_t>& members, std::size_t base,
-                   std::size_t count, std::size_t lanes, double now);
+                   std::size_t count, double now);
 
   // --- CDN assist (config_.cdn_assist) ---
   /// Runs after tick_commit: computes the controller's view of `p` (switch
@@ -554,51 +526,40 @@ class Engine {
   void deliver_segment(PeerNode& p, SegmentId id, double now, bool count_wire);
   /// Everything after the buffer write and availability deltas of a fresh
   /// delivery: wire accounting, boundary learning, switch progress,
-  /// playback.  Split out so the batched drain can run it per delivery in
-  /// pop order after the parallel mark wave.
+  /// playback.  Split out so the batched drain's book phase can run it
+  /// after its own buffer mark and journalled deltas.
   void deliver_bookkeeping(PeerNode& p, SegmentId id, double now, bool count_wire);
   void push_to_neighbors(PeerNode& p, SegmentId id, double now);
 
-  // --- parallel delivery wave (config_.parallel_delivery) ---
+  // --- batched delivery drain (parallel_shards > 0, no push) ---
   //
   // A batched run of delivery events (TransferPlane::set_delivery_batch)
   // drains in three passes that reproduce the inline pop sequence exactly:
-  //   mark    parallel per target-peer shard — pending erase + buffer
-  //           writes for peers with a single delivery in the run (their
-  //           bookkeeping sees exactly the state the inline order would
-  //           produce; multi-delivery peers defer the mark so their
-  //           bookkeeping interleaves marks per delivery), with
-  //           availability deltas staged into per-(lane, owner-shard)
-  //           journals;
-  //   book    sequential, pop order — duplicates/wire counters, boundary
-  //           learning, switch progress and playback, i.e. every globally
-  //           ordered side effect (metric pushes, experiment completion);
+  //   book    parallel per target-peer shard, each shard's items in pop
+  //           order — pending erase, buffer mark and, for a fresh delivery,
+  //           every per-peer effect (boundary learning, switch progress,
+  //           playback) with book_phase_ set.  Availability and boundary
+  //           deltas for neighbour views go to per-(lane, owner-shard)
+  //           journals; the globally ordered side effects — metric pushes,
+  //           wire counters, experiment completion — go to per-shard
+  //           BookEvent logs keyed by the batch item being drained;
+  //   tail    sequential, pop order — the logged events are stable-sorted
+  //           by item (within an item they are already in call order: one
+  //           item's events land in one shard's log back to back) and
+  //           replayed with the duplicate and wire counters, stopping at
+  //           the completing item exactly like the inline pop loop and
+  //           un-setting the finished/prepared flags any post-stop phase
+  //           work raised, so the end-of-run censoring sees the inline
+  //           state;
   //   merge   parallel per owning shard — each lane applies the journalled
-  //           availability deltas of the views its shard owns (source-lane
-  //           order; per-owner delta streams stay ordered, cross-owner
-  //           deltas commute), then dirty cached heads are recomputed
+  //           deltas of the views its shard owns (source-lane order;
+  //           per-owner delta streams stay ordered, cross-owner deltas
+  //           commute), then dirty cached heads are recomputed
   //           sequentially from the settled buffers.
   void on_delivery_batch(const sim::PooledBatchItem* items, std::size_t count);
   /// Stages one delivery's availability deltas (gain + optional eviction)
-  /// into the journal row of `source_shard` (data_shards_ = the
-  /// sequential bookkeeping row).
-  void emit_view_deltas(net::NodeId owner, SegmentId gained, SegmentId evicted,
-                        std::size_t source_shard);
-
-  // --- split book pass (config_.parallel_commit with the delivery wave) ---
-  //
-  // deliver_bookkeeping splits into a parallel per-target-shard phase and a
-  // sequential tail.  The phase runs every per-peer effect (buffer mark,
-  // boundary learning with journalled deltas, switch progress, playback)
-  // with book_phase_ set, which reroutes the globally ordered side effects
-  // — metric pushes, wire counters, experiment completion — into per-shard
-  // BookEvent logs keyed by the batch item being drained.  The tail
-  // stable-sorts the logged events by item (within an item they are already
-  // in call order: one item's events land in one shard's log back to back)
-  // and replays them in global pop order, stopping at the completing item
-  // exactly like the inline pop loop, and un-setting the finished/prepared
-  // flags any post-stop phase work raised so the end-of-run censoring sees
-  // the inline state.
+  /// into the journal row of the owner's shard.
+  void emit_view_deltas(net::NodeId owner, SegmentId gained, SegmentId evicted);
   /// One deferred globally-ordered side effect of the book phase.
   struct BookEvent {
     enum class Kind : std::uint8_t { kFinish, kPrepared, kS2Start };
@@ -608,26 +569,19 @@ class Engine {
     net::NodeId peer = 0;
     double time = 0.0;       ///< playback/wall time to push (pre-offset)
   };
-  /// The parallel phase + sequential tail drain of one delivery batch;
-  /// replaces the mark/book passes of on_delivery_batch when
-  /// parallel_commit is on.  `lanes` = pool lanes of the wave.
-  void book_split_drain(const sim::PooledBatchItem* items, std::size_t count,
-                        std::size_t lanes);
-
-  /// One journalled availability delta: apply a gain/evict of `id` — or,
-  /// under the split book pass, a boundary raise to `id` (the boundary
-  /// index rides in the id field; max-monotone, so boundary deltas commute
-  /// with everything) — to views_[view] (owned by shard view % data_shards_).
+  /// One journalled availability delta: apply a gain/evict of `id` — or a
+  /// boundary raise to `id` (the boundary index rides in the id field;
+  /// max-monotone, so boundary deltas commute with everything) — to
+  /// views_[view] (owned by shard view % data_shards_).
   struct ViewDelta {
     enum class Kind : std::uint8_t { kGain, kEvict, kBoundary };
     net::NodeId view = 0;
     SegmentId id = kNoSegment;
     Kind kind = Kind::kGain;
   };
-  /// Per-delivery outcome of the mark pass.
+  /// Per-delivery outcome of the book phase's buffer mark.
   enum class MarkOutcome : std::uint8_t {
-    kDead,      ///< target left while the segment was in flight
-    kDeferred,  ///< multi-delivery peer: mark happens in the book pass
+    kDead,  ///< target left while the segment was in flight
     kDuplicate,
     kFresh,
   };
@@ -685,19 +639,19 @@ class Engine {
   /// Per-member plan slots for the sharded sweep pipeline
   /// (parallel_shards > 0); sized to the largest wave seen and reused.
   std::vector<TickPlan> batch_plans_;
-  /// dirty_supplier_[v] = value of capacity_commits_ when v's uplink was
-  /// last committed to (the plan-staleness test compares it against the
+  /// dirty_supplier_[v] = the commit-wave stamp of the last capacity
+  /// commit to v's uplink (the plan-staleness test compares it against the
   /// plan's stamp).  Sized only in parallel mode; empty otherwise.
   std::vector<std::uint64_t> dirty_supplier_;
-  /// Monotone count of capacity commits (parallel mode only).
+  /// Commit clock: plans stamp its value, and each commit wave advances it
+  /// past every stamp the wave handed out (it stays 0 without waves).
   std::uint64_t capacity_commits_ = 0;
 
-  /// Parallel delivery wave state (sized only when the wave is active).
-  /// Peer/view ownership shard = id % data_shards_ (0 = wave inactive).
+  /// Batched delivery drain state (sized only when the drain is active).
+  /// Peer/view ownership shard = id % data_shards_ (0 = drain inactive).
   std::size_t data_shards_ = 0;
   /// Journal row-major layout: journal of (source s, owning shard t) at
-  /// s * data_shards_ + t; source data_shards_ is the sequential book
-  /// pass.  Buckets keep their capacity across batches.
+  /// s * data_shards_ + t.  Buckets keep their capacity across batches.
   std::vector<std::vector<ViewDelta>> delta_journals_;
   /// Per target-peer shard: indices into the current batch, pop order.
   std::vector<std::vector<std::uint32_t>> shard_entries_;
@@ -706,29 +660,22 @@ class Engine {
   /// Deltas applied per merge lane (summed into availability updates).
   std::vector<std::uint64_t> lane_merges_;
   std::vector<MarkOutcome> batch_outcomes_;
-  /// Per-peer delivery multiplicity of the current batch, saturating at 2
-  /// (all the mark wave needs is single vs multi).  A flat byte per peer —
-  /// no hashing on the drain hot path; entries touched by a batch are
-  /// zeroed from its item list when the drain finishes.
-  std::vector<std::uint8_t> batch_peer_count_;
-  /// deliver_segment availability routing: journal into the sequential
-  /// book row instead of applying inline (set during the book pass).
-  bool journal_deltas_ = false;
 
-  // --- commit wave + split book state (config_.parallel_commit) ---
-  /// One bump arena per pool lane for the plan wave's candidate lists
-  /// (parallel_shards > 0; replaces the parallel lanes' heap fallback).
-  /// All lanes reset on the caller thread at wave start — never mid-wave,
-  /// since a lane's earlier plans must survive to their commit.  Arena is
-  /// pinned (non-movable), hence the unique_ptr pool.
+  // --- plan lanes, commit wave and book phase state (parallel mode) ---
+  /// One bump arena per pool lane for the plan wave's candidate lists; its
+  /// size is the lane count of every parallel pass, min(parallel_shards,
+  /// hardware threads).  All lanes reset on the caller thread at wave
+  /// start — never mid-wave, since a lane's earlier plans must survive to
+  /// their commit.  Arena is pinned (non-movable), hence the unique_ptr
+  /// pool.
   std::vector<std::unique_ptr<util::Arena>> lane_arenas_;
   /// Layered supplier-contention colouring scratch, reused across waves.
   CommitColouring colouring_;
   /// Class-bucketed wave slots: class_slots_[colour] lists the wave slots
   /// of that colour in member order (buckets keep capacity across waves).
   std::vector<std::vector<std::uint32_t>> class_slots_;
-  /// Per-target-shard BookEvent logs of the split book pass (+1 spare row
-  /// unused; sized with shard_entries_) and the merged replay buffer.
+  /// Per-target-shard BookEvent logs of the book phase and the merged
+  /// replay buffer.
   std::vector<std::vector<BookEvent>> book_events_;
   std::vector<BookEvent> book_merged_;
   /// book_current_item_[shard] = pop-order index of the item that shard's

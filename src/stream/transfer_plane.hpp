@@ -130,11 +130,11 @@ class TransferPlane final : public sim::EventSink {
 
   /// The capacity half of request(): acceptance test, capacity commit and
   /// the jittered delivery time — everything except posting the simulator
-  /// event.  The parallel commit wave issues through this from concurrent
+  /// event.  The commit wave issues through this from concurrent
   /// lanes (same-colour members touch disjoint supplier state by
   /// construction) and stages (id, deliver_at) per member, then replays
   /// schedule_delivery in member order so event sequence numbers — and with
-  /// them the global pop order — match the sequential commit exactly.
+  /// them the global pop order — match the sequential engine exactly.
   /// Returns false (committing nothing, drawing no rng) on a backlog past
   /// the accept horizon.
   bool request_staged(PeerNode& requester, const PeerNode& supplier, SegmentId id, double now,
@@ -142,7 +142,7 @@ class TransferPlane final : public sim::EventSink {
 
   /// Posts the delivery event of an accepted staged request.  Must be
   /// called from the simulator thread (the sequential drain), in the order
-  /// the sequential commit would have called sim_.after.
+  /// the sequential engine would have called sim_.after.
   void schedule_delivery(net::NodeId to, SegmentId id, double deliver_at, double now);
 
   /// Submits an unsolicited push of `id` from `from` to `to` on the

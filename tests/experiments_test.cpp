@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "experiments/config.hpp"
@@ -11,6 +12,8 @@
 
 namespace gs::exp {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(Config, PaperDefaultsMatchTable) {
   // Table 1/2 and S5.1 parameters.
@@ -43,6 +46,10 @@ TEST(Config, ValidationErrors) {
   config = Config::paper_static(100, AlgorithmKind::kFast);
   config.switch_times = {0.0, 0.0};
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.switch_times = {kNaN};
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.switch_times = {0.0, kNaN};
+  EXPECT_THROW(config.validate(), std::invalid_argument);
   config = Config::paper_static(2, AlgorithmKind::kFast);
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config = Config::paper_static(100, AlgorithmKind::kFast);
@@ -52,12 +59,15 @@ TEST(Config, ValidationErrors) {
 
 // Settings the engine cannot honour: a non-advancing scheduling period or
 // playback clock, a buffer that cannot hold the startup prefix, and
-// requests that retry the instant they are issued.
+// requests that retry the instant they are issued.  NaN compares false
+// against every bound, so each range check must reject it too.
 TEST(Config, RejectsNonPositiveTau) {
   Config config = Config::paper_static(100, AlgorithmKind::kFast);
   config.engine.tau = 0.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config.engine.tau = -1.0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.tau = kNaN;
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
@@ -65,6 +75,76 @@ TEST(Config, RejectsNonPositivePlaybackRate) {
   Config config = Config::paper_static(100, AlgorithmKind::kFast);
   config.engine.playback_rate = 0.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.playback_rate = kNaN;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(Config, RejectsNonPositiveWarmup) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.warmup = 0.0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.warmup = kNaN;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+// A source that never sends leaves the swarm without a stream, yet the run
+// would still complete and report a bogus overhead ratio.
+TEST(Config, RejectsNonPositiveSourceOutbound) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  for (const double rate : {0.0, -5.0, kNaN}) {
+    config.engine.source_outbound = rate;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << rate;
+  }
+  config.engine.source_outbound = 0.5;
+  EXPECT_NO_THROW(config.validate());
+}
+
+// The fast switch's rate split requires Q > 0.
+TEST(Config, RejectsZeroConsecutivePlaybackSegments) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.q_consecutive = 0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.q_consecutive = 1;
+  EXPECT_NO_THROW(config.validate());
+}
+
+TEST(Config, RejectsTokenBucketBurstBelowOne) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.token_bucket_burst = 0.5;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.token_bucket_burst = kNaN;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.token_bucket_burst = 1.0;
+  EXPECT_NO_THROW(config.validate());
+}
+
+TEST(Config, RejectsNaNCdnAssistSettings) {
+  const Config valid = [] {
+    Config config = Config::paper_static(100, AlgorithmKind::kFast);
+    config.enable_cdn_assist();
+    return config;
+  }();
+  EXPECT_NO_THROW(valid.validate());
+  for (double stream::EngineConfig::*field :
+       {&stream::EngineConfig::cdn_assist_rate, &stream::EngineConfig::cdn_assist_latency_ms,
+        &stream::EngineConfig::cdn_assist_horizon, &stream::EngineConfig::cdn_assist_pause_s,
+        &stream::EngineConfig::cdn_assist_resume_s}) {
+    Config config = valid;
+    config.engine.*field = kNaN;
+    EXPECT_THROW(config.validate(), std::invalid_argument);
+  }
+}
+
+// The flash crowd's admission pump cannot be scheduled before the run
+// starts at -warmup.
+TEST(Config, RejectsFlashCrowdBeforeRunStart) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.enable_flash_crowd(10, -10.0);
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.enable_flash_crowd(10, kNaN);
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.enable_flash_crowd(10, -config.engine.warmup);
+  EXPECT_NO_THROW(config.validate());
 }
 
 TEST(Config, RejectsBufferSmallerThanStartupPrefix) {
@@ -87,6 +167,8 @@ TEST(Config, RejectsBufferBeyondUint16Positions) {
 TEST(Config, RejectsNonPositivePendingTimeout) {
   Config config = Config::paper_static(100, AlgorithmKind::kFast);
   config.engine.pending_timeout = 0.0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.pending_timeout = kNaN;
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 

@@ -40,12 +40,6 @@ struct RunSpec {
   bool token_bucket = false;
   bool stagger = true;
   bool delta_maps = false;
-  /// The parallel delivery wave + sweep super-batching of the sharded core
-  /// (effective only when parallel > 0; defaults on, like the engine).
-  bool delivery_wave = true;
-  /// The parallel commit + book passes of the sharded core (effective only
-  /// when parallel > 0; defaults on, like the engine).
-  bool commit = true;
   /// Flash-crowd joiners admitted shortly after the first switch (0 = off).
   std::size_t flash_joins = 0;
   /// CDN-assisted fast switch (changes dynamics by design when on; off must
@@ -81,8 +75,6 @@ RunOutput run_setup(const RunSpec& setup) {
   if (setup.token_bucket) config.supplier_capacity = SupplierCapacityModel::kTokenBucket;
   config.stagger_ticks = setup.stagger;
   config.delta_maps = setup.delta_maps;
-  config.parallel_delivery = setup.delivery_wave;
-  config.parallel_commit = setup.commit;
   config.flash_crowd_joins = setup.flash_joins;
   config.cdn_assist = setup.cdn;
   config.plan_gate_recheck = setup.gate_recheck;
@@ -314,12 +306,16 @@ TEST(ParallelShards, ChurnMatchesSequentialAtAnotherSeed) {
 
 TEST(ParallelShards, LockstepChurnMatchesSequential) {
   // Lockstep phases put every sweep of a period at the same timestamp —
-  // the densest same-time event mix the merge rule has to keep ordered.
+  // the densest same-time event mix the merge rule has to keep ordered,
+  // and the super-batch path runs every period, concatenating all groups
+  // into one pipeline pass whose commit waves are the largest.
   RunSpec setup;
   setup.seed = 37;
   setup.stagger = false;
   setup.churn = true;
-  expect_identical(run_setup(setup), run_sharded(setup, 4));
+  const RunOutput sequential = run_setup(setup);
+  expect_identical(sequential, run_sharded(setup, 4));
+  expect_identical(sequential, run_sharded(setup, 1));
 }
 
 TEST(ParallelShards, LargeTickShardsMatchSequential) {
@@ -357,101 +353,21 @@ TEST(ParallelShards, ShardDiagnosticsReportWork) {
 }
 
 // ---------------------------------------------------------------------------
-// The parallel delivery wave (batched delivery pops drained through the
-// mark/book/merge pipeline, plus same-timestamp sweep super-batching) must
-// be *observably invisible* exactly like the sharded plan wave it extends:
-// the same seed with the wave on and off — and against the fully
-// sequential engine — has to reproduce every metric bit for bit at every
-// shard count, across algorithms, churn, all three capacity models and
-// multi-switch timelines.  Only
-// wall clock and the drain diagnostics (delivery_batches /
-// delta_journal_merges / superbatch_sweeps) may change.
-
-RunOutput run_delivery(RunSpec setup, std::size_t shards, bool wave = true) {
-  setup.parallel = shards;
-  setup.delivery_wave = wave;
-  return run_setup(setup);
-}
-
-TEST(ParallelDelivery, EveryShardCountMatchesSequentialWaveOnAndOff) {
-  RunSpec setup;
-  const RunOutput sequential = run_setup(setup);
-  for (const std::size_t shards : {0u, 1u, 4u, 7u}) {
-    expect_identical(sequential, run_delivery(setup, shards, /*wave=*/true));
-    expect_identical(sequential, run_delivery(setup, shards, /*wave=*/false));
-  }
-}
-
-TEST(ParallelDelivery, NormalSwitchMatchesSequential) {
-  RunSpec setup;
-  setup.fast = false;
-  expect_identical(run_setup(setup), run_delivery(setup, 4));
-}
-
-TEST(ParallelDelivery, ChurnMatchesSequential) {
-  // Churn exercises dead-delivery outcomes (segments in flight to leavers),
-  // journal application across joiner views and view teardown mid-run.
-  RunSpec setup;
-  setup.seed = 19;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_delivery(setup, 4));
-  expect_identical(run_setup(setup), run_delivery(setup, 4, /*wave=*/false));
-}
-
-TEST(ParallelDelivery, PerLinkCapacityMatchesSequential) {
-  RunSpec setup;
-  setup.seed = 27;
-  setup.per_link = true;
-  expect_identical(run_setup(setup), run_delivery(setup, 4));
-}
-
-TEST(ParallelDelivery, TokenBucketCapacityMatchesSequential) {
-  RunSpec setup;
-  setup.seed = 29;
-  setup.token_bucket = true;
-  expect_identical(run_setup(setup), run_delivery(setup, 4));
-}
-
-TEST(ParallelDelivery, MultiSwitchMatchesSequential) {
-  RunSpec setup;
-  setup.seed = 23;
-  setup.sources = {0, 1, 2};
-  setup.switch_times = {0.0, 60.0};
-  expect_identical(run_setup(setup), run_delivery(setup, 4));
-}
-
-TEST(ParallelDelivery, LockstepChurnMatchesSequential) {
-  // Lockstep phases put every sweep of a period at one timestamp: the
-  // super-batch path runs every period, concatenating all groups into one
-  // pipeline pass whose re-arms collapse to the end of the run.
-  RunSpec setup;
-  setup.seed = 37;
-  setup.stagger = false;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_delivery(setup, 4));
-  expect_identical(run_setup(setup), run_delivery(setup, 1));
-}
-
-TEST(ParallelDelivery, WaveRunsReproduceThemselves) {
-  RunSpec setup;
-  setup.seed = 61;
-  setup.parallel = 7;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_setup(setup));
-}
+// The batched delivery drain (delivery runs drained through the book phase,
+// tail and merge, plus same-timestamp sweep super-batching) is part of the
+// sharded core, so the ParallelShards cases and the Golden rows hold it to
+// the sequential engine.  Only wall clock and the drain diagnostics
+// (delivery_batches / delta_journal_merges / superbatch_sweeps) may change.
 
 TEST(ParallelDelivery, DrainDiagnosticsReportWork) {
   RunSpec setup;
   setup.seed = 31;
   setup.stagger = false;  // lockstep: guarantees super-batched sweeps
   const RunOutput sequential = run_setup(setup);
-  const RunOutput waved = run_delivery(setup, 4);
-  const RunOutput unwaved = run_delivery(setup, 4, /*wave=*/false);
+  const RunOutput waved = run_sharded(setup, 4);
   EXPECT_EQ(sequential.stats.delivery_batches, 0u);
   EXPECT_EQ(sequential.stats.delta_journal_merges, 0u);
   EXPECT_EQ(sequential.stats.superbatch_sweeps, 0u);
-  EXPECT_EQ(unwaved.stats.delivery_batches, 0u);
-  EXPECT_EQ(unwaved.stats.superbatch_sweeps, 0u);
   EXPECT_GT(waved.stats.delivery_batches, 0u);
   EXPECT_GT(waved.stats.delta_journal_merges, 0u);
   EXPECT_GT(waved.stats.superbatch_sweeps, 0u);
@@ -568,134 +484,47 @@ TEST(CdnAssist, AssistActuallyServes) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel commit + book passes.  The commit wave colours each sweep wave by
-// supplier contention and runs the colour classes on pool lanes; the book
-// pass splits delivery bookkeeping into a parallel per-target phase plus a
-// sequential tail that replays the global pop order.  Both are pure
-// mechanism: fixed-seed metrics must match the member-order commit loop bit
-// for bit at every shard count and composed with every other flag.  Only
-// wall clock and the commit diagnostics (commit_colour_classes /
-// commit_conflict_fixups / parallel_commits / parallel_books) may change.
-
-RunOutput run_commit(RunSpec setup, std::size_t shards, bool commit = true) {
-  setup.parallel = shards;
-  setup.commit = commit;
-  return run_setup(setup);
-}
-
-TEST(ParallelCommit, EveryShardCountMatchesSequentialCommitOnAndOff) {
-  RunSpec setup;
-  const RunOutput sequential = run_setup(setup);
-  for (const std::size_t shards : {0u, 1u, 4u, 7u}) {
-    expect_identical(sequential, run_commit(setup, shards, /*commit=*/true));
-    expect_identical(sequential, run_commit(setup, shards, /*commit=*/false));
-  }
-}
-
-TEST(ParallelCommit, NormalSwitchMatchesSequential) {
-  RunSpec setup;
-  setup.fast = false;
-  expect_identical(run_setup(setup), run_commit(setup, 4));
-}
-
-TEST(ParallelCommit, ChurnMatchesSequential) {
-  // Churn exercises fixups against vanished suppliers, dead deliveries in
-  // the book phase and view teardown between waves.
-  RunSpec setup;
-  setup.seed = 19;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_commit(setup, 4));
-  expect_identical(run_setup(setup), run_commit(setup, 4, /*commit=*/false));
-}
-
-TEST(ParallelCommit, PerLinkCapacityMatchesSequential) {
-  // Per-link capacity has no shared-supplier contention: every wave is one
-  // colour class and no fixups can fire.
-  RunSpec setup;
-  setup.seed = 27;
-  setup.per_link = true;
-  expect_identical(run_setup(setup), run_commit(setup, 4));
-}
-
-TEST(ParallelCommit, TokenBucketCapacityMatchesSequential) {
-  RunSpec setup;
-  setup.seed = 29;
-  setup.token_bucket = true;
-  expect_identical(run_setup(setup), run_commit(setup, 4));
-}
-
-TEST(ParallelCommit, MultiSwitchMatchesSequential) {
-  RunSpec setup;
-  setup.seed = 23;
-  setup.sources = {0, 1, 2};
-  setup.switch_times = {0.0, 60.0};
-  expect_identical(run_setup(setup), run_commit(setup, 4));
-}
+// The commit wave colours each sweep wave by supplier contention and runs
+// the colour classes on pool lanes; stale members re-plan in a sequential
+// fixup drain.  Fixed-seed metrics must match the sequential engine bit for
+// bit at every shard count and composed with every other flag (the
+// ParallelShards cases, CdnAssist.AssistedMetricsIdenticalAtEveryShardCount
+// and the Golden rows cover the compositions; these cases add seeds and the
+// flash crowd).  Only wall clock and the commit diagnostics
+// (commit_colour_classes / commit_conflict_fixups / parallel_commits) may
+// change.
 
 TEST(ParallelCommit, OtherSeedsMatchSequential) {
   RunSpec setup;
   setup.seed = 43;
-  expect_identical(run_setup(setup), run_commit(setup, 4));
-  expect_identical(run_setup(setup), run_commit(setup, 7));
-  setup.seed = 47;
-  expect_identical(run_setup(setup), run_commit(setup, 4));
-  expect_identical(run_setup(setup), run_commit(setup, 4, /*commit=*/false));
-}
-
-TEST(ParallelCommit, CdnAssistComposes) {
-  // The final drain interleaves cdn_assist_tick in member order; assisted
-  // runs must not notice whether commits were staged or inline.
-  RunSpec setup;
-  setup.seed = 97;
-  setup.cdn = true;
   const RunOutput sequential = run_setup(setup);
-  expect_identical(sequential, run_commit(setup, 4));
-  expect_identical(sequential, run_commit(setup, 4, /*commit=*/false));
+  expect_identical(sequential, run_sharded(setup, 4));
+  expect_identical(sequential, run_sharded(setup, 7));
+  setup.seed = 47;
+  expect_identical(run_setup(setup), run_sharded(setup, 4));
 }
 
 TEST(ParallelCommit, FlashCrowdComposes) {
   RunSpec setup;
   setup.seed = 53;
   setup.flash_joins = 40;
-  const RunOutput sequential = run_setup(setup);
-  expect_identical(sequential, run_commit(setup, 4));
-  expect_identical(sequential, run_commit(setup, 4, /*commit=*/false));
-}
-
-TEST(ParallelCommit, LockstepChurnMatchesSequential) {
-  // Lockstep phases force the super-batched sweep: the commit wave runs over
-  // concatenated groups with the largest wave counts.
-  RunSpec setup;
-  setup.seed = 37;
-  setup.stagger = false;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_commit(setup, 4));
-  expect_identical(run_setup(setup), run_commit(setup, 1));
-}
-
-TEST(ParallelCommit, CommitRunsReproduceThemselves) {
-  RunSpec setup;
-  setup.seed = 61;
-  setup.parallel = 7;
-  setup.churn = true;
-  expect_identical(run_setup(setup), run_setup(setup));
+  expect_identical(run_setup(setup), run_sharded(setup, 4));
 }
 
 TEST(ParallelCommit, CommitDiagnosticsReportWork) {
   RunSpec setup;
   setup.seed = 31;
   const RunOutput sequential = run_setup(setup);
-  const RunOutput waved = run_commit(setup, 4);
-  const RunOutput unwaved = run_commit(setup, 4, /*commit=*/false);
+  const RunOutput waved = run_sharded(setup, 4);
   EXPECT_EQ(sequential.stats.parallel_commits, 0u);
   EXPECT_EQ(sequential.stats.commit_colour_classes, 0u);
-  EXPECT_EQ(sequential.stats.parallel_books, 0u);
-  EXPECT_EQ(unwaved.stats.parallel_commits, 0u);
-  EXPECT_EQ(unwaved.stats.commit_colour_classes, 0u);
-  EXPECT_EQ(unwaved.stats.parallel_books, 0u);
   EXPECT_GT(waved.stats.parallel_commits, 0u);
   EXPECT_GT(waved.stats.commit_colour_classes, 0u);
-  EXPECT_GT(waved.stats.parallel_books, 0u);
+  // The fixup drain is the only re-plan, and every planned member commits
+  // either on a lane or through the fixup drain.
+  EXPECT_EQ(waved.stats.commit_conflict_fixups, waved.stats.replanned_ticks);
+  EXPECT_EQ(waved.stats.parallel_commits + waved.stats.commit_conflict_fixups,
+            waved.stats.planned_ticks);
 }
 
 TEST(ParallelCommit, LayeredColouringIsValid) {
