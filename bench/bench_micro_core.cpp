@@ -264,9 +264,12 @@ BENCHMARK(BM_BuildCandidates)
 // (shards=0) vs on the sharded parallel core, at the scale configuration
 // (wide tick shards so one sweep carries enough planning work to amortise
 // the fork/join).  The rows of a size share the seed and produce
-// bit-identical metrics (stream_determinism_test enforces that); only
-// wall clock and the shard diagnostics differ, so the row pair is the
-// speedup measurement.  Emit BENCH_*.json via
+// bit-identical metrics (stream_determinism_test's ParallelShards suite and
+// Golden rows enforce that); only wall clock and the shard and drain
+// diagnostics differ, so the row pair is the speedup measurement.  The
+// drain counters (delivery_batches / delta_journal_merges /
+// superbatch_sweeps) report how much of the delivery path the batched
+// drain absorbed.  Emit BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_ShardedDispatch
 //     --benchmark_out=BENCH_sharded_dispatch.json --benchmark_out_format=json
 void BM_ShardedDispatch(benchmark::State& state) {
@@ -275,58 +278,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
   std::uint64_t delivered = 0;
   std::uint64_t sweeps = 0;
   std::uint64_t replanned = 0;
-  std::uint64_t cross_shard = 0;
-  std::uint64_t runs = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    gs::exp::Config config =
-        gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_parallel_shards(shards);
-    config.engine.tick_shard_size = 256;   // the scale grain (see README)
-    config.engine.horizon = nodes >= 100000 ? 5.0 : 10.0;
-    config.engine.history_seconds = nodes >= 100000 ? 20.0 : 30.0;
-    auto engine = gs::exp::make_engine(config);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(engine->run());
-    delivered += engine->stats().segments_delivered;
-    sweeps += engine->stats().parallel_sweeps;
-    replanned += engine->stats().replanned_ticks;
-    cross_shard += engine->stats().cross_shard_events;
-    ++runs;
-  }
-  state.counters["delivered"] =
-      benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
-  state.counters["parallel_sweeps"] =
-      benchmark::Counter(static_cast<double>(sweeps) / static_cast<double>(runs));
-  state.counters["replanned_ticks"] =
-      benchmark::Counter(static_cast<double>(replanned) / static_cast<double>(runs));
-  state.counters["cross_shard_events"] =
-      benchmark::Counter(static_cast<double>(cross_shard) / static_cast<double>(runs));
-}
-BENCHMARK(BM_ShardedDispatch)
-    ->ArgNames({"peers", "shards"})
-    ->Args({10000, 0})
-    ->Args({10000, 4})
-    ->Args({100000, 0})
-    ->Args({100000, 4})
-    ->Unit(benchmark::kMillisecond);
-
-// Delivery-drain scaling: the BM_ShardedDispatch configuration with the
-// delivery path isolated — sequential (shards=0, inline delivery pops) vs
-// the sharded core whose batched delivery drain runs the per-peer
-// bookkeeping in a parallel per-shard book phase and merges availability
-// deltas per owning shard, with same-timestamp sweeps super-batched.  The
-// rows of a size share the seed and produce bit-identical metrics
-// (stream_determinism_test's ParallelShards suite and Golden rows enforce
-// that); the wall-clock delta plus the drain counters (delivery_batches /
-// delta_journal_merges / superbatch_sweeps) report how much of the former
-// sequential remainder the drain absorbed.  Emit BENCH_*.json via
-//   bench_micro_core --benchmark_filter=BM_DeliveryDrain
-//     --benchmark_out=BENCH_delivery_drain.json --benchmark_out_format=json
-void BM_DeliveryDrain(benchmark::State& state) {
-  const auto nodes = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
-  std::uint64_t delivered = 0;
   std::uint64_t batches = 0;
   std::uint64_t merges = 0;
   std::uint64_t superbatches = 0;
@@ -343,6 +294,8 @@ void BM_DeliveryDrain(benchmark::State& state) {
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine->run());
     delivered += engine->stats().segments_delivered;
+    sweeps += engine->stats().parallel_sweeps;
+    replanned += engine->stats().replanned_ticks;
     batches += engine->stats().delivery_batches;
     merges += engine->stats().delta_journal_merges;
     superbatches += engine->stats().superbatch_sweeps;
@@ -350,6 +303,10 @@ void BM_DeliveryDrain(benchmark::State& state) {
   }
   state.counters["delivered"] =
       benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
+  state.counters["parallel_sweeps"] =
+      benchmark::Counter(static_cast<double>(sweeps) / static_cast<double>(runs));
+  state.counters["replanned_ticks"] =
+      benchmark::Counter(static_cast<double>(replanned) / static_cast<double>(runs));
   state.counters["delivery_batches"] =
       benchmark::Counter(static_cast<double>(batches) / static_cast<double>(runs));
   state.counters["delta_journal_merges"] =
@@ -357,7 +314,7 @@ void BM_DeliveryDrain(benchmark::State& state) {
   state.counters["superbatch_sweeps"] =
       benchmark::Counter(static_cast<double>(superbatches) / static_cast<double>(runs));
 }
-BENCHMARK(BM_DeliveryDrain)
+BENCHMARK(BM_ShardedDispatch)
     ->ArgNames({"peers", "shards"})
     ->Args({10000, 0})
     ->Args({10000, 4})

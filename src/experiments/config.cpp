@@ -1,5 +1,6 @@
 #include "experiments/config.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace gs::exp {
@@ -76,6 +77,8 @@ void Config::validate() const {
     throw std::invalid_argument("trace_path required for kTraceFile");
   }
   if (!(engine.warmup > 0.0)) throw std::invalid_argument("warmup must be positive");
+  // A non-positive horizon ends the run before the first switch.
+  if (!(engine.horizon > 0.0)) throw std::invalid_argument("horizon must be positive");
   // Negative values would wrap through llround -> size_t into a huge
   // history or per-period join count, and fractions above 1 compound the
   // swarm every period; the engine cannot run either to its horizon.
@@ -87,6 +90,26 @@ void Config::validate() const {
       throw std::invalid_argument("churn fractions must be in [0, 1]");
     }
   }
+  // Joiners draw their ping from a Pareto with this minimum.
+  if (!(engine.join_ping_min_ms > 0.0)) {
+    throw std::invalid_argument("join_ping_min_ms must be positive");
+  }
+  // The warm start seeds each playback cursor `lag` segments behind the
+  // head: a negative lag puts it past the head, and NaN goes through
+  // llround and censors every peer.
+  for (const double lag :
+       {engine.stable_backlog_scale, engine.base_lag_segments, engine.hop_lag_seconds}) {
+    if (!(lag >= 0.0)) {
+      throw std::invalid_argument(
+          "stable_backlog_scale, base_lag_segments and hop_lag_seconds must be >= 0");
+    }
+  }
+  if (!std::isfinite(engine.stable_backlog_exponent)) {
+    throw std::invalid_argument("stable_backlog_exponent must be finite");
+  }
+  if (!(engine.sparse_fill >= 0.0 && engine.sparse_fill <= 1.0)) {
+    throw std::invalid_argument("sparse_fill must be in [0, 1]");
+  }
   if (!(engine.tau > 0.0)) throw std::invalid_argument("tau must be positive");
   if (!(engine.playback_rate > 0.0)) {
     throw std::invalid_argument("playback_rate must be positive");
@@ -97,6 +120,9 @@ void Config::validate() const {
   }
   // The fast switch's rate split requires Q > 0.
   if (engine.q_consecutive == 0) throw std::invalid_argument("q_consecutive must be >= 1");
+  // A peer counts as prepared when its last missing startup segment
+  // arrives; with Qs = 0 none is ever missing, so every peer is censored.
+  if (engine.q_startup == 0) throw std::invalid_argument("q_startup must be >= 1");
   if (engine.buffer_capacity < engine.q_startup) {
     throw std::invalid_argument("buffer_capacity must hold the q_startup prefix");
   }
@@ -105,6 +131,15 @@ void Config::validate() const {
   }
   if (!(engine.pending_timeout > 0.0)) {
     throw std::invalid_argument("pending_timeout must be positive");
+  }
+  // A negative horizon rejects every request; NaN accepts any backlog.
+  if (!(engine.accept_horizon >= 0.0)) {
+    throw std::invalid_argument("accept_horizon must be >= 0");
+  }
+  // RateBudget holds at least one period of inbound budget (1 = the
+  // paper's use-it-or-lose-it model).
+  if (!(engine.budget_carry >= 1.0)) {
+    throw std::invalid_argument("budget_carry must be >= 1");
   }
   if (engine.tick_shard_size == 0) {
     throw std::invalid_argument("tick_shard_size must be >= 1");
@@ -124,7 +159,7 @@ void Config::validate() const {
     throw std::invalid_argument("first switch must be at t >= 0 (warm-up is t < 0)");
   }
   if (engine.flash_crowd_joins > 0) {
-    if (engine.flash_crowd_duration < 0.0) {
+    if (!(engine.flash_crowd_duration >= 0.0)) {
       throw std::invalid_argument("flash_crowd_duration must be >= 0");
     }
     // The admission pump is scheduled at its first join time, which the

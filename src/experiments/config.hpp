@@ -58,7 +58,7 @@ struct Config {
   }
 
   /// Turns on the sharded parallel simulation core with `shards` plan
-  /// lanes / event-queue shards (`--parallel-shards`; 0 = sequential).
+  /// lanes / delivery-drain shards (`--parallel-shards`; 0 = sequential).
   /// Pure mechanism: fixed-seed metrics are bit-identical at every shard
   /// count; only wall-clock and the shard diagnostics change.
   void enable_parallel_shards(std::size_t shards) { engine.parallel_shards = shards; }

@@ -1,64 +1,31 @@
 #include "sim/event_queue.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace gs::sim {
 
-EventQueue::EventQueue(double quantum) : quantum_(quantum), wheels_(1, TimingWheel(quantum)) {}
-
-void EventQueue::set_shard_count(std::size_t shards) {
-  GS_CHECK_GE(shards, 1u);
-  GS_CHECK(empty()) << "shard layout may only change while the queue is empty";
-  wheels_.assign(shards, TimingWheel(quantum_));
-  cached_top_ = kNoShard;
-}
-
-EventQueue::WheelTelemetry EventQueue::wheel_telemetry() const noexcept {
-  WheelTelemetry out;
-  for (const TimingWheel& wheel : wheels_) {
-    const TimingWheel::Telemetry& t = wheel.telemetry();
-    out.scheduled += t.scheduled;
-    out.overflow_promotions += t.overflow_promotions;
-    out.spill_peak = std::max(out.spill_peak, t.spill_peak);
-  }
-  return out;
-}
-
-EventId EventQueue::push_entry(std::size_t shard, Entry entry) {
-  GS_CHECK_LT(shard, shard_count());
+EventId EventQueue::push_entry(Entry entry) {
   entry.id = next_id_++;
   const EventId id = entry.id;
-  wheels_[shard].push(std::move(entry));
+  wheel_.push(std::move(entry));
   ++live_;
-  cached_top_ = kNoShard;  // the new entry may beat the cached head
   return id;
 }
 
 EventId EventQueue::schedule(Time at, std::function<void()> action) {
-  return schedule_on(0, at, std::move(action));
-}
-
-EventId EventQueue::schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b) {
-  return schedule_on(0, at, sink, a, b);
-}
-
-EventId EventQueue::schedule_on(std::size_t shard, Time at, std::function<void()> action) {
   Entry entry;
   entry.at = at;
   entry.action = std::move(action);
-  return push_entry(shard, std::move(entry));
+  return push_entry(std::move(entry));
 }
 
-EventId EventQueue::schedule_on(std::size_t shard, Time at, EventSink& sink, std::uint64_t a,
-                                std::uint64_t b) {
+EventId EventQueue::schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b) {
   Entry entry;
   entry.at = at;
   entry.sink = &sink;
   entry.a = a;
   entry.b = b;
-  return push_entry(shard, std::move(entry));
+  return push_entry(std::move(entry));
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -69,17 +36,14 @@ bool EventQueue::cancel(EventId id) {
   const bool inserted = cancelled_.insert(id).second;
   if (!inserted) return false;
   // The id might belong to an event that already fired; verify it is still
-  // resident.  Linear scan is fine: cancels are rare (churn only).
-  const bool pending = std::any_of(wheels_.begin(), wheels_.end(), [id](const TimingWheel& w) {
-    return w.any([id](const Entry& e) { return e.id == id; });
-  });
-  if (!pending) {
+  // resident.  Linear scan is fine: cancels are rare (a switch's generation
+  // task, churn).
+  if (!wheel_.any([id](const Entry& e) { return e.id == id; })) {
     cancelled_.erase(id);
     return false;
   }
   GS_CHECK_GT(live_, 0u);
   --live_;
-  cached_top_ = kNoShard;  // the cached head may be the cancelled entry
   return true;
 }
 
@@ -87,53 +51,30 @@ bool EventQueue::empty() const noexcept { return live_ == 0; }
 
 std::size_t EventQueue::size() const noexcept { return live_; }
 
-void EventQueue::skip_cancelled(std::size_t shard) {
-  TimingWheel& wheel = wheels_[shard];
-  while (!wheel.empty()) {
-    const auto it = cancelled_.find(wheel.top().id);
-    if (it == cancelled_.end()) return;
+const QueueEntry& EventQueue::top() {
+  for (;;) {
+    const Entry& head = wheel_.top();
+    // Cancels are rare, so the common case skips the hash lookup.
+    if (cancelled_.empty()) return head;
+    const auto it = cancelled_.find(head.id);
+    if (it == cancelled_.end()) return head;
     cancelled_.erase(it);
-    wheel.pop();
+    wheel_.pop();
   }
-}
-
-std::size_t EventQueue::top_shard() {
-  if (cached_top_ != kNoShard) return cached_top_;
-  // The deterministic cross-shard merge: among the live shard heads, the
-  // (time, sequence) minimum is exactly the entry a single global queue
-  // would pop next.  Linear scan — shard counts are small (cores, not
-  // peers) and the per-shard wheels already did the ordering work.  The
-  // memo makes the run loop's next_time() + pop_and_run() pair pay for one
-  // scan, not two.
-  const std::size_t shards = shard_count();
-  std::size_t best = shards;
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    skip_cancelled(shard);
-    if (wheels_[shard].empty()) continue;
-    if (best == shards || Later{}(wheels_[best].top(), wheels_[shard].top())) {
-      best = shard;
-    }
-  }
-  GS_CHECK_LT(best, shards);
-  cached_top_ = best;
-  return best;
 }
 
 Time EventQueue::next_time() const {
   GS_CHECK(!empty());
-  // top_shard() is non-const (it drops cancelled heads), but observable
-  // state is unchanged — logical constness via const_cast.
-  auto* self = const_cast<EventQueue*>(this);
-  return self->wheels_[self->top_shard()].top().at;
+  // top() is non-const (it drops cancelled heads), but observable state is
+  // unchanged — logical constness via const_cast.
+  return const_cast<EventQueue*>(this)->top().at;
 }
 
-Time EventQueue::pop_and_run(std::size_t* shard_out) {
+Time EventQueue::pop_and_run() {
   GS_CHECK(!empty());
-  const std::size_t shard = top_shard();
-  if (shard_out != nullptr) *shard_out = shard;
-  Entry entry = wheels_[shard].pop();
+  static_cast<void>(top());  // drops cancelled heads
+  Entry entry = wheel_.pop();
   --live_;
-  cached_top_ = kNoShard;
   if (entry.sink != nullptr) {
     entry.sink->on_event(entry.a, entry.b);
   } else {
@@ -143,7 +84,7 @@ Time EventQueue::pop_and_run(std::size_t* shard_out) {
 }
 
 bool EventQueue::top_is_batchable() {
-  const Entry& head = wheels_[top_shard()].top();
+  const Entry& head = top();
   return head.sink != nullptr && head.sink->batchable();
 }
 
@@ -151,23 +92,21 @@ std::size_t EventQueue::pop_batch(Time limit, std::vector<PooledBatchItem>& out,
                                   EventSink** sink_out) {
   GS_CHECK(!empty());
   out.clear();
-  std::size_t shard = top_shard();
-  EventSink* const sink = wheels_[shard].top().sink;
+  const Entry& head = top();
+  EventSink* const sink = head.sink;
   GS_CHECK(sink != nullptr);
   const bool across_times = sink->batch_across_times();
-  const Time first_at = wheels_[shard].top().at;
+  const Time first_at = head.at;
   for (;;) {
-    const Entry entry = wheels_[shard].pop();
+    const Entry entry = wheel_.pop();
     out.push_back({entry.at, entry.a, entry.b});
     --live_;
-    cached_top_ = kNoShard;
     if (out.size() >= kMaxBatch || empty()) break;
-    // Extend only while the *global* head continues the run: same sink,
-    // within the horizon, and (unless the sink allows it) the same
-    // timestamp.  Stopping at the first mismatch keeps the batch a prefix
-    // of the canonical pop order.
-    shard = top_shard();
-    const Entry& next = wheels_[shard].top();
+    // Extend only while the head continues the run: same sink, within the
+    // horizon, and (unless the sink allows it) the same timestamp.
+    // Stopping at the first mismatch keeps the batch a prefix of the
+    // canonical pop order.
+    const Entry& next = top();
     if (next.sink != sink || next.at > limit) break;
     if (!across_times && next.at != first_at) break;
   }
@@ -176,10 +115,9 @@ std::size_t EventQueue::pop_batch(Time limit, std::vector<PooledBatchItem>& out,
 }
 
 void EventQueue::clear() noexcept {
-  for (TimingWheel& wheel : wheels_) wheel.clear();
+  wheel_.clear();
   cancelled_.clear();
   live_ = 0;
-  cached_top_ = kNoShard;
 }
 
 }  // namespace gs::sim

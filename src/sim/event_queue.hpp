@@ -10,17 +10,6 @@
 // the pop order is exactly that of a single (time, sequence) priority
 // queue.
 //
-// The queue is optionally *sharded*: set_shard_count(P) partitions the
-// pending set into P independent wheels, and schedule_on(shard, ...) places
-// an event in a specific partition (the sharded engine routes each peer's
-// delivery events to that peer's shard).  Sequence numbers stay GLOBAL
-// across shards, and the pop side merges the shard heads by
-// (time, sequence) — so the execution order is exactly the order a single
-// unsharded queue would produce, no matter how events are distributed.
-// That merge rule is what keeps sharded runs bit-identical to sequential
-// ones; the shard dimension only buys smaller stores and a
-// per-peer-partitioned pending set.
-//
 // Two kinds of entry share the one sequence domain (so their mutual
 // ordering at a timestamp is still insertion order):
 //   - closure events: an arbitrary std::function<void()>;
@@ -83,43 +72,26 @@ class EventSink {
 
 class EventQueue {
  public:
-  /// One shard whose wheel is quantized at `quantum` seconds (> 0; the
+  /// A queue whose wheel is quantized at `quantum` seconds (> 0; the
   /// engine passes its tick cadence).
-  explicit EventQueue(double quantum = 1.0);
+  explicit EventQueue(double quantum = 1.0) : wheel_(quantum) {}
 
-  /// Partitions the pending set into `shards` independent stores (>= 1).
-  /// Must be called while the queue is empty — pending events are never
-  /// rehomed (rejected loudly; silently redistributing them would move
-  /// entries between schedule_on targets).  Pop order is unaffected (global
-  /// (time, sequence) merge); only schedule_on targets change meaning.
-  void set_shard_count(std::size_t shards);
-  [[nodiscard]] std::size_t shard_count() const noexcept { return wheels_.size(); }
+  /// Wheel telemetry: entries scheduled, entries promoted from the overflow
+  /// wheel / spill heap into finer levels, and the spill heap's peak.
+  [[nodiscard]] const TimingWheel::Telemetry& wheel_telemetry() const noexcept {
+    return wheel_.telemetry();
+  }
 
-  /// Wheel telemetry aggregated over the shards: entries scheduled through
-  /// the wheels, entries promoted from the overflow wheel / spill heap into
-  /// finer levels, and the spill heap's peak occupancy (max across shards).
-  struct WheelTelemetry {
-    std::uint64_t scheduled = 0;
-    std::uint64_t overflow_promotions = 0;
-    std::uint64_t spill_peak = 0;
-  };
-  [[nodiscard]] WheelTelemetry wheel_telemetry() const noexcept;
-
-  /// Schedules `action` at absolute time `at` on shard 0.  Returns an id
-  /// usable with cancel().  `at` may equal the current head time; ties fire
-  /// in scheduling order.
+  /// Schedules `action` at absolute time `at`.  Returns an id usable with
+  /// cancel().  `at` may equal the current head time; ties fire in
+  /// scheduling order.
   EventId schedule(Time at, std::function<void()> action);
 
-  /// Schedules a pooled plain-struct event on shard 0: at time `at`, calls
+  /// Schedules a pooled plain-struct event: at time `at`, calls
   /// `sink.on_event(a, b)`.  Same ordering domain and cancellation rules as
   /// the closure overload, but the entry carries the payload inline, so
   /// this never allocates.  `sink` must outlive the event.
   EventId schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b);
-
-  /// schedule() variants targeting a specific shard's store.
-  EventId schedule_on(std::size_t shard, Time at, std::function<void()> action);
-  EventId schedule_on(std::size_t shard, Time at, EventSink& sink, std::uint64_t a,
-                      std::uint64_t b);
 
   /// Cancels a pending event.  Returns false if the event already fired,
   /// was already cancelled, or never existed.
@@ -131,11 +103,9 @@ class EventQueue {
   /// Time of the earliest pending event; requires !empty().
   [[nodiscard]] Time next_time() const;
 
-  /// Pops and runs the earliest pending event (the (time, sequence) min
-  /// across every shard head); requires !empty().  Returns the time of the
-  /// event that ran; `shard_out`, when non-null, receives the shard it was
-  /// popped from.
-  Time pop_and_run(std::size_t* shard_out = nullptr);
+  /// Pops and runs the earliest pending event; requires !empty().  Returns
+  /// the time of the event that ran.
+  Time pop_and_run();
 
   /// True when the next entry to pop is a pooled event whose sink opted
   /// into batched pops; requires !empty().
@@ -158,30 +128,21 @@ class EventQueue {
 
  private:
   using Entry = QueueEntry;
-  using Later = QueueEntryLater;
 
-  EventId push_entry(std::size_t shard, Entry entry);
-  /// Removes cancelled entries sitting at `shard`'s head.
-  void skip_cancelled(std::size_t shard);
-  /// Shard holding the globally earliest live entry; requires !empty().
-  /// Drops cancelled heads as a side effect and caches the winner so the
-  /// usual next_time() + pop_and_run() pair scans the shard heads once.
-  [[nodiscard]] std::size_t top_shard();
+  EventId push_entry(Entry entry);
+  /// The earliest live entry; requires !empty().  Drops cancelled heads as
+  /// a side effect.
+  [[nodiscard]] const Entry& top();
 
-  static constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
   /// pop_batch scratch bound: correctness never depends on where a run is
   /// cut (the remainder simply forms the next batch), so this only caps
   /// the caller's scratch memory.
   static constexpr std::size_t kMaxBatch = 4096;
 
-  double quantum_;
-  /// One timing wheel per shard (the unsharded queue is the 1-shard case).
-  std::vector<TimingWheel> wheels_;
+  TimingWheel wheel_;
   std::unordered_set<EventId> cancelled_;
   EventId next_id_ = 1;
   std::size_t live_ = 0;
-  /// top_shard() memo; kNoShard whenever the stores may have changed.
-  std::size_t cached_top_ = kNoShard;
 };
 
 }  // namespace gs::sim

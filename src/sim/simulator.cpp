@@ -7,39 +7,24 @@
 
 namespace gs::sim {
 
-void Simulator::enable_shards(std::size_t shards, ShardRouter router) {
-  GS_CHECK_GE(shards, 1u);
-  GS_CHECK(router != nullptr);
-  queue_.set_shard_count(shards);
-  router_ = std::move(router);
-}
-
-std::size_t Simulator::route(const EventSink& sink, std::uint64_t a, std::uint64_t b) {
-  if (!router_) return 0;
-  const std::size_t shard = router_(sink, a, b);
-  GS_CHECK_LT(shard, queue_.shard_count());
-  if (shard != executing_shard_) ++cross_shard_scheduled_;
-  return shard;
-}
-
 EventId Simulator::at(Time when, std::function<void()> action) {
   GS_CHECK_GE(when, now_);
-  return queue_.schedule_on(0, when, std::move(action));
+  return queue_.schedule(when, std::move(action));
 }
 
 EventId Simulator::after(Time delay, std::function<void()> action) {
   GS_CHECK_GE(delay, 0.0);
-  return queue_.schedule_on(0, now_ + delay, std::move(action));
+  return queue_.schedule(now_ + delay, std::move(action));
 }
 
 EventId Simulator::at(Time when, EventSink& sink, std::uint64_t a, std::uint64_t b) {
   GS_CHECK_GE(when, now_);
-  return queue_.schedule_on(route(sink, a, b), when, sink, a, b);
+  return queue_.schedule(when, sink, a, b);
 }
 
 EventId Simulator::after(Time delay, EventSink& sink, std::uint64_t a, std::uint64_t b) {
   GS_CHECK_GE(delay, 0.0);
-  return queue_.schedule_on(route(sink, a, b), now_ + delay, sink, a, b);
+  return queue_.schedule(now_ + delay, sink, a, b);
 }
 
 std::size_t Simulator::drive(Time until) {
@@ -52,20 +37,16 @@ std::size_t Simulator::drive(Time until) {
       // Drain the maximal batchable run in one dispatch.  The run is a
       // prefix of the canonical pop order; the sink processes items in
       // order using each item's own time, with the clock parked at the
-      // run's end.  Batches execute as the control shard: batchable sinks
-      // either schedule nothing (delivery drains) or schedule from control
-      // events (tick sweeps), so cross-shard accounting is unchanged.
+      // run's end.
       EventSink* sink = nullptr;
       const std::size_t count = queue_.pop_batch(until, batch_scratch_, &sink);
       now_ = batch_scratch_[count - 1].at;
-      executing_shard_ = 0;
       sink->on_batch(batch_scratch_.data(), count);
       ran += count;
       continue;
     }
     now_ = next;
-    queue_.pop_and_run(&executing_shard_);
-    executing_shard_ = 0;
+    queue_.pop_and_run();
     ++ran;
   }
   return ran;

@@ -6,17 +6,6 @@
 // The pending set is EventQueue's timing wheel; its quantum is a
 // constructor argument (the engine passes the tick cadence tau, so sweeps
 // land on bucket boundaries and deliveries fill the current bucket).
-//
-// The driver can run *sharded*: enable_shards(P, router) partitions the
-// pending set into P per-shard queues (see EventQueue::set_shard_count) and
-// routes every pooled plain-struct event through `router` to pick its
-// shard.  Closure events always live on shard 0 (the control shard: ticks,
-// generation, churn, switches).  Execution order is unchanged — the queue
-// merges shard heads by (time, global sequence), so a sharded run pops the
-// exact event sequence an unsharded run would — but every event scheduled
-// from inside one shard's event into a *different* shard is counted as
-// cross-shard outbox traffic (deliveries crossing peer shards), the
-// diagnostic for how much inter-shard talk the overlay generates.
 #pragma once
 
 #include <functional>
@@ -28,11 +17,6 @@ namespace gs::sim {
 
 class Simulator {
  public:
-  /// Picks the shard of a pooled event from its sink and payload (e.g. the
-  /// engine routes deliveries by target peer id).  Must be deterministic.
-  using ShardRouter = std::function<std::size_t(const EventSink& sink, std::uint64_t a,
-                                                std::uint64_t b)>;
-
   /// Starts the clock at `start` (may be negative for warm-up phases) over
   /// a timing wheel quantized at `wheel_quantum` seconds (> 0).
   explicit Simulator(Time start = 0.0, double wheel_quantum = 1.0)
@@ -40,15 +24,8 @@ class Simulator {
 
   [[nodiscard]] Time now() const noexcept { return now_; }
 
-  /// Splits the pending set into `shards` per-shard queues and installs the
-  /// pooled-event router.  Call before anything is scheduled.  Shard 0 is
-  /// the control shard (all closure events); the router may use the full
-  /// range [0, shards).
-  void enable_shards(std::size_t shards, ShardRouter router);
-  [[nodiscard]] std::size_t shard_count() const noexcept { return queue_.shard_count(); }
-
-  /// Wheel telemetry aggregated over the shards.
-  [[nodiscard]] EventQueue::WheelTelemetry wheel_telemetry() const noexcept {
+  /// The pending set's wheel telemetry (see EventQueue::wheel_telemetry).
+  [[nodiscard]] const TimingWheel::Telemetry& wheel_telemetry() const noexcept {
     return queue_.wheel_telemetry();
   }
 
@@ -70,7 +47,7 @@ class Simulator {
   /// Pooled plain-struct variants: at `when` / after `delay`, calls
   /// `sink.on_event(a, b)`.  Never allocates (payload is stored inline in
   /// the queue entry); same ordering/cancellation semantics as the closure
-  /// overloads.  Routed to a shard when sharding is enabled.
+  /// overloads.
   EventId at(Time when, EventSink& sink, std::uint64_t a, std::uint64_t b);
   EventId after(Time delay, EventSink& sink, std::uint64_t a, std::uint64_t b);
   /// Cancels a pending event; false if it already fired.
@@ -89,25 +66,14 @@ class Simulator {
   [[nodiscard]] bool pending() const noexcept { return !queue_.empty(); }
   [[nodiscard]] std::size_t pending_count() const noexcept { return queue_.size(); }
 
-  /// Events scheduled from inside an executing event into a different
-  /// shard's queue (0 while unsharded) — the cross-shard outbox volume.
-  [[nodiscard]] std::uint64_t cross_shard_scheduled() const noexcept {
-    return cross_shard_scheduled_;
-  }
-
  private:
-  [[nodiscard]] std::size_t route(const EventSink& sink, std::uint64_t a, std::uint64_t b);
   /// Shared drive loop of run_until/run_all (`until` = +inf for run_all).
   std::size_t drive(Time until);
 
   EventQueue queue_;
-  ShardRouter router_;
   Time now_;
   bool stop_requested_ = false;
   bool batch_pop_ = false;
-  /// Shard of the event currently executing (0 when idle/unsharded).
-  std::size_t executing_shard_ = 0;
-  std::uint64_t cross_shard_scheduled_ = 0;
   /// pop_batch scratch (capacity reused across batches).
   std::vector<PooledBatchItem> batch_scratch_;
 };

@@ -66,7 +66,8 @@ struct QueueEntryLater {
   }
 };
 
-/// One shard's wheel.  Not thread-safe (the queue is driven by one thread).
+/// The event queue's store.  Not thread-safe (the queue is driven by one
+/// thread).
 class TimingWheel {
  public:
   struct Telemetry {

@@ -19,7 +19,7 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
       config_(std::move(config)),
       // The timing wheel is quantized at the tick cadence: gossip sweeps
       // land on bucket boundaries and deliveries fill the current-period
-      // bucket, so schedule_on is a bucket append and pops walk pre-sorted
+      // bucket, so scheduling is a bucket append and pops walk pre-sorted
       // buckets.
       sim_(-config_.warmup, config_.tau),
       overhead_(config_.wire),
@@ -41,20 +41,9 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
     ticker_.set_batch_sweep([this](const std::vector<std::uint32_t>& members, double now) {
       run_parallel_sweep(members, now);
     });
-    // Every pop scans the shard heads, so queue shards beyond a few dozen
-    // only add scan cost.  The clamp is a fixed constant (not hardware-
-    // dependent) — routing never affects results, but keeping the layout
-    // machine-independent keeps the cross_shard_events diagnostic portable.
+    // The delivery drain partitions peers and views by id % shards and
+    // journals deltas in a shards x shards grid; the clamp bounds that grid.
     const std::size_t shards = std::min<std::size_t>(config_.parallel_shards, 64);
-    // Shard 0 is the control queue (ticks, generation, churn, switches);
-    // each peer's deliveries live on queue 1 + id % P.  The queue merges
-    // heads by (time, global sequence), so routing never changes execution
-    // order — only heap sizes and the cross-shard traffic diagnostic.
-    sim_.enable_shards(1 + shards, [this, shards](const sim::EventSink& sink, std::uint64_t a,
-                                                  std::uint64_t /*b*/) -> std::size_t {
-      if (&sink == &transfers_) return 1 + static_cast<std::size_t>(a) % shards;
-      return 0;
-    });
     // The batched delivery drain: consecutive delivery events pop as one
     // batch and drain through the book/tail/merge passes; same-timestamp
     // tick sweeps super-batch through BatchTicker::on_batch.  Fresh-segment
@@ -89,9 +78,8 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   }
   if (config_.cdn_assist) {
     // The CDN uplink runs the engine's configured contention policy over
-    // the plane's own state; its (non-batchable) delivery events route to
-    // the control shard, popped in the global (time, sequence) order like
-    // every other event.
+    // the plane's own state; its (non-batchable) delivery events pop in the
+    // global (time, sequence) order like every other event.
     CdnAssistConfig cdn_config;
     cdn_config.rate = config_.cdn_assist_rate;
     cdn_config.latency_ms = config_.cdn_assist_latency_ms;
@@ -288,6 +276,29 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
       << " reordered the candidates of peer " << p.id;
 }
 
+void Engine::fold_plan_counters(const TickPlan& plan) {
+  stats_.availability_probes += plan.probes;
+  if (plan.gated) {
+    ++stats_.plans_gated;
+    if (config_.plan_gate_recheck) ++stats_.gate_rechecks;
+  } else if (!plan.candidates.empty()) {
+    ++stats_.plans_built;
+  }
+  if (plan.candidates.empty()) return;
+  if (plan.split_active) {
+    ++stats_.split_ticks;
+    for (const ScheduledRequest& r : plan.requests) {
+      if (r.id > plan.s1_end) {
+        ++stats_.new_stream_requests;
+      } else {
+        ++stats_.old_stream_requests;
+      }
+    }
+  }
+  candidates_seen_ += plan.candidates.size();
+  scheduled_seen_ += plan.requests.size();
+}
+
 bool Engine::plan_is_stale(const PeerNode& p, const TickPlan& plan) const {
   if (dirty_supplier_.empty() || !transfers_.supplier_shared()) return false;
   // The plan's queue-delay reads covered (a subset of) the alive
@@ -313,31 +324,8 @@ void Engine::tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate)
   // Stage mode folds every global counter at the wave's final drain, from
   // the plan's final contents (a fixup re-plan overwrites them first, so
   // the fold always matches the sequential charge).
-  if (!plan.stage) {
-    stats_.availability_probes += plan.probes;
-    if (plan.gated) {
-      ++stats_.plans_gated;
-      if (config_.plan_gate_recheck) ++stats_.gate_rechecks;
-    } else if (!plan.candidates.empty()) {
-      ++stats_.plans_built;
-    }
-  }
+  if (!plan.stage) fold_plan_counters(plan);
   if (plan.candidates.empty()) return;
-
-  if (!plan.stage) {
-    if (plan.split_active) {
-      ++stats_.split_ticks;
-      for (const ScheduledRequest& r : plan.requests) {
-        if (r.id > plan.s1_end) {
-          ++stats_.new_stream_requests;
-        } else {
-          ++stats_.old_stream_requests;
-        }
-      }
-    }
-    candidates_seen_ += plan.candidates.size();
-    scheduled_seen_ += plan.requests.size();
-  }
 
   // Supplier fallback on rejection (the strategy names one supplier per
   // segment; a saturated supplier should not cost the whole period when an
@@ -503,27 +491,7 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
       ++stats_.planned_ticks;
       if (!plan.fixup) ++stats_.parallel_commits;
       plan.fixup = false;
-      stats_.availability_probes += plan.probes;
-      if (plan.gated) {
-        ++stats_.plans_gated;
-        if (config_.plan_gate_recheck) ++stats_.gate_rechecks;
-      } else if (!plan.candidates.empty()) {
-        ++stats_.plans_built;
-      }
-      if (!plan.candidates.empty()) {
-        if (plan.split_active) {
-          ++stats_.split_ticks;
-          for (const ScheduledRequest& r : plan.requests) {
-            if (r.id > plan.s1_end) {
-              ++stats_.new_stream_requests;
-            } else {
-              ++stats_.old_stream_requests;
-            }
-          }
-        }
-        candidates_seen_ += plan.candidates.size();
-        scheduled_seen_ += plan.requests.size();
-      }
+      fold_plan_counters(plan);
       stats_.requests_issued += plan.issued;
       stats_.requests_rejected += plan.rejected;
       if (plan.issued > 0) overhead_.charge_request(plan.issued);

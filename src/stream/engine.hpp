@@ -114,9 +114,7 @@ struct EngineConfig {
   /// fork/join cost (scale runs want 128-512).
   std::size_t tick_shard_size = 16;
   /// Sharded parallel simulation core.  0 = the classic single-threaded
-  /// path.  P >= 1 splits the pending-event set into per-shard queues
-  /// (deliveries routed by target peer id, merged deterministically by
-  /// (time, sequence)) and runs on min(P, hardware threads) lanes of
+  /// path.  P >= 1 runs on min(P, hardware threads) lanes of
   /// util::global_pool().  Every tick sweep runs in waves of three phases:
   ///   pre     sequential, member order — every cross-peer-visible write
   ///           (availability adverts, boundary learning, playback/metrics);
@@ -267,8 +265,8 @@ struct EngineStats {
   std::uint64_t parallel_sweeps = 0;
   std::uint64_t planned_ticks = 0;
   std::uint64_t replanned_ticks = 0;
-  /// Events routed into a foreign shard's queue (cross-shard outbox
-  /// traffic; see Simulator::cross_shard_scheduled).
+  /// Always 0: the event queue is one store, so no event crosses shards.
+  /// Kept only because the end-to-end benchmark (bench/e2e) still reads it.
   std::uint64_t cross_shard_events = 0;
   /// Delivery-drain diagnostics (parallel_shards > 0 without
   /// push_fresh_segments): multi-event delivery runs drained through the
@@ -471,6 +469,12 @@ class Engine {
   /// commit-wave lane), a plan whose supplier set an earlier colour class
   /// dirtied issues nothing and raises plan.fixup instead.
   void tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate);
+  /// Folds a planned tick's plan counters into the stats: availability
+  /// probes, the gate outcome, and for a non-empty candidate set the split
+  /// ticks, old/new stream requests and the candidate/request totals.
+  /// tick_commit calls it inline; the commit wave's final drain calls it
+  /// from each plan's final contents.
+  void fold_plan_counters(const TickPlan& plan);
   /// Could a commit the plan did not observe have changed a queue delay it
   /// read?  Conservative: any alive neighbour's uplink committed to after
   /// the plan's stamp counts (only supplier-keyed capacity models can

@@ -324,7 +324,6 @@ std::vector<SwitchMetrics> Engine::run() {
       config_.horizon;
   stats_.events_popped = sim_.run_until(stop_at);
   stats_.index_updates = availability_.updates_applied();
-  stats_.cross_shard_events = sim_.cross_shard_scheduled();
   stats_.superbatch_sweeps = ticker_.superbatch_count();
   // Lane-arena telemetry: total chunk allocations ever, the total frozen
   // when the adaptive fence armed (0 = never armed), and those past the
@@ -340,7 +339,7 @@ std::vector<SwitchMetrics> Engine::run() {
   stats_.arena_steady_chunks = arena_warm_marked_ ? arena_chunks - arena_warm_chunks_ : 0;
 
   // Timing-wheel telemetry.
-  const sim::EventQueue::WheelTelemetry wheel = sim_.wheel_telemetry();
+  const sim::TimingWheel::Telemetry& wheel = sim_.wheel_telemetry();
   stats_.events_wheeled = wheel.scheduled;
   stats_.wheel_overflow_promotions = wheel.overflow_promotions;
   stats_.spill_heap_peak = wheel.spill_peak;

@@ -136,12 +136,14 @@ TEST(Config, RejectsNaNCdnAssistSettings) {
 }
 
 // The flash crowd's admission pump cannot be scheduled before the run
-// starts at -warmup.
+// starts at -warmup, and a NaN duration would admit the whole crowd at once.
 TEST(Config, RejectsFlashCrowdBeforeRunStart) {
   Config config = Config::paper_static(100, AlgorithmKind::kFast);
   config.enable_flash_crowd(10, -10.0);
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config.enable_flash_crowd(10, kNaN);
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.enable_flash_crowd(10, 0.5, kNaN);
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config.enable_flash_crowd(10, -config.engine.warmup);
   EXPECT_NO_THROW(config.validate());
@@ -196,6 +198,97 @@ TEST(Config, RejectsChurnFractionsOutsideUnitInterval) {
   config.engine.churn_leave_fraction = 1.5;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config.enable_churn(1.0);
+  EXPECT_NO_THROW(config.validate());
+}
+
+// A non-positive horizon ends the run before the switch (nothing tracked).
+TEST(Config, RejectsNonPositiveHorizon) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  for (const double horizon : {0.0, -5.0, kNaN}) {
+    config.engine.horizon = horizon;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << horizon;
+  }
+  config.engine.horizon = 1.0;
+  EXPECT_NO_THROW(config.validate());
+}
+
+// RateBudget cannot bank less than one period of inbound budget.
+TEST(Config, RejectsBudgetCarryBelowOne) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  for (const double carry : {0.0, 0.5, kNaN}) {
+    config.engine.budget_carry = carry;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << carry;
+  }
+  config.engine.budget_carry = 1.0;
+  EXPECT_NO_THROW(config.validate());
+}
+
+// Joiners draw their ping from a Pareto whose minimum must be positive.
+TEST(Config, RejectsNonPositiveJoinPingMinimum) {
+  Config config = Config::paper_dynamic(100, AlgorithmKind::kFast);
+  for (const double ping : {0.0, -10.0, kNaN}) {
+    config.engine.join_ping_min_ms = ping;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << ping;
+  }
+  config.engine.join_ping_min_ms = 1.0;
+  EXPECT_NO_THROW(config.validate());
+}
+
+// The warm start's initial lag: a negative one seeds playback cursors past
+// the head; NaN goes through llround and censors every peer.
+TEST(Config, RejectsNegativeOrNaNWarmStartLag) {
+  const Config valid = Config::paper_static(100, AlgorithmKind::kFast);
+  for (double stream::EngineConfig::*field :
+       {&stream::EngineConfig::stable_backlog_scale, &stream::EngineConfig::base_lag_segments,
+        &stream::EngineConfig::hop_lag_seconds}) {
+    for (const double lag : {-50.0, kNaN}) {
+      Config config = valid;
+      config.engine.*field = lag;
+      EXPECT_THROW(config.validate(), std::invalid_argument) << lag;
+    }
+    Config config = valid;
+    config.engine.*field = 0.0;
+    EXPECT_NO_THROW(config.validate());
+  }
+  for (const double exponent : {kNaN, std::numeric_limits<double>::infinity()}) {
+    Config config = valid;
+    config.engine.stable_backlog_exponent = exponent;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << exponent;
+  }
+}
+
+// sparse_fill is a coverage probability; above 1 it distorts the switch
+// time, and NaN censors every peer.
+TEST(Config, RejectsSparseFillOutsideUnitInterval) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  for (const double fill : {-0.1, 2.0, kNaN}) {
+    config.engine.sparse_fill = fill;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << fill;
+  }
+  for (const double fill : {0.0, 1.0}) {
+    config.engine.sparse_fill = fill;
+    EXPECT_NO_THROW(config.validate()) << fill;
+  }
+}
+
+// A peer is prepared when its last missing startup segment arrives; with
+// Qs = 0 none is ever missing, so every peer would be censored.
+TEST(Config, RejectsZeroStartupPrefix) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.q_startup = 0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.q_startup = 1;
+  EXPECT_NO_THROW(config.validate());
+}
+
+// A negative accept horizon rejects every request; NaN accepts any backlog.
+TEST(Config, RejectsNegativeAcceptHorizon) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  for (const double horizon : {-1.0, kNaN}) {
+    config.engine.accept_horizon = horizon;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << horizon;
+  }
+  config.engine.accept_horizon = 0.0;
   EXPECT_NO_THROW(config.validate());
 }
 

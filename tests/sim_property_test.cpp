@@ -126,50 +126,6 @@ TEST(EventQueueProperty, PooledEventsCancelLikeClosures) {
 /// One (time, member) observation per tick, whichever dispatcher fired it.
 using Observation = std::pair<Time, std::uint32_t>;
 
-TEST(EventQueueProperty, ShardedPopOrderEqualsUnshardedOrder) {
-  // The sharded core's merge contract: however events are distributed over
-  // shard heaps, the pop sequence must equal the single-queue (time,
-  // insertion-sequence) order.  Random times (with forced ties), random
-  // shard targets, random cancellations — mirrored into an unsharded
-  // reference queue.
-  util::Rng rng(4242);
-  for (int round = 0; round < 20; ++round) {
-    EventQueue sharded;
-    sharded.set_shard_count(1 + static_cast<std::size_t>(rng.uniform_int(1, 6)));
-    EventQueue reference;
-    std::vector<int> sharded_fired;
-    std::vector<int> reference_fired;
-    std::vector<EventId> sharded_ids;
-    std::vector<EventId> reference_ids;
-    for (int tag = 0; tag < 200; ++tag) {
-      const Time at = std::floor(rng.uniform(0.0, 20.0));  // dense ties
-      const auto shard =
-          static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(sharded.shard_count()) - 1));
-      sharded_ids.push_back(sharded.schedule_on(shard, at, [tag, &sharded_fired] {
-        sharded_fired.push_back(tag);
-      }));
-      reference_ids.push_back(reference.schedule(at, [tag, &reference_fired] {
-        reference_fired.push_back(tag);
-      }));
-    }
-    for (int k = 0; k < 30; ++k) {
-      const auto victim = static_cast<std::size_t>(rng.uniform_int(0, 199));
-      EXPECT_EQ(sharded.cancel(sharded_ids[victim]), reference.cancel(reference_ids[victim]));
-    }
-    EXPECT_EQ(sharded.size(), reference.size());
-    while (!reference.empty()) {
-      ASSERT_FALSE(sharded.empty());
-      EXPECT_EQ(sharded.next_time(), reference.next_time());
-      std::size_t from_shard = 99;
-      sharded.pop_and_run(&from_shard);
-      EXPECT_LT(from_shard, sharded.shard_count());
-      reference.pop_and_run();
-    }
-    EXPECT_TRUE(sharded.empty());
-    EXPECT_EQ(sharded_fired, reference_fired) << "shard layout changed execution order";
-  }
-}
-
 TEST(BatchTickerProperty, SweepsMembersInArmOrderRegardlessOfInsertionInterleaving) {
   util::Rng rng(11);
   for (int trial = 0; trial < 30; ++trial) {
@@ -286,15 +242,17 @@ TEST(BatchTickerProperty, RemovalPreservesOrderAndEmptyGroupsGoDormant) {
 // ----------------------------------------------------------- batched pops ---
 
 /// Batchable across times: mimics the transfer plane's delivery drain
-/// (processing schedules nothing).  Records (time, tag) per item.
+/// (processing schedules nothing).  Records (time, tag) per item.  With
+/// `batch` cleared it opts out of batched pops (the single-pop reference).
 struct BatchableSink final : EventSink {
   std::vector<Observation>* fired = nullptr;
   Simulator* sim = nullptr;
+  bool batch = true;
   std::uint64_t batches = 0;
   void on_event(std::uint64_t a, std::uint64_t /*b*/) override {
     fired->emplace_back(sim->now(), static_cast<std::uint32_t>(a));
   }
-  [[nodiscard]] bool batchable() const noexcept override { return true; }
+  [[nodiscard]] bool batchable() const noexcept override { return batch; }
   [[nodiscard]] bool batch_across_times() const noexcept override { return true; }
   void on_batch(const PooledBatchItem* items, std::size_t count) override {
     ++batches;
@@ -348,6 +306,69 @@ TEST(BatchPopProperty, NonBatchableSinksPopSingly) {
   for (int i = 0; i < 5; ++i) sim.at(1.0, sink, static_cast<std::uint64_t>(i), 0);
   sim.run_until(2.0);
   EXPECT_EQ(ints, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(BatchPopProperty, CancelledEntriesInsideBatchedRunsNeverFire) {
+  // pop_batch must skip a cancelled entry exactly where a single pop does.
+  // The same seeded script (pooled events on an across-times sink mixed
+  // with closures, a random subset cancelled before the run and another
+  // mid-run) must fire the same sequence batched as popped singly through
+  // a non-batchable sink, and no cancelled tag may fire.
+  constexpr std::uint32_t kEvents = 120;
+  constexpr std::uint32_t kClosureTag = 100000;
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<Observation> batched;
+    std::vector<Observation> single;
+    std::vector<bool> batched_hits;
+    std::vector<bool> single_hits;
+    std::vector<bool> cancelled(kEvents, false);
+    std::uint64_t batch_count = 0;
+    for (const bool batch : {true, false}) {
+      Simulator sim;
+      sim.enable_batch_pop(true);
+      BatchableSink sink;
+      sink.batch = batch;
+      std::vector<Observation>& out = batch ? batched : single;
+      std::vector<bool>& hits = batch ? batched_hits : single_hits;
+      sink.fired = &out;
+      sink.sim = &sim;
+      util::Rng gen(static_cast<std::uint64_t>(trial) + 101);
+      std::vector<EventId> ids;
+      for (std::uint32_t tag = 0; tag < kEvents; ++tag) {
+        const Time at = std::floor(gen.uniform(0.0, 12.0));  // dense ties
+        if (gen.bernoulli(0.75)) {
+          ids.push_back(sim.at(at, sink, tag, 0));
+        } else {
+          ids.push_back(sim.at(
+              at, [&out, tag, &sim] { out.emplace_back(sim.now(), kClosureTag + tag); }));
+        }
+      }
+      const auto cancel_some = [&] {
+        for (int k = 0; k < 20; ++k) {
+          const auto tag = static_cast<std::uint32_t>(gen.uniform_int(0, kEvents - 1));
+          const bool hit = sim.cancel(ids[tag]);
+          hits.push_back(hit);
+          if (hit) cancelled[tag] = true;
+        }
+      };
+      cancel_some();
+      sim.run_until(5.0);
+      cancel_some();  // some victims already fired; both legs must agree
+      sim.run_until(20.0);
+      EXPECT_FALSE(sim.pending());
+      if (batch) batch_count = sink.batches;
+    }
+    EXPECT_EQ(batched_hits, single_hits) << "trial " << trial;
+    EXPECT_EQ(batched, single) << "trial " << trial;
+    EXPECT_GT(batch_count, 0u);
+    const auto cancelled_count =
+        static_cast<std::size_t>(std::count(cancelled.begin(), cancelled.end(), true));
+    EXPECT_EQ(batched.size(), kEvents - cancelled_count) << "trial " << trial;
+    for (const Observation& o : batched) {
+      EXPECT_FALSE(cancelled[o.second % kClosureTag])
+          << "cancelled tag " << o.second << " fired, trial " << trial;
+    }
+  }
 }
 
 TEST(BatchTickerProperty, SuperBatchedSweepsEqualPerGroupSweeps) {
@@ -416,18 +437,13 @@ TEST(BatchTickerProperty, SuperBatchedSweepsEqualPerGroupSweeps) {
 // and such a heap with the same random scripts and compare execution traces.
 
 /// Reference model of the queue: one (time, id) binary heap over every
-/// shard's entries.  Ids are assigned in scheduling order like EventQueue's,
-/// and entries carry their shard, so a pop reports which shard the queue
-/// must have drained.
+/// pending entry.  Ids are assigned in scheduling order like EventQueue's.
 class ReferenceQueue {
  public:
-  EventId schedule_on(std::size_t shard, Time at, std::function<void()> action) {
-    heap_.push_back({at, next_id_, shard, std::move(action)});
+  EventId schedule(Time at, std::function<void()> action) {
+    heap_.push_back({at, next_id_, std::move(action)});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
     return next_id_++;
-  }
-  EventId schedule(Time at, std::function<void()> action) {
-    return schedule_on(0, at, std::move(action));
   }
   /// Pooled events run as closures: the reference models ordering only.
   EventId schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b) {
@@ -447,11 +463,10 @@ class ReferenceQueue {
   [[nodiscard]] std::size_t size() const { return heap_.size(); }
   [[nodiscard]] Time next_time() const { return heap_.front().at; }
 
-  void pop_and_run(std::size_t* shard_out = nullptr) {
+  void pop_and_run() {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     Entry entry = std::move(heap_.back());
     heap_.pop_back();
-    if (shard_out != nullptr) *shard_out = entry.shard;
     entry.action();
   }
 
@@ -459,7 +474,6 @@ class ReferenceQueue {
   struct Entry {
     Time at = 0.0;
     EventId id = 0;
-    std::size_t shard = 0;
     std::function<void()> action;
   };
   /// "a fires after b": a max-heap under this order pops the earliest.
@@ -568,48 +582,6 @@ TEST(TimingWheelProperty, MixedWorkloadPopsLikeTheReferenceQueue) {
   }
 }
 
-TEST(TimingWheelProperty, ShardedWheelMatchesTheReferenceQueue) {
-  // Cross-shard routing on wheel shards: the merged pop sequence, and the
-  // shard each pop drains from, must equal the reference's global order.
-  util::Rng rng(90210);
-  for (int round = 0; round < 12; ++round) {
-    const std::size_t shards = 1 + static_cast<std::size_t>(rng.uniform_int(1, 6));
-    ReferenceQueue reference;
-    EventQueue wheel(0.5);
-    wheel.set_shard_count(shards);
-    std::vector<int> reference_fired;
-    std::vector<int> wheel_fired;
-    std::vector<EventId> reference_ids;
-    std::vector<EventId> wheel_ids;
-    for (int tag = 0; tag < 200; ++tag) {
-      // Dense ties plus a far-horizon tail that lands in the spill heap.
-      const Time at = rng.bernoulli(0.8) ? std::floor(rng.uniform(0.0, 20.0))
-                                         : std::floor(rng.uniform(0.0, 30000.0));
-      const auto shard = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(shards) - 1));
-      reference_ids.push_back(reference.schedule_on(
-          shard, at, [tag, &reference_fired] { reference_fired.push_back(tag); }));
-      wheel_ids.push_back(
-          wheel.schedule_on(shard, at, [tag, &wheel_fired] { wheel_fired.push_back(tag); }));
-    }
-    for (int k = 0; k < 30; ++k) {
-      const auto victim = static_cast<std::size_t>(rng.uniform_int(0, 199));
-      EXPECT_EQ(reference.cancel(reference_ids[victim]), wheel.cancel(wheel_ids[victim]));
-    }
-    while (!reference.empty()) {
-      ASSERT_FALSE(wheel.empty());
-      EXPECT_EQ(reference.next_time(), wheel.next_time());
-      std::size_t reference_shard = 99;
-      std::size_t wheel_shard = 99;
-      reference.pop_and_run(&reference_shard);
-      wheel.pop_and_run(&wheel_shard);
-      EXPECT_EQ(reference_shard, wheel_shard) << "pop drained a different shard";
-    }
-    EXPECT_TRUE(wheel.empty());
-    EXPECT_EQ(reference_fired, wheel_fired) << "round " << round;
-  }
-}
-
 TEST(TimingWheelProperty, FarHorizonWorkloadExercisesCoarseWheelAndSpill) {
   // Telemetry sanity: a workload far beyond the near horizon must route
   // through the overflow levels (promotions as the cursor advances, a
@@ -626,21 +598,12 @@ TEST(TimingWheelProperty, FarHorizonWorkloadExercisesCoarseWheelAndSpill) {
     last = next;
     queue.pop_and_run();
   }
-  const EventQueue::WheelTelemetry telemetry = queue.wheel_telemetry();
+  const TimingWheel::Telemetry telemetry = queue.wheel_telemetry();
   EXPECT_EQ(telemetry.scheduled, 400u);
   EXPECT_GT(telemetry.overflow_promotions, 0u)
       << "50000s horizon never promoted out of the overflow levels";
   EXPECT_GT(telemetry.spill_peak, 0u)
       << "50000s horizon never reached the spill heap (near+coarse cover ~16384s)";
-}
-
-TEST(EventQueueDeathTest, ShardLayoutChangeWithPendingEventsAborts) {
-  // set_shard_count while events are pending would scramble the shard
-  // residency of queued entries; it must fail loudly, not rehome silently.
-  EventQueue queue;
-  queue.schedule(1.0, [] {});
-  EXPECT_DEATH(queue.set_shard_count(4),
-               "shard layout may only change while the queue is empty");
 }
 
 TEST(BatchTickerProperty, DestructionCancelsPendingSweeps) {

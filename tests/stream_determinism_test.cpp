@@ -230,12 +230,12 @@ TEST(DeltaMaps, ChurnRunsReproduceThemselves) {
 
 // ---------------------------------------------------------------------------
 // The sharded parallel core must be *observably invisible*: the same seed
-// at any shard count — per-shard event queues, parallel tick planning,
-// speculative plans re-planned on capacity conflicts — has to reproduce
-// every metric bit for bit against the sequential engine, across
-// algorithms, churn, capacity models and tick-shard sizes.  Only wall clock
-// and the shard diagnostics (parallel_sweeps / planned_ticks /
-// replanned_ticks / cross_shard_events / events_popped) may change.
+// at any shard count — parallel tick planning, speculative plans re-planned
+// on capacity conflicts — has to reproduce every metric bit for bit against
+// the sequential engine, across algorithms, churn, capacity models and
+// tick-shard sizes.  Only wall clock and the shard diagnostics
+// (parallel_sweeps / planned_ticks / replanned_ticks / events_popped) may
+// change.
 
 RunOutput run_sharded(RunSpec setup, std::size_t shards) {
   setup.parallel = shards;
@@ -342,14 +342,12 @@ TEST(ParallelShards, ShardDiagnosticsReportWork) {
   const RunOutput sharded = run_sharded(setup, 4);
   EXPECT_EQ(sequential.stats.parallel_sweeps, 0u);
   EXPECT_EQ(sequential.stats.planned_ticks, 0u);
-  EXPECT_EQ(sequential.stats.cross_shard_events, 0u);
   EXPECT_GT(sharded.stats.parallel_sweeps, 0u);
   EXPECT_GT(sharded.stats.planned_ticks, 0u);
   EXPECT_GE(sharded.stats.planned_ticks, sharded.stats.replanned_ticks);
   // At 50 nodes every sweep member shares suppliers, so the stale-plan
   // re-plan path must actually fire (the determinism above is not vacuous).
   EXPECT_GT(sharded.stats.replanned_ticks, 0u);
-  EXPECT_GT(sharded.stats.cross_shard_events, 0u);
 }
 
 // ---------------------------------------------------------------------------
