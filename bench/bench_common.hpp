@@ -30,7 +30,6 @@ struct BenchOptions {
   /// to exercise sweep granularity (and super-batching under lockstep)
   /// without recompiling.
   std::size_t tick_shard_size = 0;
-  bool plan_gate_recheck = false;
   std::string capacity_model = "shared-fifo";
   bool cdn_assist = false;
   double cdn_rate = 120.0;
@@ -47,7 +46,6 @@ struct BenchOptions {
       config.enable_flash_crowd(flash_crowd_joins, flash_crowd_start, flash_crowd_duration);
     }
     if (tick_shard_size > 0) config.engine.tick_shard_size = tick_shard_size;
-    config.engine.plan_gate_recheck = plan_gate_recheck;
     config.engine.supplier_capacity = exp::capacity_from_string(capacity_model);
     config.enable_cdn_assist(cdn_assist);
     config.engine.cdn_assist_rate = cdn_rate;
@@ -79,9 +77,6 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
                       "seconds over which the crowd is admitted");
   flags.define_int("tick-shard-size", 0,
                    "peers per tick shard / sweep group (0 = engine default)");
-  flags.define_bool("plan-gate-recheck", false,
-                    "debug cross-check: rebuild gated plans and assert they "
-                    "are empty (costs what the gate saves)");
   flags.define("capacity-model", "shared-fifo",
                "supplier capacity model: shared-fifo|per-link|token-bucket");
   flags.define_bool("cdn-assist", false,
@@ -105,7 +100,6 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
   options.flash_crowd_start = flags.get_double("flash-crowd-start");
   options.flash_crowd_duration = flags.get_double("flash-crowd-duration");
   options.tick_shard_size = static_cast<std::size_t>(flags.get_int("tick-shard-size"));
-  options.plan_gate_recheck = flags.get_bool("plan-gate-recheck");
   options.capacity_model = flags.get("capacity-model");
   options.cdn_assist = flags.get_bool("cdn-assist");
   options.cdn_rate = flags.get_double("cdn-rate");

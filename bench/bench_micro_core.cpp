@@ -221,15 +221,13 @@ BENCHMARK(BM_EngineDispatch)
     ->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-// Candidate-build cost: a trimmed-horizon experiment whose availability
-// views are maintained by deltas.  availability_probes counts
-// supplier-membership probes during candidate build and index_updates the
-// delta events that keep the views current, so the row pair of two sizes
-// shows how scan work and view upkeep scale with the overlay.
+// Candidate-build cost: a trimmed-horizon experiment whose plans build
+// their candidates from the neighbours' presence bits.  availability_probes
+// counts the (candidate, neighbour) pairs the builds stand for, so the rows
+// show how scan work scales with the overlay.
 void BM_BuildCandidates(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   std::uint64_t probes = 0;
-  std::uint64_t index_updates = 0;
   std::uint64_t delivered = 0;
   std::uint64_t runs = 0;
   for (auto _ : state) {
@@ -242,14 +240,11 @@ void BM_BuildCandidates(benchmark::State& state) {
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine->run());
     probes += engine->stats().availability_probes;
-    index_updates += engine->stats().index_updates;
     delivered += engine->stats().segments_delivered;
     ++runs;
   }
   state.counters["availability_probes"] =
       benchmark::Counter(static_cast<double>(probes) / static_cast<double>(runs));
-  state.counters["index_updates"] =
-      benchmark::Counter(static_cast<double>(index_updates) / static_cast<double>(runs));
   state.counters["delivered"] =
       benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
 }
@@ -267,9 +262,8 @@ BENCHMARK(BM_BuildCandidates)
 // bit-identical metrics (stream_determinism_test's ParallelShards suite and
 // Golden rows enforce that); only wall clock and the shard and drain
 // diagnostics differ, so the row pair is the speedup measurement.  The
-// drain counters (delivery_batches / delta_journal_merges /
-// superbatch_sweeps) report how much of the delivery path the batched
-// drain absorbed.  Emit BENCH_*.json via
+// drain counters (delivery_batches / superbatch_sweeps) report how much of
+// the delivery path the batched drain absorbed.  Emit BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_ShardedDispatch
 //     --benchmark_out=BENCH_sharded_dispatch.json --benchmark_out_format=json
 void BM_ShardedDispatch(benchmark::State& state) {
@@ -279,7 +273,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
   std::uint64_t sweeps = 0;
   std::uint64_t replanned = 0;
   std::uint64_t batches = 0;
-  std::uint64_t merges = 0;
   std::uint64_t superbatches = 0;
   std::uint64_t runs = 0;
   for (auto _ : state) {
@@ -297,7 +290,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
     sweeps += engine->stats().parallel_sweeps;
     replanned += engine->stats().replanned_ticks;
     batches += engine->stats().delivery_batches;
-    merges += engine->stats().delta_journal_merges;
     superbatches += engine->stats().superbatch_sweeps;
     ++runs;
   }
@@ -309,8 +301,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(replanned) / static_cast<double>(runs));
   state.counters["delivery_batches"] =
       benchmark::Counter(static_cast<double>(batches) / static_cast<double>(runs));
-  state.counters["delta_journal_merges"] =
-      benchmark::Counter(static_cast<double>(merges) / static_cast<double>(runs));
   state.counters["superbatch_sweeps"] =
       benchmark::Counter(static_cast<double>(superbatches) / static_cast<double>(runs));
 }
@@ -340,7 +330,6 @@ void BM_FullPipeline(benchmark::State& state) {
   std::uint64_t wheeled = 0;
   std::uint64_t promotions = 0;
   std::uint64_t spill_peak = 0;
-  std::uint64_t gated = 0;
   std::uint64_t built = 0;
   std::uint64_t runs = 0;
   for (auto _ : state) {
@@ -364,7 +353,6 @@ void BM_FullPipeline(benchmark::State& state) {
     wheeled += engine->stats().events_wheeled;
     promotions += engine->stats().wheel_overflow_promotions;
     spill_peak = std::max(spill_peak, engine->stats().spill_heap_peak);
-    gated += engine->stats().plans_gated;
     built += engine->stats().plans_built;
     ++runs;
   }
@@ -387,8 +375,6 @@ void BM_FullPipeline(benchmark::State& state) {
   state.counters["wheel_overflow_promotions"] =
       benchmark::Counter(static_cast<double>(promotions) / static_cast<double>(runs));
   state.counters["spill_heap_peak"] = benchmark::Counter(static_cast<double>(spill_peak));
-  state.counters["plans_gated"] =
-      benchmark::Counter(static_cast<double>(gated) / static_cast<double>(runs));
   state.counters["plans_built"] =
       benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
 }
@@ -410,7 +396,6 @@ void BM_MillionPeer(benchmark::State& state) {
   double bytes_per_peer = 0.0;
   double peak_rss = 0.0;
   std::uint64_t wheeled = 0;
-  std::uint64_t gated = 0;
   std::uint64_t built = 0;
   std::uint64_t runs = 0;
   for (auto _ : state) {
@@ -427,7 +412,6 @@ void BM_MillionPeer(benchmark::State& state) {
     bytes_per_peer += engine->stats().bytes_per_peer;
     peak_rss += static_cast<double>(engine->stats().peak_rss_bytes);
     wheeled += engine->stats().events_wheeled;
-    gated += engine->stats().plans_gated;
     built += engine->stats().plans_built;
     ++runs;
   }
@@ -439,8 +423,6 @@ void BM_MillionPeer(benchmark::State& state) {
       benchmark::Counter(peak_rss / static_cast<double>(runs) / (1024.0 * 1024.0));
   state.counters["events_wheeled"] =
       benchmark::Counter(static_cast<double>(wheeled) / static_cast<double>(runs));
-  state.counters["plans_gated"] =
-      benchmark::Counter(static_cast<double>(gated) / static_cast<double>(runs));
   state.counters["plans_built"] =
       benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
 }

@@ -53,9 +53,6 @@ int main(int argc, char** argv) {
                "supplier capacity model: shared-fifo|per-link|token-bucket");
   flags.define_double("token-bucket-burst", 4.0,
                       "token-bucket burst depth in segments (>= 1)");
-  flags.define_bool("plan-gate-recheck", false,
-                    "debug cross-check: rebuild gated plans and assert they "
-                    "are empty (costs what the gate saves)");
   flags.define_bool("delta-maps", false,
                     "charge availability gossip as buffer-map deltas (lowers the "
                     "overhead metric)");
@@ -106,7 +103,6 @@ int main(int argc, char** argv) {
   base.priority.traditional_rarity = flags.get_bool("traditional-rarity");
   base.engine.supplier_capacity = gs::exp::capacity_from_string(flags.get("capacity-model"));
   base.engine.token_bucket_burst = flags.get_double("token-bucket-burst");
-  base.engine.plan_gate_recheck = flags.get_bool("plan-gate-recheck");
   base.engine.delta_maps = flags.get_bool("delta-maps");
   base.engine.map_refresh_period = static_cast<std::size_t>(flags.get_int("map-refresh"));
   base.engine.tick_shard_size = static_cast<std::size_t>(flags.get_int("tick-shard"));
@@ -135,12 +131,11 @@ int main(int argc, char** argv) {
 
   if (flags.get_bool("print-diagnostics")) {
     std::printf("\nengine diagnostics (one fast-algorithm trial per size)\n");
-    std::printf("%8s %12s %12s %12s %9s %9s %10s %11s %11s %9s %9s %10s %12s %11s %10s "
+    std::printf("%8s %12s %12s %12s %9s %9s %11s %9s %9s %10s %11s %10s "
                 "%8s %10s %9s %8s %8s %11s %9s\n",
-                "peers", "events", "wheeled", "probes", "promo", "spill_pk", "idx_upd",
-                "plans_gated", "plans_built", "sweeps", "replan", "dlv_batch",
-                "journal_mrg", "superbatch", "colour_cls", "fixups", "par_commit",
-                "flash", "cdn_mb", "assisted", "bytes/peer", "rss_mb");
+                "peers", "events", "wheeled", "probes", "promo", "spill_pk", "plans_built",
+                "sweeps", "replan", "dlv_batch", "superbatch", "colour_cls", "fixups",
+                "par_commit", "flash", "cdn_mb", "assisted", "bytes/peer", "rss_mb");
     for (const std::size_t n : sizes) {
       gs::exp::Config config = base;
       config.node_count = n;
@@ -163,20 +158,17 @@ int main(int argc, char** argv) {
         std::snprintf(rss_mb, sizeof(rss_mb), "n/a");
       }
       std::printf(
-          "%8zu %12llu %12llu %12llu %9llu %9llu %10llu %11llu %11llu %9llu %9llu "
-          "%10llu %12llu %11llu %10llu %8llu %10llu %9zu %8.1f %8zu %11s %9s\n",
+          "%8zu %12llu %12llu %12llu %9llu %9llu %11llu %9llu %9llu "
+          "%10llu %11llu %10llu %8llu %10llu %9zu %8.1f %8zu %11s %9s\n",
           n, static_cast<unsigned long long>(s.events_popped),
           static_cast<unsigned long long>(s.events_wheeled),
           static_cast<unsigned long long>(s.availability_probes),
           static_cast<unsigned long long>(s.wheel_overflow_promotions),
           static_cast<unsigned long long>(s.spill_heap_peak),
-          static_cast<unsigned long long>(s.index_updates),
-          static_cast<unsigned long long>(s.plans_gated),
           static_cast<unsigned long long>(s.plans_built),
           static_cast<unsigned long long>(s.parallel_sweeps),
           static_cast<unsigned long long>(s.replanned_ticks),
           static_cast<unsigned long long>(s.delivery_batches),
-          static_cast<unsigned long long>(s.delta_journal_merges),
           static_cast<unsigned long long>(s.superbatch_sweeps),
           static_cast<unsigned long long>(s.commit_colour_classes),
           static_cast<unsigned long long>(s.commit_conflict_fixups),

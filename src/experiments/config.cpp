@@ -90,9 +90,18 @@ void Config::validate() const {
       throw std::invalid_argument("churn fractions must be in [0, 1]");
     }
   }
-  // Joiners draw their ping from a Pareto with this minimum.
+  // Joiners draw their ping from a Pareto with this minimum and shape,
+  // capped at join_ping_cap_ms: a NaN shape reaches the simulator as a NaN
+  // delay, a shape <= 0 puts every draw at the cap or below the minimum,
+  // and std::min ignores a NaN cap.
   if (!(engine.join_ping_min_ms > 0.0)) {
     throw std::invalid_argument("join_ping_min_ms must be positive");
+  }
+  if (!(engine.join_ping_shape > 0.0)) {
+    throw std::invalid_argument("join_ping_shape must be positive");
+  }
+  if (!(engine.join_ping_cap_ms >= engine.join_ping_min_ms)) {
+    throw std::invalid_argument("join_ping_cap_ms must be >= join_ping_min_ms");
   }
   // The warm start seeds each playback cursor `lag` segments behind the
   // head: a negative lag puts it past the head, and NaN goes through

@@ -63,10 +63,7 @@ net::NodeId MembershipProtocol::join() {
   while (made < want && attempts < want * 20 + 20) {
     ++attempts;
     const net::NodeId peer = random_live();
-    if (graph_.add_edge(v, peer)) {
-      ++made;
-      if (on_edge_added_) on_edge_added_(v, peer);
-    }
+    if (graph_.add_edge(v, peer)) ++made;
   }
   mark_live(v);
   ++joins_;
@@ -95,10 +92,7 @@ void MembershipProtocol::repair_node(net::NodeId v) {
     ++attempts;
     const net::NodeId peer = random_live();
     if (peer == v || !alive(peer)) continue;
-    if (graph_.add_edge(v, peer)) {
-      if (overhead_ != nullptr) overhead_->charge_membership(1);
-      if (on_edge_added_) on_edge_added_(v, peer);
-    }
+    if (graph_.add_edge(v, peer) && overhead_ != nullptr) overhead_->charge_membership(1);
   }
 }
 

@@ -53,16 +53,6 @@ class MembershipProtocol {
   /// grow its parallel per-node state).
   void set_on_join(std::function<void(net::NodeId)> callback) { on_join_ = std::move(callback); }
 
-  /// Called with every overlay edge this protocol adds (join wiring and
-  /// degree repair), after the edge is in the graph.  Lets incremental
-  /// availability views track topology changes without rescans.  During a
-  /// join, edges fire before the joiner's parallel per-node state exists;
-  /// listeners growing such state should ignore ids they do not know yet
-  /// and pick the joiner up via set_on_join.
-  void set_on_edge_added(std::function<void(net::NodeId, net::NodeId)> callback) {
-    on_edge_added_ = std::move(callback);
-  }
-
   [[nodiscard]] std::size_t join_count() const noexcept { return joins_; }
   [[nodiscard]] std::size_t leave_count() const noexcept { return leaves_; }
 
@@ -76,7 +66,6 @@ class MembershipProtocol {
   util::Rng rng_;
   OverheadAccountant* overhead_;
   std::function<void(net::NodeId)> on_join_;
-  std::function<void(net::NodeId, net::NodeId)> on_edge_added_;
 
   std::vector<char> alive_;
   std::vector<net::NodeId> live_list_;

@@ -20,7 +20,7 @@
 //
 // The engine owns the policy *inputs* (which ids are missing, whether
 // gossip suppliers cover the window — it holds the buffers, the timeline
-// and the availability views); the plane owns the per-peer state machine,
+// and the overlay); the plane owns the per-peer state machine,
 // the CDN uplink ledger and the delivery events.  Every entry point runs
 // in the engine's sequential phases, so assisted runs stay deterministic
 // for a fixed seed at every shard count — and when EngineConfig::cdn_assist

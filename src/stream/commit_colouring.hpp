@@ -1,6 +1,6 @@
 // Supplier-contention colouring for the parallel commit wave.
 //
-// Members of one sweep wave conflict when their contention sets — the alive
+// Members of one sweep wave conflict when their contention sets — the
 // neighbour sets their plans' queue-delay reads and capacity commits cover —
 // intersect.  Members with disjoint sets commute: their commits write
 // disjoint capacity state and read nothing the other writes, so they can run
@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/graph.hpp"
@@ -35,16 +36,16 @@
 namespace gs::stream {
 
 struct CommitColouring {
-  /// colour[slot] for every wave slot passed to colour_wave; slots with a
-  /// null contention set get colour 0 (they commit no capacity and read no
+  /// colour[slot] for every wave slot passed to colour_wave; slots with an
+  /// empty contention set get colour 0 (they commit no capacity and read no
   /// backlog, so any class — the first — is safe).
   std::vector<std::uint32_t> colour;
   /// One past the highest colour assigned (the class count).
   std::uint32_t classes = 0;
 
   /// Colours wave slots [0, count).  `set(slot)` returns the slot's
-  /// contention set (a pointer to its alive-neighbour list, ids
-  /// < node_count), or nullptr for slots that commit nothing.
+  /// contention set (its neighbour list, ids < node_count), empty for slots
+  /// that commit nothing.
   template <typename SetFn>
   void colour_wave(std::size_t count, std::size_t node_count, SetFn&& set) {
     if (last_colour_.size() < node_count) {
@@ -59,15 +60,14 @@ struct CommitColouring {
     colour.assign(count, 0);
     classes = count > 0 ? 1 : 0;
     for (std::size_t j = 0; j < count; ++j) {
-      const std::vector<net::NodeId>* contended = set(j);
-      if (contended == nullptr) continue;
+      const std::span<const net::NodeId> contended = set(j);
       std::uint32_t c = 0;
-      for (const net::NodeId s : *contended) {
+      for (const net::NodeId s : contended) {
         if (epoch_[s] == cur_epoch_ && last_colour_[s] + 1 > c) c = last_colour_[s] + 1;
       }
       colour[j] = c;
       if (c + 1 > classes) classes = c + 1;
-      for (const net::NodeId s : *contended) {
+      for (const net::NodeId s : contended) {
         epoch_[s] = cur_epoch_;
         last_colour_[s] = c;
       }

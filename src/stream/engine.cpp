@@ -41,20 +41,17 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
     ticker_.set_batch_sweep([this](const std::vector<std::uint32_t>& members, double now) {
       run_parallel_sweep(members, now);
     });
-    // The delivery drain partitions peers and views by id % shards and
-    // journals deltas in a shards x shards grid; the clamp bounds that grid.
+    // The delivery drain partitions peers by id % shards, in at most 64
+    // per-shard lists.
     const std::size_t shards = std::min<std::size_t>(config_.parallel_shards, 64);
     // The batched delivery drain: consecutive delivery events pop as one
-    // batch and drain through the book/tail/merge passes; same-timestamp
+    // batch and drain through the book/tail passes; same-timestamp
     // tick sweeps super-batch through BatchTicker::on_batch.  Fresh-segment
     // push reads neighbour buffers and schedules transfers per delivery,
     // which only the inline pop order reproduces — the drain stands down.
     if (!config_.push_fresh_segments) {
       data_shards_ = shards;
-      delta_journals_.resize(shards * shards);
       shard_entries_.resize(shards);
-      dirty_views_.resize(shards);
-      lane_merges_.assign(shards, 0);
       book_events_.resize(shards);
       book_current_item_.assign(shards, 0);
       transfers_.set_delivery_batch(
@@ -63,18 +60,19 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
           });
       sim_.enable_batch_pop(true);
     }
-    // One bump arena per lane: the sweep's candidate supplier lists stop
-    // falling back to the heap (the zero-allocation steady state covers
-    // the parallel lanes).  Arenas reset at wave starts only.  Lanes beyond
-    // the hardware threads only thrash the scheduler, and results never
-    // depend on the lane count, so every parallel pass runs on
-    // lane_arenas_.size() lanes.
+    // One bump arena and one build scratch per lane: the sweep's candidate
+    // supplier lists stop falling back to the heap (the zero-allocation
+    // steady state covers the parallel lanes).  Arenas reset at wave starts
+    // only.  Lanes beyond the hardware threads only thrash the scheduler,
+    // and results never depend on the lane count, so every parallel pass
+    // runs on lane_arenas_.size() lanes.
     const std::size_t lanes = std::min<std::size_t>(
         config_.parallel_shards, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
     lane_arenas_.reserve(lanes);
     for (std::size_t l = 0; l < lanes; ++l) {
       lane_arenas_.push_back(std::make_unique<util::Arena>());
     }
+    lane_scratch_.resize(lanes);
   }
   if (config_.cdn_assist) {
     // The CDN uplink runs the engine's configured contention policy over
@@ -94,14 +92,6 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   }
   // Warm-up traffic is outside the paper's measurement window.
   overhead_.set_enabled(false);
-  // Degree-repair edges appear between existing peers deep inside
-  // MembershipProtocol::leave; the availability views track them from here.
-  // Join wiring also fires, before the joiner's PeerNode exists — those
-  // edges are picked up wholesale by add_peer in handle_join.
-  membership_.set_on_edge_added([this](net::NodeId u, net::NodeId v) {
-    if (u >= peers_.size() || v >= peers_.size()) return;
-    availability_.connect(peers_, u, v);
-  });
 }
 
 void Engine::set_sources(std::vector<net::NodeId> sources, std::vector<double> switch_times) {
@@ -186,6 +176,7 @@ void Engine::tick(PeerNode& p, double now) {
   // instead — a lane's earlier plans must survive to their commit.)
   plan_arena_.reset();
   plan_seq_.arena = &plan_arena_;
+  plan_seq_.scratch = &plan_scratch_;
   tick_plan(p, now, plan_seq_);
   tick_commit(p, now, plan_seq_, /*validate=*/false);
   if (cdn_) cdn_assist_tick(p, now);
@@ -199,17 +190,11 @@ bool Engine::tick_pre(PeerNode& p, double now) {
 
   advance_playback(p, now);
   maybe_start_playback(p, now);
-  // Re-anchor the supplier window at the settled playback position so the
-  // plan phase's candidate range [from, from + B) is fully covered.  Writes
-  // only this member's own view, so the sequential pre order is preserved
-  // and the parallel plan phase sees a stable window.
-  availability_.sync_window(peers_, p.id, p.playback_anchor());
   return true;
 }
 
 void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
   plan.planned = false;
-  plan.gated = false;
   plan.split_active = false;
   plan.s1_end = kNoSegment;
   plan.candidates.clear();
@@ -222,28 +207,18 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
   plan.planned = true;
   plan.rng_before = p.rng;
   plan.stamp = capacity_commits_;
-  // The plan gate: a quiescent work lane proves the candidate build would
-  // come back empty (the availability plane saw the last event that could
-  // have created missing ∧ supplied work), and an empty build returns
-  // right below without drawing from p.rng — so skipping it wholesale is
-  // rng-neutral and every fixed-seed metric stays bit-identical.
-  if (pool_.has_work(p.id) == 0) {
-    plan.gated = true;
-    if (config_.plan_gate_recheck) recheck_gate(p, now);
-    return;
-  }
-  build_candidates(p, now, plan);
-  if (plan.candidates.empty()) {
-    // An empty build is the cheap moment to settle the conservative work
-    // summary: if the supplied ∧ ¬received scan finds nothing at or past
-    // the anchor, the view quiesces and the gate skips this peer until a
-    // delta wakes it.  View p.id belongs to this member in both dispatch
-    // paths (the plan lanes partition members), so the writes are
-    // race-free, and the decision reads only pre-wave state — identical
-    // at every shard count.
-    (void)availability_.try_quiesce(p.id, p.received, p.playback_anchor());
-    return;
-  }
+  // Ids past the old stream's last one are new-stream candidates once the
+  // peer knows the active switch's boundary.
+  const bool boundary_known = p.active_switch() >= 0 && p.known_boundary() >= p.active_switch();
+  const SegmentId s1_end =
+      boundary_known ? timeline_.session(static_cast<std::size_t>(p.active_switch())).last
+                     : kNoSegment;
+  // Probes are folded at commit: the build may run on a pool thread.
+  plan.probes = collect_candidates(p, graph_.neighbors(p.id), peers_, transfers_,
+                                   config_.buffer_capacity, s1_end, now, plan.arena,
+                                   *plan.scratch, plan.candidates);
+  // Nothing to schedule: return before the strategy draws from p.rng.
+  if (plan.candidates.empty()) return;
 
   ScheduleContext ctx;
   ctx.now = now;
@@ -256,10 +231,9 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
   ctx.buffer_capacity = config_.buffer_capacity;
   ctx.max_requests = p.in_budget().whole();
   ctx.rng = &p.rng;
-  plan.split_active = p.active_switch() >= 0 && p.known_boundary() >= p.active_switch() &&
-                      !p.sw_prepared();
+  plan.split_active = boundary_known && !p.sw_prepared();
   if (plan.split_active) {
-    plan.s1_end = timeline_.session(static_cast<std::size_t>(p.active_switch())).last;
+    plan.s1_end = s1_end;
     ctx.s1_end = plan.s1_end;
     ctx.s2_begin = ctx.s1_end + 1;
     ctx.q1_remaining = p.q1_missing();
@@ -278,13 +252,8 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
 
 void Engine::fold_plan_counters(const TickPlan& plan) {
   stats_.availability_probes += plan.probes;
-  if (plan.gated) {
-    ++stats_.plans_gated;
-    if (config_.plan_gate_recheck) ++stats_.gate_rechecks;
-  } else if (!plan.candidates.empty()) {
-    ++stats_.plans_built;
-  }
   if (plan.candidates.empty()) return;
+  ++stats_.plans_built;
   if (plan.split_active) {
     ++stats_.split_ticks;
     for (const ScheduledRequest& r : plan.requests) {
@@ -303,7 +272,7 @@ bool Engine::plan_is_stale(const PeerNode& p, const TickPlan& plan) const {
   if (dirty_supplier_.empty() || !transfers_.supplier_shared()) return false;
   // The plan's queue-delay reads covered (a subset of) the alive
   // neighbours; per-link capacity can never conflict (requester-keyed).
-  for (const net::NodeId nb : availability_.view(p.id).alive_neighbors) {
+  for (const net::NodeId nb : graph_.neighbors(p.id)) {
     if (dirty_supplier_[nb] > plan.stamp) return true;
   }
   return false;
@@ -386,6 +355,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
         count, lanes, [this, &members, base, now](std::size_t i, std::size_t lane) {
           if (!batch_plans_[i].live) return;
           batch_plans_[i].arena = lane_arenas_[lane].get();
+          batch_plans_[i].scratch = &lane_scratch_[lane];
           tick_plan(peers_[members[base + i]], now, batch_plans_[i]);
         });
     commit_wave(members, base, count, now);
@@ -418,7 +388,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
 void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t base,
                          std::size_t count, double now) {
   // Colour by supplier contention.  A slot's contention set is exactly the
-  // alive list plan_is_stale reads — it covers every supplier the plan's
+  // neighbour list plan_is_stale reads — it covers every supplier the plan's
   // queue-delay estimates touched and every capacity line its commit can
   // write, so same-colour slots neither race nor perturb each other's
   // staleness checks, and the layered rule (see commit_colouring.hpp) puts
@@ -426,10 +396,10 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
   // is requester-keyed — no conflicts, one class, no staleness.
   const bool shared = transfers_.supplier_shared();
   colouring_.colour_wave(
-      count, peers_.size(), [&](std::size_t i) -> const std::vector<net::NodeId>* {
+      count, peers_.size(), [&](std::size_t i) -> std::span<const net::NodeId> {
         const TickPlan& plan = batch_plans_[i];
-        if (!shared || !plan.live || !plan.planned || plan.candidates.empty()) return nullptr;
-        return &availability_.view(members[base + i]).alive_neighbors;
+        if (!shared || !plan.live || !plan.planned || plan.candidates.empty()) return {};
+        return graph_.neighbors(members[base + i]);
       });
   stats_.commit_colour_classes += colouring_.classes;
   if (class_slots_.size() < colouring_.classes) class_slots_.resize(colouring_.classes);
@@ -508,17 +478,21 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
 }
 
 void Engine::snapshot_and_learn(PeerNode& p) {
-  // The maintained view already holds what a per-tick exchange would
-  // deliver; the tick just reads it (and pays the wire cost).
-  const AvailabilityIndex::View& view = availability_.view(p.id);
+  // Every neighbour is alive (a leaver is isolated before anything reads
+  // the graph again), so the adjacency is the exchange's receiver set, and
+  // the maps' headers carry each neighbour's known boundary.
+  const std::span<const net::NodeId> neighbors = graph_.neighbors(p.id);
   if (config_.delta_maps) {
-    advert_availability(p, view.alive_neighbors.size());
+    advert_availability(p, neighbors.size());
   } else {
-    overhead_.charge_buffer_map_exchanges(view.alive_neighbors.size());
+    overhead_.charge_buffer_map_exchanges(neighbors.size());
   }
-  if (config_.discover_via_maps && view.boundary_max > p.known_boundary()) {
-    learn_boundaries(p, view.boundary_max, sim_.now());
+  if (!config_.discover_via_maps) return;
+  int boundary = -1;
+  for (const net::NodeId nb : neighbors) {
+    boundary = std::max(boundary, peers_[nb].known_boundary());
   }
+  if (boundary > p.known_boundary()) learn_boundaries(p, boundary, sim_.now());
 }
 
 void Engine::advert_availability(PeerNode& p, std::size_t receivers) {
@@ -551,115 +525,6 @@ void Engine::advert_availability(PeerNode& p, std::size_t receivers) {
     ++stats_.delta_adverts;
   }
   std::swap(p.advertised_map, advert_scratch_);
-}
-
-void Engine::build_candidates(PeerNode& p, double now, TickPlan& plan) {
-  std::vector<CandidateSegment>& out = plan.candidates;
-  const SegmentId from = p.playback_anchor();
-  const AvailabilityIndex::View& view = availability_.view(p.id);
-  if (view.head == kNoSegment || view.head < from) return;
-  const SegmentId to =
-      std::min<SegmentId>(view.head, from + static_cast<SegmentId>(config_.buffer_capacity) - 1);
-
-  const bool split_active =
-      p.active_switch() >= 0 && p.known_boundary() >= p.active_switch();
-  const SegmentId boundary =
-      split_active ? timeline_.session(static_cast<std::size_t>(p.active_switch())).last
-                   : kNoSegment;
-  const util::ArenaAllocator<SupplierView> salloc(plan.arena);
-
-  // Jump straight to missing-and-supplied ids: a word-level intersection
-  // of the view's windowed supplied bitset (bit j = id window_base + j)
-  // with the absolute received set.
-  const auto next_candidate = [&](SegmentId at) -> SegmentId {
-    const std::size_t pos = util::DynamicBitset::first_set_and_clear_offset(
-        view.supplied, view.window_base, p.received, static_cast<std::size_t>(at));
-    if (pos >= view.supplied_end()) return to + 1;  // nothing supplied past `at`
-    return static_cast<SegmentId>(pos);
-  };
-
-  // Neighbour-major enumeration: collect the candidate ids first (ascending,
-  // minus those whose pending request has not timed out), then walk each
-  // neighbour once across all of them.  Suppliers append in ascending
-  // neighbour order, and every probed value (outbound_rate, queue_delay,
-  // buffer state) is stable for the duration of a plan in both dispatch
-  // paths, so each neighbour's buffer, rate and queue delay are touched in
-  // one contiguous burst instead of once per (segment, neighbour) pair.
-  for (SegmentId id = next_candidate(from); id <= to; id = next_candidate(id + 1)) {
-    const double* retry_at = p.pending.find(id);
-    if (retry_at != nullptr && *retry_at > now) continue;
-    CandidateSegment c(salloc);
-    c.id = id;
-    c.epoch = (boundary != kNoSegment && id > boundary) ? StreamEpoch::kNew : StreamEpoch::kOld;
-    // One probe per (visited segment, alive neighbour) pair, charged
-    // whether or not it supplies; deferred to the commit phase because the
-    // build may run on a pool thread.
-    plan.probes += view.alive_neighbors.size();
-    // The view's supplier count is exactly how many SupplierViews the
-    // neighbour walk will append — one arena allocation per candidate
-    // instead of a doubling chain interleaved across the whole list.
-    c.suppliers.reserve(view.supplier_count[static_cast<std::size_t>(id) - view.window_base]);
-    out.push_back(std::move(c));
-  }
-  if (out.empty()) return;
-  for (const net::NodeId nb : view.alive_neighbors) {
-    const PeerNode& n = peers_[nb];
-    // Hoisted lazily on the first supplied candidate: both are invariant
-    // across the plan (rates only change in churn/setup; queue_delay reads
-    // the transfer plane no commit touches while plans are in flight).
-    double send_rate = 0.0;
-    double queue_delay = 0.0;
-    bool hoisted = false;
-    // Candidate ids ascend, so the neighbour's presence bitset is read one
-    // 64-bit word at a time instead of one bounds-checked test per
-    // (candidate, neighbour) pair.
-    const util::DynamicBitset& presence = n.buffer.presence();
-    std::size_t cached_base = ~std::size_t{0};
-    std::uint64_t cached_word = 0;
-    for (CandidateSegment& c : out) {
-      const auto pos = static_cast<std::size_t>(c.id);
-      const std::size_t base = pos - pos % 64;
-      if (base != cached_base) {
-        cached_base = base;
-        cached_word = presence.extract_word(base);
-      }
-      if (((cached_word >> (pos % 64)) & 1u) == 0) continue;
-      if (!hoisted) {
-        send_rate = n.outbound_rate();
-        // The paper's R_ij is a *measured* per-link receiving rate, which
-        // in a real system reflects the link's current load.  Expose the
-        // backlog as the initial queueing estimate so requesters spread
-        // load instead of herding onto the nominally fastest supplier.
-        queue_delay = transfers_.queue_delay(p.id, nb, now);
-        hoisted = true;
-      }
-      SupplierView s;
-      s.node = nb;
-      s.send_rate = send_rate;
-      s.buffer_position = n.buffer.position_from_tail(c.id);
-      s.queue_delay = queue_delay;
-      c.suppliers.push_back(s);
-    }
-  }
-  // The view mirrors the alive neighbours' buffers, so every collected id
-  // found at least one supplier.
-  for (const CandidateSegment& c : out) {
-    GS_DCHECK(!c.suppliers.empty()) << "candidate " << c.id << " of peer " << p.id
-                                    << " has no supplier";
-  }
-}
-
-void Engine::recheck_gate(PeerNode& p, double now) {
-  // Scratch plan on the stack: the real plan must stay untouched (the gate
-  // skipped it before any field beyond the prologue was written).  The
-  // build allocates supplier lists only when a candidate has a supplier,
-  // which the check forbids — so no arena is needed.
-  TickPlan scratch;
-  scratch.candidates.clear();
-  build_candidates(p, now, scratch);
-  GS_CHECK(scratch.candidates.empty())
-      << "plan gate fired for peer " << p.id << " with " << scratch.candidates.size()
-      << " buildable candidates at t=" << now;
 }
 
 bool Engine::issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double now,
@@ -755,15 +620,13 @@ void Engine::cdn_assist_tick(PeerNode& p, double now) {
 }
 
 bool Engine::cdn_window_covered(const PeerNode& p, SegmentId begin, SegmentId end) const {
-  // Direct neighbour-buffer probes: the windowed views may not cover a
-  // far-ahead patch window.  Only assisting mid-switch peers pay this scan,
-  // and only until their handoff.
+  // Only assisting mid-switch peers pay this scan, and only until their
+  // handoff.
   for (SegmentId id = begin; id <= end; ++id) {
     if (p.has_received(id)) continue;
     bool supplied = false;
     for (const net::NodeId nb : graph_.neighbors(p.id)) {
-      const PeerNode& n = peers_[nb];
-      if (n.alive() && n.buffer.contains(id)) {
+      if (peers_[nb].buffer.contains(id)) {
         supplied = true;
         break;
       }
@@ -793,15 +656,11 @@ void Engine::on_delivery(net::NodeId to, SegmentId id) {
 }
 
 void Engine::deliver_segment(PeerNode& p, SegmentId id, double now, bool count_wire) {
-  SegmentId evicted = kNoSegment;
-  if (!p.mark_received(id, &evicted)) {
+  if (!p.mark_received(id)) {
     ++p.duplicates_received;
     ++stats_.duplicates;
     return;
   }
-  // Publish the buffer change to the neighbourhood's availability views.
-  availability_.on_gain(graph_, p.id, id);
-  if (evicted != kNoSegment) availability_.on_evict(graph_, peers_, p.id, evicted);
   deliver_bookkeeping(p, id, now, count_wire);
 }
 
@@ -831,20 +690,6 @@ void Engine::deliver_bookkeeping(PeerNode& p, SegmentId id, double now, bool cou
   }
 }
 
-void Engine::emit_view_deltas(net::NodeId owner, SegmentId gained, SegmentId evicted) {
-  // Two passes to mirror the inline order per view: every gain before any
-  // eviction (on_gain's whole neighbour loop runs before on_evict's).  The
-  // owner's shard is the book lane draining it, so the row is lane-private.
-  const std::size_t row = (owner % data_shards_) * data_shards_;
-  for (const net::NodeId nb : graph_.neighbors(owner)) {
-    delta_journals_[row + nb % data_shards_].push_back({nb, gained, ViewDelta::Kind::kGain});
-  }
-  if (evicted == kNoSegment) return;
-  for (const net::NodeId nb : graph_.neighbors(owner)) {
-    delta_journals_[row + nb % data_shards_].push_back({nb, evicted, ViewDelta::Kind::kEvict});
-  }
-}
-
 void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t count) {
   // A single-event run degenerates to the inline pop (the simulator's
   // clock already sits at the item's time).
@@ -870,11 +715,10 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   // Book wave: lane s drains shard s's items strictly in pop order —
   // pending erase, buffer mark, and for fresh deliveries the full per-peer
   // bookkeeping (boundary learning, switch progress, playback), all of
-  // which writes only the target peer's own state plus the lane's private
-  // journal row.  book_phase_ reroutes the globally ordered side effects —
-  // wire counters, metric pushes, experiment completion — into the lane's
-  // BookEvent log, keyed by the item being drained; boundary gossip
-  // journals as kBoundary deltas instead of writing neighbour views.
+  // which writes only the target peer's own state.  book_phase_ reroutes
+  // the globally ordered side effects — wire counters, metric pushes,
+  // experiment completion — into the lane's BookEvent log, keyed by the
+  // item being drained.
   for (std::vector<BookEvent>& log : book_events_) log.clear();
   book_phase_ = true;
   util::global_pool().run_batch(shards, lanes, [this, items](std::size_t s) {
@@ -885,14 +729,12 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
       PeerNode& p = peers_[to];
       p.pending.erase(id);
       if (!p.alive()) continue;  // left while the segment was in flight
-      SegmentId evicted = kNoSegment;
-      if (!p.mark_received(id, &evicted)) {
+      if (!p.mark_received(id)) {
         // The duplicate counters are globally ordered — tail work.
         batch_outcomes_[idx] = MarkOutcome::kDuplicate;
         continue;
       }
       batch_outcomes_[idx] = MarkOutcome::kFresh;
-      emit_view_deltas(to, id, evicted);
       deliver_bookkeeping(p, id, items[idx].at, /*count_wire=*/true);
     }
   });
@@ -951,57 +793,18 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   // prepared flags the inline order never reaches, and censor_unfinished
   // reads those flags after the run.  Every logged event marks a
   // false->true transition, so reverting is clearing.  The other post-stop
-  // phase effects (buffer marks, playback, gates, journalled deltas) are
-  // unobservable — nothing reads them after the stop.
+  // phase effects (buffer marks, playback, gates) are unobservable —
+  // nothing reads them after the stop.
   for (; ev < book_merged_.size(); ++ev) {
     const BookEvent& e = book_merged_[ev];
     if (e.kind == BookEvent::Kind::kFinish) peers_[e.peer].sw_finished() = false;
     if (e.kind == BookEvent::Kind::kPrepared) peers_[e.peer].sw_prepared() = false;
   }
-
-  // Merge wave: lane t applies the journalled deltas of the views shard t
-  // owns, walking the journal rows in source order (per-owner delta
-  // streams live in one row and stay ordered; cross-owner deltas commute
-  // on the supplier counts).  Head recomputation reads other peers'
-  // buffers, so it waits for the barrier and runs sequentially against the
-  // settled state — which is exactly the head the inline order ends at.
-  util::global_pool().run_batch(shards, lanes, [this](std::size_t t) {
-    std::vector<net::NodeId>& dirty = dirty_views_[t];
-    dirty.clear();
-    std::uint64_t applied = 0;
-    for (std::size_t s = 0; s < data_shards_; ++s) {
-      for (const ViewDelta& d : delta_journals_[s * data_shards_ + t]) {
-        switch (d.kind) {
-          case ViewDelta::Kind::kGain:
-            availability_.apply_gain(d.view, d.id);
-            break;
-          case ViewDelta::Kind::kEvict:
-            if (availability_.apply_evict(d.view, d.id)) {
-              dirty.push_back(d.view);
-            }
-            break;
-          case ViewDelta::Kind::kBoundary:
-            availability_.apply_boundary(d.view, static_cast<int>(d.id));
-            break;
-        }
-        ++applied;
-      }
-    }
-    lane_merges_[t] = applied;
-  });
-  std::uint64_t merged = 0;
-  for (std::size_t t = 0; t < shards; ++t) {
-    for (const net::NodeId v : dirty_views_[t]) availability_.recompute_head_for(peers_, v);
-    merged += lane_merges_[t];
-  }
-  availability_.add_updates(merged);
-  stats_.delta_journal_merges += merged;
-  for (std::vector<ViewDelta>& journal : delta_journals_) journal.clear();
 }
 
 void Engine::push_to_neighbors(PeerNode& p, SegmentId id, double now) {
   // GridMedia-style relay: forward a fresh segment to random neighbours
-  // that (by our availability view) lack it.  Costs outbound capacity and
+  // that lack it.  Costs outbound capacity and
   // data bits; duplicates arriving concurrently are counted as redundancy.
   const auto neighbors = graph_.neighbors(p.id);
   if (neighbors.empty()) return;
@@ -1025,20 +828,6 @@ void Engine::push_to_neighbors(PeerNode& p, SegmentId id, double now) {
 void Engine::learn_boundaries(PeerNode& p, int up_to, double now) {
   if (up_to <= p.known_boundary()) return;
   p.known_boundary() = up_to;
-  if (book_phase_) {
-    // Split book phase: boundary gossip writes *neighbour* views, which
-    // other lanes own — journal it like the gain/evict deltas (the
-    // learning peer's shard is this lane's shard).  boundary_max is
-    // max-monotone, so the deltas commute across the merge's row order,
-    // and no view is read before the next tick pre — after the merge.
-    const std::size_t row = (p.id % data_shards_) * data_shards_;
-    for (const net::NodeId nb : graph_.neighbors(p.id)) {
-      delta_journals_[row + nb % data_shards_].push_back(
-          {nb, static_cast<SegmentId>(up_to), ViewDelta::Kind::kBoundary});
-    }
-  } else {
-    availability_.on_boundary(graph_, p.id, up_to);
-  }
   if (p.is_source()) return;
   if (p.active_switch() >= 0 && up_to >= p.active_switch() && !p.gate_armed() &&
       p.playback.gate() == kNoSegment) {

@@ -26,7 +26,7 @@
 #include "net/latency.hpp"
 #include "sim/periodic.hpp"
 #include "sim/simulator.hpp"
-#include "stream/availability_index.hpp"
+#include "stream/candidate_build.hpp"
 #include "stream/cdn_assist.hpp"
 #include "stream/commit_colouring.hpp"
 #include "stream/bandwidth.hpp"
@@ -120,7 +120,8 @@ struct EngineConfig {
   ///           (availability adverts, boundary learning, playback/metrics);
   ///   plan    parallel, read-only — candidate build + strategy scheduling
   ///           (the dominant tick cost), speculated against the pre-sweep
-  ///           transfer plane; writes only the member's own rng and slot;
+  ///           transfer plane; writes only the member's own rng and slot
+  ///           and its lane's scratch;
   ///   commit  the commit wave: members whose plans touch disjoint supplier
   ///           sets commute, so the wave colours its supplier-contention
   ///           graph (contention set = the alive-neighbour set the
@@ -134,21 +135,21 @@ struct EngineConfig {
   ///           sequential engine exactly.
   /// Consecutive delivery events pop as one batch
   /// (Simulator::enable_batch_pop) and drain as a parallel per-target-shard
-  /// book phase (buffer marks, playback, per-peer counters and flags,
-  /// journalled availability and boundary deltas), a short sequential tail
-  /// that replays the metric pushes and wire counters in global pop order,
-  /// and a parallel merge of the journals per owning shard; same-timestamp
-  /// tick sweeps of different groups collapse into one super-batched
-  /// pipeline pass (BatchTicker::on_batch).  push_fresh_segments turns the
-  /// delivery batching off: push reads neighbour buffers and schedules
-  /// transfers per delivery, which requires the inline pop order.
+  /// book phase (buffer marks, boundary learning, playback, per-peer
+  /// counters and flags — each item writes only the peer it delivers to)
+  /// and a short sequential tail that replays the metric pushes and wire
+  /// counters in global pop order; same-timestamp tick sweeps of different
+  /// groups collapse into one super-batched pipeline pass
+  /// (BatchTicker::on_batch).  push_fresh_segments turns the delivery
+  /// batching off: push reads neighbour buffers and schedules transfers per
+  /// delivery, which requires the inline pop order.
   /// Pure mechanism: fixed-seed metrics are bit-identical for every shard
   /// count, including 0 (enforced by stream_determinism_test); only wall
   /// clock and the shard, drain and commit diagnostics change — plus, in
-  /// the one batch where the experiment completes, events_popped and
-  /// index_updates: the run's final batch is popped whole, so items behind
-  /// the completing delivery count as popped (their ordered bookkeeping is
-  /// skipped exactly like the inline stop skips them).
+  /// the one batch where the experiment completes, events_popped: the run's
+  /// final batch is popped whole, so items behind the completing delivery
+  /// count as popped (their ordered bookkeeping is skipped exactly like the
+  /// inline stop skips them).
   std::size_t parallel_shards = 0;
   /// kTokenBucket burst depth in segments (>= 1; 1 degenerates to
   /// kSharedFifo's serialised spacing).
@@ -163,11 +164,6 @@ struct EngineConfig {
   std::size_t flash_crowd_joins = 0;
   double flash_crowd_start = 0.5;
   double flash_crowd_duration = 2.0;
-  /// Debug cross-check of the plan gate (see tick_plan): re-run the
-  /// candidate build for every gated peer and GS_CHECK the result is empty.
-  /// Costs what the gate saves; wired into the ASan/UBSan CI job and the
-  /// PlanGate recheck tests.
-  bool plan_gate_recheck = false;
   /// Charge availability gossip as BufferMapDelta exchanges (changed-bit
   /// runs + base shift) instead of full 620-bit maps, with a full-map
   /// refresh every map_refresh_period adverts and whenever the delta would
@@ -241,19 +237,16 @@ struct EngineStats {
   /// Simulator events popped over the whole run (dispatch-cost diagnostic:
   /// one per tick sweep, delivery, generation and control event).
   std::uint64_t events_popped = 0;
-  /// Supplier-membership probes during candidate build — one per (visited
-  /// missing-and-supplied segment, alive neighbour) pair: the candidate-scan
-  /// cost diagnostic.
+  /// Supplier-membership probes during candidate build — one per
+  /// (candidate, alive neighbour) pair: the candidate-scan cost diagnostic.
   std::uint64_t availability_probes = 0;
-  /// Availability-index delta events applied.
+  /// Always 0: candidates are built from the neighbours' buffers, with no
+  /// index to update and no gate to skip a build.  Kept only because the
+  /// end-to-end benchmark (bench/e2e) still reads them.
   std::uint64_t index_updates = 0;
-  /// Plan-gate diagnostics: member ticks whose candidate build was skipped
-  /// because the work lane read quiescent, ticks that did build a
-  /// non-empty candidate list, and gated ticks cross-checked by the debug
-  /// recheck (plan_gate_recheck).
   std::uint64_t plans_gated = 0;
+  /// Member ticks whose candidate build came back non-empty.
   std::uint64_t plans_built = 0;
-  std::uint64_t gate_rechecks = 0;
   /// Full-map / delta adverts sent under delta_maps accounting.
   std::uint64_t full_map_adverts = 0;
   std::uint64_t delta_adverts = 0;
@@ -270,12 +263,13 @@ struct EngineStats {
   std::uint64_t cross_shard_events = 0;
   /// Delivery-drain diagnostics (parallel_shards > 0 without
   /// push_fresh_segments): multi-event delivery runs drained through the
-  /// book phase, tail and merge, availability deltas merged from the
-  /// per-lane journals, and same-timestamp sweep runs collapsed into one
+  /// book phase and tail, and same-timestamp sweep runs collapsed into one
   /// super-batched pipeline pass.
   std::uint64_t delivery_batches = 0;
-  std::uint64_t delta_journal_merges = 0;
   std::uint64_t superbatch_sweeps = 0;
+  /// Always 0: the drain keeps no journals.  Kept only because the
+  /// end-to-end benchmark (bench/e2e) still reads it.
+  std::uint64_t delta_journal_merges = 0;
   /// Commit-wave diagnostics (parallel_shards > 0 only): colour classes
   /// executed across all commit waves; members that went stale mid-class
   /// and drained through the sequential fixup queue (always equal to
@@ -411,7 +405,6 @@ class Engine {
   struct TickPlan {
     bool live = false;     ///< tick_pre ran (alive non-source member)
     bool planned = false;  ///< the budget allowed a candidate build
-    bool gated = false;    ///< the plan gate skipped the candidate build
     util::Rng rng_before;  ///< p.rng before planning (restored on re-plan)
     /// capacity_commits_ when the plan was derived: commits stamped later
     /// than this are the ones the plan could not have observed.
@@ -446,6 +439,9 @@ class Engine {
     /// heap).  Fixup re-plans reuse it on the drain thread; lanes reset at
     /// wave start only, so same-lane plans coexist until commit.
     util::Arena* arena = nullptr;
+    /// Candidate-build scratch of the same lane (only live during a build,
+    /// so the drain thread's fixup re-plans can borrow it too).
+    CandidateScratch* scratch = nullptr;
   };
 
   void tick(PeerNode& p, double now);
@@ -453,16 +449,11 @@ class Engine {
   /// playback — every tick effect another peer (or the timeline) can
   /// observe.  False when the peer does not tick (source / dead).
   bool tick_pre(PeerNode& p, double now);
-  /// Phase 2: the plan gate, then candidate build + strategy scheduling
-  /// into `plan`.  Reads shared state, writes only `plan`, p.rng and p's
-  /// own availability view — safe to run concurrently for distinct peers
-  /// while nothing else mutates.
-  ///
-  /// The gate skips the candidate build for peers whose work lane
-  /// (PeerPool::has_work, mirrored from the availability view's work
-  /// summary) reads quiescent: such a build would come back empty, and an
-  /// empty build returns before any strategy rng draw, so skipping it is
-  /// rng-neutral and every fixed-seed metric is unchanged.
+  /// Phase 2: candidate build (collect_candidates, word-parallel from the
+  /// neighbours' presence bits) + strategy scheduling into `plan`.  Reads
+  /// shared state, writes only `plan`, p.rng and the plan's scratch — safe
+  /// to run concurrently for distinct peers while nothing else mutates.  An
+  /// empty build returns before any strategy rng draw.
   void tick_plan(PeerNode& p, double now, TickPlan& plan);
   /// Phase 3: drains the plan in deterministic order — counters, request
   /// issue with rejection fallback, capacity commits.  With `validate` (a
@@ -470,7 +461,7 @@ class Engine {
   /// dirtied issues nothing and raises plan.fixup instead.
   void tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate);
   /// Folds a planned tick's plan counters into the stats: availability
-  /// probes, the gate outcome, and for a non-empty candidate set the split
+  /// probes, and for a non-empty candidate set the built plan, the split
   /// ticks, old/new stream requests and the candidate/request totals.
   /// tick_commit calls it inline; the commit wave's final drain calls it
   /// from each plan's final contents.
@@ -484,20 +475,11 @@ class Engine {
   /// pool, then the commit wave (see EngineConfig::parallel_shards).
   void run_parallel_sweep(const std::vector<std::uint32_t>& members, double now);
   /// Availability exchange bookkeeping + boundary discovery, read off the
-  /// peer's maintained availability view.
+  /// neighbours' known boundaries.
   void snapshot_and_learn(PeerNode& p);
   /// Charges one availability advert from `p` to its `receivers` alive
   /// neighbours under delta_maps accounting (delta or periodic full map).
   void advert_availability(PeerNode& p, std::size_t receivers);
-  /// Missing-and-supplied ids in the request window, enumerated from the
-  /// view's supplied bitset, with suppliers collected neighbour-major: each
-  /// alive neighbour's rate and queue delay are read once per plan instead
-  /// of once per (segment, neighbour) probe.
-  void build_candidates(PeerNode& p, double now, TickPlan& plan);
-  /// Debug cross-check for the plan gate (config_.plan_gate_recheck): runs
-  /// the full candidate build for a gated-out peer on scratch state and
-  /// GS_CHECKs that it really had nothing schedulable.
-  void recheck_gate(PeerNode& p, double now);
   /// Issues one scheduled request.  Inline mode (plan.stage false, the
   /// sequential tick) posts the delivery event and bumps the global
   /// counters directly; stage mode stages the delivery into the plan,
@@ -519,8 +501,7 @@ class Engine {
   /// inbound budget.
   void cdn_assist_tick(PeerNode& p, double now);
   /// Every missing id in [begin, end] has at least one alive neighbour
-  /// holding it.  Probes neighbour buffers directly: the patch window may
-  /// lie beyond the availability views' supplier window.
+  /// holding it (the patch window may lie beyond the request window).
   [[nodiscard]] bool cdn_window_covered(const PeerNode& p, SegmentId begin,
                                         SegmentId end) const;
   void on_cdn_delivery(net::NodeId to, SegmentId id);
@@ -528,25 +509,25 @@ class Engine {
   // --- data path ---
   void on_delivery(net::NodeId to, SegmentId id);
   void deliver_segment(PeerNode& p, SegmentId id, double now, bool count_wire);
-  /// Everything after the buffer write and availability deltas of a fresh
-  /// delivery: wire accounting, boundary learning, switch progress,
-  /// playback.  Split out so the batched drain's book phase can run it
-  /// after its own buffer mark and journalled deltas.
+  /// Everything after the buffer write of a fresh delivery: wire
+  /// accounting, boundary learning, switch progress, playback.  Split out
+  /// so the batched drain's book phase can run it after its own buffer
+  /// mark.
   void deliver_bookkeeping(PeerNode& p, SegmentId id, double now, bool count_wire);
   void push_to_neighbors(PeerNode& p, SegmentId id, double now);
 
   // --- batched delivery drain (parallel_shards > 0, no push) ---
   //
   // A batched run of delivery events (TransferPlane::set_delivery_batch)
-  // drains in three passes that reproduce the inline pop sequence exactly:
+  // drains in two passes that reproduce the inline pop sequence exactly:
   //   book    parallel per target-peer shard, each shard's items in pop
   //           order — pending erase, buffer mark and, for a fresh delivery,
   //           every per-peer effect (boundary learning, switch progress,
-  //           playback) with book_phase_ set.  Availability and boundary
-  //           deltas for neighbour views go to per-(lane, owner-shard)
-  //           journals; the globally ordered side effects — metric pushes,
-  //           wire counters, experiment completion — go to per-shard
-  //           BookEvent logs keyed by the batch item being drained;
+  //           playback) with book_phase_ set.  Each item writes only the
+  //           peer it delivers to; the globally ordered side effects —
+  //           metric pushes, wire counters, experiment completion — go to
+  //           per-shard BookEvent logs keyed by the batch item being
+  //           drained;
   //   tail    sequential, pop order — the logged events are stable-sorted
   //           by item (within an item they are already in call order: one
   //           item's events land in one shard's log back to back) and
@@ -554,16 +535,8 @@ class Engine {
   //           the completing item exactly like the inline pop loop and
   //           un-setting the finished/prepared flags any post-stop phase
   //           work raised, so the end-of-run censoring sees the inline
-  //           state;
-  //   merge   parallel per owning shard — each lane applies the journalled
-  //           deltas of the views its shard owns (source-lane order;
-  //           per-owner delta streams stay ordered, cross-owner deltas
-  //           commute), then dirty cached heads are recomputed
-  //           sequentially from the settled buffers.
+  //           state.
   void on_delivery_batch(const sim::PooledBatchItem* items, std::size_t count);
-  /// Stages one delivery's availability deltas (gain + optional eviction)
-  /// into the journal row of the owner's shard.
-  void emit_view_deltas(net::NodeId owner, SegmentId gained, SegmentId evicted);
   /// One deferred globally-ordered side effect of the book phase.
   struct BookEvent {
     enum class Kind : std::uint8_t { kFinish, kPrepared, kS2Start };
@@ -572,16 +545,6 @@ class Engine {
     int sw = 0;              ///< switch index
     net::NodeId peer = 0;
     double time = 0.0;       ///< playback/wall time to push (pre-offset)
-  };
-  /// One journalled availability delta: apply a gain/evict of `id` — or a
-  /// boundary raise to `id` (the boundary index rides in the id field;
-  /// max-monotone, so boundary deltas commute with everything) — to
-  /// views_[view] (owned by shard view % data_shards_).
-  struct ViewDelta {
-    enum class Kind : std::uint8_t { kGain, kEvict, kBoundary };
-    net::NodeId view = 0;
-    SegmentId id = kNoSegment;
-    Kind kind = Kind::kGain;
   };
   /// Per-delivery outcome of the book phase's buffer mark.
   enum class MarkOutcome : std::uint8_t {
@@ -619,9 +582,6 @@ class Engine {
   SegmentRegistry registry_;
   TransferPlane transfers_;
   SwitchTimeline timeline_;
-  /// Per-peer neighbour-availability views and the plan gate's work
-  /// summaries (built at the start of run()).
-  AvailabilityIndex availability_;
   /// CDN patch-source plane (config_.cdn_assist; null otherwise, so the
   /// disabled engine is byte-for-byte the pre-CDN engine).
   std::unique_ptr<CdnAssistPlane> cdn_;
@@ -637,6 +597,8 @@ class Engine {
   /// parallel plan lanes bump their own lane_arenas_).  Reset at the top of
   /// every sequential plan — prior plans are dead by then.
   util::Arena plan_arena_;
+  /// The sequential plan's candidate-build scratch.
+  CandidateScratch plan_scratch_;
   /// Advert scratch: build_map_into target reused across all peers' adverts
   /// (swapped with p.advertised_map under delta accounting).
   gossip::BufferMap advert_scratch_;
@@ -652,17 +614,10 @@ class Engine {
   std::uint64_t capacity_commits_ = 0;
 
   /// Batched delivery drain state (sized only when the drain is active).
-  /// Peer/view ownership shard = id % data_shards_ (0 = drain inactive).
+  /// Peer ownership shard = id % data_shards_ (0 = drain inactive).
   std::size_t data_shards_ = 0;
-  /// Journal row-major layout: journal of (source s, owning shard t) at
-  /// s * data_shards_ + t.  Buckets keep their capacity across batches.
-  std::vector<std::vector<ViewDelta>> delta_journals_;
   /// Per target-peer shard: indices into the current batch, pop order.
   std::vector<std::vector<std::uint32_t>> shard_entries_;
-  /// Views whose cached head an eviction invalidated, per owning shard.
-  std::vector<std::vector<net::NodeId>> dirty_views_;
-  /// Deltas applied per merge lane (summed into availability updates).
-  std::vector<std::uint64_t> lane_merges_;
   std::vector<MarkOutcome> batch_outcomes_;
 
   // --- plan lanes, commit wave and book phase state (parallel mode) ---
@@ -673,6 +628,8 @@ class Engine {
   /// their commit.  Arena is pinned (non-movable), hence the unique_ptr
   /// pool.
   std::vector<std::unique_ptr<util::Arena>> lane_arenas_;
+  /// One candidate-build scratch per lane, beside its arena.
+  std::vector<CandidateScratch> lane_scratch_;
   /// Layered supplier-contention colouring scratch, reused across waves.
   CommitColouring colouring_;
   /// Class-bucketed wave slots: class_slots_[colour] lists the wave slots

@@ -114,9 +114,8 @@ void Engine::handle_leave(net::NodeId v) {
   p.alive() = false;
   ticker_.remove_member(p.tick_group, p.id);
   p.tick_group = kNoTickGroup;
-  // Unregister from the neighbourhood views while the graph still has v's
-  // edges; the repair edges membership adds below re-enter via connect().
-  availability_.remove_peer(graph_, peers_, v);
+  // Isolates v before anything reads the graph again, so every adjacency
+  // list the engine reads names alive peers only.
   membership_.leave(v);
   ++stats_.leaves;
   if (p.tracked() && p.active_switch() >= 0) {
@@ -168,7 +167,6 @@ net::NodeId Engine::handle_join() {
       p.start_id() <= timeline_.session(static_cast<std::size_t>(current)).last) {
     timeline_.init_switch_counters(p, current, sim_.now(), config_.q_startup);
   }
-  availability_.add_peer(graph_, peers_, v);
   start_peer_tick(p, /*initial=*/false);
   return v;
 }
@@ -274,11 +272,6 @@ std::vector<SwitchMetrics> Engine::run() {
   GS_CHECK(peers_.empty()) << "run() may only be called once";
   init_peers();
   if (config_.warm_start) warm_start_state();
-  // Build the availability views from the settled (possibly warm-started)
-  // buffers; every later change flows in as a delta event.  Each view's
-  // work summary feeds the pool's has_work lane, which tick_plan's gate
-  // reads.
-  availability_.build(graph_, peers_, config_.buffer_capacity, pool_);
   start_session(0);
   for (std::size_t i = 0; i < timeline_.switch_count(); ++i) {
     schedule_switch(static_cast<int>(i));
@@ -323,7 +316,6 @@ std::vector<SwitchMetrics> Engine::run() {
       (timeline_.switch_count() == 0 ? 0.0 : timeline_.switch_times().back()) +
       config_.horizon;
   stats_.events_popped = sim_.run_until(stop_at);
-  stats_.index_updates = availability_.updates_applied();
   stats_.superbatch_sweeps = ticker_.superbatch_count();
   // Lane-arena telemetry: total chunk allocations ever, the total frozen
   // when the adaptive fence armed (0 = never armed), and those past the

@@ -13,16 +13,14 @@ SegmentId next_missing(const util::DynamicBitset& bits, SegmentId from) {
   return static_cast<SegmentId>(pos);  // == bits.size() means "just past", still correct
 }
 
-bool PeerNode::mark_received(SegmentId id, SegmentId* evicted) {
-  if (evicted != nullptr) *evicted = kNoSegment;
+bool PeerNode::mark_received(SegmentId id) {
   if (static_cast<std::size_t>(id) >= received.size()) {
     received.resize(std::max<std::size_t>(static_cast<std::size_t>(id) + 1,
                                           received.size() * 2 + 64));
   }
   if (received.test(static_cast<std::size_t>(id))) return false;
   received.set(static_cast<std::size_t>(id));
-  const SegmentId victim = buffer.insert(id);
-  if (evicted != nullptr) *evicted = victim;
+  buffer.insert(id);
   return true;
 }
 

@@ -125,19 +125,14 @@ struct PeerNode {
   [[nodiscard]] std::uint8_t& strategy_index() { return pool().strategy(idx_); }
 
   /// Marks `id` received (growing the bitset as needed) and inserts it into
-  /// the stream buffer.  Returns false when it was already received.  When
-  /// the insert evicts a segment, its id is reported through `evicted`
-  /// (kNoSegment otherwise) so availability views can track the loss.
-  bool mark_received(SegmentId id, SegmentId* evicted = nullptr);
+  /// the stream buffer.  Returns false when it was already received.
+  bool mark_received(SegmentId id);
 
   /// True when `id` is a valid, already-received segment id.
   [[nodiscard]] bool has_received(SegmentId id) const noexcept;
 
   /// First id this peer currently wants: the playback cursor once started,
-  /// start_id before.  The candidate range, the windowed availability
-  /// anchor and the per-tick window sync all derive from this one value —
-  /// their agreement is what guarantees the sliding window always covers
-  /// the candidate scan.
+  /// start_id before.  The candidate build's request window starts here.
   [[nodiscard]] SegmentId playback_anchor() const {
     return playback.started() ? playback.cursor() : start_id();
   }

@@ -11,9 +11,6 @@ void PeerPool::resize(std::size_t n) {
   sw_prepared_.resize(n, 0);
   tracked_.resize(n, 0);
   gate_armed_.resize(n, 0);
-  // Work lane defaults to "has work" so peers never get gated before the
-  // availability plane builds their view (or at all, when tracking is off).
-  has_work_.resize(n, 1);
   strategy_.resize(n, 0);
   inbound_rate_.resize(n, 0.0);
   outbound_rate_.resize(n, 0.0);
@@ -40,7 +37,6 @@ std::size_t PeerPool::memory_bytes() const noexcept {
   count(sw_prepared_);
   count(tracked_);
   count(gate_armed_);
-  count(has_work_);
   count(strategy_);
   count(inbound_rate_);
   count(outbound_rate_);

@@ -45,14 +45,6 @@ class PeerPool {
   [[nodiscard]] std::uint8_t& sw_prepared(std::size_t i) noexcept { return sw_prepared_[i]; }
   [[nodiscard]] std::uint8_t& tracked(std::size_t i) noexcept { return tracked_[i]; }
   [[nodiscard]] std::uint8_t& gate_armed(std::size_t i) noexcept { return gate_armed_[i]; }
-  /// Plan-gate work lane: nonzero while the availability plane sees at
-  /// least one missing-and-supplied segment for this peer (1 until the
-  /// plane's build() computes it, so the gate never closes spuriously).  One byte
-  /// per peer rather than one bit: entries are written by whichever shard
-  /// owns the peer's view during the parallel delivery merge, and adjacent
-  /// peers belong to different shards — byte stores keep those writers on
-  /// distinct memory locations where bit RMWs would race.
-  [[nodiscard]] std::uint8_t& has_work(std::size_t i) noexcept { return has_work_[i]; }
   [[nodiscard]] std::uint8_t& strategy(std::size_t i) noexcept { return strategy_[i]; }
   [[nodiscard]] double& inbound_rate(std::size_t i) noexcept { return inbound_rate_[i]; }
   [[nodiscard]] double& outbound_rate(std::size_t i) noexcept { return outbound_rate_[i]; }
@@ -73,7 +65,6 @@ class PeerPool {
   std::vector<std::uint8_t> sw_prepared_;
   std::vector<std::uint8_t> tracked_;
   std::vector<std::uint8_t> gate_armed_;
-  std::vector<std::uint8_t> has_work_;
   std::vector<std::uint8_t> strategy_;
   std::vector<double> inbound_rate_;
   std::vector<double> outbound_rate_;

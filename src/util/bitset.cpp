@@ -1,6 +1,5 @@
 #include "util/bitset.hpp"
 
-#include <algorithm>
 #include <bit>
 
 #include "util/check.hpp"
@@ -58,54 +57,6 @@ std::size_t DynamicBitset::find_first_clear(std::size_t from) const noexcept {
     if (++word >= word_count()) return bits_;
     current = ~words_[word];
   }
-}
-
-std::size_t DynamicBitset::first_set_and_clear(const DynamicBitset& set_in,
-                                               const DynamicBitset& clear_in,
-                                               std::size_t from) noexcept {
-  return first_set_and_clear_offset(set_in, 0, clear_in, from);
-}
-
-std::size_t DynamicBitset::first_set_and_clear_offset(const DynamicBitset& set_in,
-                                                      std::size_t offset,
-                                                      const DynamicBitset& clear_in,
-                                                      std::size_t from) noexcept {
-  // offset % 64 == 0 keeps set_in's word w aligned with clear_in's word
-  // w + offset/64; callers (the windowed availability views) slide their
-  // base in word multiples to preserve this.
-  const std::size_t none = offset + set_in.bits_;
-  if (from < offset) from = offset;
-  if (from >= none) return none;
-  const std::size_t word_offset = offset / kWordBits;
-  std::size_t word = (from - offset) / kWordBits;
-  const auto combined = [&](std::size_t w) {
-    const std::uint64_t a = set_in.words_[w];
-    const std::size_t cw = w + word_offset;
-    const std::uint64_t b = cw < clear_in.words_.size() ? clear_in.words_[cw] : 0;
-    return a & ~b;
-  };
-  std::uint64_t current = combined(word) & (~0ULL << ((from - offset) % kWordBits));
-  for (;;) {
-    if (current != 0) {
-      const auto pos =
-          offset + word * kWordBits + static_cast<std::size_t>(std::countr_zero(current));
-      return pos < none ? pos : none;
-    }
-    if (++word >= set_in.word_count()) return none;
-    current = combined(word);
-  }
-}
-
-void DynamicBitset::shift_down(std::size_t bits) {
-  GS_CHECK_EQ(bits % kWordBits, 0u);
-  const std::size_t words = bits / kWordBits;
-  if (words == 0) return;
-  if (words >= words_.size()) {
-    reset_all();
-    return;
-  }
-  std::copy(words_.begin() + static_cast<std::ptrdiff_t>(words), words_.end(), words_.begin());
-  std::fill(words_.end() - static_cast<std::ptrdiff_t>(words), words_.end(), 0ULL);
 }
 
 DynamicBitset DynamicBitset::copy_window(const DynamicBitset& src, std::size_t from,

@@ -22,9 +22,9 @@ class DynamicBitset {
   void resize(std::size_t bits);
   [[nodiscard]] std::size_t size() const noexcept { return bits_; }
 
-  // set/test/extract_word are defined inline: they sit on the per-delta and
-  // per-probe hot paths of the availability plane, where an out-of-line
-  // call costs as much as the word access itself.
+  // set/test/extract_word are defined inline: they sit on the stream
+  // buffer's and the candidate build's hot paths, where an out-of-line call
+  // costs as much as the word access itself.
   void set(std::size_t pos, bool value = true) {
     GS_CHECK_LT(pos, bits_);
     const std::uint64_t mask = 1ULL << (pos % kWordBits);
@@ -50,33 +50,6 @@ class DynamicBitset {
   [[nodiscard]] std::size_t find_first(std::size_t from = 0) const noexcept;
   /// Index of the first clear bit at or after `from`; size() when none.
   [[nodiscard]] std::size_t find_first_clear(std::size_t from = 0) const noexcept;
-
-  /// First position >= `from` that is set in `set_in` and clear in
-  /// `clear_in`; set_in.size() when none.  Sizes may differ: positions past
-  /// either bitset's size read as clear.  Word-at-a-time, so callers can
-  /// intersect (e.g. "supplied and not yet received") without materializing
-  /// a combined bitset.
-  [[nodiscard]] static std::size_t first_set_and_clear(const DynamicBitset& set_in,
-                                                       const DynamicBitset& clear_in,
-                                                       std::size_t from) noexcept;
-
-  /// first_set_and_clear for a *windowed* `set_in`: bit j of `set_in`
-  /// represents absolute position `offset + j` (offset must be a multiple
-  /// of 64 so the two bitsets stay word-aligned), while `clear_in` is
-  /// absolute-indexed.  `from` is absolute; positions below `offset` are
-  /// skipped.  Returns the absolute position, or `offset + set_in.size()`
-  /// when none.  Backs the sliding availability window: the supplied ring
-  /// can intersect with the absolute received set without rebasing either.
-  [[nodiscard]] static std::size_t first_set_and_clear_offset(const DynamicBitset& set_in,
-                                                              std::size_t offset,
-                                                              const DynamicBitset& clear_in,
-                                                              std::size_t from) noexcept;
-
-  /// Discards the lowest `bits` bits and shifts the rest down; size is
-  /// unchanged and the vacated top bits read clear.  `bits` must be a
-  /// multiple of 64 (the shift is a word move, which is what keeps the
-  /// sliding availability window cheap).
-  void shift_down(std::size_t bits);
 
   /// 64 bits starting at `from` (unaligned); positions past size() read 0.
   /// Lets callers diff/scan windows word-at-a-time at arbitrary offsets.

@@ -234,6 +234,29 @@ TEST(Config, RejectsNonPositiveJoinPingMinimum) {
   EXPECT_NO_THROW(config.validate());
 }
 
+// A NaN shape aborts a dynamic run in the simulator (NaN event delay); a
+// shape <= 0 puts every joiner at the cap or below the minimum.
+TEST(Config, RejectsNonPositiveOrNaNJoinPingShape) {
+  Config config = Config::paper_dynamic(100, AlgorithmKind::kFast);
+  for (const double shape : {0.0, -1.6, kNaN}) {
+    config.engine.join_ping_shape = shape;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << shape;
+  }
+  config.engine.join_ping_shape = 0.5;
+  EXPECT_NO_THROW(config.validate());
+}
+
+// std::min(draw, NaN) returns the draw, so a NaN cap was silently ignored.
+TEST(Config, RejectsJoinPingCapBelowMinimumOrNaN) {
+  Config config = Config::paper_dynamic(100, AlgorithmKind::kFast);
+  for (const double cap : {config.engine.join_ping_min_ms - 1.0, -800.0, kNaN}) {
+    config.engine.join_ping_cap_ms = cap;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << cap;
+  }
+  config.engine.join_ping_cap_ms = config.engine.join_ping_min_ms;
+  EXPECT_NO_THROW(config.validate());
+}
+
 // The warm start's initial lag: a negative one seeds playback cursors past
 // the head; NaN goes through llround and censors every peer.
 TEST(Config, RejectsNegativeOrNaNWarmStartLag) {

@@ -45,10 +45,8 @@ struct RunSpec {
   /// CDN-assisted fast switch (changes dynamics by design when on; off must
   /// stay bit-identical to a build without the plane).
   bool cdn = false;
-  /// Debug cross-check: re-build gated plans and assert emptiness.
-  bool gate_recheck = false;
   /// Caught-up steady swarm (no synthetic backlog or lag): the scenario
-  /// where most peers quiesce and the plan gate actually fires.
+  /// where most plans come back empty.
   bool steady = false;
   std::size_t parallel = 0;
   std::size_t tick_shard = 16;
@@ -77,7 +75,6 @@ RunOutput run_setup(const RunSpec& setup) {
   config.delta_maps = setup.delta_maps;
   config.flash_crowd_joins = setup.flash_joins;
   config.cdn_assist = setup.cdn;
-  config.plan_gate_recheck = setup.gate_recheck;
   if (setup.steady) {
     config.sparse_fill = 1.0;
     config.stable_backlog_scale = 0.0;
@@ -351,11 +348,11 @@ TEST(ParallelShards, ShardDiagnosticsReportWork) {
 }
 
 // ---------------------------------------------------------------------------
-// The batched delivery drain (delivery runs drained through the book phase,
-// tail and merge, plus same-timestamp sweep super-batching) is part of the
+// The batched delivery drain (delivery runs drained through the book phase
+// and tail, plus same-timestamp sweep super-batching) is part of the
 // sharded core, so the ParallelShards cases and the Golden rows hold it to
 // the sequential engine.  Only wall clock and the drain diagnostics
-// (delivery_batches / delta_journal_merges / superbatch_sweeps) may change.
+// (delivery_batches / superbatch_sweeps) may change.
 
 TEST(ParallelDelivery, DrainDiagnosticsReportWork) {
   RunSpec setup;
@@ -364,10 +361,8 @@ TEST(ParallelDelivery, DrainDiagnosticsReportWork) {
   const RunOutput sequential = run_setup(setup);
   const RunOutput waved = run_sharded(setup, 4);
   EXPECT_EQ(sequential.stats.delivery_batches, 0u);
-  EXPECT_EQ(sequential.stats.delta_journal_merges, 0u);
   EXPECT_EQ(sequential.stats.superbatch_sweeps, 0u);
   EXPECT_GT(waved.stats.delivery_batches, 0u);
-  EXPECT_GT(waved.stats.delta_journal_merges, 0u);
   EXPECT_GT(waved.stats.superbatch_sweeps, 0u);
 }
 
@@ -547,10 +542,10 @@ TEST(ParallelCommit, LayeredColouringIsValid) {
             rng.uniform_int(0, static_cast<std::int64_t>(nodes) - 1)));
       }
     }
-    colouring.colour_wave(count, nodes,
-                          [&](std::size_t j) -> const std::vector<net::NodeId>* {
-                            return null_set[j] ? nullptr : &sets[j];
-                          });
+    colouring.colour_wave(count, nodes, [&](std::size_t j) -> std::span<const net::NodeId> {
+      if (null_set[j]) return {};
+      return sets[j];
+    });
     for (std::size_t j = 0; j < count; ++j) {
       EXPECT_LT(colouring.colour[j], colouring.classes);
       if (null_set[j]) {
@@ -608,44 +603,13 @@ TEST(TimingWheel, WheelRunsReproduceThemselvesAndReportTelemetry) {
   EXPECT_GT(a.stats.events_wheeled, 0u) << "the wheels reported no scheduled events";
 }
 
-// -------------------------------------------------------------- PlanGate ---
+// ------------------------------------------------------ CandidateBuild ---
 //
-// The quiescence gate skips a peer's candidate build when its work lane
-// reads quiescent; a gated tick_plan returns before any strategy rng draw,
-// exactly like an empty build, so the gate cannot move a metric (the Golden
-// rows below pin that across shard counts and compositions).  These cases
-// check what the digests cannot: that the gate really fires in a steady
-// swarm and that every gated plan survives the debug re-build cross-check.
+// Candidates are built per plan from the neighbours' presence bits
+// (stream_candidate_build_test holds the word kernel to a brute-force
+// reference); the former plan-gate cases are Golden rows below.
 
-TEST(PlanGate, SteadySwarmActuallyGates) {
-  // The caught-up steady swarm is where quiescence really occurs: a
-  // steady-state run with zero gated plans means the work summary never
-  // went quiet — a tracking bug conservatism would otherwise hide.
-  RunSpec setup;
-  setup.seed = 90;
-  setup.steady = true;
-  const RunOutput gated = run_setup(setup);
-  EXPECT_GT(gated.stats.plans_gated, 0u)
-      << "steady swarm never gated a plan: work tracking is stuck at has-work";
-  EXPECT_GT(gated.stats.plans_built, 0u);
-}
-
-TEST(PlanGate, RecheckedRunsReproduceThemselvesAndPassTheCrossCheck) {
-  // plan_gate_recheck re-runs the full candidate build for every gated
-  // peer and GS_CHECKs emptiness — a run completing at all is the
-  // assertion; the stats must show the recheck actually covered the gate.
-  RunSpec setup;
-  setup.seed = 91;
-  setup.steady = true;
-  setup.gate_recheck = true;
-  const RunOutput a = run_setup(setup);
-  expect_identical(a, run_setup(setup));
-  EXPECT_GT(a.stats.plans_gated, 0u);
-  EXPECT_EQ(a.stats.gate_rechecks, a.stats.plans_gated)
-      << "every gated plan must be cross-checked when plan_gate_recheck is on";
-}
-
-TEST(PlanGate, GatedRunsReproduceThemselvesAndReportTelemetry) {
+TEST(CandidateBuild, ShardedChurnRunsReproduceThemselvesAndBuildPlans) {
   RunSpec setup;
   setup.seed = 92;
   setup.parallel = 4;
@@ -653,7 +617,6 @@ TEST(PlanGate, GatedRunsReproduceThemselvesAndReportTelemetry) {
   const RunOutput a = run_setup(setup);
   expect_identical(a, run_setup(setup));
   EXPECT_GT(a.stats.plans_built, 0u) << "no plan ever built candidates";
-  EXPECT_EQ(a.stats.gate_rechecks, 0u) << "the recheck is off by default";
 }
 
 // ---------------------------------------------------------------- Golden ---

@@ -1,8 +1,6 @@
 // DynamicBitset: set/test/count, scans, serialization, resize preservation.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "util/bitset.hpp"
 #include "util/rng.hpp"
 
@@ -128,116 +126,6 @@ TEST(DynamicBitset, BytesRoundTrip) {
     const DynamicBitset back = DynamicBitset::from_bytes(bytes, bits);
     EXPECT_EQ(back, b) << "bits=" << bits;
   }
-}
-
-TEST(DynamicBitset, FirstSetAndClearIntersects) {
-  // The candidate-loop kernel: first position set in `a`, clear in `b`.
-  DynamicBitset a(200);
-  DynamicBitset b(130);  // deliberately shorter: positions past b read clear
-  a.set(3);
-  a.set(64);
-  a.set(129);
-  a.set(150);
-  b.set(3);
-  b.set(129);
-  EXPECT_EQ(DynamicBitset::first_set_and_clear(a, b, 0), 64u);
-  EXPECT_EQ(DynamicBitset::first_set_and_clear(a, b, 65), 150u);
-  EXPECT_EQ(DynamicBitset::first_set_and_clear(a, b, 151), 200u);
-  EXPECT_EQ(DynamicBitset::first_set_and_clear(a, b, 500), 200u);
-  b.reset(3);
-  EXPECT_EQ(DynamicBitset::first_set_and_clear(a, b, 0), 3u);
-}
-
-TEST(DynamicBitset, FirstSetAndClearMatchesNaiveScan) {
-  Rng rng(99);
-  for (int trial = 0; trial < 20; ++trial) {
-    const std::size_t a_bits = 1 + static_cast<std::size_t>(rng.uniform_int(0, 300));
-    const std::size_t b_bits = 1 + static_cast<std::size_t>(rng.uniform_int(0, 300));
-    DynamicBitset a(a_bits);
-    DynamicBitset b(b_bits);
-    for (std::size_t i = 0; i < a_bits; ++i) {
-      if (rng.bernoulli(0.4)) a.set(i);
-    }
-    for (std::size_t i = 0; i < b_bits; ++i) {
-      if (rng.bernoulli(0.6)) b.set(i);
-    }
-    for (std::size_t from = 0; from <= a_bits; ++from) {
-      std::size_t expected = a_bits;
-      for (std::size_t pos = from; pos < a_bits; ++pos) {
-        if (a.test(pos) && !(pos < b_bits && b.test(pos))) {
-          expected = pos;
-          break;
-        }
-      }
-      ASSERT_EQ(DynamicBitset::first_set_and_clear(a, b, from), expected)
-          << "trial " << trial << " from " << from;
-    }
-  }
-}
-
-TEST(DynamicBitset, FirstSetAndClearOffsetMatchesRebasedScan) {
-  // The windowed-availability walk: `a` is window-keyed (bit j = absolute
-  // offset + j), `b` absolute.  Randomized against a naive rebased scan.
-  util::Rng rng(4242);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t offset = 64 * static_cast<std::size_t>(rng.uniform_int(0, 5));
-    const std::size_t a_bits = 1 + static_cast<std::size_t>(rng.uniform_int(0, 200));
-    const std::size_t b_bits = 1 + static_cast<std::size_t>(rng.uniform_int(0, 500));
-    DynamicBitset a(a_bits);
-    DynamicBitset b(b_bits);
-    for (std::size_t i = 0; i < a_bits; ++i) {
-      if (rng.bernoulli(0.3)) a.set(i);
-    }
-    for (std::size_t i = 0; i < b_bits; ++i) {
-      if (rng.bernoulli(0.5)) b.set(i);
-    }
-    for (std::size_t from = 0; from < offset + a_bits + 3; ++from) {
-      std::size_t expected = offset + a_bits;
-      for (std::size_t pos = std::max(from, offset); pos < offset + a_bits; ++pos) {
-        const std::size_t slot = pos - offset;
-        if (a.test(slot) && !(pos < b_bits && b.test(pos))) {
-          expected = pos;
-          break;
-        }
-      }
-      ASSERT_EQ(DynamicBitset::first_set_and_clear_offset(a, offset, b, from), expected)
-          << "trial " << trial << " offset " << offset << " from " << from;
-    }
-  }
-}
-
-TEST(DynamicBitset, FirstSetAndClearOffsetZeroEqualsUnoffsetted) {
-  DynamicBitset a(130);
-  DynamicBitset b(130);
-  a.set(5);
-  a.set(80);
-  b.set(5);
-  EXPECT_EQ(DynamicBitset::first_set_and_clear_offset(a, 0, b, 0),
-            DynamicBitset::first_set_and_clear(a, b, 0));
-}
-
-TEST(DynamicBitset, ShiftDownMovesWords) {
-  DynamicBitset b(256);
-  b.set(0);
-  b.set(64);
-  b.set(70);
-  b.set(200);
-  b.shift_down(64);
-  EXPECT_TRUE(b.test(0));        // old bit 64 (old bit 0 dropped off the end)
-  EXPECT_TRUE(b.test(6));        // old bit 70
-  EXPECT_TRUE(b.test(136));      // old bit 200
-  EXPECT_EQ(b.count(), 3u);      // only the dropped word's bit is gone
-  EXPECT_EQ(b.size(), 256u);     // size unchanged; top vacated
-  EXPECT_FALSE(b.test(200));
-}
-
-TEST(DynamicBitset, ShiftDownPastSizeClears) {
-  DynamicBitset b(100);
-  b.set(3);
-  b.set(90);
-  b.shift_down(192);
-  EXPECT_EQ(b.count(), 0u);
-  EXPECT_EQ(b.size(), 100u);
 }
 
 TEST(DynamicBitset, PaperBufferMapWidth) {
