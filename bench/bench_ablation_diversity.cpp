@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
       std::size_t counted = 0;
       for (std::size_t v = 0; v < engine->peer_count(); ++v) {
         const auto& p = engine->peer(static_cast<gs::net::NodeId>(v));
-        if (p.is_source() || !p.playback.started()) continue;
+        if (p.is_source || !p.playback.started()) continue;
         stall_sum += p.playback.stall_time();
         ++counted;
       }

@@ -66,8 +66,8 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options,
                     "charge availability gossip as buffer-map deltas (lowers the "
                     "overhead metric)");
   flags.define_int("parallel-shards", 0,
-                   "sharded parallel core: plan lanes / event-queue shards "
-                   "(identical metrics at any count; 0 = sequential)");
+                   "sharded parallel core: plan/commit lanes / delivery-drain "
+                   "shards (identical metrics at any count; 0 = sequential)");
   flags.define_int("flash-crowd-joins", 0,
                    "flash-crowd scenario: this many extra peers join shortly "
                    "after the first switch (0 = off)");

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     std::vector<double> stalls;
     for (std::size_t v = 0; v < engine->peer_count(); ++v) {
       const auto& peer = engine->peer(static_cast<gs::net::NodeId>(v));
-      if (peer.is_source() || !peer.playback.started()) continue;
+      if (peer.is_source || !peer.playback.started()) continue;
       stalls.push_back(peer.playback.stall_time());
     }
     const gs::util::Summary stall_summary = gs::util::Summary::of(stalls);

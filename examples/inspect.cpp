@@ -50,10 +50,10 @@ int main(int argc, char** argv) {
   std::vector<double> rates_in;
   for (std::size_t v = 0; v < engine->peer_count(); ++v) {
     const auto& p = engine->peer(static_cast<gs::net::NodeId>(v));
-    if (p.is_source() || !p.tracked()) continue;
+    if (p.is_source || !p.tracked) continue;
     stalls.push_back(p.playback.stall_time());
-    q0s.push_back(static_cast<double>(p.q0_at_switch()));
-    rates_in.push_back(p.inbound_rate());
+    q0s.push_back(static_cast<double>(p.q0_at_switch));
+    rates_in.push_back(p.in_budget.rate());
   }
   std::printf("stall_time:   %s\n", gs::util::Summary::of(stalls).to_string().c_str());
   std::printf("Q0_at_switch: %s\n", gs::util::Summary::of(q0s).to_string().c_str());

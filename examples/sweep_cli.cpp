@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
   flags.define_int("map-refresh", 10, "adverts between full-map refreshes under --delta-maps");
   flags.define_int("tick-shard", 16, "peers per tick shard (phase group and sweep event)");
   flags.define_int("parallel-shards", 0,
-                   "sharded parallel core: plan lanes / event-queue shards "
-                   "(identical metrics at any count; 0 = sequential)");
+                   "sharded parallel core: plan/commit lanes / delivery-drain "
+                   "shards (identical metrics at any count; 0 = sequential)");
   flags.define_int("flash-crowd-joins", 0,
                    "flash-crowd scenario: this many extra peers join shortly "
                    "after the first switch (0 = off)");

@@ -39,7 +39,9 @@ ComparisonPoint compare_at_size(const Config& base, std::size_t node_count, std:
   };
   std::vector<TrialOutcome> outcomes(trials);
 
-  util::global_pool().parallel_for(trials * 2, [&](std::size_t task) {
+  // thread_count() simulations at once, the caller's among them.
+  util::ThreadPool& pool = util::global_pool();
+  pool.run_batch(trials * 2, pool.thread_count(), [&](std::size_t task, std::size_t /*lane*/) {
     const std::size_t trial = task / 2;
     const bool fast = (task % 2) == 0;
     Config config = base;

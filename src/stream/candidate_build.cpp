@@ -19,7 +19,7 @@ std::uint64_t collect_candidates(const PeerNode& p, std::span<const net::NodeId>
   out.clear();
   SegmentId head = kNoSegment;
   for (const net::NodeId nb : neighbors) {
-    GS_DCHECK(peers[nb].alive()) << "peer " << p.id << " lists departed neighbour " << nb;
+    GS_DCHECK(peers[nb].alive) << "peer " << p.id << " lists departed neighbour " << nb;
     head = std::max(head, peers[nb].buffer.max_id());
   }
   const SegmentId from = p.playback_anchor();
@@ -104,7 +104,7 @@ std::uint64_t collect_candidates(const PeerNode& p, std::span<const net::NodeId>
     for (std::size_t w = 0; w < word_count; ++w) {
       std::uint64_t m = presence.extract_word(base + w * kWordBits) & words[w];
       if (m != 0 && !hoisted) {
-        send_rate = n.outbound_rate();
+        send_rate = n.outbound_rate;
         // The paper's R_ij is a *measured* per-link receiving rate, which
         // in a real system reflects the link's current load.  Expose the
         // backlog as the initial queueing estimate so requesters spread

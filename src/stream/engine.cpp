@@ -135,11 +135,11 @@ void Engine::schedule_switch(int switch_index) {
     SwitchMetrics& m = timeline_.metrics(switch_index);
     const Session& old = timeline_.session(static_cast<std::size_t>(switch_index));
     for (PeerNode& p : peers_) {
-      if (p.is_source() || !p.alive()) continue;
+      if (p.is_source || !p.alive) continue;
       // A peer still mid-way through the previous switch is censored there.
       timeline_.censor_stale(p, switch_index);
       timeline_.init_switch_counters(p, switch_index, now, config_.q_startup);
-      p.tracked() = true;
+      p.tracked = true;
       ++m.tracked;
       // Rare: the peer already played past the old stream's end (it was at
       // the live head).  Its finish delay is zero by definition.
@@ -183,8 +183,8 @@ void Engine::tick(PeerNode& p, double now) {
 }
 
 bool Engine::tick_pre(PeerNode& p, double now) {
-  if (!p.alive() || p.is_source()) return false;
-  p.in_budget().replenish(config_.tau);
+  if (!p.alive || p.is_source) return false;
+  p.in_budget.replenish(config_.tau);
   snapshot_and_learn(p);
   p.prune_pending(now);
 
@@ -203,15 +203,15 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
   plan.issued = 0;
   plan.rejected = 0;
   plan.staged.clear();
-  if (p.in_budget().whole() == 0) return;
+  if (p.in_budget.whole() == 0) return;
   plan.planned = true;
   plan.rng_before = p.rng;
   plan.stamp = capacity_commits_;
   // Ids past the old stream's last one are new-stream candidates once the
   // peer knows the active switch's boundary.
-  const bool boundary_known = p.active_switch() >= 0 && p.known_boundary() >= p.active_switch();
+  const bool boundary_known = p.active_switch >= 0 && p.known_boundary >= p.active_switch;
   const SegmentId s1_end =
-      boundary_known ? timeline_.session(static_cast<std::size_t>(p.active_switch())).last
+      boundary_known ? timeline_.session(static_cast<std::size_t>(p.active_switch)).last
                      : kNoSegment;
   // Probes are folded at commit: the build may run on a pool thread.
   plan.probes = collect_candidates(p, graph_.neighbors(p.id), peers_, transfers_,
@@ -224,29 +224,29 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
   ctx.now = now;
   ctx.period = config_.tau;
   ctx.playback_rate = config_.playback_rate;
-  ctx.inbound_rate = p.inbound_rate();
+  ctx.inbound_rate = p.in_budget.rate();
   ctx.id_play = p.playback_anchor();
   ctx.q_consecutive = config_.q_consecutive;
   ctx.q_startup = config_.q_startup;
   ctx.buffer_capacity = config_.buffer_capacity;
-  ctx.max_requests = p.in_budget().whole();
+  ctx.max_requests = p.in_budget.whole();
   ctx.rng = &p.rng;
-  plan.split_active = boundary_known && !p.sw_prepared();
+  plan.split_active = boundary_known && !p.sw_prepared;
   if (plan.split_active) {
     plan.s1_end = s1_end;
     ctx.s1_end = plan.s1_end;
     ctx.s2_begin = ctx.s1_end + 1;
-    ctx.q1_remaining = p.q1_missing();
-    ctx.q2_remaining = p.q2_missing();
+    ctx.q1_remaining = p.q1_missing;
+    ctx.q2_remaining = p.q2_missing;
   }
-  plan.requests = strategies_[p.strategy_index()]->schedule(ctx, plan.candidates);
+  plan.requests = strategies_[p.strategy_index]->schedule(ctx, plan.candidates);
   // The SchedulerStrategy contract: the build's ascending id order survives
   // the call, so tick_commit's supplier fallback can binary-search it.
   GS_DCHECK(std::is_sorted(plan.candidates.begin(), plan.candidates.end(),
                            [](const CandidateSegment& a, const CandidateSegment& b) {
                              return a.id < b.id;
                            }))
-      << "strategy " << strategies_[p.strategy_index()]->name()
+      << "strategy " << strategies_[p.strategy_index]->name()
       << " reordered the candidates of peer " << p.id;
 }
 
@@ -303,7 +303,7 @@ void Engine::tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate)
   // lookup is a binary search — no index to build, no steady-state
   // allocation.
   for (const ScheduledRequest& r : plan.requests) {
-    if (p.in_budget().whole() == 0) break;
+    if (p.in_budget.whole() == 0) break;
     if (issue_one(p, r.id, r.supplier, now, plan)) continue;
     const auto it = std::lower_bound(
         plan.candidates.begin(), plan.candidates.end(), r.id,
@@ -351,7 +351,7 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
     // (each member's own slot and rng).  Each lane bump-allocates supplier
     // lists from its own arena.  The pool may be saturated by outer
     // experiment sweeps — run_batch's caller lane guarantees progress.
-    util::global_pool().run_batch_lanes(
+    util::global_pool().run_batch(
         count, lanes, [this, &members, base, now](std::size_t i, std::size_t lane) {
           if (!batch_plans_[i].live) return;
           batch_plans_[i].arena = lane_arenas_[lane].get();
@@ -419,12 +419,13 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
     // The class commits on lanes: capacity commits and jitter draws land
     // member-locally (disjoint supplier sets within the class), deliveries
     // stage into the plan, counters defer.
-    util::global_pool().run_batch(slots.size(), lane_arenas_.size(), [this, &members, base,
-                                                                      &slots, now](std::size_t k) {
-      const std::uint32_t i = slots[k];
-      if (!batch_plans_[i].live || !batch_plans_[i].planned) return;
-      tick_commit(peers_[members[base + i]], now, batch_plans_[i], /*validate=*/true);
-    });
+    util::global_pool().run_batch(
+        slots.size(), lane_arenas_.size(),
+        [this, &members, base, &slots, now](std::size_t k, std::size_t /*lane*/) {
+          const std::uint32_t i = slots[k];
+          if (!batch_plans_[i].live || !batch_plans_[i].planned) return;
+          tick_commit(peers_[members[base + i]], now, batch_plans_[i], /*validate=*/true);
+        });
     // Fixup drain, member order within the class: a stale member rolls its
     // rng back and re-plans against the live plane (the candidate *set*
     // cannot change — buffers are stable in a sweep — only supplier
@@ -490,9 +491,9 @@ void Engine::snapshot_and_learn(PeerNode& p) {
   if (!config_.discover_via_maps) return;
   int boundary = -1;
   for (const net::NodeId nb : neighbors) {
-    boundary = std::max(boundary, peers_[nb].known_boundary());
+    boundary = std::max(boundary, peers_[nb].known_boundary);
   }
-  if (boundary > p.known_boundary()) learn_boundaries(p, boundary, sim_.now());
+  if (boundary > p.known_boundary) learn_boundaries(p, boundary, sim_.now());
 }
 
 void Engine::advert_availability(PeerNode& p, std::size_t receivers) {
@@ -537,7 +538,7 @@ bool Engine::issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double n
     // rng is the member's own); the simulator event and the global
     // counters defer to the wave's member-order drain.
     StagedDelivery d;
-    if (!s.alive() || !s.buffer.contains(id) ||
+    if (!s.alive || !s.buffer.contains(id) ||
         !transfers_.request_staged(p, s, id, now, d.deliver_at)) {
       ++p.requests_rejected;
       ++plan.rejected;
@@ -554,18 +555,18 @@ bool Engine::issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double n
     // same-supplier issues race-free.
     if (transfers_.supplier_shared()) dirty_supplier_[supplier] = plan.commit_stamp;
     ++plan.issued;
-    p.in_budget().spend(1.0);
+    p.in_budget.spend(1.0);
     p.pending.set(id, now + config_.pending_timeout);
     ++p.requests_issued;
     return true;
   }
-  if (!s.alive() || !s.buffer.contains(id) || !transfers_.request(p, s, id, now)) {
+  if (!s.alive || !s.buffer.contains(id) || !transfers_.request(p, s, id, now)) {
     ++p.requests_rejected;
     ++stats_.requests_rejected;
     return false;
   }
   overhead_.charge_request(1);
-  p.in_budget().spend(1.0);
+  p.in_budget.spend(1.0);
   p.pending.set(id, now + config_.pending_timeout);
   ++p.requests_issued;
   ++stats_.requests_issued;
@@ -585,10 +586,10 @@ bool Engine::issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double n
 
 void Engine::cdn_assist_tick(PeerNode& p, double now) {
   CdnAssistPlane::PeerView view;
-  const int k = p.active_switch();
+  const int k = p.active_switch;
   SegmentId begin = 0;
   SegmentId end = kNoSegment;
-  if (k >= 0 && p.known_boundary() >= k && !p.sw_prepared()) {
+  if (k >= 0 && p.known_boundary >= k && !p.sw_prepared) {
     view.switch_index = k;
     const SegmentId anchor = p.playback_anchor();
     view.rest_play_s = static_cast<double>(next_missing(p.received, anchor) - anchor) /
@@ -608,13 +609,13 @@ void Engine::cdn_assist_tick(PeerNode& p, double now) {
   if (!cdn_->control(p.id, view, now)) return;
   const SegmentId head = std::min<SegmentId>(end, registry_.next_id() - 1);
   for (SegmentId id = begin; id <= head; ++id) {
-    if (p.in_budget().whole() == 0) break;
+    if (p.in_budget.whole() == 0) break;
     if (p.has_received(id)) continue;
     const double* retry_at = p.pending.find(id);
     if (retry_at != nullptr && *retry_at > now) continue;
     if (!cdn_->request(p.id, id, now)) break;  // CDN backlog past the horizon
     overhead_.charge_request(1);
-    p.in_budget().spend(1.0);
+    p.in_budget.spend(1.0);
     p.pending.set(id, now + config_.pending_timeout);
   }
 }
@@ -639,7 +640,7 @@ bool Engine::cdn_window_covered(const PeerNode& p, SegmentId begin, SegmentId en
 void Engine::on_cdn_delivery(net::NodeId to, SegmentId id) {
   PeerNode& p = peers_[to];
   p.pending.erase(id);
-  if (!p.alive()) return;  // left while the patch was in flight
+  if (!p.alive) return;  // left while the patch was in flight
   // count_wire: a patched segment is real data over the wire — it feeds
   // the overhead-ratio denominator and segments_delivered like any swarm
   // delivery (the CDN byte-cost is tallied separately by the plane).
@@ -651,7 +652,7 @@ void Engine::on_cdn_delivery(net::NodeId to, SegmentId id) {
 void Engine::on_delivery(net::NodeId to, SegmentId id) {
   PeerNode& p = peers_[to];
   p.pending.erase(id);
-  if (!p.alive()) return;  // left while the segment was in flight
+  if (!p.alive) return;  // left while the segment was in flight
   deliver_segment(p, id, sim_.now(), /*count_wire=*/true);
 }
 
@@ -674,14 +675,14 @@ void Engine::deliver_bookkeeping(PeerNode& p, SegmentId id, double now, bool cou
 
   // Segments of session k announce the end of session k-1 (§3).
   const SegmentInfo& info = registry_.info(id);
-  if (info.session > 0 && p.known_boundary() < info.session - 1) {
+  if (info.session > 0 && p.known_boundary < info.session - 1) {
     learn_boundaries(p, info.session - 1, now);
   }
 
   // Startup rule bookkeeping: extend the contiguous run from start_id.
-  if (id >= p.start_id()) p.extend_start_run();
+  if (id >= p.start_id) p.extend_start_run();
 
-  if (!p.is_source()) {
+  if (!p.is_source) {
     on_switch_progress(p, id, now);
     maybe_start_playback(p, now);
     p.playback.notify_arrival(id, now);
@@ -721,14 +722,14 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   // item being drained.
   for (std::vector<BookEvent>& log : book_events_) log.clear();
   book_phase_ = true;
-  util::global_pool().run_batch(shards, lanes, [this, items](std::size_t s) {
+  util::global_pool().run_batch(shards, lanes, [this, items](std::size_t s, std::size_t /*lane*/) {
     for (const std::uint32_t idx : shard_entries_[s]) {
       book_current_item_[s] = idx;
       const auto to = static_cast<net::NodeId>(items[idx].a);
       const auto id = static_cast<SegmentId>(items[idx].b);
       PeerNode& p = peers_[to];
       p.pending.erase(id);
-      if (!p.alive()) continue;  // left while the segment was in flight
+      if (!p.alive) continue;  // left while the segment was in flight
       if (!p.mark_received(id)) {
         // The duplicate counters are globally ordered — tail work.
         batch_outcomes_[idx] = MarkOutcome::kDuplicate;
@@ -797,8 +798,8 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   // nothing reads them after the stop.
   for (; ev < book_merged_.size(); ++ev) {
     const BookEvent& e = book_merged_[ev];
-    if (e.kind == BookEvent::Kind::kFinish) peers_[e.peer].sw_finished() = false;
-    if (e.kind == BookEvent::Kind::kPrepared) peers_[e.peer].sw_prepared() = false;
+    if (e.kind == BookEvent::Kind::kFinish) peers_[e.peer].sw_finished = false;
+    if (e.kind == BookEvent::Kind::kPrepared) peers_[e.peer].sw_prepared = false;
   }
 }
 
@@ -811,7 +812,7 @@ void Engine::push_to_neighbors(PeerNode& p, SegmentId id, double now) {
   std::vector<net::NodeId> lacking;
   for (const net::NodeId nb : neighbors) {
     const PeerNode& n = peers_[nb];
-    if (n.alive() && !n.buffer.contains(id)) lacking.push_back(nb);
+    if (n.alive && !n.buffer.contains(id)) lacking.push_back(nb);
   }
   p.rng.shuffle(lacking);
   std::size_t pushed = 0;
@@ -826,44 +827,44 @@ void Engine::push_to_neighbors(PeerNode& p, SegmentId id, double now) {
 // --------------------------------------------------- switch bookkeeping ---
 
 void Engine::learn_boundaries(PeerNode& p, int up_to, double now) {
-  if (up_to <= p.known_boundary()) return;
-  p.known_boundary() = up_to;
-  if (p.is_source()) return;
-  if (p.active_switch() >= 0 && up_to >= p.active_switch() && !p.gate_armed() &&
+  if (up_to <= p.known_boundary) return;
+  p.known_boundary = up_to;
+  if (p.is_source) return;
+  if (p.active_switch >= 0 && up_to >= p.active_switch && !p.gate_armed &&
       p.playback.gate() == kNoSegment) {
     const SegmentId gate_id =
-        timeline_.session(static_cast<std::size_t>(p.active_switch())).last + 1;
+        timeline_.session(static_cast<std::size_t>(p.active_switch)).last + 1;
     if (!p.playback.started() || p.playback.cursor() <= gate_id) {
       p.playback.set_gate(gate_id);
-      p.gate_armed() = true;
+      p.gate_armed = true;
       maybe_release_gate(p, now);
     } else {
-      p.gate_armed() = true;  // already past the boundary; nothing to gate
+      p.gate_armed = true;  // already past the boundary; nothing to gate
     }
   }
 }
 
 void Engine::on_switch_progress(PeerNode& p, SegmentId id, double now) {
-  if (p.active_switch() < 0) return;
-  const int k = p.active_switch();
+  if (p.active_switch < 0) return;
+  const int k = p.active_switch;
   const Session& old = timeline_.session(static_cast<std::size_t>(k));
-  if (id >= p.sw_lo() && id <= old.last) {
-    if (p.q1_missing() > 0) --p.q1_missing();
+  if (id >= p.sw_lo && id <= old.last) {
+    if (p.q1_missing > 0) --p.q1_missing;
   } else if (id > old.last) {
     const SegmentId begin = old.last + 1;
-    if (id < begin + static_cast<SegmentId>(required_prefix(k)) && p.q2_missing() > 0) {
-      --p.q2_missing();
-      if (p.q2_missing() == 0) record_prepared(p, k, now);
+    if (id < begin + static_cast<SegmentId>(required_prefix(k)) && p.q2_missing > 0) {
+      --p.q2_missing;
+      if (p.q2_missing == 0) record_prepared(p, k, now);
     }
   }
   maybe_release_gate(p, now);
 }
 
 void Engine::maybe_release_gate(PeerNode& p, double now) {
-  if (!p.gate_armed() || p.playback.gate() == kNoSegment) return;
-  const int k = p.active_switch();
+  if (!p.gate_armed || p.playback.gate() == kNoSegment) return;
+  const int k = p.active_switch;
   GS_CHECK_GE(k, 0);
-  bool ready = p.q2_missing() == 0;
+  bool ready = p.q2_missing == 0;
   if (!ready && timeline_.session(static_cast<std::size_t>(k) + 1).ended()) {
     // Short final session: release once everything that exists arrived.
     const Session& next = timeline_.session(static_cast<std::size_t>(k) + 1);
@@ -873,9 +874,9 @@ void Engine::maybe_release_gate(PeerNode& p, double now) {
 }
 
 void Engine::maybe_start_playback(PeerNode& p, double now) {
-  if (p.is_source() || p.playback.started()) return;
-  if (p.start_run() >= config_.q_consecutive) {
-    p.playback.start(p.start_id(), now);
+  if (p.is_source || p.playback.started()) return;
+  if (p.start_run >= config_.q_consecutive) {
+    p.playback.start(p.start_id, now);
     advance_playback(p, now);
   }
 }
@@ -888,7 +889,7 @@ void Engine::advance_playback(PeerNode& p, double now) {
         const int end_switch = timeline_.switch_ending_at(id);
         if (end_switch >= 0) record_finish(p, end_switch, play_time);
         const int start_switch = timeline_.switch_ending_at(id - 1);
-        if (start_switch >= 0 && p.tracked() && p.active_switch() == start_switch) {
+        if (start_switch >= 0 && p.tracked && p.active_switch == start_switch) {
           if (book_phase_) {
             const std::size_t s = p.id % data_shards_;
             book_events_[s].push_back({book_current_item_[s], BookEvent::Kind::kS2Start,
@@ -902,9 +903,9 @@ void Engine::advance_playback(PeerNode& p, double now) {
 }
 
 void Engine::record_finish(PeerNode& p, int switch_index, double play_time) {
-  if (p.sw_finished() || p.active_switch() != switch_index) return;
-  p.sw_finished() = true;
-  if (!p.tracked()) return;
+  if (p.sw_finished || p.active_switch != switch_index) return;
+  p.sw_finished = true;
+  if (!p.tracked) return;
   if (book_phase_) {
     // Split book phase: the flag transition is per-peer (this lane owns
     // the peer); the metric push and the stop check are globally ordered —
@@ -921,9 +922,9 @@ void Engine::record_finish(PeerNode& p, int switch_index, double play_time) {
 }
 
 void Engine::record_prepared(PeerNode& p, int switch_index, double now) {
-  if (p.sw_prepared() || p.active_switch() != switch_index) return;
-  p.sw_prepared() = true;
-  if (!p.tracked()) return;
+  if (p.sw_prepared || p.active_switch != switch_index) return;
+  p.sw_prepared = true;
+  if (!p.tracked) return;
   if (book_phase_) {
     const std::size_t s = p.id % data_shards_;
     book_events_[s].push_back(

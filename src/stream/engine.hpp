@@ -289,10 +289,9 @@ struct EngineStats {
   std::uint64_t arena_chunks = 0;
   std::uint64_t arena_warm_chunks = 0;
   std::uint64_t arena_steady_chunks = 0;
-  /// Timing-wheel event plane: events scheduled through the wheels, entries
+  /// Timing-wheel event plane: events scheduled into the timing wheel, entries
   /// promoted from the overflow wheel / spill heap into finer levels as the
-  /// horizon advanced, and the spill heap's peak occupancy (max across
-  /// shards).
+  /// horizon advanced, and the spill heap's peak occupancy.
   std::uint64_t events_wheeled = 0;
   std::uint64_t wheel_overflow_promotions = 0;
   std::uint64_t spill_heap_peak = 0;
@@ -311,10 +310,10 @@ struct EngineStats {
   std::uint64_t cdn_pauses = 0;
   std::uint64_t cdn_resumes = 0;
   double cdn_mean_assist_s = 0.0;
-  /// Memory-plane telemetry, filled at the end of run(): heap bytes of all
-  /// per-peer state (SoA pool + each node's containers), the same divided
-  /// by the final peer count (NaN when there are no peers to divide by —
-  /// absent telemetry, distinguishable from a genuine 0), and the
+  /// Memory-plane telemetry, filled at the end of run(): bytes of all
+  /// per-peer state (every PeerNode plus the heap its containers own), the
+  /// same divided by the final peer count (NaN when there are no peers to
+  /// divide by — absent telemetry, distinguishable from a genuine 0), and the
   /// process-wide peak RSS (0 when the platform offers no probe — report
   /// it as "n/a", not as 0 bytes; includes non-peer state by nature).
   std::uint64_t peer_state_bytes = 0;
@@ -587,9 +586,6 @@ class Engine {
   std::unique_ptr<CdnAssistPlane> cdn_;
 
   std::vector<PeerNode> peers_;
-  /// Struct-of-arrays hot peer state; every element of peers_ is bound to
-  /// its slot here (see peer_pool.hpp).
-  PeerPool pool_;
 
   /// Sequential tick scratch (parallel_shards == 0).
   TickPlan plan_seq_;

@@ -14,14 +14,14 @@ namespace gs::stream {
 void Engine::init_peer_state(PeerNode& p, net::NodeId v) {
   p.id = v;
   util::Rng node_setup = setup_rng_.fork(v);
-  if (p.is_source()) {
-    p.inbound_rate() = 0.0;
-    p.outbound_rate() = config_.source_outbound;
+  double inbound_rate = 0.0;
+  if (p.is_source) {
+    p.outbound_rate = config_.source_outbound;
   } else {
-    p.inbound_rate() = config_.inbound.sample(node_setup);
-    p.outbound_rate() = config_.outbound.sample(node_setup);
+    inbound_rate = config_.inbound.sample(node_setup);
+    p.outbound_rate = config_.outbound.sample(node_setup);
   }
-  p.in_budget() = RateBudget(p.inbound_rate(), config_.budget_carry);
+  p.in_budget = RateBudget(inbound_rate, config_.budget_carry);
   p.buffer = StreamBuffer(config_.buffer_capacity);
   p.playback = Playback(config_.playback_rate);
   p.rng = util::Rng(config_.seed).fork(util::hash_name("peer")).fork(v);
@@ -30,17 +30,15 @@ void Engine::init_peer_state(PeerNode& p, net::NodeId v) {
 void Engine::init_peers() {
   const std::size_t n = graph_.node_count();
   peers_.resize(n);
-  pool_.resize(n);
-  for (net::NodeId v = 0; v < n; ++v) peers_[v].bind(pool_, v);
   transfers_.ensure_nodes(peers_.size());
   if (cdn_) cdn_->ensure_nodes(peers_.size());
   std::vector<char> is_source(graph_.node_count(), 0);
   for (const Session& s : timeline_.sessions()) is_source[s.source] = 1;
   for (net::NodeId v = 0; v < graph_.node_count(); ++v) {
     PeerNode& p = peers_[v];
-    p.is_source() = is_source[v] != 0;
+    p.is_source = is_source[v] != 0;
     init_peer_state(p, v);
-    p.start_id() = 0;
+    p.start_id = 0;
   }
   membership_.bootstrap_all_live();
   for (net::NodeId v = 0; v < graph_.node_count(); ++v) {
@@ -58,7 +56,7 @@ double Engine::tick_offset(net::NodeId v) const {
 }
 
 void Engine::start_peer_tick(PeerNode& p, bool initial) {
-  if (p.is_source()) return;  // sources never pull
+  if (p.is_source) return;  // sources never pull
   const double start = sim_.now() + tick_offset(p.id);
   if (initial) {
     // Initial peers of a shard share the same start time; the shard's
@@ -81,7 +79,7 @@ void Engine::start_peer_tick(PeerNode& p, bool initial) {
 void Engine::churn_step(double now) {
   std::size_t live_peers = 0;
   for (const net::NodeId v : membership_.live_nodes()) {
-    if (!peers_[v].is_source()) ++live_peers;
+    if (!peers_[v].is_source) ++live_peers;
   }
   const auto n_leave = static_cast<std::size_t>(
       std::llround(config_.churn_leave_fraction * static_cast<double>(live_peers)));
@@ -98,7 +96,7 @@ void Engine::churn_step(double now) {
     if (live.empty()) break;
     const net::NodeId v = live[static_cast<std::size_t>(
         churn_rng_.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
-    if (peers_[v].is_source()) continue;
+    if (peers_[v].is_source) continue;
     if (std::find(victims.begin(), victims.end(), v) != victims.end()) continue;
     victims.push_back(v);
   }
@@ -109,26 +107,26 @@ void Engine::churn_step(double now) {
 
 void Engine::handle_leave(net::NodeId v) {
   PeerNode& p = peers_[v];
-  GS_CHECK(p.alive());
-  GS_CHECK(!p.is_source());
-  p.alive() = false;
+  GS_CHECK(p.alive);
+  GS_CHECK(!p.is_source);
+  p.alive = false;
   ticker_.remove_member(p.tick_group, p.id);
   p.tick_group = kNoTickGroup;
   // Isolates v before anything reads the graph again, so every adjacency
   // list the engine reads names alive peers only.
   membership_.leave(v);
   ++stats_.leaves;
-  if (p.tracked() && p.active_switch() >= 0) {
-    SwitchMetrics& m = timeline_.metrics(p.active_switch());
-    if (!p.sw_finished()) {
+  if (p.tracked && p.active_switch >= 0) {
+    SwitchMetrics& m = timeline_.metrics(p.active_switch);
+    if (!p.sw_finished) {
       ++m.censored_finish;
-      p.sw_finished() = true;
+      p.sw_finished = true;
     }
-    if (!p.sw_prepared()) {
+    if (!p.sw_prepared) {
       ++m.censored_prepare;
-      p.sw_prepared() = true;
+      p.sw_prepared = true;
     }
-    p.tracked() = false;
+    p.tracked = false;
     check_experiment_complete();
   }
 }
@@ -139,8 +137,6 @@ net::NodeId Engine::handle_join() {
   latency_.add_node(std::min(churn_rng_.pareto(config_.join_ping_min_ms, config_.join_ping_shape),
                              config_.join_ping_cap_ms));
   peers_.emplace_back();
-  pool_.resize(peers_.size());
-  peers_.back().bind(pool_, peers_.size() - 1);
   transfers_.ensure_nodes(peers_.size());
   if (cdn_) cdn_->ensure_nodes(peers_.size());
   PeerNode& p = peers_.back();
@@ -153,18 +149,18 @@ net::NodeId Engine::handle_join() {
   SegmentId start = kNoSegment;
   for (const net::NodeId nb : graph_.neighbors(v)) {
     const PeerNode& n = peers_[nb];
-    if (n.alive() && n.playback.started()) start = std::max(start, n.playback.cursor());
+    if (n.alive && n.playback.started()) start = std::max(start, n.playback.cursor());
   }
   if (start == kNoSegment) {
     start = std::max<SegmentId>(
         0, registry_.next_id() - static_cast<SegmentId>(config_.q_consecutive));
   }
-  p.start_id() = start;
+  p.start_id = start;
 
   // Mid-switch joiners participate mechanically but are not tracked.
   const int current = timeline_.current_switch();
   if (current >= 0 && timeline_.session(static_cast<std::size_t>(current)).ended() &&
-      p.start_id() <= timeline_.session(static_cast<std::size_t>(current)).last) {
+      p.start_id <= timeline_.session(static_cast<std::size_t>(current)).last) {
     timeline_.init_switch_counters(p, current, sim_.now(), config_.q_startup);
   }
   start_peer_tick(p, /*initial=*/false);
@@ -197,7 +193,7 @@ void Engine::warm_start_state() {
   const double backlog_target =
       config_.stable_backlog_scale * std::pow(population, config_.stable_backlog_exponent);
   for (PeerNode& p : peers_) {
-    if (p.is_source()) continue;
+    if (p.is_source) continue;
     // Roughly uniform backlog (see config docs) with mild spread and an
     // optional per-hop component.  The warmup is kept short so spare
     // inbound rate does not drain the seeded state before the switch (in
@@ -219,7 +215,7 @@ void Engine::warm_start_state() {
     for (SegmentId id = cursor + 1; id <= head; ++id) {
       if (p.rng.bernoulli(config_.sparse_fill)) p.preload(id);
     }
-    p.start_run() = static_cast<std::uint32_t>(cursor) + 1;
+    p.start_run = static_cast<std::uint32_t>(cursor) + 1;
     p.playback.start(cursor, t0);
   }
 }
@@ -236,7 +232,7 @@ void Engine::start_debug_series() {
         double frontier_gap = 0.0;
         std::size_t counted = 0;
         for (const PeerNode& p : peers_) {
-          if (p.is_source() || !p.alive()) continue;
+          if (p.is_source || !p.alive) continue;
           ++counted;
           const SegmentId cursor = p.playback_anchor();
           cursor_gap += static_cast<double>(point.head - cursor);
@@ -338,7 +334,7 @@ std::vector<SwitchMetrics> Engine::run() {
 
   // Memory-plane telemetry: heap footprint of all per-peer state plus the
   // process high-water mark (the latter includes non-peer state by nature).
-  std::uint64_t peer_bytes = pool_.memory_bytes();
+  std::uint64_t peer_bytes = 0;
   for (const PeerNode& p : peers_) peer_bytes += p.memory_bytes();
   stats_.peer_state_bytes = peer_bytes;
   // NaN (not 0.0) when there are no peers: consumers must be able to tell

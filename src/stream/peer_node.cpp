@@ -39,10 +39,9 @@ std::size_t PeerNode::count_missing(SegmentId lo, SegmentId hi) const {
 }
 
 void PeerNode::extend_start_run() {
-  const std::size_t base = static_cast<std::size_t>(start_id());
-  std::uint32_t& run = start_run();
-  while (base + run < received.size() && received.test(base + run)) {
-    ++run;
+  const std::size_t base = static_cast<std::size_t>(start_id);
+  while (base + start_run < received.size() && received.test(base + start_run)) {
+    ++start_run;
   }
 }
 

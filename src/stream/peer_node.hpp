@@ -1,25 +1,21 @@
 // Per-peer state and node-local bookkeeping.
 //
-// A PeerNode owns everything that belongs to exactly one peer: its stream
-// buffer and playback engine, its gossip availability state (received set,
-// pending requests) and its identity.  The per-tick-hot scalars — alive
-// flag, rates, budget, switch counters — live in a struct-of-arrays
-// PeerPool (see peer_pool.hpp); PeerNode holds a (pool, index) binding and
-// exposes reference-returning accessors so call sites keep their shape
-// (`p.alive() = false`, `--p.q1_missing()`).  The engine binds all peers to
-// one shared pool; an unbound node lazily creates a private single-slot
-// pool on first access, so standalone PeerNodes (tests, transients) still
-// work and default construction allocates nothing.
+// A PeerNode owns everything that belongs to exactly one peer: its identity,
+// the per-period scalars the tick reads (alive flag, outbound rate, inbound
+// budget, the learned boundary and the Q1/Q2 switch counters), its stream
+// buffer and playback engine, and its gossip availability state (received
+// set, pending requests).  Every field is a plain member with its default,
+// so a default-constructed node is a live, non-source peer with no switch
+// and no known boundary — the state a joiner starts from.
 //
 // Cross-peer mechanism — uplink queues, deliveries, the switch timeline —
 // lives in TransferPlane / SwitchTimeline; the engine wires them together.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "net/graph.hpp"
-#include "stream/peer_pool.hpp"
+#include "stream/bandwidth.hpp"
 #include "stream/playback.hpp"
 #include "stream/scheduler.hpp"
 #include "stream/stream_buffer.hpp"
@@ -34,6 +30,43 @@ inline constexpr std::size_t kNoTickGroup = static_cast<std::size_t>(-1);
 
 struct PeerNode {
   net::NodeId id = 0;
+  bool is_source = false;
+  bool alive = true;
+  /// Index into the engine's scheduler-strategy registry (strategies are
+  /// stateless per call and shared; peers carry a one-byte handle so
+  /// heterogeneous policies stay a config change, not a refactor).
+  std::uint8_t strategy_index = 0;
+
+  double outbound_rate = 0.0;
+  /// Inbound request budget; its rate() is the peer's inbound rate I.
+  RateBudget in_budget;
+
+  /// First id this peer needs (joiners skip the back catalogue).
+  SegmentId start_id = 0;
+  /// Contiguous run of received ids starting at start_id (startup rule).
+  std::uint32_t start_run = 0;
+
+  /// Highest switch index whose boundary this peer knows (-1 = none).
+  int known_boundary = -1;
+  /// Switch currently being worked (-1 = none).  Valid once the timeline's
+  /// switch event initialised the fields below.
+  int active_switch = -1;
+  /// Q1: undelivered old-stream segments for the active switch.
+  std::uint32_t q1_missing = 0;
+  /// Q2: undelivered segments of the new stream's Qs-prefix.
+  std::uint32_t q2_missing = 0;
+  /// Snapshot of q1_missing at the switch instant (Q0).
+  std::uint32_t q0_at_switch = 0;
+  /// Lower bound of this peer's old-stream needs for the active switch.
+  SegmentId sw_lo = 0;
+  /// Finished playback of the old stream.
+  bool sw_finished = false;
+  /// Gathered the new stream's prefix.
+  bool sw_prepared = false;
+  /// Counted in the active switch's metrics.
+  bool tracked = false;
+  /// Playback gate set for the active switch.
+  bool gate_armed = false;
 
   StreamBuffer buffer{600};
   Playback playback{10.0};
@@ -61,69 +94,6 @@ struct PeerNode {
   std::uint64_t requests_rejected = 0;
   std::uint64_t duplicates_received = 0;
 
-  /// Attaches this node to slot `index` of an engine-owned pool.  The pool
-  /// must outlive the node (the engine owns both).
-  void bind(PeerPool& pool, std::size_t index) noexcept {
-    pool_ = &pool;
-    idx_ = index;
-  }
-
-  // Hot-scalar accessors.  Non-const overloads return references into the
-  // pool (uint8_t for flags: `p.tracked() = true` and `if (p.tracked())`
-  // both work); const overloads return values.
-  [[nodiscard]] bool is_source() const { return pool().is_source(idx_) != 0; }
-  [[nodiscard]] std::uint8_t& is_source() { return pool().is_source(idx_); }
-  [[nodiscard]] bool alive() const { return pool().alive(idx_) != 0; }
-  [[nodiscard]] std::uint8_t& alive() { return pool().alive(idx_); }
-  [[nodiscard]] double inbound_rate() const { return pool().inbound_rate(idx_); }
-  [[nodiscard]] double& inbound_rate() { return pool().inbound_rate(idx_); }
-  [[nodiscard]] double outbound_rate() const { return pool().outbound_rate(idx_); }
-  [[nodiscard]] double& outbound_rate() { return pool().outbound_rate(idx_); }
-  [[nodiscard]] const RateBudget& in_budget() const { return pool().in_budget(idx_); }
-  [[nodiscard]] RateBudget& in_budget() { return pool().in_budget(idx_); }
-  /// First id this peer needs (joiners skip the back catalogue).
-  [[nodiscard]] SegmentId start_id() const { return pool().start_id(idx_); }
-  [[nodiscard]] SegmentId& start_id() { return pool().start_id(idx_); }
-  /// Contiguous run of received ids starting at start_id (startup rule).
-  [[nodiscard]] std::uint32_t start_run() const { return pool().start_run(idx_); }
-  [[nodiscard]] std::uint32_t& start_run() { return pool().start_run(idx_); }
-  /// Highest switch index whose boundary this peer knows (-1 = none).
-  [[nodiscard]] int known_boundary() const { return pool().known_boundary(idx_); }
-  [[nodiscard]] int& known_boundary() { return pool().known_boundary(idx_); }
-  /// Switch currently being worked (-1 = none).  Valid once the timeline's
-  /// switch event initialised the counters below.
-  [[nodiscard]] int active_switch() const { return pool().active_switch(idx_); }
-  [[nodiscard]] int& active_switch() { return pool().active_switch(idx_); }
-  /// Q1: undelivered old-stream segments for the active switch.
-  [[nodiscard]] std::uint32_t q1_missing() const { return pool().q1_missing(idx_); }
-  [[nodiscard]] std::uint32_t& q1_missing() { return pool().q1_missing(idx_); }
-  /// Q2: undelivered segments of the new stream's Qs-prefix.
-  [[nodiscard]] std::uint32_t q2_missing() const { return pool().q2_missing(idx_); }
-  [[nodiscard]] std::uint32_t& q2_missing() { return pool().q2_missing(idx_); }
-  /// Snapshot of q1_missing at the switch instant (Q0).
-  [[nodiscard]] std::uint32_t q0_at_switch() const { return pool().q0_at_switch(idx_); }
-  [[nodiscard]] std::uint32_t& q0_at_switch() { return pool().q0_at_switch(idx_); }
-  /// Lower bound of this peer's old-stream needs for the active switch.
-  [[nodiscard]] SegmentId sw_lo() const { return pool().sw_lo(idx_); }
-  [[nodiscard]] SegmentId& sw_lo() { return pool().sw_lo(idx_); }
-  /// Finished playback of the old stream.
-  [[nodiscard]] bool sw_finished() const { return pool().sw_finished(idx_) != 0; }
-  [[nodiscard]] std::uint8_t& sw_finished() { return pool().sw_finished(idx_); }
-  /// Gathered the new stream's prefix.
-  [[nodiscard]] bool sw_prepared() const { return pool().sw_prepared(idx_) != 0; }
-  [[nodiscard]] std::uint8_t& sw_prepared() { return pool().sw_prepared(idx_); }
-  /// Counted in the active switch's metrics.
-  [[nodiscard]] bool tracked() const { return pool().tracked(idx_) != 0; }
-  [[nodiscard]] std::uint8_t& tracked() { return pool().tracked(idx_); }
-  /// Playback gate set for the active switch.
-  [[nodiscard]] bool gate_armed() const { return pool().gate_armed(idx_) != 0; }
-  [[nodiscard]] std::uint8_t& gate_armed() { return pool().gate_armed(idx_); }
-  /// Index into the engine's scheduler-strategy registry (strategies are
-  /// stateless per call and shared; peers carry a one-byte handle so
-  /// heterogeneous policies stay a config change, not a refactor).
-  [[nodiscard]] std::uint8_t strategy_index() const { return pool().strategy(idx_); }
-  [[nodiscard]] std::uint8_t& strategy_index() { return pool().strategy(idx_); }
-
   /// Marks `id` received (growing the bitset as needed) and inserts it into
   /// the stream buffer.  Returns false when it was already received.
   bool mark_received(SegmentId id);
@@ -134,7 +104,7 @@ struct PeerNode {
   /// First id this peer currently wants: the playback cursor once started,
   /// start_id before.  The candidate build's request window starts here.
   [[nodiscard]] SegmentId playback_anchor() const {
-    return playback.started() ? playback.cursor() : start_id();
+    return playback.started() ? playback.cursor() : start_id;
   }
 
   /// Undelivered segments in [lo, hi] (0 when the range is empty).
@@ -153,30 +123,10 @@ struct PeerNode {
   /// Extends the contiguous received run from start_id (startup rule).
   void extend_start_run();
 
-  /// Heap bytes owned by this node's cold state (buffer, playback, received
-  /// set, pending book, advertised map) plus the node itself.
+  /// Heap bytes owned by this node (buffer, playback, received set, pending
+  /// book, advertised map) plus the node itself.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
-
- private:
-  [[nodiscard]] PeerPool& pool() const {
-    if (pool_ == nullptr) {
-      own_ = std::make_unique<PeerPool>();
-      own_->resize(1);
-      pool_ = own_.get();
-    }
-    return *pool_;
-  }
-
-  // Engine-bound nodes point into the engine's pool; unbound nodes lazily
-  // own a single-slot pool.  Mutable so const reads work before binding;
-  // own_ lives on the heap so the binding survives vector reallocation.
-  mutable PeerPool* pool_ = nullptr;
-  mutable std::unique_ptr<PeerPool> own_;
-  std::size_t idx_ = 0;
 };
-
-/// Historical name, kept for call sites that predate the decomposition.
-using Peer = PeerNode;
 
 /// First id >= `from` that is clear in `bits` (ids beyond the bitset's size
 /// are implicitly clear).

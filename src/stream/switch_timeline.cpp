@@ -74,25 +74,25 @@ void SwitchTimeline::init_switch_counters(PeerNode& p, int k, double now,
   // A still-armed gate from the previous switch becomes moot once an even
   // newer session exists; release it so the new switch can gate at its own
   // boundary.
-  if (p.gate_armed() && p.playback.gate() != kNoSegment) {
+  if (p.gate_armed && p.playback.gate() != kNoSegment) {
     p.playback.release_gate(now);
   }
-  p.active_switch() = k;
-  p.sw_lo() = std::max(old.first, p.start_id());
-  p.q1_missing() = static_cast<std::uint32_t>(p.count_missing(p.sw_lo(), old.last));
-  p.q0_at_switch() = p.q1_missing();
+  p.active_switch = k;
+  p.sw_lo = std::max(old.first, p.start_id);
+  p.q1_missing = static_cast<std::uint32_t>(p.count_missing(p.sw_lo, old.last));
+  p.q0_at_switch = p.q1_missing;
   const SegmentId begin = old.last + 1;
   const auto prefix = static_cast<SegmentId>(required_prefix(k, q_startup));
-  p.q2_missing() = static_cast<std::uint32_t>(p.count_missing(begin, begin + prefix - 1));
-  p.sw_finished() = false;
-  p.sw_prepared() = false;
-  p.gate_armed() = false;
+  p.q2_missing = static_cast<std::uint32_t>(p.count_missing(begin, begin + prefix - 1));
+  p.sw_finished = false;
+  p.sw_prepared = false;
+  p.gate_armed = false;
 }
 
 void SwitchTimeline::censor_stale(const PeerNode& p, int new_switch) {
-  if (!p.tracked() || p.active_switch() < 0 || p.active_switch() >= new_switch) return;
-  if (!p.sw_finished()) ++metrics(p.active_switch()).censored_finish;
-  if (!p.sw_prepared()) ++metrics(p.active_switch()).censored_prepare;
+  if (!p.tracked || p.active_switch < 0 || p.active_switch >= new_switch) return;
+  if (!p.sw_finished) ++metrics(p.active_switch).censored_finish;
+  if (!p.sw_prepared) ++metrics(p.active_switch).censored_prepare;
 }
 
 bool SwitchTimeline::switch_closed(int k) const {
@@ -120,13 +120,12 @@ void SwitchTimeline::sample_tracks(double now, const std::vector<PeerNode>& peer
   std::size_t counted = 0;
   const double prefix = static_cast<double>(required_prefix(k, q_startup));
   for (const PeerNode& p : peers) {
-    if (!p.tracked() || p.active_switch() != k || !p.alive()) continue;
+    if (!p.tracked || p.active_switch != k || !p.alive) continue;
     ++counted;
-    if (p.q0_at_switch() > 0) {
-      undelivered +=
-          static_cast<double>(p.q1_missing()) / static_cast<double>(p.q0_at_switch());
+    if (p.q0_at_switch > 0) {
+      undelivered += static_cast<double>(p.q1_missing) / static_cast<double>(p.q0_at_switch);
     }
-    delivered += (prefix - static_cast<double>(p.q2_missing())) / prefix;
+    delivered += (prefix - static_cast<double>(p.q2_missing)) / prefix;
   }
   if (counted > 0) {
     point.undelivered_ratio_s1 = undelivered / static_cast<double>(counted);
@@ -138,10 +137,10 @@ void SwitchTimeline::sample_tracks(double now, const std::vector<PeerNode>& peer
 
 void SwitchTimeline::censor_unfinished(const std::vector<PeerNode>& peers) {
   for (const PeerNode& p : peers) {
-    if (!p.tracked() || p.active_switch() < 0) continue;
-    SwitchMetrics& m = metrics(p.active_switch());
-    if (!p.sw_finished()) ++m.censored_finish;
-    if (!p.sw_prepared()) ++m.censored_prepare;
+    if (!p.tracked || p.active_switch < 0) continue;
+    SwitchMetrics& m = metrics(p.active_switch);
+    if (!p.sw_finished) ++m.censored_finish;
+    if (!p.sw_prepared) ++m.censored_prepare;
   }
 }
 

@@ -208,7 +208,7 @@ bool TransferPlane::request_staged(PeerNode& requester, const PeerNode& supplier
     // Link/supplier backlog too deep; the node retries elsewhere next period.
     return false;
   }
-  const double tx = 1.0 / supplier.outbound_rate();
+  const double tx = 1.0 / supplier.outbound_rate;
   capacity_->commit(requester.id, supplier.id, start, start + tx);
   // The jitter draw comes from the requester's own rng — member-local, so a
   // staged issue draws exactly what the inline issue would.
@@ -246,7 +246,7 @@ bool TransferPlane::push(PeerNode& from, net::NodeId to, SegmentId id, double no
                                 : uplink_busy_until_[from.id];
   const double start = std::max(now, backlog);
   if (start - now > accept_horizon_) return false;  // own uplink saturated
-  const double tx = 1.0 / from.outbound_rate();
+  const double tx = 1.0 / from.outbound_rate;
   if (bucket) {
     capacity_->commit(to, from.id, start, start + tx);
   } else {

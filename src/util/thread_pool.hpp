@@ -1,25 +1,22 @@
-// Fixed-size thread pool for running many independent simulations (trials,
-// sweep points) concurrently, plus the bounded fork/join primitive the
-// sharded engine core uses inside one simulation.
+// Fixed-size thread pool behind one bounded fork/join primitive, run_batch.
+// It runs many independent simulations at once (trials, sweep points) and,
+// inside one simulation, the sharded engine's plan, commit and book passes.
 //
-// Simulations are deterministic and share nothing, so a plain mutex-guarded
-// task queue is ample: task granularity is whole simulation runs (tens of
-// milliseconds to seconds), making queue contention irrelevant.  run_batch
-// is the exception — it dispatches micro-tasks (per-peer tick planning) —
-// so it self-schedules over an atomic cursor and the *caller participates*,
-// which keeps it deadlock-free even when every pool worker is itself busy
-// inside a simulation that called run_batch.
+// run_batch self-schedules over an atomic cursor and the *caller
+// participates*, which keeps it deadlock-free even when every pool worker
+// is itself busy inside a simulation that called run_batch.  Iterations
+// range from per-peer tick plans (microseconds) to whole simulation runs
+// (seconds); a mutex-guarded queue hands out only the helper closures, one
+// per lane, so queue contention stays irrelevant at either grain.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace gs::util {
@@ -36,44 +33,21 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
 
-  /// Enqueues a callable; the returned future yields its result (or rethrows
-  /// its exception).
-  template <typename F>
-  [[nodiscard]] auto submit(F&& task) -> std::future<std::invoke_result_t<F>> {
-    using Result = std::invoke_result_t<F>;
-    auto packaged = std::make_shared<std::packaged_task<Result()>>(std::forward<F>(task));
-    std::future<Result> future = packaged->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      tasks_.emplace([packaged] { (*packaged)(); });
-    }
-    cv_.notify_one();
-    return future;
-  }
-
-  /// Runs body(i) for i in [0, n) across the pool and blocks until all
-  /// complete.  Exceptions from any iteration are rethrown (first one wins).
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
-  /// Fork/join batch: runs body(i) for i in [0, n) on at most `lanes`
-  /// executors and blocks until every index completed.  The calling thread
-  /// is one of the lanes — it claims indices itself while waiting — so the
-  /// batch finishes even if no pool worker ever becomes free (the pool may
-  /// be saturated by outer parallel_for simulations that each call
-  /// run_batch).  `lanes <= 1` degenerates to an inline loop.  Index
+  /// Fork/join batch: runs body(i, lane) for i in [0, n) on at most
+  /// `lanes` executors and blocks until every index completed.  `lane` is a
+  /// dense id in [0, lanes), stable for the executing thread across the
+  /// whole batch and never shared by two threads within it (the caller is
+  /// lane 0; each helper claims the next free id on entry), so callers can
+  /// index per-lane scratch — e.g. one bump arena per lane — without
+  /// thread-local state.  The caller claims indices itself while waiting,
+  /// so the batch finishes even if no pool worker ever becomes free (the
+  /// pool may be saturated by outer batches whose iterations call run_batch
+  /// again).  `lanes <= 1` degenerates to an inline loop on lane 0.  Index
   /// assignment to lanes is racy by design; callers must make iterations
   /// independent (the sharded engine writes disjoint per-index slots).
   /// Exceptions from any iteration are rethrown in the caller (first wins).
-  void run_batch(std::size_t n, std::size_t lanes, const std::function<void(std::size_t)>& body);
-
-  /// Lane-identified variant of run_batch: body(i, lane) where `lane` is a
-  /// dense id in [0, lanes) stable for the executing thread across the whole
-  /// batch (the caller claims lane 0; each helper claims the next free id on
-  /// entry).  Callers use it to index per-lane scratch — e.g. one bump arena
-  /// per lane — without thread-local state.  Same progress/exception
-  /// semantics as run_batch.
-  void run_batch_lanes(std::size_t n, std::size_t lanes,
-                       const std::function<void(std::size_t, std::size_t)>& body);
+  void run_batch(std::size_t n, std::size_t lanes,
+                 const std::function<void(std::size_t, std::size_t)>& body);
 
  private:
   void worker_loop();

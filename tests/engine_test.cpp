@@ -112,8 +112,8 @@ TEST(Engine, WarmStartSeedsBacklog) {
   // Q0 snapshots: non-source peers carry a backlog at the switch.
   std::size_t with_backlog = 0;
   for (std::size_t v = 0; v < engine->peer_count(); ++v) {
-    const Peer& p = engine->peer(static_cast<net::NodeId>(v));
-    if (!p.is_source() && p.q0_at_switch() > 0) ++with_backlog;
+    const PeerNode& p = engine->peer(static_cast<net::NodeId>(v));
+    if (!p.is_source && p.q0_at_switch > 0) ++with_backlog;
   }
   EXPECT_GT(with_backlog, engine->peer_count() / 2);
 }
@@ -172,7 +172,7 @@ TEST(Engine, ChurnKeepsPopulationStable) {
   (void)engine->run();
   std::size_t alive = 0;
   for (std::size_t v = 0; v < engine->peer_count(); ++v) {
-    if (engine->peer(static_cast<net::NodeId>(v)).alive()) ++alive;
+    if (engine->peer(static_cast<net::NodeId>(v)).alive) ++alive;
   }
   EXPECT_NEAR(static_cast<double>(alive), 80.0, 12.0);
 }

@@ -65,7 +65,7 @@ std::vector<CandidateSegment> brute_force(const PeerNode& p,
       if (!n.buffer.contains(id)) continue;
       SupplierView s;
       s.node = nb;
-      s.send_rate = n.outbound_rate();
+      s.send_rate = n.outbound_rate;
       s.buffer_position = n.buffer.position_from_tail(id);
       s.queue_delay = transfers.queue_delay(p.id, nb, now);
       c.suppliers.push_back(s);
@@ -98,7 +98,7 @@ TEST_P(CandidateBuildReference, MatchesBruteForceOnRandomNeighbourhoods) {
     for (net::NodeId v = 0; v < kPeers; ++v) {
       peers[v].id = v;
       peers[v].buffer = StreamBuffer(capacity);
-      peers[v].outbound_rate() = 5.0 + static_cast<double>(v);
+      peers[v].outbound_rate = 5.0 + static_cast<double>(v);
     }
     PeerNode& p = peers[0];
 
@@ -107,7 +107,7 @@ TEST_P(CandidateBuildReference, MatchesBruteForceOnRandomNeighbourhoods) {
     const SegmentId nudge[] = {0, 1, -1, static_cast<SegmentId>(rng.uniform_int(0, 63))};
     const SegmentId anchor =
         std::max<SegmentId>(0, word + nudge[static_cast<std::size_t>(rng.uniform_int(0, 3))]);
-    p.start_id() = anchor;
+    p.start_id = anchor;
     const auto window = static_cast<SegmentId>(capacity);
 
     // Neighbours, in a random (not id-sorted) order.
@@ -234,7 +234,7 @@ TEST(CandidateBuild, NoNeighbourHeadAtOrPastTheAnchorBuildsNothing) {
   transfers.ensure_nodes(3);
   std::vector<PeerNode> peers(3);
   for (net::NodeId v = 0; v < 3; ++v) peers[v].id = v;
-  peers[0].start_id() = 128;
+  peers[0].start_id = 128;
   for (SegmentId id = 60; id < 128; ++id) peers[1].buffer.insert(id);
   CandidateScratch scratch;
   std::vector<CandidateSegment> out;

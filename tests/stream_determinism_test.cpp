@@ -367,13 +367,13 @@ TEST(ParallelDelivery, DrainDiagnosticsReportWork) {
 }
 
 // ---------------------------------------------------------------------------
-// The memory plane (struct-of-arrays hot scalars, flat pending books, the
-// arrival ring and the plan arenas) is the only one; its former on/off
-// cases are Golden rows below.  The flash-crowd scenario rides the regular
-// join path, so it must be a pure workload knob: deterministic for a fixed
-// seed, and it must admit exactly the configured crowd.
+// Membership workloads and the memory telemetry.  Churn and the flash crowd
+// add and remove peers mid-run, so they must reproduce themselves bit for
+// bit; the flash-crowd scenario rides the regular join path, so it must be
+// a pure workload knob that admits exactly the configured crowd.  The
+// memory plane's former on/off cases are Golden rows below.
 
-TEST(PeerPool, PooledChurnRunsReproduceThemselves) {
+TEST(Workloads, ShardedChurnRunsReproduceThemselves) {
   RunSpec setup;
   setup.seed = 61;
   setup.churn = true;
@@ -381,14 +381,14 @@ TEST(PeerPool, PooledChurnRunsReproduceThemselves) {
   expect_identical(run_setup(setup), run_setup(setup));
 }
 
-TEST(PeerPool, FlashCrowdRunsReproduceThemselves) {
+TEST(Workloads, FlashCrowdRunsReproduceThemselves) {
   RunSpec setup;
   setup.seed = 71;
   setup.flash_joins = 40;
   expect_identical(run_setup(setup), run_setup(setup));
 }
 
-TEST(PeerPool, FlashCrowdAdmitsTheConfiguredCrowd) {
+TEST(Workloads, FlashCrowdAdmitsTheConfiguredCrowd) {
   RunSpec setup;
   setup.seed = 73;
   setup.flash_joins = 40;
@@ -397,7 +397,7 @@ TEST(PeerPool, FlashCrowdAdmitsTheConfiguredCrowd) {
   EXPECT_GE(out.stats.joins, 40u) << "flash joiners are a subset of joins";
 }
 
-TEST(PeerPool, ReportsMemoryTelemetry) {
+TEST(Workloads, ReportsMemoryTelemetry) {
   RunSpec setup;
   setup.seed = 79;
   const RunOutput out = run_setup(setup);

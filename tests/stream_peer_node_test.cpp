@@ -55,13 +55,13 @@ TEST(PeerNode, NextMissingSkipsReceivedRuns) {
 
 TEST(PeerNode, ExtendStartRunFollowsContiguousPrefix) {
   PeerNode p;
-  p.start_id() = 100;
+  p.start_id = 100;
   for (const SegmentId id : {100, 101, 102, 104}) p.mark_received(id);
   p.extend_start_run();
-  EXPECT_EQ(p.start_run(), 3u) << "run stops at the 103 gap";
+  EXPECT_EQ(p.start_run, 3u) << "run stops at the 103 gap";
   p.mark_received(103);
   p.extend_start_run();
-  EXPECT_EQ(p.start_run(), 5u) << "filling the gap extends through 104";
+  EXPECT_EQ(p.start_run, 5u) << "filling the gap extends through 104";
 }
 
 TEST(PeerNode, PrunePendingDropsOnlyExpiredEntries) {
@@ -85,12 +85,30 @@ TEST(PeerNode, PreloadIsIdempotentAvailabilityOnly) {
   EXPECT_FALSE(p.playback.started());
 }
 
+// A joiner is a default-constructed node that init_peer_state then fills in
+// (id, rates, budget, buffer, playback, rng), so every other field must
+// already hold the joiner's state: alive, no switch, no boundary, zeroes.
 TEST(PeerNode, DefaultsMatchDispatchExpectations) {
   PeerNode p;
   EXPECT_EQ(p.tick_group, kNoTickGroup);
-  EXPECT_TRUE(p.alive());
-  EXPECT_EQ(p.active_switch(), -1);
-  EXPECT_EQ(p.known_boundary(), -1);
+  EXPECT_FALSE(p.is_source);
+  EXPECT_TRUE(p.alive);
+  EXPECT_EQ(p.strategy_index, 0u);
+  EXPECT_EQ(p.outbound_rate, 0.0);
+  EXPECT_EQ(p.in_budget.rate(), 0.0);
+  EXPECT_EQ(p.in_budget.available(), 0.0);
+  EXPECT_EQ(p.start_id, 0);
+  EXPECT_EQ(p.start_run, 0u);
+  EXPECT_EQ(p.known_boundary, -1);
+  EXPECT_EQ(p.active_switch, -1);
+  EXPECT_EQ(p.q1_missing, 0u);
+  EXPECT_EQ(p.q2_missing, 0u);
+  EXPECT_EQ(p.q0_at_switch, 0u);
+  EXPECT_EQ(p.sw_lo, 0);
+  EXPECT_FALSE(p.sw_finished);
+  EXPECT_FALSE(p.sw_prepared);
+  EXPECT_FALSE(p.tracked);
+  EXPECT_FALSE(p.gate_armed);
 }
 
 }  // namespace

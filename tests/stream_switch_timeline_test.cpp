@@ -59,18 +59,18 @@ TEST(SwitchTimeline, InitSwitchCountersComputesQ1Q2FromReceivedSet) {
   timeline.begin_switch(0, 0.0, 49);
 
   PeerNode p;
-  p.start_id() = 10;
+  p.start_id = 10;
   for (SegmentId id = 10; id < 30; ++id) p.preload(id);  // 30..49 missing
   p.preload(52);                                          // one S2 segment
   timeline.init_switch_counters(p, 0, 0.0, /*q_startup=*/10);
-  EXPECT_EQ(p.active_switch(), 0);
-  EXPECT_EQ(p.sw_lo(), 10);
-  EXPECT_EQ(p.q1_missing(), 20u);
-  EXPECT_EQ(p.q0_at_switch(), 20u);
-  EXPECT_EQ(p.q2_missing(), 9u) << "prefix 50..59 minus the received 52";
-  EXPECT_FALSE(p.sw_finished());
-  EXPECT_FALSE(p.sw_prepared());
-  EXPECT_FALSE(p.gate_armed());
+  EXPECT_EQ(p.active_switch, 0);
+  EXPECT_EQ(p.sw_lo, 10);
+  EXPECT_EQ(p.q1_missing, 20u);
+  EXPECT_EQ(p.q0_at_switch, 20u);
+  EXPECT_EQ(p.q2_missing, 9u) << "prefix 50..59 minus the received 52";
+  EXPECT_FALSE(p.sw_finished);
+  EXPECT_FALSE(p.sw_prepared);
+  EXPECT_FALSE(p.gate_armed);
 }
 
 TEST(SwitchTimeline, InitSwitchCountersReleasesStaleGate) {
@@ -82,7 +82,7 @@ TEST(SwitchTimeline, InitSwitchCountersReleasesStaleGate) {
   p.playback = Playback(10.0);
   p.playback.start(0, 0.0);
   p.playback.set_gate(40);
-  p.gate_armed() = true;
+  p.gate_armed = true;
   timeline.init_switch_counters(p, 0, 1.0, 10);
   EXPECT_EQ(p.playback.gate(), kNoSegment) << "stale gate released";
 }
@@ -93,15 +93,15 @@ TEST(SwitchTimeline, CensorStaleCountsOnlyUnfinishedEarlierSwitches) {
   timeline.begin_switch(0, 0.0, 49);
 
   PeerNode p;
-  p.tracked() = true;
-  p.active_switch() = 0;
-  p.sw_finished() = true;
-  p.sw_prepared() = false;
+  p.tracked = true;
+  p.active_switch = 0;
+  p.sw_finished = true;
+  p.sw_prepared = false;
   timeline.censor_stale(p, 1);
   EXPECT_EQ(timeline.metrics(0).censored_finish, 0u);
   EXPECT_EQ(timeline.metrics(0).censored_prepare, 1u);
   // A peer already on the new switch is not censored again.
-  p.active_switch() = 1;
+  p.active_switch = 1;
   timeline.censor_stale(p, 1);
   EXPECT_EQ(timeline.metrics(0).censored_prepare, 1u);
 }
@@ -138,15 +138,15 @@ TEST(SwitchTimeline, SampleTracksAveragesTrackedPeers) {
   std::vector<PeerNode> peers(3);
   for (std::size_t i = 0; i < 2; ++i) {
     PeerNode& p = peers[i];
-    p.tracked() = true;
-    p.active_switch() = 0;
-    p.q0_at_switch() = 10;
+    p.tracked = true;
+    p.active_switch = 0;
+    p.q0_at_switch = 10;
   }
-  peers[0].q1_missing() = 5;   // half drained
-  peers[0].q2_missing() = 10;  // nothing of S2 yet
-  peers[1].q1_missing() = 0;   // done with S1
-  peers[1].q2_missing() = 0;   // fully prepared
-  peers[2].tracked() = false;  // must be ignored
+  peers[0].q1_missing = 5;   // half drained
+  peers[0].q2_missing = 10;  // nothing of S2 yet
+  peers[1].q1_missing = 0;   // done with S1
+  peers[1].q2_missing = 0;   // fully prepared
+  peers[2].tracked = false;  // must be ignored
 
   timeline.sample_tracks(2.0, peers, /*q_startup=*/10);
   ASSERT_EQ(timeline.metrics(0).track.size(), 1u);
@@ -163,10 +163,10 @@ TEST(SwitchTimeline, CensorUnfinishedClosesTheBooksAtHorizon) {
   timeline.begin_switch(0, 0.0, 49);
 
   std::vector<PeerNode> peers(2);
-  peers[0].tracked() = true;
-  peers[0].active_switch() = 0;
-  peers[0].sw_finished() = true;   // finished but never prepared
-  peers[1].tracked() = false;      // untracked: ignored
+  peers[0].tracked = true;
+  peers[0].active_switch = 0;
+  peers[0].sw_finished = true;   // finished but never prepared
+  peers[1].tracked = false;      // untracked: ignored
   timeline.censor_unfinished(peers);
   EXPECT_EQ(timeline.metrics(0).censored_finish, 0u);
   EXPECT_EQ(timeline.metrics(0).censored_prepare, 1u);

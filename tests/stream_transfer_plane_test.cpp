@@ -28,7 +28,7 @@ struct PlaneFixture {
     for (net::NodeId v = 0; v < 4; ++v) {
       PeerNode& p = peers[v];
       p.id = v;
-      p.outbound_rate() = 10.0;  // tx time = 0.1 s per segment
+      p.outbound_rate = 10.0;  // tx time = 0.1 s per segment
       p.rng = util::Rng(7).fork(v);
     }
     plane.ensure_nodes(peers.size());
@@ -198,7 +198,7 @@ TEST(TransferPlane, EnsureNodesGrowsForJoiners) {
   f.peers.resize(6);
   for (net::NodeId v = 4; v < 6; ++v) {
     f.peers[v].id = v;
-    f.peers[v].outbound_rate() = 5.0;
+    f.peers[v].outbound_rate = 5.0;
     f.peers[v].rng = util::Rng(7).fork(v);
     f.latency.add_node(40.0);
   }
