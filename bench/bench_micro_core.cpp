@@ -150,24 +150,9 @@ void BM_StreamBufferInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamBufferInsert);
 
-// Closure events on the timing wheel: schedule a batch spread over 1000
-// one-second buckets, then drain it.
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  for (auto _ : state) {
-    gs::sim::EventQueue queue;
-    int sink = 0;
-    for (int i = 0; i < state.range(0); ++i) {
-      queue.schedule(static_cast<double>((i * 7919) % 1000), [&sink] { ++sink; });
-    }
-    while (!queue.empty()) queue.pop_and_run();
-    benchmark::DoNotOptimize(sink);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EventQueueScheduleRun)->ArgNames({"events"})->Arg(1000)->Arg(10000);
-
-/// Pooled plain-struct events on the same workload as the closure variant
-/// above: the delta is the per-event std::function allocation.
+// Events on the timing wheel: schedule a batch spread over 1000 one-second
+// buckets, then drain it.  Every event is a pooled sink call with its
+// payload inline, so the loop never allocates per event.
 struct CountingSink final : gs::sim::EventSink {
   int count = 0;
   void on_event(std::uint64_t, std::uint64_t) override { ++count; }

@@ -4,28 +4,11 @@
 
 namespace gs::sim {
 
-EventId EventQueue::push_entry(Entry entry) {
-  entry.id = next_id_++;
-  const EventId id = entry.id;
-  wheel_.push(std::move(entry));
+EventId EventQueue::schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b) {
+  const EventId id = next_id_++;
+  wheel_.push({at, id, &sink, a, b});
   ++live_;
   return id;
-}
-
-EventId EventQueue::schedule(Time at, std::function<void()> action) {
-  Entry entry;
-  entry.at = at;
-  entry.action = std::move(action);
-  return push_entry(std::move(entry));
-}
-
-EventId EventQueue::schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b) {
-  Entry entry;
-  entry.at = at;
-  entry.sink = &sink;
-  entry.a = a;
-  entry.b = b;
-  return push_entry(std::move(entry));
 }
 
 bool EventQueue::cancel(EventId id) {
@@ -36,8 +19,10 @@ bool EventQueue::cancel(EventId id) {
   const bool inserted = cancelled_.insert(id).second;
   if (!inserted) return false;
   // The id might belong to an event that already fired; verify it is still
-  // resident.  Linear scan is fine: cancels are rare (a switch's generation
-  // task, churn).
+  // resident.  A linear scan is fine: a live run cancels one event per
+  // switch (the old session's generation task), and an engine's teardown
+  // clears the queue first (Simulator::clear), so its sinks' destructor
+  // cancels scan an empty wheel.
   if (!wheel_.any([id](const Entry& e) { return e.id == id; })) {
     cancelled_.erase(id);
     return false;
@@ -73,19 +58,14 @@ Time EventQueue::next_time() const {
 Time EventQueue::pop_and_run() {
   GS_CHECK(!empty());
   static_cast<void>(top());  // drops cancelled heads
-  Entry entry = wheel_.pop();
+  const Entry entry = wheel_.pop();
   --live_;
-  if (entry.sink != nullptr) {
-    entry.sink->on_event(entry.a, entry.b);
-  } else {
-    entry.action();
-  }
+  entry.sink->on_event(entry.a, entry.b);
   return entry.at;
 }
 
 bool EventQueue::top_is_batchable() {
-  const Entry& head = top();
-  return head.sink != nullptr && head.sink->batchable();
+  return top().sink->batchable();
 }
 
 std::size_t EventQueue::pop_batch(Time limit, std::vector<PooledBatchItem>& out,
@@ -94,7 +74,6 @@ std::size_t EventQueue::pop_batch(Time limit, std::vector<PooledBatchItem>& out,
   out.clear();
   const Entry& head = top();
   EventSink* const sink = head.sink;
-  GS_CHECK(sink != nullptr);
   const bool across_times = sink->batch_across_times();
   const Time first_at = head.at;
   for (;;) {

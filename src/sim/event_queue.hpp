@@ -10,17 +10,15 @@
 // the pop order is exactly that of a single (time, sequence) priority
 // queue.
 //
-// Two kinds of entry share the one sequence domain (so their mutual
-// ordering at a timestamp is still insertion order):
-//   - closure events: an arbitrary std::function<void()>;
-//   - pooled plain-struct events: an EventSink* plus two payload words
-//     stored inline in the entry.  Scheduling one never allocates —
-//     the entry storage IS the pool — which is what keeps the hot delivery
-//     path (one event per segment transfer) allocation-free.
+// Every event is a pooled plain struct: an EventSink* plus two payload
+// words stored inline in the entry.  Scheduling one never allocates — the
+// entry storage IS the pool — which is what keeps the hot delivery path
+// (one event per segment transfer) allocation-free.  Periodic work and the
+// switch instant are sinks too (sim::PeriodicTask, the engine's switch
+// sink), so one 40-byte entry kind carries the whole event plane.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_set>
 #include <vector>
 
@@ -42,7 +40,7 @@ struct PooledBatchItem {
 ///
 /// A sink may additionally opt into *batched* pops (see
 /// EventQueue::pop_batch): a maximal run of consecutive — in global
-/// (time, sequence) order — pooled entries sharing this sink is then
+/// (time, sequence) order — entries sharing this sink is then
 /// delivered through one on_batch call instead of per-entry on_event
 /// calls.  Batching never reorders anything; it only changes how many
 /// entries one dispatch hands over, which is what lets the engine drain a
@@ -82,19 +80,16 @@ class EventQueue {
     return wheel_.telemetry();
   }
 
-  /// Schedules `action` at absolute time `at`.  Returns an id usable with
-  /// cancel().  `at` may equal the current head time; ties fire in
-  /// scheduling order.
-  EventId schedule(Time at, std::function<void()> action);
-
-  /// Schedules a pooled plain-struct event: at time `at`, calls
-  /// `sink.on_event(a, b)`.  Same ordering domain and cancellation rules as
-  /// the closure overload, but the entry carries the payload inline, so
-  /// this never allocates.  `sink` must outlive the event.
+  /// Schedules an event: at absolute time `at`, calls `sink.on_event(a,
+  /// b)`.  Returns an id usable with cancel().  `at` may equal the current
+  /// head time; ties fire in scheduling order.  The entry carries the
+  /// payload inline, so this never allocates.  `sink` must outlive the
+  /// event (or cancel it first).
   EventId schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b);
 
   /// Cancels a pending event.  Returns false if the event already fired,
-  /// was already cancelled, or never existed.
+  /// was already cancelled, or never existed.  O(pending): it scans the
+  /// wheel to prove the event is still resident.
   bool cancel(EventId id);
 
   [[nodiscard]] bool empty() const noexcept;
@@ -107,14 +102,14 @@ class EventQueue {
   /// the time of the event that ran.
   Time pop_and_run();
 
-  /// True when the next entry to pop is a pooled event whose sink opted
-  /// into batched pops; requires !empty().
+  /// True when the next entry to pop belongs to a sink that opted into
+  /// batched pops; requires !empty().
   [[nodiscard]] bool top_is_batchable();
 
   /// Pops the maximal batchable run at the head of the queue WITHOUT
   /// running it: starting from the current head (which must satisfy
   /// top_is_batchable()), consecutive global-order heads are drained into
-  /// `out` while they are pooled entries of the same sink, fire no later
+  /// `out` while they are entries of the same sink, fire no later
   /// than `limit`, and — unless the sink batches across times — share the
   /// first entry's timestamp.  Returns the number of entries popped (>= 1)
   /// and stores the common sink in `sink_out`; the caller dispatches the
@@ -129,7 +124,6 @@ class EventQueue {
  private:
   using Entry = QueueEntry;
 
-  EventId push_entry(Entry entry);
   /// The earliest live entry; requires !empty().  Drops cancelled heads as
   /// a side effect.
   [[nodiscard]] const Entry& top();

@@ -8,32 +8,28 @@ namespace gs::sim {
 
 PeriodicTask::PeriodicTask(Simulator& sim, Time start, Time period,
                            std::function<void(Time)> action)
-    : sim_(sim), period_(period), action_(std::move(action)), state_(std::make_shared<State>()) {
+    : sim_(sim), period_(period), action_(std::move(action)), next_(start) {
   GS_CHECK_GT(period, 0.0);
-  arm(start);
+  pending_ = sim_.at(next_, *this, 0, 0);
 }
 
 PeriodicTask::~PeriodicTask() { cancel(); }
 
 void PeriodicTask::cancel() {
-  if (!state_ || !state_->active) return;
-  state_->active = false;
+  if (!active_) return;
+  active_ = false;
   if (pending_ != 0) {
     sim_.cancel(pending_);
     pending_ = 0;
   }
 }
 
-void PeriodicTask::arm(Time when) {
-  // The shared state keeps the fired lambda safe if the task is destroyed
-  // between scheduling and firing (the event then no-ops).
-  std::shared_ptr<State> state = state_;
-  pending_ = sim_.at(when, [this, state, when] {
-    if (!state->active) return;
-    pending_ = 0;
-    action_(when);
-    if (state->active) arm(when + period_);
-  });
+void PeriodicTask::on_event(std::uint64_t /*a*/, std::uint64_t /*b*/) {
+  pending_ = 0;
+  action_(next_);
+  if (!active_) return;  // the action cancelled the task
+  next_ += period_;
+  pending_ = sim_.at(next_, *this, 0, 0);
 }
 
 // ---------------------------------------------------------- BatchTicker ---
@@ -86,54 +82,29 @@ bool BatchTicker::group_live(std::size_t group) const {
   return groups_[group].pending != 0;
 }
 
-void BatchTicker::on_event(std::uint64_t a, std::uint64_t /*b*/) {
-  const auto index = static_cast<std::size_t>(a);
-  groups_[index].pending = 0;
-  const Time now = groups_[index].next;
-  // Index access throughout: a sweep that creates *other* groups (joiner
-  // singletons) may reallocate groups_; mutating this group's own member
-  // list mid-sweep is rejected by add_member/remove_member.
-  groups_[index].sweeping = true;
-  if (batch_sweep_) {
-    // Hand the callback a stable copy: a sweep that creates other groups
-    // (joiner singletons) may reallocate groups_, which would dangle a
-    // reference into it.  The scratch keeps its capacity, so steady state
-    // is one memcpy per sweep, no allocation.
-    batch_scratch_.assign(groups_[index].members.begin(), groups_[index].members.end());
-    batch_sweep_(batch_scratch_, now);
-  } else {
-    for (std::size_t i = 0; i < groups_[index].members.size(); ++i) {
-      sweep_(groups_[index].members[i], now);
-    }
-  }
-  groups_[index].sweeping = false;
-  Group& group = groups_[index];
-  if (group.members.empty()) return;  // dormant: every member was removed
-  // Re-arm one period ahead.  This is the fast path the engine's timing
-  // wheel is quantized for: the next tick lands exactly one near-wheel
-  // bucket ahead, so the re-arm is a single bucket append (no heap sift),
-  // and a period's sweeps sort once as that bucket drains.
-  group.next = now + period_;
-  group.pending = sim_.at(group.next, *this, a, 0);
+void BatchTicker::on_event(std::uint64_t a, std::uint64_t b) {
+  const PooledBatchItem item{groups_[static_cast<std::size_t>(a)].next, a, b};
+  on_batch(&item, 1);
 }
 
 void BatchTicker::on_batch(const PooledBatchItem* items, std::size_t count) {
-  if (count <= 1 || !batch_sweep_) {
-    // Per-group dispatch: byte-for-byte the unbatched pop sequence.
-    for (std::size_t i = 0; i < count; ++i) on_event(items[i].a, items[i].b);
-    return;
-  }
-  // Super-batch: every item is a group firing at the same timestamp
-  // (batchable sinks without batch_across_times never span times).
-  // Concatenating the member lists in item order and sweeping once equals
-  // the per-group sweeps: member order is preserved, and the sweep
-  // callback (the engine's wave pipeline) re-derives any member state an
-  // earlier member's commit invalidated, exactly as it does across waves
-  // of one group.  The re-arms collapse to the end of the run; only
-  // continuous-time transfer events are scheduled during sweeps, so the
-  // collapse cannot flip any cross-event ordering.
-  ++superbatches_;
+  // Every item is a group firing at the same timestamp (batchable sinks
+  // without batch_across_times never span times).  Concatenating the member
+  // lists in item order and sweeping once equals the per-group sweeps:
+  // member order is preserved, and the sweep callback (the engine's wave
+  // pipeline) re-derives any member state an earlier member's commit
+  // invalidated, exactly as it does across waves of one group.  The re-arms
+  // collapse to the end of the run; only continuous-time transfer events
+  // are scheduled during sweeps, so the collapse cannot flip any
+  // cross-event ordering.
+  if (count > 1) ++superbatches_;
   const Time now = groups_[static_cast<std::size_t>(items[0].a)].next;
+  // Hand the callback a stable copy: a sweep that creates other groups
+  // (joiner singletons) may reallocate groups_, which would dangle a
+  // reference into it, so groups are re-indexed after the sweep too.
+  // Mutating a sweeping group's own member list is rejected by
+  // add_member/remove_member.  The scratch keeps its capacity, so steady
+  // state is one memcpy per sweep, no allocation.
   batch_scratch_.clear();
   for (std::size_t i = 0; i < count; ++i) {
     Group& group = groups_[static_cast<std::size_t>(items[i].a)];
@@ -141,12 +112,15 @@ void BatchTicker::on_batch(const PooledBatchItem* items, std::size_t count) {
     group.sweeping = true;
     batch_scratch_.insert(batch_scratch_.end(), group.members.begin(), group.members.end());
   }
-  batch_sweep_(batch_scratch_, now);
+  sweep_(batch_scratch_, now);
   for (std::size_t i = 0; i < count; ++i) {
-    const auto index = static_cast<std::size_t>(items[i].a);
-    Group& group = groups_[index];
+    Group& group = groups_[static_cast<std::size_t>(items[i].a)];
     group.sweeping = false;
     if (group.members.empty()) continue;  // dormant: every member was removed
+    // Re-arm one period ahead.  This is the fast path the engine's timing
+    // wheel is quantized for: the next tick lands exactly one near-wheel
+    // bucket ahead, so the re-arm is a single bucket append (no heap sift),
+    // and a period's sweeps sort once as that bucket drains.
     group.next = now + period_;
     group.pending = sim_.at(group.next, *this, items[i].a, 0);
   }

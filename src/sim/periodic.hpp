@@ -1,7 +1,8 @@
-// Periodic task helper: re-arms a callback every `period` seconds.
+// Periodic work as simulator sinks.
 //
-// Used for segment generation, the churn process, samplers and other
-// engine-wide periodic work.
+// PeriodicTask re-arms one callback every `period` seconds: segment
+// generation, the churn process, samplers and other engine-wide periodic
+// work.
 //
 // BatchTicker drives the per-node scheduling ticks (τ = 1 s in the paper):
 // groups of members that share a tick phase are swept by ONE simulator
@@ -11,21 +12,23 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/simulator.hpp"
 
 namespace gs::sim {
 
-/// Owns a repeating event.  Destroying or cancel()ing the task stops the
-/// repetition; the callback is never invoked afterwards.
-class PeriodicTask {
+/// Owns a repeating event.  The task is its own sink: each firing runs the
+/// action at the scheduled time, then re-arms one period later — after
+/// everything the action scheduled, so the re-arm takes the next event id.
+/// Destroying or cancel()ing the task stops the repetition; the callback is
+/// never invoked afterwards.  The action must not destroy its own task.
+class PeriodicTask final : public EventSink {
  public:
   /// Schedules `action` at start, start+period, start+2*period, ...
   /// `start` is absolute; must be >= sim.now().
   PeriodicTask(Simulator& sim, Time start, Time period, std::function<void(Time)> action);
-  ~PeriodicTask();
+  ~PeriodicTask() override;
 
   PeriodicTask(const PeriodicTask&) = delete;
   PeriodicTask& operator=(const PeriodicTask&) = delete;
@@ -33,26 +36,23 @@ class PeriodicTask {
   /// Stops future firings.  Safe to call from within the action.
   void cancel();
 
-  [[nodiscard]] bool active() const noexcept { return state_ && state_->active; }
+  [[nodiscard]] bool active() const noexcept { return active_; }
   [[nodiscard]] Time period() const noexcept { return period_; }
 
  private:
-  struct State {
-    bool active = true;
-  };
-
-  void arm(Time when);
+  void on_event(std::uint64_t a, std::uint64_t b) override;
 
   Simulator& sim_;
   Time period_;
   std::function<void(Time)> action_;
-  std::shared_ptr<State> state_;
+  Time next_;
   EventId pending_ = 0;
+  bool active_ = true;
 };
 
 /// Batched tick dispatch: each group holds members that tick at the same
-/// times (`first + k * period`), and one pooled simulator event per group
-/// per period sweeps them all.
+/// times (`first + k * period`), and one simulator event per group per
+/// period sweeps them all.
 ///
 /// The dispatch order is *exactly* the order the equivalent per-member
 /// PeriodicTasks would produce (the reference sim_property_test holds the
@@ -70,34 +70,29 @@ class PeriodicTask {
 ///
 /// Under batched pops (Simulator::enable_batch_pop) the ticker additionally
 /// *super-batches*: a run of groups firing at the same timestamp arrives as
-/// one on_batch call, and with a whole-group BatchSweep installed their
-/// member lists are concatenated (item order, members in add order) into a
-/// SINGLE sweep — one pre/plan/commit pipeline pass covers every tied group
-/// instead of one fork/join per group.  This reproduces the per-group
-/// outcome exactly: member order is preserved, the sweep callback re-plans
-/// any member whose speculation an earlier member invalidated, and the
-/// groups' re-arms collapse to the end of the super-batch by the same
-/// continuous-delivery-times argument that justifies the per-group re-arm
-/// collapse above.  Lockstep configurations (no tick stagger) put
-/// N/tick_shard_size groups at every period boundary, so this is where the
-/// sweep dispatch cost of the lockstep scale runs goes.
+/// one on_batch call, and their member lists are concatenated (item order,
+/// members in add order) into a SINGLE sweep — one pre/plan/commit pipeline
+/// pass covers every tied group instead of one fork/join per group.  This
+/// reproduces the per-group outcome exactly: member order is preserved,
+/// the sweep callback re-plans any member whose speculation an earlier
+/// member invalidated, and the groups' re-arms collapse to the end of the
+/// super-batch by the same continuous-delivery-times argument that
+/// justifies the per-group re-arm collapse above.  Lockstep configurations
+/// (no tick stagger) put N/tick_shard_size groups at every period
+/// boundary, so this is where the sweep dispatch cost of the lockstep
+/// scale runs goes.
 class BatchTicker final : public EventSink {
  public:
-  /// `sweep(member, now)` is invoked once per member per period.
-  using Sweep = std::function<void(std::uint32_t member, Time now)>;
-  /// Whole-group variant: receives the live member list (add order) of the
-  /// firing group.  Installed by the sharded engine so one sweep can run
-  /// its members through barrier-phased passes (plan in parallel, commit in
-  /// member order); the callee must preserve the per-member semantics of
-  /// `sweep` and must not mutate the list.
-  using BatchSweep = std::function<void(const std::vector<std::uint32_t>& members, Time now)>;
+  /// Receives the live member list (add order) of the firing group, or of
+  /// a super-batched run of groups.  The callee ticks every member at
+  /// `now` with the outcome of ticking them one by one in list order (the
+  /// engine does exactly that sequentially, and through barrier-phased
+  /// passes — plan in parallel, commit in member order — when sharded).
+  /// The list is a stable copy; the callee must not keep it.
+  using Sweep = std::function<void(const std::vector<std::uint32_t>& members, Time now)>;
 
   BatchTicker(Simulator& sim, Time period, Sweep sweep);
   ~BatchTicker() override;
-
-  /// Routes sweeps through `batch` instead of per-member `sweep` calls
-  /// (nullptr restores the per-member path).
-  void set_batch_sweep(BatchSweep batch) { batch_sweep_ = std::move(batch); }
 
   BatchTicker(const BatchTicker&) = delete;
   BatchTicker& operator=(const BatchTicker&) = delete;
@@ -123,7 +118,7 @@ class BatchTicker final : public EventSink {
   [[nodiscard]] bool group_live(std::size_t group) const;
 
   /// Same-timestamp group runs merged into one concatenated sweep
-  /// (batched-pop dispatch with a BatchSweep installed only).
+  /// (batched-pop dispatch only).
   [[nodiscard]] std::uint64_t superbatch_count() const noexcept { return superbatches_; }
 
   /// Batched pops opt-in: same-time runs only (sweeps schedule re-arms and
@@ -139,17 +134,16 @@ class BatchTicker final : public EventSink {
     bool sweeping = false;
   };
 
-  /// Sweeps group `a` at its fire time, then re-arms it.
+  /// Sweeps group `a` at its fire time, then re-arms it (a run of one).
   void on_event(std::uint64_t a, std::uint64_t b) override;
-  /// Super-batch: sweeps a same-timestamp run of groups as one
-  /// concatenated BatchSweep pass, then re-arms each group in run order.
+  /// Sweeps a same-timestamp run of groups as one concatenated pass, then
+  /// re-arms each group in run order.
   void on_batch(const PooledBatchItem* items, std::size_t count) override;
 
   Simulator& sim_;
   Time period_;
   Sweep sweep_;
-  BatchSweep batch_sweep_;
-  /// Stable member-list copy handed to batch_sweep_ (reused capacity).
+  /// Stable member-list copy handed to sweep_ (reused capacity).
   std::vector<std::uint32_t> batch_scratch_;
   std::vector<Group> groups_;
   std::uint64_t superbatches_ = 0;

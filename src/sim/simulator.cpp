@@ -1,21 +1,10 @@
 #include "sim/simulator.hpp"
 
 #include <limits>
-#include <utility>
 
 #include "util/check.hpp"
 
 namespace gs::sim {
-
-EventId Simulator::at(Time when, std::function<void()> action) {
-  GS_CHECK_GE(when, now_);
-  return queue_.schedule(when, std::move(action));
-}
-
-EventId Simulator::after(Time delay, std::function<void()> action) {
-  GS_CHECK_GE(delay, 0.0);
-  return queue_.schedule(now_ + delay, std::move(action));
-}
 
 EventId Simulator::at(Time when, EventSink& sink, std::uint64_t a, std::uint64_t b) {
   GS_CHECK_GE(when, now_);

@@ -6,9 +6,10 @@
 // The pending set is EventQueue's timing wheel; its quantum is a
 // constructor argument (the engine passes the tick cadence tau, so sweeps
 // land on bucket boundaries and deliveries fill the current bucket).
+// Every event is an EventSink call with two inline payload words; periodic
+// work is a sink too (sim/periodic.hpp).
 #pragma once
 
-#include <functional>
 #include <limits>
 
 #include "sim/event_queue.hpp"
@@ -29,8 +30,8 @@ class Simulator {
     return queue_.wheel_telemetry();
   }
 
-  /// Batched pops: when enabled, a maximal run of consecutive pooled
-  /// events whose sink opted in (EventSink::batchable) is dispatched as
+  /// Batched pops: when enabled, a maximal run of consecutive events
+  /// whose sink opted in (EventSink::batchable) is dispatched as
   /// ONE on_batch call instead of per-event on_event calls.  The run is
   /// exactly a prefix of the canonical pop order, so execution semantics
   /// are unchanged; only dispatch granularity grows (the engine's parallel
@@ -40,18 +41,17 @@ class Simulator {
   void enable_batch_pop(bool on) { batch_pop_ = on; }
   [[nodiscard]] bool batch_pop_enabled() const noexcept { return batch_pop_; }
 
-  /// Schedules at an absolute time; must not be in the past.
-  EventId at(Time when, std::function<void()> action);
-  /// Schedules `delay >= 0` seconds from now.
-  EventId after(Time delay, std::function<void()> action);
-  /// Pooled plain-struct variants: at `when` / after `delay`, calls
-  /// `sink.on_event(a, b)`.  Never allocates (payload is stored inline in
-  /// the queue entry); same ordering/cancellation semantics as the closure
-  /// overloads.
+  /// Schedules `sink.on_event(a, b)` at absolute time `when` (must not be
+  /// in the past) / `delay >= 0` seconds from now.  Never allocates: the
+  /// payload is stored inline in the queue entry.
   EventId at(Time when, EventSink& sink, std::uint64_t a, std::uint64_t b);
   EventId after(Time delay, EventSink& sink, std::uint64_t a, std::uint64_t b);
   /// Cancels a pending event; false if it already fired.
   bool cancel(EventId id) { return queue_.cancel(id); }
+  /// Drops every pending event without running it.  An owner tearing down
+  /// a run calls this before destroying its sinks, so their destructor
+  /// cancels find nothing to scan.
+  void clear() noexcept { queue_.clear(); }
 
   /// Runs events until the queue drains or the clock passes `until`
   /// (events at exactly `until` run).  Returns the number of events run.

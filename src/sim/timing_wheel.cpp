@@ -18,7 +18,7 @@ std::int64_t TimingWheel::bucket_of(Time at) const noexcept {
   return static_cast<std::int64_t>(std::floor(at * inv_quantum_));
 }
 
-void TimingWheel::push(QueueEntry entry) {
+void TimingWheel::push(const QueueEntry& entry) {
   const std::int64_t bucket = bucket_of(entry.at);
   if (!anchored_) {
     // Anchor one bucket behind the first entry so it routes into the near
@@ -30,14 +30,14 @@ void TimingWheel::push(QueueEntry entry) {
   }
   ++telemetry_.scheduled;
   ++size_;
-  place(std::move(entry), bucket);
+  place(entry, bucket);
 }
 
-void TimingWheel::place(QueueEntry entry, std::int64_t bucket) {
+void TimingWheel::place(const QueueEntry& entry, std::int64_t bucket) {
   if (bucket <= cursor_) {
     // Late arrival: the bucket was already collected (or lies behind the
     // anchor).  The side heap merges with the sorted front at top()/pop().
-    side_.push_back(std::move(entry));
+    side_.push_back(entry);
     std::push_heap(side_.begin(), side_.end(), QueueEntryLater{});
     return;
   }
@@ -46,17 +46,17 @@ void TimingWheel::place(QueueEntry entry, std::int64_t bucket) {
     // bucket values, one per slot.  The inclusive upper bound matters — a
     // coarse slot promoted at cursor_ = boundary - 1 spans buckets
     // [cursor_ + 1, cursor_ + kNearSlots] and must land here whole.
-    near_[static_cast<std::size_t>(bucket & kNearMask)].push_back(std::move(entry));
+    near_[static_cast<std::size_t>(bucket & kNearMask)].push_back(entry);
     ++near_live_;
     return;
   }
   const std::int64_t coarse = bucket >> kNearBits;
   if (coarse < coarse_cursor_ + kCoarseSlots) {
-    coarse_[static_cast<std::size_t>(coarse & kCoarseMask)].push_back(std::move(entry));
+    coarse_[static_cast<std::size_t>(coarse & kCoarseMask)].push_back(entry);
     ++coarse_live_;
     return;
   }
-  spill_.push_back(std::move(entry));
+  spill_.push_back(entry);
   std::push_heap(spill_.begin(), spill_.end(), QueueEntryLater{});
   telemetry_.spill_peak =
       std::max<std::uint64_t>(telemetry_.spill_peak, spill_.size());
@@ -66,10 +66,7 @@ void TimingWheel::promote_coarse() {
   std::vector<QueueEntry>& slot = coarse_[static_cast<std::size_t>(coarse_cursor_ & kCoarseMask)];
   coarse_live_ -= slot.size();
   telemetry_.overflow_promotions += slot.size();
-  for (QueueEntry& e : slot) {
-    const std::int64_t bucket = bucket_of(e.at);
-    place(std::move(e), bucket);
-  }
+  for (const QueueEntry& e : slot) place(e, bucket_of(e.at));
   slot.clear();
 }
 
@@ -78,10 +75,10 @@ void TimingWheel::pull_spill() {
     const std::int64_t bucket = bucket_of(spill_.front().at);
     if ((bucket >> kNearBits) >= coarse_cursor_ + kCoarseSlots) return;
     std::pop_heap(spill_.begin(), spill_.end(), QueueEntryLater{});
-    QueueEntry e = std::move(spill_.back());
+    const QueueEntry e = spill_.back();
     spill_.pop_back();
     ++telemetry_.overflow_promotions;
-    place(std::move(e), bucket);
+    place(e, bucket);
   }
 }
 
@@ -148,10 +145,10 @@ QueueEntry TimingWheel::pop() {
   if (front_pos_ >= front_.size() && side_.empty()) advance();
   --size_;
   if (front_is_next()) {
-    return std::move(front_[front_pos_++]);
+    return front_[front_pos_++];
   }
   std::pop_heap(side_.begin(), side_.end(), QueueEntryLater{});
-  QueueEntry out = std::move(side_.back());
+  const QueueEntry out = side_.back();
   side_.pop_back();
   return out;
 }

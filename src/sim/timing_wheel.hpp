@@ -30,7 +30,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 namespace gs::sim {
@@ -44,18 +44,18 @@ using EventId = std::uint64_t;
 
 class EventSink;
 
-/// One pending event.  Two kinds share the struct (and the sequence
-/// domain): closure events carry `action`; pooled plain-struct events carry
-/// a sink plus two inline payload words and never allocate.
+/// One pending event: at time `at`, `sink->on_event(a, b)`.  The payload
+/// rides inline, so scheduling never allocates and the wheel moves entries
+/// as plain bytes.
 struct QueueEntry {
   Time at = 0.0;
   EventId id = 0;
-  /// Non-null selects the pooled plain-struct path; `action` is unused.
   EventSink* sink = nullptr;
   std::uint64_t a = 0;
   std::uint64_t b = 0;
-  std::function<void()> action;
 };
+static_assert(sizeof(QueueEntry) == 40 && std::is_trivially_copyable_v<QueueEntry>,
+              "the wheel sorts and moves entries as 40-byte plain structs");
 
 /// "a fires after b" — the heap comparator: a max-heap under this order
 /// (std::push_heap/pop_heap) pops the earliest (time, sequence) entry first.
@@ -78,7 +78,7 @@ class TimingWheel {
 
   explicit TimingWheel(double quantum = 1.0);
 
-  void push(QueueEntry entry);
+  void push(const QueueEntry& entry);
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
@@ -135,7 +135,7 @@ class TimingWheel {
   [[nodiscard]] std::int64_t bucket_of(Time at) const noexcept;
 
   /// Routes an entry to side/near/coarse/spill by its bucket index.
-  void place(QueueEntry entry, std::int64_t bucket);
+  void place(const QueueEntry& entry, std::int64_t bucket);
   /// Scatters the coarse slot at coarse_cursor_ into the near wheel.
   void promote_coarse();
   /// Moves spill entries that entered the coarse horizon into the wheels.

@@ -29,18 +29,22 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
                  [this](net::NodeId to, SegmentId id) { on_delivery(to, id); },
                  config_.token_bucket_burst),
       ticker_(sim_, config_.tau,
-              [this](std::uint32_t member, double now) { tick(peers_[member], now); }),
+              [this](const std::vector<std::uint32_t>& members, double now) {
+                // The sharded core takes whole sweeps: pre in member order,
+                // plan on the pool, then the commit wave (same per-member
+                // semantics as the sequential loop).
+                if (config_.parallel_shards > 0) {
+                  run_parallel_sweep(members, now);
+                  return;
+                }
+                for (const std::uint32_t member : members) tick(peers_[member], now);
+              }),
       churn_rng_(util::Rng(config_.seed).fork(util::hash_name("churn"))),
       setup_rng_(util::Rng(config_.seed).fork(util::hash_name("setup"))) {
   GS_CHECK(strategy != nullptr);
   strategies_.push_back(std::move(strategy));
   GS_CHECK_EQ(latency_.node_count(), graph_.node_count());
   if (config_.parallel_shards > 0) {
-    // The sharded core takes whole sweeps: pre in member order, plan on
-    // the pool, then the commit wave (same per-member semantics).
-    ticker_.set_batch_sweep([this](const std::vector<std::uint32_t>& members, double now) {
-      run_parallel_sweep(members, now);
-    });
     // The delivery drain partitions peers by id % shards, in at most 64
     // per-shard lists.
     const std::size_t shards = std::min<std::size_t>(config_.parallel_shards, 64);
@@ -94,6 +98,13 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   overhead_.set_enabled(false);
 }
 
+Engine::~Engine() {
+  // Drop the pending set before the sink-owning members go: the ticker's
+  // and the periodic tasks' destructor cancels then find an empty queue
+  // instead of each scanning every pending event (quadratic teardown).
+  sim_.clear();
+}
+
 void Engine::set_sources(std::vector<net::NodeId> sources, std::vector<double> switch_times) {
   timeline_.set_sources(graph_.node_count(), std::move(sources), std::move(switch_times));
 }
@@ -123,39 +134,41 @@ void Engine::generate_segment(SessionIndex k, double now) {
 }
 
 void Engine::schedule_switch(int switch_index) {
-  sim_.at(timeline_.switch_times()[static_cast<std::size_t>(switch_index)],
-          [this, switch_index] {
-    const double now = sim_.now();
-    timeline_.begin_switch(switch_index, now, registry_.next_id() - 1);
-    generation_task_->cancel();
+  sim_.at(timeline_.switch_times()[static_cast<std::size_t>(switch_index)], switch_sink_,
+          static_cast<std::uint64_t>(switch_index), 0);
+}
 
-    if (switch_index == 0) overhead_.set_enabled(true);
-    timeline_.capture_overhead(overhead_);
+void Engine::run_switch(int switch_index) {
+  const double now = sim_.now();
+  timeline_.begin_switch(switch_index, now, registry_.next_id() - 1);
+  generation_task_->cancel();
 
-    SwitchMetrics& m = timeline_.metrics(switch_index);
-    const Session& old = timeline_.session(static_cast<std::size_t>(switch_index));
-    for (PeerNode& p : peers_) {
-      if (p.is_source || !p.alive) continue;
-      // A peer still mid-way through the previous switch is censored there.
-      timeline_.censor_stale(p, switch_index);
-      timeline_.init_switch_counters(p, switch_index, now, config_.q_startup);
-      p.tracked = true;
-      ++m.tracked;
-      // Rare: the peer already played past the old stream's end (it was at
-      // the live head).  Its finish delay is zero by definition.
-      if (p.playback.started() && p.playback.cursor() > old.last) {
-        record_finish(p, switch_index, now);
-      }
+  if (switch_index == 0) overhead_.set_enabled(true);
+  timeline_.capture_overhead(overhead_);
+
+  SwitchMetrics& m = timeline_.metrics(switch_index);
+  const Session& old = timeline_.session(static_cast<std::size_t>(switch_index));
+  for (PeerNode& p : peers_) {
+    if (p.is_source || !p.alive) continue;
+    // A peer still mid-way through the previous switch is censored there.
+    timeline_.censor_stale(p, switch_index);
+    timeline_.init_switch_counters(p, switch_index, now, config_.q_startup);
+    p.tracked = true;
+    ++m.tracked;
+    // Rare: the peer already played past the old stream's end (it was at
+    // the live head).  Its finish delay is zero by definition.
+    if (p.playback.started() && p.playback.cursor() > old.last) {
+      record_finish(p, switch_index, now);
     }
+  }
 
-    // The new source learns the boundary immediately (it is told when S1
-    // stops; §3's synchronisation assumption).
-    PeerNode& next_source =
-        peers_[timeline_.session(static_cast<std::size_t>(switch_index) + 1).source];
-    learn_boundaries(next_source, switch_index, now);
+  // The new source learns the boundary immediately (it is told when S1
+  // stops; §3's synchronisation assumption).
+  PeerNode& next_source =
+      peers_[timeline_.session(static_cast<std::size_t>(switch_index) + 1).source];
+  learn_boundaries(next_source, switch_index, now);
 
-    start_session(switch_index + 1);
-  });
+  start_session(switch_index + 1);
 }
 
 // ---------------------------------------------------------------- tick ---
@@ -326,11 +339,15 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
   // Wave size bounds the speculation window: a member's plan can only go
   // stale against commits of its *own* wave (earlier waves are already
   // committed when it plans), so the stale-replan rate scales with the
-  // wave, while each wave still carries ~16 plans per lane of parallel
+  // wave, while each wave still carries >= 16 plans per lane of parallel
   // work.  Any wave size yields identical results — valid plans equal the
   // sequential computation and stale ones are re-planned — so this is a
-  // pure throughput knob.
-  const std::size_t wave = std::max<std::size_t>(32, 16 * lanes);
+  // pure throughput knob.  It is keyed on the configured shard count
+  // (capped at the delivery drain's 64), not on the lane count, so the
+  // diagnostics the window drives (replanned ticks, commit classes and
+  // fixups) do not depend on the machine's core count.
+  const std::size_t wave =
+      std::max<std::size_t>(32, 16 * std::min<std::size_t>(config_.parallel_shards, 64));
   if (batch_plans_.size() < std::min(n, wave)) batch_plans_.resize(std::min(n, wave));
   for (std::size_t base = 0; base < n; base += wave) {
     const std::size_t count = std::min(wave, n - base);

@@ -115,7 +115,10 @@ struct EngineConfig {
   std::size_t tick_shard_size = 16;
   /// Sharded parallel simulation core.  0 = the classic single-threaded
   /// path.  P >= 1 runs on min(P, hardware threads) lanes of
-  /// util::global_pool().  Every tick sweep runs in waves of three phases:
+  /// util::global_pool().  Every tick sweep runs in waves of
+  /// max(32, 16 * min(P, 64)) members — keyed on P, not on the lane count,
+  /// so the commit diagnostics below depend on the config alone — each in
+  /// three phases:
   ///   pre     sequential, member order — every cross-peer-visible write
   ///           (availability adverts, boundary learning, playback/metrics);
   ///   plan    parallel, read-only — candidate build + strategy scheduling
@@ -275,7 +278,9 @@ struct EngineStats {
   /// and drained through the sequential fixup queue (always equal to
   /// replanned_ticks); and members committed on parallel lanes.  Every
   /// planned member commits one way or the other, so
-  /// parallel_commits + commit_conflict_fixups == planned_ticks.
+  /// parallel_commits + commit_conflict_fixups == planned_ticks.  The wave
+  /// size is a function of parallel_shards, so these are fixed-seed
+  /// deterministic for a given shard count on any machine.
   std::uint64_t commit_colour_classes = 0;
   std::uint64_t commit_conflict_fixups = 0;
   std::uint64_t parallel_commits = 0;
@@ -328,6 +333,7 @@ class Engine {
   /// per call).
   Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
          std::shared_ptr<SchedulerStrategy> strategy);
+  ~Engine();
 
   /// Declares the serial source timeline: sources[k] streams session k;
   /// session 0 starts at -warmup; session k (k>=1) starts at
@@ -384,8 +390,20 @@ class Engine {
 
   // --- orchestration (engine.cpp) ---
   void start_session(SessionIndex k);
+  /// Schedules switch `switch_index`'s instant on switch_sink_, which then
+  /// calls run_switch (closes the old session, starts the next).
   void schedule_switch(int switch_index);
+  void run_switch(int switch_index);
   void generate_segment(SessionIndex k, double now);
+
+  /// The switch instants' event sink: payload word `a` is the switch index.
+  struct SwitchSink final : sim::EventSink {
+    explicit SwitchSink(Engine& e) : engine(e) {}
+    void on_event(std::uint64_t a, std::uint64_t /*b*/) override {
+      engine.run_switch(static_cast<int>(a));
+    }
+    Engine& engine;
+  };
 
   // --- per-tick pipeline ---
   /// A delivery issued under the commit wave's stage mode: the capacity
@@ -667,6 +685,7 @@ class Engine {
   std::uint64_t last_new_req_ = 0;
 
   std::unique_ptr<sim::PeriodicTask> generation_task_;
+  SwitchSink switch_sink_{*this};
   std::unique_ptr<sim::PeriodicTask> churn_task_;
   std::unique_ptr<sim::PeriodicTask> sampler_task_;
   /// Flash-crowd admission pump (config_.flash_crowd_joins > 0).
@@ -674,7 +693,8 @@ class Engine {
   std::size_t flash_joined_ = 0;
 
   /// Tick dispatch: one sweep event per tick shard per period.  Declared
-  /// after sim_, so it is destroyed (cancelling its sweeps) first.
+  /// after sim_, so it is destroyed first (its destructor cancels then
+  /// scan the queue ~Engine emptied).
   sim::BatchTicker ticker_;
   /// shard index -> ticker group (initial peers only; kNoTickGroup until
   /// the shard's first non-source peer arms it).

@@ -171,7 +171,7 @@ class TransferPlane final : public sim::EventSink {
  private:
   /// Pooled delivery event: `a` is the requester node id, `b` the segment
   /// id.  The payload lives inline in the event-queue entry, so the per-
-  /// transfer hot path schedules deliveries without allocating a closure.
+  /// transfer hot path schedules deliveries without allocating.
   void on_event(std::uint64_t a, std::uint64_t b) override;
   /// Batched run of delivery events (batchable() handlers only).
   void on_batch(const sim::PooledBatchItem* items, std::size_t count) override;

@@ -3,10 +3,10 @@
 //
 // The contract under test is what every determinism guarantee in the repo
 // rests on: events pop in (time, insertion-sequence) order — a stable sort
-// of the schedule — no matter how insertions, ties, cancellations and the
-// two entry kinds (closure / pooled plain-struct) interleave.  BatchTicker
-// must additionally reproduce, event for event, the schedule an equivalent
-// set of per-member PeriodicTasks would produce.
+// of the schedule — no matter how insertions, ties, cancellations and
+// events of different sinks interleave.  BatchTicker must additionally
+// reproduce, event for event, the schedule an equivalent set of per-member
+// PeriodicTasks would produce.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,11 +37,21 @@ std::vector<int> drain(EventQueue& queue, std::vector<int>& fired) {
   return fired;
 }
 
+/// Records each event's payload word `a` as its tag.
+struct RecordingSink final : EventSink {
+  std::vector<int>* fired = nullptr;
+  void on_event(std::uint64_t a, std::uint64_t /*b*/) override {
+    fired->push_back(static_cast<int>(a));
+  }
+};
+
 TEST(EventQueueProperty, TiesPopInInsertionOrderUnderRandomInterleaving) {
   util::Rng rng(2024);
   for (int trial = 0; trial < 50; ++trial) {
     EventQueue queue;
     std::vector<int> fired;
+    RecordingSink sink;
+    sink.fired = &fired;
     std::vector<Scheduled> reference;
     const int count = 3 + static_cast<int>(rng.uniform_int(0, 60));
     for (int i = 0; i < count; ++i) {
@@ -50,7 +60,7 @@ TEST(EventQueueProperty, TiesPopInInsertionOrderUnderRandomInterleaving) {
       Scheduled s;
       s.at = at;
       s.tag = i;
-      s.id = queue.schedule(at, [&fired, i] { fired.push_back(i); });
+      s.id = queue.schedule(at, sink, static_cast<std::uint64_t>(i), 0);
       reference.push_back(s);
     }
     // Random cancellations (the churn path).
@@ -70,20 +80,15 @@ TEST(EventQueueProperty, TiesPopInInsertionOrderUnderRandomInterleaving) {
   }
 }
 
-struct RecordingSink final : EventSink {
-  std::vector<int>* fired = nullptr;
-  void on_event(std::uint64_t a, std::uint64_t /*b*/) override {
-    fired->push_back(static_cast<int>(a));
-  }
-};
-
-TEST(EventQueueProperty, PooledAndClosureEventsShareOneOrderingDomain) {
+TEST(EventQueueProperty, TwoSinksShareOneOrderingDomain) {
   util::Rng rng(77);
   for (int trial = 0; trial < 50; ++trial) {
     EventQueue queue;
     std::vector<int> fired;
     RecordingSink sink;
     sink.fired = &fired;
+    RecordingSink other;
+    other.fired = &fired;
     std::vector<Scheduled> reference;
     const int count = 3 + static_cast<int>(rng.uniform_int(0, 60));
     for (int i = 0; i < count; ++i) {
@@ -91,11 +96,8 @@ TEST(EventQueueProperty, PooledAndClosureEventsShareOneOrderingDomain) {
       Scheduled s;
       s.at = at;
       s.tag = i;
-      if (rng.bernoulli(0.5)) {
-        s.id = queue.schedule(at, sink, static_cast<std::uint64_t>(i), 0);
-      } else {
-        s.id = queue.schedule(at, [&fired, i] { fired.push_back(i); });
-      }
+      s.id = queue.schedule(at, rng.bernoulli(0.5) ? sink : other,
+                            static_cast<std::uint64_t>(i), 0);
       reference.push_back(s);
     }
     std::vector<int> expected;
@@ -106,7 +108,7 @@ TEST(EventQueueProperty, PooledAndClosureEventsShareOneOrderingDomain) {
   }
 }
 
-TEST(EventQueueProperty, PooledEventsCancelLikeClosures) {
+TEST(EventQueueProperty, EventsCancelOnceAndOnlyWhilePending) {
   EventQueue queue;
   std::vector<int> fired;
   RecordingSink sink;
@@ -126,14 +128,19 @@ TEST(EventQueueProperty, PooledEventsCancelLikeClosures) {
 /// One (time, member) observation per tick, whichever dispatcher fired it.
 using Observation = std::pair<Time, std::uint32_t>;
 
+/// A ticker sweep that records one observation per member, in list order.
+BatchTicker::Sweep record_sweep(std::vector<Observation>& out) {
+  return [&out](const std::vector<std::uint32_t>& members, Time now) {
+    for (const std::uint32_t m : members) out.emplace_back(now, m);
+  };
+}
+
 TEST(BatchTickerProperty, SweepsMembersInArmOrderRegardlessOfInsertionInterleaving) {
   util::Rng rng(11);
   for (int trial = 0; trial < 30; ++trial) {
     Simulator sim;
     std::vector<Observation> seen;
-    BatchTicker ticker(sim, 1.0, [&seen](std::uint32_t member, Time now) {
-      seen.emplace_back(now, member);
-    });
+    BatchTicker ticker(sim, 1.0, record_sweep(seen));
     // Interleave group creation and member insertion arbitrarily; phases
     // collide on purpose (two groups share each phase).
     const std::size_t group_count = 2 + static_cast<std::size_t>(rng.uniform_int(0, 3));
@@ -201,9 +208,7 @@ TEST(BatchTickerProperty, MatchesPerMemberPeriodicTaskSchedule) {
       PeriodicTask other(sim, 0.0, 0.25, [&batched](double now) {
         batched.emplace_back(now, 9999);
       });
-      BatchTicker ticker(sim, 1.0, [&batched](std::uint32_t member, Time now) {
-        batched.emplace_back(now, member);
-      });
+      BatchTicker ticker(sim, 1.0, record_sweep(batched));
       std::vector<std::size_t> groups;
       for (std::uint32_t m = 0; m < members; ++m) {
         const std::size_t s = m / shard;
@@ -219,9 +224,7 @@ TEST(BatchTickerProperty, MatchesPerMemberPeriodicTaskSchedule) {
 TEST(BatchTickerProperty, RemovalPreservesOrderAndEmptyGroupsGoDormant) {
   Simulator sim;
   std::vector<Observation> seen;
-  BatchTicker ticker(sim, 1.0, [&seen](std::uint32_t member, Time now) {
-    seen.emplace_back(now, member);
-  });
+  BatchTicker ticker(sim, 1.0, record_sweep(seen));
   const std::size_t g = ticker.add_group(0.0);
   for (std::uint32_t m = 0; m < 4; ++m) ticker.add_member(g, m);
   sim.run_until(0.5);
@@ -243,7 +246,8 @@ TEST(BatchTickerProperty, RemovalPreservesOrderAndEmptyGroupsGoDormant) {
 
 /// Batchable across times: mimics the transfer plane's delivery drain
 /// (processing schedules nothing).  Records (time, tag) per item.  With
-/// `batch` cleared it opts out of batched pops (the single-pop reference).
+/// `batch` cleared it opts out of batched pops (the single-pop reference,
+/// or a second sink that breaks runs).
 struct BatchableSink final : EventSink {
   std::vector<Observation>* fired = nullptr;
   Simulator* sim = nullptr;
@@ -264,9 +268,10 @@ struct BatchableSink final : EventSink {
 
 TEST(BatchPopProperty, BatchedRunsPreserveThePopOrderAcrossTimes) {
   // The delivery-drain contract: with batched pops enabled, a mix of
-  // batchable pooled events and closure events must observe exactly the
-  // (time, sequence) order the unbatched loop produces — runs merely
-  // arrive through on_batch, carrying each item's own fire time.
+  // batchable events and events of a second, non-batchable sink must
+  // observe exactly the (time, sequence) order the unbatched loop produces
+  // — runs merely arrive through on_batch, carrying each item's own fire
+  // time.
   util::Rng rng(99);
   for (int trial = 0; trial < 30; ++trial) {
     std::vector<Observation> batched;
@@ -276,16 +281,20 @@ TEST(BatchPopProperty, BatchedRunsPreserveThePopOrderAcrossTimes) {
       Simulator sim;
       sim.enable_batch_pop(batch_pop);
       BatchableSink sink;
+      BatchableSink breaker;
+      breaker.batch = false;
       std::vector<Observation>& out = batch_pop ? batched : reference;
       sink.fired = &out;
       sink.sim = &sim;
+      breaker.fired = &out;
+      breaker.sim = &sim;
       util::Rng gen(static_cast<std::uint64_t>(trial) + 7);
       for (std::uint32_t tag = 0; tag < 120; ++tag) {
         const Time at = std::floor(gen.uniform(0.0, 12.0));  // dense ties
         if (gen.bernoulli(0.75)) {
           sim.at(at, sink, tag, 0);
         } else {
-          sim.at(at, [&out, tag, &sim] { out.emplace_back(sim.now(), 100000 + tag); });
+          sim.at(at, breaker, 100000 + tag, 0);
         }
       }
       const std::size_t ran = sim.run_until(20.0);
@@ -310,12 +319,12 @@ TEST(BatchPopProperty, NonBatchableSinksPopSingly) {
 
 TEST(BatchPopProperty, CancelledEntriesInsideBatchedRunsNeverFire) {
   // pop_batch must skip a cancelled entry exactly where a single pop does.
-  // The same seeded script (pooled events on an across-times sink mixed
-  // with closures, a random subset cancelled before the run and another
-  // mid-run) must fire the same sequence batched as popped singly through
-  // a non-batchable sink, and no cancelled tag may fire.
+  // The same seeded script (events on an across-times sink mixed with a
+  // second, non-batchable sink's, a random subset cancelled before the run
+  // and another mid-run) must fire the same sequence batched as popped
+  // singly through a non-batchable sink, and no cancelled tag may fire.
   constexpr std::uint32_t kEvents = 120;
-  constexpr std::uint32_t kClosureTag = 100000;
+  constexpr std::uint32_t kBreakerTag = 100000;
   for (int trial = 0; trial < 30; ++trial) {
     std::vector<Observation> batched;
     std::vector<Observation> single;
@@ -328,10 +337,14 @@ TEST(BatchPopProperty, CancelledEntriesInsideBatchedRunsNeverFire) {
       sim.enable_batch_pop(true);
       BatchableSink sink;
       sink.batch = batch;
+      BatchableSink breaker;
+      breaker.batch = false;
       std::vector<Observation>& out = batch ? batched : single;
       std::vector<bool>& hits = batch ? batched_hits : single_hits;
       sink.fired = &out;
       sink.sim = &sim;
+      breaker.fired = &out;
+      breaker.sim = &sim;
       util::Rng gen(static_cast<std::uint64_t>(trial) + 101);
       std::vector<EventId> ids;
       for (std::uint32_t tag = 0; tag < kEvents; ++tag) {
@@ -339,8 +352,7 @@ TEST(BatchPopProperty, CancelledEntriesInsideBatchedRunsNeverFire) {
         if (gen.bernoulli(0.75)) {
           ids.push_back(sim.at(at, sink, tag, 0));
         } else {
-          ids.push_back(sim.at(
-              at, [&out, tag, &sim] { out.emplace_back(sim.now(), kClosureTag + tag); }));
+          ids.push_back(sim.at(at, breaker, kBreakerTag + tag, 0));
         }
       }
       const auto cancel_some = [&] {
@@ -365,7 +377,7 @@ TEST(BatchPopProperty, CancelledEntriesInsideBatchedRunsNeverFire) {
         static_cast<std::size_t>(std::count(cancelled.begin(), cancelled.end(), true));
     EXPECT_EQ(batched.size(), kEvents - cancelled_count) << "trial " << trial;
     for (const Observation& o : batched) {
-      EXPECT_FALSE(cancelled[o.second % kClosureTag])
+      EXPECT_FALSE(cancelled[o.second % kBreakerTag])
           << "cancelled tag " << o.second << " fired, trial " << trial;
     }
   }
@@ -375,7 +387,7 @@ TEST(BatchTickerProperty, SuperBatchedSweepsEqualPerGroupSweeps) {
   // The super-batch contract: with batched pops enabled, same-timestamp
   // groups are swept as ONE concatenated whole-group pass; the observed
   // (time, member) sequence must equal the per-group sweeps — including
-  // under random tie-heavy phases and with an unrelated periodic closure
+  // under random tie-heavy phases and with an unrelated periodic task
   // breaking runs mid-timestamp-cluster.
   util::Rng rng(17);
   for (int trial = 0; trial < 25; ++trial) {
@@ -402,13 +414,7 @@ TEST(BatchTickerProperty, SuperBatchedSweepsEqualPerGroupSweeps) {
       std::vector<Observation>& out = batch_pop ? super_batched : per_group;
       PeriodicTask other(sim, 0.0, 0.25,
                          [&out](double now) { out.emplace_back(now, 9999); });
-      BatchTicker ticker(sim, 1.0, [&out](std::uint32_t member, Time now) {
-        out.emplace_back(now, member);
-      });
-      ticker.set_batch_sweep(
-          [&out](const std::vector<std::uint32_t>& swept, Time now) {
-            for (const std::uint32_t m : swept) out.emplace_back(now, m);
-          });
+      BatchTicker ticker(sim, 1.0, record_sweep(out));
       for (std::size_t g = 0; g < group_count; ++g) {
         if (members[g].empty()) continue;
         const std::size_t group = ticker.add_group(phases[g]);
@@ -440,14 +446,11 @@ TEST(BatchTickerProperty, SuperBatchedSweepsEqualPerGroupSweeps) {
 /// pending entry.  Ids are assigned in scheduling order like EventQueue's.
 class ReferenceQueue {
  public:
-  EventId schedule(Time at, std::function<void()> action) {
-    heap_.push_back({at, next_id_, std::move(action)});
+  /// Events run as closures: the reference models ordering only.
+  EventId schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b) {
+    heap_.push_back({at, next_id_, [&sink, a, b] { sink.on_event(a, b); }});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
     return next_id_++;
-  }
-  /// Pooled events run as closures: the reference models ordering only.
-  EventId schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b) {
-    return schedule(at, [&sink, a, b] { sink.on_event(a, b); });
   }
 
   bool cancel(EventId id) {
@@ -491,27 +494,38 @@ class ReferenceQueue {
 struct WheelScript {
   Time at = 0.0;
   int tag = 0;
-  bool pooled = false;
-  bool rearm = false;   ///< closure schedules a follow-up from inside its pop
+  bool rearm = false;   ///< schedules a follow-up from inside its pop
   Time rearm_at = 0.0;  ///< may precede `at` (exercises the late-arrival path)
+};
+
+/// Follow-up events carry their parent's tag plus this offset.
+constexpr int kFollowUpTag = 100000;
+
+/// Script events: payload `a` is the tag.  Records it; a re-arming script
+/// entry schedules its follow-up on the same queue from inside its pop.
+template <typename Queue>
+struct ScriptSink final : EventSink {
+  Queue* queue = nullptr;
+  const std::vector<WheelScript>* script = nullptr;
+  std::vector<int> fired;
+  void on_event(std::uint64_t a, std::uint64_t /*b*/) override {
+    const int tag = static_cast<int>(a);
+    fired.push_back(tag);
+    if (tag >= kFollowUpTag) return;
+    const WheelScript& s = (*script)[static_cast<std::size_t>(tag)];
+    if (s.rearm) queue->schedule(s.rearm_at, *this, static_cast<std::uint64_t>(tag + kFollowUpTag), 0);
+  }
 };
 
 /// Loads a script into one queue; returns the ids of the top-level entries.
 template <typename Queue>
-std::vector<EventId> load_script(Queue& queue, RecordingSink& sink, std::vector<int>& fired,
+std::vector<EventId> load_script(Queue& queue, ScriptSink<Queue>& sink,
                                  const std::vector<WheelScript>& script) {
+  sink.queue = &queue;
+  sink.script = &script;
   std::vector<EventId> ids;
   for (const WheelScript& s : script) {
-    if (s.pooled) {
-      ids.push_back(queue.schedule(s.at, sink, static_cast<std::uint64_t>(s.tag), 0));
-    } else if (s.rearm) {
-      ids.push_back(queue.schedule(s.at, [&queue, &fired, s] {
-        fired.push_back(s.tag);
-        queue.schedule(s.rearm_at, [&fired, s] { fired.push_back(s.tag + 100000); });
-      }));
-    } else {
-      ids.push_back(queue.schedule(s.at, [&fired, s] { fired.push_back(s.tag); }));
-    }
+    ids.push_back(queue.schedule(s.at, sink, static_cast<std::uint64_t>(s.tag), 0));
   }
   return ids;
 }
@@ -533,8 +547,7 @@ std::vector<WheelScript> random_script(util::Rng& rng, int count) {
       s.at = rng.uniform(0.0, 60000.0);
     }
     s.tag = tag;
-    s.pooled = rng.bernoulli(0.4);
-    if (!s.pooled && rng.bernoulli(0.3)) {
+    if (rng.bernoulli(0.18)) {
       s.rearm = true;
       // Follow-ups may land before their parent (late arrival into a bucket
       // the cursor already passed) or far ahead.
@@ -551,17 +564,11 @@ TEST(TimingWheelProperty, MixedWorkloadPopsLikeTheReferenceQueue) {
     for (int trial = 0; trial < 12; ++trial) {
       ReferenceQueue reference;
       EventQueue wheel(quantum);
-      std::vector<int> reference_fired;
-      std::vector<int> wheel_fired;
-      RecordingSink reference_sink;
-      reference_sink.fired = &reference_fired;
-      RecordingSink wheel_sink;
-      wheel_sink.fired = &wheel_fired;
+      ScriptSink<ReferenceQueue> reference_sink;
+      ScriptSink<EventQueue> wheel_sink;
       const std::vector<WheelScript> script = random_script(rng, 150);
-      const std::vector<EventId> reference_ids =
-          load_script(reference, reference_sink, reference_fired, script);
-      const std::vector<EventId> wheel_ids =
-          load_script(wheel, wheel_sink, wheel_fired, script);
+      const std::vector<EventId> reference_ids = load_script(reference, reference_sink, script);
+      const std::vector<EventId> wheel_ids = load_script(wheel, wheel_sink, script);
       // Random cancellations, mirrored; both queues must agree on hits.
       for (int k = 0; k < 25; ++k) {
         const auto victim = static_cast<std::size_t>(rng.uniform_int(0, 149));
@@ -576,7 +583,8 @@ TEST(TimingWheelProperty, MixedWorkloadPopsLikeTheReferenceQueue) {
         reference.pop_and_run();
         wheel.pop_and_run();
       }
-      EXPECT_EQ(reference_fired, wheel_fired) << "quantum " << quantum << " trial " << trial;
+      EXPECT_EQ(reference_sink.fired, wheel_sink.fired)
+          << "quantum " << quantum << " trial " << trial;
       EXPECT_GT(wheel.wheel_telemetry().scheduled, 0u);
     }
   }
@@ -588,8 +596,11 @@ TEST(TimingWheelProperty, FarHorizonWorkloadExercisesCoarseWheelAndSpill) {
   // non-empty spill peak) and still pop in nondecreasing time order.
   util::Rng rng(2718);
   EventQueue queue;
+  std::vector<int> fired;
+  RecordingSink sink;
+  sink.fired = &fired;
   for (int i = 0; i < 400; ++i) {
-    queue.schedule(rng.uniform(0.0, 50000.0), [] {});
+    queue.schedule(rng.uniform(0.0, 50000.0), sink, static_cast<std::uint64_t>(i), 0);
   }
   Time last = -1.0;
   while (!queue.empty()) {
@@ -610,7 +621,9 @@ TEST(BatchTickerProperty, DestructionCancelsPendingSweeps) {
   Simulator sim;
   int fired = 0;
   {
-    BatchTicker ticker(sim, 1.0, [&fired](std::uint32_t, Time) { ++fired; });
+    BatchTicker ticker(sim, 1.0, [&fired](const std::vector<std::uint32_t>& members, Time) {
+      fired += static_cast<int>(members.size());
+    });
     ticker.add_member(ticker.add_group(1.0), 7);
     sim.run_until(1.5);
     EXPECT_EQ(fired, 1);
