@@ -32,21 +32,27 @@ ScheduleContext fig2_context() {
   return ctx;
 }
 
-std::vector<CandidateSegment> fig2_candidates() {
+/// The two suppliers every Fig. 2 candidate lists.
+std::vector<SupplierView> fig2_suppliers() {
+  SupplierView s1;
+  s1.node = 1;
+  s1.send_rate = 30.0;
+  s1.buffer_position = 40;
+  SupplierView s2;
+  s2.node = 2;
+  s2.send_rate = 25.0;
+  s2.buffer_position = 90;
+  return {s1, s2};
+}
+
+/// The ten candidates, each viewing `suppliers` (which must outlive them).
+std::vector<CandidateSegment> fig2_candidates(const std::vector<SupplierView>& suppliers) {
   std::vector<CandidateSegment> candidates;
   for (gs::stream::SegmentId id = 101; id <= 110; ++id) {
     CandidateSegment c;
     c.id = id;
     c.epoch = id <= 105 ? StreamEpoch::kOld : StreamEpoch::kNew;
-    SupplierView s1;
-    s1.node = 1;
-    s1.send_rate = 30.0;
-    s1.buffer_position = 40;
-    SupplierView s2;
-    s2.node = 2;
-    s2.send_rate = 25.0;
-    s2.buffer_position = 90;
-    c.suppliers = {s1, s2};
+    c.suppliers = suppliers;
     candidates.push_back(c);
   }
   return candidates;
@@ -73,13 +79,14 @@ int main(int argc, char** argv) {
 
   std::printf("=== Fig. 2: delivery order, budget 7/period, 5xS1 + 5xS2 available ===\n");
   const ScheduleContext ctx = fig2_context();
+  const std::vector<SupplierView> suppliers = fig2_suppliers();
 
   gs::core::NormalSwitchScheduler normal;
-  auto candidates = fig2_candidates();
+  auto candidates = fig2_candidates(suppliers);
   print_order("normal switch:", normal.schedule(ctx, candidates), ctx.s1_end);
 
   gs::core::FastSwitchScheduler fast;
-  candidates = fig2_candidates();
+  candidates = fig2_candidates(suppliers);
   gs::core::RateSplit split{};
   print_order("fast switch:", fast.schedule_with_split(ctx, candidates, &split), ctx.s1_end);
   std::printf("\nclosed-form split: r1=%.3f r2=%.3f (case %d) -> I1=%.3f I2=%.3f\n", split.r1,

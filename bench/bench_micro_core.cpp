@@ -45,19 +45,25 @@ void BM_RateSolverCapped(benchmark::State& state) {
 }
 BENCHMARK(BM_RateSolverCapped);
 
+/// `count` candidates with `suppliers` random suppliers each; candidate i's
+/// list is the slice [i * suppliers, (i + 1) * suppliers) of `store`, as the
+/// engine's candidate build lays a plan's lists out.
 std::vector<CandidateSegment> make_candidates(std::size_t count, std::size_t suppliers,
-                                              gs::util::Rng& rng) {
+                                              gs::util::Rng& rng,
+                                              std::vector<SupplierView>& store) {
+  store.assign(count * suppliers, SupplierView{});
   std::vector<CandidateSegment> candidates(count);
   for (std::size_t i = 0; i < count; ++i) {
     candidates[i].id = 100 + static_cast<gs::stream::SegmentId>(i);
     candidates[i].epoch = i % 3 == 0 ? StreamEpoch::kNew : StreamEpoch::kOld;
     for (std::size_t j = 0; j < suppliers; ++j) {
-      SupplierView s;
+      SupplierView& s = store[i * suppliers + j];
       s.node = static_cast<gs::net::NodeId>(j);
       s.send_rate = rng.uniform(10.0, 33.0);
       s.buffer_position = static_cast<std::size_t>(rng.uniform_int(1, 600));
-      candidates[i].suppliers.push_back(s);
     }
+    candidates[i].suppliers =
+        std::span<const SupplierView>(store).subspan(i * suppliers, suppliers);
   }
   return candidates;
 }
@@ -78,7 +84,8 @@ ScheduleContext bench_ctx() {
 
 void BM_PriorityKernel(benchmark::State& state) {
   gs::util::Rng rng(1);
-  const auto candidates = make_candidates(static_cast<std::size_t>(state.range(0)), 5, rng);
+  std::vector<SupplierView> store;
+  const auto candidates = make_candidates(static_cast<std::size_t>(state.range(0)), 5, rng, store);
   ScheduleContext ctx = bench_ctx();
   gs::util::Rng node_rng(4);
   ctx.rng = &node_rng;
@@ -95,7 +102,8 @@ BENCHMARK(BM_PriorityKernel)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_GreedyAssign(benchmark::State& state) {
   gs::util::Rng rng(2);
-  const auto base = make_candidates(static_cast<std::size_t>(state.range(0)), 5, rng);
+  std::vector<SupplierView> store;
+  const auto base = make_candidates(static_cast<std::size_t>(state.range(0)), 5, rng, store);
   const ScheduleContext ctx = bench_ctx();
   gs::core::ScheduleScratch scratch;
   for (std::size_t i = 0; i < base.size(); ++i) {
@@ -115,7 +123,8 @@ void BM_FastSwitchSchedule(benchmark::State& state) {
   gs::util::Rng rng(3);
   // schedule() leaves the candidates untouched, so one list serves every
   // iteration.
-  auto candidates = make_candidates(static_cast<std::size_t>(state.range(0)), 5, rng);
+  std::vector<SupplierView> store;
+  auto candidates = make_candidates(static_cast<std::size_t>(state.range(0)), 5, rng, store);
   ScheduleContext ctx = bench_ctx();
   gs::util::Rng node_rng(4);
   ctx.rng = &node_rng;
@@ -311,7 +320,6 @@ void BM_FullPipeline(benchmark::State& state) {
   std::uint64_t colour_classes = 0;
   std::uint64_t fixups = 0;
   std::uint64_t commits = 0;
-  std::uint64_t steady_chunks = 0;
   std::uint64_t wheeled = 0;
   std::uint64_t promotions = 0;
   std::uint64_t spill_peak = 0;
@@ -334,7 +342,6 @@ void BM_FullPipeline(benchmark::State& state) {
     colour_classes += engine->stats().commit_colour_classes;
     fixups += engine->stats().commit_conflict_fixups;
     commits += engine->stats().parallel_commits;
-    steady_chunks += engine->stats().arena_steady_chunks;
     wheeled += engine->stats().events_wheeled;
     promotions += engine->stats().wheel_overflow_promotions;
     spill_peak = std::max(spill_peak, engine->stats().spill_heap_peak);
@@ -353,8 +360,6 @@ void BM_FullPipeline(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(fixups) / static_cast<double>(runs));
   state.counters["parallel_commits"] =
       benchmark::Counter(static_cast<double>(commits) / static_cast<double>(runs));
-  state.counters["arena_steady_chunks"] =
-      benchmark::Counter(static_cast<double>(steady_chunks) / static_cast<double>(runs));
   state.counters["events_wheeled"] =
       benchmark::Counter(static_cast<double>(wheeled) / static_cast<double>(runs));
   state.counters["wheel_overflow_promotions"] =

@@ -119,6 +119,14 @@ void Config::validate() const {
   if (!(engine.sparse_fill >= 0.0 && engine.sparse_fill <= 1.0)) {
     throw std::invalid_argument("sparse_fill must be in [0, 1]");
   }
+  // The reservation is round(fraction * budget) fresh picks: NaN rounds to
+  // a huge count, which switches diversity off, and a fraction above 1
+  // reserves more picks than the budget holds, so whether any fresh pick
+  // happens depends on the candidate count.
+  const double diversity = priority.diversity_fraction;
+  if (!(diversity >= 0.0 && diversity <= 1.0)) {
+    throw std::invalid_argument("priority.diversity_fraction must be in [0, 1]");
+  }
   if (!(engine.tau > 0.0)) throw std::invalid_argument("tau must be positive");
   if (!(engine.playback_rate > 0.0)) {
     throw std::invalid_argument("playback_rate must be positive");

@@ -41,7 +41,7 @@ ComparisonPoint compare_at_size(const Config& base, std::size_t node_count, std:
 
   // thread_count() simulations at once, the caller's among them.
   util::ThreadPool& pool = util::global_pool();
-  pool.run_batch(trials * 2, pool.thread_count(), [&](std::size_t task, std::size_t /*lane*/) {
+  pool.run_batch(trials * 2, pool.thread_count(), [&](std::size_t task) {
     const std::size_t trial = task / 2;
     const bool fast = (task % 2) == 0;
     Config config = base;

@@ -39,7 +39,6 @@ class Simulator {
   /// batch the clock is parked at the *last* item's time; batchable sinks
   /// use each item's own `at` for per-item time semantics.
   void enable_batch_pop(bool on) { batch_pop_ = on; }
-  [[nodiscard]] bool batch_pop_enabled() const noexcept { return batch_pop_; }
 
   /// Schedules `sink.on_event(a, b)` at absolute time `when` (must not be
   /// in the past) / `delay >= 0` seconds from now.  Never allocates: the
@@ -64,7 +63,6 @@ class Simulator {
   void stop() noexcept { stop_requested_ = true; }
 
   [[nodiscard]] bool pending() const noexcept { return !queue_.empty(); }
-  [[nodiscard]] std::size_t pending_count() const noexcept { return queue_.size(); }
 
  private:
   /// Shared drive loop of run_until/run_all (`until` = +inf for run_all).

@@ -1,20 +1,23 @@
-// Hierarchical timing wheel: the O(1) backing store for the event queue.
+// Timing wheel: the O(1) backing store for the event queue.
 //
 // The protocol's event population is clustered in the near future — fixed-
 // cadence tick sweeps one period ahead and segment deliveries a few periods
 // out — so a bucketed wheel quantized at the tick cadence turns almost every
 // schedule into a plain vector append and almost every pop into a bump of a
-// cursor through a pre-sorted bucket.  Three levels cover the full horizon:
+// cursor through a pre-sorted bucket.  Two levels cover the full horizon:
 //
-//   near wheel    kNearSlots buckets of one quantum each.  Every resident
-//                 entry's bucket index lies in (cursor, cursor + kNearSlots],
-//                 which is exactly one bucket per slot — collection takes the
-//                 whole slot, no revolution filtering.
-//   coarse wheel  kCoarseSlots slots of kNearSlots buckets each (the
-//                 overflow wheel).  When the cursor enters a coarse slot its
-//                 entries scatter into the near wheel.
-//   spill heap    a (time, id) min-heap for anything beyond the coarse
-//                 horizon; pulled into the wheels as the horizon advances.
+//   near ring    kNearSlots buckets of one quantum each.  Every resident
+//                entry's bucket index lies in (cursor, cursor + kNearSlots],
+//                which is exactly one bucket per slot — collection takes the
+//                whole slot, no revolution filtering.
+//   spill heap   a (time, id) min-heap for anything beyond the ring's
+//                horizon.  After each cursor step drains its slot, the heap
+//                moves the entries that entered the horizon into the ring;
+//                when the ring is empty the cursor jumps to the heap's head.
+//
+// With the quantum at the tick period the ring spans 256 periods, so tick
+// sweeps and deliveries never leave it; the heap holds only far-future
+// one-off events (a switch instant more than 256 periods out, say).
 //
 // Determinism rule: a bucket is sorted by the global (time, sequence) key
 // before it drains, and buckets drain in increasing index order.  Bucket
@@ -25,8 +28,9 @@
 // Late arrivals — an executing event scheduling into the current (already
 // collected) or an earlier bucket — go to a small side heap that the
 // top()/pop() pair merges with the sorted front bucket by (time, id).  Both
-// planes hold only entries at or below the cursor while the wheels hold only
-// entries above it, so the merge never crosses the bucket order.
+// planes hold only entries at or below the cursor while the ring and the
+// spill heap hold only entries above it, so the merge never crosses the
+// bucket order.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +76,7 @@ class TimingWheel {
  public:
   struct Telemetry {
     std::uint64_t scheduled = 0;            ///< entries ever pushed
-    std::uint64_t overflow_promotions = 0;  ///< coarse->near + spill->wheel moves
+    std::uint64_t overflow_promotions = 0;  ///< spill heap -> near ring moves
     std::uint64_t spill_peak = 0;           ///< max spill-heap occupancy
   };
 
@@ -104,11 +108,6 @@ class TimingWheel {
         if (fn(e)) return true;
       }
     }
-    for (const std::vector<QueueEntry>& slot : coarse_) {
-      for (const QueueEntry& e : slot) {
-        if (fn(e)) return true;
-      }
-    }
     for (const QueueEntry& e : spill_) {
       if (fn(e)) return true;
     }
@@ -125,24 +124,21 @@ class TimingWheel {
   static constexpr int kNearBits = 8;  ///< 256 one-quantum near buckets
   static constexpr std::int64_t kNearSlots = std::int64_t{1} << kNearBits;
   static constexpr std::int64_t kNearMask = kNearSlots - 1;
-  static constexpr int kCoarseBits = 6;  ///< 64 overflow slots of kNearSlots each
-  static constexpr std::int64_t kCoarseSlots = std::int64_t{1} << kCoarseBits;
-  static constexpr std::int64_t kCoarseMask = kCoarseSlots - 1;
 
   /// floor(at / quantum) as a signed bucket index — monotone in `at` and
   /// well-defined for negative warm-up times, which is all the determinism
   /// argument needs from the quantization.
   [[nodiscard]] std::int64_t bucket_of(Time at) const noexcept;
 
-  /// Routes an entry to side/near/coarse/spill by its bucket index.
+  /// Routes an entry to side/near/spill by its bucket index.
   void place(const QueueEntry& entry, std::int64_t bucket);
-  /// Scatters the coarse slot at coarse_cursor_ into the near wheel.
-  void promote_coarse();
-  /// Moves spill entries that entered the coarse horizon into the wheels.
+  /// Moves spill entries that entered the ring's horizon into the ring.
+  /// Runs only once the cursor's own slot is empty: the horizon's last
+  /// bucket, cursor_ + kNearSlots, shares that slot.
   void pull_spill();
   /// Advances the cursor to the next occupied bucket and loads it into
   /// front_ (sorted by (time, id)).  Requires an entry resident in the
-  /// wheels or the spill heap.
+  /// ring or the spill heap.
   void advance();
   /// Sorted-front / side-heap merge used by top() and pop(): true when the
   /// front head exists and fires before the side head.
@@ -152,18 +148,15 @@ class TimingWheel {
   /// Cursor anchors lazily at the first push (times may start anywhere,
   /// including negative warm-up).
   bool anchored_ = false;
-  /// Buckets <= cursor_ have been collected; wheel residents are strictly
+  /// Buckets <= cursor_ have been collected; ring residents are strictly
   /// above it.
   std::int64_t cursor_ = 0;
-  std::int64_t coarse_cursor_ = 0;  ///< == cursor_ >> kNearBits
   std::vector<std::vector<QueueEntry>> near_;
-  std::vector<std::vector<QueueEntry>> coarse_;
-  std::vector<QueueEntry> spill_;  ///< (time, id) min-heap beyond the coarse horizon
+  std::vector<QueueEntry> spill_;  ///< (time, id) min-heap beyond the ring's horizon
   std::vector<QueueEntry> side_;   ///< (time, id) min-heap of late arrivals (bucket <= cursor_)
   std::vector<QueueEntry> front_;  ///< current bucket, ascending (time, id)
   std::size_t front_pos_ = 0;
   std::size_t near_live_ = 0;
-  std::size_t coarse_live_ = 0;
   std::size_t size_ = 0;
   Telemetry telemetry_;
 };

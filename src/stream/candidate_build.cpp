@@ -14,9 +14,11 @@ constexpr std::size_t kWordBits = 64;
 std::uint64_t collect_candidates(const PeerNode& p, std::span<const net::NodeId> neighbors,
                                  const std::vector<PeerNode>& peers,
                                  const TransferPlane& transfers, std::size_t buffer_capacity,
-                                 SegmentId boundary, double now, util::Arena* arena,
-                                 CandidateScratch& scratch, std::vector<CandidateSegment>& out) {
+                                 SegmentId boundary, double now,
+                                 std::vector<SupplierView>& suppliers, CandidateScratch& scratch,
+                                 std::vector<CandidateSegment>& out) {
   out.clear();
+  suppliers.clear();
   SegmentId head = kNoSegment;
   for (const net::NodeId nb : neighbors) {
     GS_DCHECK(peers[nb].alive) << "peer " << p.id << " lists departed neighbour " << nb;
@@ -67,27 +69,33 @@ std::uint64_t collect_candidates(const PeerNode& p, std::span<const net::NodeId>
            static_cast<std::uint32_t>(std::popcount(words[w] & ((std::uint64_t{1} << bit) - 1)));
   };
 
-  std::vector<std::uint32_t>& suppliers = scratch.suppliers;
-  suppliers.assign(total, 0);
+  // Count each candidate's suppliers, then turn the counts into offsets:
+  // candidate i's list is suppliers[fill[i], fill[i] + count_i).
+  std::vector<std::uint32_t>& fill = scratch.fill;
+  fill.assign(total, 0);
   for (const net::NodeId nb : neighbors) {
     const util::DynamicBitset& presence = peers[nb].buffer.presence();
     for (std::size_t w = 0; w < word_count; ++w) {
       for (std::uint64_t m = presence.extract_word(base + w * kWordBits) & words[w]; m != 0;
            m &= m - 1) {
-        ++suppliers[index_of(w, std::countr_zero(m))];
+        ++fill[index_of(w, std::countr_zero(m))];
       }
     }
   }
+  std::uint32_t offset = 0;
+  for (std::uint32_t& f : fill) {
+    const std::uint32_t count = f;
+    f = offset;
+    offset += count;
+  }
+  suppliers.resize(offset);
 
-  const util::ArenaAllocator<SupplierView> alloc(arena);
   for (std::size_t w = 0; w < word_count; ++w) {
     for (std::uint64_t m = words[w]; m != 0; m &= m - 1) {
-      CandidateSegment c(alloc);
+      CandidateSegment& c = out.emplace_back();
       c.id = static_cast<SegmentId>(base + w * kWordBits +
                                     static_cast<std::size_t>(std::countr_zero(m)));
       c.epoch = (boundary != kNoSegment && c.id > boundary) ? StreamEpoch::kNew : StreamEpoch::kOld;
-      c.suppliers.reserve(suppliers[out.size()]);
-      out.push_back(std::move(c));
     }
   }
 
@@ -113,15 +121,21 @@ std::uint64_t collect_candidates(const PeerNode& p, std::span<const net::NodeId>
         hoisted = true;
       }
       for (; m != 0; m &= m - 1) {
-        CandidateSegment& c = out[index_of(w, std::countr_zero(m))];
-        SupplierView s;
+        const std::uint32_t i = index_of(w, std::countr_zero(m));
+        SupplierView& s = suppliers[fill[i]++];
         s.node = nb;
         s.send_rate = send_rate;
-        s.buffer_position = n.buffer.position_from_tail(c.id);
+        s.buffer_position = n.buffer.position_from_tail(out[i].id);
         s.queue_delay = queue_delay;
-        c.suppliers.push_back(s);
       }
     }
+  }
+  // Each cursor now sits at its list's end, which is where the next list
+  // starts.
+  std::uint32_t begin = 0;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].suppliers = std::span<const SupplierView>(suppliers).subspan(begin, fill[i] - begin);
+    begin = fill[i];
   }
   return static_cast<std::uint64_t>(total) * neighbors.size();
 }

@@ -17,6 +17,7 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
     : graph_(std::move(graph)),
       latency_(std::move(latency)),
       config_(std::move(config)),
+      strategy_(std::move(strategy)),
       // The timing wheel is quantized at the tick cadence: gossip sweeps
       // land on bucket boundaries and deliveries fill the current-period
       // bucket, so scheduling is a bucket append and pops walk pre-sorted
@@ -41,8 +42,7 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
               }),
       churn_rng_(util::Rng(config_.seed).fork(util::hash_name("churn"))),
       setup_rng_(util::Rng(config_.seed).fork(util::hash_name("setup"))) {
-  GS_CHECK(strategy != nullptr);
-  strategies_.push_back(std::move(strategy));
+  GS_CHECK(strategy_ != nullptr);
   GS_CHECK_EQ(latency_.node_count(), graph_.node_count());
   if (config_.parallel_shards > 0) {
     // The delivery drain partitions peers by id % shards, in at most 64
@@ -64,19 +64,8 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
           });
       sim_.enable_batch_pop(true);
     }
-    // One bump arena and one build scratch per lane: the sweep's candidate
-    // supplier lists stop falling back to the heap (the zero-allocation
-    // steady state covers the parallel lanes).  Arenas reset at wave starts
-    // only.  Lanes beyond the hardware threads only thrash the scheduler,
-    // and results never depend on the lane count, so every parallel pass
-    // runs on lane_arenas_.size() lanes.
-    const std::size_t lanes = std::min<std::size_t>(
+    lanes_ = std::min<std::size_t>(
         config_.parallel_shards, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
-    lane_arenas_.reserve(lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      lane_arenas_.push_back(std::make_unique<util::Arena>());
-    }
-    lane_scratch_.resize(lanes);
   }
   if (config_.cdn_assist) {
     // The CDN uplink runs the engine's configured contention policy over
@@ -183,13 +172,6 @@ void Engine::run_switch(int switch_index) {
 
 void Engine::tick(PeerNode& p, double now) {
   if (!tick_pre(p, now)) return;
-  // Sequential dispatch reuses one plan slot, so the prior tick's supplier
-  // lists are dead and the arena can rewind before this tick's candidate
-  // build fills it.  (Parallel waves reset their lane arenas at wave start
-  // instead — a lane's earlier plans must survive to their commit.)
-  plan_arena_.reset();
-  plan_seq_.arena = &plan_arena_;
-  plan_seq_.scratch = &plan_scratch_;
   tick_plan(p, now, plan_seq_);
   tick_commit(p, now, plan_seq_, /*validate=*/false);
   if (cdn_) cdn_assist_tick(p, now);
@@ -228,8 +210,8 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
                      : kNoSegment;
   // Probes are folded at commit: the build may run on a pool thread.
   plan.probes = collect_candidates(p, graph_.neighbors(p.id), peers_, transfers_,
-                                   config_.buffer_capacity, s1_end, now, plan.arena,
-                                   *plan.scratch, plan.candidates);
+                                   config_.buffer_capacity, s1_end, now, plan.suppliers,
+                                   plan.scratch, plan.candidates);
   // Nothing to schedule: return before the strategy draws from p.rng.
   if (plan.candidates.empty()) return;
 
@@ -252,14 +234,14 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
     ctx.q1_remaining = p.q1_missing;
     ctx.q2_remaining = p.q2_missing;
   }
-  plan.requests = strategies_[p.strategy_index]->schedule(ctx, plan.candidates);
+  plan.requests = strategy_->schedule(ctx, plan.candidates);
   // The SchedulerStrategy contract: the build's ascending id order survives
   // the call, so tick_commit's supplier fallback can binary-search it.
   GS_DCHECK(std::is_sorted(plan.candidates.begin(), plan.candidates.end(),
                            [](const CandidateSegment& a, const CandidateSegment& b) {
                              return a.id < b.id;
                            }))
-      << "strategy " << strategies_[p.strategy_index]->name()
+      << "strategy " << strategy_->name()
       << " reordered the candidates of peer " << p.id;
 }
 
@@ -335,7 +317,6 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
   const std::size_t n = members.size();
   ++stats_.parallel_sweeps;
   if (dirty_supplier_.size() < peers_.size()) dirty_supplier_.resize(peers_.size(), 0);
-  const std::size_t lanes = lane_arenas_.size();
   // Wave size bounds the speculation window: a member's plan can only go
   // stale against commits of its *own* wave (earlier waves are already
   // committed when it plans), so the stale-replan rate scales with the
@@ -351,11 +332,6 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
   if (batch_plans_.size() < std::min(n, wave)) batch_plans_.resize(std::min(n, wave));
   for (std::size_t base = 0; base < n; base += wave) {
     const std::size_t count = std::min(wave, n - base);
-    // Rewind the lane arenas on the caller, behind the previous wave's
-    // barrier: every plan of that wave is committed, so its candidate
-    // lists are dead.  Never mid-wave — a lane plans several members per
-    // wave and the earlier ones must survive to their commit.
-    for (const std::unique_ptr<util::Arena>& a : lane_arenas_) a->reset();
     // Pre, in member order: all cross-peer-visible writes of a tick
     // (availability adverts, boundary learning, playback/metric
     // bookkeeping) happen here with exactly the interleaving the
@@ -365,40 +341,14 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
       batch_plans_[i].live = tick_pre(peers_[members[base + i]], now);
     }
     // Plan, in parallel: pure reads of shared state plus disjoint writes
-    // (each member's own slot and rng).  Each lane bump-allocates supplier
-    // lists from its own arena.  The pool may be saturated by outer
-    // experiment sweeps — run_batch's caller lane guarantees progress.
-    util::global_pool().run_batch(
-        count, lanes, [this, &members, base, now](std::size_t i, std::size_t lane) {
-          if (!batch_plans_[i].live) return;
-          batch_plans_[i].arena = lane_arenas_[lane].get();
-          batch_plans_[i].scratch = &lane_scratch_[lane];
-          tick_plan(peers_[members[base + i]], now, batch_plans_[i]);
-        });
+    // (each member's own plan slot, supplier store included, and rng).  The
+    // pool may be saturated by outer experiment sweeps — run_batch's caller
+    // guarantees progress.
+    util::global_pool().run_batch(count, lanes_, [this, &members, base, now](std::size_t i) {
+      if (!batch_plans_[i].live) return;
+      tick_plan(peers_[members[base + i]], now, batch_plans_[i]);
+    });
     commit_wave(members, base, count, now);
-  }
-  // Warm-up fence for the zero-allocation telemetry: lane-arena chunks
-  // allocated past the fence count as steady-state allocations.  The fence
-  // is adaptive — it arms only after at least 16 sweeps AND 16 consecutive
-  // sweeps with no chunk growth, and RE-ARMS whenever growth resumes — so
-  // the ramp of the candidate working set (which at N=10^5 outlives a fixed
-  // 16-sweep window) stays inside the warm-up count.  At run end an armed
-  // fence therefore certifies a genuinely quiet tail (the last >= 16 sweeps
-  // allocated nothing, arena_steady_chunks exactly 0); a fence still
-  // unarmed reports arena_warm_chunks == 0, which the steady-state test
-  // rejects as "the arenas never stopped growing".
-  std::uint64_t total = 0;
-  for (const std::unique_ptr<util::Arena>& a : lane_arenas_) {
-    total += a->chunk_allocations();
-  }
-  if (total != arena_fence_last_chunks_) {
-    arena_fence_last_chunks_ = total;
-    arena_fence_quiet_sweeps_ = 0;
-    arena_warm_marked_ = false;  // growth resumed: the lanes were not warm yet
-  } else if (!arena_warm_marked_ && ++arena_fence_quiet_sweeps_ >= 16 &&
-             stats_.parallel_sweeps >= 16) {
-    arena_warm_marked_ = true;
-    arena_warm_chunks_ = total;
   }
 }
 
@@ -437,8 +387,7 @@ void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t 
     // member-locally (disjoint supplier sets within the class), deliveries
     // stage into the plan, counters defer.
     util::global_pool().run_batch(
-        slots.size(), lane_arenas_.size(),
-        [this, &members, base, &slots, now](std::size_t k, std::size_t /*lane*/) {
+        slots.size(), lanes_, [this, &members, base, &slots, now](std::size_t k) {
           const std::uint32_t i = slots[k];
           if (!batch_plans_[i].live || !batch_plans_[i].planned) return;
           tick_commit(peers_[members[base + i]], now, batch_plans_[i], /*validate=*/true);
@@ -505,7 +454,6 @@ void Engine::snapshot_and_learn(PeerNode& p) {
   } else {
     overhead_.charge_buffer_map_exchanges(neighbors.size());
   }
-  if (!config_.discover_via_maps) return;
   int boundary = -1;
   for (const net::NodeId nb : neighbors) {
     boundary = std::max(boundary, peers_[nb].known_boundary);
@@ -717,7 +665,6 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   }
   ++stats_.delivery_batches;
   const std::size_t shards = data_shards_;
-  const std::size_t lanes = lane_arenas_.size();
 
   // Partition into per-shard delivery lists (pop order preserved within a
   // list; every delivery of one peer lands in that peer's shard list, so a
@@ -739,7 +686,7 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   // item being drained.
   for (std::vector<BookEvent>& log : book_events_) log.clear();
   book_phase_ = true;
-  util::global_pool().run_batch(shards, lanes, [this, items](std::size_t s, std::size_t /*lane*/) {
+  util::global_pool().run_batch(shards, lanes_, [this, items](std::size_t s) {
     for (const std::uint32_t idx : shard_entries_[s]) {
       book_current_item_[s] = idx;
       const auto to = static_cast<net::NodeId>(items[idx].a);

@@ -4,7 +4,7 @@
 // the simulator and the overlay (graph + membership + latency) and wires
 // three subsystems to them —
 //
-//   PeerNode       per-peer buffer, playback, budget, strategy, gossip state
+//   PeerNode       per-peer buffer, playback, budget and gossip state
 //   TransferPlane  supplier uplink queues and delivery scheduling
 //                  (capacity models behind the CapacityModel interface)
 //   SwitchTimeline epoch/session bookkeeping and per-switch metrics
@@ -100,9 +100,6 @@ struct EngineConfig {
   double churn_leave_fraction = 0.0;  ///< per period (dynamic runs: 0.05)
   double churn_join_fraction = 0.0;   ///< per period (dynamic runs: 0.05)
 
-  /// Switch discovery also spreads via per-source buffer-map headers (one
-  /// hop per exchange); segment metadata always announces it.
-  bool discover_via_maps = true;
   /// Randomize tick phase within the period (desynchronized clients);
   /// ticks are lockstep at period boundaries when false.  Phases are drawn
   /// per *shard* (see tick_shard_size), not per peer.
@@ -123,8 +120,8 @@ struct EngineConfig {
   ///           (availability adverts, boundary learning, playback/metrics);
   ///   plan    parallel, read-only — candidate build + strategy scheduling
   ///           (the dominant tick cost), speculated against the pre-sweep
-  ///           transfer plane; writes only the member's own rng and slot
-  ///           and its lane's scratch;
+  ///           transfer plane; writes only the member's own rng and plan
+  ///           slot (its supplier store and build scratch included);
   ///   commit  the commit wave: members whose plans touch disjoint supplier
   ///           sets commute, so the wave colours its supplier-contention
   ///           graph (contention set = the alive-neighbour set the
@@ -284,19 +281,13 @@ struct EngineStats {
   std::uint64_t commit_colour_classes = 0;
   std::uint64_t commit_conflict_fixups = 0;
   std::uint64_t parallel_commits = 0;
-  /// Lane-arena telemetry (parallel_shards > 0): heap chunks the per-lane
-  /// plan arenas ever allocated; the chunk total frozen when the adaptive
-  /// warm-up fence armed (after >= 16 parallel sweeps AND 16 consecutive
-  /// sweeps with no chunk growth — 0 means the fence never armed, i.e. the
-  /// arenas never went quiet); and the chunks allocated after the fence —
-  /// the steady-state count the zero-allocation claim is measured by
-  /// (exactly 0 once armed; counter-verified in stream_determinism_test).
-  std::uint64_t arena_chunks = 0;
-  std::uint64_t arena_warm_chunks = 0;
+  /// Always 0: each plan owns its supplier store, so no allocator exists
+  /// whose steady-state growth could be counted.  Kept only because the
+  /// end-to-end benchmark (bench/e2e) still reads it.
   std::uint64_t arena_steady_chunks = 0;
-  /// Timing-wheel event plane: events scheduled into the timing wheel, entries
-  /// promoted from the overflow wheel / spill heap into finer levels as the
-  /// horizon advanced, and the spill heap's peak occupancy.
+  /// Timing-wheel event plane: events scheduled into the timing wheel,
+  /// entries moved from the spill heap into the near ring as the cursor
+  /// advanced, and the spill heap's peak occupancy.
   std::uint64_t events_wheeled = 0;
   std::uint64_t wheel_overflow_promotions = 0;
   std::uint64_t spill_heap_peak = 0;
@@ -432,6 +423,13 @@ class Engine {
     bool split_active = false;
     SegmentId s1_end = kNoSegment;
     std::vector<CandidateSegment> candidates;
+    /// The candidates' supplier lists: each candidate's span is a slice of
+    /// this store (see collect_candidates).  Owned by the plan, so a plan
+    /// lane writes only its own member's store, and a fixup re-plan on the
+    /// drain thread rebuilds it in place.
+    std::vector<SupplierView> suppliers;
+    /// The candidate build's word and count buffers (capacity kept).
+    CandidateScratch scratch;
     std::vector<ScheduledRequest> requests;
     std::uint64_t probes = 0;  ///< deferred EngineStats::availability_probes
     // --- commit-wave state (parallel_shards > 0 only) ---
@@ -452,13 +450,6 @@ class Engine {
     /// base), so a later-class member that read the supplier goes stale.
     std::uint64_t commit_stamp = 0;
     std::vector<StagedDelivery> staged;
-    /// Candidate-list arena of the lane that planned this member (null =
-    /// heap).  Fixup re-plans reuse it on the drain thread; lanes reset at
-    /// wave start only, so same-lane plans coexist until commit.
-    util::Arena* arena = nullptr;
-    /// Candidate-build scratch of the same lane (only live during a build,
-    /// so the drain thread's fixup re-plans can borrow it too).
-    CandidateScratch* scratch = nullptr;
   };
 
   void tick(PeerNode& p, double now);
@@ -468,9 +459,10 @@ class Engine {
   bool tick_pre(PeerNode& p, double now);
   /// Phase 2: candidate build (collect_candidates, word-parallel from the
   /// neighbours' presence bits) + strategy scheduling into `plan`.  Reads
-  /// shared state, writes only `plan`, p.rng and the plan's scratch — safe
-  /// to run concurrently for distinct peers while nothing else mutates.  An
-  /// empty build returns before any strategy rng draw.
+  /// shared state, writes only `plan` (its supplier store and scratch
+  /// included) and p.rng — safe to run concurrently for distinct peers
+  /// while nothing else mutates.  An empty build returns before any
+  /// strategy rng draw.
   void tick_plan(PeerNode& p, double now, TickPlan& plan);
   /// Phase 3: drains the plan in deterministic order — counters, request
   /// issue with rejection fallback, capacity commits.  With `validate` (a
@@ -492,7 +484,8 @@ class Engine {
   /// pool, then the commit wave (see EngineConfig::parallel_shards).
   void run_parallel_sweep(const std::vector<std::uint32_t>& members, double now);
   /// Availability exchange bookkeeping + boundary discovery, read off the
-  /// neighbours' known boundaries.
+  /// neighbours' known boundaries (the buffer-map headers; segment metadata
+  /// announces a boundary too, in deliver_bookkeeping).
   void snapshot_and_learn(PeerNode& p);
   /// Charges one availability advert from `p` to its `receivers` alive
   /// neighbours under delta_maps accounting (delta or periodic full map).
@@ -587,11 +580,8 @@ class Engine {
   net::Graph graph_;
   net::LatencyModel latency_;
   EngineConfig config_;
-  /// Scheduler-strategy registry: peers carry a one-byte index into this
-  /// table (see PeerNode::strategy_index) instead of a shared_ptr each.
-  /// Entry 0 is the injected strategy; heterogeneous policies are an
-  /// extra push_back.
-  std::vector<std::shared_ptr<SchedulerStrategy>> strategies_;
+  /// The injected scheduling strategy every peer plans with.
+  std::shared_ptr<SchedulerStrategy> strategy_;
 
   sim::Simulator sim_;
   gossip::OverheadAccountant overhead_;
@@ -607,12 +597,6 @@ class Engine {
 
   /// Sequential tick scratch (parallel_shards == 0).
   TickPlan plan_seq_;
-  /// Per-tick bump arena behind the sequential plan's supplier lists (the
-  /// parallel plan lanes bump their own lane_arenas_).  Reset at the top of
-  /// every sequential plan — prior plans are dead by then.
-  util::Arena plan_arena_;
-  /// The sequential plan's candidate-build scratch.
-  CandidateScratch plan_scratch_;
   /// Advert scratch: build_map_into target reused across all peers' adverts
   /// (swapped with p.advertised_map under delta accounting).
   gossip::BufferMap advert_scratch_;
@@ -635,15 +619,10 @@ class Engine {
   std::vector<MarkOutcome> batch_outcomes_;
 
   // --- plan lanes, commit wave and book phase state (parallel mode) ---
-  /// One bump arena per pool lane for the plan wave's candidate lists; its
-  /// size is the lane count of every parallel pass, min(parallel_shards,
-  /// hardware threads).  All lanes reset on the caller thread at wave
-  /// start — never mid-wave, since a lane's earlier plans must survive to
-  /// their commit.  Arena is pinned (non-movable), hence the unique_ptr
-  /// pool.
-  std::vector<std::unique_ptr<util::Arena>> lane_arenas_;
-  /// One candidate-build scratch per lane, beside its arena.
-  std::vector<CandidateScratch> lane_scratch_;
+  /// Executors of every parallel pass: min(parallel_shards, hardware
+  /// threads), 0 in sequential mode.  Lanes beyond the hardware threads
+  /// only thrash the scheduler, and results never depend on the count.
+  std::size_t lanes_ = 0;
   /// Layered supplier-contention colouring scratch, reused across waves.
   CommitColouring colouring_;
   /// Class-bucketed wave slots: class_slots_[colour] lists the wave slots
@@ -660,18 +639,6 @@ class Engine {
   /// Reroutes record_finish / record_prepared / the s2-start push into the
   /// BookEvent logs (set only for the duration of the parallel book phase).
   bool book_phase_ = false;
-  /// Total lane-arena chunk allocations at the end of the warm-up window;
-  /// EngineStats::arena_steady_chunks measures growth past this point.
-  /// The fence is adaptive: it arms after at least 16 parallel sweeps AND
-  /// 16 consecutive sweeps without chunk growth, and re-arms whenever
-  /// growth resumes, so ramp-phase growth at any N stays inside the
-  /// warm-up count (see run_parallel_sweep).
-  std::uint64_t arena_warm_chunks_ = 0;
-  bool arena_warm_marked_ = false;
-  /// Adaptive-fence scratch: last observed chunk total and the count of
-  /// consecutive sweeps it stayed flat.
-  std::uint64_t arena_fence_last_chunks_ = 0;
-  std::uint32_t arena_fence_quiet_sweeps_ = 0;
 
   std::vector<DebugPoint> debug_series_;
   std::unique_ptr<sim::PeriodicTask> debug_task_;

@@ -313,19 +313,6 @@ std::vector<SwitchMetrics> Engine::run() {
       config_.horizon;
   stats_.events_popped = sim_.run_until(stop_at);
   stats_.superbatch_sweeps = ticker_.superbatch_count();
-  // Lane-arena telemetry: total chunk allocations ever, the total frozen
-  // when the adaptive fence armed (0 = never armed), and those past the
-  // fence — the zero-allocation claim is that the last is exactly 0 once
-  // the lanes went quiet (runs too short to arm the fence report 0 in
-  // arena_warm_chunks, which the tightened test rejects).
-  std::uint64_t arena_chunks = 0;
-  for (const std::unique_ptr<util::Arena>& a : lane_arenas_) {
-    arena_chunks += a->chunk_allocations();
-  }
-  stats_.arena_chunks = arena_chunks;
-  stats_.arena_warm_chunks = arena_warm_marked_ ? arena_warm_chunks_ : 0;
-  stats_.arena_steady_chunks = arena_warm_marked_ ? arena_chunks - arena_warm_chunks_ : 0;
-
   // Timing-wheel telemetry.
   const sim::TimingWheel::Telemetry& wheel = sim_.wheel_telemetry();
   stats_.events_wheeled = wheel.scheduled;

@@ -32,10 +32,6 @@ struct PeerNode {
   net::NodeId id = 0;
   bool is_source = false;
   bool alive = true;
-  /// Index into the engine's scheduler-strategy registry (strategies are
-  /// stateless per call and shared; peers carry a one-byte handle so
-  /// heterogeneous policies stay a config change, not a refactor).
-  std::uint8_t strategy_index = 0;
 
   double outbound_rate = 0.0;
   /// Inbound request budget; its rate() is the peer's inbound rate I.

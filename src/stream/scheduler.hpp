@@ -6,17 +6,17 @@
 // strategy returns an ordered request list.  Global constraints are enforced
 // when issuing — the inbound budget by the engine, supplier backlog by the
 // TransferPlane's capacity model; strategies see only information a real
-// peer would have.  Each PeerNode holds a handle to its strategy, so
-// heterogeneous policies per peer are a wiring change, not a refactor.
+// peer would have.  The engine holds one strategy and every peer plans
+// through it, so a strategy must be stateless per call.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "gossip/buffer_map.hpp"
 #include "net/graph.hpp"
-#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace gs::stream {
@@ -45,22 +45,15 @@ enum class StreamEpoch : std::uint8_t {
   kNew,  ///< the starting source S2
 };
 
-/// Supplier lists are rebuilt from scratch every scheduling period, so they
-/// live in a bump arena: the sequential plan's per-tick arena or the
-/// planning lane's arena (parallel_shards > 0).  The default-constructed
-/// allocator falls back to the heap, which is what hand-built lists use.
-using SupplierList = std::vector<SupplierView, util::ArenaAllocator<SupplierView>>;
-
 /// A segment the node needs and at least one neighbour can supply.
 struct CandidateSegment {
   SegmentId id = kNoSegment;
   StreamEpoch epoch = StreamEpoch::kOld;
-  SupplierList suppliers;
-
-  CandidateSegment() = default;
-  /// Puts the supplier list in `alloc`'s arena.
-  explicit CandidateSegment(const util::ArenaAllocator<SupplierView>& alloc)
-      : suppliers(alloc) {}
+  /// Its suppliers: a view, not an owner.  The candidate build writes one
+  /// period's supplier lists into a single store its plan owns and gives
+  /// each candidate a slice of it; hand-built candidates view storage of
+  /// their own.  The storage must outlive the candidate's use.
+  std::span<const SupplierView> suppliers;
 };
 
 /// Node-local scheduling inputs (paper Table 1/2 notation in comments).

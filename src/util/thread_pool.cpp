@@ -42,10 +42,10 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::run_batch(std::size_t n, std::size_t lanes,
-                           const std::function<void(std::size_t, std::size_t)>& body) {
+                           const std::function<void(std::size_t)>& body) {
   if (n == 0) return;
   if (lanes <= 1 || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i, 0);
+    for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
   // Shared batch state outlives the call: helper tasks may still be queued
@@ -54,7 +54,6 @@ void ThreadPool::run_batch(std::size_t n, std::size_t lanes,
   struct BatchState {
     explicit BatchState(std::size_t count) : done(static_cast<std::ptrdiff_t>(count)) {}
     std::atomic<std::size_t> cursor{0};
-    std::atomic<std::size_t> next_lane{1};  ///< the caller owns lane 0
     std::latch done;
     std::atomic<bool> failed{false};
     std::exception_ptr error;
@@ -65,13 +64,13 @@ void ThreadPool::run_batch(std::size_t n, std::size_t lanes,
   // raw pointer to the caller-owned body, which is safe: the pointer is
   // only dereferenced after winning a claim (i < n), and the caller cannot
   // return — so body cannot die — before all n claims completed.
-  const std::function<void(std::size_t, std::size_t)>* body_ptr = &body;
-  const auto claim_loop = [n, state, body_ptr](std::size_t lane) {
+  const std::function<void(std::size_t)>* body_ptr = &body;
+  const auto claim_loop = [n, state, body_ptr] {
     for (;;) {
       const std::size_t i = state->cursor.fetch_add(1);
       if (i >= n) return;
       try {
-        (*body_ptr)(i, lane);
+        (*body_ptr)(i);
       } catch (...) {
         std::lock_guard<std::mutex> lock(state->error_mutex);
         if (!state->failed.exchange(true)) state->error = std::current_exception();
@@ -83,8 +82,7 @@ void ThreadPool::run_batch(std::size_t n, std::size_t lanes,
   // never pop these helpers: the caller lane does all the work and the dead
   // closures pile up in tasks_.  Cap the outstanding helpers instead of
   // enqueueing blindly; the cap is approximate (racy load) and results
-  // never depend on how many helpers actually run.  At most lanes - 1
-  // helpers exist, so the lane ids they claim stay within [1, lanes).
+  // never depend on how many helpers actually run.
   const std::size_t helper_cap = 2 * thread_count();
   const std::size_t backlog = queued_helpers_.load();
   std::size_t helpers = std::min(lanes, n) - 1;
@@ -93,14 +91,14 @@ void ThreadPool::run_batch(std::size_t n, std::size_t lanes,
     queued_helpers_.fetch_add(helpers);
     std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t h = 0; h < helpers; ++h) {
-      tasks_.emplace([this, state, claim_loop] {
+      tasks_.emplace([this, claim_loop] {
         queued_helpers_.fetch_sub(1);
-        claim_loop(state->next_lane.fetch_add(1));
+        claim_loop();
       });
     }
   }
   if (helpers > 0) cv_.notify_all();
-  claim_loop(0);         // the caller is lane 0: no deadlock on a busy pool
+  claim_loop();          // the caller claims too: no deadlock on a busy pool
   state->done.wait();    // indices claimed by helpers may still be running
   if (state->failed.load() && state->error) std::rethrow_exception(state->error);
 }

@@ -7,7 +7,8 @@
 // is itself busy inside a simulation that called run_batch.  Iterations
 // range from per-peer tick plans (microseconds) to whole simulation runs
 // (seconds); a mutex-guarded queue hands out only the helper closures, one
-// per lane, so queue contention stays irrelevant at either grain.
+// per extra executor, so queue contention stays irrelevant at either
+// grain.
 #pragma once
 
 #include <atomic>
@@ -33,21 +34,18 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t thread_count() const noexcept { return workers_.size(); }
 
-  /// Fork/join batch: runs body(i, lane) for i in [0, n) on at most
-  /// `lanes` executors and blocks until every index completed.  `lane` is a
-  /// dense id in [0, lanes), stable for the executing thread across the
-  /// whole batch and never shared by two threads within it (the caller is
-  /// lane 0; each helper claims the next free id on entry), so callers can
-  /// index per-lane scratch — e.g. one bump arena per lane — without
-  /// thread-local state.  The caller claims indices itself while waiting,
-  /// so the batch finishes even if no pool worker ever becomes free (the
-  /// pool may be saturated by outer batches whose iterations call run_batch
-  /// again).  `lanes <= 1` degenerates to an inline loop on lane 0.  Index
-  /// assignment to lanes is racy by design; callers must make iterations
-  /// independent (the sharded engine writes disjoint per-index slots).
-  /// Exceptions from any iteration are rethrown in the caller (first wins).
+  /// Fork/join batch: runs body(i) for i in [0, n) on at most `lanes`
+  /// executors (the caller plus up to lanes - 1 pool helpers) and blocks
+  /// until every index completed.  The caller claims indices itself while
+  /// waiting, so the batch finishes even if no pool worker ever becomes
+  /// free (the pool may be saturated by outer batches whose iterations call
+  /// run_batch again).  `lanes <= 1` degenerates to an inline loop on the
+  /// caller.  Which executor runs an index is racy by design, so callers
+  /// must make iterations independent and keep any scratch per index (the
+  /// sharded engine writes disjoint per-index slots).  Exceptions from any
+  /// iteration are rethrown in the caller (first wins).
   void run_batch(std::size_t n, std::size_t lanes,
-                 const std::function<void(std::size_t, std::size_t)>& body);
+                 const std::function<void(std::size_t)>& body);
 
  private:
   void worker_loop();

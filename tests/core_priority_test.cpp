@@ -1,7 +1,10 @@
 // Priority model (eqs. 6-9) and Algorithm 1's greedy supplier selection.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <initializer_list>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -25,6 +28,18 @@ SupplierView supplier(net::NodeId node, double rate, std::size_t position,
   s.queue_delay = queue;
   return s;
 }
+
+/// Owns hand-built supplier lists; each call stores one and returns the
+/// span a candidate views it through.
+class SupplierLists {
+ public:
+  std::span<const SupplierView> operator()(std::initializer_list<SupplierView> suppliers) {
+    return lists_.emplace_back(suppliers);
+  }
+
+ private:
+  std::deque<std::vector<SupplierView>> lists_;  // stable addresses
+};
 
 /// greedy_assign over `candidates` in list order, candidate i carrying
 /// priorities[i].
@@ -118,12 +133,13 @@ TEST(Priority, CombinedIsMaxOfUrgencyAndRarity) {
   // eq. 9.
   PriorityParams params;
   ScheduleContext ctx = basic_ctx();
+  SupplierLists lists;
   CandidateSegment near_deadline;
   near_deadline.id = 101;
-  near_deadline.suppliers = {supplier(1, 10.0, 3)};
+  near_deadline.suppliers = lists({supplier(1, 10.0, 3)});
   CandidateSegment far_but_rare;
   far_but_rare.id = 500;
-  far_but_rare.suppliers = {supplier(1, 10.0, 580)};
+  far_but_rare.suppliers = lists({supplier(1, 10.0, 580)});
   const double p_near = segment_priority(near_deadline, ctx, params);
   const double p_far = segment_priority(far_but_rare, ctx, params);
   // Near-deadline beats on urgency; far one is carried by rarity.
@@ -146,9 +162,10 @@ TEST(Priority, ClassesQuantizeByPowersOfTwo) {
 
 TEST(GreedyAssign, PicksEarliestSupplier) {
   ScheduleContext ctx = basic_ctx();
+  SupplierLists lists;
   std::vector<CandidateSegment> candidates(1);
   candidates[0].id = 101;
-  candidates[0].suppliers = {supplier(1, 10.0, 5), supplier(2, 20.0, 5)};
+  candidates[0].suppliers = lists({supplier(1, 10.0, 5), supplier(2, 20.0, 5)});
   const auto assignments = assign(ctx, candidates, {1.0});
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].supplier, 2u) << "1/20 < 1/10";
@@ -159,11 +176,12 @@ TEST(GreedyAssign, QueueAccumulatesPerSupplier) {
   // Two segments, single supplier at R=2: first at 0.5, second at 1.0
   // which is NOT < period -> dropped (paper line 13: t < tau).
   ScheduleContext ctx = basic_ctx();
+  SupplierLists lists;
   std::vector<CandidateSegment> candidates(2);
   candidates[0].id = 101;
-  candidates[0].suppliers = {supplier(1, 2.0, 5)};
+  candidates[0].suppliers = lists({supplier(1, 2.0, 5)});
   candidates[1].id = 102;
-  candidates[1].suppliers = {supplier(1, 2.0, 5)};
+  candidates[1].suppliers = lists({supplier(1, 2.0, 5)});
   const auto assignments = assign(ctx, candidates, {2.0, 1.0});
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].id, 101);
@@ -173,11 +191,12 @@ TEST(GreedyAssign, SpillsToSecondSupplier) {
   // With the fast supplier backlogged by the first assignment, the second
   // segment should go to the other supplier if that is earlier.
   ScheduleContext ctx = basic_ctx();
+  SupplierLists lists;
   std::vector<CandidateSegment> candidates(2);
   candidates[0].id = 101;
-  candidates[0].suppliers = {supplier(1, 4.0, 5), supplier(2, 3.0, 5)};
+  candidates[0].suppliers = lists({supplier(1, 4.0, 5), supplier(2, 3.0, 5)});
   candidates[1].id = 102;
-  candidates[1].suppliers = {supplier(1, 4.0, 5), supplier(2, 3.0, 5)};
+  candidates[1].suppliers = lists({supplier(1, 4.0, 5), supplier(2, 3.0, 5)});
   const auto assignments = assign(ctx, candidates, {2.0, 1.0});
   ASSERT_EQ(assignments.size(), 2u);
   EXPECT_EQ(assignments[0].supplier, 1u);  // 0.25 < 0.333
@@ -186,10 +205,11 @@ TEST(GreedyAssign, SpillsToSecondSupplier) {
 
 TEST(GreedyAssign, InitialQueueDelayRespected) {
   ScheduleContext ctx = basic_ctx();
+  SupplierLists lists;
   std::vector<CandidateSegment> candidates(1);
   candidates[0].id = 101;
-  candidates[0].suppliers = {supplier(1, 100.0, 5, /*queue=*/0.99),
-                             supplier(2, 2.0, 5, /*queue=*/0.0)};
+  candidates[0].suppliers = lists({supplier(1, 100.0, 5, /*queue=*/0.99),
+                                   supplier(2, 2.0, 5, /*queue=*/0.0)});
   const auto assignments = assign(ctx, candidates, {1.0});
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].supplier, 2u) << "0.5 beats 0.99 + 0.01";
@@ -197,11 +217,12 @@ TEST(GreedyAssign, InitialQueueDelayRespected) {
 
 TEST(GreedyAssign, SkipsSegmentsWithNoFeasibleSupplier) {
   ScheduleContext ctx = basic_ctx();
+  SupplierLists lists;
   std::vector<CandidateSegment> candidates(2);
   candidates[0].id = 101;
-  candidates[0].suppliers = {supplier(1, 0.5, 5)};  // transfer 2.0 > period
+  candidates[0].suppliers = lists({supplier(1, 0.5, 5)});  // transfer 2.0 > period
   candidates[1].id = 102;
-  candidates[1].suppliers = {supplier(2, 10.0, 5)};
+  candidates[1].suppliers = lists({supplier(2, 10.0, 5)});
   const auto assignments = assign(ctx, candidates, {2.0, 1.0});
   ASSERT_EQ(assignments.size(), 1u);
   EXPECT_EQ(assignments[0].id, 102);
@@ -209,13 +230,14 @@ TEST(GreedyAssign, SkipsSegmentsWithNoFeasibleSupplier) {
 
 TEST(GreedyAssign, EpochCarriedThrough) {
   ScheduleContext ctx = basic_ctx();
+  SupplierLists lists;
   std::vector<CandidateSegment> candidates(2);
   candidates[0].id = 101;
   candidates[0].epoch = StreamEpoch::kOld;
-  candidates[0].suppliers = {supplier(1, 10.0, 5)};
+  candidates[0].suppliers = lists({supplier(1, 10.0, 5)});
   candidates[1].id = 500;
   candidates[1].epoch = StreamEpoch::kNew;
-  candidates[1].suppliers = {supplier(2, 10.0, 5)};
+  candidates[1].suppliers = lists({supplier(2, 10.0, 5)});
   const auto assignments = assign(ctx, candidates, {2.0, 1.0});
   ASSERT_EQ(assignments.size(), 2u);
   EXPECT_EQ(assignments[0].epoch, StreamEpoch::kOld);
@@ -225,12 +247,13 @@ TEST(GreedyAssign, EpochCarriedThrough) {
 TEST(GreedyAssign, CapacityPropertyUnderLoad) {
   // Property: per-supplier assigned transfer time never exceeds the period.
   ScheduleContext ctx = basic_ctx();
+  SupplierLists lists;
   std::vector<CandidateSegment> candidates(100);
   std::vector<double> priorities(100);
   for (int i = 0; i < 100; ++i) {
     candidates[static_cast<std::size_t>(i)].id = 101 + i;
-    candidates[static_cast<std::size_t>(i)].suppliers = {supplier(1, 7.0, 5),
-                                                         supplier(2, 5.0, 5)};
+    candidates[static_cast<std::size_t>(i)].suppliers =
+        lists({supplier(1, 7.0, 5), supplier(2, 5.0, 5)});
     priorities[static_cast<std::size_t>(i)] = 100.0 - i;
   }
   const auto assignments = assign(ctx, candidates, priorities);

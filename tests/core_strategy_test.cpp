@@ -68,6 +68,8 @@ SupplierView supplier(net::NodeId node, double rate, std::size_t position) {
 /// inbound budget is 7 per period.  Suppliers are ample.
 struct Fig2 {
   ScheduleContext ctx;
+  /// Every candidate's supplier list (the candidates view it).
+  std::vector<SupplierView> suppliers{supplier(1, 30.0, 50), supplier(2, 25.0, 80)};
   std::vector<CandidateSegment> candidates;
 
   Fig2() {
@@ -87,7 +89,7 @@ struct Fig2 {
       CandidateSegment c;
       c.id = id;
       c.epoch = id <= 105 ? StreamEpoch::kOld : StreamEpoch::kNew;
-      c.suppliers = {supplier(1, 30.0, 50), supplier(2, 25.0, 80)};
+      c.suppliers = suppliers;
       candidates.push_back(c);
     }
   }
@@ -292,12 +294,14 @@ TEST(PromoteFresh, DisabledByZeroFraction) {
 // identical suppliers, so most share one priority class and the shuffle
 // has room to permute them.
 std::vector<CandidateSegment> crowded_candidates(stream::SegmentId s1_end) {
+  static const std::vector<SupplierView> suppliers{supplier(1, 30.0, 50), supplier(2, 25.0, 80),
+                                                   supplier(3, 20.0, 9)};
   std::vector<CandidateSegment> candidates;
   for (stream::SegmentId id = 200; id < 240; ++id) {
     CandidateSegment c;
     c.id = id;
     c.epoch = s1_end != stream::kNoSegment && id > s1_end ? StreamEpoch::kNew : StreamEpoch::kOld;
-    c.suppliers = {supplier(1, 30.0, 50), supplier(2, 25.0, 80), supplier(3, 20.0, 9)};
+    c.suppliers = suppliers;
     candidates.push_back(c);
   }
   return candidates;
@@ -566,6 +570,9 @@ std::vector<stream::ScheduledRequest> normal_schedule(
 /// where every candidate shares suppliers and rarity so classes are large.
 struct RandomInput {
   ScheduleContext ctx;
+  /// Every candidate's supplier list, back to back (the candidates view
+  /// slices of it, as they view a plan's store in the engine).
+  std::vector<SupplierView> suppliers;
   std::vector<CandidateSegment> candidates;
   std::uint64_t rng_seed = 0;
   bool use_rng = true;
@@ -597,13 +604,15 @@ RandomInput random_input(std::size_t n, bool with_switch, std::uint64_t seed) {
   stream::SegmentId id = 1000 + draw.uniform_int(0, 50);
   ctx.id_play = id - draw.uniform_int(0, 5);
   const stream::SegmentId first = id;
+  in.suppliers.reserve(n * 20);  // at most 20 per candidate: the store never moves
   for (std::size_t i = 0; i < n; ++i) {
     CandidateSegment c;
     c.id = id;
     id += draw.bernoulli(0.7) ? 1 : draw.uniform_int(2, 4);
+    const std::size_t begin = in.suppliers.size();
     if (!draw.bernoulli(0.05)) {
       const auto count = static_cast<std::size_t>(draw.uniform_int(1, 20));
-      for (std::size_t j = 0; j < degree && c.suppliers.size() < count; ++j) {
+      for (std::size_t j = 0; j < degree && in.suppliers.size() - begin < count; ++j) {
         if (!draw.bernoulli(0.6)) continue;
         SupplierView s;
         s.node = static_cast<net::NodeId>(10 + 3 * j);
@@ -611,9 +620,10 @@ RandomInput random_input(std::size_t n, bool with_switch, std::uint64_t seed) {
         s.queue_delay = nodes[j].queue;
         s.buffer_position =
             crowded ? 300 : static_cast<std::size_t>(draw.uniform_int(1, 600));
-        c.suppliers.push_back(s);
+        in.suppliers.push_back(s);
       }
     }
+    c.suppliers = std::span<const SupplierView>(in.suppliers).subspan(begin);
     in.candidates.push_back(c);
   }
   if (crowded) ctx.id_play = first - 400;  // far deadlines: rarity-led, one class

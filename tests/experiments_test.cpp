@@ -294,6 +294,21 @@ TEST(Config, RejectsSparseFillOutsideUnitInterval) {
   }
 }
 
+// The diversity reservation is round(fraction * budget) fresh picks: NaN
+// rounds to a huge count (diversity silently off), and above 1 the picks
+// outnumber the budget.
+TEST(Config, RejectsDiversityFractionOutsideUnitIntervalOrNaN) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  for (const double fraction : {-0.1, 1.5, kNaN}) {
+    config.priority.diversity_fraction = fraction;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << fraction;
+  }
+  for (const double fraction : {0.0, 1.0}) {
+    config.priority.diversity_fraction = fraction;
+    EXPECT_NO_THROW(config.validate()) << fraction;
+  }
+}
+
 // A peer is prepared when its last missing startup segment arrives; with
 // Qs = 0 none is ever missing, so every peer would be censored.
 TEST(Config, RejectsZeroStartupPrefix) {

@@ -539,11 +539,12 @@ std::vector<WheelScript> random_script(util::Rng& rng, int count) {
       // Dense integer ties, including pre-anchor (warm-up) times.
       s.at = static_cast<Time>(rng.uniform_int(-3, 20));
     } else if (shape < 0.85) {
-      // Continuous near/coarse-horizon times.
+      // Continuous times around the near ring's horizon (64 s to 768 s
+      // across the quanta under test).
       s.at = rng.uniform(0.0, 400.0);
     } else {
-      // Far horizon: overflows the near and coarse wheels into the spill
-      // heap at every quantum under test.
+      // Far horizon: past the near ring, into the spill heap, at every
+      // quantum under test.
       s.at = rng.uniform(0.0, 60000.0);
     }
     s.tag = tag;
@@ -590,10 +591,11 @@ TEST(TimingWheelProperty, MixedWorkloadPopsLikeTheReferenceQueue) {
   }
 }
 
-TEST(TimingWheelProperty, FarHorizonWorkloadExercisesCoarseWheelAndSpill) {
-  // Telemetry sanity: a workload far beyond the near horizon must route
-  // through the overflow levels (promotions as the cursor advances, a
-  // non-empty spill peak) and still pop in nondecreasing time order.
+TEST(TimingWheelProperty, FarHorizonWorkloadExercisesSpill) {
+  // Telemetry sanity: a workload far beyond the near ring's horizon must
+  // route through the spill heap (a non-empty spill peak, promotions into
+  // the ring as the cursor advances) and still pop in nondecreasing time
+  // order.
   util::Rng rng(2718);
   EventQueue queue;
   std::vector<int> fired;
@@ -612,9 +614,9 @@ TEST(TimingWheelProperty, FarHorizonWorkloadExercisesCoarseWheelAndSpill) {
   const TimingWheel::Telemetry telemetry = queue.wheel_telemetry();
   EXPECT_EQ(telemetry.scheduled, 400u);
   EXPECT_GT(telemetry.overflow_promotions, 0u)
-      << "50000s horizon never promoted out of the overflow levels";
+      << "50000s horizon never promoted out of the spill heap";
   EXPECT_GT(telemetry.spill_peak, 0u)
-      << "50000s horizon never reached the spill heap (near+coarse cover ~16384s)";
+      << "50000s horizon never reached the spill heap (the near ring covers 256s)";
 }
 
 TEST(BatchTickerProperty, DestructionCancelsPendingSweeps) {

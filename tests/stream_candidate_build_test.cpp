@@ -6,7 +6,9 @@
 // size, received sets, pending retries (expired, due now and in flight),
 // and anchors and heads on and off 64-id word boundaries; every round also
 // plants held, missing ids just inside and just outside both window edges,
-// so an off-by-one in either edge mask changes the candidate set.
+// so an off-by-one in either edge mask changes the candidate set.  Each
+// round also checks the supplier store's layout, and that a second build of
+// the same input on the warm store neither moves nor grows it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,7 +19,6 @@
 #include "net/latency.hpp"
 #include "sim/simulator.hpp"
 #include "stream/candidate_build.hpp"
-#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace gs::stream {
@@ -42,12 +43,18 @@ void plant(StreamBuffer& buffer, SegmentId id) {
   if (id >= 0) buffer.insert(id);
 }
 
-std::vector<CandidateSegment> brute_force(const PeerNode& p,
-                                          const std::vector<net::NodeId>& neighbors,
-                                          const std::vector<PeerNode>& peers,
-                                          const TransferPlane& transfers, std::size_t capacity,
-                                          SegmentId boundary, double now) {
-  std::vector<CandidateSegment> out;
+/// A reference candidate: the brute force owns its supplier lists.
+struct Expected {
+  SegmentId id = kNoSegment;
+  StreamEpoch epoch = StreamEpoch::kOld;
+  std::vector<SupplierView> suppliers;
+};
+
+std::vector<Expected> brute_force(const PeerNode& p, const std::vector<net::NodeId>& neighbors,
+                                  const std::vector<PeerNode>& peers,
+                                  const TransferPlane& transfers, std::size_t capacity,
+                                  SegmentId boundary, double now) {
+  std::vector<Expected> out;
   SegmentId head = kNoSegment;
   for (const net::NodeId nb : neighbors) head = std::max(head, peers[nb].buffer.max_id());
   const SegmentId from = p.playback_anchor();
@@ -57,7 +64,7 @@ std::vector<CandidateSegment> brute_force(const PeerNode& p,
     if (p.has_received(id)) continue;
     const double* retry_at = p.pending.find(id);
     if (retry_at != nullptr && *retry_at > now) continue;
-    CandidateSegment c;
+    Expected c;
     c.id = id;
     c.epoch = (boundary != kNoSegment && id > boundary) ? StreamEpoch::kNew : StreamEpoch::kOld;
     for (const net::NodeId nb : neighbors) {
@@ -81,10 +88,10 @@ TEST_P(CandidateBuildReference, MatchesBruteForceOnRandomNeighbourhoods) {
   const std::size_t capacity = GetParam();
   constexpr std::size_t kPeers = 10;  // requester 0 plus up to 9 neighbours
   util::Rng rng(static_cast<std::uint64_t>(capacity) * 7919 + 1);
-  // One scratch and one arena across all rounds, as a planning lane keeps
+  // One scratch and one supplier store across all rounds, as a plan keeps
   // them: nothing may leak from one build into the next.
   CandidateScratch scratch;
-  util::Arena arena;
+  std::vector<SupplierView> store;
   std::vector<CandidateSegment> got;
   std::size_t nonempty_rounds = 0;
 
@@ -189,24 +196,32 @@ TEST_P(CandidateBuildReference, MatchesBruteForceOnRandomNeighbourhoods) {
       boundary = anchor + static_cast<SegmentId>(rng.uniform_int(-5, window + 5));
     }
 
-    arena.reset();
     got.clear();
     const std::uint64_t probes = collect_candidates(p, neighbors, peers, transfers, capacity,
-                                                    boundary, now, &arena, scratch, got);
-    const std::vector<CandidateSegment> want =
+                                                    boundary, now, store, scratch, got);
+    const std::vector<Expected> want =
         brute_force(p, neighbors, peers, transfers, capacity, boundary, now);
     if (!want.empty()) ++nonempty_rounds;
 
     ASSERT_EQ(got.size(), want.size()) << "round " << round << " anchor " << anchor;
     EXPECT_EQ(probes, want.size() * neighbors.size()) << "round " << round;
+    // The spans tile the store in candidate order, and the store holds
+    // exactly the suppliers the candidates list.
+    std::size_t total = 0;
+    for (const Expected& w : want) total += w.suppliers.size();
+    EXPECT_EQ(store.size(), total) << "round " << round;
+    const SupplierView* next = store.data();
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].suppliers.data(), next) << "round " << round << " candidate " << i;
+      next = got[i].suppliers.data() + got[i].suppliers.size();
+    }
+    EXPECT_EQ(next, store.data() + store.size()) << "round " << round;
     for (std::size_t i = 0; i < want.size(); ++i) {
       const CandidateSegment& g = got[i];
-      const CandidateSegment& w = want[i];
+      const Expected& w = want[i];
       ASSERT_EQ(g.id, w.id) << "round " << round << " candidate " << i;
       EXPECT_EQ(g.epoch, w.epoch) << "round " << round << " id " << w.id;
       ASSERT_EQ(g.suppliers.size(), w.suppliers.size()) << "round " << round << " id " << w.id;
-      // Counted, then reserved: one allocation per supplier list.
-      EXPECT_EQ(g.suppliers.capacity(), g.suppliers.size()) << "round " << round;
       for (std::size_t k = 0; k < w.suppliers.size(); ++k) {
         EXPECT_EQ(g.suppliers[k].node, w.suppliers[k].node) << "round " << round << " id " << w.id;
         EXPECT_EQ(g.suppliers[k].send_rate, w.suppliers[k].send_rate);
@@ -214,6 +229,23 @@ TEST_P(CandidateBuildReference, MatchesBruteForceOnRandomNeighbourhoods) {
             << "round " << round << " id " << w.id << " supplier " << w.suppliers[k].node;
         EXPECT_EQ(g.suppliers[k].queue_delay, w.suppliers[k].queue_delay);
       }
+    }
+    // A second build of the same input on the warm store reuses it in
+    // place: no reallocation, no growth, the same candidates.
+    const SupplierView* data = store.data();
+    const std::size_t store_capacity = store.capacity();
+    std::vector<CandidateSegment> again;
+    EXPECT_EQ(collect_candidates(p, neighbors, peers, transfers, capacity, boundary, now, store,
+                                 scratch, again),
+              probes)
+        << "round " << round;
+    EXPECT_EQ(store.data(), data) << "round " << round;
+    EXPECT_EQ(store.capacity(), store_capacity) << "round " << round;
+    ASSERT_EQ(again.size(), got.size()) << "round " << round;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(again[i].id, got[i].id) << "round " << round;
+      EXPECT_EQ(again[i].suppliers.data(), got[i].suppliers.data()) << "round " << round;
+      EXPECT_EQ(again[i].suppliers.size(), got[i].suppliers.size()) << "round " << round;
     }
   }
   // The comparison must not be vacuous.
@@ -237,15 +269,16 @@ TEST(CandidateBuild, NoNeighbourHeadAtOrPastTheAnchorBuildsNothing) {
   peers[0].start_id = 128;
   for (SegmentId id = 60; id < 128; ++id) peers[1].buffer.insert(id);
   CandidateScratch scratch;
+  std::vector<SupplierView> store;
   std::vector<CandidateSegment> out;
   const std::vector<net::NodeId> neighbors = {1, 2};  // 2 holds nothing
   EXPECT_EQ(collect_candidates(peers[0], neighbors, peers, transfers, 600, kNoSegment, 0.0,
-                               nullptr, scratch, out),
+                               store, scratch, out),
             0u);
   EXPECT_TRUE(out.empty());
   peers[2].buffer.insert(128);
   EXPECT_EQ(collect_candidates(peers[0], neighbors, peers, transfers, 600, kNoSegment, 0.0,
-                               nullptr, scratch, out),
+                               store, scratch, out),
             2u);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 128);

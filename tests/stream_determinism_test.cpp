@@ -566,27 +566,6 @@ TEST(ParallelCommit, LayeredColouringIsValid) {
   }
 }
 
-TEST(ParallelCommit, SteadyStateArenaAllocationsAreZero) {
-  // The per-lane arena pool must reach a zero-allocation steady state.  The
-  // adaptive fence arms only after >= 16 parallel sweeps AND 16 consecutive
-  // sweeps with no chunk growth, so arena_warm_chunks > 0 proves the lanes
-  // actually went quiet (a fence that never arms would report
-  // arena_steady_chunks == 0 vacuously — rejected here), and
-  // arena_steady_chunks == 0 is then exact: not one chunk may be malloc'd
-  // after the arenas stop growing.
-  RunSpec setup;
-  setup.seed = 67;
-  setup.parallel = 4;
-  const RunOutput out = run_setup(setup);
-  EXPECT_GT(out.stats.parallel_sweeps, 16u) << "run too short to pass the warm-up fence";
-  EXPECT_GT(out.stats.arena_chunks, 0u) << "lane arenas should be in use";
-  EXPECT_GT(out.stats.arena_warm_chunks, 0u)
-      << "adaptive fence never armed: the arenas kept allocating to the end of the run";
-  EXPECT_LE(out.stats.arena_warm_chunks, out.stats.arena_chunks);
-  EXPECT_EQ(out.stats.arena_steady_chunks, 0u)
-      << "heap allocation after the warm-up fence breaks the zero-alloc steady state";
-}
-
 // ----------------------------------------------------------- TimingWheel ---
 //
 // The timing wheel is the event queue's only store; its former wheel vs

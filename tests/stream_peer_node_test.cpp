@@ -93,7 +93,6 @@ TEST(PeerNode, DefaultsMatchDispatchExpectations) {
   EXPECT_EQ(p.tick_group, kNoTickGroup);
   EXPECT_FALSE(p.is_source);
   EXPECT_TRUE(p.alive);
-  EXPECT_EQ(p.strategy_index, 0u);
   EXPECT_EQ(p.outbound_rate, 0.0);
   EXPECT_EQ(p.in_budget.rate(), 0.0);
   EXPECT_EQ(p.in_budget.available(), 0.0);

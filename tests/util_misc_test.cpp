@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -142,7 +141,7 @@ TEST(ThreadPool, RunBatchCoversAllIndices) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.thread_count(), 4u);
   std::vector<std::atomic<int>> hits(200);
-  pool.run_batch(200, 4, [&](std::size_t i, std::size_t) { hits[i].fetch_add(1); });
+  pool.run_batch(200, 4, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -150,37 +149,33 @@ TEST(ThreadPool, RunBatchSingleLaneRunsInline) {
   ThreadPool pool(4);
   const auto caller = std::this_thread::get_id();
   std::vector<std::thread::id> seen(16);
-  std::vector<std::size_t> lanes(16, 99);
-  pool.run_batch(16, 1, [&](std::size_t i, std::size_t lane) {
-    seen[i] = std::this_thread::get_id();
-    lanes[i] = lane;
-  });
+  pool.run_batch(16, 1, [&](std::size_t i) { seen[i] = std::this_thread::get_id(); });
   for (const auto& id : seen) EXPECT_EQ(id, caller);
-  for (const std::size_t lane : lanes) EXPECT_EQ(lane, 0u);
 }
 
 TEST(ThreadPool, RunBatchZeroIterations) {
   ThreadPool pool(2);
-  pool.run_batch(0, 4, [](std::size_t, std::size_t) { FAIL() << "must not run"; });
+  pool.run_batch(0, 4, [](std::size_t) { FAIL() << "must not run"; });
 }
 
 TEST(ThreadPool, RunBatchPropagatesFirstError) {
   ThreadPool pool(4);
   EXPECT_THROW(pool.run_batch(50, 4,
-                              [](std::size_t i, std::size_t) {
+                              [](std::size_t i) {
                                 if (i == 13) throw std::runtime_error("unlucky");
                               }),
                std::runtime_error);
 }
 
 TEST(ThreadPool, RunBatchRethrowsAnErrorRaisedOnAPoolWorker) {
-  // Only helper lanes throw, and the caller's lane (0) keeps claiming until
-  // a helper has run, so the error can only come from a pool thread.
+  // Only pool threads throw, and the caller keeps claiming until one has,
+  // so the error can only come from a pool thread.
   ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
   std::atomic<bool> helper_ran{false};
   EXPECT_THROW(pool.run_batch(50, 4,
-                              [&](std::size_t, std::size_t lane) {
-                                if (lane != 0) {
+                              [&](std::size_t) {
+                                if (std::this_thread::get_id() != caller) {
                                   helper_ran = true;
                                   throw std::runtime_error("boom");
                                 }
@@ -193,54 +188,10 @@ TEST(ThreadPool, ManyMoreTasksThanThreads) {
   ThreadPool pool(2);
   std::atomic<int> sum{0};
   pool.run_batch(1000, pool.thread_count(),
-                 [&](std::size_t i, std::size_t) { sum.fetch_add(static_cast<int>(i % 7)); });
+                 [&](std::size_t i) { sum.fetch_add(static_cast<int>(i % 7)); });
   int expected = 0;
   for (int i = 0; i < 1000; ++i) expected += i % 7;
   EXPECT_EQ(sum.load(), expected);
-}
-
-TEST(ThreadPool, RunBatchLaneIdsAreBoundedAndOwnedByOneThread) {
-  // The engine indexes its per-lane arenas and candidate scratch by lane
-  // id: each id must stay below `lanes` and belong to one thread per batch
-  // (and each thread keep one id).  Every item waits until the caller's
-  // lane and a helper have both claimed one, so at least two threads take
-  // part; lanes > thread_count() exercises the helper cap.
-  ThreadPool pool(4);
-  for (const std::size_t lanes : {2u, 4u, 16u}) {
-    for (int batch = 0; batch < 20; ++batch) {
-      constexpr std::size_t kItems = 400;
-      std::vector<std::size_t> lane_of(kItems);
-      std::vector<std::thread::id> thread_of(kItems);
-      std::atomic<bool> caller_ran{false};
-      std::atomic<bool> helper_ran{false};
-      pool.run_batch(kItems, lanes, [&](std::size_t i, std::size_t lane) {
-        lane_of[i] = lane;
-        thread_of[i] = std::this_thread::get_id();
-        (lane == 0 ? caller_ran : helper_ran) = true;
-        while (!caller_ran.load() || !helper_ran.load()) std::this_thread::yield();
-      });
-      std::vector<std::thread::id> owner(lanes);
-      std::vector<bool> seen(lanes, false);
-      std::set<std::size_t> used;
-      for (std::size_t i = 0; i < kItems; ++i) {
-        ASSERT_LT(lane_of[i], lanes);
-        used.insert(lane_of[i]);
-        if (!seen[lane_of[i]]) {
-          seen[lane_of[i]] = true;
-          owner[lane_of[i]] = thread_of[i];
-        }
-        EXPECT_EQ(owner[lane_of[i]], thread_of[i]) << "lane " << lane_of[i] << " shared";
-      }
-      EXPECT_GE(used.size(), 2u);
-      for (std::size_t a = 0; a < lanes; ++a) {
-        for (std::size_t b = a + 1; b < lanes; ++b) {
-          if (seen[a] && seen[b]) {
-            EXPECT_NE(owner[a], owner[b]) << "one thread, two lanes";
-          }
-        }
-      }
-    }
-  }
 }
 
 TEST(ThreadPool, RunBatchInsideSaturatedPoolCannotDeadlock) {
@@ -250,8 +201,8 @@ TEST(ThreadPool, RunBatchInsideSaturatedPoolCannotDeadlock) {
   // free.
   ThreadPool pool(2);
   std::atomic<int> total{0};
-  pool.run_batch(4, pool.thread_count() + 1, [&](std::size_t, std::size_t) {
-    pool.run_batch(32, 4, [&](std::size_t, std::size_t) { total.fetch_add(1); });
+  pool.run_batch(4, pool.thread_count() + 1, [&](std::size_t) {
+    pool.run_batch(32, 4, [&](std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 4 * 32);
 }
@@ -259,7 +210,7 @@ TEST(ThreadPool, RunBatchInsideSaturatedPoolCannotDeadlock) {
 TEST(ThreadPool, RunBatchMoreLanesThanWork) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(3);
-  pool.run_batch(3, 16, [&](std::size_t i, std::size_t) { hits[i].fetch_add(1); });
+  pool.run_batch(3, 16, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 

@@ -29,9 +29,7 @@ import math
 import sys
 
 # Counters that depend on the machine, not the simulation: never gated.
-# arena_steady_chunks is here because the lane-arena count is
-# min(parallel_shards, hardware_concurrency) — a core-count artefact.
-DEFAULT_SKIP = {"peak_rss_mb", "items_per_second", "arena_steady_chunks"}
+DEFAULT_SKIP = {"peak_rss_mb", "items_per_second"}
 
 # Fields of a benchmark row that are timings/bookkeeping, not counters.
 NON_COUNTER_FIELDS = {
