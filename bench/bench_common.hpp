@@ -27,8 +27,7 @@ struct BenchOptions {
   double flash_crowd_start = 0.5;
   double flash_crowd_duration = 2.0;
   /// 0 = keep the engine default; ablation benches pass --tick-shard-size
-  /// to exercise sweep granularity (and super-batching under lockstep)
-  /// without recompiling.
+  /// to exercise sweep granularity without recompiling.
   std::size_t tick_shard_size = 0;
   std::string capacity_model = "shared-fifo";
   bool cdn_assist = false;

@@ -256,8 +256,8 @@ BENCHMARK(BM_BuildCandidates)
 // bit-identical metrics (stream_determinism_test's ParallelShards suite and
 // Golden rows enforce that); only wall clock and the shard and drain
 // diagnostics differ, so the row pair is the speedup measurement.  The
-// drain counters (delivery_batches / superbatch_sweeps) report how much of
-// the delivery path the batched drain absorbed.  Emit BENCH_*.json via
+// drain counter (delivery_batches) reports how much of the delivery path
+// the batched drain absorbed.  Emit BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_ShardedDispatch
 //     --benchmark_out=BENCH_sharded_dispatch.json --benchmark_out_format=json
 void BM_ShardedDispatch(benchmark::State& state) {
@@ -267,7 +267,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
   std::uint64_t sweeps = 0;
   std::uint64_t replanned = 0;
   std::uint64_t batches = 0;
-  std::uint64_t superbatches = 0;
   std::uint64_t runs = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -284,7 +283,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
     sweeps += engine->stats().parallel_sweeps;
     replanned += engine->stats().replanned_ticks;
     batches += engine->stats().delivery_batches;
-    superbatches += engine->stats().superbatch_sweeps;
     ++runs;
   }
   state.counters["delivered"] =
@@ -295,8 +293,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(replanned) / static_cast<double>(runs));
   state.counters["delivery_batches"] =
       benchmark::Counter(static_cast<double>(batches) / static_cast<double>(runs));
-  state.counters["superbatch_sweeps"] =
-      benchmark::Counter(static_cast<double>(superbatches) / static_cast<double>(runs));
 }
 BENCHMARK(BM_ShardedDispatch)
     ->ArgNames({"peers", "shards"})

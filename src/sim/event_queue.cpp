@@ -72,22 +72,17 @@ std::size_t EventQueue::pop_batch(Time limit, std::vector<PooledBatchItem>& out,
                                   EventSink** sink_out) {
   GS_CHECK(!empty());
   out.clear();
-  const Entry& head = top();
-  EventSink* const sink = head.sink;
-  const bool across_times = sink->batch_across_times();
-  const Time first_at = head.at;
+  EventSink* const sink = top().sink;
   for (;;) {
     const Entry entry = wheel_.pop();
     out.push_back({entry.at, entry.a, entry.b});
     --live_;
     if (out.size() >= kMaxBatch || empty()) break;
     // Extend only while the head continues the run: same sink, within the
-    // horizon, and (unless the sink allows it) the same timestamp.
-    // Stopping at the first mismatch keeps the batch a prefix of the
-    // canonical pop order.
+    // horizon.  Stopping at the first mismatch keeps the batch a prefix of
+    // the canonical pop order.
     const Entry& next = top();
     if (next.sink != sink || next.at > limit) break;
-    if (!across_times && next.at != first_at) break;
   }
   *sink_out = sink;
   return out.size();

@@ -44,23 +44,21 @@ struct PooledBatchItem {
 /// delivered through one on_batch call instead of per-entry on_event
 /// calls.  Batching never reorders anything; it only changes how many
 /// entries one dispatch hands over, which is what lets the engine drain a
-/// whole delivery wave (or a super-batch of tick sweeps) in one pass.
+/// whole delivery wave in one pass.
 class EventSink {
  public:
   virtual ~EventSink() = default;
   virtual void on_event(std::uint64_t a, std::uint64_t b) = 0;
 
-  /// Opt-in to batched pops.  A batchable sink must process on_batch items
-  /// in order and honour each item's own fire time (the driver's clock is
-  /// parked at the *last* item's time for the duration of the batch).
+  /// Opt-in to batched pops.  A batchable sink's events schedule nothing:
+  /// with nothing new entering the queue, a run of consecutive heads stays
+  /// the exact pop sequence even across distinct times, so a run may span
+  /// timestamps (the engine's delivery drain qualifies; tick sweeps do not
+  /// — they schedule re-arms and transfers).  The sink must process
+  /// on_batch items in order and honour each item's own fire time (the
+  /// driver's clock is parked at the *last* item's time for the duration
+  /// of the batch).
   [[nodiscard]] virtual bool batchable() const noexcept { return false; }
-  /// When false (default) a batch only spans entries with one identical
-  /// timestamp.  A sink may return true ONLY if processing its events
-  /// schedules nothing: with nothing new entering the queue, a run of
-  /// consecutive heads stays the exact pop sequence even across distinct
-  /// times (the engine's delivery drain qualifies; tick sweeps do not —
-  /// they schedule re-arms and transfers).
-  [[nodiscard]] virtual bool batch_across_times() const noexcept { return false; }
   /// Processes a batched run in order.  The default loops on_event, which
   /// is byte-for-byte the unbatched dispatch.
   virtual void on_batch(const PooledBatchItem* items, std::size_t count) {
@@ -109,13 +107,12 @@ class EventQueue {
   /// Pops the maximal batchable run at the head of the queue WITHOUT
   /// running it: starting from the current head (which must satisfy
   /// top_is_batchable()), consecutive global-order heads are drained into
-  /// `out` while they are entries of the same sink, fire no later
-  /// than `limit`, and — unless the sink batches across times — share the
-  /// first entry's timestamp.  Returns the number of entries popped (>= 1)
-  /// and stores the common sink in `sink_out`; the caller dispatches the
-  /// run via sink->on_batch.  The run is exactly a prefix of the sequence
-  /// pop_and_run would produce, so dispatching it in order preserves every
-  /// determinism guarantee.
+  /// `out` while they are entries of the same sink and fire no later than
+  /// `limit`.  Returns the number of entries popped (>= 1) and stores the
+  /// common sink in `sink_out`; the caller dispatches the run via
+  /// sink->on_batch.  The run is exactly a prefix of the sequence
+  /// pop_and_run would produce (the sink's events schedule nothing), so
+  /// dispatching it in order preserves every determinism guarantee.
   std::size_t pop_batch(Time limit, std::vector<PooledBatchItem>& out, EventSink** sink_out);
 
   /// Drops all pending events.

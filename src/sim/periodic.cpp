@@ -82,48 +82,29 @@ bool BatchTicker::group_live(std::size_t group) const {
   return groups_[group].pending != 0;
 }
 
-void BatchTicker::on_event(std::uint64_t a, std::uint64_t b) {
-  const PooledBatchItem item{groups_[static_cast<std::size_t>(a)].next, a, b};
-  on_batch(&item, 1);
-}
-
-void BatchTicker::on_batch(const PooledBatchItem* items, std::size_t count) {
-  // Every item is a group firing at the same timestamp (batchable sinks
-  // without batch_across_times never span times).  Concatenating the member
-  // lists in item order and sweeping once equals the per-group sweeps:
-  // member order is preserved, and the sweep callback (the engine's wave
-  // pipeline) re-derives any member state an earlier member's commit
-  // invalidated, exactly as it does across waves of one group.  The re-arms
-  // collapse to the end of the run; only continuous-time transfer events
-  // are scheduled during sweeps, so the collapse cannot flip any
-  // cross-event ordering.
-  if (count > 1) ++superbatches_;
-  const Time now = groups_[static_cast<std::size_t>(items[0].a)].next;
+void BatchTicker::on_event(std::uint64_t a, std::uint64_t /*b*/) {
+  const auto index = static_cast<std::size_t>(a);
+  Group& firing = groups_[index];
+  const Time now = firing.next;
+  firing.pending = 0;
+  firing.sweeping = true;
   // Hand the callback a stable copy: a sweep that creates other groups
   // (joiner singletons) may reallocate groups_, which would dangle a
-  // reference into it, so groups are re-indexed after the sweep too.
-  // Mutating a sweeping group's own member list is rejected by
+  // reference into it, so the group is re-indexed after the sweep too.
+  // Mutating the sweeping group's own member list is rejected by
   // add_member/remove_member.  The scratch keeps its capacity, so steady
   // state is one memcpy per sweep, no allocation.
-  batch_scratch_.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    Group& group = groups_[static_cast<std::size_t>(items[i].a)];
-    group.pending = 0;
-    group.sweeping = true;
-    batch_scratch_.insert(batch_scratch_.end(), group.members.begin(), group.members.end());
-  }
-  sweep_(batch_scratch_, now);
-  for (std::size_t i = 0; i < count; ++i) {
-    Group& group = groups_[static_cast<std::size_t>(items[i].a)];
-    group.sweeping = false;
-    if (group.members.empty()) continue;  // dormant: every member was removed
-    // Re-arm one period ahead.  This is the fast path the engine's timing
-    // wheel is quantized for: the next tick lands exactly one near-wheel
-    // bucket ahead, so the re-arm is a single bucket append (no heap sift),
-    // and a period's sweeps sort once as that bucket drains.
-    group.next = now + period_;
-    group.pending = sim_.at(group.next, *this, items[i].a, 0);
-  }
+  sweep_scratch_.assign(firing.members.begin(), firing.members.end());
+  sweep_(sweep_scratch_, now);
+  Group& group = groups_[index];
+  group.sweeping = false;
+  if (group.members.empty()) return;  // dormant: every member was removed
+  // Re-arm one period ahead.  This is the fast path the engine's timing
+  // wheel is quantized for: the next tick lands exactly one near-wheel
+  // bucket ahead, so the re-arm is a single bucket append (no heap sift),
+  // and a period's sweeps sort once as that bucket drains.
+  group.next = now + period_;
+  group.pending = sim_.at(group.next, *this, a, 0);
 }
 
 }  // namespace gs::sim

@@ -59,36 +59,23 @@ class PeriodicTask final : public EventSink {
 /// ticker to):
 ///   - members of a group are swept in add order (a per-member task armed
 ///     later would carry a later event sequence number);
-///   - groups whose fire times tie run in group-creation order (creation
-///     schedules each group's first event, claiming a sequence slot, and
-///     re-arms happen in sweep order every period thereafter);
+///   - groups whose fire times tie sweep one after another, one event
+///     each, in group-creation order (creation schedules each group's
+///     first event, claiming a sequence slot, and re-arms happen in sweep
+///     order every period thereafter);
 ///   - the group's re-arm is scheduled at the end of its sweep, collapsing
 ///     the per-member run of re-arm sequence numbers into one.  No foreign
 ///     event can land inside that run (only deliveries are scheduled while
 ///     a sweep executes, and they target continuous, strictly later
 ///     times), so the collapse preserves every cross-event ordering.
-///
-/// Under batched pops (Simulator::enable_batch_pop) the ticker additionally
-/// *super-batches*: a run of groups firing at the same timestamp arrives as
-/// one on_batch call, and their member lists are concatenated (item order,
-/// members in add order) into a SINGLE sweep — one pre/plan/commit pipeline
-/// pass covers every tied group instead of one fork/join per group.  This
-/// reproduces the per-group outcome exactly: member order is preserved,
-/// the sweep callback re-plans any member whose speculation an earlier
-/// member invalidated, and the groups' re-arms collapse to the end of the
-/// super-batch by the same continuous-delivery-times argument that
-/// justifies the per-group re-arm collapse above.  Lockstep configurations
-/// (no tick stagger) put N/tick_shard_size groups at every period
-/// boundary, so this is where the sweep dispatch cost of the lockstep
-/// scale runs goes.
 class BatchTicker final : public EventSink {
  public:
-  /// Receives the live member list (add order) of the firing group, or of
-  /// a super-batched run of groups.  The callee ticks every member at
-  /// `now` with the outcome of ticking them one by one in list order (the
-  /// engine does exactly that sequentially, and through barrier-phased
-  /// passes — plan in parallel, commit in member order — when sharded).
-  /// The list is a stable copy; the callee must not keep it.
+  /// Receives the live member list (add order) of the firing group.  The
+  /// callee ticks every member at `now` with the outcome of ticking them
+  /// one by one in list order (the engine does exactly that sequentially,
+  /// and through barrier-phased passes — plan in parallel, commit in
+  /// member order — when sharded).  The list is a stable copy; the callee
+  /// must not keep it.
   using Sweep = std::function<void(const std::vector<std::uint32_t>& members, Time now)>;
 
   BatchTicker(Simulator& sim, Time period, Sweep sweep);
@@ -117,14 +104,6 @@ class BatchTicker final : public EventSink {
   /// True until the group fires with no members (then it stops re-arming).
   [[nodiscard]] bool group_live(std::size_t group) const;
 
-  /// Same-timestamp group runs merged into one concatenated sweep
-  /// (batched-pop dispatch only).
-  [[nodiscard]] std::uint64_t superbatch_count() const noexcept { return superbatches_; }
-
-  /// Batched pops opt-in: same-time runs only (sweeps schedule re-arms and
-  /// transfers, so a batch must not span timestamps).
-  [[nodiscard]] bool batchable() const noexcept override { return true; }
-
  private:
   struct Group {
     Time next = 0.0;
@@ -134,19 +113,15 @@ class BatchTicker final : public EventSink {
     bool sweeping = false;
   };
 
-  /// Sweeps group `a` at its fire time, then re-arms it (a run of one).
+  /// Sweeps group `a` at its fire time, then re-arms it.
   void on_event(std::uint64_t a, std::uint64_t b) override;
-  /// Sweeps a same-timestamp run of groups as one concatenated pass, then
-  /// re-arms each group in run order.
-  void on_batch(const PooledBatchItem* items, std::size_t count) override;
 
   Simulator& sim_;
   Time period_;
   Sweep sweep_;
   /// Stable member-list copy handed to sweep_ (reused capacity).
-  std::vector<std::uint32_t> batch_scratch_;
+  std::vector<std::uint32_t> sweep_scratch_;
   std::vector<Group> groups_;
-  std::uint64_t superbatches_ = 0;
 };
 
 }  // namespace gs::sim

@@ -22,7 +22,7 @@ std::size_t Simulator::drive(Time until) {
   while (!queue_.empty() && !stop_requested_) {
     const Time next = queue_.next_time();
     if (next > until) break;
-    if (batch_pop_ && queue_.top_is_batchable()) {
+    if (queue_.top_is_batchable()) {
       // Drain the maximal batchable run in one dispatch.  The run is a
       // prefix of the canonical pop order; the sink processes items in
       // order using each item's own time, with the clock parked at the

@@ -30,16 +30,6 @@ class Simulator {
     return queue_.wheel_telemetry();
   }
 
-  /// Batched pops: when enabled, a maximal run of consecutive events
-  /// whose sink opted in (EventSink::batchable) is dispatched as
-  /// ONE on_batch call instead of per-event on_event calls.  The run is
-  /// exactly a prefix of the canonical pop order, so execution semantics
-  /// are unchanged; only dispatch granularity grows (the engine's parallel
-  /// delivery drain and super-batched tick sweeps ride on this).  During a
-  /// batch the clock is parked at the *last* item's time; batchable sinks
-  /// use each item's own `at` for per-item time semantics.
-  void enable_batch_pop(bool on) { batch_pop_ = on; }
-
   /// Schedules `sink.on_event(a, b)` at absolute time `when` (must not be
   /// in the past) / `delay >= 0` seconds from now.  Never allocates: the
   /// payload is stored inline in the queue entry.
@@ -54,6 +44,15 @@ class Simulator {
 
   /// Runs events until the queue drains or the clock passes `until`
   /// (events at exactly `until` run).  Returns the number of events run.
+  ///
+  /// Batched pops (run_all too): whenever the head event's sink opted in
+  /// (EventSink::batchable), the maximal run of consecutive events of that
+  /// sink is dispatched as ONE on_batch call instead of per-event on_event
+  /// calls.  The run is exactly a prefix of the canonical pop order, so
+  /// execution semantics are unchanged; only dispatch granularity grows
+  /// (the engine's parallel delivery drain rides on this).  During a batch
+  /// the clock is parked at the *last* item's time; batchable sinks use
+  /// each item's own `at` for per-item time semantics.
   std::size_t run_until(Time until);
 
   /// Runs until the queue drains or stop() is called.
@@ -71,7 +70,6 @@ class Simulator {
   EventQueue queue_;
   Time now_;
   bool stop_requested_ = false;
-  bool batch_pop_ = false;
   /// pop_batch scratch (capacity reused across batches).
   std::vector<PooledBatchItem> batch_scratch_;
 };

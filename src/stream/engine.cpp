@@ -4,6 +4,7 @@
 #include "stream/engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <thread>
 
 #include "util/check.hpp"
@@ -45,14 +46,13 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   GS_CHECK(strategy_ != nullptr);
   GS_CHECK_EQ(latency_.node_count(), graph_.node_count());
   if (config_.parallel_shards > 0) {
-    // The delivery drain partitions peers by id % shards, in at most 64
-    // per-shard lists.
-    const std::size_t shards = std::min<std::size_t>(config_.parallel_shards, 64);
+    // The delivery drain partitions peers by id % shards, in at most
+    // kMaxDataShards per-shard lists.
+    const std::size_t shards = std::min(config_.parallel_shards, kMaxDataShards);
     // The batched delivery drain: consecutive delivery events pop as one
-    // batch and drain through the book/tail passes; same-timestamp
-    // tick sweeps super-batch through BatchTicker::on_batch.  Fresh-segment
-    // push reads neighbour buffers and schedules transfers per delivery,
-    // which only the inline pop order reproduces — the drain stands down.
+    // batch and drain through the book/tail passes.  Fresh-segment push
+    // reads neighbour buffers and schedules transfers per delivery, which
+    // only the inline pop order reproduces — the drain stands down.
     if (!config_.push_fresh_segments) {
       data_shards_ = shards;
       shard_entries_.resize(shards);
@@ -62,7 +62,6 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
           [this](const sim::PooledBatchItem* items, std::size_t count) {
             on_delivery_batch(items, count);
           });
-      sim_.enable_batch_pop(true);
     }
     lanes_ = std::min<std::size_t>(
         config_.parallel_shards, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
@@ -81,7 +80,7 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
     cdn_config.token_bucket_burst = config_.token_bucket_burst;
     cdn_config.data_bits = config_.wire.data_bits();
     cdn_ = std::make_unique<CdnAssistPlane>(
-        sim_, cdn_config, [this](net::NodeId to, SegmentId id) { on_cdn_delivery(to, id); });
+        sim_, cdn_config, [this](net::NodeId to, SegmentId id) { on_delivery(to, id); });
   }
   // Warm-up traffic is outside the paper's measurement window.
   overhead_.set_enabled(false);
@@ -324,11 +323,11 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
   // work.  Any wave size yields identical results — valid plans equal the
   // sequential computation and stale ones are re-planned — so this is a
   // pure throughput knob.  It is keyed on the configured shard count
-  // (capped at the delivery drain's 64), not on the lane count, so the
-  // diagnostics the window drives (replanned ticks, commit classes and
-  // fixups) do not depend on the machine's core count.
+  // (capped at the delivery drain's kMaxDataShards), not on the lane
+  // count, so the diagnostics the window drives (replanned ticks, commit
+  // classes and fixups) do not depend on the machine's core count.
   const std::size_t wave =
-      std::max<std::size_t>(32, 16 * std::min<std::size_t>(config_.parallel_shards, 64));
+      std::max<std::size_t>(32, 16 * std::min(config_.parallel_shards, kMaxDataShards));
   if (batch_plans_.size() < std::min(n, wave)) batch_plans_.resize(std::min(n, wave));
   for (std::size_t base = 0; base < n; base += wave) {
     const std::size_t count = std::min(wave, n - base);
@@ -602,22 +601,15 @@ bool Engine::cdn_window_covered(const PeerNode& p, SegmentId begin, SegmentId en
   return true;
 }
 
-void Engine::on_cdn_delivery(net::NodeId to, SegmentId id) {
-  PeerNode& p = peers_[to];
-  p.pending.erase(id);
-  if (!p.alive) return;  // left while the patch was in flight
-  // count_wire: a patched segment is real data over the wire — it feeds
-  // the overhead-ratio denominator and segments_delivered like any swarm
-  // delivery (the CDN byte-cost is tallied separately by the plane).
-  deliver_segment(p, id, sim_.now(), /*count_wire=*/true);
-}
-
 // ----------------------------------------------------------- data path ---
 
 void Engine::on_delivery(net::NodeId to, SegmentId id) {
   PeerNode& p = peers_[to];
   p.pending.erase(id);
   if (!p.alive) return;  // left while the segment was in flight
+  // count_wire: a swarm or CDN-patched segment is real data over the wire —
+  // it feeds the overhead-ratio denominator and segments_delivered (the CDN
+  // byte-cost is tallied separately by its plane).
   deliver_segment(p, id, sim_.now(), /*count_wire=*/true);
 }
 
@@ -705,20 +697,14 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   });
   book_phase_ = false;
 
-  // Sequential tail, global pop order: one stable sort puts the logged
-  // events back into the batch's item order (within an item they are
-  // already in call order — one item's events land contiguously in one
-  // shard's log), then the walk replays the wire counters and metric
-  // pushes exactly as the inline pops would, stopping where the inline
-  // order stops.  The completing item's own events all replay (inline, the
-  // call stack finishes its item before the pop loop sees the stop flag).
-  book_merged_.clear();
-  for (const std::vector<BookEvent>& log : book_events_) {
-    book_merged_.insert(book_merged_.end(), log.begin(), log.end());
-  }
-  std::stable_sort(book_merged_.begin(), book_merged_.end(),
-                   [](const BookEvent& a, const BookEvent& b) { return a.item < b.item; });
-  std::size_t ev = 0;
+  // Sequential tail, global pop order: the walk replays the wire counters
+  // and metric pushes exactly as the inline pops would, stopping where the
+  // inline order stops.  Item i's events sit at the front of the unread
+  // part of its target shard's log: each log is in item order, and every
+  // earlier item of that shard has been replayed.  The completing item's
+  // own events all replay (inline, the call stack finishes its item before
+  // the pop loop sees the stop flag).
+  std::array<std::size_t, kMaxDataShards> cursor{};
   for (std::size_t i = 0; i < count && !experiment_done_; ++i) {
     const auto to = static_cast<net::NodeId>(items[i].a);
     PeerNode& p = peers_[to];
@@ -734,8 +720,10 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
       default:
         break;
     }
-    for (; ev < book_merged_.size() && book_merged_[ev].item == i; ++ev) {
-      const BookEvent& e = book_merged_[ev];
+    const std::size_t s = to % shards;
+    const std::vector<BookEvent>& log = book_events_[s];
+    for (; cursor[s] < log.size() && log[cursor[s]].item == i; ++cursor[s]) {
+      const BookEvent& e = log[cursor[s]];
       SwitchMetrics& m = timeline_.metrics(e.sw);
       switch (e.kind) {
         case BookEvent::Kind::kFinish:
@@ -754,16 +742,17 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
       }
     }
   }
-  // Post-stop revert: phase work past the stop item raised finished /
-  // prepared flags the inline order never reaches, and censor_unfinished
-  // reads those flags after the run.  Every logged event marks a
-  // false->true transition, so reverting is clearing.  The other post-stop
-  // phase effects (buffer marks, playback, gates) are unobservable —
-  // nothing reads them after the stop.
-  for (; ev < book_merged_.size(); ++ev) {
-    const BookEvent& e = book_merged_[ev];
-    if (e.kind == BookEvent::Kind::kFinish) peers_[e.peer].sw_finished = false;
-    if (e.kind == BookEvent::Kind::kPrepared) peers_[e.peer].sw_prepared = false;
+  // Phase work past a stop raises no finished/prepared flag the inline
+  // order never reaches: the stop closes the last switch, so every tracked
+  // peer has already finished and prepared or been censored, and only s2
+  // starts can sit unreplayed behind it.  (The other post-stop phase
+  // effects — buffer marks, playback, gates — are unobservable: nothing
+  // reads them after the stop.)  Without a stop every log is consumed.
+  for (std::size_t s = 0; s < shards; ++s) {
+    GS_DCHECK(std::all_of(book_events_[s].begin() + static_cast<std::ptrdiff_t>(cursor[s]),
+                          book_events_[s].end(), [](const BookEvent& e) {
+                            return e.kind == BookEvent::Kind::kS2Start;
+                          }));
   }
 }
 
@@ -856,8 +845,8 @@ void Engine::advance_playback(PeerNode& p, double now) {
         if (start_switch >= 0 && p.tracked && p.active_switch == start_switch) {
           if (book_phase_) {
             const std::size_t s = p.id % data_shards_;
-            book_events_[s].push_back({book_current_item_[s], BookEvent::Kind::kS2Start,
-                                       start_switch, p.id, play_time});
+            book_events_[s].push_back(
+                {book_current_item_[s], BookEvent::Kind::kS2Start, start_switch, play_time});
           } else {
             SwitchMetrics& m = timeline_.metrics(start_switch);
             m.s2_start_times.push_back(play_time - m.switch_time);
@@ -876,7 +865,7 @@ void Engine::record_finish(PeerNode& p, int switch_index, double play_time) {
     // log them for the tail.
     const std::size_t s = p.id % data_shards_;
     book_events_[s].push_back(
-        {book_current_item_[s], BookEvent::Kind::kFinish, switch_index, p.id, play_time});
+        {book_current_item_[s], BookEvent::Kind::kFinish, switch_index, play_time});
     return;
   }
   SwitchMetrics& m = timeline_.metrics(switch_index);
@@ -892,7 +881,7 @@ void Engine::record_prepared(PeerNode& p, int switch_index, double now) {
   if (book_phase_) {
     const std::size_t s = p.id % data_shards_;
     book_events_[s].push_back(
-        {book_current_item_[s], BookEvent::Kind::kPrepared, switch_index, p.id, now});
+        {book_current_item_[s], BookEvent::Kind::kPrepared, switch_index, now});
     return;
   }
   SwitchMetrics& m = timeline_.metrics(switch_index);

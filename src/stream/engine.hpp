@@ -134,15 +134,15 @@ struct EngineConfig {
   ///           deferred counters, so event sequence numbers match the
   ///           sequential engine exactly.
   /// Consecutive delivery events pop as one batch
-  /// (Simulator::enable_batch_pop) and drain as a parallel per-target-shard
-  /// book phase (buffer marks, boundary learning, playback, per-peer
-  /// counters and flags — each item writes only the peer it delivers to)
-  /// and a short sequential tail that replays the metric pushes and wire
-  /// counters in global pop order; same-timestamp tick sweeps of different
-  /// groups collapse into one super-batched pipeline pass
-  /// (BatchTicker::on_batch).  push_fresh_segments turns the delivery
-  /// batching off: push reads neighbour buffers and schedules transfers per
-  /// delivery, which requires the inline pop order.
+  /// (TransferPlane::set_delivery_batch) and drain as a parallel
+  /// per-target-shard book phase (buffer marks, boundary learning,
+  /// playback, per-peer counters and flags — each item writes only the
+  /// peer it delivers to) and a short sequential tail that replays the
+  /// metric pushes and wire counters in global pop order.  Tick sweeps
+  /// stay one event per tick shard, tied shards sweeping in creation
+  /// order.  push_fresh_segments turns the delivery batching off: push
+  /// reads neighbour buffers and schedules transfers per delivery, which
+  /// requires the inline pop order.
   /// Pure mechanism: fixed-seed metrics are bit-identical for every shard
   /// count, including 0 (enforced by stream_determinism_test); only wall
   /// clock and the shard, drain and commit diagnostics change — plus, in
@@ -261,11 +261,12 @@ struct EngineStats {
   /// Always 0: the event queue is one store, so no event crosses shards.
   /// Kept only because the end-to-end benchmark (bench/e2e) still reads it.
   std::uint64_t cross_shard_events = 0;
-  /// Delivery-drain diagnostics (parallel_shards > 0 without
+  /// Delivery-drain diagnostic (parallel_shards > 0 without
   /// push_fresh_segments): multi-event delivery runs drained through the
-  /// book phase and tail, and same-timestamp sweep runs collapsed into one
-  /// super-batched pipeline pass.
+  /// book phase and tail.
   std::uint64_t delivery_batches = 0;
+  /// Always 0: every tick sweep is one group's event.  Kept only because
+  /// the end-to-end benchmark (bench/e2e) still reads it.
   std::uint64_t superbatch_sweeps = 0;
   /// Always 0: the drain keeps no journals.  Kept only because the
   /// end-to-end benchmark (bench/e2e) still reads it.
@@ -514,9 +515,9 @@ class Engine {
   /// holding it (the patch window may lie beyond the request window).
   [[nodiscard]] bool cdn_window_covered(const PeerNode& p, SegmentId begin,
                                         SegmentId end) const;
-  void on_cdn_delivery(net::NodeId to, SegmentId id);
 
   // --- data path ---
+  /// Delivery of a swarm transfer or a CDN patch.
   void on_delivery(net::NodeId to, SegmentId id);
   void deliver_segment(PeerNode& p, SegmentId id, double now, bool count_wire);
   /// Everything after the buffer write of a fresh delivery: wire
@@ -538,14 +539,15 @@ class Engine {
   //           metric pushes, wire counters, experiment completion — go to
   //           per-shard BookEvent logs keyed by the batch item being
   //           drained;
-  //   tail    sequential, pop order — the logged events are stable-sorted
-  //           by item (within an item they are already in call order: one
-  //           item's events land in one shard's log back to back) and
-  //           replayed with the duplicate and wire counters, stopping at
-  //           the completing item exactly like the inline pop loop and
-  //           un-setting the finished/prepared flags any post-stop phase
-  //           work raised, so the end-of-run censoring sees the inline
-  //           state.
+  //   tail    sequential, pop order — one read cursor per shard log
+  //           walks the items: item i's events are the next unread
+  //           entries of its target shard's log (each log is in item
+  //           order, and in call order within an item), replayed with the
+  //           duplicate and wire counters, stopping at the completing item
+  //           exactly like the inline pop loop.  The stop closes the last
+  //           switch, so no later item can hold a tracked peer's finish or
+  //           prepare — only s2 starts are left behind (GS_DCHECKed), and
+  //           the end-of-run censoring sees the inline flags.
   void on_delivery_batch(const sim::PooledBatchItem* items, std::size_t count);
   /// One deferred globally-ordered side effect of the book phase.
   struct BookEvent {
@@ -553,7 +555,6 @@ class Engine {
     std::uint32_t item = 0;  ///< batch item (pop order) that produced it
     Kind kind = Kind::kFinish;
     int sw = 0;              ///< switch index
-    net::NodeId peer = 0;
     double time = 0.0;       ///< playback/wall time to push (pre-offset)
   };
   /// Per-delivery outcome of the book phase's buffer mark.
@@ -612,7 +613,9 @@ class Engine {
   std::uint64_t capacity_commits_ = 0;
 
   /// Batched delivery drain state (sized only when the drain is active).
-  /// Peer ownership shard = id % data_shards_ (0 = drain inactive).
+  /// Peer ownership shard = id % data_shards_ (0 = drain inactive), at
+  /// most kMaxDataShards shards.
+  static constexpr std::size_t kMaxDataShards = 64;
   std::size_t data_shards_ = 0;
   /// Per target-peer shard: indices into the current batch, pop order.
   std::vector<std::vector<std::uint32_t>> shard_entries_;
@@ -628,10 +631,8 @@ class Engine {
   /// Class-bucketed wave slots: class_slots_[colour] lists the wave slots
   /// of that colour in member order (buckets keep capacity across waves).
   std::vector<std::vector<std::uint32_t>> class_slots_;
-  /// Per-target-shard BookEvent logs of the book phase and the merged
-  /// replay buffer.
+  /// Per-target-shard BookEvent logs of the book phase, each in item order.
   std::vector<std::vector<BookEvent>> book_events_;
-  std::vector<BookEvent> book_merged_;
   /// book_current_item_[shard] = pop-order index of the item that shard's
   /// lane is draining (written by the owning lane before each item's phase
   /// work; read by the logging hooks on the same lane).

@@ -312,7 +312,6 @@ std::vector<SwitchMetrics> Engine::run() {
       (timeline_.switch_count() == 0 ? 0.0 : timeline_.switch_times().back()) +
       config_.horizon;
   stats_.events_popped = sim_.run_until(stop_at);
-  stats_.superbatch_sweeps = ticker_.superbatch_count();
   // Timing-wheel telemetry.
   const sim::TimingWheel::Telemetry& wheel = sim_.wheel_telemetry();
   stats_.events_wheeled = wheel.scheduled;

@@ -23,17 +23,8 @@ namespace {
 
 /// One FIFO per supplier shared by all requesters: a new transfer starts
 /// when the supplier's uplink drains, regardless of who asked.
-///
-/// Two storage modes: plane-backed (a reference into TransferPlane's uplink
-/// vector, which pushes and pulls share and the plane grows itself) and
-/// owned (standalone models from make_capacity_model carry their own
-/// vector, grown by ensure_nodes).
 class SharedFifoCapacity final : public CapacityModel {
  public:
-  SharedFifoCapacity() : uplink_busy_until_(owned_) {}
-  explicit SharedFifoCapacity(std::vector<double>& uplink_busy_until)
-      : uplink_busy_until_(uplink_busy_until) {}
-
   [[nodiscard]] std::string_view name() const noexcept override {
     return to_string(SupplierCapacityModel::kSharedFifo);
   }
@@ -51,16 +42,11 @@ class SharedFifoCapacity final : public CapacityModel {
   [[nodiscard]] bool supplier_shared() const noexcept override { return true; }
 
   void ensure_nodes(std::size_t count) override {
-    // Plane-backed state is the plane's uplink vector, which the plane
-    // grows itself; only owned storage grows here.
-    if (&uplink_busy_until_ == &owned_ && owned_.size() < count) {
-      owned_.resize(count, kIdle);
-    }
+    if (uplink_busy_until_.size() < count) uplink_busy_until_.resize(count, kIdle);
   }
 
  private:
-  std::vector<double> owned_;
-  std::vector<double>& uplink_busy_until_;
+  std::vector<double> uplink_busy_until_;
 };
 
 /// Each (requester, supplier) link carries up to the supplier's outbound
@@ -143,21 +129,6 @@ class TokenBucketCapacity final : public CapacityModel {
   std::vector<Bucket> buckets_;
 };
 
-std::unique_ptr<CapacityModel> make_capacity(SupplierCapacityModel kind,
-                                             std::vector<double>& uplink_busy_until,
-                                             double token_bucket_burst) {
-  switch (kind) {
-    case SupplierCapacityModel::kSharedFifo:
-      return std::make_unique<SharedFifoCapacity>(uplink_busy_until);
-    case SupplierCapacityModel::kPerLink:
-      return std::make_unique<PerLinkCapacity>();
-    case SupplierCapacityModel::kTokenBucket:
-      return std::make_unique<TokenBucketCapacity>(token_bucket_burst);
-  }
-  GS_CHECK(false) << "unreachable capacity model";
-  return nullptr;
-}
-
 }  // namespace
 
 std::unique_ptr<CapacityModel> make_capacity_model(SupplierCapacityModel kind,
@@ -182,16 +153,18 @@ TransferPlane::TransferPlane(sim::Simulator& sim, net::LatencyModel& latency,
       kind_(kind),
       accept_horizon_(accept_horizon),
       on_delivery_(std::move(on_delivery)),
-      capacity_(make_capacity(kind, uplink_busy_until_, token_bucket_burst)) {
+      capacity_(make_capacity_model(kind, token_bucket_burst)) {
   GS_CHECK(on_delivery_ != nullptr);
   GS_CHECK_GE(token_bucket_burst, 1.0);
+  if (!capacity_->supplier_shared()) {
+    private_uplink_ = make_capacity_model(SupplierCapacityModel::kSharedFifo);
+  }
 }
 
 void TransferPlane::ensure_nodes(std::size_t count) {
-  if (uplink_busy_until_.size() < count) {
-    uplink_busy_until_.resize(count, CapacityModel::kIdle);
-  }
+  nodes_ = std::max(nodes_, count);
   capacity_->ensure_nodes(count);
+  if (private_uplink_) private_uplink_->ensure_nodes(count);
 }
 
 double TransferPlane::queue_delay(net::NodeId requester, net::NodeId supplier,
@@ -202,7 +175,7 @@ double TransferPlane::queue_delay(net::NodeId requester, net::NodeId supplier,
 bool TransferPlane::request_staged(PeerNode& requester, const PeerNode& supplier, SegmentId id,
                                    double now, double& deliver_at) {
   (void)id;  // the payload rides with schedule_delivery
-  GS_CHECK_LT(supplier.id, uplink_busy_until_.size());
+  GS_CHECK_LT(supplier.id, nodes_);
   const double start = std::max(now, capacity_->backlog_end(requester.id, supplier.id));
   if (start - now > accept_horizon_) {
     // Link/supplier backlog too deep; the node retries elsewhere next period.
@@ -234,24 +207,12 @@ bool TransferPlane::request(PeerNode& requester, const PeerNode& supplier, Segme
 }
 
 bool TransferPlane::push(PeerNode& from, net::NodeId to, SegmentId id, double now) {
-  GS_CHECK_LT(from.id, uplink_busy_until_.size());
-  // Pushes contend on the pusher's *real* uplink.  Under kSharedFifo that
-  // is the same FIFO the pulls use; under kPerLink the pulls deliberately
-  // bypass it (the relaxed ablation), so the FIFO vector stands in for the
-  // real uplink.  kTokenBucket models the real uplink as the token ledger,
-  // so pushes must draw from that same ledger — two independent ledgers
-  // would let a supplier push and serve pulls at 2x its outbound rate.
-  const bool bucket = kind_ == SupplierCapacityModel::kTokenBucket;
-  const double backlog = bucket ? capacity_->backlog_end(to, from.id)
-                                : uplink_busy_until_[from.id];
-  const double start = std::max(now, backlog);
+  GS_CHECK_LT(from.id, nodes_);
+  CapacityModel& uplink = push_uplink();
+  const double start = std::max(now, uplink.backlog_end(to, from.id));
   if (start - now > accept_horizon_) return false;  // own uplink saturated
   const double tx = 1.0 / from.outbound_rate;
-  if (bucket) {
-    capacity_->commit(to, from.id, start, start + tx);
-  } else {
-    uplink_busy_until_[from.id] = start + tx;
-  }
+  uplink.commit(to, from.id, start, start + tx);
   const double deliver_at = start + tx + latency_.jittered_delay_s(to, from.id, from.rng);
   sim_.after(deliver_at - now, *this, to, static_cast<std::uint64_t>(id));
   return true;
@@ -267,8 +228,9 @@ void TransferPlane::on_batch(const sim::PooledBatchItem* items, std::size_t coun
 }
 
 double TransferPlane::uplink_busy_until(net::NodeId v) const {
-  GS_CHECK_LT(v, uplink_busy_until_.size());
-  return uplink_busy_until_[v];
+  GS_CHECK_LT(v, nodes_);
+  // The push uplink is keyed by supplier, so the requester id is unused.
+  return push_uplink().backlog_end(v, v);
 }
 
 }  // namespace gs::stream

@@ -81,11 +81,10 @@ class CapacityModel {
   virtual void ensure_nodes(std::size_t count) = 0;
 };
 
-/// Standalone capacity-model factory: a self-contained model of `kind`
-/// owning all of its state (the shared-FIFO variant keeps its own uplink
-/// vector, grown by ensure_nodes).  This is how subsystems other than the
-/// TransferPlane — e.g. the CDN-assist plane's patch-source uplink — get a
-/// contention policy governed by the same model zoo as peer uplinks.
+/// Capacity-model factory: a self-contained model of `kind` owning all of
+/// its state (grown by ensure_nodes).  The TransferPlane builds its pull
+/// and push uplinks with it, and the CDN-assist plane its patch-source
+/// uplink, so every contention policy comes from the same model zoo.
 [[nodiscard]] std::unique_ptr<CapacityModel> make_capacity_model(
     SupplierCapacityModel kind, double token_bucket_burst = 4.0);
 
@@ -105,7 +104,7 @@ class TransferPlane final : public sim::EventSink {
                 double accept_horizon, DeliveryFn on_delivery,
                 double token_bucket_burst = 4.0);
 
-  // Single-home: the capacity model holds a reference into uplink state.
+  // Single-home: pending delivery events point at this sink.
   TransferPlane(const TransferPlane&) = delete;
   TransferPlane& operator=(const TransferPlane&) = delete;
 
@@ -146,27 +145,29 @@ class TransferPlane final : public sim::EventSink {
   void schedule_delivery(net::NodeId to, SegmentId id, double deliver_at, double now);
 
   /// Submits an unsolicited push of `id` from `from` to `to` on the
-  /// pusher's own real uplink: the uplink FIFO under kSharedFifo/kPerLink
-  /// (per-link pulls deliberately bypass it), the shared token ledger
-  /// under kTokenBucket.  False when the uplink is saturated.
+  /// pusher's own real uplink: the pull ledger when it is keyed by
+  /// supplier (kSharedFifo's FIFO, kTokenBucket's tokens — two ledgers
+  /// would let a supplier push and serve pulls at 2x its outbound rate),
+  /// a private FIFO under kPerLink (per-link pulls deliberately bypass the
+  /// uplink).  False when the uplink is saturated.
   bool push(PeerNode& from, net::NodeId to, SegmentId id, double now);
 
-  /// Absolute time `v`'s uplink FIFO frees up (inspection/tests).
+  /// Absolute time `v`'s push uplink frees up for a new transfer
+  /// (inspection/tests).
   [[nodiscard]] double uplink_busy_until(net::NodeId v) const;
 
-  /// Installs the batched delivery drain: with a handler set (and the
-  /// simulator's batch pop enabled) consecutive delivery events are popped
-  /// as one run and handed over whole, instead of firing `on_delivery`
-  /// inline per event.  The handler must process items in order using each
-  /// item's own time.  Delivery processing schedules nothing, so runs may
-  /// span distinct timestamps (batch_across_times); the engine therefore
-  /// must NOT install a handler when fresh-segment push is active.
+  /// Installs the batched delivery drain, the simulator's only switch for
+  /// batched pops: with a handler set, consecutive delivery events are
+  /// popped as one run and handed over whole, instead of firing
+  /// `on_delivery` inline per event.  The handler must process items in
+  /// order using each item's own time.  A batchable sink's events must
+  /// schedule nothing (runs span distinct timestamps), so the engine must
+  /// NOT install a handler when fresh-segment push is active.
   void set_delivery_batch(DeliveryBatchFn handler) { on_delivery_batch_ = std::move(handler); }
 
   [[nodiscard]] bool batchable() const noexcept override {
     return on_delivery_batch_ != nullptr;
   }
-  [[nodiscard]] bool batch_across_times() const noexcept override { return true; }
 
  private:
   /// Pooled delivery event: `a` is the requester node id, `b` the segment
@@ -183,11 +184,17 @@ class TransferPlane final : public sim::EventSink {
   DeliveryFn on_delivery_;
   DeliveryBatchFn on_delivery_batch_;
 
-  /// Per-supplier uplink FIFO state.  The shared-FIFO model queues pull
-  /// transfers here; the push path uses it under either model.
-  std::vector<double> uplink_busy_until_;
+  /// The push path's uplink model (see push()).
+  [[nodiscard]] CapacityModel& push_uplink() const noexcept {
+    return private_uplink_ ? *private_uplink_ : *capacity_;
+  }
 
+  /// Node ids < nodes_ are valid suppliers (the largest ensure_nodes count).
+  std::size_t nodes_ = 0;
   std::unique_ptr<CapacityModel> capacity_;
+  /// kPerLink only: a private kSharedFifo model standing in for the real
+  /// uplink on the push path.
+  std::unique_ptr<CapacityModel> private_uplink_;
 };
 
 }  // namespace gs::stream

@@ -244,10 +244,10 @@ TEST(BatchTickerProperty, RemovalPreservesOrderAndEmptyGroupsGoDormant) {
 
 // ----------------------------------------------------------- batched pops ---
 
-/// Batchable across times: mimics the transfer plane's delivery drain
-/// (processing schedules nothing).  Records (time, tag) per item.  With
-/// `batch` cleared it opts out of batched pops (the single-pop reference,
-/// or a second sink that breaks runs).
+/// Batchable: mimics the transfer plane's delivery drain (processing
+/// schedules nothing, so runs span timestamps).  Records (time, tag) per
+/// item.  With `batch` cleared it opts out of batched pops (the single-pop
+/// reference, or a second sink that breaks runs).
 struct BatchableSink final : EventSink {
   std::vector<Observation>* fired = nullptr;
   Simulator* sim = nullptr;
@@ -257,7 +257,6 @@ struct BatchableSink final : EventSink {
     fired->emplace_back(sim->now(), static_cast<std::uint32_t>(a));
   }
   [[nodiscard]] bool batchable() const noexcept override { return batch; }
-  [[nodiscard]] bool batch_across_times() const noexcept override { return true; }
   void on_batch(const PooledBatchItem* items, std::size_t count) override {
     ++batches;
     for (std::size_t i = 0; i < count; ++i) {
@@ -267,8 +266,8 @@ struct BatchableSink final : EventSink {
 };
 
 TEST(BatchPopProperty, BatchedRunsPreserveThePopOrderAcrossTimes) {
-  // The delivery-drain contract: with batched pops enabled, a mix of
-  // batchable events and events of a second, non-batchable sink must
+  // The delivery-drain contract: with the sink opted into batched pops, a
+  // mix of its events and events of a second, non-batchable sink must
   // observe exactly the (time, sequence) order the unbatched loop produces
   // — runs merely arrive through on_batch, carrying each item's own fire
   // time.
@@ -277,13 +276,13 @@ TEST(BatchPopProperty, BatchedRunsPreserveThePopOrderAcrossTimes) {
     std::vector<Observation> batched;
     std::vector<Observation> reference;
     std::uint64_t batch_count = 0;
-    for (const bool batch_pop : {true, false}) {
+    for (const bool batch : {true, false}) {
       Simulator sim;
-      sim.enable_batch_pop(batch_pop);
       BatchableSink sink;
+      sink.batch = batch;
       BatchableSink breaker;
       breaker.batch = false;
-      std::vector<Observation>& out = batch_pop ? batched : reference;
+      std::vector<Observation>& out = batch ? batched : reference;
       sink.fired = &out;
       sink.sim = &sim;
       breaker.fired = &out;
@@ -299,7 +298,7 @@ TEST(BatchPopProperty, BatchedRunsPreserveThePopOrderAcrossTimes) {
       }
       const std::size_t ran = sim.run_until(20.0);
       EXPECT_EQ(ran, 120u);
-      if (batch_pop) batch_count = sink.batches;
+      if (batch) batch_count = sink.batches;
     }
     EXPECT_EQ(batched, reference) << "trial " << trial;
     EXPECT_GT(batch_count, 0u);
@@ -308,7 +307,6 @@ TEST(BatchPopProperty, BatchedRunsPreserveThePopOrderAcrossTimes) {
 
 TEST(BatchPopProperty, NonBatchableSinksPopSingly) {
   Simulator sim;
-  sim.enable_batch_pop(true);
   RecordingSink sink;  // batchable() = false
   std::vector<int> ints;
   sink.fired = &ints;
@@ -319,7 +317,7 @@ TEST(BatchPopProperty, NonBatchableSinksPopSingly) {
 
 TEST(BatchPopProperty, CancelledEntriesInsideBatchedRunsNeverFire) {
   // pop_batch must skip a cancelled entry exactly where a single pop does.
-  // The same seeded script (events on an across-times sink mixed with a
+  // The same seeded script (events on a batchable sink mixed with a
   // second, non-batchable sink's, a random subset cancelled before the run
   // and another mid-run) must fire the same sequence batched as popped
   // singly through a non-batchable sink, and no cancelled tag may fire.
@@ -334,7 +332,6 @@ TEST(BatchPopProperty, CancelledEntriesInsideBatchedRunsNeverFire) {
     std::uint64_t batch_count = 0;
     for (const bool batch : {true, false}) {
       Simulator sim;
-      sim.enable_batch_pop(true);
       BatchableSink sink;
       sink.batch = batch;
       BatchableSink breaker;
@@ -379,58 +376,6 @@ TEST(BatchPopProperty, CancelledEntriesInsideBatchedRunsNeverFire) {
     for (const Observation& o : batched) {
       EXPECT_FALSE(cancelled[o.second % kBreakerTag])
           << "cancelled tag " << o.second << " fired, trial " << trial;
-    }
-  }
-}
-
-TEST(BatchTickerProperty, SuperBatchedSweepsEqualPerGroupSweeps) {
-  // The super-batch contract: with batched pops enabled, same-timestamp
-  // groups are swept as ONE concatenated whole-group pass; the observed
-  // (time, member) sequence must equal the per-group sweeps — including
-  // under random tie-heavy phases and with an unrelated periodic task
-  // breaking runs mid-timestamp-cluster.
-  util::Rng rng(17);
-  for (int trial = 0; trial < 25; ++trial) {
-    const std::size_t group_count = 2 + static_cast<std::size_t>(rng.uniform_int(0, 5));
-    std::vector<Time> phases;
-    for (std::size_t g = 0; g < group_count; ++g) {
-      // Heavy collisions: half the groups fire at 0, the rest at 0 or 0.5.
-      phases.push_back(rng.bernoulli(0.5) ? 0.0 : (rng.bernoulli(0.5) ? 0.5 : 0.0));
-    }
-    std::vector<std::vector<std::uint32_t>> members(group_count);
-    std::uint32_t next_member = 0;
-    for (int i = 0; i < 24; ++i) {
-      members[static_cast<std::size_t>(
-                  rng.uniform_int(0, static_cast<std::int64_t>(group_count) - 1))]
-          .push_back(next_member++);
-    }
-
-    std::vector<Observation> super_batched;
-    std::vector<Observation> per_group;
-    std::uint64_t superbatches = 0;
-    for (const bool batch_pop : {true, false}) {
-      Simulator sim;
-      sim.enable_batch_pop(batch_pop);
-      std::vector<Observation>& out = batch_pop ? super_batched : per_group;
-      PeriodicTask other(sim, 0.0, 0.25,
-                         [&out](double now) { out.emplace_back(now, 9999); });
-      BatchTicker ticker(sim, 1.0, record_sweep(out));
-      for (std::size_t g = 0; g < group_count; ++g) {
-        if (members[g].empty()) continue;
-        const std::size_t group = ticker.add_group(phases[g]);
-        for (const std::uint32_t m : members[g]) ticker.add_member(group, m);
-      }
-      sim.run_until(4.25);
-      if (batch_pop) superbatches = ticker.superbatch_count();
-    }
-    EXPECT_EQ(super_batched, per_group) << "trial " << trial;
-    // With >= 2 non-empty groups tied at phase 0 a super-batch must fire.
-    std::size_t tied_at_zero = 0;
-    for (std::size_t g = 0; g < group_count; ++g) {
-      if (!members[g].empty() && phases[g] == 0.0) ++tied_at_zero;
-    }
-    if (tied_at_zero >= 2) {
-      EXPECT_GT(superbatches, 0u) << "trial " << trial;
     }
   }
 }

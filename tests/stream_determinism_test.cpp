@@ -303,9 +303,9 @@ TEST(ParallelShards, ChurnMatchesSequentialAtAnotherSeed) {
 
 TEST(ParallelShards, LockstepChurnMatchesSequential) {
   // Lockstep phases put every sweep of a period at the same timestamp —
-  // the densest same-time event mix the merge rule has to keep ordered,
-  // and the super-batch path runs every period, concatenating all groups
-  // into one pipeline pass whose commit waves are the largest.
+  // the densest same-time event mix the pop order has to keep ordered:
+  // the tied groups sweep one after another in creation order, exactly
+  // as the sequential engine does, at every shard count.
   RunSpec setup;
   setup.seed = 37;
   setup.stagger = false;
@@ -349,21 +349,18 @@ TEST(ParallelShards, ShardDiagnosticsReportWork) {
 
 // ---------------------------------------------------------------------------
 // The batched delivery drain (delivery runs drained through the book phase
-// and tail, plus same-timestamp sweep super-batching) is part of the
-// sharded core, so the ParallelShards cases and the Golden rows hold it to
-// the sequential engine.  Only wall clock and the drain diagnostics
-// (delivery_batches / superbatch_sweeps) may change.
+// and tail) is part of the sharded core, so the ParallelShards cases and
+// the Golden rows hold it to the sequential engine.  Only wall clock and
+// the drain diagnostic (delivery_batches) may change.
 
 TEST(ParallelDelivery, DrainDiagnosticsReportWork) {
   RunSpec setup;
   setup.seed = 31;
-  setup.stagger = false;  // lockstep: guarantees super-batched sweeps
+  setup.stagger = false;
   const RunOutput sequential = run_setup(setup);
   const RunOutput waved = run_sharded(setup, 4);
   EXPECT_EQ(sequential.stats.delivery_batches, 0u);
-  EXPECT_EQ(sequential.stats.superbatch_sweeps, 0u);
   EXPECT_GT(waved.stats.delivery_batches, 0u);
-  EXPECT_GT(waved.stats.superbatch_sweeps, 0u);
 }
 
 // ---------------------------------------------------------------------------
