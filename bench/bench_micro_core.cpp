@@ -265,7 +265,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(1));
   std::uint64_t delivered = 0;
   std::uint64_t sweeps = 0;
-  std::uint64_t replanned = 0;
   std::uint64_t batches = 0;
   std::uint64_t runs = 0;
   for (auto _ : state) {
@@ -281,7 +280,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
     benchmark::DoNotOptimize(engine->run());
     delivered += engine->stats().segments_delivered;
     sweeps += engine->stats().parallel_sweeps;
-    replanned += engine->stats().replanned_ticks;
     batches += engine->stats().delivery_batches;
     ++runs;
   }
@@ -289,8 +287,6 @@ void BM_ShardedDispatch(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
   state.counters["parallel_sweeps"] =
       benchmark::Counter(static_cast<double>(sweeps) / static_cast<double>(runs));
-  state.counters["replanned_ticks"] =
-      benchmark::Counter(static_cast<double>(replanned) / static_cast<double>(runs));
   state.counters["delivery_batches"] =
       benchmark::Counter(static_cast<double>(batches) / static_cast<double>(runs));
 }
@@ -314,7 +310,6 @@ void BM_FullPipeline(benchmark::State& state) {
   std::uint64_t events = 0;
   double bytes_per_peer = 0.0;
   std::uint64_t colour_classes = 0;
-  std::uint64_t fixups = 0;
   std::uint64_t commits = 0;
   std::uint64_t wheeled = 0;
   std::uint64_t promotions = 0;
@@ -336,7 +331,6 @@ void BM_FullPipeline(benchmark::State& state) {
     events += engine->stats().events_popped;
     bytes_per_peer += engine->stats().bytes_per_peer;
     colour_classes += engine->stats().commit_colour_classes;
-    fixups += engine->stats().commit_conflict_fixups;
     commits += engine->stats().parallel_commits;
     wheeled += engine->stats().events_wheeled;
     promotions += engine->stats().wheel_overflow_promotions;
@@ -352,8 +346,6 @@ void BM_FullPipeline(benchmark::State& state) {
       benchmark::Counter(bytes_per_peer / static_cast<double>(runs));
   state.counters["commit_colour_classes"] =
       benchmark::Counter(static_cast<double>(colour_classes) / static_cast<double>(runs));
-  state.counters["commit_conflict_fixups"] =
-      benchmark::Counter(static_cast<double>(fixups) / static_cast<double>(runs));
   state.counters["parallel_commits"] =
       benchmark::Counter(static_cast<double>(commits) / static_cast<double>(runs));
   state.counters["events_wheeled"] =

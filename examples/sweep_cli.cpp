@@ -131,10 +131,10 @@ int main(int argc, char** argv) {
 
   if (flags.get_bool("print-diagnostics")) {
     std::printf("\nengine diagnostics (one fast-algorithm trial per size)\n");
-    std::printf("%8s %12s %12s %12s %9s %9s %11s %9s %9s %10s %10s "
-                "%8s %10s %9s %8s %8s %11s %9s\n",
+    std::printf("%8s %12s %12s %12s %9s %9s %11s %9s %10s %10s "
+                "%10s %9s %8s %8s %11s %9s\n",
                 "peers", "events", "wheeled", "probes", "promo", "spill_pk", "plans_built",
-                "sweeps", "replan", "dlv_batch", "colour_cls", "fixups",
+                "sweeps", "dlv_batch", "colour_cls",
                 "par_commit", "flash", "cdn_mb", "assisted", "bytes/peer", "rss_mb");
     for (const std::size_t n : sizes) {
       gs::exp::Config config = base;
@@ -158,8 +158,8 @@ int main(int argc, char** argv) {
         std::snprintf(rss_mb, sizeof(rss_mb), "n/a");
       }
       std::printf(
-          "%8zu %12llu %12llu %12llu %9llu %9llu %11llu %9llu %9llu "
-          "%10llu %10llu %8llu %10llu %9zu %8.1f %8zu %11s %9s\n",
+          "%8zu %12llu %12llu %12llu %9llu %9llu %11llu %9llu "
+          "%10llu %10llu %10llu %9zu %8.1f %8zu %11s %9s\n",
           n, static_cast<unsigned long long>(s.events_popped),
           static_cast<unsigned long long>(s.events_wheeled),
           static_cast<unsigned long long>(s.availability_probes),
@@ -167,10 +167,8 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(s.spill_heap_peak),
           static_cast<unsigned long long>(s.plans_built),
           static_cast<unsigned long long>(s.parallel_sweeps),
-          static_cast<unsigned long long>(s.replanned_ticks),
           static_cast<unsigned long long>(s.delivery_batches),
           static_cast<unsigned long long>(s.commit_colour_classes),
-          static_cast<unsigned long long>(s.commit_conflict_fixups),
           static_cast<unsigned long long>(s.parallel_commits), s.flash_joins,
           static_cast<double>(s.cdn_bytes_served) / (1024.0 * 1024.0),
           s.cdn_assisted_switches, bytes_per_peer, rss_mb);

@@ -76,14 +76,25 @@ void Config::validate() const {
   if (topology == TopologyKind::kTraceFile && trace_path.empty()) {
     throw std::invalid_argument("trace_path required for kTraceFile");
   }
-  if (!(engine.warmup > 0.0)) throw std::invalid_argument("warmup must be positive");
+  // Every time setting must also be finite: std::stod accepts "inf", and
+  // an infinite event time reaches the timing wheel's double-to-int64
+  // bucket cast, which is undefined (at best the run pops nothing and
+  // reports all-zero metrics).
+  for (const double t : switch_times) {
+    if (!std::isfinite(t)) throw std::invalid_argument("switch_times must be finite");
+  }
+  if (!(engine.warmup > 0.0 && std::isfinite(engine.warmup))) {
+    throw std::invalid_argument("warmup must be positive and finite");
+  }
   // A non-positive horizon ends the run before the first switch.
-  if (!(engine.horizon > 0.0)) throw std::invalid_argument("horizon must be positive");
+  if (!(engine.horizon > 0.0 && std::isfinite(engine.horizon))) {
+    throw std::invalid_argument("horizon must be positive and finite");
+  }
   // Negative values would wrap through llround -> size_t into a huge
   // history or per-period join count, and fractions above 1 compound the
   // swarm every period; the engine cannot run either to its horizon.
-  if (!(engine.history_seconds >= 0.0)) {
-    throw std::invalid_argument("history_seconds must be >= 0");
+  if (!(engine.history_seconds >= 0.0 && std::isfinite(engine.history_seconds))) {
+    throw std::invalid_argument("history_seconds must be >= 0 and finite");
   }
   for (const double fraction : {engine.churn_leave_fraction, engine.churn_join_fraction}) {
     if (!(fraction >= 0.0 && fraction <= 1.0)) {
@@ -127,7 +138,9 @@ void Config::validate() const {
   if (!(diversity >= 0.0 && diversity <= 1.0)) {
     throw std::invalid_argument("priority.diversity_fraction must be in [0, 1]");
   }
-  if (!(engine.tau > 0.0)) throw std::invalid_argument("tau must be positive");
+  if (!(engine.tau > 0.0 && std::isfinite(engine.tau))) {
+    throw std::invalid_argument("tau must be positive and finite");
+  }
   if (!(engine.playback_rate > 0.0)) {
     throw std::invalid_argument("playback_rate must be positive");
   }
@@ -176,21 +189,24 @@ void Config::validate() const {
     throw std::invalid_argument("first switch must be at t >= 0 (warm-up is t < 0)");
   }
   if (engine.flash_crowd_joins > 0) {
-    if (!(engine.flash_crowd_duration >= 0.0)) {
-      throw std::invalid_argument("flash_crowd_duration must be >= 0");
+    // An infinite duration paces the crowd at zero joins per period: the
+    // pump runs to the horizon and admits nobody.
+    if (!(engine.flash_crowd_duration >= 0.0 && std::isfinite(engine.flash_crowd_duration))) {
+      throw std::invalid_argument("flash_crowd_duration must be >= 0 and finite");
     }
     // The admission pump is scheduled at its first join time, which the
     // simulator cannot reach before the run starts at -warmup.
-    if (!(switch_times.front() + engine.flash_crowd_start >= -engine.warmup)) {
-      throw std::invalid_argument("flash crowd must start at or after -warmup");
+    if (!(switch_times.front() + engine.flash_crowd_start >= -engine.warmup &&
+          std::isfinite(engine.flash_crowd_start))) {
+      throw std::invalid_argument("flash crowd must start at a finite time at or after -warmup");
     }
   }
   if (engine.cdn_assist) {
     if (!(engine.cdn_assist_rate > 0.0)) {
       throw std::invalid_argument("cdn_assist_rate must be positive");
     }
-    if (!(engine.cdn_assist_latency_ms >= 0.0)) {
-      throw std::invalid_argument("cdn_assist_latency_ms must be >= 0");
+    if (!(engine.cdn_assist_latency_ms >= 0.0 && std::isfinite(engine.cdn_assist_latency_ms))) {
+      throw std::invalid_argument("cdn_assist_latency_ms must be >= 0 and finite");
     }
     if (!(engine.cdn_assist_horizon >= 0.0)) {
       throw std::invalid_argument("cdn_assist_horizon must be >= 0");

@@ -58,33 +58,31 @@ Time EventQueue::next_time() const {
 Time EventQueue::pop_and_run() {
   GS_CHECK(!empty());
   static_cast<void>(top());  // drops cancelled heads
-  const Entry entry = wheel_.pop();
-  --live_;
+  const Entry entry = pop_top();
   entry.sink->on_event(entry.a, entry.b);
   return entry.at;
 }
 
-bool EventQueue::top_is_batchable() {
-  return top().sink->batchable();
+QueueEntry EventQueue::pop_top() {
+  GS_CHECK(!empty());
+  // top() already dropped the cancelled heads, so the wheel's head is live.
+  --live_;
+  return wheel_.pop();
 }
 
-std::size_t EventQueue::pop_batch(Time limit, std::vector<PooledBatchItem>& out,
-                                  EventSink** sink_out) {
-  GS_CHECK(!empty());
+std::size_t EventQueue::pop_batch(Time limit, std::vector<PooledBatchItem>& out) {
   out.clear();
-  EventSink* const sink = top().sink;
-  for (;;) {
-    const Entry entry = wheel_.pop();
-    out.push_back({entry.at, entry.a, entry.b});
-    --live_;
-    if (out.size() >= kMaxBatch || empty()) break;
+  const Entry first = pop_top();
+  out.push_back({first.at, first.a, first.b});
+  while (out.size() < kMaxBatch && !empty()) {
     // Extend only while the head continues the run: same sink, within the
     // horizon.  Stopping at the first mismatch keeps the batch a prefix of
     // the canonical pop order.
     const Entry& next = top();
-    if (next.sink != sink || next.at > limit) break;
+    if (next.sink != first.sink || next.at > limit) break;
+    const Entry entry = pop_top();
+    out.push_back({entry.at, entry.a, entry.b});
   }
-  *sink_out = sink;
   return out.size();
 }
 

@@ -100,30 +100,32 @@ class EventQueue {
   /// the time of the event that ran.
   Time pop_and_run();
 
-  /// True when the next entry to pop belongs to a sink that opted into
-  /// batched pops; requires !empty().
-  [[nodiscard]] bool top_is_batchable();
+  /// The earliest live entry; requires !empty().  Drops cancelled heads as
+  /// a side effect (observable state is unchanged).  The reference is valid
+  /// until the queue next changes.
+  [[nodiscard]] const QueueEntry& top();
+
+  /// Removes and returns the entry top() just returned, without resolving
+  /// the head again; requires a top() call with no schedule, cancel or pop
+  /// since (a run loop reads the head once per pop).
+  QueueEntry pop_top();
 
   /// Pops the maximal batchable run at the head of the queue WITHOUT
-  /// running it: starting from the current head (which must satisfy
-  /// top_is_batchable()), consecutive global-order heads are drained into
-  /// `out` while they are entries of the same sink and fire no later than
-  /// `limit`.  Returns the number of entries popped (>= 1) and stores the
-  /// common sink in `sink_out`; the caller dispatches the run via
-  /// sink->on_batch.  The run is exactly a prefix of the sequence
+  /// running it: starting from the entry top() just returned (same
+  /// requirement as pop_top; its sink must be batchable), consecutive
+  /// global-order heads are drained into `out` while they are entries of
+  /// the same sink and fire no later than `limit`.  Returns the number of
+  /// entries popped (>= 1); the caller dispatches the run via the head
+  /// sink's on_batch.  The run is exactly a prefix of the sequence
   /// pop_and_run would produce (the sink's events schedule nothing), so
   /// dispatching it in order preserves every determinism guarantee.
-  std::size_t pop_batch(Time limit, std::vector<PooledBatchItem>& out, EventSink** sink_out);
+  std::size_t pop_batch(Time limit, std::vector<PooledBatchItem>& out);
 
   /// Drops all pending events.
   void clear() noexcept;
 
  private:
   using Entry = QueueEntry;
-
-  /// The earliest live entry; requires !empty().  Drops cancelled heads as
-  /// a side effect.
-  [[nodiscard]] const Entry& top();
 
   /// pop_batch scratch bound: correctness never depends on where a run is
   /// cut (the remainder simply forms the next batch), so this only caps

@@ -20,22 +20,24 @@ std::size_t Simulator::drive(Time until) {
   stop_requested_ = false;
   std::size_t ran = 0;
   while (!queue_.empty() && !stop_requested_) {
-    const Time next = queue_.next_time();
-    if (next > until) break;
-    if (queue_.top_is_batchable()) {
+    // The head is resolved once per pop: its time, its sink, then the pop.
+    const QueueEntry& head = queue_.top();
+    if (head.at > until) break;
+    EventSink* const sink = head.sink;
+    if (sink->batchable()) {
       // Drain the maximal batchable run in one dispatch.  The run is a
       // prefix of the canonical pop order; the sink processes items in
       // order using each item's own time, with the clock parked at the
       // run's end.
-      EventSink* sink = nullptr;
-      const std::size_t count = queue_.pop_batch(until, batch_scratch_, &sink);
+      const std::size_t count = queue_.pop_batch(until, batch_scratch_);
       now_ = batch_scratch_[count - 1].at;
       sink->on_batch(batch_scratch_.data(), count);
       ran += count;
       continue;
     }
-    now_ = next;
-    queue_.pop_and_run();
+    const QueueEntry entry = queue_.pop_top();
+    now_ = entry.at;
+    sink->on_event(entry.a, entry.b);
     ++ran;
   }
   return ran;

@@ -104,8 +104,7 @@ std::uint64_t collect_candidates(const PeerNode& p, std::span<const net::NodeId>
     const util::DynamicBitset& presence = n.buffer.presence();
     // Hoisted on the neighbour's first supplied candidate: both are
     // invariant across the plan (rates only change in churn/setup;
-    // queue_delay reads the transfer plane no commit touches while plans
-    // are in flight).
+    // queue_delay reads the transfer plane no same-class commit touches).
     double send_rate = 0.0;
     double queue_delay = 0.0;
     bool hoisted = false;

@@ -2,15 +2,15 @@
 //
 // Members of one sweep wave conflict when their contention sets — the
 // neighbour sets their plans' queue-delay reads and capacity commits cover —
-// intersect.  Members with disjoint sets commute: their commits write
-// disjoint capacity state and read nothing the other writes, so they can run
-// on concurrent lanes.  The wave therefore colours its members and executes
-// one colour class at a time.
+// intersect.  Members with disjoint sets commute: their plans and commits
+// write disjoint capacity state and read nothing the other writes, so they
+// can run on concurrent lanes.  The wave therefore colours its members
+// before anything plans and plans and commits one colour class at a time.
 //
 // The colouring must do more than be proper: classes execute in colour
 // order, so whenever members i < j conflict, j's class must come *after*
-// i's, or j would commit before a conflicting predecessor and the staleness
-// check would read half-updated capacity state.  Plain smallest-free-colour
+// i's, or j would plan before a conflicting predecessor committed and read a
+// backlog the sequential engine never shows it.  Plain smallest-free-colour
 // greedy violates this (conflicts (0,1) and (1,2) colour as 0,1,0 and class
 // 0 runs member 2 before member 1); the *layered* greedy rule
 //
@@ -37,15 +37,15 @@ namespace gs::stream {
 
 struct CommitColouring {
   /// colour[slot] for every wave slot passed to colour_wave; slots with an
-  /// empty contention set get colour 0 (they commit no capacity and read no
-  /// backlog, so any class — the first — is safe).
+  /// empty contention set get colour 0 (they read no backlog and commit no
+  /// capacity, so any class — the first — is safe).
   std::vector<std::uint32_t> colour;
   /// One past the highest colour assigned (the class count).
   std::uint32_t classes = 0;
 
   /// Colours wave slots [0, count).  `set(slot)` returns the slot's
   /// contention set (its neighbour list, ids < node_count), empty for slots
-  /// that commit nothing.
+  /// that will not plan.
   template <typename SetFn>
   void colour_wave(std::size_t count, std::size_t node_count, SetFn&& set) {
     if (last_colour_.size() < node_count) {

@@ -33,8 +33,8 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
       ticker_(sim_, config_.tau,
               [this](const std::vector<std::uint32_t>& members, double now) {
                 // The sharded core takes whole sweeps: pre in member order,
-                // plan on the pool, then the commit wave (same per-member
-                // semantics as the sequential loop).
+                // then the commit wave (same per-member semantics as the
+                // sequential loop).
                 if (config_.parallel_shards > 0) {
                   run_parallel_sweep(members, now);
                   return;
@@ -161,19 +161,20 @@ void Engine::run_switch(int switch_index) {
 
 // ---------------------------------------------------------------- tick ---
 //
-// One tick = pre + plan + commit.  The sequential path (tick) runs the
-// three phases back to back per peer, which is byte-for-byte the historical
-// tick; the sharded sweep (run_parallel_sweep) runs pre for every member of
-// a wave in order, plans them concurrently, then commits them in the commit
-// wave — with the plan-staleness check bridging the only cross-member data
-// flow a sweep has (capacity commits feeding later members' queue-delay
-// reads).
+// One tick = pre + plan + commit + finish.  The sequential path (tick) runs
+// the four phases back to back per peer; the sharded sweep
+// (run_parallel_sweep) runs pre for every member of a wave in order, plans
+// and commits them together one colour class at a time on the lanes, then
+// finishes them in member order.  The only state a tick reads that another
+// peer's tick writes is a supplier's uplink backlog (capacity commits
+// feeding later members' queue-delay reads), and the colouring orders
+// exactly the members that share one the way the sequential engine does.
 
 void Engine::tick(PeerNode& p, double now) {
   if (!tick_pre(p, now)) return;
   tick_plan(p, now, plan_seq_);
-  tick_commit(p, now, plan_seq_, /*validate=*/false);
-  if (cdn_) cdn_assist_tick(p, now);
+  tick_commit(p, now, plan_seq_);
+  finish_tick(p, now, plan_seq_);
 }
 
 bool Engine::tick_pre(PeerNode& p, double now) {
@@ -199,15 +200,13 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
   plan.staged.clear();
   if (p.in_budget.whole() == 0) return;
   plan.planned = true;
-  plan.rng_before = p.rng;
-  plan.stamp = capacity_commits_;
   // Ids past the old stream's last one are new-stream candidates once the
   // peer knows the active switch's boundary.
   const bool boundary_known = p.active_switch >= 0 && p.known_boundary >= p.active_switch;
   const SegmentId s1_end =
       boundary_known ? timeline_.session(static_cast<std::size_t>(p.active_switch)).last
                      : kNoSegment;
-  // Probes are folded at commit: the build may run on a pool thread.
+  // Probes are folded by finish_tick: the build may run on a pool thread.
   plan.probes = collect_candidates(p, graph_.neighbors(p.id), peers_, transfers_,
                                    config_.buffer_capacity, s1_end, now, plan.suppliers,
                                    plan.scratch, plan.candidates);
@@ -244,52 +243,7 @@ void Engine::tick_plan(PeerNode& p, double now, TickPlan& plan) {
       << " reordered the candidates of peer " << p.id;
 }
 
-void Engine::fold_plan_counters(const TickPlan& plan) {
-  stats_.availability_probes += plan.probes;
-  if (plan.candidates.empty()) return;
-  ++stats_.plans_built;
-  if (plan.split_active) {
-    ++stats_.split_ticks;
-    for (const ScheduledRequest& r : plan.requests) {
-      if (r.id > plan.s1_end) {
-        ++stats_.new_stream_requests;
-      } else {
-        ++stats_.old_stream_requests;
-      }
-    }
-  }
-  candidates_seen_ += plan.candidates.size();
-  scheduled_seen_ += plan.requests.size();
-}
-
-bool Engine::plan_is_stale(const PeerNode& p, const TickPlan& plan) const {
-  if (dirty_supplier_.empty() || !transfers_.supplier_shared()) return false;
-  // The plan's queue-delay reads covered (a subset of) the alive
-  // neighbours; per-link capacity can never conflict (requester-keyed).
-  for (const net::NodeId nb : graph_.neighbors(p.id)) {
-    if (dirty_supplier_[nb] > plan.stamp) return true;
-  }
-  return false;
-}
-
-void Engine::tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate) {
-  if (!plan.planned) return;
-  if (validate && !plan.candidates.empty() && plan_is_stale(p, plan)) {
-    // An earlier member committed capacity on a supplier this plan read:
-    // its queue-delay estimates (and therefore the strategy's choices and
-    // rng draws) may differ from what the sequential order would produce.
-    // Nothing may issue from here — the class barrier's fixup drain
-    // re-plans this member sequentially, where the live plane state it
-    // observes is exactly the sequential prefix.
-    plan.fixup = true;
-    return;
-  }
-  // Stage mode folds every global counter at the wave's final drain, from
-  // the plan's final contents (a fixup re-plan overwrites them first, so
-  // the fold always matches the sequential charge).
-  if (!plan.stage) fold_plan_counters(plan);
-  if (plan.candidates.empty()) return;
-
+void Engine::tick_commit(PeerNode& p, double now, TickPlan& plan) {
   // Supplier fallback on rejection (the strategy names one supplier per
   // segment; a saturated supplier should not cost the whole period when an
   // alternate neighbour also holds the segment).  The candidate walk emits
@@ -312,20 +266,47 @@ void Engine::tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate)
   }
 }
 
+void Engine::finish_tick(PeerNode& p, double now, const TickPlan& plan) {
+  stats_.availability_probes += plan.probes;
+  if (!plan.candidates.empty()) {
+    ++stats_.plans_built;
+    if (plan.split_active) {
+      ++stats_.split_ticks;
+      for (const ScheduledRequest& r : plan.requests) {
+        if (r.id > plan.s1_end) {
+          ++stats_.new_stream_requests;
+        } else {
+          ++stats_.old_stream_requests;
+        }
+      }
+    }
+    candidates_seen_ += plan.candidates.size();
+    scheduled_seen_ += plan.requests.size();
+  }
+  stats_.requests_issued += plan.issued;
+  stats_.requests_rejected += plan.rejected;
+  // WireFormat::request_bits is linear in the count: one charge per tick
+  // equals one per request.
+  overhead_.charge_request(plan.issued);
+  // sim_.after hands out global sequence numbers in call order, so posting
+  // the staged deliveries here, in issue order and member order, gives the
+  // event stream the sequential engine always had.
+  for (const StagedDelivery& d : plan.staged) {
+    transfers_.schedule_delivery(p.id, d.id, d.deliver_at, now);
+  }
+  if (cdn_) cdn_assist_tick(p, now);
+}
+
 void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, double now) {
   const std::size_t n = members.size();
   ++stats_.parallel_sweeps;
-  if (dirty_supplier_.size() < peers_.size()) dirty_supplier_.resize(peers_.size(), 0);
-  // Wave size bounds the speculation window: a member's plan can only go
-  // stale against commits of its *own* wave (earlier waves are already
-  // committed when it plans), so the stale-replan rate scales with the
-  // wave, while each wave still carries >= 16 plans per lane of parallel
-  // work.  Any wave size yields identical results — valid plans equal the
-  // sequential computation and stale ones are re-planned — so this is a
-  // pure throughput knob.  It is keyed on the configured shard count
-  // (capped at the delivery drain's kMaxDataShards), not on the lane
-  // count, so the diagnostics the window drives (replanned ticks, commit
-  // classes and fixups) do not depend on the machine's core count.
+  // The wave only bounds the plan slots held at once: any wave size yields
+  // identical results, and a whole scale-grain sweep as one wave holds a
+  // slot (candidates and supplier store) per member, which costs peak RSS
+  // for no resolved gain in sim time.  Each wave still carries >= 16 plans
+  // per lane.  It is keyed on the configured shard count (capped at the
+  // delivery drain's kMaxDataShards), not on the lane count, so the commit
+  // diagnostics do not depend on the machine's core count.
   const std::size_t wave =
       std::max<std::size_t>(32, 16 * std::min(config_.parallel_shards, kMaxDataShards));
   if (batch_plans_.size() < std::min(n, wave)) batch_plans_.resize(std::min(n, wave));
@@ -334,113 +315,70 @@ void Engine::run_parallel_sweep(const std::vector<std::uint32_t>& members, doubl
     // Pre, in member order: all cross-peer-visible writes of a tick
     // (availability adverts, boundary learning, playback/metric
     // bookkeeping) happen here with exactly the interleaving the
-    // per-member sweep would produce (nothing a plan reads is written by
-    // pre, so running the wave's pres ahead of its plans is invisible).
+    // per-member sweep would produce (nothing a plan or commit reads is
+    // written by pre, so running the wave's pres ahead of them is
+    // invisible).
     for (std::size_t i = 0; i < count; ++i) {
       batch_plans_[i].live = tick_pre(peers_[members[base + i]], now);
     }
-    // Plan, in parallel: pure reads of shared state plus disjoint writes
-    // (each member's own plan slot, supplier store included, and rng).  The
-    // pool may be saturated by outer experiment sweeps — run_batch's caller
-    // guarantees progress.
-    util::global_pool().run_batch(count, lanes_, [this, &members, base, now](std::size_t i) {
-      if (!batch_plans_[i].live) return;
-      tick_plan(peers_[members[base + i]], now, batch_plans_[i]);
-    });
     commit_wave(members, base, count, now);
   }
 }
 
 void Engine::commit_wave(const std::vector<std::uint32_t>& members, std::size_t base,
                          std::size_t count, double now) {
-  // Colour by supplier contention.  A slot's contention set is exactly the
-  // neighbour list plan_is_stale reads — it covers every supplier the plan's
-  // queue-delay estimates touched and every capacity line its commit can
-  // write, so same-colour slots neither race nor perturb each other's
-  // staleness checks, and the layered rule (see commit_colouring.hpp) puts
-  // every conflicting predecessor in an earlier class.  Per-link capacity
-  // is requester-keyed — no conflicts, one class, no staleness.
+  // Colour by supplier contention, before anything plans.  A slot's
+  // contention set is its neighbour list: every supplier its plan's
+  // queue-delay reads and its commit's capacity writes can touch.  A member
+  // that will not plan (no tick, or no whole budget unit: tick_plan returns
+  // before the build) touches none, and per-link capacity is
+  // requester-keyed, so those sets are empty.  The slot's candidates still
+  // hold the previous wave's build, so they must not be read here.
   const bool shared = transfers_.supplier_shared();
   colouring_.colour_wave(
       count, peers_.size(), [&](std::size_t i) -> std::span<const net::NodeId> {
-        const TickPlan& plan = batch_plans_[i];
-        if (!shared || !plan.live || !plan.planned || plan.candidates.empty()) return {};
-        return graph_.neighbors(members[base + i]);
+        const PeerNode& p = peers_[members[base + i]];
+        if (!shared || !batch_plans_[i].live || p.in_budget.whole() == 0) return {};
+        return graph_.neighbors(p.id);
       });
   stats_.commit_colour_classes += colouring_.classes;
   if (class_slots_.size() < colouring_.classes) class_slots_.resize(colouring_.classes);
   for (std::uint32_t c = 0; c < colouring_.classes; ++c) class_slots_[c].clear();
-  const std::uint64_t wave_base = capacity_commits_;
   for (std::size_t i = 0; i < count; ++i) {
     class_slots_[colouring_.colour[i]].push_back(static_cast<std::uint32_t>(i));
-    TickPlan& plan = batch_plans_[i];
-    plan.stage = true;
-    plan.fixup = false;
-    plan.commit_stamp = wave_base + 1 + i;
   }
 
+  // Plan and commit, one class at a time on the lanes.  This is exact: the
+  // layered rule puts every member that shares a supplier with member j in
+  // an earlier class if it precedes j in member order and in a later class
+  // if it follows, and members of one class share no supplier — so every
+  // plan reads exactly the backlog the sequential engine shows it, and the
+  // commits and jitter draws land member-locally.  Deliveries stage into
+  // the plan and counters defer.
   for (std::uint32_t c = 0; c < colouring_.classes; ++c) {
     const std::vector<std::uint32_t>& slots = class_slots_[c];
-    if (slots.empty()) continue;
-    // The class commits on lanes: capacity commits and jitter draws land
-    // member-locally (disjoint supplier sets within the class), deliveries
-    // stage into the plan, counters defer.
     util::global_pool().run_batch(
         slots.size(), lanes_, [this, &members, base, &slots, now](std::size_t k) {
           const std::uint32_t i = slots[k];
-          if (!batch_plans_[i].live || !batch_plans_[i].planned) return;
-          tick_commit(peers_[members[base + i]], now, batch_plans_[i], /*validate=*/true);
+          TickPlan& plan = batch_plans_[i];
+          if (!plan.live) return;
+          PeerNode& p = peers_[members[base + i]];
+          tick_plan(p, now, plan);
+          tick_commit(p, now, plan);
         });
-    // Fixup drain, member order within the class: a stale member rolls its
-    // rng back and re-plans against the live plane (the candidate *set*
-    // cannot change — buffers are stable in a sweep — only supplier
-    // scores).  Its conflicting predecessors all sit in earlier classes
-    // (layered colouring) and are fully committed — the state it observes
-    // is exactly the sequential prefix — and same-class members touch none
-    // of its suppliers, so draining between classes changes nothing they
-    // see.
-    for (const std::uint32_t i : slots) {
-      TickPlan& plan = batch_plans_[i];
-      if (!plan.fixup) continue;
-      PeerNode& p = peers_[members[base + i]];
-      p.rng = plan.rng_before;
-      ++stats_.replanned_ticks;
-      ++stats_.commit_conflict_fixups;
-      tick_plan(p, now, plan);
-      tick_commit(p, now, plan, /*validate=*/false);
-    }
   }
 
-  // Final drain, member order: fold the deferred counters from each plan's
-  // final contents and post the staged delivery events — sim_.after hands
-  // out global sequence numbers in call order, so the event stream is
-  // byte-identical to the sequential tick's.  The CDN step interleaves
-  // per member exactly like the sequential tick; deferring it behind the
-  // whole wave's capacity commits is invisible because it reads only
-  // sweep-stable state, the member's own slot and the CDN's private ledger.
+  // Final drain, member order: the finish step the sequential tick runs.
+  // The CDN step interleaves per member exactly like the sequential tick;
+  // deferring it behind the whole wave's capacity commits is invisible
+  // because it reads only sweep-stable state, the member's own slot and
+  // the CDN's private ledger.
   for (std::size_t i = 0; i < count; ++i) {
-    TickPlan& plan = batch_plans_[i];
-    plan.stage = false;
+    const TickPlan& plan = batch_plans_[i];
     if (!plan.live) continue;
-    PeerNode& p = peers_[members[base + i]];
-    if (plan.planned) {
-      ++stats_.planned_ticks;
-      if (!plan.fixup) ++stats_.parallel_commits;
-      plan.fixup = false;
-      fold_plan_counters(plan);
-      stats_.requests_issued += plan.issued;
-      stats_.requests_rejected += plan.rejected;
-      if (plan.issued > 0) overhead_.charge_request(plan.issued);
-      for (const StagedDelivery& d : plan.staged) {
-        transfers_.schedule_delivery(p.id, d.id, d.deliver_at, now);
-      }
-    }
-    if (cdn_) cdn_assist_tick(p, now);
+    if (plan.planned) ++stats_.parallel_commits;
+    finish_tick(peers_[members[base + i]], now, plan);
   }
-  // Advance the commit clock past every stamp this wave handed out, so the
-  // next wave's plans (stamped with the new base) can never read one of
-  // this wave's writes as stale.
-  capacity_commits_ = wave_base + count;
 }
 
 void Engine::snapshot_and_learn(PeerNode& p) {
@@ -495,51 +433,29 @@ void Engine::advert_availability(PeerNode& p, std::size_t receivers) {
 bool Engine::issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double now,
                        TickPlan& plan) {
   GS_CHECK_LT(supplier, peers_.size());
-  PeerNode& s = peers_[supplier];
-  if (plan.stage) {
-    // Commit-lane issue: the capacity commit and jitter draw are
-    // member-safe (colouring keeps same-class supplier sets disjoint; the
-    // rng is the member's own); the simulator event and the global
-    // counters defer to the wave's member-order drain.
-    StagedDelivery d;
-    if (!s.alive || !s.buffer.contains(id) ||
-        !transfers_.request_staged(p, s, id, now, d.deliver_at)) {
-      ++p.requests_rejected;
-      ++plan.rejected;
-      return false;
-    }
-    d.id = id;
-    plan.staged.push_back(d);
-    // Deterministic dirty stamp: wave base + 1 + member index.  Every
-    // staleness comparison is `stamp_written > stamp_read` with the read
-    // stamp at most the wave base, so any strictly-above-base value marks
-    // the supplier dirty — and this one is the same no matter which lane
-    // writes it.  Per-link capacity never reads these stamps
-    // (plan_is_stale short-circuits); skipping the write keeps concurrent
-    // same-supplier issues race-free.
-    if (transfers_.supplier_shared()) dirty_supplier_[supplier] = plan.commit_stamp;
-    ++plan.issued;
-    p.in_budget.spend(1.0);
-    p.pending.set(id, now + config_.pending_timeout);
-    ++p.requests_issued;
-    return true;
-  }
-  if (!s.alive || !s.buffer.contains(id) || !transfers_.request(p, s, id, now)) {
+  const PeerNode& s = peers_[supplier];
+  // The capacity commit and the jitter draw are member-safe on a lane
+  // (same-class supplier sets are disjoint; the rng is the member's own);
+  // the simulator event and the global counters wait for finish_tick.
+  StagedDelivery d;
+  if (!s.alive || !s.buffer.contains(id) ||
+      !transfers_.request_staged(p, s, id, now, d.deliver_at)) {
     ++p.requests_rejected;
-    ++stats_.requests_rejected;
+    ++plan.rejected;
     return false;
   }
-  overhead_.charge_request(1);
+  d.id = id;
+  plan.staged.push_back(d);
+  ++plan.issued;
   p.in_budget.spend(1.0);
   p.pending.set(id, now + config_.pending_timeout);
   ++p.requests_issued;
-  ++stats_.requests_issued;
   return true;
 }
 
 // ----------------------------------------------------------- CDN assist ---
 //
-// Runs after tick_commit in both dispatch paths, so patch requests consume
+// Runs last in finish_tick in both dispatch paths, so patch requests consume
 // only the inbound budget the gossip scheduler left this period: under
 // budget_carry = 1 that remainder is use-it-or-lose-it, so the patch
 // stream fills the idle tail of the peer's inbound link instead of

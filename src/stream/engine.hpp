@@ -114,25 +114,23 @@ struct EngineConfig {
   /// path.  P >= 1 runs on min(P, hardware threads) lanes of
   /// util::global_pool().  Every tick sweep runs in waves of
   /// max(32, 16 * min(P, 64)) members — keyed on P, not on the lane count,
-  /// so the commit diagnostics below depend on the config alone — each in
-  /// three phases:
+  /// so the commit diagnostics below depend on the config alone; the wave
+  /// only bounds the plan slots held at once — each in two phases:
   ///   pre     sequential, member order — every cross-peer-visible write
   ///           (availability adverts, boundary learning, playback/metrics);
-  ///   plan    parallel, read-only — candidate build + strategy scheduling
-  ///           (the dominant tick cost), speculated against the pre-sweep
-  ///           transfer plane; writes only the member's own rng and plan
-  ///           slot (its supplier store and build scratch included);
-  ///   commit  the commit wave: members whose plans touch disjoint supplier
-  ///           sets commute, so the wave colours its supplier-contention
-  ///           graph (contention set = the alive-neighbour set the
-  ///           staleness check reads) with a layered greedy colouring — a
-  ///           member's colour exceeds every earlier conflicting member's —
-  ///           and commits class by class on the lanes, staging deliveries
-  ///           per member.  A member whose speculation went stale re-plans
-  ///           (rng rolled back) in its class's sequential fixup drain, and
-  ///           a final member-order drain posts the staged deliveries and
-  ///           deferred counters, so event sequence numbers match the
-  ///           sequential engine exactly.
+  ///   wave    the commit wave: the only state a tick reads that another
+  ///           member's tick writes is a supplier's uplink backlog, so the
+  ///           wave colours its supplier-contention graph (contention set =
+  ///           the neighbour list of a member that will plan) with a
+  ///           layered greedy colouring — a member's colour exceeds every
+  ///           earlier conflicting member's — and then plans and commits
+  ///           class by class on the lanes (candidate build + strategy
+  ///           scheduling, the dominant tick cost, then request issue and
+  ///           capacity commits, staging deliveries per member).  Every
+  ///           plan reads exactly the backlog the sequential engine shows
+  ///           it, and a final member-order drain posts the staged
+  ///           deliveries and deferred counters, so event sequence numbers
+  ///           match the sequential engine exactly.
   /// Consecutive delivery events pop as one batch
   /// (TransferPlane::set_delivery_batch) and drain as a parallel
   /// per-target-shard book phase (buffer marks, boundary learning,
@@ -250,14 +248,15 @@ struct EngineStats {
   /// Full-map / delta adverts sent under delta_maps accounting.
   std::uint64_t full_map_adverts = 0;
   std::uint64_t delta_adverts = 0;
-  /// Sharded-core diagnostics (parallel_shards > 0 only): sweeps run
-  /// through the three-phase pipeline, member ticks planned in the parallel
-  /// phase, and how many of those were re-planned because an earlier
-  /// member's capacity commit invalidated the speculation (always equal to
-  /// commit_conflict_fixups: the fixup drain is the only re-plan).
+  /// Sharded-core diagnostic (parallel_shards > 0 only): sweeps run through
+  /// the wave pipeline.
   std::uint64_t parallel_sweeps = 0;
-  std::uint64_t planned_ticks = 0;
+  /// Always 0: every plan is made in its colour class against exactly the
+  /// backlog the sequential engine shows it, so no tick re-plans and no
+  /// commit needs a fixup.  Kept only because the end-to-end benchmark
+  /// (bench/e2e) still reads them.
   std::uint64_t replanned_ticks = 0;
+  std::uint64_t commit_conflict_fixups = 0;
   /// Always 0: the event queue is one store, so no event crosses shards.
   /// Kept only because the end-to-end benchmark (bench/e2e) still reads it.
   std::uint64_t cross_shard_events = 0;
@@ -272,15 +271,11 @@ struct EngineStats {
   /// end-to-end benchmark (bench/e2e) still reads it.
   std::uint64_t delta_journal_merges = 0;
   /// Commit-wave diagnostics (parallel_shards > 0 only): colour classes
-  /// executed across all commit waves; members that went stale mid-class
-  /// and drained through the sequential fixup queue (always equal to
-  /// replanned_ticks); and members committed on parallel lanes.  Every
-  /// planned member commits one way or the other, so
-  /// parallel_commits + commit_conflict_fixups == planned_ticks.  The wave
-  /// size is a function of parallel_shards, so these are fixed-seed
-  /// deterministic for a given shard count on any machine.
+  /// executed across all commit waves, and members planned and committed
+  /// on the lanes (every member whose budget allowed a candidate build).
+  /// The wave size is a function of parallel_shards, so these are
+  /// fixed-seed deterministic for a given shard count on any machine.
   std::uint64_t commit_colour_classes = 0;
-  std::uint64_t commit_conflict_fixups = 0;
   std::uint64_t parallel_commits = 0;
   /// Always 0: each plan owns its supplier store, so no allocator exists
   /// whose steady-state growth could be counted.  Kept only because the
@@ -398,61 +393,44 @@ class Engine {
   };
 
   // --- per-tick pipeline ---
-  /// A delivery issued under the commit wave's stage mode: the capacity
-  /// commit and the jitter draw already happened on the lane; only the
-  /// simulator event is deferred, posted by the final member-order drain so
-  /// event sequence numbers match the sequential engine exactly.
+  /// A delivery tick_commit issued: the capacity commit and the jitter draw
+  /// already happened; only the simulator event is deferred, posted by
+  /// finish_tick in member order so event sequence numbers match the
+  /// sequential engine exactly.
   struct StagedDelivery {
     SegmentId id = kNoSegment;
     double deliver_at = 0.0;
   };
-  /// One tick's speculative plan: the candidate build and the strategy's
-  /// request list, computed in the parallel phase against the pre-sweep
-  /// transfer plane, plus everything needed to commit (or roll back and
-  /// re-plan) deterministically.  Global counters touched by planning are
-  /// deferred here and drained at commit.
+  /// One tick's plan and commit: the candidate build and the strategy's
+  /// request list, then the deliveries and global counters the commit
+  /// deferred to finish_tick.  Under the sharded core a wave slot holds
+  /// one member's plan, made and committed on a lane in the member's
+  /// colour class; the sequential tick reuses one slot for every peer.
   struct TickPlan {
     bool live = false;     ///< tick_pre ran (alive non-source member)
     bool planned = false;  ///< the budget allowed a candidate build
-    util::Rng rng_before;  ///< p.rng before planning (restored on re-plan)
-    /// capacity_commits_ when the plan was derived: commits stamped later
-    /// than this are the ones the plan could not have observed.
-    std::uint64_t stamp = 0;
-    /// The old/new split the strategy planned under (commit charges the
-    /// split stats from here, so they always describe the ctx that was
+    /// The old/new split the strategy planned under (finish_tick charges
+    /// the split stats from here, so they always describe the ctx that was
     /// actually scheduled).
     bool split_active = false;
     SegmentId s1_end = kNoSegment;
     std::vector<CandidateSegment> candidates;
     /// The candidates' supplier lists: each candidate's span is a slice of
-    /// this store (see collect_candidates).  Owned by the plan, so a plan
-    /// lane writes only its own member's store, and a fixup re-plan on the
-    /// drain thread rebuilds it in place.
+    /// this store (see collect_candidates).  Owned by the plan, so a lane
+    /// writes only its own member's store.
     std::vector<SupplierView> suppliers;
     /// The candidate build's word and count buffers (capacity kept).
     CandidateScratch scratch;
     std::vector<ScheduledRequest> requests;
     std::uint64_t probes = 0;  ///< deferred EngineStats::availability_probes
-    // --- commit-wave state (parallel_shards > 0 only) ---
-    /// Stage mode: tick_commit runs in the commit wave — deliveries are
-    /// staged into `staged` and every global counter/event side effect is
-    /// deferred to the wave's final drain.
-    bool stage = false;
-    /// Set by a staged stale commit; the per-class fixup drain re-plans and
-    /// re-commits this member sequentially after the class barrier.
-    bool fixup = false;
     /// Deferred EngineStats::requests_issued / requests_rejected (and the
     /// per-request overhead charge rides on `issued`).
     std::uint32_t issued = 0;
     std::uint32_t rejected = 0;
-    /// dirty_supplier_ stamp this member's capacity commits write under
-    /// stage mode: wave base + 1 + member index — deterministic, and above
-    /// every stamp a plan of this wave holds (plans stamp at most the wave
-    /// base), so a later-class member that read the supplier goes stale.
-    std::uint64_t commit_stamp = 0;
     std::vector<StagedDelivery> staged;
   };
 
+  /// The sequential tick: pre, plan, commit and finish back to back.
   void tick(PeerNode& p, double now);
   /// Phase 1: budget replenish, availability exchange, pending prune,
   /// playback — every tick effect another peer (or the timeline) can
@@ -460,29 +438,23 @@ class Engine {
   bool tick_pre(PeerNode& p, double now);
   /// Phase 2: candidate build (collect_candidates, word-parallel from the
   /// neighbours' presence bits) + strategy scheduling into `plan`.  Reads
-  /// shared state, writes only `plan` (its supplier store and scratch
-  /// included) and p.rng — safe to run concurrently for distinct peers
-  /// while nothing else mutates.  An empty build returns before any
-  /// strategy rng draw.
+  /// the neighbours' buffers and uplink backlogs, writes only `plan` (its
+  /// supplier store and scratch included) and p.rng.  An empty build
+  /// returns before any strategy rng draw.
   void tick_plan(PeerNode& p, double now, TickPlan& plan);
-  /// Phase 3: drains the plan in deterministic order — counters, request
-  /// issue with rejection fallback, capacity commits.  With `validate` (a
-  /// commit-wave lane), a plan whose supplier set an earlier colour class
-  /// dirtied issues nothing and raises plan.fixup instead.
-  void tick_commit(PeerNode& p, double now, TickPlan& plan, bool validate);
-  /// Folds a planned tick's plan counters into the stats: availability
-  /// probes, and for a non-empty candidate set the built plan, the split
-  /// ticks, old/new stream requests and the candidate/request totals.
-  /// tick_commit calls it inline; the commit wave's final drain calls it
-  /// from each plan's final contents.
-  void fold_plan_counters(const TickPlan& plan);
-  /// Could a commit the plan did not observe have changed a queue delay it
-  /// read?  Conservative: any alive neighbour's uplink committed to after
-  /// the plan's stamp counts (only supplier-keyed capacity models can
-  /// conflict — per-link state is requester-local).
-  [[nodiscard]] bool plan_is_stale(const PeerNode& p, const TickPlan& plan) const;
-  /// The sharded sweep driver: per wave, pre in member order, plan on the
-  /// pool, then the commit wave (see EngineConfig::parallel_shards).
+  /// Phase 3: issues the plan's requests in order with the rejection
+  /// fallback — capacity commits on the suppliers' uplinks, p's budget and
+  /// pending set — staging the deliveries and deferring every global
+  /// counter into `plan`.  Plan and commit of two peers whose neighbour
+  /// lists are disjoint touch no common state, which is what lets one
+  /// colour class run on concurrent lanes.
+  void tick_commit(PeerNode& p, double now, TickPlan& plan);
+  /// Phase 4, on the simulator thread in member order (both engines): folds
+  /// the plan's deferred counters, charges the issued requests' wire bits,
+  /// posts the staged deliveries in issue order, then runs the CDN tick.
+  void finish_tick(PeerNode& p, double now, const TickPlan& plan);
+  /// The sharded sweep driver: per wave, pre in member order, then the
+  /// commit wave (see EngineConfig::parallel_shards).
   void run_parallel_sweep(const std::vector<std::uint32_t>& members, double now);
   /// Availability exchange bookkeeping + boundary discovery, read off the
   /// neighbours' known boundaries (the buffer-map headers; segment metadata
@@ -491,22 +463,19 @@ class Engine {
   /// Charges one availability advert from `p` to its `receivers` alive
   /// neighbours under delta_maps accounting (delta or periodic full map).
   void advert_availability(PeerNode& p, std::size_t receivers);
-  /// Issues one scheduled request.  Inline mode (plan.stage false, the
-  /// sequential tick) posts the delivery event and bumps the global
-  /// counters directly; stage mode stages the delivery into the plan,
-  /// stamps dirty_supplier_ with plan.commit_stamp and defers the counters
-  /// (see TickPlan).
+  /// Issues one scheduled request: the capacity commit, p's budget and
+  /// pending entry, the staged delivery and the deferred counters (see
+  /// TickPlan).
   bool issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double now, TickPlan& plan);
   /// The commit wave: colours wave members [base, base + count) of the
-  /// sweep by supplier contention, runs each colour class's tick_commit on
-  /// pool lanes with per-class sequential fixup drains, then replays staged
-  /// deliveries, deferred counters and CDN ticks in member order (see
-  /// EngineConfig::parallel_shards).
+  /// sweep by supplier contention before anything plans, runs tick_plan and
+  /// tick_commit together on pool lanes one colour class at a time, then
+  /// runs finish_tick in member order (see EngineConfig::parallel_shards).
   void commit_wave(const std::vector<std::uint32_t>& members, std::size_t base,
                    std::size_t count, double now);
 
   // --- CDN assist (config_.cdn_assist) ---
-  /// Runs after tick_commit: computes the controller's view of `p` (switch
+  /// Runs last in finish_tick: computes the controller's view of `p` (switch
   /// eligibility, rest play time, gossip coverage of the patch window) and
   /// requests missing prefix ids from the CDN with the tick's leftover
   /// inbound budget.
@@ -604,13 +573,6 @@ class Engine {
   /// Per-member plan slots for the sharded sweep pipeline
   /// (parallel_shards > 0); sized to the largest wave seen and reused.
   std::vector<TickPlan> batch_plans_;
-  /// dirty_supplier_[v] = the commit-wave stamp of the last capacity
-  /// commit to v's uplink (the plan-staleness test compares it against the
-  /// plan's stamp).  Sized only in parallel mode; empty otherwise.
-  std::vector<std::uint64_t> dirty_supplier_;
-  /// Commit clock: plans stamp its value, and each commit wave advances it
-  /// past every stamp the wave handed out (it stays 0 without waves).
-  std::uint64_t capacity_commits_ = 0;
 
   /// Batched delivery drain state (sized only when the drain is active).
   /// Peer ownership shard = id % data_shards_ (0 = drain inactive), at

@@ -73,8 +73,8 @@ class CapacityModel {
 
   /// True when commitments are keyed by the *supplier* (shared uplink
   /// state), so one requester's commit changes the backlog every other
-  /// requester of that supplier observes.  The sharded tick planner uses
-  /// this to decide whether speculative plans can go stale within a sweep.
+  /// requester of that supplier observes.  The sharded commit wave uses
+  /// this to decide whether wave members contend (and so need colouring).
   [[nodiscard]] virtual bool supplier_shared() const noexcept = 0;
 
   /// Grows per-node state to cover node ids < `count` (overlay joins).
@@ -124,16 +124,18 @@ class TransferPlane final : public sim::EventSink {
   /// Submits a pull transfer of `id` from `supplier` to `requester`.
   /// Returns false (and commits nothing) when the backlog exceeds the
   /// accept horizon; otherwise books the capacity and schedules delivery
-  /// after transmission plus jittered link latency.
+  /// after transmission plus jittered link latency.  request_staged plus
+  /// schedule_delivery in one call (the engine stages instead).
   bool request(PeerNode& requester, const PeerNode& supplier, SegmentId id, double now);
 
   /// The capacity half of request(): acceptance test, capacity commit and
   /// the jittered delivery time — everything except posting the simulator
-  /// event.  The commit wave issues through this from concurrent
-  /// lanes (same-colour members touch disjoint supplier state by
-  /// construction) and stages (id, deliver_at) per member, then replays
-  /// schedule_delivery in member order so event sequence numbers — and with
-  /// them the global pop order — match the sequential engine exactly.
+  /// event.  The engine issues every tick's requests through this (the
+  /// commit wave from concurrent lanes: same-colour members touch disjoint
+  /// supplier state by construction) and stages (id, deliver_at) per
+  /// member, then replays schedule_delivery in member order so event
+  /// sequence numbers — and with them the global pop order — match the
+  /// sequential engine exactly.
   /// Returns false (committing nothing, drawing no rng) on a backlog past
   /// the accept horizon.
   bool request_staged(PeerNode& requester, const PeerNode& supplier, SegmentId id, double now,

@@ -330,6 +330,70 @@ TEST(Config, RejectsNegativeAcceptHorizon) {
   EXPECT_NO_THROW(config.validate());
 }
 
+// Time settings must be finite: the CLI parses them with std::stod, which
+// accepts "inf", and an infinite event time reaches the timing wheel's
+// double-to-int64 bucket cast.  One case per field.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Config, RejectsInfiniteWarmup) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.warmup = kInf;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(Config, RejectsInfiniteHorizon) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.horizon = kInf;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(Config, RejectsInfiniteTau) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.tau = kInf;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(Config, RejectsInfiniteHistorySeconds) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.history_seconds = kInf;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+}
+
+TEST(Config, RejectsInfiniteSwitchTimes) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.switch_times = {kInf};
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.switch_times = {0.0, kInf};
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.switch_times = {0.0, 60.0};
+  EXPECT_NO_THROW(config.validate());
+}
+
+TEST(Config, RejectsInfiniteFlashCrowdStart) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.enable_flash_crowd(5, kInf);
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.enable_flash_crowd(5, 0.5);
+  EXPECT_NO_THROW(config.validate());
+}
+
+TEST(Config, RejectsInfiniteFlashCrowdDuration) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.enable_flash_crowd(5, 0.5, kInf);
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.enable_flash_crowd(5, 0.5, 2.0);
+  EXPECT_NO_THROW(config.validate());
+}
+
+TEST(Config, RejectsInfiniteCdnAssistLatency) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.enable_cdn_assist();
+  config.engine.cdn_assist_latency_ms = kInf;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.cdn_assist_latency_ms = 40.0;
+  EXPECT_NO_THROW(config.validate());
+}
+
 TEST(Config, EnumStringRoundTrip) {
   EXPECT_EQ(algorithm_from_string("fast"), AlgorithmKind::kFast);
   EXPECT_EQ(algorithm_from_string("normal"), AlgorithmKind::kNormal);
