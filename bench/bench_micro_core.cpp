@@ -312,6 +312,7 @@ void BM_FullPipeline(benchmark::State& state) {
   std::uint64_t colour_classes = 0;
   std::uint64_t commits = 0;
   std::uint64_t wheeled = 0;
+  std::uint64_t late = 0;
   std::uint64_t promotions = 0;
   std::uint64_t spill_peak = 0;
   std::uint64_t built = 0;
@@ -333,6 +334,7 @@ void BM_FullPipeline(benchmark::State& state) {
     colour_classes += engine->stats().commit_colour_classes;
     commits += engine->stats().parallel_commits;
     wheeled += engine->stats().events_wheeled;
+    late += engine->stats().wheel_late_arrivals;
     promotions += engine->stats().wheel_overflow_promotions;
     spill_peak = std::max(spill_peak, engine->stats().spill_heap_peak);
     built += engine->stats().plans_built;
@@ -350,6 +352,8 @@ void BM_FullPipeline(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(commits) / static_cast<double>(runs));
   state.counters["events_wheeled"] =
       benchmark::Counter(static_cast<double>(wheeled) / static_cast<double>(runs));
+  state.counters["wheel_late_arrivals"] =
+      benchmark::Counter(static_cast<double>(late) / static_cast<double>(runs));
   state.counters["wheel_overflow_promotions"] =
       benchmark::Counter(static_cast<double>(promotions) / static_cast<double>(runs));
   state.counters["spill_heap_peak"] = benchmark::Counter(static_cast<double>(spill_peak));

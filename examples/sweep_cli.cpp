@@ -131,11 +131,11 @@ int main(int argc, char** argv) {
 
   if (flags.get_bool("print-diagnostics")) {
     std::printf("\nengine diagnostics (one fast-algorithm trial per size)\n");
-    std::printf("%8s %12s %12s %12s %9s %9s %11s %9s %10s %10s "
-                "%10s %9s %8s %8s %11s %9s\n",
-                "peers", "events", "wheeled", "probes", "promo", "spill_pk", "plans_built",
-                "sweeps", "dlv_batch", "colour_cls",
-                "par_commit", "flash", "cdn_mb", "assisted", "bytes/peer", "rss_mb");
+    std::printf("%8s %12s %12s %12s %12s %9s %9s %11s %9s %10s %10s "
+                "%10s %9s %8s %8s %11s %9s %9s\n",
+                "peers", "events", "wheeled", "late", "probes", "promo", "spill_pk",
+                "plans_built", "sweeps", "dlv_batch", "colour_cls",
+                "par_commit", "flash", "cdn_mb", "assisted", "bytes/peer", "wheel_mb", "rss_mb");
     for (const std::size_t n : sizes) {
       gs::exp::Config config = base;
       config.node_count = n;
@@ -158,10 +158,11 @@ int main(int argc, char** argv) {
         std::snprintf(rss_mb, sizeof(rss_mb), "n/a");
       }
       std::printf(
-          "%8zu %12llu %12llu %12llu %9llu %9llu %11llu %9llu "
-          "%10llu %10llu %10llu %9zu %8.1f %8zu %11s %9s\n",
+          "%8zu %12llu %12llu %12llu %12llu %9llu %9llu %11llu %9llu "
+          "%10llu %10llu %10llu %9zu %8.1f %8zu %11s %9.1f %9s\n",
           n, static_cast<unsigned long long>(s.events_popped),
           static_cast<unsigned long long>(s.events_wheeled),
+          static_cast<unsigned long long>(s.wheel_late_arrivals),
           static_cast<unsigned long long>(s.availability_probes),
           static_cast<unsigned long long>(s.wheel_overflow_promotions),
           static_cast<unsigned long long>(s.spill_heap_peak),
@@ -171,7 +172,8 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(s.commit_colour_classes),
           static_cast<unsigned long long>(s.parallel_commits), s.flash_joins,
           static_cast<double>(s.cdn_bytes_served) / (1024.0 * 1024.0),
-          s.cdn_assisted_switches, bytes_per_peer, rss_mb);
+          s.cdn_assisted_switches, bytes_per_peer,
+          static_cast<double>(s.event_queue_bytes) / (1024.0 * 1024.0), rss_mb);
     }
   }
   if (!flags.get("csv").empty()) {

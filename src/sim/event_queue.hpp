@@ -4,11 +4,13 @@
 // same-time events fire in insertion order, which keeps runs bit-for-bit
 // reproducible regardless of the backing store's internals.
 //
-// The store is a hierarchical timing wheel (see sim/timing_wheel.hpp),
-// quantized at a constructor-given quantum: amortized O(1) schedule and
-// O(bucket) pops.  Each bucket drains through a (time, sequence) sort, so
-// the pop order is exactly that of a single (time, sequence) priority
-// queue.
+// The store is a timing wheel (see sim/timing_wheel.hpp): a near ring of
+// one-quantum buckets, a side heap for entries scheduled into the bucket
+// being drained, and a spill heap past the ring's horizon, quantized at a
+// constructor-given quantum.  A schedule is a bucket append or a heap push,
+// a pop a cursor bump or a heap pop.  Each bucket drains through a (time,
+// sequence) sort and merges with the side heap, so the pop order is exactly
+// that of a single (time, sequence) priority queue.
 //
 // Every event is a pooled plain struct: an EventSink* plus two payload
 // words stored inline in the entry.  Scheduling one never allocates — the
@@ -72,10 +74,15 @@ class EventQueue {
   /// engine passes its tick cadence).
   explicit EventQueue(double quantum = 1.0) : wheel_(quantum) {}
 
-  /// Wheel telemetry: entries scheduled, entries promoted from the overflow
-  /// wheel / spill heap into finer levels, and the spill heap's peak.
+  /// Wheel telemetry: entries scheduled, entries promoted from the spill
+  /// heap into the near ring, the spill heap's peak, and the late arrivals
+  /// routed through the side heap.
   [[nodiscard]] const TimingWheel::Telemetry& wheel_telemetry() const noexcept {
     return wheel_.telemetry();
+  }
+  /// Entry storage the wheel holds, in bytes (TimingWheel::retained_bytes).
+  [[nodiscard]] std::size_t wheel_retained_bytes() const noexcept {
+    return wheel_.retained_bytes();
   }
 
   /// Schedules an event: at absolute time `at`, calls `sink.on_event(a,

@@ -4,8 +4,9 @@
 // where t=0 is the source-switch instant and warm-up runs at t<0.
 //
 // The pending set is EventQueue's timing wheel; its quantum is a
-// constructor argument (the engine passes the tick cadence tau, so sweeps
-// land on bucket boundaries and deliveries fill the current bucket).
+// constructor argument (the engine passes the tick cadence tau, so a sweep's
+// re-arm lands one bucket ahead; a delivery due before the next boundary
+// lands in the collected current bucket and takes the wheel's side heap).
 // Every event is an EventSink call with two inline payload words; periodic
 // work is a sink too (sim/periodic.hpp).
 #pragma once
@@ -28,6 +29,10 @@ class Simulator {
   /// The pending set's wheel telemetry (see EventQueue::wheel_telemetry).
   [[nodiscard]] const TimingWheel::Telemetry& wheel_telemetry() const noexcept {
     return queue_.wheel_telemetry();
+  }
+  /// The pending set's entry storage in bytes (see TimingWheel::retained_bytes).
+  [[nodiscard]] std::size_t wheel_retained_bytes() const noexcept {
+    return queue_.wheel_retained_bytes();
   }
 
   /// Schedules `sink.on_event(a, b)` at absolute time `when` (must not be

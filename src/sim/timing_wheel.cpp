@@ -34,6 +34,7 @@ void TimingWheel::place(const QueueEntry& entry, std::int64_t bucket) {
   if (bucket <= cursor_) {
     // Late arrival: the bucket was already collected (or lies behind the
     // anchor).  The side heap merges with the sorted front at top()/pop().
+    ++telemetry_.late_arrivals;
     side_.push_back(entry);
     std::push_heap(side_.begin(), side_.end(), QueueEntryLater{});
     return;
@@ -43,7 +44,12 @@ void TimingWheel::place(const QueueEntry& entry, std::int64_t bucket) {
     // bucket values, one per slot.  The last one, cursor_ + kNearSlots,
     // shares the cursor's own slot, which is empty once the cursor's
     // bucket has been collected.
-    near_[static_cast<std::size_t>(bucket & kNearMask)].push_back(entry);
+    std::vector<QueueEntry>& slot = near_[static_cast<std::size_t>(bucket & kNearMask)];
+    if (slot.capacity() == 0 && !spares_.empty()) {
+      slot.swap(spares_.back());
+      spares_.pop_back();
+    }
+    slot.push_back(entry);
     ++near_live_;
     return;
   }
@@ -89,6 +95,10 @@ void TimingWheel::advance() {
     front_.clear();
     front_.swap(slot);
     front_pos_ = 0;
+    // The slot now holds front_'s old, cleared buffer: park it on the spare
+    // stack so the slot's next fill takes a grown buffer without keeping
+    // one here for the rest of the run.
+    if (slot.capacity() > 0) spares_.emplace_back().swap(slot);
     // Only now, with the cursor's slot drained, may the spill heap fill
     // bucket cursor_ + kNearSlots, which maps to that same slot.
     pull_spill();
@@ -124,6 +134,13 @@ QueueEntry TimingWheel::pop() {
   const QueueEntry out = side_.back();
   side_.pop_back();
   return out;
+}
+
+std::size_t TimingWheel::retained_bytes() const noexcept {
+  std::size_t entries = front_.capacity() + side_.capacity() + spill_.capacity();
+  for (const std::vector<QueueEntry>& slot : near_) entries += slot.capacity();
+  for (const std::vector<QueueEntry>& spare : spares_) entries += spare.capacity();
+  return entries * sizeof(QueueEntry);
 }
 
 void TimingWheel::clear() noexcept {

@@ -19,10 +19,10 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
       latency_(std::move(latency)),
       config_(std::move(config)),
       strategy_(std::move(strategy)),
-      // The timing wheel is quantized at the tick cadence: gossip sweeps
-      // land on bucket boundaries and deliveries fill the current-period
-      // bucket, so scheduling is a bucket append and pops walk pre-sorted
-      // buckets.
+      // The timing wheel is quantized at the tick cadence: a sweep's re-arm
+      // is an append to the next bucket, and a delivery is an append to a
+      // later bucket or, when due before the next boundary, a push onto the
+      // side heap of the bucket being drained (sim/timing_wheel.hpp).
       sim_(-config_.warmup, config_.tau),
       overhead_(config_.wire),
       membership_(graph_, config_.membership_degree,

@@ -282,9 +282,11 @@ struct EngineStats {
   /// end-to-end benchmark (bench/e2e) still reads it.
   std::uint64_t arena_steady_chunks = 0;
   /// Timing-wheel event plane: events scheduled into the timing wheel,
-  /// entries moved from the spill heap into the near ring as the cursor
-  /// advanced, and the spill heap's peak occupancy.
+  /// those scheduled into the bucket being drained (the side heap), entries
+  /// moved from the spill heap into the near ring as the cursor advanced,
+  /// and the spill heap's peak occupancy.
   std::uint64_t events_wheeled = 0;
+  std::uint64_t wheel_late_arrivals = 0;
   std::uint64_t wheel_overflow_promotions = 0;
   std::uint64_t spill_heap_peak = 0;
   /// Flash-crowd joiners admitted (subset of `joins`).
@@ -311,6 +313,9 @@ struct EngineStats {
   std::uint64_t peer_state_bytes = 0;
   double bytes_per_peer = 0.0;
   std::uint64_t peak_rss_bytes = 0;
+  /// Entry storage the event queue's timing wheel holds at the end of
+  /// run().  The wheel frees no buffer, so this is also its peak.
+  std::uint64_t event_queue_bytes = 0;
 };
 
 class Engine {

@@ -315,8 +315,10 @@ std::vector<SwitchMetrics> Engine::run() {
   // Timing-wheel telemetry.
   const sim::TimingWheel::Telemetry& wheel = sim_.wheel_telemetry();
   stats_.events_wheeled = wheel.scheduled;
+  stats_.wheel_late_arrivals = wheel.late_arrivals;
   stats_.wheel_overflow_promotions = wheel.overflow_promotions;
   stats_.spill_heap_peak = wheel.spill_peak;
+  stats_.event_queue_bytes = sim_.wheel_retained_bytes();
 
   // Memory-plane telemetry: heap footprint of all per-peer state plus the
   // process high-water mark (the latter includes non-peer state by nature).

@@ -564,6 +564,68 @@ TEST(TimingWheelProperty, FarHorizonWorkloadExercisesSpill) {
       << "50000s horizon never reached the spill heap (the near ring covers 256s)";
 }
 
+/// An engine-like steady stream: each periodic task re-arms one quantum
+/// ahead, and each of its firings also schedules a one-off delivery 0.1 to
+/// 3 quanta out — the shorter ones into the bucket being drained, so they
+/// take the side heap.  Payload `a` is the task, `b` is 1 for a delivery;
+/// the trace records both.
+template <typename Queue>
+struct StreamSink final : EventSink {
+  Queue* queue = nullptr;
+  std::vector<Time> next;  ///< each task's pending fire time
+  Time end = 0.0;          ///< tasks stop re-arming here
+  util::Rng rng{4242};     ///< same seed on both sides: same delays
+  std::vector<std::uint64_t> fired;
+  void on_event(std::uint64_t a, std::uint64_t b) override {
+    fired.push_back(2 * a + b);
+    if (b == 1) return;
+    const Time now = next[a];
+    queue->schedule(now + rng.uniform(0.1, 3.0), *this, a, 1);
+    next[a] = now + 1.0;
+    if (next[a] < end) queue->schedule(next[a], *this, a, 0);
+  }
+};
+
+TEST(TimingWheelProperty, SteadyStreamRetainsCapacityForLiveEventsOnly) {
+  // Five ring revolutions of a steady stream.  The pop order must match the
+  // reference heap, and the wheel's retained entry storage must follow the
+  // live event count rather than the number of buckets the cursor drained:
+  // a wheel that leaves each drained bucket's buffer in its slot holds about
+  // one bucket's worth per slot, far past this bound once all 256 slots
+  // have been visited.
+  constexpr int kTasks = 48;
+  ReferenceQueue reference;
+  EventQueue wheel(1.0);
+  StreamSink<ReferenceQueue> reference_sink;
+  StreamSink<EventQueue> wheel_sink;
+  reference_sink.queue = &reference;
+  wheel_sink.queue = &wheel;
+  reference_sink.end = wheel_sink.end = 5.0 * 256.0;
+  util::Rng phases(99);
+  for (int task = 0; task < kTasks; ++task) {
+    const Time phase = phases.uniform(0.0, 1.0);
+    reference_sink.next.push_back(phase);
+    wheel_sink.next.push_back(phase);
+    reference.schedule(phase, reference_sink, static_cast<std::uint64_t>(task), 0);
+    wheel.schedule(phase, wheel_sink, static_cast<std::uint64_t>(task), 0);
+  }
+  std::size_t peak_resident = 0;
+  while (!reference.empty() || !wheel.empty()) {
+    ASSERT_FALSE(reference.empty());
+    ASSERT_FALSE(wheel.empty());
+    ASSERT_EQ(reference.next_time(), wheel.next_time());
+    peak_resident = std::max(peak_resident, wheel.size());
+    reference.pop_and_run();
+    wheel.pop_and_run();
+  }
+  EXPECT_EQ(reference_sink.fired, wheel_sink.fired);
+  EXPECT_EQ(wheel_sink.fired.size(), 2u * kTasks * 5 * 256);
+  EXPECT_GT(wheel.wheel_telemetry().late_arrivals, 0u)
+      << "no delivery landed in the bucket being drained";
+  EXPECT_LT(wheel.wheel_retained_bytes(), 8 * peak_resident * sizeof(QueueEntry))
+      << "peak resident " << peak_resident;
+}
+
 TEST(BatchTickerProperty, DestructionCancelsPendingSweeps) {
   Simulator sim;
   int fired = 0;

@@ -255,7 +255,11 @@ TEST_P(CandidateBuildReference, MatchesBruteForceOnRandomNeighbourhoods) {
 INSTANTIATE_TEST_SUITE_P(BufferCapacities, CandidateBuildReference,
                          ::testing::Values(std::size_t{64}, std::size_t{100}, std::size_t{600}),
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
-                           return "B" + std::to_string(info.param);
+                           // Appending (not "B" + ...) dodges GCC 12's false
+                           // -Wrestrict at -O3, which -Werror turns fatal.
+                           std::string name = "B";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(CandidateBuild, NoNeighbourHeadAtOrPastTheAnchorBuildsNothing) {
