@@ -9,16 +9,17 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast);
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "500,1000")) return 0;
+  if (!gs::benchtool::parse_bench_flags(argc, argv, options, base, "500,1000",
+                                        {"capacity-model"})) {
+    return 0;
+  }
 
   for (const auto model : {gs::stream::SupplierCapacityModel::kSharedFifo,
                            gs::stream::SupplierCapacityModel::kPerLink,
                            gs::stream::SupplierCapacityModel::kTokenBucket}) {
-    gs::exp::Config base =
-        gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast, options.seed);
-    options.apply_engine(base);
-    base.engine.supplier_capacity = model;  // after apply_engine: the ablation owns this axis
+    base.engine.supplier_capacity = model;
     const auto points = gs::exp::sweep_sizes(base, options.sizes, options.trials);
     gs::exp::print_switch_reduction(
         std::string("A6: supplier capacity = ") + std::string(gs::stream::to_string(model)),

@@ -10,7 +10,6 @@
 //   ./bench_ablation_cdn_assist --sizes 1000,4000 --trials 3
 //   ./bench_ablation_cdn_assist --sizes 10000 --trials 2 --json out.json
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -48,7 +47,6 @@ Point measure(const gs::exp::Config& base, std::size_t node_count, std::size_t t
     config.algorithm = gs::exp::AlgorithmKind::kFast;
     // Same scenario seed with and without the assist: paired comparison.
     config.seed = gs::util::splitmix64(base.seed ^ gs::util::splitmix64(trial + 1));
-    config.engine.seed = config.seed;
 
     config.enable_cdn_assist(false);
     const gs::exp::RunResult off = gs::exp::run_once(config);
@@ -105,31 +103,16 @@ void write_json(const std::string& path, const std::vector<Point>& points) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast);
   gs::benchtool::BenchOptions options;
-  // --json is this bench's own output knob; the shared parser rejects flags
-  // it does not define, so peel it off argv before delegating.
-  std::string json_path;
-  std::vector<char*> rest;
-  rest.reserve(static_cast<std::size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (i > 0 && arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (i > 0 && arg.starts_with("--json=")) {
-      json_path = std::string(arg.substr(7));
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  if (!gs::benchtool::parse_bench_flags(static_cast<int>(rest.size()), rest.data(), options,
-                                        "500,1000,2000")) {
+  gs::util::Flags flags;
+  flags.define("json", "", "also write the points as JSON to this path");
+  // measure() owns the ablation axis.
+  if (!gs::benchtool::parse_bench_flags(argc, argv, options, base, "500,1000,2000",
+                                        {"cdn-assist"}, &flags)) {
     return 0;
   }
-
-  gs::exp::Config base =
-      gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast, options.seed);
-  options.apply_engine(base);
-  base.enable_cdn_assist(false);  // measure() owns the ablation axis
+  const std::string json_path = flags.get("json");
 
   std::vector<Point> points;
   points.reserve(options.sizes.size());

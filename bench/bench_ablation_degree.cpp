@@ -3,8 +3,9 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast);
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "1000")) return 0;
+  if (!gs::benchtool::parse_bench_flags(argc, argv, options, base, "1000", {"neighbor"})) return 0;
   const std::size_t nodes = options.sizes.empty() ? 1000 : options.sizes.front();
 
   std::printf("=== A2: neighbour count M sweep (%zu nodes, fast switch) ===\n", nodes);
@@ -14,10 +15,8 @@ int main(int argc, char** argv) {
     double finish = 0.0;
     double overhead = 0.0;
     for (std::size_t trial = 0; trial < options.trials; ++trial) {
-      gs::exp::Config config = gs::exp::Config::paper_static(
-          nodes, gs::exp::AlgorithmKind::kFast, options.seed + trial * 1000);
+      gs::exp::Config config = gs::benchtool::trial_config(base, nodes, trial);
       config.neighbor_target = m;
-      options.apply_engine(config);
       const gs::exp::RunResult result = gs::exp::run_once(config);
       const auto& metrics = result.primary();
       switch_time += metrics.avg_prepared_time();

@@ -11,8 +11,14 @@
 #include "experiments/scenario.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_static(300, gs::exp::AlgorithmKind::kFast);
+  base.engine.warm_start = false;  // cold start: the mesh must bootstrap
+  base.engine.warmup = 40.0;
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "300")) return 0;
+  if (!gs::benchtool::parse_bench_flags(argc, argv, options, base, "300",
+                                        {"diversity", "debug-series"})) {
+    return 0;
+  }
   const std::size_t nodes = options.sizes.empty() ? 300 : options.sizes.front();
 
   std::printf("=== A5: diversity reservation, cold-start live streaming (%zu nodes) ===\n",
@@ -25,13 +31,9 @@ int main(int argc, char** argv) {
     double lag = 0.0;
     double rate = 0.0;
     for (std::size_t trial = 0; trial < options.trials; ++trial) {
-      gs::exp::Config config = gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast,
-                                                             options.seed + trial * 1000);
+      gs::exp::Config config = gs::benchtool::trial_config(base, nodes, trial);
       config.priority.diversity_fraction = fraction;
-      config.engine.warm_start = false;  // cold start: the mesh must bootstrap
-      config.engine.warmup = 40.0;
-      config.engine.debug_series = true;
-      options.apply_engine(config);
+      config.engine.debug_series = true;  // the mesh-health columns read it
       auto engine = gs::exp::make_engine(config);
       const auto metrics = engine->run();
       switch_time += metrics.front().avg_prepared_time();

@@ -4,8 +4,9 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast);
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "1000")) return 0;
+  if (!gs::benchtool::parse_bench_flags(argc, argv, options, base, "1000", {"qs"})) return 0;
   const std::size_t nodes = options.sizes.empty() ? 1000 : options.sizes.front();
 
   std::printf("=== A3: Qs sweep (%zu nodes) ===\n", nodes);
@@ -15,12 +16,10 @@ int main(int argc, char** argv) {
     double fast_time = 0.0;
     double normal_time = 0.0;
     for (std::size_t trial = 0; trial < options.trials; ++trial) {
-      const std::uint64_t seed = options.seed + trial * 1000;
       for (const bool fast : {true, false}) {
-        gs::exp::Config config = gs::exp::Config::paper_static(
-            nodes, fast ? gs::exp::AlgorithmKind::kFast : gs::exp::AlgorithmKind::kNormal, seed);
+        gs::exp::Config config = gs::benchtool::trial_config(base, nodes, trial);
+        config.algorithm = fast ? gs::exp::AlgorithmKind::kFast : gs::exp::AlgorithmKind::kNormal;
         config.engine.q_startup = qs;
-        options.apply_engine(config);
         const double t = gs::exp::run_once(config).primary().avg_prepared_time();
         (fast ? fast_time : normal_time) += t;
       }

@@ -3,8 +3,12 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast);
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "500,1000")) return 0;
+  if (!gs::benchtool::parse_bench_flags(argc, argv, options, base, "500,1000",
+                                        {"traditional-rarity"})) {
+    return 0;
+  }
 
   std::printf("=== A1: rarity definition ablation (fast switch algorithm) ===\n");
   std::printf("%8s  %22s  %22s\n", "nodes", "switch_time(eq.8)", "switch_time(1/n)");
@@ -12,9 +16,7 @@ int main(int argc, char** argv) {
     double paper_rarity = 0.0;
     double traditional = 0.0;
     for (std::size_t trial = 0; trial < options.trials; ++trial) {
-      const std::uint64_t seed = options.seed + trial * 1000;
-      gs::exp::Config a = gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, seed);
-      options.apply_engine(a);
+      gs::exp::Config a = gs::benchtool::trial_config(base, nodes, trial);
       paper_rarity += gs::exp::run_once(a).primary().avg_prepared_time();
       gs::exp::Config b = a;
       b.priority.traditional_rarity = true;

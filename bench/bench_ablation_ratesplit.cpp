@@ -95,15 +95,9 @@ struct PolicyOutcome {
   double start = 0.0;     ///< actual S2 playback start = max of the two gates
 };
 
-PolicyOutcome run_with(const gs::exp::Config& base,
+PolicyOutcome run_with(const gs::exp::Config& config,
                        std::shared_ptr<gs::stream::SchedulerStrategy> s) {
-  gs::exp::BuiltScenario scenario = gs::exp::build_scenario(base);
-  gs::stream::EngineConfig engine_config = base.engine;
-  engine_config.membership_degree = base.neighbor_target;
-  gs::stream::Engine engine(std::move(scenario.graph), std::move(scenario.latency), engine_config,
-                            std::move(s));
-  engine.set_sources(std::move(scenario.sources), base.switch_times);
-  const auto metrics = engine.run();
+  const auto metrics = gs::exp::make_engine(config, std::move(s))->run();
   PolicyOutcome out;
   out.prepared = metrics.front().avg_prepared_time();
   out.finish = metrics.front().avg_finish_time();
@@ -114,8 +108,9 @@ PolicyOutcome run_with(const gs::exp::Config& base,
 }  // namespace
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast);
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "1000")) return 0;
+  if (!gs::benchtool::parse_bench_flags(argc, argv, options, base, "1000")) return 0;
   const std::size_t nodes = options.sizes.empty() ? 1000 : options.sizes.front();
 
   std::printf("=== A4: rate-split policy ablation (%zu nodes) ===\n", nodes);
@@ -142,10 +137,7 @@ int main(int argc, char** argv) {
   for (const Named& policy : policies) {
     PolicyOutcome sum;
     for (std::size_t trial = 0; trial < options.trials; ++trial) {
-      gs::exp::Config config = gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast,
-                                                             options.seed + trial * 1000);
-      config.engine.seed = config.seed;
-      options.apply_engine(config);
+      gs::exp::Config config = gs::benchtool::trial_config(base, nodes, trial);
       const PolicyOutcome out = run_with(config, policy.make());
       sum.prepared += out.prepared;
       sum.finish += out.finish;

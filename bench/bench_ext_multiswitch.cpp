@@ -4,18 +4,20 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_static(500, gs::exp::AlgorithmKind::kFast);
+  base.switch_times = {0.0, 60.0, 120.0};  // 4 speakers, 3 hand-overs
+  base.engine.horizon = 150.0;
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "500")) return 0;
+  if (!gs::benchtool::parse_bench_flags(argc, argv, options, base, "500")) return 0;
   const std::size_t nodes = options.sizes.empty() ? 500 : options.sizes.front();
 
   std::printf("=== E2: four speakers in series (%zu nodes) ===\n", nodes);
   std::printf("%10s  %10s  %18s  %18s\n", "algorithm", "switch#", "avg_switch_time",
               "avg_finish_prev");
   for (const auto algorithm : {gs::exp::AlgorithmKind::kNormal, gs::exp::AlgorithmKind::kFast}) {
-    gs::exp::Config config = gs::exp::Config::paper_static(nodes, algorithm, options.seed);
-    config.switch_times = {0.0, 60.0, 120.0};  // 4 speakers, 3 hand-overs
-    config.engine.horizon = 150.0;
-    options.apply_engine(config);
+    gs::exp::Config config = base;
+    config.node_count = nodes;
+    config.algorithm = algorithm;
     const gs::exp::RunResult result = gs::exp::run_once(config);
     for (const auto& m : result.switches) {
       std::printf("%10s  %10d  %18.2f  %18.2f\n",

@@ -7,8 +7,12 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast);
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options, "500,1000")) return 0;
+  if (!gs::benchtool::parse_bench_flags(argc, argv, options, base, "500,1000",
+                                        {"push", "push-fanout"})) {
+    return 0;
+  }
 
   std::printf("=== E1: push-pull extension (fast switch + fresh-segment push) ===\n");
   std::printf("%8s %8s  %14s  %14s  %12s  %14s\n", "nodes", "fanout", "avg_switch",
@@ -20,11 +24,9 @@ int main(int argc, char** argv) {
       double redundancy = 0.0;
       double control = 0.0;
       for (std::size_t trial = 0; trial < options.trials; ++trial) {
-        gs::exp::Config config = gs::exp::Config::paper_static(
-            nodes, gs::exp::AlgorithmKind::kFast, options.seed + trial * 1000);
+        gs::exp::Config config = gs::benchtool::trial_config(base, nodes, trial);
         config.engine.push_fresh_segments = fanout > 0;
         config.engine.push_fanout = fanout;
-        options.apply_engine(config);
         const gs::exp::RunResult result = gs::exp::run_once(config);
         switch_time += result.primary().avg_prepared_time();
         finish += result.primary().avg_finish_time();

@@ -3,12 +3,9 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_dynamic(1000, gs::exp::AlgorithmKind::kFast);
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options)) return 0;
-
-  gs::exp::Config base =
-      gs::exp::Config::paper_dynamic(1000, gs::exp::AlgorithmKind::kFast, options.seed);
-  options.apply_engine(base);
+  if (!gs::benchtool::parse_bench_flags(argc, argv, options, base)) return 0;
   const auto points = gs::exp::sweep_sizes(base, options.sizes, options.trials);
   gs::exp::print_times_table(
       "Fig. 10: avg finishing time of S1 and preparing time of S2 (dynamic)", points);

@@ -5,12 +5,9 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast);
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options)) return 0;
-
-  gs::exp::Config base =
-      gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast, options.seed);
-  options.apply_engine(base);
+  if (!gs::benchtool::parse_bench_flags(argc, argv, options, base)) return 0;
   const auto points = gs::exp::sweep_sizes(base, options.sizes, options.trials);
   gs::exp::print_switch_reduction(
       "Fig. 7: avg switch time and reduction ratio (static environments)", points);

@@ -7,12 +7,9 @@
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast);
   gs::benchtool::BenchOptions options;
-  if (!gs::benchtool::parse_bench_flags(argc, argv, options)) return 0;
-
-  gs::exp::Config base =
-      gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast, options.seed);
-  options.apply_engine(base);
+  if (!gs::benchtool::parse_bench_flags(argc, argv, options, base)) return 0;
   const auto points = gs::exp::sweep_sizes(base, options.sizes, options.trials);
   gs::exp::print_overhead("Fig. 8: communication overhead (static environments)", points);
   if (!options.csv.empty()) gs::exp::write_comparison_csv(options.csv, points);

@@ -271,7 +271,7 @@ void BM_ShardedDispatch(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_parallel_shards(shards);
+    config.engine.parallel_shards = shards;
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
     config.engine.horizon = nodes >= 100000 ? 5.0 : 10.0;
     config.engine.history_seconds = nodes >= 100000 ? 20.0 : 30.0;
@@ -321,7 +321,7 @@ void BM_FullPipeline(benchmark::State& state) {
     state.PauseTiming();
     gs::exp::Config config =
         gs::exp::Config::paper_static(nodes, gs::exp::AlgorithmKind::kFast, 1);
-    config.enable_parallel_shards(shards);
+    config.engine.parallel_shards = shards;
     config.engine.tick_shard_size = 256;   // the scale grain (see README)
     config.engine.horizon = 5.0;           // pipeline cost, not paper metrics
     config.engine.history_seconds = 20.0;

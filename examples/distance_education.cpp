@@ -7,28 +7,26 @@
 
 #include "experiments/config.hpp"
 #include "experiments/scenario.hpp"
+#include "experiments/settings.hpp"
 #include "util/flags.hpp"
 #include "util/logging.hpp"
 #include "util/stats.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_dynamic(800, gs::exp::AlgorithmKind::kFast, 33);
   gs::util::Flags flags;
-  flags.define_int("nodes", 800, "class size");
-  flags.define_double("churn", 0.05, "leave/join fraction per scheduling period");
-  flags.define_int("seed", 33, "experiment seed");
   flags.define("log", "warn", "log level");
+  gs::exp::define_settings(flags, base, {"algorithm"});  // runs both
   if (!flags.parse(argc, argv)) return 0;
   gs::util::set_log_level(gs::util::parse_log_level(flags.get("log")));
+  gs::exp::read_settings(flags, base);
 
-  const auto nodes = static_cast<std::size_t>(flags.get_int("nodes"));
-  const double churn = flags.get_double("churn");
   std::printf("distance education: %zu students, %.0f%% churn per period, lecturer hand-over\n\n",
-              nodes, churn * 100.0);
+              base.node_count, base.engine.churn_leave_fraction * 100.0);
 
   for (const auto algorithm : {gs::exp::AlgorithmKind::kNormal, gs::exp::AlgorithmKind::kFast}) {
-    gs::exp::Config config = gs::exp::Config::paper_static(
-        nodes, algorithm, static_cast<std::uint64_t>(flags.get_int("seed")));
-    config.enable_churn(churn);
+    gs::exp::Config config = base;
+    config.algorithm = algorithm;
 
     auto engine = gs::exp::make_engine(config);
     const auto metrics = engine->run();

@@ -7,25 +7,19 @@
 
 #include "experiments/config.hpp"
 #include "experiments/scenario.hpp"
+#include "experiments/settings.hpp"
 #include "util/flags.hpp"
 #include "util/stats.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config config = gs::exp::Config::paper_static(200, gs::exp::AlgorithmKind::kFast, 7);
+  config.engine.debug_series = true;  // the time series below reads it
   gs::util::Flags flags;
-  flags.define_int("nodes", 200, "overlay size");
-  flags.define_int("seed", 7, "experiment seed");
-  flags.define("algorithm", "fast", "fast|normal");
-  flags.define("capacity", "shared-fifo", "supplier capacity model: shared-fifo|per-link");
-  flags.define_bool("dynamic", false, "apply churn");
+  flags.define_bool("dynamic", false, "apply 5%/5% churn per period (--churn 0.05)");
+  gs::exp::define_settings(flags, config, {"debug-series"});
   if (!flags.parse(argc, argv)) return 0;
-
-  gs::exp::Config config = gs::exp::Config::paper_static(
-      static_cast<std::size_t>(flags.get_int("nodes")),
-      gs::exp::algorithm_from_string(flags.get("algorithm")),
-      static_cast<std::uint64_t>(flags.get_int("seed")));
+  gs::exp::read_settings(flags, config);
   if (flags.get_bool("dynamic")) config.enable_churn();
-  config.engine.supplier_capacity = gs::exp::capacity_from_string(flags.get("capacity"));
-  config.engine.debug_series = true;
 
   auto engine = gs::exp::make_engine(config);
   const auto metrics = engine->run();
@@ -33,7 +27,7 @@ int main(int argc, char** argv) {
   const auto& stats = engine->stats();
 
   std::printf("=== run summary (%s, %zu nodes, %s capacity) ===\n",
-              flags.get("algorithm").c_str(), config.node_count,
+              std::string(gs::exp::to_string(config.algorithm)).c_str(), config.node_count,
               std::string(gs::stream::to_string(config.engine.supplier_capacity)).c_str());
   std::printf("generated=%llu delivered=%llu requests=%llu rejected=%llu dups=%llu\n",
               (unsigned long long)stats.segments_generated,

@@ -1,33 +1,33 @@
 // Quickstart: run one source switch on a 200-node overlay with both
 // algorithms and compare the paper's headline metric (average switch time).
 //
-//   ./quickstart [--nodes 200] [--seed 7] [--dynamic]
+//   ./quickstart [--nodes 200] [--seed 7] [--dynamic]   (--help lists every setting)
 #include <cstdio>
 
 #include "experiments/config.hpp"
 #include "experiments/runner.hpp"
+#include "experiments/settings.hpp"
 #include "util/flags.hpp"
 #include "util/logging.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_static(200, gs::exp::AlgorithmKind::kFast, 7);
   gs::util::Flags flags;
-  flags.define_int("nodes", 200, "overlay size");
-  flags.define_int("seed", 7, "experiment seed");
-  flags.define_bool("dynamic", false, "apply 5%/5% churn per period");
+  flags.define_bool("dynamic", false, "apply 5%/5% churn per period (--churn 0.05)");
   flags.define("log", "warn", "log level (debug|info|warn|error|off)");
+  gs::exp::define_settings(flags, base, {"algorithm"});  // runs both
   if (!flags.parse(argc, argv)) return 0;
   gs::util::set_log_level(gs::util::parse_log_level(flags.get("log")));
+  gs::exp::read_settings(flags, base);
+  if (flags.get_bool("dynamic")) base.enable_churn();
 
-  const auto nodes = static_cast<std::size_t>(flags.get_int("nodes"));
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  const bool dynamic = flags.get_bool("dynamic");
-
-  std::printf("gossipstream quickstart: %zu nodes, seed %llu, %s environment\n", nodes,
-              static_cast<unsigned long long>(seed), dynamic ? "dynamic" : "static");
+  std::printf("gossipstream quickstart: %zu nodes, seed %llu, %s environment\n", base.node_count,
+              static_cast<unsigned long long>(base.seed),
+              base.engine.churn_leave_fraction > 0.0 ? "dynamic" : "static");
 
   for (const auto algorithm : {gs::exp::AlgorithmKind::kNormal, gs::exp::AlgorithmKind::kFast}) {
-    gs::exp::Config config = dynamic ? gs::exp::Config::paper_dynamic(nodes, algorithm, seed)
-                                     : gs::exp::Config::paper_static(nodes, algorithm, seed);
+    gs::exp::Config config = base;
+    config.algorithm = algorithm;
     const gs::exp::RunResult result = gs::exp::run_once(config);
     const auto& m = result.primary();
     std::printf(

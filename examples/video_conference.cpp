@@ -7,34 +7,36 @@
 
 #include "experiments/config.hpp"
 #include "experiments/runner.hpp"
+#include "experiments/settings.hpp"
 #include "util/flags.hpp"
 #include "util/logging.hpp"
 
 int main(int argc, char** argv) {
+  gs::exp::Config base = gs::exp::Config::paper_static(400, gs::exp::AlgorithmKind::kFast, 21);
   gs::util::Flags flags;
-  flags.define_int("nodes", 400, "conference size (participants)");
   flags.define_int("speakers", 4, "number of serial speakers");
   flags.define_double("talk", 60.0, "seconds each speaker holds the floor");
-  flags.define_int("seed", 21, "experiment seed");
   flags.define("log", "warn", "log level");
+  // Both algorithms run; the talk length sets the switch times and horizon.
+  gs::exp::define_settings(flags, base, {"algorithm", "horizon"});
   if (!flags.parse(argc, argv)) return 0;
   gs::util::set_log_level(gs::util::parse_log_level(flags.get("log")));
+  gs::exp::read_settings(flags, base);
 
-  const auto nodes = static_cast<std::size_t>(flags.get_int("nodes"));
   const auto speakers = static_cast<std::size_t>(flags.get_int("speakers"));
   const double talk = flags.get_double("talk");
+  base.switch_times.clear();
+  for (std::size_t k = 0; k + 1 < speakers; ++k) {
+    base.switch_times.push_back(talk * static_cast<double>(k));
+  }
+  base.engine.horizon = talk + 60.0;
 
-  std::printf("video conference: %zu participants, %zu speakers, %.0fs per talk\n\n", nodes,
-              speakers, talk);
+  std::printf("video conference: %zu participants, %zu speakers, %.0fs per talk\n\n",
+              base.node_count, speakers, talk);
 
   for (const auto algorithm : {gs::exp::AlgorithmKind::kNormal, gs::exp::AlgorithmKind::kFast}) {
-    gs::exp::Config config = gs::exp::Config::paper_static(
-        nodes, algorithm, static_cast<std::uint64_t>(flags.get_int("seed")));
-    config.switch_times.clear();
-    for (std::size_t k = 0; k + 1 < speakers; ++k) {
-      config.switch_times.push_back(talk * static_cast<double>(k));
-    }
-    config.engine.horizon = talk + 60.0;
+    gs::exp::Config config = base;
+    config.algorithm = algorithm;
 
     const gs::exp::RunResult result = gs::exp::run_once(config);
     std::printf("%s switch algorithm:\n", std::string(gs::exp::to_string(algorithm)).c_str());

@@ -57,12 +57,6 @@ struct Config {
     engine.churn_join_fraction = fraction;
   }
 
-  /// Turns on the sharded parallel simulation core with `shards` plan
-  /// lanes / delivery-drain shards (`--parallel-shards`; 0 = sequential).
-  /// Pure mechanism: fixed-seed metrics are bit-identical at every shard
-  /// count; only wall-clock and the shard diagnostics change.
-  void enable_parallel_shards(std::size_t shards) { engine.parallel_shards = shards; }
-
   /// Turns on the CDN-assisted fast switch (`--cdn-assist`): a capacity-
   /// limited patch source bursts the head of the new session to switching
   /// peers and hands off once their gossip suppliers cover the window.

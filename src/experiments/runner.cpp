@@ -49,7 +49,6 @@ ComparisonPoint compare_at_size(const Config& base, std::size_t node_count, std:
     config.algorithm = fast ? AlgorithmKind::kFast : AlgorithmKind::kNormal;
     // Same scenario seed for both algorithms of a trial: paired comparison.
     config.seed = util::splitmix64(base.seed ^ util::splitmix64(trial + 1));
-    config.engine.seed = config.seed;
     const RunResult result = run_once(config);
     const stream::SwitchMetrics& m = result.primary();
     TrialOutcome& out = outcomes[trial];

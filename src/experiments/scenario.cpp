@@ -107,14 +107,16 @@ std::shared_ptr<stream::SchedulerStrategy> make_strategy(const Config& config) {
   return nullptr;
 }
 
-std::unique_ptr<stream::Engine> make_engine(const Config& config) {
+std::unique_ptr<stream::Engine> make_engine(const Config& config,
+                                            std::shared_ptr<stream::SchedulerStrategy> strategy) {
   BuiltScenario scenario = build_scenario(config);
   stream::EngineConfig engine_config = config.engine;
   engine_config.membership_degree = config.neighbor_target;
   engine_config.seed = config.seed;
+  if (!strategy) strategy = make_strategy(config);
   auto engine = std::make_unique<stream::Engine>(std::move(scenario.graph),
                                                  std::move(scenario.latency), engine_config,
-                                                 make_strategy(config));
+                                                 std::move(strategy));
   engine->set_sources(std::move(scenario.sources), config.switch_times);
   return engine;
 }

@@ -25,7 +25,10 @@ struct BuiltScenario {
 /// Instantiates the configured scheduling strategy.
 [[nodiscard]] std::shared_ptr<stream::SchedulerStrategy> make_strategy(const Config& config);
 
-/// Convenience: fully wired engine, ready to run().
-[[nodiscard]] std::unique_ptr<stream::Engine> make_engine(const Config& config);
+/// Convenience: fully wired engine, ready to run().  The engine's
+/// membership degree and seed come from config.neighbor_target and
+/// config.seed; `strategy` defaults to make_strategy(config).
+[[nodiscard]] std::unique_ptr<stream::Engine> make_engine(
+    const Config& config, std::shared_ptr<stream::SchedulerStrategy> strategy = nullptr);
 
 }  // namespace gs::exp

@@ -639,23 +639,7 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
     const std::size_t s = to % shards;
     const std::vector<BookEvent>& log = book_events_[s];
     for (; cursor[s] < log.size() && log[cursor[s]].item == i; ++cursor[s]) {
-      const BookEvent& e = log[cursor[s]];
-      SwitchMetrics& m = timeline_.metrics(e.sw);
-      switch (e.kind) {
-        case BookEvent::Kind::kFinish:
-          m.finish_times.push_back(e.time - m.switch_time);
-          ++m.finished_s1;
-          check_experiment_complete();
-          break;
-        case BookEvent::Kind::kPrepared:
-          m.prepared_times.push_back(e.time - m.switch_time);
-          ++m.prepared_s2;
-          check_experiment_complete();
-          break;
-        case BookEvent::Kind::kS2Start:
-          m.s2_start_times.push_back(e.time - m.switch_time);
-          break;
-      }
+      apply_switch_event(log[cursor[s]]);
     }
   }
   // Phase work past a stop raises no finished/prepared flag the inline
@@ -759,14 +743,7 @@ void Engine::advance_playback(PeerNode& p, double now) {
         if (end_switch >= 0) record_finish(p, end_switch, play_time);
         const int start_switch = timeline_.switch_ending_at(id - 1);
         if (start_switch >= 0 && p.tracked && p.active_switch == start_switch) {
-          if (book_phase_) {
-            const std::size_t s = p.id % data_shards_;
-            book_events_[s].push_back(
-                {book_current_item_[s], BookEvent::Kind::kS2Start, start_switch, play_time});
-          } else {
-            SwitchMetrics& m = timeline_.metrics(start_switch);
-            m.s2_start_times.push_back(play_time - m.switch_time);
-          }
+          land_switch_event(p, {0, BookEvent::Kind::kS2Start, start_switch, play_time});
         }
       });
 }
@@ -774,36 +751,45 @@ void Engine::advance_playback(PeerNode& p, double now) {
 void Engine::record_finish(PeerNode& p, int switch_index, double play_time) {
   if (p.sw_finished || p.active_switch != switch_index) return;
   p.sw_finished = true;
-  if (!p.tracked) return;
-  if (book_phase_) {
-    // Split book phase: the flag transition is per-peer (this lane owns
-    // the peer); the metric push and the stop check are globally ordered —
-    // log them for the tail.
-    const std::size_t s = p.id % data_shards_;
-    book_events_[s].push_back(
-        {book_current_item_[s], BookEvent::Kind::kFinish, switch_index, play_time});
-    return;
-  }
-  SwitchMetrics& m = timeline_.metrics(switch_index);
-  m.finish_times.push_back(play_time - m.switch_time);
-  ++m.finished_s1;
-  check_experiment_complete();
+  if (p.tracked) land_switch_event(p, {0, BookEvent::Kind::kFinish, switch_index, play_time});
 }
 
 void Engine::record_prepared(PeerNode& p, int switch_index, double now) {
   if (p.sw_prepared || p.active_switch != switch_index) return;
   p.sw_prepared = true;
-  if (!p.tracked) return;
-  if (book_phase_) {
-    const std::size_t s = p.id % data_shards_;
-    book_events_[s].push_back(
-        {book_current_item_[s], BookEvent::Kind::kPrepared, switch_index, now});
+  if (p.tracked) land_switch_event(p, {0, BookEvent::Kind::kPrepared, switch_index, now});
+}
+
+void Engine::land_switch_event(const PeerNode& p, BookEvent event) {
+  if (!book_phase_) {
+    apply_switch_event(event);
     return;
   }
-  SwitchMetrics& m = timeline_.metrics(switch_index);
-  m.prepared_times.push_back(now - m.switch_time);
-  ++m.prepared_s2;
-  check_experiment_complete();
+  // Split book phase: the peer's flag transitions are this lane's (it owns
+  // the peer); the metric push and the stop check are globally ordered, so
+  // they wait in the lane's log for the tail.
+  const std::size_t s = p.id % data_shards_;
+  event.item = book_current_item_[s];
+  book_events_[s].push_back(event);
+}
+
+void Engine::apply_switch_event(const BookEvent& event) {
+  SwitchMetrics& m = timeline_.metrics(event.sw);
+  switch (event.kind) {
+    case BookEvent::Kind::kFinish:
+      m.finish_times.push_back(event.time - m.switch_time);
+      ++m.finished_s1;
+      check_experiment_complete();
+      break;
+    case BookEvent::Kind::kPrepared:
+      m.prepared_times.push_back(event.time - m.switch_time);
+      ++m.prepared_s2;
+      check_experiment_complete();
+      break;
+    case BookEvent::Kind::kS2Start:
+      m.s2_start_times.push_back(event.time - m.switch_time);
+      break;
+  }
 }
 
 void Engine::check_experiment_complete() {

@@ -523,7 +523,8 @@ class Engine {
   //           prepare — only s2 starts are left behind (GS_DCHECKed), and
   //           the end-of-run censoring sees the inline flags.
   void on_delivery_batch(const sim::PooledBatchItem* items, std::size_t count);
-  /// One deferred globally-ordered side effect of the book phase.
+  /// A switch event — an S1 finish, an S2 prepare or an S2 start — the
+  /// globally ordered side effect that the book phase defers.
   struct BookEvent {
     enum class Kind : std::uint8_t { kFinish, kPrepared, kS2Start };
     std::uint32_t item = 0;  ///< batch item (pop order) that produced it
@@ -546,6 +547,11 @@ class Engine {
   void advance_playback(PeerNode& p, double now);
   void record_finish(PeerNode& p, int switch_index, double play_time);
   void record_prepared(PeerNode& p, int switch_index, double now);
+  /// The one landing path of a switch event: logged for the tail during
+  /// the book phase, applied at once otherwise.
+  void land_switch_event(const PeerNode& p, BookEvent event);
+  /// Pushes the event's metric sample; a finish or a prepare checks completion.
+  void apply_switch_event(const BookEvent& event);
   void check_experiment_complete();
 
   [[nodiscard]] std::size_t required_prefix(int switch_index) const {
@@ -604,8 +610,8 @@ class Engine {
   /// lane is draining (written by the owning lane before each item's phase
   /// work; read by the logging hooks on the same lane).
   std::vector<std::uint32_t> book_current_item_;
-  /// Reroutes record_finish / record_prepared / the s2-start push into the
-  /// BookEvent logs (set only for the duration of the parallel book phase).
+  /// Reroutes land_switch_event into the BookEvent logs (set only for the
+  /// duration of the parallel book phase).
   bool book_phase_ = false;
 
   std::vector<DebugPoint> debug_series_;

@@ -64,6 +64,7 @@ bool Flags::parse(int argc, char** argv) {
       }
     }
     it->second.value = *value;
+    it->second.given = true;
   }
   return true;
 }
@@ -105,6 +106,20 @@ bool Flags::get_bool(std::string_view name) const {
   if (value == "true" || value == "1" || value == "yes") return true;
   if (value == "false" || value == "0" || value == "no") return false;
   throw std::runtime_error("flag --" + std::string(name) + ": not a boolean: " + value);
+}
+
+std::vector<std::size_t> Flags::get_sizes(std::string_view name) const {
+  std::vector<std::size_t> sizes;
+  std::istringstream list(find(name).value);
+  for (std::string token; std::getline(list, token, ',');) {
+    if (!token.empty()) sizes.push_back(static_cast<std::size_t>(std::stoull(token)));
+  }
+  return sizes;
+}
+
+bool Flags::given(std::string_view name) const {
+  const auto it = entries_.find(name);
+  return it != entries_.end() && it->second.given;
 }
 
 std::string Flags::usage(std::string_view program) const {

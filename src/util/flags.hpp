@@ -30,6 +30,11 @@ class Flags {
   [[nodiscard]] std::int64_t get_int(std::string_view name) const;
   [[nodiscard]] double get_double(std::string_view name) const;
   [[nodiscard]] bool get_bool(std::string_view name) const;
+  /// A comma-separated list of non-negative integers ("100,500").
+  [[nodiscard]] std::vector<std::size_t> get_sizes(std::string_view name) const;
+
+  /// True when argv set the flag (false for an undefined one).
+  [[nodiscard]] bool given(std::string_view name) const;
 
   /// Positional (non-flag) arguments in order of appearance.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept { return positional_; }
@@ -41,6 +46,7 @@ class Flags {
     std::string value;
     std::string default_value;
     std::string help;
+    bool given = false;
   };
 
   const Entry& find(std::string_view name) const;

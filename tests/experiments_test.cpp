@@ -3,12 +3,17 @@
 
 #include <fstream>
 #include <limits>
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "experiments/config.hpp"
 #include "experiments/report.hpp"
 #include "experiments/runner.hpp"
 #include "experiments/scenario.hpp"
+#include "experiments/settings.hpp"
+#include "util/flags.hpp"
 
 namespace gs::exp {
 namespace {
@@ -76,6 +81,10 @@ TEST(Config, RejectsNonPositivePlaybackRate) {
   config.engine.playback_rate = 0.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config.engine.playback_rate = kNaN;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  // An infinite rate sizes the warm start's history through llround: the
+  // run dies of std::bad_alloc.
+  config.engine.playback_rate = std::numeric_limits<double>::infinity();
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
@@ -230,6 +239,12 @@ TEST(Config, RejectsNonPositiveJoinPingMinimum) {
     config.engine.join_ping_min_ms = ping;
     EXPECT_THROW(config.validate(), std::invalid_argument) << ping;
   }
+  // An infinite minimum (with a cap to match) gives every joiner an
+  // infinite delay: the run tracks no peer.
+  config.engine.join_ping_min_ms = std::numeric_limits<double>::infinity();
+  config.engine.join_ping_cap_ms = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.engine.join_ping_cap_ms = 800.0;
   config.engine.join_ping_min_ms = 1.0;
   EXPECT_NO_THROW(config.validate());
 }
@@ -264,7 +279,8 @@ TEST(Config, RejectsNegativeOrNaNWarmStartLag) {
   for (double stream::EngineConfig::*field :
        {&stream::EngineConfig::stable_backlog_scale, &stream::EngineConfig::base_lag_segments,
         &stream::EngineConfig::hop_lag_seconds}) {
-    for (const double lag : {-50.0, kNaN}) {
+    // An infinite lag goes through llround too.
+    for (const double lag : {-50.0, kNaN, std::numeric_limits<double>::infinity()}) {
       Config config = valid;
       config.engine.*field = lag;
       EXPECT_THROW(config.validate(), std::invalid_argument) << lag;
@@ -307,6 +323,18 @@ TEST(Config, RejectsDiversityFractionOutsideUnitIntervalOrNaN) {
     config.priority.diversity_fraction = fraction;
     EXPECT_NO_THROW(config.validate()) << fraction;
   }
+}
+
+// urgency() clamps to the cap with std::min, which passes a NaN cap
+// through to every priority (the run pops three times the events).
+TEST(Config, RejectsNonPositiveOrNaNUrgencyCap) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  for (const double cap : {0.0, -1.0, kNaN, std::numeric_limits<double>::infinity()}) {
+    config.priority.urgency_cap = cap;
+    EXPECT_THROW(config.validate(), std::invalid_argument) << cap;
+  }
+  config.priority.urgency_cap = 1.0;
+  EXPECT_NO_THROW(config.validate());
 }
 
 // A peer is prepared when its last missing startup segment arrives; with
@@ -406,6 +434,123 @@ TEST(Config, EnumStringRoundTrip) {
   EXPECT_EQ(capacity_from_string(std::string(to_string(stream::SupplierCapacityModel::kPerLink))),
             stream::SupplierCapacityModel::kPerLink);
   EXPECT_THROW((void)capacity_from_string("bogus"), std::invalid_argument);
+}
+
+// ---------------------------------------------------------- settings ---
+
+/// Parses `args` (program name first) into `config` through the setting
+/// flags, as every CLI does.
+void parse_into(Config& config, std::vector<std::string> args) {
+  util::Flags flags;
+  define_settings(flags, config);
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  ASSERT_TRUE(flags.parse(static_cast<int>(argv.size()), argv.data()));
+  read_settings(flags, config);
+}
+
+/// Every row's value as flag text: equal texts mean equal fields (reals
+/// print in their shortest round-trip form).
+std::vector<std::string> texts(const Config& config) {
+  std::vector<std::string> out;
+  for (const Setting& setting : settings()) out.push_back(setting.text(config));
+  return out;
+}
+
+Config cold_recipe() {
+  Config config = Config::paper_dynamic(300, AlgorithmKind::kNormal, 7);
+  config.engine.warm_start = false;
+  config.engine.warmup = 40.0;
+  return config;
+}
+
+TEST(Settings, EmptyArgvLeavesRecipesUnchanged) {
+  for (const Config& recipe : {Config::paper_static(100, AlgorithmKind::kFast),
+                               Config::paper_dynamic(100, AlgorithmKind::kFast), cold_recipe()}) {
+    Config config = recipe;
+    parse_into(config, {"prog"});
+    EXPECT_EQ(texts(config), texts(recipe));
+    // Restating every default changes nothing either: the text round-trips.
+    std::vector<std::string> args = {"prog"};
+    for (const Setting& setting : settings()) {
+      args.push_back("--" + std::string(setting.flag) + "=" + setting.text(recipe));
+    }
+    parse_into(config, args);
+    EXPECT_EQ(texts(config), texts(recipe));
+  }
+}
+
+TEST(Settings, OneFlagSetsExactlyItsOwnField) {
+  const Config recipe = Config::paper_static(100, AlgorithmKind::kFast);
+  const std::vector<std::string> before = texts(recipe);
+  const std::map<std::string_view, std::string> choices = {{"topology", "ring"},
+                                                           {"algorithm", "normal"},
+                                                           {"capacity-model", "per-link"},
+                                                           {"trace", "overlay.trace"}};
+  const auto rows = settings();
+  for (const Setting& setting : rows) {
+    const std::string old = setting.text(recipe);
+    std::string value;
+    switch (setting.kind) {
+      case Setting::Kind::kReal:
+        value = old == "0.5" ? "0.25" : "0.5";
+        break;
+      case Setting::Kind::kCount:
+        value = old == "7" ? "8" : "7";
+        break;
+      case Setting::Kind::kSwitch:
+        value = old == "true" ? "false" : "true";
+        break;
+      case Setting::Kind::kChoice:
+      case Setting::Kind::kText:
+        ASSERT_TRUE(choices.contains(setting.flag)) << "no test value for --" << setting.flag;
+        value = choices.at(setting.flag);
+        break;
+    }
+    Config config = recipe;
+    parse_into(config, {"prog", "--" + std::string(setting.flag) + "=" + value});
+    const std::vector<std::string> after = texts(config);
+    for (std::size_t j = 0; j < rows.size(); ++j) {
+      if (rows[j].flag == setting.flag) {
+        EXPECT_EQ(after[j], value) << "--" << setting.flag;
+      } else {
+        EXPECT_EQ(after[j], before[j]) << "--" << setting.flag << " moved --" << rows[j].flag;
+      }
+    }
+  }
+}
+
+TEST(Settings, HelpListsEveryRowWithTheRecipesValue) {
+  const Config recipe = cold_recipe();
+  util::Flags flags;
+  define_settings(flags, recipe);
+  const std::string help = flags.usage("prog");
+  for (const Setting& setting : settings()) {
+    const std::string entry =
+        "  --" + std::string(setting.flag) + " (default: " + setting.text(recipe) + ")";
+    EXPECT_NE(help.find(entry), std::string::npos) << entry;
+  }
+  // A flag the caller owns is left out.
+  util::Flags sweep;
+  define_settings(sweep, recipe, {"nodes", "algorithm"});
+  EXPECT_EQ(sweep.usage("prog").find("--nodes "), std::string::npos);
+  EXPECT_NE(sweep.usage("prog").find("--neighbor "), std::string::npos);
+}
+
+TEST(Settings, EveryRealRowRejectsNaNAndInfinity) {
+  for (const Setting& setting : settings()) {
+    if (setting.kind != Setting::Kind::kReal) continue;
+    for (const char* value : {"nan", "inf", "-inf"}) {
+      Config config = Config::paper_static(100, AlgorithmKind::kFast);
+      parse_into(config, {"prog", "--" + std::string(setting.flag) + "=" + value});
+      EXPECT_THROW(config.validate(), std::invalid_argument) << setting.flag << "=" << value;
+    }
+  }
+}
+
+TEST(Settings, NegativeCountIsRejectedAtParse) {
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  EXPECT_THROW(parse_into(config, {"prog", "--parallel-shards=-1"}), std::runtime_error);
 }
 
 TEST(Scenario, BuildsRepairedOverlay) {

@@ -53,6 +53,7 @@ TEST(Flags, DefaultsAndOverrides) {
   flags.define("name", "bob", "a name");
   flags.define_bool("verbose", false, "verbosity");
   flags.define_double("rate", 1.5, "a rate");
+  flags.define("sizes", "100,500", "a size list");
 
   const char* argv[] = {"prog", "--count=7", "--verbose", "--rate", "2.5"};
   ASSERT_TRUE(flags.parse(5, const_cast<char**>(argv)));
@@ -60,6 +61,12 @@ TEST(Flags, DefaultsAndOverrides) {
   EXPECT_EQ(flags.get("name"), "bob");
   EXPECT_TRUE(flags.get_bool("verbose"));
   EXPECT_DOUBLE_EQ(flags.get_double("rate"), 2.5);
+  EXPECT_EQ(flags.get_sizes("sizes"), (std::vector<std::size_t>{100, 500}));
+  // given() tells a flag argv set from one left at its default.
+  EXPECT_TRUE(flags.given("count"));
+  EXPECT_TRUE(flags.given("verbose"));
+  EXPECT_FALSE(flags.given("name"));
+  EXPECT_FALSE(flags.given("undefined"));
 }
 
 TEST(Flags, UnknownFlagThrows) {
