@@ -14,7 +14,7 @@
 #include "experiments/config.hpp"
 #include "experiments/scenario.hpp"
 #include "gossip/buffer_map.hpp"
-#include "sim/event_queue.hpp"
+#include "sim/simulator.hpp"
 #include "stream/stream_buffer.hpp"
 #include "util/rng.hpp"
 
@@ -159,28 +159,27 @@ void BM_StreamBufferInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamBufferInsert);
 
-// Events on the timing wheel: schedule a batch spread over 1000 one-second
-// buckets, then drain it.  Every event is a pooled sink call with its
-// payload inline, so the loop never allocates per event.
+// Events on the simulator's timing wheel: schedule a batch spread over 1000
+// one-second buckets, then drain it.  Every event is a pooled sink call
+// with its payload inline, so the loop never allocates per event.
 struct CountingSink final : gs::sim::EventSink {
   int count = 0;
   void on_event(std::uint64_t, std::uint64_t) override { ++count; }
 };
 
-void BM_EventQueuePooledScheduleRun(benchmark::State& state) {
+void BM_SimulatorPooledScheduleRun(benchmark::State& state) {
   for (auto _ : state) {
-    gs::sim::EventQueue queue;
+    gs::sim::Simulator sim;
     CountingSink sink;
     for (int i = 0; i < state.range(0); ++i) {
-      queue.schedule(static_cast<double>((i * 7919) % 1000), sink,
-                     static_cast<std::uint64_t>(i), 0);
+      sim.at(static_cast<double>((i * 7919) % 1000), sink, static_cast<std::uint64_t>(i), 0);
     }
-    while (!queue.empty()) queue.pop_and_run();
+    benchmark::DoNotOptimize(sim.run_all());
     benchmark::DoNotOptimize(sink.count);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EventQueuePooledScheduleRun)->ArgNames({"events"})->Arg(1000)->Arg(10000);
+BENCHMARK(BM_SimulatorPooledScheduleRun)->ArgNames({"events"})->Arg(1000)->Arg(10000);
 
 // Engine dispatch cost: a full (trimmed-horizon) switch experiment per
 // iteration; events_popped counts the tick sweeps, deliveries and control

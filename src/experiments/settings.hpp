@@ -4,9 +4,9 @@
 // defines and reads its setting flags through the rows, so a setting is one
 // field plus one row.
 //
-// Not rows: switch_times (a list), the bandwidth samplers and the wire
-// format (structs), and EngineConfig's membership_degree and seed, which
-// make_engine copies from neighbor_target and seed.
+// Not rows: switch_times (a list), the bandwidth samplers (structs), and
+// EngineConfig's membership_degree and seed, which make_engine copies from
+// neighbor_target and seed.
 #pragma once
 
 #include <cstdint>

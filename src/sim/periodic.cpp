@@ -7,29 +7,28 @@
 namespace gs::sim {
 
 PeriodicTask::PeriodicTask(Simulator& sim, Time start, Time period,
-                           std::function<void(Time)> action)
-    : sim_(sim), period_(period), action_(std::move(action)), next_(start) {
+                           std::function<void(Time)> action, Time until)
+    : sim_(sim), period_(period), until_(until), action_(std::move(action)), next_(start) {
   GS_CHECK_GT(period, 0.0);
-  pending_ = sim_.at(next_, *this, 0, 0);
+  arm();
 }
 
-PeriodicTask::~PeriodicTask() { cancel(); }
-
 void PeriodicTask::cancel() {
-  if (!active_) return;
-  active_ = false;
-  if (pending_ != 0) {
-    sim_.cancel(pending_);
-    pending_ = 0;
-  }
+  GS_CHECK(firing_) << "a periodic task may only be cancelled by its own action";
+  cancelled_ = true;
+}
+
+void PeriodicTask::arm() {
+  if (next_ < until_) sim_.at(next_, *this, 0, 0);
 }
 
 void PeriodicTask::on_event(std::uint64_t /*a*/, std::uint64_t /*b*/) {
-  pending_ = 0;
+  firing_ = true;
   action_(next_);
-  if (!active_) return;  // the action cancelled the task
+  firing_ = false;
+  if (cancelled_) return;
   next_ += period_;
-  pending_ = sim_.at(next_, *this, 0, 0);
+  arm();
 }
 
 // ---------------------------------------------------------- BatchTicker ---
@@ -40,18 +39,13 @@ BatchTicker::BatchTicker(Simulator& sim, Time period, Sweep sweep)
   GS_CHECK(sweep_ != nullptr);
 }
 
-BatchTicker::~BatchTicker() {
-  for (Group& group : groups_) {
-    if (group.pending != 0) sim_.cancel(group.pending);
-  }
-}
-
 std::size_t BatchTicker::add_group(Time first) {
   const std::size_t index = groups_.size();
   groups_.emplace_back();
   Group& group = groups_.back();
   group.next = first;
-  group.pending = sim_.at(first, *this, index, 0);
+  group.armed = true;
+  sim_.at(first, *this, index, 0);
   return index;
 }
 
@@ -59,7 +53,7 @@ void BatchTicker::add_member(std::size_t group, std::uint32_t member) {
   GS_CHECK_LT(group, groups_.size());
   GS_CHECK(!groups_[group].sweeping) << "cannot mutate a group mid-sweep";
   Group& g = groups_[group];
-  GS_CHECK(g.pending != 0) << "group went dormant; create a new one";
+  GS_CHECK(g.armed) << "group went dormant; create a new one";
   g.members.push_back(member);
 }
 
@@ -79,14 +73,14 @@ std::size_t BatchTicker::member_count(std::size_t group) const {
 
 bool BatchTicker::group_live(std::size_t group) const {
   GS_CHECK_LT(group, groups_.size());
-  return groups_[group].pending != 0;
+  return groups_[group].armed;
 }
 
 void BatchTicker::on_event(std::uint64_t a, std::uint64_t /*b*/) {
   const auto index = static_cast<std::size_t>(a);
   Group& firing = groups_[index];
   const Time now = firing.next;
-  firing.pending = 0;
+  firing.armed = false;
   firing.sweeping = true;
   // Hand the callback a stable copy: a sweep that creates other groups
   // (joiner singletons) may reallocate groups_, which would dangle a
@@ -104,7 +98,8 @@ void BatchTicker::on_event(std::uint64_t a, std::uint64_t /*b*/) {
   // bucket ahead, so the re-arm is a single bucket append (no heap sift),
   // and a period's sweeps sort once as that bucket drains.
   group.next = now + period_;
-  group.pending = sim_.at(group.next, *this, a, 0);
+  group.armed = true;
+  sim_.at(group.next, *this, a, 0);
 }
 
 }  // namespace gs::sim

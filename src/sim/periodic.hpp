@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -21,33 +22,39 @@ namespace gs::sim {
 /// Owns a repeating event.  The task is its own sink: each firing runs the
 /// action at the scheduled time, then re-arms one period later — after
 /// everything the action scheduled, so the re-arm takes the next event id.
-/// Destroying or cancel()ing the task stops the repetition; the callback is
-/// never invoked afterwards.  The action must not destroy its own task.
+/// The repetition ends where it was told to at construction (the first
+/// fire time at or past `until` is never scheduled) or when the action
+/// calls cancel().  The action must not destroy its own task, and a task
+/// with a pending firing must outlive it (or the simulator must not run
+/// again).
 class PeriodicTask final : public EventSink {
  public:
-  /// Schedules `action` at start, start+period, start+2*period, ...
-  /// `start` is absolute; must be >= sim.now().
-  PeriodicTask(Simulator& sim, Time start, Time period, std::function<void(Time)> action);
-  ~PeriodicTask() override;
+  /// Schedules `action` at start, start+period, start+2*period, ... for
+  /// every fire time strictly below `until`.  `start` is absolute; must be
+  /// >= sim.now().
+  PeriodicTask(Simulator& sim, Time start, Time period, std::function<void(Time)> action,
+               Time until = std::numeric_limits<Time>::infinity());
 
   PeriodicTask(const PeriodicTask&) = delete;
   PeriodicTask& operator=(const PeriodicTask&) = delete;
 
-  /// Stops future firings.  Safe to call from within the action.
+  /// Stops the repetition: the firing in progress does not re-arm.  Only
+  /// the task's own action may call it (a GS_CHECK holds it there), so
+  /// the task never has an event pending to withdraw.
   void cancel();
-
-  [[nodiscard]] bool active() const noexcept { return active_; }
-  [[nodiscard]] Time period() const noexcept { return period_; }
 
  private:
   void on_event(std::uint64_t a, std::uint64_t b) override;
+  /// Schedules the firing at next_ unless it lies at or past until_.
+  void arm();
 
   Simulator& sim_;
   Time period_;
+  Time until_;
   std::function<void(Time)> action_;
   Time next_;
-  EventId pending_ = 0;
-  bool active_ = true;
+  bool firing_ = false;
+  bool cancelled_ = false;
 };
 
 /// Batched tick dispatch: each group holds members that tick at the same
@@ -79,7 +86,6 @@ class BatchTicker final : public EventSink {
   using Sweep = std::function<void(const std::vector<std::uint32_t>& members, Time now)>;
 
   BatchTicker(Simulator& sim, Time period, Sweep sweep);
-  ~BatchTicker() override;
 
   BatchTicker(const BatchTicker&) = delete;
   BatchTicker& operator=(const BatchTicker&) = delete;
@@ -107,7 +113,8 @@ class BatchTicker final : public EventSink {
  private:
   struct Group {
     Time next = 0.0;
-    EventId pending = 0;
+    /// A sweep event is pending (false once the group went dormant).
+    bool armed = false;
     std::vector<std::uint32_t> members;
     /// Guard: a sweep callback cannot mutate a member list being iterated.
     bool sweeping = false;

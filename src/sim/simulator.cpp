@@ -6,39 +6,45 @@
 
 namespace gs::sim {
 
-EventId Simulator::at(Time when, EventSink& sink, std::uint64_t a, std::uint64_t b) {
+void Simulator::at(Time when, EventSink& sink, std::uint64_t a, std::uint64_t b) {
   GS_CHECK_GE(when, now_);
-  return queue_.schedule(when, sink, a, b);
+  wheel_.push({when, next_id_++, &sink, a, b});
 }
 
-EventId Simulator::after(Time delay, EventSink& sink, std::uint64_t a, std::uint64_t b) {
+void Simulator::after(Time delay, EventSink& sink, std::uint64_t a, std::uint64_t b) {
   GS_CHECK_GE(delay, 0.0);
-  return queue_.schedule(now_ + delay, sink, a, b);
+  wheel_.push({now_ + delay, next_id_++, &sink, a, b});
 }
 
 std::size_t Simulator::drive(Time until) {
   stop_requested_ = false;
   std::size_t ran = 0;
-  while (!queue_.empty() && !stop_requested_) {
-    // The head is resolved once per pop: its time, its sink, then the pop.
-    const QueueEntry& head = queue_.top();
+  while (!wheel_.empty() && !stop_requested_) {
+    const QueueEntry& head = wheel_.top();
     if (head.at > until) break;
-    EventSink* const sink = head.sink;
-    if (sink->batchable()) {
-      // Drain the maximal batchable run in one dispatch.  The run is a
-      // prefix of the canonical pop order; the sink processes items in
-      // order using each item's own time, with the clock parked at the
-      // run's end.
-      const std::size_t count = queue_.pop_batch(until, batch_scratch_);
-      now_ = batch_scratch_[count - 1].at;
-      sink->on_batch(batch_scratch_.data(), count);
-      ran += count;
+    if (head.sink != batch_sink_) {
+      const QueueEntry entry = wheel_.pop();
+      now_ = entry.at;
+      entry.sink->on_event(entry.a, entry.b);
+      ++ran;
       continue;
     }
-    const QueueEntry entry = queue_.pop_top();
-    now_ = entry.at;
-    sink->on_event(entry.a, entry.b);
-    ++ran;
+    // Pop the maximal run of the batch sink's consecutive heads within the
+    // horizon.  Stopping at the first foreign or late head keeps the run a
+    // prefix of the canonical pop order (the sink's events schedule
+    // nothing), so dispatching it in order preserves every determinism
+    // guarantee.
+    batch_scratch_.clear();
+    for (;;) {
+      const QueueEntry entry = wheel_.pop();
+      batch_scratch_.push_back({entry.at, entry.a, entry.b});
+      if (batch_scratch_.size() == kMaxBatch || wheel_.empty()) break;
+      const QueueEntry& next = wheel_.top();
+      if (next.sink != batch_sink_ || next.at > until) break;
+    }
+    now_ = batch_scratch_.back().at;
+    batch_sink_->on_batch(batch_scratch_.data(), batch_scratch_.size());
+    ran += batch_scratch_.size();
   }
   return ran;
 }

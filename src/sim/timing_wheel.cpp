@@ -143,16 +143,4 @@ std::size_t TimingWheel::retained_bytes() const noexcept {
   return entries * sizeof(QueueEntry);
 }
 
-void TimingWheel::clear() noexcept {
-  for (std::vector<QueueEntry>& slot : near_) slot.clear();
-  spill_.clear();
-  side_.clear();
-  front_.clear();
-  front_pos_ = 0;
-  near_live_ = 0;
-  size_ = 0;
-  anchored_ = false;
-  cursor_ = 0;
-}
-
 }  // namespace gs::sim

@@ -1,4 +1,4 @@
-// Timing wheel: the O(1) backing store for the event queue.
+// Timing wheel: the O(1) pending-event store behind sim::Simulator.
 //
 // The protocol's event population is clustered in the near future — fixed-
 // cadence tick sweeps one period ahead and segment deliveries a few periods
@@ -54,8 +54,8 @@ namespace gs::sim {
 /// Simulation time in seconds (may be negative: warm-up runs at t < 0).
 using Time = double;
 
-/// Identifies a scheduled event for cancellation; assigned globally in
-/// scheduling order, which makes (time, id) the total pop order.
+/// An event's sequence number, handed out by the simulator in scheduling
+/// order, which makes (time, id) the total pop order.
 using EventId = std::uint64_t;
 
 class EventSink;
@@ -82,7 +82,7 @@ struct QueueEntryLater {
   }
 };
 
-/// The event queue's store.  Not thread-safe (the queue is driven by one
+/// The simulator's store.  Not thread-safe (the simulator is driven by one
 /// thread).
 class TimingWheel {
  public:
@@ -106,31 +106,6 @@ class TimingWheel {
   [[nodiscard]] const QueueEntry& top();
   /// Removes and returns top(); requires !empty().
   QueueEntry pop();
-
-  /// True if `fn(entry)` holds for any resident entry (cancellation's
-  /// pendingness scan).  O(resident).
-  template <typename Fn>
-  [[nodiscard]] bool any(Fn&& fn) const {
-    for (std::size_t i = front_pos_; i < front_.size(); ++i) {
-      if (fn(front_[i])) return true;
-    }
-    for (const QueueEntry& e : side_) {
-      if (fn(e)) return true;
-    }
-    for (const std::vector<QueueEntry>& slot : near_) {
-      for (const QueueEntry& e : slot) {
-        if (fn(e)) return true;
-      }
-    }
-    for (const QueueEntry& e : spill_) {
-      if (fn(e)) return true;
-    }
-    return false;
-  }
-
-  /// Drops every resident entry; the anchor resets so the next push may sit
-  /// anywhere on the time axis.  Telemetry persists (lifetime counters).
-  void clear() noexcept;
 
   [[nodiscard]] const Telemetry& telemetry() const noexcept { return telemetry_; }
 

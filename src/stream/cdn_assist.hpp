@@ -50,8 +50,8 @@ struct CdnAssistConfig {
   /// patch lane at `rate` (the unconstrained ablation).
   SupplierCapacityModel capacity = SupplierCapacityModel::kSharedFifo;
   double token_bucket_burst = 4.0;
-  /// Wire bits per patched segment (EngineConfig::wire.data_bits()); the
-  /// byte-cost metric of the ablation bench derives from this.
+  /// Wire bits per patched segment (the engine's WireFormat::data_bits());
+  /// the byte-cost metric of the ablation bench derives from this.
   std::size_t data_bits = 30 * 1024;
 };
 

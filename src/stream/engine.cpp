@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <thread>
 
 #include "util/check.hpp"
@@ -24,11 +25,12 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
       // later bucket or, when due before the next boundary, a push onto the
       // side heap of the bucket being drained (sim/timing_wheel.hpp).
       sim_(-config_.warmup, config_.tau),
-      overhead_(config_.wire),
+      // The availability map covers the buffer: one slot per segment of B,
+      // plus the base id; every other size is the paper's.
+      overhead_(gossip::WireFormat{.buffer_window_bits = config_.buffer_capacity}),
       membership_(graph_, config_.membership_degree,
                   util::Rng(config_.seed).fork(util::hash_name("membership")), &overhead_),
-      transfers_(sim_, latency_, config_.supplier_capacity, config_.accept_horizon,
-                 [this](net::NodeId to, SegmentId id) { on_delivery(to, id); },
+      transfers_(latency_, config_.supplier_capacity, config_.accept_horizon,
                  config_.token_bucket_burst),
       ticker_(sim_, config_.tau,
               [this](const std::vector<std::uint32_t>& members, double now) {
@@ -58,18 +60,16 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
       shard_entries_.resize(shards);
       book_events_.resize(shards);
       book_current_item_.assign(shards, 0);
-      transfers_.set_delivery_batch(
-          [this](const sim::PooledBatchItem* items, std::size_t count) {
-            on_delivery_batch(items, count);
-          });
+      sim_.set_batch_sink(&delivery_sink_);
     }
     lanes_ = std::min<std::size_t>(
         config_.parallel_shards, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
   }
   if (config_.cdn_assist) {
     // The CDN uplink runs the engine's configured contention policy over
-    // the plane's own state; its (non-batchable) delivery events pop in the
-    // global (time, sequence) order like every other event.
+    // the plane's own state; its delivery events (on the plane's own sink,
+    // never batched) pop in the global (time, sequence) order like every
+    // other event.
     CdnAssistConfig cdn_config;
     cdn_config.rate = config_.cdn_assist_rate;
     cdn_config.latency_ms = config_.cdn_assist_latency_ms;
@@ -78,19 +78,12 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
     cdn_config.resume_lead_s = config_.cdn_assist_resume_s;
     cdn_config.capacity = config_.supplier_capacity;
     cdn_config.token_bucket_burst = config_.token_bucket_burst;
-    cdn_config.data_bits = config_.wire.data_bits();
+    cdn_config.data_bits = overhead_.wire().data_bits();
     cdn_ = std::make_unique<CdnAssistPlane>(
         sim_, cdn_config, [this](net::NodeId to, SegmentId id) { on_delivery(to, id); });
   }
   // Warm-up traffic is outside the paper's measurement window.
   overhead_.set_enabled(false);
-}
-
-Engine::~Engine() {
-  // Drop the pending set before the sink-owning members go: the ticker's
-  // and the periodic tasks' destructor cancels then find an empty queue
-  // instead of each scanning every pending event (quadratic teardown).
-  sim_.clear();
 }
 
 void Engine::set_sources(std::vector<net::NodeId> sources, std::vector<double> switch_times) {
@@ -105,8 +98,15 @@ const PeerNode& Engine::peer(net::NodeId v) const {
 void Engine::start_session(SessionIndex k) {
   timeline_.session(static_cast<std::size_t>(k)).start_time = sim_.now();
   const double interval = 1.0 / config_.playback_rate;
+  // Session k generates only strictly before switch k (on a tie the switch
+  // event, scheduled at run start, pops first).  So when switch k - 1
+  // replaces session k - 1's task here, that task has nothing pending.
+  const std::vector<double>& switches = timeline_.switch_times();
+  const double end = static_cast<std::size_t>(k) < switches.size()
+                         ? switches[static_cast<std::size_t>(k)]
+                         : std::numeric_limits<double>::infinity();
   generation_task_ = std::make_unique<sim::PeriodicTask>(
-      sim_, sim_.now(), interval, [this, k](double now) { generate_segment(k, now); });
+      sim_, sim_.now(), interval, [this, k](double now) { generate_segment(k, now); }, end);
 }
 
 void Engine::generate_segment(SessionIndex k, double now) {
@@ -129,7 +129,6 @@ void Engine::schedule_switch(int switch_index) {
 void Engine::run_switch(int switch_index) {
   const double now = sim_.now();
   timeline_.begin_switch(switch_index, now, registry_.next_id() - 1);
-  generation_task_->cancel();
 
   if (switch_index == 0) overhead_.set_enabled(true);
   timeline_.capture_overhead(overhead_);
@@ -288,12 +287,10 @@ void Engine::finish_tick(PeerNode& p, double now, const TickPlan& plan) {
   // WireFormat::request_bits is linear in the count: one charge per tick
   // equals one per request.
   overhead_.charge_request(plan.issued);
-  // sim_.after hands out global sequence numbers in call order, so posting
-  // the staged deliveries here, in issue order and member order, gives the
-  // event stream the sequential engine always had.
-  for (const StagedDelivery& d : plan.staged) {
-    transfers_.schedule_delivery(p.id, d.id, d.deliver_at, now);
-  }
+  // The simulator hands out global sequence numbers in call order, so
+  // posting the staged deliveries here, in issue order and member order,
+  // gives the event stream the sequential engine always had.
+  for (const StagedDelivery& d : plan.staged) post_delivery(p.id, d.id, d.deliver_at, now);
   if (cdn_) cdn_assist_tick(p, now);
 }
 
@@ -399,7 +396,8 @@ void Engine::snapshot_and_learn(PeerNode& p) {
 }
 
 void Engine::advert_availability(PeerNode& p, std::size_t receivers) {
-  const std::size_t window = config_.wire.buffer_window_bits;
+  const gossip::WireFormat& wire = overhead_.wire();
+  const std::size_t window = wire.buffer_window_bits;
   // The advert runs in the sequential pre phase, so one engine-wide scratch
   // map serves every peer: build into it, diff, then swap it with the
   // peer's advertised map (both keep their bit-storage capacity, so the
@@ -415,8 +413,7 @@ void Engine::advert_availability(PeerNode& p, std::size_t receivers) {
     // Judge "delta beats full map" in the same wire model that gets
     // charged, so ablated delta framing sizes keep the rule honest.
     refresh = !delta.encodable() ||
-              config_.wire.buffer_map_delta_bits(delta.runs().size()) >=
-                  config_.wire.buffer_map_bits();
+              wire.buffer_map_delta_bits(delta.runs().size()) >= wire.buffer_map_bits();
   }
   if (refresh) {
     overhead_.charge_buffer_map_exchanges(receivers);
@@ -439,7 +436,7 @@ bool Engine::issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double n
   // the simulator event and the global counters wait for finish_tick.
   StagedDelivery d;
   if (!s.alive || !s.buffer.contains(id) ||
-      !transfers_.request_staged(p, s, id, now, d.deliver_at)) {
+      !transfers_.request_staged(p, s, now, d.deliver_at)) {
     ++p.requests_rejected;
     ++plan.rejected;
     return false;
@@ -518,6 +515,16 @@ bool Engine::cdn_window_covered(const PeerNode& p, SegmentId begin, SegmentId en
 }
 
 // ----------------------------------------------------------- data path ---
+
+void Engine::post_delivery(net::NodeId to, SegmentId id, double deliver_at, double now) {
+  // One pooled event per transfer.  Deliveries land within accept_horizon +
+  // latency of now, so this is an O(1) append into a near-wheel bucket at
+  // most a few quanta ahead (or a side-heap push when due before the next
+  // tick boundary) — the hot path the timing wheel exists for.  The delay
+  // form is part of the fixed-seed contract: now + (deliver_at - now) may
+  // differ from deliver_at in the last bit.
+  sim_.after(deliver_at - now, delivery_sink_, to, static_cast<std::uint64_t>(id));
+}
 
 void Engine::on_delivery(net::NodeId to, SegmentId id) {
   PeerNode& p = peers_[to];
@@ -671,7 +678,9 @@ void Engine::push_to_neighbors(PeerNode& p, SegmentId id, double now) {
   std::size_t pushed = 0;
   for (const net::NodeId nb : lacking) {
     if (pushed >= config_.push_fanout) break;
-    if (!transfers_.push(p, nb, id, now)) break;  // own uplink saturated
+    double deliver_at = 0.0;
+    if (!transfers_.push(p, nb, now, deliver_at)) break;  // own uplink saturated
+    post_delivery(nb, id, deliver_at, now);
     ++stats_.segments_pushed;
     ++pushed;
   }

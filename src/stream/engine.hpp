@@ -5,8 +5,9 @@
 // three subsystems to them —
 //
 //   PeerNode       per-peer buffer, playback, budget and gossip state
-//   TransferPlane  supplier uplink queues and delivery scheduling
-//                  (capacity models behind the CapacityModel interface)
+//   TransferPlane  the supplier uplinks' capacity ledger (capacity models
+//                  behind the CapacityModel interface); prices each
+//                  transfer with its arrival time
 //   SwitchTimeline epoch/session bookkeeping and per-switch metrics
 //
 // The scheduling *policy* is injected as a SchedulerStrategy (fast switch /
@@ -44,7 +45,7 @@ namespace gs::stream {
 struct EngineConfig {
   double tau = 1.0;                  ///< data scheduling period (s)
   double playback_rate = 10.0;       ///< p (segments/s; 300 Kbps / 30 Kb)
-  std::size_t buffer_capacity = 600; ///< B
+  std::size_t buffer_capacity = 600; ///< B (also the availability map's slots)
   std::size_t q_consecutive = 10;    ///< Q
   std::size_t q_startup = 50;        ///< Qs
 
@@ -131,8 +132,9 @@ struct EngineConfig {
   ///           it, and a final member-order drain posts the staged
   ///           deliveries and deferred counters, so event sequence numbers
   ///           match the sequential engine exactly.
-  /// Consecutive delivery events pop as one batch
-  /// (TransferPlane::set_delivery_batch) and drain as a parallel
+  /// Consecutive delivery events pop as one batch (the engine registers
+  /// its delivery sink as the simulator's batch sink, so runs of at most
+  /// 4096 deliveries reach on_delivery_batch) and drain as a parallel
   /// per-target-shard book phase (buffer marks, boundary learning,
   /// playback, per-peer counters and flags — each item writes only the
   /// peer it delivers to) and a short sequential tail that replays the
@@ -163,10 +165,13 @@ struct EngineConfig {
   double flash_crowd_start = 0.5;
   double flash_crowd_duration = 2.0;
   /// Charge availability gossip as BufferMapDelta exchanges (changed-bit
-  /// runs + base shift) instead of full 620-bit maps, with a full-map
-  /// refresh every map_refresh_period adverts and whenever the delta would
-  /// not beat the full map.  Accounting-model change: the overhead-ratio
-  /// metric drops by design; everything else stays bit-identical.
+  /// runs + base shift) instead of full maps (B + 20 bits: one slot per
+  /// buffered segment plus the base id; 620 at the paper's B = 600), with
+  /// a full-map refresh every map_refresh_period adverts and whenever the
+  /// delta would not beat the full map.  The delta format addresses a
+  /// window of at most 1024 slots, so for B > 1024 every advert is a full
+  /// map.  Accounting-model change: the overhead-ratio metric drops by
+  /// design; everything else stays bit-identical.
   bool delta_maps = false;
   /// Adverts between full-map refreshes under delta_maps (>= 1; 1 sends
   /// full maps every period, i.e. the paper's accounting).
@@ -213,7 +218,6 @@ struct EngineConfig {
   /// diagnostics; negligible cost, off by default.
   bool debug_series = false;
 
-  gossip::WireFormat wire{};
   std::uint64_t seed = 1;
 };
 
@@ -257,7 +261,7 @@ struct EngineStats {
   /// (bench/e2e) still reads them.
   std::uint64_t replanned_ticks = 0;
   std::uint64_t commit_conflict_fixups = 0;
-  /// Always 0: the event queue is one store, so no event crosses shards.
+  /// Always 0: the simulator keeps one wheel, so no event crosses shards.
   /// Kept only because the end-to-end benchmark (bench/e2e) still reads it.
   std::uint64_t cross_shard_events = 0;
   /// Delivery-drain diagnostic (parallel_shards > 0 without
@@ -313,7 +317,7 @@ struct EngineStats {
   std::uint64_t peer_state_bytes = 0;
   double bytes_per_peer = 0.0;
   std::uint64_t peak_rss_bytes = 0;
-  /// Entry storage the event queue's timing wheel holds at the end of
+  /// Entry storage the simulator's timing wheel holds at the end of
   /// run().  The wheel frees no buffer, so this is also its peak.
   std::uint64_t event_queue_bytes = 0;
 };
@@ -325,7 +329,6 @@ class Engine {
   /// per call).
   Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
          std::shared_ptr<SchedulerStrategy> strategy);
-  ~Engine();
 
   /// Declares the serial source timeline: sources[k] streams session k;
   /// session 0 starts at -warmup; session k (k>=1) starts at
@@ -393,6 +396,20 @@ class Engine {
     explicit SwitchSink(Engine& e) : engine(e) {}
     void on_event(std::uint64_t a, std::uint64_t /*b*/) override {
       engine.run_switch(static_cast<int>(a));
+    }
+    Engine& engine;
+  };
+  /// The swarm deliveries' event sink (pulls and pushes): payload word `a`
+  /// is the requester node id, `b` the segment id.  The simulator's batch
+  /// sink while the batched drain is active, so runs of deliveries reach
+  /// on_delivery_batch; otherwise each pops singly into on_delivery.
+  struct DeliverySink final : sim::BatchSink {
+    explicit DeliverySink(Engine& e) : engine(e) {}
+    void on_event(std::uint64_t a, std::uint64_t b) override {
+      engine.on_delivery(static_cast<net::NodeId>(a), static_cast<SegmentId>(b));
+    }
+    void on_batch(const sim::PooledBatchItem* items, std::size_t count) override {
+      engine.on_delivery_batch(items, count);
     }
     Engine& engine;
   };
@@ -491,6 +508,8 @@ class Engine {
                                         SegmentId end) const;
 
   // --- data path ---
+  /// Posts the delivery event of a booked swarm transfer on delivery_sink_.
+  void post_delivery(net::NodeId to, SegmentId id, double deliver_at, double now);
   /// Delivery of a swarm transfer or a CDN patch.
   void on_delivery(net::NodeId to, SegmentId id);
   void deliver_segment(PeerNode& p, SegmentId id, double now, bool count_wire);
@@ -503,8 +522,8 @@ class Engine {
 
   // --- batched delivery drain (parallel_shards > 0, no push) ---
   //
-  // A batched run of delivery events (TransferPlane::set_delivery_batch)
-  // drains in two passes that reproduce the inline pop sequence exactly:
+  // A batched run of delivery events (DeliverySink::on_batch) drains in two
+  // passes that reproduce the inline pop sequence exactly:
   //   book    parallel per target-peer shard, each shard's items in pop
   //           order — pending erase, buffer mark and, for a fresh delivery,
   //           every per-peer effect (boundary learning, switch progress,
@@ -627,15 +646,14 @@ class Engine {
 
   std::unique_ptr<sim::PeriodicTask> generation_task_;
   SwitchSink switch_sink_{*this};
+  DeliverySink delivery_sink_{*this};
   std::unique_ptr<sim::PeriodicTask> churn_task_;
   std::unique_ptr<sim::PeriodicTask> sampler_task_;
   /// Flash-crowd admission pump (config_.flash_crowd_joins > 0).
   std::unique_ptr<sim::PeriodicTask> flash_task_;
   std::size_t flash_joined_ = 0;
 
-  /// Tick dispatch: one sweep event per tick shard per period.  Declared
-  /// after sim_, so it is destroyed first (its destructor cancels then
-  /// scan the queue ~Engine emptied).
+  /// Tick dispatch: one sweep event per tick shard per period.
   sim::BatchTicker ticker_;
   /// shard index -> ticker group (initial peers only; kNoTickGroup until
   /// the shard's first non-source peer arms it).

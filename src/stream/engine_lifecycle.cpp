@@ -190,8 +190,12 @@ void Engine::warm_start_state() {
 
   const std::vector<std::size_t> hops = graph_.bfs_hops(first_session.source);
   const double population = static_cast<double>(std::max<std::size_t>(peers_.size(), 2));
+  // A zero scale means no backlog even where the power overflows (0 * inf
+  // would be a NaN lag).
   const double backlog_target =
-      config_.stable_backlog_scale * std::pow(population, config_.stable_backlog_exponent);
+      config_.stable_backlog_scale == 0.0
+          ? 0.0
+          : config_.stable_backlog_scale * std::pow(population, config_.stable_backlog_exponent);
   for (PeerNode& p : peers_) {
     if (p.is_source) continue;
     // Roughly uniform backlog (see config docs) with mild spread and an
@@ -205,7 +209,11 @@ void Engine::warm_start_state() {
     const double backlog = backlog_target * p.rng.uniform(0.85, 1.15) +
                            config_.hop_lag_seconds * hop_count * p_rate +
                            config_.base_lag_segments;
-    const double lag_segments = backlog / std::max(0.05, 1.0 - config_.sparse_fill);
+    // Any lag of at least `head` starts the cursor at 0, so clamping there
+    // keeps every result while a huge finite lag (a 1e300 backlog scale)
+    // can no longer overflow the subtraction.
+    const double lag_segments = std::min(
+        backlog / std::max(0.05, 1.0 - config_.sparse_fill), static_cast<double>(head));
     const SegmentId cursor =
         std::max<SegmentId>(0, head - static_cast<SegmentId>(std::llround(lag_segments)));
     // Solid prefix up to the playback position; the lag window beyond it is

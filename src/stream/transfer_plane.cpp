@@ -145,16 +145,12 @@ std::unique_ptr<CapacityModel> make_capacity_model(SupplierCapacityModel kind,
   return nullptr;
 }
 
-TransferPlane::TransferPlane(sim::Simulator& sim, net::LatencyModel& latency,
-                             SupplierCapacityModel kind, double accept_horizon,
-                             DeliveryFn on_delivery, double token_bucket_burst)
-    : sim_(sim),
-      latency_(latency),
+TransferPlane::TransferPlane(net::LatencyModel& latency, SupplierCapacityModel kind,
+                             double accept_horizon, double token_bucket_burst)
+    : latency_(latency),
       kind_(kind),
       accept_horizon_(accept_horizon),
-      on_delivery_(std::move(on_delivery)),
       capacity_(make_capacity_model(kind, token_bucket_burst)) {
-  GS_CHECK(on_delivery_ != nullptr);
   GS_CHECK_GE(token_bucket_burst, 1.0);
   if (!capacity_->supplier_shared()) {
     private_uplink_ = make_capacity_model(SupplierCapacityModel::kSharedFifo);
@@ -172,9 +168,8 @@ double TransferPlane::queue_delay(net::NodeId requester, net::NodeId supplier,
   return std::max(0.0, capacity_->backlog_end(requester, supplier) - now);
 }
 
-bool TransferPlane::request_staged(PeerNode& requester, const PeerNode& supplier, SegmentId id,
-                                   double now, double& deliver_at) {
-  (void)id;  // the payload rides with schedule_delivery
+bool TransferPlane::request_staged(PeerNode& requester, const PeerNode& supplier, double now,
+                                   double& deliver_at) {
   GS_CHECK_LT(supplier.id, nodes_);
   const double start = std::max(now, capacity_->backlog_end(requester.id, supplier.id));
   if (start - now > accept_horizon_) {
@@ -183,48 +178,21 @@ bool TransferPlane::request_staged(PeerNode& requester, const PeerNode& supplier
   }
   const double tx = 1.0 / supplier.outbound_rate;
   capacity_->commit(requester.id, supplier.id, start, start + tx);
-  // The jitter draw comes from the requester's own rng — member-local, so a
-  // staged issue draws exactly what the inline issue would.
+  // The jitter draw comes from the requester's own rng — member-local, so an
+  // issue on a lane draws exactly what the sequential issue would.
   deliver_at = start + tx + latency_.jittered_delay_s(requester.id, supplier.id, requester.rng);
   return true;
 }
 
-void TransferPlane::schedule_delivery(net::NodeId to, SegmentId id, double deliver_at,
-                                      double now) {
-  // One pooled event per transfer, routed to the target peer's shard.
-  // Deliveries land within accept_horizon + latency of now, so this is an
-  // O(1) append into a near-wheel bucket at most a few quanta ahead — the
-  // hot path the timing wheel exists for.
-  sim_.after(deliver_at - now, *this, to, static_cast<std::uint64_t>(id));
-}
-
-bool TransferPlane::request(PeerNode& requester, const PeerNode& supplier, SegmentId id,
-                            double now) {
-  double deliver_at = 0.0;
-  if (!request_staged(requester, supplier, id, now, deliver_at)) return false;
-  schedule_delivery(requester.id, id, deliver_at, now);
-  return true;
-}
-
-bool TransferPlane::push(PeerNode& from, net::NodeId to, SegmentId id, double now) {
+bool TransferPlane::push(PeerNode& from, net::NodeId to, double now, double& deliver_at) {
   GS_CHECK_LT(from.id, nodes_);
   CapacityModel& uplink = push_uplink();
   const double start = std::max(now, uplink.backlog_end(to, from.id));
   if (start - now > accept_horizon_) return false;  // own uplink saturated
   const double tx = 1.0 / from.outbound_rate;
   uplink.commit(to, from.id, start, start + tx);
-  const double deliver_at = start + tx + latency_.jittered_delay_s(to, from.id, from.rng);
-  sim_.after(deliver_at - now, *this, to, static_cast<std::uint64_t>(id));
+  deliver_at = start + tx + latency_.jittered_delay_s(to, from.id, from.rng);
   return true;
-}
-
-void TransferPlane::on_event(std::uint64_t a, std::uint64_t b) {
-  on_delivery_(static_cast<net::NodeId>(a), static_cast<SegmentId>(b));
-}
-
-void TransferPlane::on_batch(const sim::PooledBatchItem* items, std::size_t count) {
-  // batchable() guarantees the handler exists whenever the queue batches.
-  on_delivery_batch_(items, count);
 }
 
 double TransferPlane::uplink_busy_until(net::NodeId v) const {

@@ -1,21 +1,20 @@
-// The transfer plane: supplier uplink queues and delivery scheduling.
+// The transfer plane: the capacity ledger of supplier uplinks.
 //
 // Owns the contention state of every data transfer — who is busy sending
-// until when — behind a pluggable CapacityModel, and turns accepted requests
-// into simulator delivery events.  Peers and the engine never touch busy
+// until when — behind a pluggable CapacityModel, and prices each accepted
+// transfer with its arrival time.  Peers and the engine never touch busy
 // timestamps directly: they ask for a queue-delay estimate (the scheduler's
-// tau(j) seed) and submit request/push transfers.
+// tau(j) seed) and book pull/push transfers; the engine posts the delivery
+// events on its own sink.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
 
 #include "net/graph.hpp"
 #include "net/latency.hpp"
-#include "sim/simulator.hpp"
 #include "stream/peer_node.hpp"
 
 namespace gs::stream {
@@ -88,25 +87,12 @@ class CapacityModel {
 [[nodiscard]] std::unique_ptr<CapacityModel> make_capacity_model(
     SupplierCapacityModel kind, double token_bucket_burst = 4.0);
 
-class TransferPlane final : public sim::EventSink {
+class TransferPlane {
  public:
-  using DeliveryFn = std::function<void(net::NodeId to, SegmentId id)>;
-  /// Receives a batched run of deliveries (each item: at = delivery time,
-  /// a = requester node id, b = segment id) popped together by the
-  /// simulator's batched dispatch; see set_delivery_batch.
-  using DeliveryBatchFn = std::function<void(const sim::PooledBatchItem* items,
-                                             std::size_t count)>;
-
-  /// `latency` and `sim` must outlive the plane.  `on_delivery` fires when
-  /// a transfer's segment reaches the requester.  `token_bucket_burst` is
-  /// the kTokenBucket burst depth in segments (ignored by other models).
-  TransferPlane(sim::Simulator& sim, net::LatencyModel& latency, SupplierCapacityModel kind,
-                double accept_horizon, DeliveryFn on_delivery,
+  /// `latency` must outlive the plane.  `token_bucket_burst` is the
+  /// kTokenBucket burst depth in segments (ignored by other models).
+  TransferPlane(net::LatencyModel& latency, SupplierCapacityModel kind, double accept_horizon,
                 double token_bucket_burst = 4.0);
-
-  // Single-home: pending delivery events point at this sink.
-  TransferPlane(const TransferPlane&) = delete;
-  TransferPlane& operator=(const TransferPlane&) = delete;
 
   /// Grows per-node state to cover node ids < `count`.
   void ensure_nodes(std::size_t count);
@@ -121,70 +107,36 @@ class TransferPlane final : public sim::EventSink {
   [[nodiscard]] double queue_delay(net::NodeId requester, net::NodeId supplier,
                                    double now) const;
 
-  /// Submits a pull transfer of `id` from `supplier` to `requester`.
-  /// Returns false (and commits nothing) when the backlog exceeds the
-  /// accept horizon; otherwise books the capacity and schedules delivery
-  /// after transmission plus jittered link latency.  request_staged plus
-  /// schedule_delivery in one call (the engine stages instead).
-  bool request(PeerNode& requester, const PeerNode& supplier, SegmentId id, double now);
-
-  /// The capacity half of request(): acceptance test, capacity commit and
-  /// the jittered delivery time — everything except posting the simulator
-  /// event.  The engine issues every tick's requests through this (the
-  /// commit wave from concurrent lanes: same-colour members touch disjoint
-  /// supplier state by construction) and stages (id, deliver_at) per
-  /// member, then replays schedule_delivery in member order so event
-  /// sequence numbers — and with them the global pop order — match the
-  /// sequential engine exactly.
-  /// Returns false (committing nothing, drawing no rng) on a backlog past
-  /// the accept horizon.
-  bool request_staged(PeerNode& requester, const PeerNode& supplier, SegmentId id, double now,
+  /// Books a pull transfer from `supplier` to `requester`: the acceptance
+  /// test, the capacity commit and the jittered arrival time, written to
+  /// `deliver_at` (transmission plus link latency).  Returns false —
+  /// committing nothing, drawing no rng — on a backlog past the accept
+  /// horizon.  The caller posts the delivery event.  The engine issues
+  /// every tick's requests through this (the commit wave from concurrent
+  /// lanes: same-colour members touch disjoint supplier state by
+  /// construction) and stages (id, deliver_at) per member, then posts the
+  /// deliveries in member order so event sequence numbers — and with them
+  /// the global pop order — match the sequential engine exactly.
+  bool request_staged(PeerNode& requester, const PeerNode& supplier, double now,
                       double& deliver_at);
 
-  /// Posts the delivery event of an accepted staged request.  Must be
-  /// called from the simulator thread (the sequential drain), in the order
-  /// the sequential engine would have called sim_.after.
-  void schedule_delivery(net::NodeId to, SegmentId id, double deliver_at, double now);
-
-  /// Submits an unsolicited push of `id` from `from` to `to` on the
-  /// pusher's own real uplink: the pull ledger when it is keyed by
-  /// supplier (kSharedFifo's FIFO, kTokenBucket's tokens — two ledgers
-  /// would let a supplier push and serve pulls at 2x its outbound rate),
-  /// a private FIFO under kPerLink (per-link pulls deliberately bypass the
-  /// uplink).  False when the uplink is saturated.
-  bool push(PeerNode& from, net::NodeId to, SegmentId id, double now);
+  /// Books an unsolicited push from `from` to `to` on the pusher's own
+  /// real uplink: the pull ledger when it is keyed by supplier
+  /// (kSharedFifo's FIFO, kTokenBucket's tokens — two ledgers would let a
+  /// supplier push and serve pulls at 2x its outbound rate), a private
+  /// FIFO under kPerLink (per-link pulls deliberately bypass the uplink).
+  /// Writes the arrival time to `deliver_at` as request_staged does; false
+  /// when the uplink is saturated.
+  bool push(PeerNode& from, net::NodeId to, double now, double& deliver_at);
 
   /// Absolute time `v`'s push uplink frees up for a new transfer
   /// (inspection/tests).
   [[nodiscard]] double uplink_busy_until(net::NodeId v) const;
 
-  /// Installs the batched delivery drain, the simulator's only switch for
-  /// batched pops: with a handler set, consecutive delivery events are
-  /// popped as one run and handed over whole, instead of firing
-  /// `on_delivery` inline per event.  The handler must process items in
-  /// order using each item's own time.  A batchable sink's events must
-  /// schedule nothing (runs span distinct timestamps), so the engine must
-  /// NOT install a handler when fresh-segment push is active.
-  void set_delivery_batch(DeliveryBatchFn handler) { on_delivery_batch_ = std::move(handler); }
-
-  [[nodiscard]] bool batchable() const noexcept override {
-    return on_delivery_batch_ != nullptr;
-  }
-
  private:
-  /// Pooled delivery event: `a` is the requester node id, `b` the segment
-  /// id.  The payload lives inline in the event-queue entry, so the per-
-  /// transfer hot path schedules deliveries without allocating.
-  void on_event(std::uint64_t a, std::uint64_t b) override;
-  /// Batched run of delivery events (batchable() handlers only).
-  void on_batch(const sim::PooledBatchItem* items, std::size_t count) override;
-
-  sim::Simulator& sim_;
   net::LatencyModel& latency_;
   SupplierCapacityModel kind_;
   double accept_horizon_;
-  DeliveryFn on_delivery_;
-  DeliveryBatchFn on_delivery_batch_;
 
   /// The push path's uplink model (see push()).
   [[nodiscard]] CapacityModel& push_uplink() const noexcept {

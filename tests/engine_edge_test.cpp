@@ -1,8 +1,10 @@
 // Engine edge cases: short final sessions (gate fallback), lockstep ticks,
-// minimal warm-start history, and overhead accounting windows.
+// minimal and huge warm-start lags, the availability map's size and
+// overhead accounting windows.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 
 #include "core/fast_switch.hpp"
 #include "net/topology.hpp"
@@ -72,6 +74,50 @@ TEST(EngineEdge, TinyHistoryClampsCursors) {
   engine->set_sources({0, 1}, {0.0});
   const auto metrics = engine->run();
   EXPECT_EQ(metrics.front().prepared_s2, metrics.front().tracked);
+}
+
+TEST(EngineEdge, HugeFiniteLagStartsCursorsAtZero) {
+  // Every warm-start lag of at least the history's head starts each cursor
+  // at id 0, so a 1e300 backlog scale (accepted by validate()) must run
+  // exactly like 1e6 instead of overflowing the cursor subtraction; and a
+  // zero scale means no backlog even where N^exponent overflows.
+  auto run_with = [](double scale, double exponent) {
+    World world = make_world(40, 61);
+    EngineConfig config;
+    config.seed = 61;
+    config.stable_backlog_scale = scale;
+    config.stable_backlog_exponent = exponent;
+    config.horizon = 20.0;
+    auto engine = std::make_unique<Engine>(std::move(world.graph), std::move(world.latency),
+                                           config, std::make_shared<core::FastSwitchScheduler>());
+    engine->set_sources({0, 1}, {0.0});
+    const auto metrics = engine->run();
+    return std::make_tuple(metrics.front().finish_times, metrics.front().prepared_times,
+                           engine->stats().segments_delivered, engine->stats().events_popped,
+                           engine->overhead().buffer_map_bits());
+  };
+  EXPECT_EQ(run_with(1e300, 0.25), run_with(1e6, 0.25));
+  EXPECT_EQ(run_with(0.0, 250.0), run_with(0.0, 0.25));
+}
+
+TEST(EngineEdge, AvailabilityMapSpansTheBuffer) {
+  // A full availability map is one bit per buffer slot plus the 20-bit base
+  // id, so its size follows B: 320 bits at B = 300, 620 at the paper's 600.
+  for (const std::size_t capacity : {std::size_t{300}, std::size_t{600}}) {
+    World world = make_world(40, 59);
+    EngineConfig config;
+    config.seed = 59;
+    config.buffer_capacity = capacity;
+    config.horizon = 20.0;
+    auto engine = std::make_unique<Engine>(std::move(world.graph), std::move(world.latency),
+                                           config, std::make_shared<core::FastSwitchScheduler>());
+    engine->set_sources({0, 1}, {0.0});
+    (void)engine->run();
+    const std::uint64_t map_bits = capacity + 20;
+    EXPECT_EQ(engine->overhead().wire().buffer_map_bits(), map_bits) << "B = " << capacity;
+    EXPECT_GT(engine->overhead().buffer_map_bits(), 0u) << "B = " << capacity;
+    EXPECT_EQ(engine->overhead().buffer_map_bits() % map_bits, 0u) << "B = " << capacity;
+  }
 }
 
 TEST(EngineEdge, OverheadWindowExcludesWarmup) {

@@ -31,8 +31,6 @@ TEST(Config, PaperDefaultsMatchTable) {
   EXPECT_EQ(config.neighbor_target, 5u);
   EXPECT_NEAR(config.engine.inbound.mean(), 15.0, 1e-9);
   EXPECT_NEAR(config.engine.inbound.min(), 10.0, 1e-9);
-  EXPECT_EQ(config.engine.wire.buffer_map_bits(), 620u);
-  EXPECT_EQ(config.engine.wire.data_bits(), 30u * 1024u);
   EXPECT_EQ(config.switch_times.size(), 1u);
   EXPECT_EQ(config.source_count(), 2u);
   EXPECT_DOUBLE_EQ(config.engine.churn_leave_fraction, 0.0);

@@ -1,9 +1,9 @@
-// Property tests for the event queue's ordering contract and the batched
-// tick dispatcher.
+// Property tests for the simulator's ordering contract, its timing wheel
+// and the batched tick dispatcher.
 //
 // The contract under test is what every determinism guarantee in the repo
 // rests on: events pop in (time, insertion-sequence) order — a stable sort
-// of the schedule — no matter how insertions, ties, cancellations and
+// of the schedule — no matter how insertions, ties, batched runs and
 // events of different sinks interleave.  BatchTicker must additionally
 // reproduce, event for event, the schedule an equivalent set of per-member
 // PeriodicTasks would produce.
@@ -16,7 +16,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/periodic.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -27,15 +26,7 @@ namespace {
 struct Scheduled {
   Time at = 0.0;
   int tag = 0;
-  EventId id = 0;
-  bool cancelled = false;
 };
-
-/// Pops everything and records the tags in execution order.
-std::vector<int> drain(EventQueue& queue, std::vector<int>& fired) {
-  while (!queue.empty()) queue.pop_and_run();
-  return fired;
-}
 
 /// Records each event's payload word `a` as its tag.
 struct RecordingSink final : EventSink {
@@ -45,10 +36,10 @@ struct RecordingSink final : EventSink {
   }
 };
 
-TEST(EventQueueProperty, TiesPopInInsertionOrderUnderRandomInterleaving) {
+TEST(SimulatorProperty, TiesPopInInsertionOrderUnderRandomInterleaving) {
   util::Rng rng(2024);
   for (int trial = 0; trial < 50; ++trial) {
-    EventQueue queue;
+    Simulator sim;
     std::vector<int> fired;
     RecordingSink sink;
     sink.fired = &fired;
@@ -57,33 +48,22 @@ TEST(EventQueueProperty, TiesPopInInsertionOrderUnderRandomInterleaving) {
     for (int i = 0; i < count; ++i) {
       // A small discrete time domain forces heavy timestamp collisions.
       const Time at = static_cast<Time>(rng.uniform_int(0, 5));
-      Scheduled s;
-      s.at = at;
-      s.tag = i;
-      s.id = queue.schedule(at, sink, static_cast<std::uint64_t>(i), 0);
-      reference.push_back(s);
-    }
-    // Random cancellations (the churn path).
-    for (Scheduled& s : reference) {
-      if (rng.bernoulli(0.2)) {
-        EXPECT_TRUE(queue.cancel(s.id));
-        s.cancelled = true;
-      }
+      sim.at(at, sink, static_cast<std::uint64_t>(i), 0);
+      reference.push_back({at, i});
     }
     std::vector<int> expected;
     std::stable_sort(reference.begin(), reference.end(),
                      [](const Scheduled& a, const Scheduled& b) { return a.at < b.at; });
-    for (const Scheduled& s : reference) {
-      if (!s.cancelled) expected.push_back(s.tag);
-    }
-    EXPECT_EQ(drain(queue, fired), expected) << "trial " << trial;
+    for (const Scheduled& s : reference) expected.push_back(s.tag);
+    sim.run_all();
+    EXPECT_EQ(fired, expected) << "trial " << trial;
   }
 }
 
-TEST(EventQueueProperty, TwoSinksShareOneOrderingDomain) {
+TEST(SimulatorProperty, TwoSinksShareOneOrderingDomain) {
   util::Rng rng(77);
   for (int trial = 0; trial < 50; ++trial) {
-    EventQueue queue;
+    Simulator sim;
     std::vector<int> fired;
     RecordingSink sink;
     sink.fired = &fired;
@@ -93,34 +73,16 @@ TEST(EventQueueProperty, TwoSinksShareOneOrderingDomain) {
     const int count = 3 + static_cast<int>(rng.uniform_int(0, 60));
     for (int i = 0; i < count; ++i) {
       const Time at = static_cast<Time>(rng.uniform_int(0, 5));
-      Scheduled s;
-      s.at = at;
-      s.tag = i;
-      s.id = queue.schedule(at, rng.bernoulli(0.5) ? sink : other,
-                            static_cast<std::uint64_t>(i), 0);
-      reference.push_back(s);
+      sim.at(at, rng.bernoulli(0.5) ? sink : other, static_cast<std::uint64_t>(i), 0);
+      reference.push_back({at, i});
     }
     std::vector<int> expected;
     std::stable_sort(reference.begin(), reference.end(),
                      [](const Scheduled& a, const Scheduled& b) { return a.at < b.at; });
     for (const Scheduled& s : reference) expected.push_back(s.tag);
-    EXPECT_EQ(drain(queue, fired), expected) << "trial " << trial;
+    sim.run_all();
+    EXPECT_EQ(fired, expected) << "trial " << trial;
   }
-}
-
-TEST(EventQueueProperty, EventsCancelOnceAndOnlyWhilePending) {
-  EventQueue queue;
-  std::vector<int> fired;
-  RecordingSink sink;
-  sink.fired = &fired;
-  const EventId keep = queue.schedule(1.0, sink, 1, 0);
-  const EventId drop = queue.schedule(1.0, sink, 2, 0);
-  EXPECT_TRUE(queue.cancel(drop));
-  EXPECT_FALSE(queue.cancel(drop));
-  queue.pop_and_run();
-  EXPECT_TRUE(queue.empty());
-  EXPECT_FALSE(queue.cancel(keep));
-  EXPECT_EQ(fired, (std::vector<int>{1}));
 }
 
 // ---------------------------------------------------------- BatchTicker ---
@@ -244,19 +206,16 @@ TEST(BatchTickerProperty, RemovalPreservesOrderAndEmptyGroupsGoDormant) {
 
 // ----------------------------------------------------------- batched pops ---
 
-/// Batchable: mimics the transfer plane's delivery drain (processing
-/// schedules nothing, so runs span timestamps).  Records (time, tag) per
-/// item.  With `batch` cleared it opts out of batched pops (the single-pop
-/// reference, or a second sink that breaks runs).
-struct BatchableSink final : EventSink {
+/// Mimics the engine's delivery sink (processing schedules nothing, so runs
+/// span timestamps): records (time, tag) per event, through on_event with
+/// the clock or through on_batch with each item's own time.
+struct BatchableSink final : BatchSink {
   std::vector<Observation>* fired = nullptr;
   Simulator* sim = nullptr;
-  bool batch = true;
   std::uint64_t batches = 0;
   void on_event(std::uint64_t a, std::uint64_t /*b*/) override {
     fired->emplace_back(sim->now(), static_cast<std::uint32_t>(a));
   }
-  [[nodiscard]] bool batchable() const noexcept override { return batch; }
   void on_batch(const PooledBatchItem* items, std::size_t count) override {
     ++batches;
     for (std::size_t i = 0; i < count; ++i) {
@@ -266,11 +225,11 @@ struct BatchableSink final : EventSink {
 };
 
 TEST(BatchPopProperty, BatchedRunsPreserveThePopOrderAcrossTimes) {
-  // The delivery-drain contract: with the sink opted into batched pops, a
-  // mix of its events and events of a second, non-batchable sink must
-  // observe exactly the (time, sequence) order the unbatched loop produces
-  // — runs merely arrive through on_batch, carrying each item's own fire
-  // time.
+  // The delivery-drain contract: with the sink registered as the batch
+  // sink, a mix of its events and a second sink's must observe exactly the
+  // (time, sequence) order the unbatched loop produces — runs merely arrive
+  // through on_batch, carrying each item's own fire time — also when a
+  // run_until horizon cuts the run in two.
   util::Rng rng(99);
   for (int trial = 0; trial < 30; ++trial) {
     std::vector<Observation> batched;
@@ -279,9 +238,8 @@ TEST(BatchPopProperty, BatchedRunsPreserveThePopOrderAcrossTimes) {
     for (const bool batch : {true, false}) {
       Simulator sim;
       BatchableSink sink;
-      sink.batch = batch;
       BatchableSink breaker;
-      breaker.batch = false;
+      if (batch) sim.set_batch_sink(&sink);
       std::vector<Observation>& out = batch ? batched : reference;
       sink.fired = &out;
       sink.sim = &sim;
@@ -296,8 +254,11 @@ TEST(BatchPopProperty, BatchedRunsPreserveThePopOrderAcrossTimes) {
           sim.at(at, breaker, 100000 + tag, 0);
         }
       }
-      const std::size_t ran = sim.run_until(20.0);
+      std::size_t ran = sim.run_until(5.0);
+      ran += sim.run_until(20.0);
       EXPECT_EQ(ran, 120u);
+      EXPECT_FALSE(sim.pending());
+      EXPECT_EQ(breaker.batches, 0u) << "only the registered sink batches";
       if (batch) batch_count = sink.batches;
     }
     EXPECT_EQ(batched, reference) << "trial " << trial;
@@ -305,9 +266,9 @@ TEST(BatchPopProperty, BatchedRunsPreserveThePopOrderAcrossTimes) {
   }
 }
 
-TEST(BatchPopProperty, NonBatchableSinksPopSingly) {
+TEST(BatchPopProperty, UnregisteredSinksPopSingly) {
   Simulator sim;
-  RecordingSink sink;  // batchable() = false
+  RecordingSink sink;
   std::vector<int> ints;
   sink.fired = &ints;
   for (int i = 0; i < 5; ++i) sim.at(1.0, sink, static_cast<std::uint64_t>(i), 0);
@@ -315,96 +276,25 @@ TEST(BatchPopProperty, NonBatchableSinksPopSingly) {
   EXPECT_EQ(ints, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(BatchPopProperty, CancelledEntriesInsideBatchedRunsNeverFire) {
-  // pop_batch must skip a cancelled entry exactly where a single pop does.
-  // The same seeded script (events on a batchable sink mixed with a
-  // second, non-batchable sink's, a random subset cancelled before the run
-  // and another mid-run) must fire the same sequence batched as popped
-  // singly through a non-batchable sink, and no cancelled tag may fire.
-  constexpr std::uint32_t kEvents = 120;
-  constexpr std::uint32_t kBreakerTag = 100000;
-  for (int trial = 0; trial < 30; ++trial) {
-    std::vector<Observation> batched;
-    std::vector<Observation> single;
-    std::vector<bool> batched_hits;
-    std::vector<bool> single_hits;
-    std::vector<bool> cancelled(kEvents, false);
-    std::uint64_t batch_count = 0;
-    for (const bool batch : {true, false}) {
-      Simulator sim;
-      BatchableSink sink;
-      sink.batch = batch;
-      BatchableSink breaker;
-      breaker.batch = false;
-      std::vector<Observation>& out = batch ? batched : single;
-      std::vector<bool>& hits = batch ? batched_hits : single_hits;
-      sink.fired = &out;
-      sink.sim = &sim;
-      breaker.fired = &out;
-      breaker.sim = &sim;
-      util::Rng gen(static_cast<std::uint64_t>(trial) + 101);
-      std::vector<EventId> ids;
-      for (std::uint32_t tag = 0; tag < kEvents; ++tag) {
-        const Time at = std::floor(gen.uniform(0.0, 12.0));  // dense ties
-        if (gen.bernoulli(0.75)) {
-          ids.push_back(sim.at(at, sink, tag, 0));
-        } else {
-          ids.push_back(sim.at(at, breaker, kBreakerTag + tag, 0));
-        }
-      }
-      const auto cancel_some = [&] {
-        for (int k = 0; k < 20; ++k) {
-          const auto tag = static_cast<std::uint32_t>(gen.uniform_int(0, kEvents - 1));
-          const bool hit = sim.cancel(ids[tag]);
-          hits.push_back(hit);
-          if (hit) cancelled[tag] = true;
-        }
-      };
-      cancel_some();
-      sim.run_until(5.0);
-      cancel_some();  // some victims already fired; both legs must agree
-      sim.run_until(20.0);
-      EXPECT_FALSE(sim.pending());
-      if (batch) batch_count = sink.batches;
-    }
-    EXPECT_EQ(batched_hits, single_hits) << "trial " << trial;
-    EXPECT_EQ(batched, single) << "trial " << trial;
-    EXPECT_GT(batch_count, 0u);
-    const auto cancelled_count =
-        static_cast<std::size_t>(std::count(cancelled.begin(), cancelled.end(), true));
-    EXPECT_EQ(batched.size(), kEvents - cancelled_count) << "trial " << trial;
-    for (const Observation& o : batched) {
-      EXPECT_FALSE(cancelled[o.second % kBreakerTag])
-          << "cancelled tag " << o.second << " fired, trial " << trial;
-    }
-  }
-}
-
 // --------------------------------------------------- timing-wheel store ---
 //
 // The wheel's entire contract is the global (time, sequence) pop order:
 // whatever the workload, the pop sequence must be exactly that of one
-// binary heap over every pending entry.  These properties drive the queue
-// and such a heap with the same random scripts and compare execution traces.
+// binary heap over every pending entry.  These properties drive the wheel
+// and such a heap with the same random scripts and compare execution
+// traces.  The wheel is driven directly, not through the Simulator: the
+// scripts schedule into the past (late arrivals behind the cursor), which
+// the simulator's clock forbids.
 
-/// Reference model of the queue: one (time, id) binary heap over every
-/// pending entry.  Ids are assigned in scheduling order like EventQueue's.
+/// Reference model of the wheel: one (time, id) binary heap over every
+/// pending entry.  Ids are assigned in scheduling order like the
+/// simulator's.
 class ReferenceQueue {
  public:
   /// Events run as closures: the reference models ordering only.
-  EventId schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b) {
-    heap_.push_back({at, next_id_, [&sink, a, b] { sink.on_event(a, b); }});
+  void schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b) {
+    heap_.push_back({at, next_id_++, [&sink, a, b] { sink.on_event(a, b); }});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
-    return next_id_++;
-  }
-
-  bool cancel(EventId id) {
-    const auto it = std::find_if(heap_.begin(), heap_.end(),
-                                 [id](const Entry& e) { return e.id == id; });
-    if (it == heap_.end()) return false;
-    heap_.erase(it);
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-    return true;
   }
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }
@@ -435,6 +325,29 @@ class ReferenceQueue {
   EventId next_id_ = 1;
 };
 
+/// The timing wheel behind the reference's interface: ids in scheduling
+/// order, as the simulator hands them out.
+class WheelQueue {
+ public:
+  explicit WheelQueue(double quantum) : wheel(quantum) {}
+
+  void schedule(Time at, EventSink& sink, std::uint64_t a, std::uint64_t b) {
+    wheel.push({at, next_id_++, &sink, a, b});
+  }
+  [[nodiscard]] bool empty() const { return wheel.empty(); }
+  [[nodiscard]] std::size_t size() const { return wheel.size(); }
+  [[nodiscard]] Time next_time() { return wheel.top().at; }
+  void pop_and_run() {
+    const QueueEntry entry = wheel.pop();
+    entry.sink->on_event(entry.a, entry.b);
+  }
+
+  TimingWheel wheel;
+
+ private:
+  EventId next_id_ = 1;
+};
+
 /// One scripted schedule operation, applied identically to both queues.
 struct WheelScript {
   Time at = 0.0;
@@ -462,17 +375,14 @@ struct ScriptSink final : EventSink {
   }
 };
 
-/// Loads a script into one queue; returns the ids of the top-level entries.
+/// Loads a script into one queue.
 template <typename Queue>
-std::vector<EventId> load_script(Queue& queue, ScriptSink<Queue>& sink,
-                                 const std::vector<WheelScript>& script) {
+void load_script(Queue& queue, ScriptSink<Queue>& sink, const std::vector<WheelScript>& script) {
   sink.queue = &queue;
   sink.script = &script;
-  std::vector<EventId> ids;
   for (const WheelScript& s : script) {
-    ids.push_back(queue.schedule(s.at, sink, static_cast<std::uint64_t>(s.tag), 0));
+    queue.schedule(s.at, sink, static_cast<std::uint64_t>(s.tag), 0);
   }
-  return ids;
 }
 
 std::vector<WheelScript> random_script(util::Rng& rng, int count) {
@@ -509,17 +419,12 @@ TEST(TimingWheelProperty, MixedWorkloadPopsLikeTheReferenceQueue) {
   for (const double quantum : {0.25, 1.0, 3.0}) {
     for (int trial = 0; trial < 12; ++trial) {
       ReferenceQueue reference;
-      EventQueue wheel(quantum);
+      WheelQueue wheel(quantum);
       ScriptSink<ReferenceQueue> reference_sink;
-      ScriptSink<EventQueue> wheel_sink;
+      ScriptSink<WheelQueue> wheel_sink;
       const std::vector<WheelScript> script = random_script(rng, 150);
-      const std::vector<EventId> reference_ids = load_script(reference, reference_sink, script);
-      const std::vector<EventId> wheel_ids = load_script(wheel, wheel_sink, script);
-      // Random cancellations, mirrored; both queues must agree on hits.
-      for (int k = 0; k < 25; ++k) {
-        const auto victim = static_cast<std::size_t>(rng.uniform_int(0, 149));
-        EXPECT_EQ(reference.cancel(reference_ids[victim]), wheel.cancel(wheel_ids[victim]));
-      }
+      load_script(reference, reference_sink, script);
+      load_script(wheel, wheel_sink, script);
       EXPECT_EQ(reference.size(), wheel.size());
       while (!reference.empty() || !wheel.empty()) {
         ASSERT_FALSE(reference.empty());
@@ -531,7 +436,7 @@ TEST(TimingWheelProperty, MixedWorkloadPopsLikeTheReferenceQueue) {
       }
       EXPECT_EQ(reference_sink.fired, wheel_sink.fired)
           << "quantum " << quantum << " trial " << trial;
-      EXPECT_GT(wheel.wheel_telemetry().scheduled, 0u);
+      EXPECT_GT(wheel.wheel.telemetry().scheduled, 0u);
     }
   }
 }
@@ -542,7 +447,7 @@ TEST(TimingWheelProperty, FarHorizonWorkloadExercisesSpill) {
   // the ring as the cursor advances) and still pop in nondecreasing time
   // order.
   util::Rng rng(2718);
-  EventQueue queue;
+  WheelQueue queue(1.0);
   std::vector<int> fired;
   RecordingSink sink;
   sink.fired = &fired;
@@ -556,7 +461,7 @@ TEST(TimingWheelProperty, FarHorizonWorkloadExercisesSpill) {
     last = next;
     queue.pop_and_run();
   }
-  const TimingWheel::Telemetry telemetry = queue.wheel_telemetry();
+  const TimingWheel::Telemetry telemetry = queue.wheel.telemetry();
   EXPECT_EQ(telemetry.scheduled, 400u);
   EXPECT_GT(telemetry.overflow_promotions, 0u)
       << "50000s horizon never promoted out of the spill heap";
@@ -595,9 +500,9 @@ TEST(TimingWheelProperty, SteadyStreamRetainsCapacityForLiveEventsOnly) {
   // have been visited.
   constexpr int kTasks = 48;
   ReferenceQueue reference;
-  EventQueue wheel(1.0);
+  WheelQueue wheel(1.0);
   StreamSink<ReferenceQueue> reference_sink;
-  StreamSink<EventQueue> wheel_sink;
+  StreamSink<WheelQueue> wheel_sink;
   reference_sink.queue = &reference;
   wheel_sink.queue = &wheel;
   reference_sink.end = wheel_sink.end = 5.0 * 256.0;
@@ -620,25 +525,10 @@ TEST(TimingWheelProperty, SteadyStreamRetainsCapacityForLiveEventsOnly) {
   }
   EXPECT_EQ(reference_sink.fired, wheel_sink.fired);
   EXPECT_EQ(wheel_sink.fired.size(), 2u * kTasks * 5 * 256);
-  EXPECT_GT(wheel.wheel_telemetry().late_arrivals, 0u)
+  EXPECT_GT(wheel.wheel.telemetry().late_arrivals, 0u)
       << "no delivery landed in the bucket being drained";
-  EXPECT_LT(wheel.wheel_retained_bytes(), 8 * peak_resident * sizeof(QueueEntry))
+  EXPECT_LT(wheel.wheel.retained_bytes(), 8 * peak_resident * sizeof(QueueEntry))
       << "peak resident " << peak_resident;
-}
-
-TEST(BatchTickerProperty, DestructionCancelsPendingSweeps) {
-  Simulator sim;
-  int fired = 0;
-  {
-    BatchTicker ticker(sim, 1.0, [&fired](const std::vector<std::uint32_t>& members, Time) {
-      fired += static_cast<int>(members.size());
-    });
-    ticker.add_member(ticker.add_group(1.0), 7);
-    sim.run_until(1.5);
-    EXPECT_EQ(fired, 1);
-  }
-  sim.run_until(10.0);
-  EXPECT_EQ(fired, 1);
 }
 
 }  // namespace

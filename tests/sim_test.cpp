@@ -1,5 +1,4 @@
-// Event queue ordering/cancellation, simulator clock semantics and the
-// periodic task.
+// Simulator ordering and clock semantics and the periodic task.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -7,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.hpp"
 #include "sim/periodic.hpp"
 #include "sim/simulator.hpp"
 
@@ -26,93 +24,50 @@ struct HookSink final : EventSink {
   void on_event(std::uint64_t a, std::uint64_t /*b*/) override { hooks[a](); }
 };
 
-TEST(EventQueue, RunsInTimeOrder) {
-  EventQueue q;
+TEST(Simulator, RunsInTimeOrder) {
+  Simulator sim;
   HookSink sink;
   std::vector<int> order;
-  q.schedule(3.0, sink, sink.add([&] { order.push_back(3); }), 0);
-  q.schedule(1.0, sink, sink.add([&] { order.push_back(1); }), 0);
-  q.schedule(2.0, sink, sink.add([&] { order.push_back(2); }), 0);
-  while (!q.empty()) q.pop_and_run();
+  sim.at(3.0, sink, sink.add([&] { order.push_back(3); }), 0);
+  sim.at(1.0, sink, sink.add([&] { order.push_back(1); }), 0);
+  sim.at(2.0, sink, sink.add([&] { order.push_back(2); }), 0);
+  EXPECT_EQ(sim.run_all(), 3u);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, TiesFireInInsertionOrder) {
-  EventQueue q;
+TEST(Simulator, TiesFireInInsertionOrder) {
+  Simulator sim;
   HookSink sink;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
-    q.schedule(5.0, sink, sink.add([&order, i] { order.push_back(i); }), 0);
+    sim.at(5.0, sink, sink.add([&order, i] { order.push_back(i); }), 0);
   }
-  while (!q.empty()) q.pop_and_run();
+  sim.run_all();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueue, NextTimeReportsEarliest) {
-  EventQueue q;
+TEST(Simulator, NowReadsTheFiringEventsTime) {
+  Simulator sim;
   HookSink sink;
-  const std::uint64_t noop = sink.add([] {});
-  q.schedule(7.0, sink, noop, 0);
-  q.schedule(4.0, sink, noop, 0);
-  EXPECT_DOUBLE_EQ(q.next_time(), 4.0);
+  std::vector<double> seen;
+  const std::uint64_t record = sink.add([&] { seen.push_back(sim.now()); });
+  sim.at(7.0, sink, record, 0);
+  sim.at(4.0, sink, record, 0);
+  sim.run_all();
+  EXPECT_EQ(seen, (std::vector<double>{4.0, 7.0}));
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
-  HookSink sink;
-  bool ran = false;
-  const EventId id = q.schedule(1.0, sink, sink.add([&] { ran = true; }), 0);
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueue, CancelTwiceFails) {
-  EventQueue q;
-  HookSink sink;
-  const EventId id = q.schedule(1.0, sink, sink.add([] {}), 0);
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));
-}
-
-TEST(EventQueue, CancelAfterRunFails) {
-  EventQueue q;
-  HookSink sink;
-  const EventId id = q.schedule(1.0, sink, sink.add([] {}), 0);
-  q.pop_and_run();
-  EXPECT_FALSE(q.cancel(id));
-}
-
-TEST(EventQueue, CancelBogusIdFails) {
-  EventQueue q;
-  EXPECT_FALSE(q.cancel(0));
-  EXPECT_FALSE(q.cancel(999));
-}
-
-TEST(EventQueue, CancelMiddleKeepsOthers) {
-  EventQueue q;
-  HookSink sink;
-  std::vector<int> order;
-  q.schedule(1.0, sink, sink.add([&] { order.push_back(1); }), 0);
-  const EventId id = q.schedule(2.0, sink, sink.add([&] { order.push_back(2); }), 0);
-  q.schedule(3.0, sink, sink.add([&] { order.push_back(3); }), 0);
-  q.cancel(id);
-  EXPECT_EQ(q.size(), 2u);
-  while (!q.empty()) q.pop_and_run();
-  EXPECT_EQ(order, (std::vector<int>{1, 3}));
-}
-
-TEST(EventQueue, EventsMayScheduleEvents) {
-  EventQueue q;
+TEST(Simulator, EventsMayScheduleEvents) {
+  Simulator sim;
   HookSink sink;
   std::vector<int> order;
   const std::uint64_t second = sink.add([&] { order.push_back(2); });
-  q.schedule(1.0, sink, sink.add([&] {
-               order.push_back(1);
-               q.schedule(2.0, sink, second, 0);
-             }),
-             0);
-  while (!q.empty()) q.pop_and_run();
+  sim.at(1.0, sink, sink.add([&] {
+           order.push_back(1);
+           sim.at(2.0, sink, second, 0);
+         }),
+         0);
+  EXPECT_EQ(sim.run_all(), 2u);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
@@ -190,26 +145,6 @@ TEST(Simulator, RunAllDrains) {
   EXPECT_FALSE(sim.pending());
 }
 
-TEST(Simulator, ClearDropsPendingEvents) {
-  // An engine clears its queue before its sinks go; their destructor
-  // cancels must then find nothing, and a cleared id must not match a
-  // later event.
-  Simulator sim;
-  HookSink sink;
-  int dropped = 0;
-  int kept = 0;
-  const EventId id = sim.at(1.0, sink, sink.add([&] { ++dropped; }), 0);
-  sim.at(2.0, sink, sink.add([&] { ++dropped; }), 0);
-  sim.clear();
-  EXPECT_FALSE(sim.pending());
-  EXPECT_FALSE(sim.cancel(id));
-  sim.at(3.0, sink, sink.add([&] { ++kept; }), 0);
-  EXPECT_FALSE(sim.cancel(id));
-  EXPECT_EQ(sim.run_all(), 1u);
-  EXPECT_EQ(dropped, 0);
-  EXPECT_EQ(kept, 1);
-}
-
 TEST(Periodic, FiresAtFixedInterval) {
   Simulator sim;
   std::vector<double> fire_times;
@@ -218,18 +153,6 @@ TEST(Periodic, FiresAtFixedInterval) {
   ASSERT_EQ(fire_times.size(), 5u);
   EXPECT_DOUBLE_EQ(fire_times[0], 1.0);
   EXPECT_DOUBLE_EQ(fire_times[4], 3.0);
-}
-
-TEST(Periodic, CancelStopsFiring) {
-  Simulator sim;
-  int fired = 0;
-  PeriodicTask task(sim, 1.0, 1.0, [&](double) { ++fired; });
-  sim.run_until(2.5);
-  EXPECT_EQ(fired, 2);
-  task.cancel();
-  EXPECT_FALSE(task.active());
-  sim.run_until(10.0);
-  EXPECT_EQ(fired, 2);
 }
 
 TEST(Periodic, CancelFromWithinAction) {
@@ -242,17 +165,28 @@ TEST(Periodic, CancelFromWithinAction) {
   handle = &task;
   sim.run_until(100.0);
   EXPECT_EQ(fired, 3);
+  EXPECT_FALSE(sim.pending()) << "the cancelling firing must not re-arm";
 }
 
-TEST(Periodic, DestructionCancels) {
+TEST(Periodic, CancelOutsideItsActionAborts) {
+  // A task never has an event to withdraw: only its own action may stop it.
   Simulator sim;
-  int fired = 0;
-  {
-    PeriodicTask task(sim, 1.0, 1.0, [&](double) { ++fired; });
-    sim.run_until(1.5);
+  PeriodicTask task(sim, 1.0, 1.0, [](double) {});
+  EXPECT_DEATH(task.cancel(), "own action");
+}
+
+TEST(Periodic, FiresStrictlyBeforeUntil) {
+  // The end rule a session's generation rides on: a fire time at or past
+  // `until` is never scheduled, so a tie with the switch instant is dropped.
+  for (const double until : {3.0, 2.5}) {
+    Simulator sim;
+    std::vector<double> fire_times;
+    PeriodicTask task(
+        sim, 0.0, 1.0, [&](double t) { fire_times.push_back(t); }, until);
+    EXPECT_EQ(sim.run_until(10.0), 3u) << "until " << until;
+    EXPECT_EQ(fire_times, (std::vector<double>{0.0, 1.0, 2.0})) << "until " << until;
+    EXPECT_FALSE(sim.pending()) << "until " << until;
   }
-  sim.run_until(10.0);
-  EXPECT_EQ(fired, 1);
 }
 
 TEST(Periodic, TwoTasksInterleave) {

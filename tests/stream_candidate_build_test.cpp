@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "net/latency.hpp"
-#include "sim/simulator.hpp"
 #include "stream/candidate_build.hpp"
 #include "util/rng.hpp"
 
@@ -96,10 +95,8 @@ TEST_P(CandidateBuildReference, MatchesBruteForceOnRandomNeighbourhoods) {
   std::size_t nonempty_rounds = 0;
 
   for (int round = 0; round < 400; ++round) {
-    sim::Simulator sim;
     net::LatencyModel latency(std::vector<double>(kPeers, 30.0));
-    TransferPlane transfers(sim, latency, SupplierCapacityModel::kSharedFifo, 1e9,
-                            [](net::NodeId, SegmentId) {});
+    TransferPlane transfers(latency, SupplierCapacityModel::kSharedFifo, 1e9);
     transfers.ensure_nodes(kPeers);
     std::vector<PeerNode> peers(kPeers);
     for (net::NodeId v = 0; v < kPeers; ++v) {
@@ -189,7 +186,10 @@ TEST_P(CandidateBuildReference, MatchesBruteForceOnRandomNeighbourhoods) {
     // Uneven supplier backlogs, so queue delays differ per neighbour.
     for (const net::NodeId nb : neighbors) {
       const auto queued = rng.uniform_int(0, 3);
-      for (std::int64_t q = 0; q < queued; ++q) (void)transfers.request(p, peers[nb], 0, now);
+      double deliver_at = 0.0;
+      for (std::int64_t q = 0; q < queued; ++q) {
+        (void)transfers.request_staged(p, peers[nb], now, deliver_at);
+      }
     }
     SegmentId boundary = kNoSegment;
     if (rng.bernoulli(0.5)) {
@@ -263,10 +263,8 @@ INSTANTIATE_TEST_SUITE_P(BufferCapacities, CandidateBuildReference,
                          });
 
 TEST(CandidateBuild, NoNeighbourHeadAtOrPastTheAnchorBuildsNothing) {
-  sim::Simulator sim;
   net::LatencyModel latency(std::vector<double>(3, 30.0));
-  TransferPlane transfers(sim, latency, SupplierCapacityModel::kSharedFifo, 2.0,
-                          [](net::NodeId, SegmentId) {});
+  TransferPlane transfers(latency, SupplierCapacityModel::kSharedFifo, 2.0);
   transfers.ensure_nodes(3);
   std::vector<PeerNode> peers(3);
   for (net::NodeId v = 0; v < 3; ++v) peers[v].id = v;

@@ -691,7 +691,10 @@ void PrintTo(const GoldenRow& row, std::ostream* os) { *os << row.name; }
 // Windowed cases whose spec equals an Incremental row share that row.
 // HeavyEviction* rows run B = 64, so every delivery evicts, also inside the
 // parallel book lanes; they were recorded before the stream buffer's two
-// backends were merged into one.  BatchDispatch*, PeerPool*, TimingWheel* and
+// backends were merged into one, and re-recorded when the availability map
+// stopped being 600 slots wide whatever B is: at B = 64 a full map is
+// 84 bits, not 620, which moves only the buffer-map bit count and the two
+// overhead ratios in the digest.  BatchDispatch*, PeerPool*, TimingWheel* and
 // CdnAssist* rows replace the per-peer vs batched dispatch, legacy vs flat
 // containers and heap vs wheel cases whose spec no earlier row covers; both
 // legs of every such case gave the row's digest before the per-peer
@@ -725,10 +728,10 @@ const GoldenRow kGoldenRows[] = {
     {"GateSteadySwarm", {.seed = 90, .steady = true}, "db8f6e06de9b8987"},
     {"HeavyEvictionChurn",
      {.seed = 19, .buffer_capacity = 64, .churn = true},
-     "d5695abe27802bd2"},
+     "20c49e9934d87045"},
     {"HeavyEvictionShardedPeerPoolChurn",
      {.seed = 47, .buffer_capacity = 64, .churn = true, .parallel = 4},
-     "40c40050a185e1cd"},
+     "f93ab6f212268299"},
     {"BatchDispatchLockstepTicks", {.seed = 31, .stagger = false}, "9aeeceac4578a869"},
     {"PeerPoolTokenBucket", {.seed = 29, .token_bucket = true}, "5421dbecdd591109"},
     {"PeerPoolFlashCrowd", {.seed = 67, .flash_joins = 40}, "821559dc73726f46"},
