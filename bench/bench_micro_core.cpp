@@ -4,8 +4,8 @@
 // build, sharded core, full pipeline, million-peer footprint).
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "core/fast_switch.hpp"
 #include "core/priority.hpp"
@@ -15,6 +15,7 @@
 #include "experiments/scenario.hpp"
 #include "gossip/buffer_map.hpp"
 #include "sim/simulator.hpp"
+#include "stream/engine_stats.hpp"
 #include "stream/stream_buffer.hpp"
 #include "util/rng.hpp"
 
@@ -181,14 +182,35 @@ void BM_SimulatorPooledScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorPooledScheduleRun)->ArgNames({"events"})->Arg(1000)->Arg(10000);
 
+// The engine benches' counters: the telemetry of every run summed, then
+// each non-retired row's per-run mean under the row's name
+// (stream/engine_stats.hpp).
+class EngineCounters {
+ public:
+  void add(const gs::stream::EngineStats& stats) {
+    gs::stream::for_each_stat(
+        [&](const gs::stream::StatRow&, auto field) { sum_.*field += stats.*field; });
+    ++runs_;
+  }
+  void emit(benchmark::State& state) const {
+    gs::stream::for_each_stat([&](const gs::stream::StatRow& row, auto field) {
+      if (row.cls == gs::stream::StatClass::kRetired) return;
+      state.counters[row.name] = benchmark::Counter(static_cast<double>(sum_.*field) /
+                                                    static_cast<double>(runs_));
+    });
+  }
+
+ private:
+  gs::stream::EngineStats sum_;
+  std::uint64_t runs_ = 0;
+};
+
 // Engine dispatch cost: a full (trimmed-horizon) switch experiment per
 // iteration; events_popped counts the tick sweeps, deliveries and control
 // events the run dispatched, so the rows show how dispatch scales with N.
 void BM_EngineDispatch(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
-  std::uint64_t events = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t runs = 0;
+  EngineCounters counters;
   for (auto _ : state) {
     state.PauseTiming();
     gs::exp::Config config =
@@ -198,14 +220,9 @@ void BM_EngineDispatch(benchmark::State& state) {
     auto engine = gs::exp::make_engine(config);
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine->run());
-    events += engine->stats().events_popped;
-    delivered += engine->stats().segments_delivered;
-    ++runs;
+    counters.add(engine->stats());
   }
-  state.counters["events_popped"] =
-      benchmark::Counter(static_cast<double>(events) / static_cast<double>(runs));
-  state.counters["delivered"] =
-      benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
+  counters.emit(state);
 }
 BENCHMARK(BM_EngineDispatch)
     ->ArgNames({"peers"})
@@ -220,9 +237,7 @@ BENCHMARK(BM_EngineDispatch)
 // show how scan work scales with the overlay.
 void BM_BuildCandidates(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
-  std::uint64_t probes = 0;
-  std::uint64_t delivered = 0;
-  std::uint64_t runs = 0;
+  EngineCounters counters;
   for (auto _ : state) {
     state.PauseTiming();
     gs::exp::Config config =
@@ -232,14 +247,9 @@ void BM_BuildCandidates(benchmark::State& state) {
     auto engine = gs::exp::make_engine(config);
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine->run());
-    probes += engine->stats().availability_probes;
-    delivered += engine->stats().segments_delivered;
-    ++runs;
+    counters.add(engine->stats());
   }
-  state.counters["availability_probes"] =
-      benchmark::Counter(static_cast<double>(probes) / static_cast<double>(runs));
-  state.counters["delivered"] =
-      benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
+  counters.emit(state);
 }
 BENCHMARK(BM_BuildCandidates)
     ->ArgNames({"peers"})
@@ -262,10 +272,7 @@ BENCHMARK(BM_BuildCandidates)
 void BM_ShardedDispatch(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
-  std::uint64_t delivered = 0;
-  std::uint64_t sweeps = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t runs = 0;
+  EngineCounters counters;
   for (auto _ : state) {
     state.PauseTiming();
     gs::exp::Config config =
@@ -277,17 +284,9 @@ void BM_ShardedDispatch(benchmark::State& state) {
     auto engine = gs::exp::make_engine(config);
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine->run());
-    delivered += engine->stats().segments_delivered;
-    sweeps += engine->stats().parallel_sweeps;
-    batches += engine->stats().delivery_batches;
-    ++runs;
+    counters.add(engine->stats());
   }
-  state.counters["delivered"] =
-      benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
-  state.counters["parallel_sweeps"] =
-      benchmark::Counter(static_cast<double>(sweeps) / static_cast<double>(runs));
-  state.counters["delivery_batches"] =
-      benchmark::Counter(static_cast<double>(batches) / static_cast<double>(runs));
+  counters.emit(state);
 }
 BENCHMARK(BM_ShardedDispatch)
     ->ArgNames({"peers", "shards"})
@@ -305,17 +304,7 @@ BENCHMARK(BM_ShardedDispatch)
 void BM_FullPipeline(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
-  std::uint64_t delivered = 0;
-  std::uint64_t events = 0;
-  double bytes_per_peer = 0.0;
-  std::uint64_t colour_classes = 0;
-  std::uint64_t commits = 0;
-  std::uint64_t wheeled = 0;
-  std::uint64_t late = 0;
-  std::uint64_t promotions = 0;
-  std::uint64_t spill_peak = 0;
-  std::uint64_t built = 0;
-  std::uint64_t runs = 0;
+  EngineCounters counters;
   for (auto _ : state) {
     state.PauseTiming();
     gs::exp::Config config =
@@ -327,37 +316,9 @@ void BM_FullPipeline(benchmark::State& state) {
     auto engine = gs::exp::make_engine(config);
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine->run());
-    delivered += engine->stats().segments_delivered;
-    events += engine->stats().events_popped;
-    bytes_per_peer += engine->stats().bytes_per_peer;
-    colour_classes += engine->stats().commit_colour_classes;
-    commits += engine->stats().parallel_commits;
-    wheeled += engine->stats().events_wheeled;
-    late += engine->stats().wheel_late_arrivals;
-    promotions += engine->stats().wheel_overflow_promotions;
-    spill_peak = std::max(spill_peak, engine->stats().spill_heap_peak);
-    built += engine->stats().plans_built;
-    ++runs;
+    counters.add(engine->stats());
   }
-  state.counters["delivered"] =
-      benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
-  state.counters["events_popped"] =
-      benchmark::Counter(static_cast<double>(events) / static_cast<double>(runs));
-  state.counters["bytes_per_peer"] =
-      benchmark::Counter(bytes_per_peer / static_cast<double>(runs));
-  state.counters["commit_colour_classes"] =
-      benchmark::Counter(static_cast<double>(colour_classes) / static_cast<double>(runs));
-  state.counters["parallel_commits"] =
-      benchmark::Counter(static_cast<double>(commits) / static_cast<double>(runs));
-  state.counters["events_wheeled"] =
-      benchmark::Counter(static_cast<double>(wheeled) / static_cast<double>(runs));
-  state.counters["wheel_late_arrivals"] =
-      benchmark::Counter(static_cast<double>(late) / static_cast<double>(runs));
-  state.counters["wheel_overflow_promotions"] =
-      benchmark::Counter(static_cast<double>(promotions) / static_cast<double>(runs));
-  state.counters["spill_heap_peak"] = benchmark::Counter(static_cast<double>(spill_peak));
-  state.counters["plans_built"] =
-      benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
+  counters.emit(state);
 }
 BENCHMARK(BM_FullPipeline)
     ->ArgNames({"peers", "shards"})
@@ -367,18 +328,13 @@ BENCHMARK(BM_FullPipeline)
 
 // Million-peer memory smoke: one trimmed-dynamics switch experiment at
 // N=10^6.  The point is the footprint, not the wall clock: bytes_per_peer
-// comes from the engine's container accounting and peak_rss_mb from the
+// comes from the engine's container accounting and peak_rss_bytes from the
 // process high-water mark.  Emit BENCH_*.json via
 //   bench_micro_core --benchmark_filter=BM_MillionPeer
 //     --benchmark_out=BENCH_million_peer.json --benchmark_out_format=json
 void BM_MillionPeer(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
-  std::uint64_t delivered = 0;
-  double bytes_per_peer = 0.0;
-  double peak_rss = 0.0;
-  std::uint64_t wheeled = 0;
-  std::uint64_t built = 0;
-  std::uint64_t runs = 0;
+  EngineCounters counters;
   for (auto _ : state) {
     state.PauseTiming();
     gs::exp::Config config =
@@ -389,23 +345,9 @@ void BM_MillionPeer(benchmark::State& state) {
     auto engine = gs::exp::make_engine(config);
     state.ResumeTiming();
     benchmark::DoNotOptimize(engine->run());
-    delivered += engine->stats().segments_delivered;
-    bytes_per_peer += engine->stats().bytes_per_peer;
-    peak_rss += static_cast<double>(engine->stats().peak_rss_bytes);
-    wheeled += engine->stats().events_wheeled;
-    built += engine->stats().plans_built;
-    ++runs;
+    counters.add(engine->stats());
   }
-  state.counters["delivered"] =
-      benchmark::Counter(static_cast<double>(delivered) / static_cast<double>(runs));
-  state.counters["bytes_per_peer"] =
-      benchmark::Counter(bytes_per_peer / static_cast<double>(runs));
-  state.counters["peak_rss_mb"] =
-      benchmark::Counter(peak_rss / static_cast<double>(runs) / (1024.0 * 1024.0));
-  state.counters["events_wheeled"] =
-      benchmark::Counter(static_cast<double>(wheeled) / static_cast<double>(runs));
-  state.counters["plans_built"] =
-      benchmark::Counter(static_cast<double>(built) / static_cast<double>(runs));
+  counters.emit(state);
 }
 BENCHMARK(BM_MillionPeer)
     ->ArgNames({"peers"})

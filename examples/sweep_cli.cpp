@@ -8,11 +8,14 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "experiments/config.hpp"
 #include "experiments/report.hpp"
 #include "experiments/runner.hpp"
 #include "experiments/settings.hpp"
+#include "stream/engine_stats.hpp"
 #include "util/flags.hpp"
 #include "util/logging.hpp"
 
@@ -22,8 +25,8 @@ int main(int argc, char** argv) {
   flags.define("sizes", "500,1000", "comma-separated overlay sizes");
   flags.define_int("trials", 3, "paired trials per size");
   flags.define_bool("print-diagnostics", false,
-                    "run one fast-algorithm trial per size and print the engine "
-                    "diagnostics (events, probes, shard/drain counters)");
+                    "run one fast-algorithm trial per size and print its engine "
+                    "telemetry (the rows of stream/engine_stats.hpp)");
   flags.define("csv", "", "write the comparison table to this CSV");
   flags.define("log", "warn", "log level");
   // --sizes sets the node count, and every size runs both algorithms.
@@ -41,52 +44,35 @@ int main(int argc, char** argv) {
   gs::exp::print_overhead("custom sweep: communication overhead", points);
 
   if (flags.get_bool("print-diagnostics")) {
-    std::printf("\nengine diagnostics (one fast-algorithm trial per size; proc_peak_mb is "
-                "the whole process's peak RSS so far)\n");
-    std::printf("%8s %12s %12s %12s %12s %9s %9s %11s %9s %10s %10s "
-                "%10s %9s %8s %8s %11s %9s %12s\n",
-                "peers", "events", "wheeled", "late", "probes", "promo", "spill_pk",
-                "plans_built", "sweeps", "dlv_batch", "colour_cls",
-                "par_commit", "flash", "cdn_mb", "assisted", "bytes/peer", "wheel_mb",
-                "proc_peak_mb");
+    std::vector<gs::stream::EngineStats> diagnostics;
     for (const std::size_t n : sizes) {
       gs::exp::Config config = base;
       config.node_count = n;
-      const gs::exp::RunResult result = gs::exp::run_once(config);
-      const gs::stream::EngineStats& s = result.stats;
-      // Telemetry can be absent (no /proc => peak_rss_bytes == 0; no peers
-      // => bytes_per_peer is NaN): print "n/a", never a fake 0.0.
-      char bytes_per_peer[32];
-      char proc_peak_mb[32];
-      if (!std::isnan(s.bytes_per_peer)) {
-        std::snprintf(bytes_per_peer, sizeof(bytes_per_peer), "%.0f", s.bytes_per_peer);
-      } else {
-        std::snprintf(bytes_per_peer, sizeof(bytes_per_peer), "n/a");
-      }
-      if (s.peak_rss_bytes > 0) {
-        std::snprintf(proc_peak_mb, sizeof(proc_peak_mb), "%.1f",
-                      static_cast<double>(s.peak_rss_bytes) / (1024.0 * 1024.0));
-      } else {
-        std::snprintf(proc_peak_mb, sizeof(proc_peak_mb), "n/a");
-      }
-      std::printf(
-          "%8zu %12llu %12llu %12llu %12llu %9llu %9llu %11llu %9llu "
-          "%10llu %10llu %10llu %9zu %8.1f %8zu %11s %9.1f %12s\n",
-          n, static_cast<unsigned long long>(s.events_popped),
-          static_cast<unsigned long long>(s.events_wheeled),
-          static_cast<unsigned long long>(s.wheel_late_arrivals),
-          static_cast<unsigned long long>(s.availability_probes),
-          static_cast<unsigned long long>(s.wheel_overflow_promotions),
-          static_cast<unsigned long long>(s.spill_heap_peak),
-          static_cast<unsigned long long>(s.plans_built),
-          static_cast<unsigned long long>(s.parallel_sweeps),
-          static_cast<unsigned long long>(s.delivery_batches),
-          static_cast<unsigned long long>(s.commit_colour_classes),
-          static_cast<unsigned long long>(s.parallel_commits), s.flash_joins,
-          static_cast<double>(s.cdn_bytes_served) / (1024.0 * 1024.0),
-          s.cdn_assisted_switches, bytes_per_peer,
-          static_cast<double>(s.event_queue_bytes) / (1024.0 * 1024.0), proc_peak_mb);
+      diagnostics.push_back(gs::exp::run_once(config).stats);
     }
+    std::printf("\nengine diagnostics (one fast-algorithm trial per size; peak_rss_bytes is "
+                "the whole process's peak RSS so far)\n%-36s", "row (unit)");
+    for (const std::size_t n : sizes) std::printf(" %14s", ("N=" + std::to_string(n)).c_str());
+    std::printf("\n");
+    gs::stream::for_each_stat([&](const gs::stream::StatRow& row, auto field) {
+      using Value = std::remove_cvref_t<decltype(diagnostics.front().*field)>;
+      if (row.cls == gs::stream::StatClass::kRetired) return;
+      std::printf("%-36s", (std::string(row.name) + " (" + row.unit + ")").c_str());
+      for (const gs::stream::EngineStats& s : diagnostics) {
+        const Value v = s.*field;
+        // Telemetry can be absent (no /proc => peak_rss_bytes == 0; no peers
+        // => bytes_per_peer is NaN): print "n/a", never a fake 0.
+        if (std::isnan(static_cast<double>(v)) ||
+            (row.cls == gs::stream::StatClass::kMemory && v == 0)) {
+          std::printf(" %14s", "n/a");
+        } else if constexpr (std::is_floating_point_v<Value>) {
+          std::printf(" %14.6g", v);
+        } else {
+          std::printf(" %14llu", static_cast<unsigned long long>(v));
+        }
+      }
+      std::printf("\n");
+    });
   }
   if (!flags.get("csv").empty()) {
     gs::exp::write_comparison_csv(flags.get("csv"), points);

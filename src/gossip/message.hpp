@@ -1,4 +1,4 @@
-// Message catalogue with bit-accurate wire sizes.
+// Bit-accurate wire sizes of the messages peers exchange.
 //
 // The simulator does not serialize real packets between in-process peers —
 // it charges each exchange its wire size so the communication-overhead
@@ -6,51 +6,40 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "gossip/buffer_map.hpp"
 #include "gossip/buffer_map_delta.hpp"
 
 namespace gs::gossip {
 
-/// Message kinds that cross the overlay.
-enum class MessageKind : std::uint8_t {
-  kBufferMap,       ///< periodic full availability exchange (control)
-  kBufferMapDelta,  ///< incremental availability exchange (control)
-  kRequest,         ///< segment pull request (control)
-  kData,            ///< segment payload (data)
-  kMembership,      ///< join/leave/repair traffic (control, not in paper's ratio)
-};
-
-/// Wire-size model, configurable so ablations can change segment size or
-/// buffer depth without touching accounting call sites.
+/// Wire-size model.  Every size is the paper's except the availability
+/// map's window, which the engine sets to the buffer capacity B.
 struct WireFormat {
   std::size_t buffer_window_bits = 600;   ///< B slots in the availability map
-  std::size_t base_id_bits = BufferMap::kBaseIdBits;  ///< 20 bits (§5.3)
-  std::size_t request_id_bits = BufferMap::kBaseIdBits;  ///< one id per requested segment
-  std::size_t segment_payload_bits = 30 * 1024;  ///< 30 Kb per segment (§5.1)
-  std::size_t membership_record_bits = 48;  ///< ip+port of one peer
-  /// Delta exchange framing (see BufferMapDelta): base + run count header,
-  /// then one offset/length pair per toggled-bit run.
-  std::size_t delta_header_bits = BufferMapDelta::kHeaderBits;
-  std::size_t delta_run_bits = BufferMapDelta::kRunBits;
+  static constexpr std::size_t base_id_bits = BufferMap::kBaseIdBits;  ///< 20 bits (§5.3)
+  /// One id per requested segment.
+  static constexpr std::size_t request_id_bits = BufferMap::kBaseIdBits;
+  static constexpr std::size_t segment_payload_bits = 30 * 1024;  ///< 30 Kb per segment (§5.1)
+  static constexpr std::size_t membership_record_bits = 48;  ///< ip+port of one peer
 
   /// Bits of one buffer-map exchange: base id + window bitmap.
   [[nodiscard]] constexpr std::size_t buffer_map_bits() const noexcept {
     return base_id_bits + buffer_window_bits;
   }
-  /// Bits of one incremental buffer-map exchange carrying `runs` runs.
-  [[nodiscard]] constexpr std::size_t buffer_map_delta_bits(std::size_t runs) const noexcept {
-    return delta_header_bits + delta_run_bits * runs;
+  /// Bits of one incremental buffer-map exchange carrying `runs` runs: the
+  /// BufferMapDelta framing (base + run count header, then one
+  /// offset/length pair per toggled-bit run).
+  [[nodiscard]] static constexpr std::size_t buffer_map_delta_bits(std::size_t runs) noexcept {
+    return BufferMapDelta::kHeaderBits + BufferMapDelta::kRunBits * runs;
   }
   /// Bits of a pull request for `segment_count` segments.
-  [[nodiscard]] constexpr std::size_t request_bits(std::size_t segment_count) const noexcept {
+  [[nodiscard]] static constexpr std::size_t request_bits(std::size_t segment_count) noexcept {
     return request_id_bits * segment_count;
   }
   /// Bits of one data segment on the wire.
-  [[nodiscard]] constexpr std::size_t data_bits() const noexcept { return segment_payload_bits; }
+  [[nodiscard]] static constexpr std::size_t data_bits() noexcept { return segment_payload_bits; }
   /// Bits of a membership message carrying `records` peer records.
-  [[nodiscard]] constexpr std::size_t membership_bits(std::size_t records) const noexcept {
+  [[nodiscard]] static constexpr std::size_t membership_bits(std::size_t records) noexcept {
     return membership_record_bits * records;
   }
 };

@@ -6,13 +6,10 @@
 
 namespace gs::stream {
 
-CdnAssistPlane::CdnAssistPlane(sim::Simulator& sim, const CdnAssistConfig& config,
-                               DeliveryFn on_delivery)
-    : sim_(sim),
-      config_(config),
-      on_delivery_(std::move(on_delivery)),
+CdnAssistPlane::CdnAssistPlane(const CdnAssistConfig& config, EngineStats& stats)
+    : config_(config),
+      stats_(stats),
       capacity_(make_capacity_model(config.capacity, config.token_bucket_burst)) {
-  GS_CHECK(on_delivery_ != nullptr);
   GS_CHECK_GT(config_.rate, 0.0);
   GS_CHECK_GE(config_.latency_ms, 0.0);
   GS_CHECK_GE(config_.resume_lead_s, 0.0);
@@ -35,13 +32,18 @@ bool CdnAssistPlane::paused(net::NodeId peer) const {
   return peer < peers_.size() && peers_[peer].paused;
 }
 
+double CdnAssistPlane::mean_assist_s() const noexcept {
+  return assist_time_count_ == 0 ? 0.0
+                                 : assist_time_sum_ / static_cast<double>(assist_time_count_);
+}
+
 void CdnAssistPlane::exit_assist(PeerAssist& assist, double now) {
   // A burst that never reached HANDOFF still contributes its assist time
   // (the peer prepared, left, or a newer switch superseded the assist);
   // HANDOFF already recorded its duration at the transition.
   if (assist.state == State::kBurst) {
-    stats_.assist_time_sum += now - assist.enroll_time;
-    ++stats_.assist_time_count;
+    assist_time_sum_ += now - assist.enroll_time;
+    ++assist_time_count_;
   }
   assist.state = State::kOff;
   assist.paused = false;
@@ -62,14 +64,14 @@ bool CdnAssistPlane::control(net::NodeId peer, const PeerView& view, double now)
     assist.paused = false;
     assist.switch_index = view.switch_index;
     assist.enroll_time = now;
-    ++stats_.assisted;
+    ++stats_.cdn_assisted_switches;
   }
   if (assist.state == State::kBurst && view.suppliers_cover) {
     assist.state = State::kHandoff;
     assist.paused = false;
-    ++stats_.handoffs;
-    stats_.assist_time_sum += now - assist.enroll_time;
-    ++stats_.assist_time_count;
+    ++stats_.cdn_handoffs;
+    assist_time_sum_ += now - assist.enroll_time;
+    ++assist_time_count_;
   } else if (assist.state == State::kHandoff && !view.suppliers_cover &&
              view.rest_play_s < config_.resume_lead_s) {
     // Supplier churn broke the coverage and playback is about to underrun:
@@ -79,35 +81,26 @@ bool CdnAssistPlane::control(net::NodeId peer, const PeerView& view, double now)
   if (assist.state != State::kBurst) return false;
   if (!assist.paused && view.rest_play_s >= config_.pause_lead_s) {
     assist.paused = true;
-    ++stats_.pauses;
+    ++stats_.cdn_pauses;
   } else if (assist.paused && view.rest_play_s < config_.resume_lead_s) {
     assist.paused = false;
-    ++stats_.resumes;
+    ++stats_.cdn_resumes;
   }
   return !assist.paused;
 }
 
-bool CdnAssistPlane::request(net::NodeId peer, SegmentId id, double now) {
+bool CdnAssistPlane::request(net::NodeId peer, double now, double& deliver_at) {
   const double start = std::max(now, capacity_->backlog_end(peer, kCdnNode));
   if (start - now > config_.accept_horizon) {
-    ++stats_.requests_rejected;
+    ++stats_.cdn_requests_rejected;
     return false;
   }
   const double tx = 1.0 / config_.rate;
   capacity_->commit(peer, kCdnNode, start, start + tx);
   // Fixed latency, deliberately jitter-free: the patch path draws from no
   // rng, so enabling the assist never perturbs a peer's gossip rng stream.
-  const double deliver_at = start + tx + config_.latency_ms / 1000.0;
-  sim_.after(deliver_at - now, *this, peer, static_cast<std::uint64_t>(id));
+  deliver_at = start + tx + config_.latency_ms / 1000.0;
   return true;
-}
-
-void CdnAssistPlane::on_event(std::uint64_t a, std::uint64_t b) {
-  // Served = sent: the bytes left the CDN even if the peer departed while
-  // the patch was in flight (the engine's delivery callback handles that).
-  ++stats_.segments_served;
-  stats_.bytes_served += config_.data_bits / 8;
-  on_delivery_(static_cast<net::NodeId>(a), static_cast<SegmentId>(b));
 }
 
 }  // namespace gs::stream

@@ -20,8 +20,9 @@
 //
 // The engine owns the policy *inputs* (which ids are missing, whether
 // gossip suppliers cover the window — it holds the buffers, the timeline
-// and the overlay); the plane owns the per-peer state machine,
-// the CDN uplink ledger and the delivery events.  Every entry point runs
+// and the overlay) and posts the patch deliveries; the plane owns the
+// per-peer state machine and the CDN uplink ledger, which returns each
+// patch's arrival time like TransferPlane does.  Every entry point runs
 // in the engine's sequential phases, so assisted runs stay deterministic
 // for a fixed seed at every shard count — and when EngineConfig::cdn_assist
 // is off the engine never constructs the plane, preserving the repo's
@@ -29,11 +30,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
-#include "sim/simulator.hpp"
+#include "stream/engine_stats.hpp"
 #include "stream/transfer_plane.hpp"
 
 namespace gs::stream {
@@ -50,28 +50,12 @@ struct CdnAssistConfig {
   /// patch lane at `rate` (the unconstrained ablation).
   SupplierCapacityModel capacity = SupplierCapacityModel::kSharedFifo;
   double token_bucket_burst = 4.0;
-  /// Wire bits per patched segment (the engine's WireFormat::data_bits());
-  /// the byte-cost metric of the ablation bench derives from this.
-  std::size_t data_bits = 30 * 1024;
 };
 
-class CdnAssistPlane final : public sim::EventSink {
+class CdnAssistPlane {
  public:
   /// Per-peer assist state (see the file comment for the machine).
   enum class State : std::uint8_t { kOff, kBurst, kHandoff };
-
-  /// Aggregate counters, copied into EngineStats at the end of a run.
-  struct Stats {
-    std::uint64_t segments_served = 0;   ///< patch segments sent
-    std::uint64_t bytes_served = 0;      ///< the same in wire bytes
-    std::uint64_t requests_rejected = 0; ///< backlog exceeded accept_horizon
-    std::uint64_t pauses = 0;            ///< rest-play pauses
-    std::uint64_t resumes = 0;           ///< underrun resumes
-    std::size_t assisted = 0;            ///< (peer, switch) enrollments
-    std::size_t handoffs = 0;            ///< coverage-driven handoffs
-    double assist_time_sum = 0.0;        ///< enrollment -> handoff/exit (s)
-    std::size_t assist_time_count = 0;
-  };
 
   /// What the controller needs to know about a peer this tick, computed by
   /// the engine from state the plane cannot see.
@@ -86,11 +70,10 @@ class CdnAssistPlane final : public sim::EventSink {
     bool suppliers_cover = false;
   };
 
-  using DeliveryFn = std::function<void(net::NodeId to, SegmentId id)>;
-
-  /// `sim` must outlive the plane; `on_delivery` fires when a patch
-  /// segment reaches the peer.
-  CdnAssistPlane(sim::Simulator& sim, const CdnAssistConfig& config, DeliveryFn on_delivery);
+  /// Counts enrollments, handoffs, pauses, resumes and rejected requests
+  /// into the cdn_* rows of `stats`, which must outlive the plane (the
+  /// engine counts the patches served as it delivers them).
+  CdnAssistPlane(const CdnAssistConfig& config, EngineStats& stats);
 
   /// Grows per-peer state to cover node ids < `count` (overlay joins).
   void ensure_nodes(std::size_t count);
@@ -100,13 +83,17 @@ class CdnAssistPlane final : public sim::EventSink {
   /// paused).
   bool control(net::NodeId peer, const PeerView& view, double now);
 
-  /// Books one patch transfer of `id` to `peer`.  False when the CDN
-  /// backlog exceeds the accept horizon (the peer retries next tick).
-  bool request(net::NodeId peer, SegmentId id, double now);
+  /// Books one patch transfer to `peer` and writes its arrival time to
+  /// `deliver_at`.  False when the CDN backlog exceeds the accept horizon
+  /// (the peer retries next tick).
+  bool request(net::NodeId peer, double now, double& deliver_at);
 
   [[nodiscard]] State state(net::NodeId peer) const;
   [[nodiscard]] bool paused(net::NodeId peer) const;
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
+  /// Mean seconds from enrollment to handoff or assist end over the
+  /// samples so far (0 without one).
+  [[nodiscard]] double mean_assist_s() const noexcept;
+  [[nodiscard]] std::size_t assist_samples() const noexcept { return assist_time_count_; }
   [[nodiscard]] const CdnAssistConfig& config() const noexcept { return config_; }
 
  private:
@@ -117,20 +104,19 @@ class CdnAssistPlane final : public sim::EventSink {
     double enroll_time = 0.0;
   };
 
-  /// Pooled delivery event: `a` is the peer node id, `b` the segment id.
-  void on_event(std::uint64_t a, std::uint64_t b) override;
   void exit_assist(PeerAssist& assist, double now);
 
   /// The CDN occupies supplier slot 0 of its private capacity model;
   /// requester ids are real peer ids (kPerLink keys on them).
   static constexpr net::NodeId kCdnNode = 0;
 
-  sim::Simulator& sim_;
   CdnAssistConfig config_;
-  DeliveryFn on_delivery_;
+  EngineStats& stats_;
   std::unique_ptr<CapacityModel> capacity_;
   std::vector<PeerAssist> peers_;
-  Stats stats_;
+  /// Enrollment -> handoff/exit seconds, summed and counted.
+  double assist_time_sum_ = 0.0;
+  std::size_t assist_time_count_ = 0;
 };
 
 }  // namespace gs::stream

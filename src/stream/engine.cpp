@@ -67,9 +67,7 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
   }
   if (config_.cdn_assist) {
     // The CDN uplink runs the engine's configured contention policy over
-    // the plane's own state; its delivery events (on the plane's own sink,
-    // never batched) pop in the global (time, sequence) order like every
-    // other event.
+    // the plane's own state; the engine posts the patches on patch_sink_.
     CdnAssistConfig cdn_config;
     cdn_config.rate = config_.cdn_assist_rate;
     cdn_config.latency_ms = config_.cdn_assist_latency_ms;
@@ -78,9 +76,7 @@ Engine::Engine(net::Graph graph, net::LatencyModel latency, EngineConfig config,
     cdn_config.resume_lead_s = config_.cdn_assist_resume_s;
     cdn_config.capacity = config_.supplier_capacity;
     cdn_config.token_bucket_burst = config_.token_bucket_burst;
-    cdn_config.data_bits = overhead_.wire().data_bits();
-    cdn_ = std::make_unique<CdnAssistPlane>(
-        sim_, cdn_config, [this](net::NodeId to, SegmentId id) { on_delivery(to, id); });
+    cdn_ = std::make_unique<CdnAssistPlane>(cdn_config, stats_);
   }
   // Warm-up traffic is outside the paper's measurement window.
   overhead_.set_enabled(false);
@@ -279,8 +275,8 @@ void Engine::finish_tick(PeerNode& p, double now, const TickPlan& plan) {
         }
       }
     }
-    candidates_seen_ += plan.candidates.size();
-    scheduled_seen_ += plan.requests.size();
+    stats_.candidates_offered += plan.candidates.size();
+    stats_.requests_scheduled += plan.requests.size();
   }
   stats_.requests_issued += plan.issued;
   stats_.requests_rejected += plan.rejected;
@@ -411,7 +407,7 @@ void Engine::advert_availability(PeerNode& p, std::size_t receivers) {
   if (!refresh) {
     delta = gossip::BufferMapDelta::diff(p.advertised_map, advert_scratch_);
     // Judge "delta beats full map" in the same wire model that gets
-    // charged, so ablated delta framing sizes keep the rule honest.
+    // charged.
     refresh = !delta.encodable() ||
               wire.buffer_map_delta_bits(delta.runs().size()) >= wire.buffer_map_bits();
   }
@@ -490,7 +486,9 @@ void Engine::cdn_assist_tick(PeerNode& p, double now) {
     if (p.has_received(id)) continue;
     const double* retry_at = p.pending.find(id);
     if (retry_at != nullptr && *retry_at > now) continue;
-    if (!cdn_->request(p.id, id, now)) break;  // CDN backlog past the horizon
+    double deliver_at = 0.0;
+    if (!cdn_->request(p.id, now, deliver_at)) break;  // CDN backlog past the horizon
+    sim_.after(deliver_at - now, patch_sink_, p.id, static_cast<std::uint64_t>(id));
     overhead_.charge_request(1);
     p.in_budget.spend(1.0);
     p.pending.set(id, now + config_.pending_timeout);
@@ -532,7 +530,7 @@ void Engine::on_delivery(net::NodeId to, SegmentId id) {
   if (!p.alive) return;  // left while the segment was in flight
   // count_wire: a swarm or CDN-patched segment is real data over the wire —
   // it feeds the overhead-ratio denominator and segments_delivered (the CDN
-  // byte-cost is tallied separately by its plane).
+  // byte-cost is tallied separately, by patch_sink_).
   deliver_segment(p, id, sim_.now(), /*count_wire=*/true);
 }
 

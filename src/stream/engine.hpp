@@ -30,6 +30,7 @@
 #include "stream/candidate_build.hpp"
 #include "stream/cdn_assist.hpp"
 #include "stream/commit_colouring.hpp"
+#include "stream/engine_stats.hpp"
 #include "stream/bandwidth.hpp"
 #include "stream/metrics.hpp"
 #include "stream/peer_node.hpp"
@@ -221,107 +222,6 @@ struct EngineConfig {
   std::uint64_t seed = 1;
 };
 
-/// Aggregate engine statistics (diagnostics; not paper metrics).
-struct EngineStats {
-  std::uint64_t segments_generated = 0;
-  std::uint64_t segments_delivered = 0;
-  std::uint64_t segments_pushed = 0;
-  std::uint64_t requests_issued = 0;
-  std::uint64_t requests_rejected = 0;
-  std::uint64_t duplicates = 0;
-  std::size_t joins = 0;
-  std::size_t leaves = 0;
-  /// Ticks where the scheduler saw an active old/new split.
-  std::uint64_t split_ticks = 0;
-  /// Requests issued for old-stream / new-stream segments during splits.
-  std::uint64_t old_stream_requests = 0;
-  std::uint64_t new_stream_requests = 0;
-  /// Simulator events popped over the whole run (dispatch-cost diagnostic:
-  /// one per tick sweep, delivery, generation and control event).
-  std::uint64_t events_popped = 0;
-  /// Supplier-membership probes during candidate build — one per
-  /// (candidate, alive neighbour) pair: the candidate-scan cost diagnostic.
-  std::uint64_t availability_probes = 0;
-  /// Always 0: candidates are built from the neighbours' buffers, with no
-  /// index to update and no gate to skip a build.  Kept only because the
-  /// end-to-end benchmark (bench/e2e) still reads them.
-  std::uint64_t index_updates = 0;
-  std::uint64_t plans_gated = 0;
-  /// Member ticks whose candidate build came back non-empty.
-  std::uint64_t plans_built = 0;
-  /// Full-map / delta adverts sent under delta_maps accounting.
-  std::uint64_t full_map_adverts = 0;
-  std::uint64_t delta_adverts = 0;
-  /// Sharded-core diagnostic (parallel_shards > 0 only): sweeps run through
-  /// the wave pipeline.
-  std::uint64_t parallel_sweeps = 0;
-  /// Always 0: every plan is made in its colour class against exactly the
-  /// backlog the sequential engine shows it, so no tick re-plans and no
-  /// commit needs a fixup.  Kept only because the end-to-end benchmark
-  /// (bench/e2e) still reads them.
-  std::uint64_t replanned_ticks = 0;
-  std::uint64_t commit_conflict_fixups = 0;
-  /// Always 0: the simulator keeps one wheel, so no event crosses shards.
-  /// Kept only because the end-to-end benchmark (bench/e2e) still reads it.
-  std::uint64_t cross_shard_events = 0;
-  /// Delivery-drain diagnostic (parallel_shards > 0 without
-  /// push_fresh_segments): multi-event delivery runs drained through the
-  /// book phase and tail.
-  std::uint64_t delivery_batches = 0;
-  /// Always 0: every tick sweep is one group's event.  Kept only because
-  /// the end-to-end benchmark (bench/e2e) still reads it.
-  std::uint64_t superbatch_sweeps = 0;
-  /// Always 0: the drain keeps no journals.  Kept only because the
-  /// end-to-end benchmark (bench/e2e) still reads it.
-  std::uint64_t delta_journal_merges = 0;
-  /// Commit-wave diagnostics (parallel_shards > 0 only): colour classes
-  /// executed across all commit waves, and members planned and committed
-  /// on the lanes (every member whose budget allowed a candidate build).
-  /// The wave size is a function of parallel_shards, so these are
-  /// fixed-seed deterministic for a given shard count on any machine.
-  std::uint64_t commit_colour_classes = 0;
-  std::uint64_t parallel_commits = 0;
-  /// Always 0: each plan owns its supplier store, so no allocator exists
-  /// whose steady-state growth could be counted.  Kept only because the
-  /// end-to-end benchmark (bench/e2e) still reads it.
-  std::uint64_t arena_steady_chunks = 0;
-  /// Timing-wheel event plane: events scheduled into the timing wheel,
-  /// those scheduled into the bucket being drained (the side heap), entries
-  /// moved from the spill heap into the near ring as the cursor advanced,
-  /// and the spill heap's peak occupancy.
-  std::uint64_t events_wheeled = 0;
-  std::uint64_t wheel_late_arrivals = 0;
-  std::uint64_t wheel_overflow_promotions = 0;
-  std::uint64_t spill_heap_peak = 0;
-  /// Flash-crowd joiners admitted (subset of `joins`).
-  std::size_t flash_joins = 0;
-  /// CDN-assist plane (cdn_assist only): patch segments / wire bytes the
-  /// CDN served, requests bounced off its full backlog, (peer, switch)
-  /// enrollments, coverage-driven handoffs, pause/resume controller
-  /// transitions, and the mean seconds from enrollment to handoff (or
-  /// assist end).
-  std::uint64_t cdn_segments_served = 0;
-  std::uint64_t cdn_bytes_served = 0;
-  std::uint64_t cdn_requests_rejected = 0;
-  std::size_t cdn_assisted_switches = 0;
-  std::size_t cdn_handoffs = 0;
-  std::uint64_t cdn_pauses = 0;
-  std::uint64_t cdn_resumes = 0;
-  double cdn_mean_assist_s = 0.0;
-  /// Memory-plane telemetry, filled at the end of run(): bytes of all
-  /// per-peer state (every PeerNode plus the heap its containers own), the
-  /// same divided by the final peer count (NaN when there are no peers to
-  /// divide by — absent telemetry, distinguishable from a genuine 0), and the
-  /// process-wide peak RSS (0 when the platform offers no probe — report
-  /// it as "n/a", not as 0 bytes; includes non-peer state by nature).
-  std::uint64_t peer_state_bytes = 0;
-  double bytes_per_peer = 0.0;
-  std::uint64_t peak_rss_bytes = 0;
-  /// Entry storage the simulator's timing wheel holds at the end of
-  /// run().  The wheel frees no buffer, so this is also its peak.
-  std::uint64_t event_queue_bytes = 0;
-};
-
 class Engine {
  public:
   /// `graph` is the initial overlay (already degree-repaired); `latency`
@@ -410,6 +310,21 @@ class Engine {
     }
     void on_batch(const sim::PooledBatchItem* items, std::size_t count) override {
       engine.on_delivery_batch(items, count);
+    }
+    Engine& engine;
+  };
+
+  /// The CDN patches' event sink: payload word `a` is the peer node id, `b`
+  /// the segment id.  Never the batch sink, so a patch pops singly in the
+  /// global (time, sequence) order.  Served = sent: the bytes left the CDN
+  /// even if the peer departed while the patch was in flight (on_delivery
+  /// drops it then).
+  struct PatchSink final : sim::EventSink {
+    explicit PatchSink(Engine& e) : engine(e) {}
+    void on_event(std::uint64_t a, std::uint64_t b) override {
+      ++engine.stats_.cdn_segments_served;
+      engine.stats_.cdn_bytes_served += gossip::WireFormat::data_bits() / 8;
+      engine.on_delivery(static_cast<net::NodeId>(a), static_cast<SegmentId>(b));
     }
     Engine& engine;
   };
@@ -635,18 +550,13 @@ class Engine {
 
   std::vector<DebugPoint> debug_series_;
   std::unique_ptr<sim::PeriodicTask> debug_task_;
-  std::uint64_t last_delivered_ = 0;
-  std::uint64_t last_requests_ = 0;
-  std::uint64_t candidates_seen_ = 0;
-  std::uint64_t scheduled_seen_ = 0;
-  std::uint64_t last_candidates_ = 0;
-  std::uint64_t last_scheduled_ = 0;
-  std::uint64_t last_old_req_ = 0;
-  std::uint64_t last_new_req_ = 0;
+  /// stats_ at the previous debug sample (the per-period deltas' base).
+  EngineStats debug_last_;
 
   std::unique_ptr<sim::PeriodicTask> generation_task_;
   SwitchSink switch_sink_{*this};
   DeliverySink delivery_sink_{*this};
+  PatchSink patch_sink_{*this};
   std::unique_ptr<sim::PeriodicTask> churn_task_;
   std::unique_ptr<sim::PeriodicTask> sampler_task_;
   /// Flash-crowd admission pump (config_.flash_crowd_joins > 0).

@@ -253,18 +253,14 @@ void Engine::start_debug_series() {
           point.mean_cursor_gap = cursor_gap / static_cast<double>(counted);
           point.mean_frontier_gap = frontier_gap / static_cast<double>(counted);
         }
-        point.delivered_this_period = stats_.segments_delivered - last_delivered_;
-        point.requests_this_period = stats_.requests_issued - last_requests_;
-        point.candidates_this_period = candidates_seen_ - last_candidates_;
-        point.scheduled_this_period = scheduled_seen_ - last_scheduled_;
-        point.old_req_this_period = stats_.old_stream_requests - last_old_req_;
-        point.new_req_this_period = stats_.new_stream_requests - last_new_req_;
-        last_delivered_ = stats_.segments_delivered;
-        last_requests_ = stats_.requests_issued;
-        last_candidates_ = candidates_seen_;
-        last_scheduled_ = scheduled_seen_;
-        last_old_req_ = stats_.old_stream_requests;
-        last_new_req_ = stats_.new_stream_requests;
+        const EngineStats& last = debug_last_;
+        point.delivered_this_period = stats_.segments_delivered - last.segments_delivered;
+        point.requests_this_period = stats_.requests_issued - last.requests_issued;
+        point.candidates_this_period = stats_.candidates_offered - last.candidates_offered;
+        point.scheduled_this_period = stats_.requests_scheduled - last.requests_scheduled;
+        point.old_req_this_period = stats_.old_stream_requests - last.old_stream_requests;
+        point.new_req_this_period = stats_.new_stream_requests - last.new_stream_requests;
+        debug_last_ = stats_;
         debug_series_.push_back(point);
       });
 }
@@ -342,20 +338,8 @@ std::vector<SwitchMetrics> Engine::run() {
   // downstream, never "0.0 MiB".
   stats_.peak_rss_bytes = util::peak_rss_bytes();
 
-  if (cdn_) {
-    const CdnAssistPlane::Stats& cs = cdn_->stats();
-    stats_.cdn_segments_served = cs.segments_served;
-    stats_.cdn_bytes_served = cs.bytes_served;
-    stats_.cdn_requests_rejected = cs.requests_rejected;
-    stats_.cdn_assisted_switches = cs.assisted;
-    stats_.cdn_handoffs = cs.handoffs;
-    stats_.cdn_pauses = cs.pauses;
-    stats_.cdn_resumes = cs.resumes;
-    stats_.cdn_mean_assist_s =
-        cs.assist_time_count == 0
-            ? 0.0
-            : cs.assist_time_sum / static_cast<double>(cs.assist_time_count);
-  }
+  // The plane and patch_sink_ counted the other cdn_* rows as they went.
+  if (cdn_) stats_.cdn_mean_assist_s = cdn_->mean_assist_s();
 
   // Censor peers that never completed within the horizon, then compute the
   // per-switch overhead ratios from the snapshot deltas.

@@ -1,26 +1,20 @@
 // CdnAssistPlane unit tests: the BURST/HANDOFF/OFF state machine, the
-// rest-play pause/resume hysteresis, capacity-limited patch scheduling and
-// the served-bytes ledger.  Engine-level behaviour (eligibility, coverage,
-// determinism across shard counts) lives in stream_determinism_test.
+// rest-play pause/resume hysteresis and the capacity-limited patch ledger's
+// arrival times.  Engine-level behaviour (eligibility, coverage, the
+// served-bytes count, determinism across shard counts) lives in
+// stream_determinism_test.
 #include <gtest/gtest.h>
 
-#include <utility>
-#include <vector>
-
-#include "sim/simulator.hpp"
 #include "stream/cdn_assist.hpp"
 
 namespace gs::stream {
 namespace {
 
 struct AssistFixture {
-  sim::Simulator sim;
-  std::vector<std::pair<net::NodeId, SegmentId>> delivered;
+  EngineStats stats;
   CdnAssistPlane plane;
 
-  explicit AssistFixture(CdnAssistConfig config = {})
-      : plane(sim, config,
-              [this](net::NodeId to, SegmentId id) { delivered.emplace_back(to, id); }) {
+  explicit AssistFixture(CdnAssistConfig config = {}) : plane(config, stats) {
     plane.ensure_nodes(4);
   }
 };
@@ -39,10 +33,10 @@ TEST(CdnAssist, EnrollsEligiblePeerIntoBurst) {
   EXPECT_EQ(f.plane.state(1), CdnAssistPlane::State::kOff);
   EXPECT_TRUE(f.plane.control(1, eligible(0), 0.0));
   EXPECT_EQ(f.plane.state(1), CdnAssistPlane::State::kBurst);
-  EXPECT_EQ(f.plane.stats().assisted, 1u);
+  EXPECT_EQ(f.stats.cdn_assisted_switches, 1u);
   // Same switch next tick: still the same assist episode.
   EXPECT_TRUE(f.plane.control(1, eligible(0), 0.5));
-  EXPECT_EQ(f.plane.stats().assisted, 1u);
+  EXPECT_EQ(f.stats.cdn_assisted_switches, 1u);
 }
 
 TEST(CdnAssist, IneligibleViewExitsAndRecordsAssistTime) {
@@ -50,8 +44,8 @@ TEST(CdnAssist, IneligibleViewExitsAndRecordsAssistTime) {
   EXPECT_TRUE(f.plane.control(1, eligible(0), 1.0));
   EXPECT_FALSE(f.plane.control(1, CdnAssistPlane::PeerView{}, 3.5));
   EXPECT_EQ(f.plane.state(1), CdnAssistPlane::State::kOff);
-  ASSERT_EQ(f.plane.stats().assist_time_count, 1u);
-  EXPECT_DOUBLE_EQ(f.plane.stats().assist_time_sum, 2.5);
+  ASSERT_EQ(f.plane.assist_samples(), 1u);
+  EXPECT_DOUBLE_EQ(f.plane.mean_assist_s(), 2.5);
 }
 
 TEST(CdnAssist, PauseResumeHysteresis) {
@@ -69,8 +63,8 @@ TEST(CdnAssist, PauseResumeHysteresis) {
   // Lead falls under the resume threshold: the burst resumes.
   EXPECT_TRUE(f.plane.control(2, eligible(0, 0.8), 0.3));
   EXPECT_FALSE(f.plane.paused(2));
-  EXPECT_EQ(f.plane.stats().pauses, 1u);
-  EXPECT_EQ(f.plane.stats().resumes, 1u);
+  EXPECT_EQ(f.stats.cdn_pauses, 1u);
+  EXPECT_EQ(f.stats.cdn_resumes, 1u);
 }
 
 TEST(CdnAssist, CoverageHandsOffAndChurnReentersBurst) {
@@ -79,9 +73,9 @@ TEST(CdnAssist, CoverageHandsOffAndChurnReentersBurst) {
   // Gossip suppliers cover the window: hand off, stop serving.
   EXPECT_FALSE(f.plane.control(1, eligible(0, 5.0, /*cover=*/true), 2.0));
   EXPECT_EQ(f.plane.state(1), CdnAssistPlane::State::kHandoff);
-  EXPECT_EQ(f.plane.stats().handoffs, 1u);
-  ASSERT_EQ(f.plane.stats().assist_time_count, 1u);
-  EXPECT_DOUBLE_EQ(f.plane.stats().assist_time_sum, 2.0);
+  EXPECT_EQ(f.stats.cdn_handoffs, 1u);
+  ASSERT_EQ(f.plane.assist_samples(), 1u);
+  EXPECT_DOUBLE_EQ(f.plane.mean_assist_s(), 2.0);
   // Coverage broken but playback still has lead: stay in handoff.
   EXPECT_FALSE(f.plane.control(1, eligible(0, 5.0, /*cover=*/false), 2.5));
   EXPECT_EQ(f.plane.state(1), CdnAssistPlane::State::kHandoff);
@@ -89,8 +83,8 @@ TEST(CdnAssist, CoverageHandsOffAndChurnReentersBurst) {
   // same episode (no second enrollment, no second assist-time sample).
   EXPECT_TRUE(f.plane.control(1, eligible(0, 0.5, /*cover=*/false), 3.0));
   EXPECT_EQ(f.plane.state(1), CdnAssistPlane::State::kBurst);
-  EXPECT_EQ(f.plane.stats().assisted, 1u);
-  EXPECT_EQ(f.plane.stats().assist_time_count, 1u);
+  EXPECT_EQ(f.stats.cdn_assisted_switches, 1u);
+  EXPECT_EQ(f.plane.assist_samples(), 1u);
 }
 
 TEST(CdnAssist, NewerSwitchSupersedesRunningAssist) {
@@ -98,28 +92,24 @@ TEST(CdnAssist, NewerSwitchSupersedesRunningAssist) {
   EXPECT_TRUE(f.plane.control(3, eligible(0), 0.0));
   EXPECT_TRUE(f.plane.control(3, eligible(1), 4.0));
   EXPECT_EQ(f.plane.state(3), CdnAssistPlane::State::kBurst);
-  EXPECT_EQ(f.plane.stats().assisted, 2u);
+  EXPECT_EQ(f.stats.cdn_assisted_switches, 2u);
   // The superseded burst contributed its assist time.
-  EXPECT_EQ(f.plane.stats().assist_time_count, 1u);
-  EXPECT_DOUBLE_EQ(f.plane.stats().assist_time_sum, 4.0);
+  EXPECT_EQ(f.plane.assist_samples(), 1u);
+  EXPECT_DOUBLE_EQ(f.plane.mean_assist_s(), 4.0);
 }
 
 TEST(CdnAssist, ServesPatchesAtUplinkRateWithFixedLatency) {
   CdnAssistConfig config;
   config.rate = 10.0;        // tx = 0.1 s
   config.latency_ms = 40.0;  // + 0.04 s
-  config.data_bits = 8000;
   AssistFixture f(config);
-  ASSERT_TRUE(f.plane.request(1, 100, 0.0));
-  ASSERT_TRUE(f.plane.request(2, 101, 0.0));  // queues behind peer 1
-  f.sim.run_all();
-  ASSERT_EQ(f.delivered.size(), 2u);
-  EXPECT_EQ(f.delivered[0], (std::pair<net::NodeId, SegmentId>{1, 100}));
-  EXPECT_EQ(f.delivered[1], (std::pair<net::NodeId, SegmentId>{2, 101}));
+  double first = 0.0;
+  double second = 0.0;
+  ASSERT_TRUE(f.plane.request(1, 0.0, first));
+  ASSERT_TRUE(f.plane.request(2, 0.0, second));  // queues behind peer 1
+  EXPECT_DOUBLE_EQ(first, 0.1 + 0.04);
   // Shared FIFO: the second patch waits for the first transmission.
-  EXPECT_DOUBLE_EQ(f.sim.now(), 0.2 + 0.04);
-  EXPECT_EQ(f.plane.stats().segments_served, 2u);
-  EXPECT_EQ(f.plane.stats().bytes_served, 2u * 1000u);
+  EXPECT_DOUBLE_EQ(second, 0.2 + 0.04);
 }
 
 TEST(CdnAssist, AcceptHorizonRejectsDeepBacklog) {
@@ -127,13 +117,13 @@ TEST(CdnAssist, AcceptHorizonRejectsDeepBacklog) {
   config.rate = 10.0;
   config.accept_horizon = 0.15;
   AssistFixture f(config);
-  ASSERT_TRUE(f.plane.request(1, 100, 0.0));
-  ASSERT_TRUE(f.plane.request(1, 101, 0.0));
+  double deliver_at = 0.0;
+  ASSERT_TRUE(f.plane.request(1, 0.0, deliver_at));
+  ASSERT_TRUE(f.plane.request(1, 0.0, deliver_at));
   // Backlog now 0.2 s > horizon: rejected, nothing committed.
-  EXPECT_FALSE(f.plane.request(2, 102, 0.0));
-  EXPECT_EQ(f.plane.stats().requests_rejected, 1u);
-  f.sim.run_all();
-  EXPECT_EQ(f.plane.stats().segments_served, 2u);
+  EXPECT_FALSE(f.plane.request(2, 0.0, deliver_at));
+  EXPECT_EQ(f.stats.cdn_requests_rejected, 1u);
+  EXPECT_DOUBLE_EQ(deliver_at, 0.2 + 0.04);  // the second patch's; the reject wrote nothing
 }
 
 TEST(CdnAssist, PerLinkCapacityGivesEveryPeerItsOwnLane) {
@@ -142,12 +132,13 @@ TEST(CdnAssist, PerLinkCapacityGivesEveryPeerItsOwnLane) {
   config.latency_ms = 0.0;
   config.capacity = SupplierCapacityModel::kPerLink;
   AssistFixture f(config);
-  ASSERT_TRUE(f.plane.request(1, 100, 0.0));
-  ASSERT_TRUE(f.plane.request(2, 200, 0.0));
-  f.sim.run_all();
+  double first = 0.0;
+  double second = 0.0;
+  ASSERT_TRUE(f.plane.request(1, 0.0, first));
+  ASSERT_TRUE(f.plane.request(2, 0.0, second));
   // Independent lanes: both patches land after one transmission time.
-  EXPECT_DOUBLE_EQ(f.sim.now(), 0.1);
-  EXPECT_EQ(f.delivered.size(), 2u);
+  EXPECT_DOUBLE_EQ(first, 0.1);
+  EXPECT_DOUBLE_EQ(second, 0.1);
 }
 
 }  // namespace

@@ -11,7 +11,10 @@
 #include <cstdio>
 #include <memory>
 #include <ostream>
+#include <set>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/fast_switch.hpp"
@@ -19,6 +22,7 @@
 #include "net/topology.hpp"
 #include "stream/commit_colouring.hpp"
 #include "stream/engine.hpp"
+#include "stream/engine_stats.hpp"
 
 namespace gs::stream {
 namespace {
@@ -128,24 +132,11 @@ void expect_identical(const RunOutput& a, const RunOutput& b) {
   for (std::size_t k = 0; k < a.metrics.size(); ++k) {
     expect_identical(a.metrics[k], b.metrics[k]);
   }
-  EXPECT_EQ(a.stats.segments_generated, b.stats.segments_generated);
-  EXPECT_EQ(a.stats.segments_delivered, b.stats.segments_delivered);
-  EXPECT_EQ(a.stats.segments_pushed, b.stats.segments_pushed);
-  EXPECT_EQ(a.stats.requests_issued, b.stats.requests_issued);
-  EXPECT_EQ(a.stats.requests_rejected, b.stats.requests_rejected);
-  EXPECT_EQ(a.stats.duplicates, b.stats.duplicates);
-  EXPECT_EQ(a.stats.joins, b.stats.joins);
-  EXPECT_EQ(a.stats.leaves, b.stats.leaves);
-  EXPECT_EQ(a.stats.old_stream_requests, b.stats.old_stream_requests);
-  EXPECT_EQ(a.stats.new_stream_requests, b.stats.new_stream_requests);
-  EXPECT_EQ(a.stats.cdn_segments_served, b.stats.cdn_segments_served);
-  EXPECT_EQ(a.stats.cdn_bytes_served, b.stats.cdn_bytes_served);
-  EXPECT_EQ(a.stats.cdn_requests_rejected, b.stats.cdn_requests_rejected);
-  EXPECT_EQ(a.stats.cdn_assisted_switches, b.stats.cdn_assisted_switches);
-  EXPECT_EQ(a.stats.cdn_handoffs, b.stats.cdn_handoffs);
-  EXPECT_EQ(a.stats.cdn_pauses, b.stats.cdn_pauses);
-  EXPECT_EQ(a.stats.cdn_resumes, b.stats.cdn_resumes);
-  EXPECT_EQ(a.stats.cdn_mean_assist_s, b.stats.cdn_mean_assist_s);
+  for_each_stat([&](const StatRow& row, auto field) {
+    if (row.cls == StatClass::kOutput) {
+      EXPECT_EQ(a.stats.*field, b.stats.*field) << row.name;
+    }
+  });
 }
 
 TEST(Determinism, FastSwitchReproducesIdenticalMetrics) {
@@ -607,9 +598,10 @@ TEST(CandidateBuild, ShardedChurnRunsReproduceThemselvesAndBuildPlans) {
 // a former on/off case of those planes, so the one path that remains must
 // still land on the digest both legs produced.  The hash
 // covers the field set bench/e2e's digest_leg covers — every SwitchMetrics
-// field, the overhead accountant's bit counts and the mechanism-invariant
-// EngineStats counters (scan-work, gate, lane and memory telemetry are
-// excluded by design).
+// field, the overhead accountant's bit counts and the EngineStats rows of
+// class kOutput (stream/engine_stats.hpp; scan-work, gate, lane and memory
+// telemetry are excluded by design).  Every run also checks that each
+// retired row reads 0.
 
 /// FNV-1a (64-bit) over the little-endian bytes of each value.
 class Digest {
@@ -664,17 +656,16 @@ std::string golden_digest(const RunOutput& out) {
                                 o.membership_bits(), o.data_segments()}) {
     d.add(v);
   }
-  const EngineStats& s = out.stats;
-  for (const std::uint64_t v :
-       {s.segments_generated, s.segments_delivered, s.segments_pushed, s.requests_issued,
-        s.requests_rejected, s.duplicates, static_cast<std::uint64_t>(s.joins),
-        static_cast<std::uint64_t>(s.leaves), s.split_ticks, s.old_stream_requests,
-        s.new_stream_requests, s.cdn_segments_served, s.cdn_bytes_served,
-        s.cdn_requests_rejected, static_cast<std::uint64_t>(s.cdn_assisted_switches),
-        static_cast<std::uint64_t>(s.cdn_handoffs), s.cdn_pauses, s.cdn_resumes}) {
-    d.add(v);
-  }
-  d.add(s.cdn_mean_assist_s);
+  // The output rows, in struct order; the double by its bits.
+  for_each_stat([&](const StatRow& row, auto field) {
+    if (row.cls != StatClass::kOutput) return;
+    const auto v = out.stats.*field;
+    if constexpr (std::is_floating_point_v<decltype(v)>) {
+      d.add(v);
+    } else {
+      d.add(static_cast<std::uint64_t>(v));
+    }
+  });
   return d.hex();
 }
 
@@ -755,13 +746,24 @@ const GoldenRow kGoldenRows[] = {
 class Golden : public ::testing::TestWithParam<GoldenRow> {};
 
 TEST_P(Golden, DigestMatchesCommittedValue) {
-  EXPECT_EQ(golden_digest(run_setup(GetParam().spec)), GetParam().digest);
+  const RunOutput out = run_setup(GetParam().spec);
+  EXPECT_EQ(golden_digest(out), GetParam().digest);
+  for_each_stat([&](const StatRow& row, auto field) {
+    if (row.cls == StatClass::kRetired) {
+      EXPECT_EQ(out.stats.*field, 0u) << row.name;
+    }
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(Rows, Golden, ::testing::ValuesIn(kGoldenRows),
                          [](const ::testing::TestParamInfo<GoldenRow>& info) {
                            return std::string(info.param.name);
                          });
+
+TEST(EngineStatsTable, RowNamesAreUnique) {
+  std::set<std::string_view> names;
+  for (const StatRow& row : kStatRows) EXPECT_TRUE(names.insert(row.name).second) << row.name;
+}
 
 TEST(Determinism, DifferentSeedsProduceDifferentRuns) {
   RunSpec a;

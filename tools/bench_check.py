@@ -3,7 +3,8 @@
 
 Compares a freshly produced google-benchmark JSON report against a baseline
 committed under bench/baselines/.  Only *counters* are compared — the
-deterministic per-run telemetry the engine emits (delivered, events_popped,
+deterministic per-run telemetry the engine emits, named after its rows in
+src/stream/engine_stats.hpp (segments_delivered, events_popped,
 events_wheeled, parallel_sweeps, ...) — never wall-clock or CPU time, which
 are machine-dependent and belong in the uploaded artifacts, not in a gate.
 
@@ -11,7 +12,7 @@ A counter passes when it is within --tolerance (relative) of the baseline.
 The default band is 0 — the engine's fixed-seed telemetry is bit-identical
 run to run, so any drift is a real behaviour change; pass a small band only
 for counters that legitimately wobble.  Machine-dependent counters
-(peak_rss_mb by default) are skipped.
+(peak_rss_bytes by default) are skipped.
 
 Exit status: 0 = all rows match, 1 = a counter drifted or a baseline row is
 missing from the candidate, 2 = usage / malformed input.
@@ -29,7 +30,7 @@ import math
 import sys
 
 # Counters that depend on the machine, not the simulation: never gated.
-DEFAULT_SKIP = {"peak_rss_mb", "items_per_second"}
+DEFAULT_SKIP = {"peak_rss_bytes", "items_per_second"}
 
 # Fields of a benchmark row that are timings/bookkeeping, not counters.
 NON_COUNTER_FIELDS = {
