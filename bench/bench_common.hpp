@@ -15,7 +15,6 @@
 #include "experiments/runner.hpp"
 #include "experiments/settings.hpp"
 #include "util/flags.hpp"
-#include "util/logging.hpp"
 
 namespace gs::benchtool {
 
@@ -41,11 +40,9 @@ inline bool parse_bench_flags(int argc, char** argv, BenchOptions& options, exp:
   flags.define_int("trials", 3, "paired trials per size");
   flags.define_bool("quick", false, "small sizes / single trial (CI smoke)");
   flags.define("csv", "", "optional CSV output path");
-  flags.define("log", "warn", "log level");
   axes.insert(axes.end(), {"nodes", "algorithm"});
   exp::define_settings(flags, config, axes);
   if (!flags.parse(argc, argv)) return false;
-  util::set_log_level(util::parse_log_level(flags.get("log")));
   exp::read_settings(flags, config);
 
   const bool quick = flags.get_bool("quick");

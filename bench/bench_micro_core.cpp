@@ -1,7 +1,7 @@
 // Microbenchmarks of the hot kernels (google-benchmark): rate solver,
-// priority computation, Algorithm 1 greedy, buffer-map codec, stream
-// buffer, event queue — plus end-to-end engine runs (dispatch, candidate
-// build, sharded core, full pipeline, million-peer footprint).
+// priority computation, Algorithm 1 greedy, stream buffer, event queue —
+// plus end-to-end engine runs (dispatch, candidate build, sharded core, full
+// pipeline, million-peer footprint).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 #include "core/supplier_selection.hpp"
 #include "experiments/config.hpp"
 #include "experiments/scenario.hpp"
-#include "gossip/buffer_map.hpp"
 #include "sim/simulator.hpp"
 #include "stream/engine_stats.hpp"
 #include "stream/stream_buffer.hpp"
@@ -136,19 +135,6 @@ void BM_FastSwitchSchedule(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_FastSwitchSchedule)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_BufferMapEncodeDecode(benchmark::State& state) {
-  gs::util::Rng rng(5);
-  gs::gossip::BufferMap map(123456, 600);
-  for (gs::gossip::SegmentId id = 123456; id < 123456 + 600; ++id) {
-    if (rng.bernoulli(0.6)) map.mark(id);
-  }
-  for (auto _ : state) {
-    const auto bytes = map.encode();
-    benchmark::DoNotOptimize(gs::gossip::BufferMap::decode(bytes, 600, 123000));
-  }
-}
-BENCHMARK(BM_BufferMapEncodeDecode);
 
 void BM_StreamBufferInsert(benchmark::State& state) {
   gs::stream::StreamBuffer buffer(600);

@@ -9,16 +9,13 @@
 #include "experiments/scenario.hpp"
 #include "experiments/settings.hpp"
 #include "util/flags.hpp"
-#include "util/logging.hpp"
 #include "util/stats.hpp"
 
 int main(int argc, char** argv) {
   gs::exp::Config base = gs::exp::Config::paper_dynamic(800, gs::exp::AlgorithmKind::kFast, 33);
   gs::util::Flags flags;
-  flags.define("log", "warn", "log level");
   gs::exp::define_settings(flags, base, {"algorithm"});  // runs both
   if (!flags.parse(argc, argv)) return 0;
-  gs::util::set_log_level(gs::util::parse_log_level(flags.get("log")));
   gs::exp::read_settings(flags, base);
 
   std::printf("distance education: %zu students, %.0f%% churn per period, lecturer hand-over\n\n",

@@ -8,16 +8,13 @@
 #include "experiments/runner.hpp"
 #include "experiments/settings.hpp"
 #include "util/flags.hpp"
-#include "util/logging.hpp"
 
 int main(int argc, char** argv) {
   gs::exp::Config base = gs::exp::Config::paper_static(200, gs::exp::AlgorithmKind::kFast, 7);
   gs::util::Flags flags;
   flags.define_bool("dynamic", false, "apply 5%/5% churn per period (--churn 0.05)");
-  flags.define("log", "warn", "log level (debug|info|warn|error|off)");
   gs::exp::define_settings(flags, base, {"algorithm"});  // runs both
   if (!flags.parse(argc, argv)) return 0;
-  gs::util::set_log_level(gs::util::parse_log_level(flags.get("log")));
   gs::exp::read_settings(flags, base);
   if (flags.get_bool("dynamic")) base.enable_churn();
 

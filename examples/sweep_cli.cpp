@@ -17,7 +17,6 @@
 #include "experiments/settings.hpp"
 #include "stream/engine_stats.hpp"
 #include "util/flags.hpp"
-#include "util/logging.hpp"
 
 int main(int argc, char** argv) {
   gs::exp::Config base = gs::exp::Config::paper_static(1000, gs::exp::AlgorithmKind::kFast);
@@ -28,11 +27,9 @@ int main(int argc, char** argv) {
                     "run one fast-algorithm trial per size and print its engine "
                     "telemetry (the rows of stream/engine_stats.hpp)");
   flags.define("csv", "", "write the comparison table to this CSV");
-  flags.define("log", "warn", "log level");
   // --sizes sets the node count, and every size runs both algorithms.
   gs::exp::define_settings(flags, base, {"nodes", "algorithm"});
   if (!flags.parse(argc, argv)) return 0;
-  gs::util::set_log_level(gs::util::parse_log_level(flags.get("log")));
   gs::exp::read_settings(flags, base);
 
   const auto sizes = flags.get_sizes("sizes");

@@ -9,18 +9,15 @@
 #include "experiments/runner.hpp"
 #include "experiments/settings.hpp"
 #include "util/flags.hpp"
-#include "util/logging.hpp"
 
 int main(int argc, char** argv) {
   gs::exp::Config base = gs::exp::Config::paper_static(400, gs::exp::AlgorithmKind::kFast, 21);
   gs::util::Flags flags;
   flags.define_int("speakers", 4, "number of serial speakers");
   flags.define_double("talk", 60.0, "seconds each speaker holds the floor");
-  flags.define("log", "warn", "log level");
   // Both algorithms run; the talk length sets the switch times and horizon.
   gs::exp::define_settings(flags, base, {"algorithm", "horizon"});
   if (!flags.parse(argc, argv)) return 0;
-  gs::util::set_log_level(gs::util::parse_log_level(flags.get("log")));
   gs::exp::read_settings(flags, base);
 
   const auto speakers = static_cast<std::size_t>(flags.get_int("speakers"));

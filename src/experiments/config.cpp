@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "experiments/settings.hpp"
+#include "sim/timing_wheel.hpp"
 
 namespace gs::exp {
 
@@ -78,6 +79,19 @@ void Config::validate() const {
   if (!(switch_times.front() >= 0.0)) {
     throw std::invalid_argument("first switch must be at t >= 0 (warm-up is t < 0)");
   }
+  // The settings that place an event directly: the run start, the run end
+  // and the flash crowd's last admission (the wheel itself checks the times
+  // they reach only indirectly).
+  const auto check_wheel_range = [this](const std::string& field, double t) {
+    if (!(std::abs(t) / engine.tau < sim::TimingWheel::kMaxQuanta)) {
+      throw std::invalid_argument(field + " puts an event at t = " + std::to_string(t) +
+                                  ", past the timing wheel's range (|t| / tau < 2^53)");
+    }
+  };
+  check_wheel_range("warmup", -engine.warmup);
+  check_wheel_range("switch_times + horizon", switch_times.back() + engine.horizon);
+  check_wheel_range("switch_times + flash_crowd_start + flash_crowd_duration",
+                    switch_times.front() + engine.flash_crowd_start + engine.flash_crowd_duration);
   if (source_count() >= node_count) throw std::invalid_argument("more sources than nodes");
   if (neighbor_target >= node_count) {
     throw std::invalid_argument("neighbor_target must be in [1, node_count)");

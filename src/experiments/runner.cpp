@@ -39,9 +39,12 @@ ComparisonPoint compare_at_size(const Config& base, std::size_t node_count, std:
   };
   std::vector<TrialOutcome> outcomes(trials);
 
-  // thread_count() simulations at once, the caller's among them.
+  // thread_count() simulations at once, the caller's among them — or one
+  // after another under the sharded core, whose engine already spreads
+  // each run over the pool (two resident engines would share its lanes).
   util::ThreadPool& pool = util::global_pool();
-  pool.run_batch(trials * 2, pool.thread_count(), [&](std::size_t task) {
+  const std::size_t lanes = base.engine.parallel_shards > 0 ? 1 : pool.thread_count();
+  pool.run_batch(trials * 2, lanes, [&](std::size_t task) {
     const std::size_t trial = task / 2;
     const bool fast = (task % 2) == 0;
     Config config = base;
@@ -102,7 +105,5 @@ std::vector<ComparisonPoint> sweep_sizes(const Config& base, const std::vector<s
   for (const std::size_t n : sizes) points.push_back(compare_at_size(base, n, trials));
   return points;
 }
-
-std::vector<std::size_t> paper_sizes() { return {100, 500, 1000, 2000, 4000, 8000}; }
 
 }  // namespace gs::exp

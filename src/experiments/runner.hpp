@@ -44,7 +44,8 @@ struct ComparisonPoint {
 };
 
 /// Runs `trials` paired comparisons at `node_count`, in parallel on the
-/// global thread pool.  `base` supplies everything but size/algorithm/seed.
+/// global thread pool (one run at a time when base.engine.parallel_shards
+/// > 0).  `base` supplies everything but size/algorithm/seed.
 [[nodiscard]] ComparisonPoint compare_at_size(const Config& base, std::size_t node_count,
                                               std::size_t trials);
 
@@ -53,8 +54,5 @@ struct ComparisonPoint {
 [[nodiscard]] std::vector<ComparisonPoint> sweep_sizes(const Config& base,
                                                        const std::vector<std::size_t>& sizes,
                                                        std::size_t trials);
-
-/// The paper's size axis.
-[[nodiscard]] std::vector<std::size_t> paper_sizes();
 
 }  // namespace gs::exp

@@ -1,32 +1,8 @@
 #include "gossip/buffer_map.hpp"
 
-#include <cmath>
-
 #include "util/check.hpp"
 
 namespace gs::gossip {
-
-BufferMap::BufferMap(SegmentId base, std::size_t window_bits) : base_(base), bits_(window_bits) {
-  GS_CHECK_GE(base, 0);
-}
-
-bool BufferMap::in_window(SegmentId id) const noexcept {
-  return id >= base_ && id < base_ + static_cast<SegmentId>(bits_.size());
-}
-
-void BufferMap::mark(SegmentId id) {
-  if (!in_window(id)) return;
-  bits_.set(static_cast<std::size_t>(id - base_));
-}
-
-BufferMap BufferMap::from_presence(SegmentId base, std::size_t window_bits,
-                                   const util::DynamicBitset& presence) {
-  GS_CHECK_GE(base, 0);
-  BufferMap map(base, window_bits);
-  map.bits_ =
-      util::DynamicBitset::copy_window(presence, static_cast<std::size_t>(base), window_bits);
-  return map;
-}
 
 void BufferMap::assign_from_presence(SegmentId base, std::size_t window_bits,
                                      const util::DynamicBitset& presence) {
@@ -35,61 +11,12 @@ void BufferMap::assign_from_presence(SegmentId base, std::size_t window_bits,
   bits_.assign_window(presence, static_cast<std::size_t>(base), window_bits);
 }
 
-bool BufferMap::available(SegmentId id) const noexcept {
-  if (!in_window(id)) return false;
-  return bits_.test(static_cast<std::size_t>(id - base_));
-}
-
 std::uint64_t BufferMap::window_word(SegmentId from_id) const noexcept {
   const SegmentId offset = from_id - base_;
   if (offset >= static_cast<SegmentId>(bits_.size()) || offset <= -64) return 0;
   if (offset >= 0) return bits_.extract_word(static_cast<std::size_t>(offset));
   // Straddling the window start: the below-base ids read 0.
   return bits_.extract_word(0) << static_cast<std::size_t>(-offset);
-}
-
-std::optional<SegmentId> BufferMap::first_available(SegmentId from) const noexcept {
-  const SegmentId clamped = from < base_ ? base_ : from;
-  if (clamped >= base_ + static_cast<SegmentId>(bits_.size())) return std::nullopt;
-  const std::size_t pos = bits_.find_first(static_cast<std::size_t>(clamped - base_));
-  if (pos == bits_.size()) return std::nullopt;
-  return base_ + static_cast<SegmentId>(pos);
-}
-
-std::vector<std::uint8_t> BufferMap::encode() const {
-  const auto truncated = static_cast<std::uint32_t>(base_ & ((1u << kBaseIdBits) - 1));
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(3 + (bits_.size() + 7) / 8);
-  bytes.push_back(static_cast<std::uint8_t>(truncated));
-  bytes.push_back(static_cast<std::uint8_t>(truncated >> 8));
-  bytes.push_back(static_cast<std::uint8_t>(truncated >> 16));
-  const auto bitmap = bits_.to_bytes();
-  bytes.insert(bytes.end(), bitmap.begin(), bitmap.end());
-  return bytes;
-}
-
-BufferMap BufferMap::decode(const std::vector<std::uint8_t>& bytes, std::size_t window_bits,
-                            SegmentId base_hint) {
-  GS_CHECK_GE(bytes.size(), 3u);
-  const std::uint32_t truncated = static_cast<std::uint32_t>(bytes[0]) |
-                                  (static_cast<std::uint32_t>(bytes[1]) << 8) |
-                                  (static_cast<std::uint32_t>(bytes[2]) << 16);
-  constexpr SegmentId kModulus = SegmentId{1} << kBaseIdBits;
-  // Reconstruct the base nearest to the hint with matching low 20 bits.
-  const SegmentId hint_block = base_hint >= 0 ? base_hint / kModulus : 0;
-  SegmentId best = kNoSegment;
-  for (SegmentId block = hint_block == 0 ? 0 : hint_block - 1; block <= hint_block + 1; ++block) {
-    const SegmentId candidate = block * kModulus + static_cast<SegmentId>(truncated & (kModulus - 1));
-    if (candidate < 0) continue;
-    if (best == kNoSegment ||
-        std::abs(candidate - base_hint) < std::abs(best - base_hint)) {
-      best = candidate;
-    }
-  }
-  BufferMap map(best, window_bits);
-  const std::vector<std::uint8_t> bitmap(bytes.begin() + 3, bytes.end());
-  map.bits_ = util::DynamicBitset::from_bytes(bitmap, window_bits);
-  return map;
 }
 
 }  // namespace gs::gossip

@@ -5,11 +5,11 @@
 // of the first segment in the buffer takes 20 bits (a source emits at most
 // 10*3600*24 = 864000 < 2^20 segments per day) and availability of the B=600
 // buffer slots takes B bits, i.e. 620 bits per exchange for the defaults.
+// The engine charges that size and never serialises a map; it keeps one only
+// as a peer's last advert, the baseline BufferMapDelta::diff charges against.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
 
 #include "util/bitset.hpp"
 
@@ -24,31 +24,15 @@ inline constexpr SegmentId kNoSegment = -1;
 
 class BufferMap {
  public:
-  BufferMap() = default;
-  /// An empty map covering `window_bits` slots starting at `base`.
-  BufferMap(SegmentId base, std::size_t window_bits);
-
   [[nodiscard]] SegmentId base() const noexcept { return base_; }
   [[nodiscard]] std::size_t window() const noexcept { return bits_.size(); }
 
-  /// True if `id` falls inside [base, base + window).
-  [[nodiscard]] bool in_window(SegmentId id) const noexcept;
-
-  /// Marks `id` available; ignores ids outside the window.
-  void mark(SegmentId id);
-
-  /// A map whose window [base, base + window_bits) is copied word-at-a-time
-  /// from an id-indexed presence bitset (bit i of `presence` = id i held).
-  [[nodiscard]] static BufferMap from_presence(SegmentId base, std::size_t window_bits,
-                                               const util::DynamicBitset& presence);
-
-  /// In-place from_presence: rebuilds this map over [base, base +
-  /// window_bits), reusing the bit storage so per-advert scratch maps stop
+  /// Rebuilds this map over [base, base + window_bits), copied
+  /// word-at-a-time from an id-indexed presence bitset (bit i of `presence`
+  /// = id i held).  Reuses the bit storage, so per-advert scratch maps stop
   /// allocating.
   void assign_from_presence(SegmentId base, std::size_t window_bits,
                             const util::DynamicBitset& presence);
-  /// Availability of `id`; false outside the window.
-  [[nodiscard]] bool available(SegmentId id) const noexcept;
 
   /// Availability of the 64 ids starting at `from_id` as one word (bit i =
   /// from_id + i); ids outside the window read 0.  `from_id` may be below
@@ -56,28 +40,8 @@ class BufferMap {
   /// BufferMapDelta::diff uses to compare differently-based windows.
   [[nodiscard]] std::uint64_t window_word(SegmentId from_id) const noexcept;
 
-  [[nodiscard]] std::size_t available_count() const noexcept { return bits_.count(); }
-
-  /// First available id at or after `from`; nullopt if none in window.
-  [[nodiscard]] std::optional<SegmentId> first_available(SegmentId from) const noexcept;
-
-  /// Wire size in bits: 20 (base id) + window bits.
-  [[nodiscard]] std::size_t wire_bits() const noexcept { return kBaseIdBits + bits_.size(); }
-
   /// Heap bytes owned by the bit storage.
   [[nodiscard]] std::size_t memory_bytes() const noexcept { return bits_.memory_bytes(); }
-
-  /// Serializes to bytes: 3-byte little-endian truncated base id (20 bits
-  /// zero-padded to 24) followed by the packed bitmap.
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  /// Decodes `encode()` output; `window_bits` must match the encoder's.
-  /// `base_hint` disambiguates the 20-bit truncated base (the decoder picks
-  /// the base congruent mod 2^20 nearest to the hint, as a real client
-  /// tracking the stream would).
-  [[nodiscard]] static BufferMap decode(const std::vector<std::uint8_t>& bytes,
-                                        std::size_t window_bits, SegmentId base_hint);
-
-  [[nodiscard]] bool operator==(const BufferMap& other) const noexcept = default;
 
   static constexpr std::size_t kBaseIdBits = 20;
 

@@ -9,7 +9,7 @@ namespace gs::gossip {
 BufferMapDelta BufferMapDelta::diff(const BufferMap& from, const BufferMap& to) {
   GS_CHECK_EQ(from.window(), to.window());
   BufferMapDelta delta;
-  delta.base_ = to.base();
+  const SegmentId base = to.base();
   delta.window_ = to.window();
   // Toggles are positions (relative to the new base) where the new map
   // differs from the old map rebased into the new window: slots the old
@@ -28,7 +28,7 @@ BufferMapDelta BufferMapDelta::diff(const BufferMap& from, const BufferMap& to) 
     run_length = 0;
   };
   for (std::size_t word_pos = 0; word_pos < delta.window_; word_pos += 64) {
-    const SegmentId word_id = delta.base_ + static_cast<SegmentId>(word_pos);
+    const SegmentId word_id = base + static_cast<SegmentId>(word_pos);
     std::uint64_t toggles = from.window_word(word_id) ^ to.window_word(word_id);
     // `from` rebased can carry bits past the window end on backward shifts.
     if (delta.window_ - word_pos < 64) {
@@ -45,74 +45,6 @@ BufferMapDelta BufferMapDelta::diff(const BufferMap& from, const BufferMap& to) 
     }
   }
   flush();
-  return delta;
-}
-
-BufferMap BufferMapDelta::apply(const BufferMap& from) const {
-  GS_CHECK_EQ(from.window(), window_);
-  BufferMap to(base_, window_);
-  std::size_t next_run = 0;
-  for (std::size_t pos = 0; pos < window_; ++pos) {
-    while (next_run < runs_.size() &&
-           pos >= static_cast<std::size_t>(runs_[next_run].offset) + runs_[next_run].length) {
-      ++next_run;
-    }
-    const bool toggled = next_run < runs_.size() && pos >= runs_[next_run].offset;
-    const SegmentId id = base_ + static_cast<SegmentId>(pos);
-    if (from.available(id) != toggled) to.mark(id);
-  }
-  return to;
-}
-
-std::size_t BufferMapDelta::toggled_count() const noexcept {
-  std::size_t total = 0;
-  for (const Run& run : runs_) total += run.length;
-  return total;
-}
-
-std::vector<std::uint8_t> BufferMapDelta::encode() const {
-  GS_CHECK(encodable());
-  const auto truncated =
-      static_cast<std::uint32_t>(base_ & ((1u << BufferMap::kBaseIdBits) - 1));
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(4 + 2 * runs_.size());
-  bytes.push_back(static_cast<std::uint8_t>(truncated));
-  bytes.push_back(static_cast<std::uint8_t>(truncated >> 8));
-  bytes.push_back(static_cast<std::uint8_t>(truncated >> 16));
-  bytes.push_back(static_cast<std::uint8_t>(runs_.size()));
-  for (const Run& run : runs_) {
-    GS_CHECK_LT(run.offset, window_);
-    GS_CHECK_GE(run.length, 1u);
-    GS_CHECK_LE(run.length, kMaxRunLength);
-    const auto packed = static_cast<std::uint16_t>(
-        run.offset | static_cast<std::uint16_t>(run.length << kRunOffsetBits));
-    bytes.push_back(static_cast<std::uint8_t>(packed));
-    bytes.push_back(static_cast<std::uint8_t>(packed >> 8));
-  }
-  return bytes;
-}
-
-BufferMapDelta BufferMapDelta::decode(const std::vector<std::uint8_t>& bytes,
-                                      std::size_t window_bits, SegmentId base_hint) {
-  GS_CHECK_GE(bytes.size(), 4u);
-  // Reuse BufferMap's truncated-base reconstruction by decoding a header-only
-  // map with the same 3-byte base field.
-  const std::vector<std::uint8_t> header(bytes.begin(), bytes.begin() + 3);
-  const BufferMap base_probe = BufferMap::decode(header, 0, base_hint);
-  BufferMapDelta delta;
-  delta.base_ = base_probe.base();
-  delta.window_ = window_bits;
-  const std::size_t run_count = bytes[3];
-  GS_CHECK_EQ(bytes.size(), 4 + 2 * run_count);
-  delta.runs_.reserve(run_count);
-  for (std::size_t i = 0; i < run_count; ++i) {
-    const auto packed = static_cast<std::uint16_t>(
-        bytes[4 + 2 * i] | static_cast<std::uint16_t>(bytes[5 + 2 * i]) << 8);
-    Run run;
-    run.offset = packed & ((1u << kRunOffsetBits) - 1);
-    run.length = packed >> kRunOffsetBits;
-    delta.runs_.push_back(run);
-  }
   return delta;
 }
 

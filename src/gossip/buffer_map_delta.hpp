@@ -11,7 +11,8 @@
 // the engine refreshes with a full map every `map_refresh_period` adverts
 // (and whenever the delta would not be smaller than the map it replaces).
 //
-// Wire format (accounted bit-exactly, serialized byte-wise like BufferMap):
+// Wire format (an accounting model: the engine charges these sizes and never
+// serialises a delta):
 //   20 bits  new window base id (truncated, same convention as BufferMap)
 //    8 bits  run count R (deltas needing more runs fall back to a full map)
 //   16 bits  per run: 10-bit start offset from the new base + 6-bit length
@@ -34,45 +35,17 @@ class BufferMapDelta {
     [[nodiscard]] bool operator==(const Run& other) const noexcept = default;
   };
 
-  BufferMapDelta() = default;
-
   /// The delta transforming `from` into `to`.  Both maps must share one
   /// window size; any base movement (forward on head progress, backward in
   /// the rare evicted-max case) is representable.  Runs longer than
-  /// kMaxRunLength are split so the result always encodes.
+  /// kMaxRunLength are split, so only the run count can exceed the format.
   [[nodiscard]] static BufferMapDelta diff(const BufferMap& from, const BufferMap& to);
 
-  /// Reconstructs `to` from `from`: rebases the window, drops bits that
-  /// fall outside it, then applies the toggles.  apply(from, diff(from, to))
-  /// == to for all map pairs sharing a window.
-  [[nodiscard]] BufferMap apply(const BufferMap& from) const;
-
-  [[nodiscard]] SegmentId base() const noexcept { return base_; }
-  [[nodiscard]] std::size_t window() const noexcept { return window_; }
   [[nodiscard]] const std::vector<Run>& runs() const noexcept { return runs_; }
-  /// Total toggled slots across all runs.
-  [[nodiscard]] std::size_t toggled_count() const noexcept;
-
-  /// Wire size in bits: header + 16 per run.  Compare against
-  /// BufferMap::wire_bits() to decide delta vs full-map refresh.
-  [[nodiscard]] std::size_t wire_bits() const noexcept {
-    return kHeaderBits + kRunBits * runs_.size();
-  }
   /// True when the delta fits the wire format (run count and window caps).
   [[nodiscard]] bool encodable() const noexcept {
     return runs_.size() <= kMaxRuns && window_ <= kMaxWindow;
   }
-
-  /// Serializes: 3-byte truncated base, 1-byte run count, 2 bytes per run
-  /// (offset | length << 10, little endian).  Requires encodable().
-  [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  /// Decodes `encode()` output.  `window_bits` must match the encoder's;
-  /// `base_hint` disambiguates the truncated base exactly as
-  /// BufferMap::decode does.
-  [[nodiscard]] static BufferMapDelta decode(const std::vector<std::uint8_t>& bytes,
-                                             std::size_t window_bits, SegmentId base_hint);
-
-  [[nodiscard]] bool operator==(const BufferMapDelta& other) const noexcept = default;
 
   static constexpr std::size_t kRunOffsetBits = 10;
   static constexpr std::size_t kRunLengthBits = 6;
@@ -84,7 +57,6 @@ class BufferMapDelta {
   static constexpr std::size_t kMaxWindow = 1u << kRunOffsetBits;
 
  private:
-  SegmentId base_ = 0;       ///< the new map's window base
   std::size_t window_ = 0;   ///< shared window size in slots
   std::vector<Run> runs_;    ///< sorted, non-overlapping, non-adjacent
 };

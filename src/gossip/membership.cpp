@@ -66,9 +66,7 @@ net::NodeId MembershipProtocol::join() {
     if (graph_.add_edge(v, peer)) ++made;
   }
   mark_live(v);
-  ++joins_;
   if (overhead_ != nullptr) overhead_->charge_membership(made + 1);
-  if (on_join_) on_join_(v);
   return v;
 }
 
@@ -78,7 +76,6 @@ void MembershipProtocol::leave(net::NodeId v) {
   const std::vector<net::NodeId> affected(graph_.neighbors(v).begin(), graph_.neighbors(v).end());
   graph_.isolate(v);
   mark_dead(v);
-  ++leaves_;
   if (overhead_ != nullptr) overhead_->charge_membership(affected.size());
   for (const net::NodeId u : affected) {
     if (alive(u)) repair_node(u);
@@ -93,14 +90,6 @@ void MembershipProtocol::repair_node(net::NodeId v) {
     const net::NodeId peer = random_live();
     if (peer == v || !alive(peer)) continue;
     if (graph_.add_edge(v, peer) && overhead_ != nullptr) overhead_->charge_membership(1);
-  }
-}
-
-void MembershipProtocol::repair_all() {
-  // Iterate a snapshot: repair_node mutates degrees but not the live list.
-  const std::vector<net::NodeId> snapshot = live_list_;
-  for (const net::NodeId v : snapshot) {
-    if (alive(v) && graph_.degree(v) < target_degree_) repair_node(v);
   }
 }
 

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "gossip/overhead.hpp"
@@ -32,7 +31,6 @@ class MembershipProtocol {
   [[nodiscard]] bool alive(net::NodeId v) const;
   [[nodiscard]] const std::vector<net::NodeId>& live_nodes() const noexcept { return live_list_; }
   [[nodiscard]] std::size_t live_count() const noexcept { return live_list_.size(); }
-  [[nodiscard]] std::size_t target_degree() const noexcept { return target_degree_; }
 
   /// Adds a brand-new peer: allocates a graph node, wires it to
   /// `target_degree` random live peers, marks it live.  Returns its id.
@@ -42,19 +40,8 @@ class MembershipProtocol {
   /// repairs neighbours whose degree fell below the target.
   void leave(net::NodeId v);
 
-  /// Re-fills any live node's view below the target degree (periodic
-  /// maintenance; also invoked by leave() for affected neighbours).
-  void repair_all();
-
   /// Uniform random live node; requires live_count() > 0.
   [[nodiscard]] net::NodeId random_live();
-
-  /// Called with every node id created by join() (lets the scenario layer
-  /// grow its parallel per-node state).
-  void set_on_join(std::function<void(net::NodeId)> callback) { on_join_ = std::move(callback); }
-
-  [[nodiscard]] std::size_t join_count() const noexcept { return joins_; }
-  [[nodiscard]] std::size_t leave_count() const noexcept { return leaves_; }
 
  private:
   void mark_live(net::NodeId v);
@@ -65,14 +52,11 @@ class MembershipProtocol {
   std::size_t target_degree_;
   util::Rng rng_;
   OverheadAccountant* overhead_;
-  std::function<void(net::NodeId)> on_join_;
 
   std::vector<char> alive_;
   std::vector<net::NodeId> live_list_;
   /// live_index_[v] = position of v in live_list_, or npos.
   std::vector<std::size_t> live_index_;
-  std::size_t joins_ = 0;
-  std::size_t leaves_ = 0;
 
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 };

@@ -2,11 +2,6 @@
 
 namespace gs::gossip {
 
-void OverheadAccountant::charge_buffer_map_exchange() noexcept {
-  if (!enabled_) return;
-  buffer_map_bits_ += wire_.buffer_map_bits();
-}
-
 void OverheadAccountant::charge_buffer_map_exchanges(std::size_t count) noexcept {
   if (!enabled_) return;
   buffer_map_bits_ += wire_.buffer_map_bits() * count;
@@ -32,24 +27,6 @@ void OverheadAccountant::charge_data_segment() noexcept {
 void OverheadAccountant::charge_membership(std::size_t records) noexcept {
   if (!enabled_) return;
   membership_bits_ += wire_.membership_bits(records);
-}
-
-double OverheadAccountant::overhead_ratio() const noexcept {
-  if (data_bits_ == 0) return 0.0;
-  return static_cast<double>(buffer_map_bits_) / static_cast<double>(data_bits_);
-}
-
-double OverheadAccountant::control_ratio() const noexcept {
-  if (data_bits_ == 0) return 0.0;
-  return static_cast<double>(buffer_map_bits_ + request_bits_) / static_cast<double>(data_bits_);
-}
-
-void OverheadAccountant::reset() noexcept {
-  buffer_map_bits_ = 0;
-  request_bits_ = 0;
-  data_bits_ = 0;
-  membership_bits_ = 0;
-  data_segments_ = 0;
 }
 
 }  // namespace gs::gossip

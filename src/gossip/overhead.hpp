@@ -21,9 +21,7 @@ class OverheadAccountant {
 
   /// Starts/stops attribution; charges outside the window are dropped.
   void set_enabled(bool enabled) noexcept { enabled_ = enabled; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  void charge_buffer_map_exchange() noexcept;
   /// `count` full-map exchanges at once (one per neighbour of a tick).
   void charge_buffer_map_exchanges(std::size_t count) noexcept;
   /// One delta advert of `run_count` toggled-bit runs sent to
@@ -33,22 +31,11 @@ class OverheadAccountant {
   void charge_data_segment() noexcept;
   void charge_membership(std::size_t records) noexcept;
 
-  [[nodiscard]] std::uint64_t control_bits() const noexcept {
-    return buffer_map_bits_ + request_bits_;
-  }
   [[nodiscard]] std::uint64_t buffer_map_bits() const noexcept { return buffer_map_bits_; }
   [[nodiscard]] std::uint64_t request_bits() const noexcept { return request_bits_; }
   [[nodiscard]] std::uint64_t data_bits() const noexcept { return data_bits_; }
   [[nodiscard]] std::uint64_t membership_bits() const noexcept { return membership_bits_; }
   [[nodiscard]] std::uint64_t data_segments() const noexcept { return data_segments_; }
-
-  /// The paper's ratio: buffer-map bits / data bits.  0 when no data moved.
-  [[nodiscard]] double overhead_ratio() const noexcept;
-
-  /// Wider ratio including request bits (reported by extensions).
-  [[nodiscard]] double control_ratio() const noexcept;
-
-  void reset() noexcept;
 
  private:
   WireFormat wire_;

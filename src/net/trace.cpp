@@ -130,26 +130,4 @@ Trace synthesize_trace(const TraceSynthesisOptions& options, util::Rng& rng) {
   return trace;
 }
 
-std::vector<Trace> synthesize_trace_family(std::size_t count, std::size_t min_nodes,
-                                           std::size_t max_nodes, std::uint64_t seed) {
-  GS_CHECK_GE(count, 1u);
-  GS_CHECK_GE(min_nodes, 2u);
-  GS_CHECK_GE(max_nodes, min_nodes);
-  std::vector<Trace> family;
-  family.reserve(count);
-  const double log_lo = std::log(static_cast<double>(min_nodes));
-  const double log_hi = std::log(static_cast<double>(max_nodes));
-  for (std::size_t i = 0; i < count; ++i) {
-    const double frac = count == 1 ? 0.0 : static_cast<double>(i) / static_cast<double>(count - 1);
-    const auto size = static_cast<std::size_t>(std::lround(std::exp(log_lo + frac * (log_hi - log_lo))));
-    TraceSynthesisOptions options;
-    options.node_count = std::max<std::size_t>(2, size);
-    util::Rng rng(util::splitmix64(seed ^ util::splitmix64(i)));
-    Trace trace = synthesize_trace(options, rng);
-    trace.name = "synthetic-" + std::to_string(i) + "-" + std::to_string(options.node_count);
-    family.push_back(std::move(trace));
-  }
-  return family;
-}
-
 }  // namespace gs::net

@@ -69,9 +69,4 @@ struct TraceSynthesisOptions {
 /// Deterministically synthesizes a crawl-like trace from `rng`.
 [[nodiscard]] Trace synthesize_trace(const TraceSynthesisOptions& options, util::Rng& rng);
 
-/// The paper uses 30 snapshots spanning 100..10000 nodes; this reproduces
-/// such a family (sizes log-spaced, seeds derived from `seed`).
-[[nodiscard]] std::vector<Trace> synthesize_trace_family(std::size_t count, std::size_t min_nodes,
-                                                         std::size_t max_nodes, std::uint64_t seed);
-
 }  // namespace gs::net

@@ -17,6 +17,7 @@ std::int64_t TimingWheel::bucket_of(Time at) const noexcept {
 }
 
 void TimingWheel::push(const QueueEntry& entry) {
+  GS_CHECK_LT(std::abs(entry.at * inv_quantum_), kMaxQuanta) << "event time past the wheel's range";
   const std::int64_t bucket = bucket_of(entry.at);
   if (!anchored_) {
     // Anchor one bucket behind the first entry so it routes into the near

@@ -94,6 +94,11 @@ class TimingWheel {
     std::uint64_t late_arrivals = 0;
   };
 
+  /// Bound on |time| / quantum: below it bucket_of's int64 index is exact
+  /// and its arithmetic is far from overflow.  push() aborts past it;
+  /// Config::validate rejects the settings that schedule past it directly.
+  static constexpr double kMaxQuanta = 0x1p53;
+
   explicit TimingWheel(double quantum = 1.0);
 
   void push(const QueueEntry& entry);

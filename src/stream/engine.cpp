@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "util/check.hpp"
-#include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gs::stream {
@@ -92,7 +91,6 @@ const PeerNode& Engine::peer(net::NodeId v) const {
 }
 
 void Engine::start_session(SessionIndex k) {
-  timeline_.session(static_cast<std::size_t>(k)).start_time = sim_.now();
   const double interval = 1.0 / config_.playback_rate;
   // Session k generates only strictly before switch k (on a tie the switch
   // event, scheduled at run start, pops first).  So when switch k - 1
@@ -106,13 +104,9 @@ void Engine::start_session(SessionIndex k) {
 }
 
 void Engine::generate_segment(SessionIndex k, double now) {
-  const SegmentId announce =
-      k > 0 ? timeline_.session(static_cast<std::size_t>(k) - 1).last : kNoSegment;
-  const SegmentId id = registry_.append(k, now, announce);
-  Session& session = timeline_.session(static_cast<std::size_t>(k));
-  if (session.first == kNoSegment) session.first = id;
+  const SegmentId id = timeline_.append_segment(static_cast<std::size_t>(k));
   ++stats_.segments_generated;
-  PeerNode& src = peers_[session.source];
+  PeerNode& src = peers_[timeline_.session(static_cast<std::size_t>(k)).source];
   // Locally generated: fills the buffer/availability but is not wire data.
   deliver_segment(src, id, now, /*count_wire=*/false);
 }
@@ -124,7 +118,7 @@ void Engine::schedule_switch(int switch_index) {
 
 void Engine::run_switch(int switch_index) {
   const double now = sim_.now();
-  timeline_.begin_switch(switch_index, now, registry_.next_id() - 1);
+  timeline_.begin_switch(switch_index, now, timeline_.next_id() - 1);
 
   if (switch_index == 0) overhead_.set_enabled(true);
   timeline_.capture_overhead(overhead_);
@@ -433,7 +427,6 @@ bool Engine::issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double n
   StagedDelivery d;
   if (!s.alive || !s.buffer.contains(id) ||
       !transfers_.request_staged(p, s, now, d.deliver_at)) {
-    ++p.requests_rejected;
     ++plan.rejected;
     return false;
   }
@@ -442,7 +435,6 @@ bool Engine::issue_one(PeerNode& p, SegmentId id, net::NodeId supplier, double n
   ++plan.issued;
   p.in_budget.spend(1.0);
   p.pending.set(id, now + config_.pending_timeout);
-  ++p.requests_issued;
   return true;
 }
 
@@ -477,10 +469,10 @@ void Engine::cdn_assist_tick(PeerNode& p, double now) {
     // id in it has an alive gossip supplier — before the new source has
     // generated that far, the swarm cannot yet take over.
     view.suppliers_cover =
-        registry_.next_id() - 1 >= end && cdn_window_covered(p, begin, end);
+        timeline_.next_id() - 1 >= end && cdn_window_covered(p, begin, end);
   }
   if (!cdn_->control(p.id, view, now)) return;
-  const SegmentId head = std::min<SegmentId>(end, registry_.next_id() - 1);
+  const SegmentId head = std::min<SegmentId>(end, timeline_.next_id() - 1);
   for (SegmentId id = begin; id <= head; ++id) {
     if (p.in_budget.whole() == 0) break;
     if (p.has_received(id)) continue;
@@ -536,7 +528,6 @@ void Engine::on_delivery(net::NodeId to, SegmentId id) {
 
 void Engine::deliver_segment(PeerNode& p, SegmentId id, double now, bool count_wire) {
   if (!p.mark_received(id)) {
-    ++p.duplicates_received;
     ++stats_.duplicates;
     return;
   }
@@ -552,10 +543,8 @@ void Engine::deliver_bookkeeping(PeerNode& p, SegmentId id, double now, bool cou
   }
 
   // Segments of session k announce the end of session k-1 (§3).
-  const SegmentInfo& info = registry_.info(id);
-  if (info.session > 0 && p.known_boundary < info.session - 1) {
-    learn_boundaries(p, info.session - 1, now);
-  }
+  const SessionIndex session = timeline_.session_of(id);
+  if (session > 0 && p.known_boundary < session - 1) learn_boundaries(p, session - 1, now);
 
   // Startup rule bookkeeping: extend the contiguous run from start_id.
   if (id >= p.start_id) p.extend_start_run();
@@ -628,10 +617,8 @@ void Engine::on_delivery_batch(const sim::PooledBatchItem* items, std::size_t co
   std::array<std::size_t, kMaxDataShards> cursor{};
   for (std::size_t i = 0; i < count && !experiment_done_; ++i) {
     const auto to = static_cast<net::NodeId>(items[i].a);
-    PeerNode& p = peers_[to];
     switch (batch_outcomes_[i]) {
       case MarkOutcome::kDuplicate:
-        ++p.duplicates_received;
         ++stats_.duplicates;
         break;
       case MarkOutcome::kFresh:

@@ -261,7 +261,6 @@ class Engine {
   [[nodiscard]] const PeerNode& peer(net::NodeId v) const;
   [[nodiscard]] std::size_t peer_count() const noexcept { return peers_.size(); }
   [[nodiscard]] const net::Graph& graph() const noexcept { return graph_; }
-  [[nodiscard]] const SegmentRegistry& registry() const noexcept { return registry_; }
   [[nodiscard]] const std::vector<Session>& sessions() const noexcept {
     return timeline_.sessions();
   }
@@ -501,7 +500,6 @@ class Engine {
   sim::Simulator sim_;
   gossip::OverheadAccountant overhead_;
   gossip::MembershipProtocol membership_;
-  SegmentRegistry registry_;
   TransferPlane transfers_;
   SwitchTimeline timeline_;
   /// CDN patch-source plane (config_.cdn_assist; null otherwise, so the

@@ -6,7 +6,6 @@
 
 #include "stream/engine.hpp"
 #include "util/check.hpp"
-#include "util/logging.hpp"
 #include "util/meminfo.hpp"
 
 namespace gs::stream {
@@ -153,7 +152,7 @@ net::NodeId Engine::handle_join() {
   }
   if (start == kNoSegment) {
     start = std::max<SegmentId>(
-        0, registry_.next_id() - static_cast<SegmentId>(config_.q_consecutive));
+        0, timeline_.next_id() - static_cast<SegmentId>(config_.q_consecutive));
   }
   p.start_id = start;
 
@@ -176,19 +175,15 @@ void Engine::warm_start_state() {
   if (history_count == 0) return;
   const double t0 = sim_.now();
 
-  // Pre-generate the old source's history, timestamped in the past.
-  Session& first_session = timeline_.session(0);
-  PeerNode& src = peers_[first_session.source];
+  // Pre-generate the old source's history.
+  const net::NodeId source = timeline_.session(0).source;
   for (std::size_t i = 0; i < history_count; ++i) {
-    const double created = t0 - static_cast<double>(history_count - i) / p_rate;
-    const SegmentId id = registry_.append(0, created, kNoSegment);
-    if (first_session.first == kNoSegment) first_session.first = id;
+    peers_[source].preload(timeline_.append_segment(0));
     ++stats_.segments_generated;
-    src.preload(id);
   }
-  const SegmentId head = registry_.next_id() - 1;
+  const SegmentId head = timeline_.next_id() - 1;
 
-  const std::vector<std::size_t> hops = graph_.bfs_hops(first_session.source);
+  const std::vector<std::size_t> hops = graph_.bfs_hops(source);
   const double population = static_cast<double>(std::max<std::size_t>(peers_.size(), 2));
   // A zero scale means no backlog even where the power overflows (0 * inf
   // would be a NaN lag).
@@ -235,7 +230,7 @@ void Engine::start_debug_series() {
       sim_, sim_.now() + config_.tau, config_.tau, [this](double now) {
         DebugPoint point;
         point.time = now;
-        point.head = registry_.next_id() - 1;
+        point.head = timeline_.next_id() - 1;
         double cursor_gap = 0.0;
         double frontier_gap = 0.0;
         std::size_t counted = 0;

@@ -85,11 +85,6 @@ struct PeerNode {
   gossip::BufferMap advertised_map;
   std::uint32_t adverts_since_refresh = 0;
 
-  // Diagnostics.
-  std::uint64_t requests_issued = 0;
-  std::uint64_t requests_rejected = 0;
-  std::uint64_t duplicates_received = 0;
-
   /// Marks `id` received (growing the bitset as needed) and inserts it into
   /// the stream buffer.  Returns false when it was already received.
   bool mark_received(SegmentId id);

@@ -78,7 +78,6 @@ std::size_t Playback::advance(double now, const std::function<bool(SegmentId)>& 
       }
     }
     on_play(cursor_, next_due_);
-    ++played_;
     ++plays;
     ++cursor_;
     next_due_ += interval_;

@@ -33,14 +33,11 @@ class Playback {
   [[nodiscard]] double rate() const noexcept { return rate_; }
   /// Next segment to play.
   [[nodiscard]] SegmentId cursor() const noexcept { return cursor_; }
-  /// Earliest time the cursor segment may play.
-  [[nodiscard]] double next_due() const noexcept { return next_due_; }
   /// Id the playback is currently gated at; kNoSegment if no gate.
   [[nodiscard]] SegmentId gate() const noexcept { return gate_; }
   /// Total seconds spent stalled waiting for data (excludes gate waits
   /// before the stream started).
   [[nodiscard]] double stall_time() const noexcept { return stall_time_; }
-  [[nodiscard]] std::uint64_t played_count() const noexcept { return played_; }
 
   /// Begins playback at `first` with the first segment due at `now`.
   void start(SegmentId first, double now);
@@ -105,7 +102,6 @@ class Playback {
   double stall_time_ = 0.0;
   /// True while the cursor segment was found missing at its due time.
   bool stalled_ = false;
-  std::uint64_t played_ = 0;
   /// Arrival times of not-yet-played segments near the cursor (see
   /// notify_arrival), created on first use.
   std::unique_ptr<ArrivalRing> ring_;

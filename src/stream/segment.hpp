@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "gossip/buffer_map.hpp"
 #include "net/graph.hpp"
@@ -19,21 +18,9 @@ using gossip::kNoSegment;
 /// Index of a session in the serial timeline (0 = the first source).
 using SessionIndex = std::int32_t;
 
-/// Metadata of one generated segment.  Payload is never materialized; the
-/// simulator only moves metadata and charges wire sizes.
-struct SegmentInfo {
-  SegmentId id = kNoSegment;
-  SessionIndex session = 0;
-  double created_at = 0.0;
-  /// Ending segment id of the previous session, carried by segments of a
-  /// new source as the switch announcement (kNoSegment for session 0).
-  SegmentId prev_session_end = kNoSegment;
-};
-
 /// One source's streaming session.
 struct Session {
   net::NodeId source = 0;
-  double start_time = 0.0;
   /// First segment id; kNoSegment until the first segment is generated.
   SegmentId first = kNoSegment;
   /// Last segment id; kNoSegment while the session is still streaming.
@@ -41,28 +28,6 @@ struct Session {
 
   [[nodiscard]] bool started() const noexcept { return first != kNoSegment; }
   [[nodiscard]] bool ended() const noexcept { return last != kNoSegment; }
-  /// Number of segments generated so far (0 if not started).
-  [[nodiscard]] std::size_t generated(SegmentId next_global) const noexcept {
-    if (!started()) return 0;
-    const SegmentId upper = ended() ? last + 1 : next_global;
-    return static_cast<std::size_t>(upper - first);
-  }
-};
-
-/// The global registry of generated segments, indexed by id.
-class SegmentRegistry {
- public:
-  /// Appends a segment, returning its id.
-  SegmentId append(SessionIndex session, double created_at, SegmentId prev_session_end);
-
-  [[nodiscard]] const SegmentInfo& info(SegmentId id) const;
-  [[nodiscard]] SegmentId next_id() const noexcept {
-    return static_cast<SegmentId>(segments_.size());
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return segments_.size(); }
-
- private:
-  std::vector<SegmentInfo> segments_;
 };
 
 }  // namespace gs::stream

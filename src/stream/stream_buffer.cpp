@@ -54,7 +54,6 @@ SegmentId StreamBuffer::insert(SegmentId id) {
     head_ = ring_slot(1);
     --count_;
     presence_.reset(static_cast<std::size_t>(victim));
-    ++evictions_;
     if (victim == max_id_) {
       // Rare: the max can only be evicted under heavy id reordering.
       max_id_ = kNoSegment;
@@ -82,14 +81,6 @@ SegmentId StreamBuffer::insert(SegmentId id) {
   min_id_ = low;
   max_id_ = high;
   return victim;
-}
-
-gossip::BufferMap StreamBuffer::build_map(std::size_t window_bits) const {
-  if (max_id_ == kNoSegment) return gossip::BufferMap(0, window_bits);
-  // Word-at-a-time copy out of the presence bitset: build_map runs once per
-  // peer per advert under delta accounting, so the per-slot contains() loop
-  // it replaced was a real per-tick cost.
-  return gossip::BufferMap::from_presence(window_base(window_bits), window_bits, presence_);
 }
 
 void StreamBuffer::build_map_into(std::size_t window_bits, gossip::BufferMap& out) const {

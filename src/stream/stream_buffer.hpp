@@ -84,14 +84,10 @@ class StreamBuffer {
   /// Bits are cleared on eviction.  Zero-copy view for the gossip layer.
   [[nodiscard]] const util::DynamicBitset& presence() const noexcept { return presence_; }
 
-  /// Builds the wire-format availability map: window of `window_bits`
-  /// ending at the newest held id (base = max(0, max_id - window + 1)).
-  [[nodiscard]] gossip::BufferMap build_map(std::size_t window_bits) const;
-
-  /// build_map into a caller-owned scratch map (reuses its storage).
+  /// Rebuilds `out` as the availability map a peer advertises: a window of
+  /// `window_bits` ending at the highest held id (base = max(0, max_id -
+  /// window + 1)), reusing the map's storage.
   void build_map_into(std::size_t window_bits, gossip::BufferMap& out) const;
-
-  [[nodiscard]] std::uint64_t eviction_count() const noexcept { return evictions_; }
 
   /// Heap bytes owned by the ring, the stamp window and the presence bitset.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
@@ -122,7 +118,6 @@ class StreamBuffer {
   std::uint16_t next_sequence_ = 0;
   SegmentId min_id_ = kNoSegment;
   SegmentId max_id_ = kNoSegment;
-  std::uint64_t evictions_ = 0;
 };
 
 }  // namespace gs::stream

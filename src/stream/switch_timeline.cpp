@@ -44,18 +44,33 @@ SwitchMetrics& SwitchTimeline::metrics(int k) {
   return metrics_[static_cast<std::size_t>(k)];
 }
 
+SegmentId SwitchTimeline::append_segment(std::size_t k) {
+  Session& s = session(k);
+  if (!s.started()) s.first = next_id_;
+  return next_id_++;
+}
+
+SessionIndex SwitchTimeline::session_of(SegmentId id) const {
+  // Sessions end in order, each on a strictly larger id (begin_switch
+  // requires a started session), so the ranges [first, last] tile the ids.
+  std::size_t k = 0;
+  while (k + 1 < sessions_.size() && sessions_[k].ended() && id > sessions_[k].last) ++k;
+  return static_cast<SessionIndex>(k);
+}
+
 void SwitchTimeline::begin_switch(int k, double now, SegmentId last_of_old) {
   current_switch_ = k;
   Session& old = session(static_cast<std::size_t>(k));
   GS_CHECK(old.started());
   old.last = last_of_old;
-  session_end_index_[old.last] = k;
   metrics(k).switch_time = now;
 }
 
 int SwitchTimeline::switch_ending_at(SegmentId id) const {
-  const auto it = session_end_index_.find(id);
-  return it == session_end_index_.end() ? -1 : it->second;
+  for (int k = 0; k <= current_switch_; ++k) {
+    if (sessions_[static_cast<std::size_t>(k)].last == id) return k;
+  }
+  return -1;
 }
 
 std::size_t SwitchTimeline::required_prefix(int k, std::size_t q_startup) const {

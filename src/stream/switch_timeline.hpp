@@ -1,14 +1,13 @@
 // The switch timeline: epoch/session bookkeeping for single- and
 // multi-switch runs.
 //
-// Owns what "switch k" means — the serial source sessions, the boundary
-// ids, the per-switch metrics rows, overhead snapshots and the completion
-// predicate.  The engine owns the clock and the peers; it tells the
+// Owns what "switch k" means — the serial source sessions, the segment id
+// counter and each session's [first, last] id range, the per-switch metrics
+// rows, overhead snapshots and the completion predicate.  The engine owns the clock and the peers; it tells the
 // timeline when a switch fires and the timeline keeps the books.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "gossip/overhead.hpp"
@@ -39,11 +38,20 @@ class SwitchTimeline {
   /// Most recent switch that fired (-1 before the first).
   [[nodiscard]] int current_switch() const noexcept { return current_switch_; }
 
+  /// Allocates the next global segment id to session k, stamping the
+  /// session's first id on its first segment.
+  SegmentId append_segment(std::size_t k);
+  /// The id the next generated segment takes (= segments generated so far).
+  [[nodiscard]] SegmentId next_id() const noexcept { return next_id_; }
+  /// Session whose id range holds the generated segment `id`: the first
+  /// session still streaming or ending at or after `id`.
+  [[nodiscard]] SessionIndex session_of(SegmentId id) const;
+
   [[nodiscard]] SwitchMetrics& metrics(int k);
   [[nodiscard]] const std::vector<SwitchMetrics>& results() const noexcept { return metrics_; }
 
-  /// Marks switch k fired at `now`: ends session k at segment `last_of_old`,
-  /// records the boundary -> switch mapping and stamps the metrics row.
+  /// Marks switch k fired at `now`: ends session k at segment `last_of_old`
+  /// and stamps the metrics row.
   void begin_switch(int k, double now, SegmentId last_of_old);
 
   /// Switch index whose old session ends at `id`; -1 when `id` is not a
@@ -95,8 +103,7 @@ class SwitchTimeline {
 
   std::vector<Session> sessions_;
   std::vector<double> switch_times_;
-  /// session end id -> switch index (filled as switches fire).
-  std::unordered_map<SegmentId, int> session_end_index_;
+  SegmentId next_id_ = 0;
   std::vector<SwitchMetrics> metrics_;
   std::vector<OverheadSnapshot> overhead_snapshots_;
   int current_switch_ = -1;

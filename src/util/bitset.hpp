@@ -1,8 +1,8 @@
-// Dynamic bitset backing the 600-bit buffer-availability maps.
+// Dynamic bitset backing the presence sets and the buffer-availability maps.
 //
 // std::vector<bool> has no word-level access and std::bitset is fixed-size;
-// buffer maps need runtime size plus fast popcount and byte serialization
-// for the wire format, hence this small purpose-built type.
+// the candidate build and the delta diff need runtime size plus unaligned
+// 64-bit word reads, hence this small purpose-built type.
 #pragma once
 
 #include <cstddef>
@@ -35,16 +35,10 @@ class DynamicBitset {
     }
   }
   void reset(std::size_t pos) { set(pos, false); }
-  void reset_all() noexcept;
   [[nodiscard]] bool test(std::size_t pos) const {
     GS_CHECK_LT(pos, bits_);
     return (words_[pos / kWordBits] >> (pos % kWordBits)) & 1ULL;
   }
-
-  /// Number of set bits.
-  [[nodiscard]] std::size_t count() const noexcept;
-  [[nodiscard]] bool any() const noexcept;
-  [[nodiscard]] bool none() const noexcept { return !any(); }
 
   /// Index of the first set bit at or after `from`; size() when none.
   [[nodiscard]] std::size_t find_first(std::size_t from = 0) const noexcept;
@@ -63,31 +57,16 @@ class DynamicBitset {
     return out;
   }
 
-  /// A new `bits`-bit bitset holding src[from, from + bits); positions past
-  /// src's size read 0.  Word-at-a-time window extraction.
-  [[nodiscard]] static DynamicBitset copy_window(const DynamicBitset& src, std::size_t from,
-                                                 std::size_t bits);
-
-  /// In-place copy_window: this bitset becomes src[from, from + bits),
-  /// reusing the existing word storage so steady-state callers (the advert
-  /// scratch maps) allocate nothing.  `src` must not alias this bitset.
+  /// This bitset becomes src[from, from + bits), positions past src's size
+  /// reading 0: word-at-a-time window extraction that reuses the existing
+  /// word storage, so steady-state callers (the advert scratch maps)
+  /// allocate nothing.  `src` must not alias this bitset.
   void assign_window(const DynamicBitset& src, std::size_t from, std::size_t bits);
 
   /// Heap bytes owned by the word array.
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return words_.capacity() * sizeof(std::uint64_t);
   }
-
-  DynamicBitset& operator&=(const DynamicBitset& other);
-  DynamicBitset& operator|=(const DynamicBitset& other);
-
-  [[nodiscard]] bool operator==(const DynamicBitset& other) const noexcept = default;
-
-  /// Serializes to ceil(size/8) bytes, LSB-first within each byte.
-  [[nodiscard]] std::vector<std::uint8_t> to_bytes() const;
-  /// Rebuilds a bitset of `bits` bits from `to_bytes()` output.
-  [[nodiscard]] static DynamicBitset from_bytes(const std::vector<std::uint8_t>& bytes,
-                                                std::size_t bits);
 
  private:
   static constexpr std::size_t kWordBits = 64;

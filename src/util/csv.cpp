@@ -22,23 +22,14 @@ std::string CsvWriter::escape(std::string_view field) {
   return quoted;
 }
 
-void CsvWriter::write_fields(const std::vector<std::string>& fields) {
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) out_ << ',';
-    out_ << escape(fields[i]);
+void CsvWriter::write_row(std::initializer_list<std::string_view> fields) {
+  bool first = true;
+  for (const std::string_view field : fields) {
+    if (!first) out_ << ',';
+    first = false;
+    out_ << escape(field);
   }
   out_ << '\n';
 }
-
-void CsvWriter::write_row(std::initializer_list<std::string_view> fields) {
-  std::vector<std::string> copy;
-  copy.reserve(fields.size());
-  for (std::string_view f : fields) copy.emplace_back(f);
-  write_fields(copy);
-}
-
-void CsvWriter::write_row(const std::vector<std::string>& fields) { write_fields(fields); }
-
-void CsvWriter::flush() { out_.flush(); }
 
 }  // namespace gs::util

@@ -5,7 +5,6 @@
 #include <initializer_list>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace gs::util {
 
@@ -19,10 +18,6 @@ class CsvWriter {
 
   /// Writes a header or data row.
   void write_row(std::initializer_list<std::string_view> fields);
-  void write_row(const std::vector<std::string>& fields);
-
-  /// Flushes buffered output.
-  void flush();
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
@@ -30,8 +25,6 @@ class CsvWriter {
   [[nodiscard]] static std::string escape(std::string_view field);
 
  private:
-  void write_fields(const std::vector<std::string>& fields);
-
   std::string path_;
   std::ofstream out_;
 };

@@ -23,11 +23,6 @@ void Histogram::add_n(double x, std::size_t n) noexcept {
   total_ += n;
 }
 
-std::size_t Histogram::count(std::size_t bin) const {
-  GS_CHECK(bin < counts_.size());
-  return counts_[bin];
-}
-
 double Histogram::bin_lo(std::size_t bin) const {
   GS_CHECK(bin < counts_.size());
   const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
@@ -38,14 +33,6 @@ double Histogram::bin_hi(std::size_t bin) const {
   GS_CHECK(bin < counts_.size());
   const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
   return lo_ + width * static_cast<double>(bin + 1);
-}
-
-double Histogram::cdf(std::size_t bin) const {
-  GS_CHECK(bin < counts_.size());
-  if (total_ == 0) return 0.0;
-  std::size_t acc = 0;
-  for (std::size_t i = 0; i <= bin; ++i) acc += counts_[i];
-  return static_cast<double>(acc) / static_cast<double>(total_);
 }
 
 std::string Histogram::render(std::size_t width) const {

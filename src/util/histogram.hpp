@@ -17,14 +17,10 @@ class Histogram {
   void add(double x) noexcept;
   void add_n(double x, std::size_t n) noexcept;
 
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bin) const;
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
   /// Inclusive lower edge of a bin.
   [[nodiscard]] double bin_lo(std::size_t bin) const;
   [[nodiscard]] double bin_hi(std::size_t bin) const;
-  /// Fraction of samples at or below the upper edge of `bin`.
-  [[nodiscard]] double cdf(std::size_t bin) const;
 
   /// ASCII rendering (one row per bin) for example programs.
   [[nodiscard]] std::string render(std::size_t width = 40) const;

@@ -34,6 +34,4 @@ std::uint64_t status_field_bytes(const char* field) noexcept {
 
 std::uint64_t peak_rss_bytes() noexcept { return status_field_bytes("VmHWM"); }
 
-std::uint64_t current_rss_bytes() noexcept { return status_field_bytes("VmRSS"); }
-
 }  // namespace gs::util

@@ -9,7 +9,4 @@ namespace gs::util {
 /// /proc/self/status).  Returns 0 when the platform offers no probe.
 [[nodiscard]] std::uint64_t peak_rss_bytes() noexcept;
 
-/// Current resident set size in bytes (Linux: VmRSS); 0 when unavailable.
-[[nodiscard]] std::uint64_t current_rss_bytes() noexcept;
-
 }  // namespace gs::util

@@ -15,24 +15,6 @@ void RunningStats::add(double x) noexcept {
   max_ = std::max(max_, x);
 }
 
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al. parallel merge of Welford accumulators.
-  const double delta = other.mean_ - mean_;
-  const auto na = static_cast<double>(count_);
-  const auto nb = static_cast<double>(other.count_);
-  const double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningStats::variance() const noexcept {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);
@@ -72,13 +54,6 @@ std::string Summary::to_string() const {
   out << "n=" << n << " mean=" << mean << " sd=" << stddev << " min=" << min << " p50=" << p50
       << " p90=" << p90 << " max=" << max;
   return out.str();
-}
-
-double mean_of(std::span<const double> values) {
-  if (values.empty()) return std::numeric_limits<double>::quiet_NaN();
-  RunningStats rs;
-  for (double v : values) rs.add(v);
-  return rs.mean();
 }
 
 double ci95_halfwidth(std::span<const double> values) {

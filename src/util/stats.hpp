@@ -14,7 +14,6 @@ namespace gs::util {
 class RunningStats {
  public:
   void add(double x) noexcept;
-  void merge(const RunningStats& other) noexcept;
   void reset() noexcept { *this = RunningStats(); }
 
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
@@ -55,9 +54,6 @@ struct Summary {
   [[nodiscard]] static Summary of(std::span<const double> values);
   [[nodiscard]] std::string to_string() const;
 };
-
-/// Mean of a sample; NaN when empty.
-[[nodiscard]] double mean_of(std::span<const double> values);
 
 /// 95% confidence half-width assuming normality (1.96 * s / sqrt(n));
 /// 0 for fewer than two samples.

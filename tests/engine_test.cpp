@@ -123,7 +123,6 @@ TEST(Engine, SourcesExcludedFromPlayback) {
   (void)engine->run();
   EXPECT_FALSE(engine->peer(0).playback.started());
   EXPECT_FALSE(engine->peer(1).playback.started());
-  EXPECT_EQ(engine->peer(0).requests_issued, 0u);
 }
 
 TEST(Engine, SessionBoundariesRecorded) {
@@ -135,18 +134,19 @@ TEST(Engine, SessionBoundariesRecorded) {
   EXPECT_TRUE(sessions[1].started());
   EXPECT_EQ(sessions[1].first, sessions[0].last + 1) << "id_begin = id_end + 1 (S3)";
   // Generation rate: history + warmup at p = 10.
-  const auto& registry = engine->registry();
-  EXPECT_GT(registry.size(), 500u);
+  EXPECT_GT(engine->timeline().next_id(), 500);
 }
 
 TEST(Engine, AnnouncementCarriedByNewSessionSegments) {
+  // S3: segments of the new session announce the old session's end, so
+  // every live peer learns the boundary by the end of the run.
   auto engine = make_engine(50, 17, small_config(17));
   (void)engine->run();
-  const auto& registry = engine->registry();
-  const auto& sessions = engine->sessions();
-  const SegmentInfo& first_s2 = registry.info(sessions[1].first);
-  EXPECT_EQ(first_s2.prev_session_end, sessions[0].last);
-  EXPECT_EQ(first_s2.session, 1);
+  for (std::size_t v = 0; v < engine->peer_count(); ++v) {
+    const PeerNode& p = engine->peer(static_cast<net::NodeId>(v));
+    if (p.is_source || !p.alive) continue;
+    EXPECT_GE(p.known_boundary, 0) << "peer " << v;
+  }
 }
 
 TEST(Engine, ChurnRunCompletes) {

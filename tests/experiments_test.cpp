@@ -420,6 +420,43 @@ TEST(Config, RejectsInfiniteCdnAssistLatency) {
   EXPECT_NO_THROW(config.validate());
 }
 
+// Finite but huge times overflow the timing wheel's int64 bucket index
+// (|t| / tau >= 2^53): each setting that places an event directly is
+// rejected by name.
+TEST(Config, RejectsEventTimesPastTheWheelRange) {
+  const auto rejects = [](const Config& config, const std::string& field) {
+    try {
+      config.validate();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()).find(field) != std::string::npos;
+    }
+    return false;
+  };
+  Config config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.warmup = 1e19;
+  EXPECT_TRUE(rejects(config, "warmup"));
+
+  config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.engine.horizon = 1e19;
+  EXPECT_TRUE(rejects(config, "horizon"));
+  config.engine.horizon = 1e12;
+  EXPECT_NO_THROW(config.validate());
+  config.engine.tau = 1e-4;  // the same horizon is 1e16 quanta now
+  EXPECT_TRUE(rejects(config, "horizon"));
+
+  config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.switch_times = {0.0, 1e19};
+  EXPECT_TRUE(rejects(config, "horizon"));
+
+  config = Config::paper_static(100, AlgorithmKind::kFast);
+  config.enable_flash_crowd(5, 1e19);
+  EXPECT_TRUE(rejects(config, "flash_crowd_start"));
+  config.enable_flash_crowd(5, 0.5, 1e19);
+  EXPECT_TRUE(rejects(config, "flash_crowd_duration"));
+  config.enable_flash_crowd(5, 0.5, 2.0);
+  EXPECT_NO_THROW(config.validate());
+}
+
 TEST(Config, EnumStringRoundTrip) {
   EXPECT_EQ(algorithm_from_string("fast"), AlgorithmKind::kFast);
   EXPECT_EQ(algorithm_from_string("normal"), AlgorithmKind::kNormal);
@@ -629,13 +666,6 @@ TEST(Runner, SweepProducesOnePointPerSize) {
   ASSERT_EQ(points.size(), 2u);
   EXPECT_EQ(points[0].node_count, 40u);
   EXPECT_EQ(points[1].node_count, 80u);
-}
-
-TEST(Runner, PaperSizesAxis) {
-  const auto sizes = paper_sizes();
-  ASSERT_EQ(sizes.size(), 6u);
-  EXPECT_EQ(sizes.front(), 100u);
-  EXPECT_EQ(sizes.back(), 8000u);
 }
 
 TEST(Report, CsvOutputs) {

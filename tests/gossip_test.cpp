@@ -1,4 +1,4 @@
-// Buffer-map wire format, overhead accounting, membership protocol.
+// Buffer-map snapshots, overhead accounting, membership protocol.
 #include <gtest/gtest.h>
 
 #include "gossip/buffer_map.hpp"
@@ -11,66 +11,20 @@
 namespace gs::gossip {
 namespace {
 
-TEST(BufferMap, WindowSemantics) {
-  BufferMap map(100, 600);
+TEST(BufferMap, WindowWordReadsZeroOutsideTheWindow) {
+  util::DynamicBitset presence(800);
+  for (const std::size_t id : {99u, 100u, 350u, 699u, 700u}) presence.set(id);
+  BufferMap map;
+  map.assign_from_presence(100, 600, presence);
   EXPECT_EQ(map.base(), 100);
   EXPECT_EQ(map.window(), 600u);
-  EXPECT_TRUE(map.in_window(100));
-  EXPECT_TRUE(map.in_window(699));
-  EXPECT_FALSE(map.in_window(99));
-  EXPECT_FALSE(map.in_window(700));
-}
-
-TEST(BufferMap, MarkAndQuery) {
-  BufferMap map(100, 600);
-  map.mark(100);
-  map.mark(350);
-  map.mark(699);
-  map.mark(99);    // outside: ignored
-  map.mark(1000);  // outside: ignored
-  EXPECT_EQ(map.available_count(), 3u);
-  EXPECT_TRUE(map.available(350));
-  EXPECT_FALSE(map.available(351));
-  EXPECT_FALSE(map.available(99));
-}
-
-TEST(BufferMap, FirstAvailable) {
-  BufferMap map(10, 100);
-  EXPECT_FALSE(map.first_available(0).has_value());
-  map.mark(50);
-  map.mark(20);
-  EXPECT_EQ(map.first_available(0).value(), 20);
-  EXPECT_EQ(map.first_available(21).value(), 50);
-  EXPECT_EQ(map.first_available(50).value(), 50);
-  EXPECT_FALSE(map.first_available(51).has_value());
-}
-
-TEST(BufferMap, WireBitsMatchPaper) {
-  // "getting the buffer information of one neighbor takes 620 bits".
-  BufferMap map(0, 600);
-  EXPECT_EQ(map.wire_bits(), 620u);
-}
-
-TEST(BufferMap, EncodeDecodeRoundTrip) {
-  util::Rng rng(1);
-  BufferMap map(12345, 600);
-  for (SegmentId id = 12345; id < 12345 + 600; ++id) {
-    if (rng.bernoulli(0.4)) map.mark(id);
-  }
-  const auto bytes = map.encode();
-  EXPECT_EQ(bytes.size(), 3u + 75u);
-  const BufferMap back = BufferMap::decode(bytes, 600, /*base_hint=*/12000);
-  EXPECT_EQ(back, map);
-}
-
-TEST(BufferMap, DecodeRecoversBaseAcross20BitWrap) {
-  // Bases beyond 2^20 are truncated on the wire; the hint disambiguates.
-  const SegmentId base = (SegmentId{1} << 20) + 777;
-  BufferMap map(base, 64);
-  map.mark(base + 5);
-  const BufferMap back = BufferMap::decode(map.encode(), 64, base - 100);
-  EXPECT_EQ(back.base(), base);
-  EXPECT_TRUE(back.available(base + 5));
+  EXPECT_EQ(map.window_word(100), 1u);  // 99 lies below the base
+  EXPECT_EQ(map.window_word(350) & 1, 1u);
+  EXPECT_EQ(map.window_word(351) & 1, 0u);
+  EXPECT_EQ(map.window_word(699), 1u);  // 700 lies past the window
+  EXPECT_EQ(map.window_word(99), 2u);   // straddles the base: 99 reads 0
+  EXPECT_EQ(map.window_word(100 - 64), 0u);
+  EXPECT_EQ(map.window_word(700), 0u);
 }
 
 TEST(WireFormat, PaperNumbers) {
@@ -85,17 +39,19 @@ TEST(Overhead, PaperRatioApproximation) {
   // 620*5 control bits per 10*30Kb data bits ~ 1%.
   OverheadAccountant acc;
   for (int period = 0; period < 100; ++period) {
-    for (int nb = 0; nb < 5; ++nb) acc.charge_buffer_map_exchange();
+    acc.charge_buffer_map_exchanges(5);
     for (int seg = 0; seg < 10; ++seg) acc.charge_data_segment();
   }
-  EXPECT_NEAR(acc.overhead_ratio(), 620.0 * 5 / (10.0 * 30 * 1024), 1e-9);
-  EXPECT_NEAR(acc.overhead_ratio(), 0.01, 0.002);
+  const double ratio =
+      static_cast<double>(acc.buffer_map_bits()) / static_cast<double>(acc.data_bits());
+  EXPECT_NEAR(ratio, 620.0 * 5 / (10.0 * 30 * 1024), 1e-9);
+  EXPECT_NEAR(ratio, 0.01, 0.002);
 }
 
 TEST(Overhead, DisabledWindowDropsCharges) {
   OverheadAccountant acc;
   acc.set_enabled(false);
-  acc.charge_buffer_map_exchange();
+  acc.charge_buffer_map_exchanges(1);
   acc.charge_data_segment();
   acc.charge_request(5);
   EXPECT_EQ(acc.buffer_map_bits(), 0u);
@@ -103,28 +59,6 @@ TEST(Overhead, DisabledWindowDropsCharges) {
   acc.set_enabled(true);
   acc.charge_data_segment();
   EXPECT_EQ(acc.data_segments(), 1u);
-}
-
-TEST(Overhead, ControlRatioIncludesRequests) {
-  OverheadAccountant acc;
-  acc.charge_buffer_map_exchange();
-  acc.charge_request(10);
-  acc.charge_data_segment();
-  EXPECT_GT(acc.control_ratio(), acc.overhead_ratio());
-}
-
-TEST(Overhead, ZeroDataMeansZeroRatio) {
-  OverheadAccountant acc;
-  acc.charge_buffer_map_exchange();
-  EXPECT_EQ(acc.overhead_ratio(), 0.0);
-}
-
-TEST(Overhead, Reset) {
-  OverheadAccountant acc;
-  acc.charge_data_segment();
-  acc.reset();
-  EXPECT_EQ(acc.data_bits(), 0u);
-  EXPECT_EQ(acc.data_segments(), 0u);
 }
 
 class MembershipFixture : public ::testing::Test {
@@ -153,7 +87,6 @@ TEST_F(MembershipFixture, JoinWiresToTargetDegree) {
   EXPECT_TRUE(membership_->alive(v));
   EXPECT_EQ(graph_.degree(v), 5u);
   EXPECT_EQ(membership_->live_count(), 201u);
-  EXPECT_EQ(membership_->join_count(), 1u);
 }
 
 TEST_F(MembershipFixture, LeaveDetachesAndRepairs) {
@@ -167,13 +100,6 @@ TEST_F(MembershipFixture, LeaveDetachesAndRepairs) {
   for (const net::NodeId u : old_neighbors) {
     EXPECT_GE(graph_.degree(u), 5u) << "repair restored neighbour " << u;
   }
-}
-
-TEST_F(MembershipFixture, OnJoinCallbackFires) {
-  net::NodeId seen = 0;
-  membership_->set_on_join([&](net::NodeId v) { seen = v; });
-  const net::NodeId v = membership_->join();
-  EXPECT_EQ(seen, v);
 }
 
 TEST_F(MembershipFixture, RandomLiveReturnsLiveNodes) {
@@ -196,10 +122,8 @@ TEST_F(MembershipFixture, ChurnStormKeepsInvariants) {
       membership_->leave(victim);
     }
     for (int k = 0; k < 10; ++k) (void)membership_->join();
-    membership_->repair_all();
   }
   EXPECT_EQ(membership_->live_count(), 200u);
-  EXPECT_EQ(membership_->leave_count(), 500u);
   std::size_t checked = 0;
   for (const net::NodeId v : membership_->live_nodes()) {
     EXPECT_TRUE(membership_->alive(v));

@@ -209,24 +209,6 @@ TEST(Trace, ParseRejectsMalformed) {
   EXPECT_THROW((void)parse_trace(bad3), std::runtime_error) << "ids must be dense";
 }
 
-TEST(Trace, FamilySpansSizes) {
-  const auto family = synthesize_trace_family(5, 100, 1600, 42);
-  ASSERT_EQ(family.size(), 5u);
-  EXPECT_EQ(family.front().node_count(), 100u);
-  EXPECT_EQ(family.back().node_count(), 1600u);
-  for (std::size_t i = 1; i < family.size(); ++i) {
-    EXPECT_GT(family[i].node_count(), family[i - 1].node_count());
-  }
-}
-
-TEST(Trace, FamilyDeterministic) {
-  const auto a = synthesize_trace_family(3, 100, 400, 7);
-  const auto b = synthesize_trace_family(3, 100, 400, 7);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].edges, b[i].edges);
-  }
-}
-
 TEST(Latency, LinkDelayFormula) {
   LatencyModel model({100.0, 200.0, 60.0});
   EXPECT_DOUBLE_EQ(model.ping_ms(1), 200.0);

@@ -175,6 +175,14 @@ TEST(Periodic, CancelOutsideItsActionAborts) {
   EXPECT_DEATH(task.cancel(), "own action");
 }
 
+TEST(TimingWheelDeathTest, TimePastTheIndexRangeAborts) {
+  // floor(t / quantum) must fit the int64 bucket index with room to spare.
+  TimingWheel wheel(0.5);
+  wheel.push({.at = 0.5 * 0x1p52});
+  EXPECT_DEATH(wheel.push({.at = 0.5 * 0x1p53}), "wheel's range");
+  EXPECT_DEATH(wheel.push({.at = -1e19}), "wheel's range");
+}
+
 TEST(Periodic, FiresStrictlyBeforeUntil) {
   // The end rule a session's generation rides on: a fire time at or past
   // `until` is never scheduled, so a tie with the switch instant is dropped.

@@ -26,7 +26,6 @@ TEST(StreamBuffer, InsertContainsEvict) {
   EXPECT_EQ(buffer.insert(13), 10);
   EXPECT_FALSE(buffer.contains(10));
   EXPECT_TRUE(buffer.contains(13));
-  EXPECT_EQ(buffer.eviction_count(), 1u);
 }
 
 TEST(StreamBuffer, DuplicateInsertIgnored) {
@@ -108,18 +107,20 @@ TEST(StreamBuffer, PresenceBitsetTracksContents) {
 TEST(StreamBuffer, BuildMapWindowEndsAtNewest) {
   StreamBuffer buffer(600);
   for (SegmentId id = 0; id < 700; ++id) buffer.insert(id);
-  const auto map = buffer.build_map(600);
+  gossip::BufferMap map;
+  buffer.build_map_into(600, map);
   EXPECT_EQ(map.base(), 100);
-  EXPECT_TRUE(map.available(100));
-  EXPECT_TRUE(map.available(699));
-  EXPECT_FALSE(map.available(99));
-  EXPECT_EQ(map.available_count(), 600u);
+  EXPECT_EQ(map.window(), 600u);
+  EXPECT_EQ(map.window_word(99), ~std::uint64_t{0} << 1) << "ids below the base read 0";
+  EXPECT_EQ(map.window_word(690), (std::uint64_t{1} << 10) - 1) << "699 is the newest";
 }
 
 TEST(StreamBuffer, BuildMapEmptyBuffer) {
   StreamBuffer buffer(10);
-  const auto map = buffer.build_map(600);
-  EXPECT_EQ(map.available_count(), 0u);
+  gossip::BufferMap map;
+  buffer.build_map_into(600, map);
+  EXPECT_EQ(map.base(), 0);
+  for (SegmentId from = 0; from < 600; from += 64) EXPECT_EQ(map.window_word(from), 0u);
 }
 
 // Positions must be exact through every doubling of the stamp window: each
@@ -292,11 +293,13 @@ TEST(Playback, GateReleaseSetsDueToNow) {
   EXPECT_DOUBLE_EQ(times[2], 5.0) << "gated segment plays at release time";
 }
 
-TEST(Playback, PlayedCountAccumulates) {
+TEST(Playback, PlaysEverySegmentDueByNow) {
   Playback pb(10.0);
   pb.start(0, 0.0);
-  pb.advance(0.95, [](SegmentId) { return true; }, [](SegmentId, double) {});
-  EXPECT_EQ(pb.played_count(), 10u);
+  std::size_t plays = 0;
+  pb.advance(0.95, [](SegmentId) { return true; }, [&](SegmentId, double) { ++plays; });
+  EXPECT_EQ(plays, 10u);
+  EXPECT_EQ(pb.cursor(), 10);
 }
 
 /// Reference model of Playback's arrival-driven stall accounting: the same
@@ -339,7 +342,6 @@ class MapPlayback {
         if (next_due_ > now) break;  // resumed beyond the current horizon
       }
       on_play(cursor_, next_due_);
-      ++played_;
       ++cursor_;
       next_due_ += interval_;
       arrivals_.erase(arrivals_.begin(), arrivals_.lower_bound(cursor_));
@@ -348,7 +350,6 @@ class MapPlayback {
 
   [[nodiscard]] SegmentId cursor() const { return cursor_; }
   [[nodiscard]] double stall_time() const { return stall_time_; }
-  [[nodiscard]] std::uint64_t played_count() const { return played_; }
 
  private:
   double interval_;
@@ -356,7 +357,6 @@ class MapPlayback {
   SegmentId cursor_ = kNoSegment;
   double next_due_ = 0.0;
   double stall_time_ = 0.0;
-  std::uint64_t played_ = 0;
   std::map<SegmentId, double> arrivals_;
 };
 
@@ -394,7 +394,6 @@ TEST(Playback, FlatArrivalRingMatchesMapMode) {
     EXPECT_EQ(map_mode.cursor(), flat_mode.cursor());
     EXPECT_DOUBLE_EQ(map_mode.stall_time(), flat_mode.stall_time());
   }
-  EXPECT_EQ(map_mode.played_count(), flat_mode.played_count());
   EXPECT_GT(map_mode.stall_time(), 0.0) << "workload should have exercised stalls";
 }
 

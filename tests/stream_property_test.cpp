@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <iterator>
 #include <map>
@@ -117,10 +118,13 @@ TEST_P(BufferModelTest, AgreesWithReferenceUnderRandomOps) {
           << "op " << op << " id " << q;
     }
     if (op % 50 == 0) {
-      const gossip::BufferMap map = buffer.build_map(64);
+      gossip::BufferMap map;
+      buffer.build_map_into(64, map);
       const SegmentId base = std::max<SegmentId>(0, reference.max_id() - 63);
       ASSERT_EQ(map.base(), base) << "op " << op;
-      ASSERT_EQ(map.available_count(), reference.count_from(base)) << "op " << op;
+      ASSERT_EQ(static_cast<std::size_t>(std::popcount(map.window_word(base))),
+                reference.count_from(base))
+          << "op " << op;
     }
   }
 }
@@ -194,7 +198,6 @@ TEST_P(PlaybackPropertyTest, InvariantsUnderRandomArrivals) {
           << "playback faster than p between " << i - 1 << " and " << i;
     }
   }
-  EXPECT_EQ(pb.played_count(), static_cast<std::uint64_t>(n));
   EXPECT_GE(pb.stall_time(), 0.0);
 }
 

@@ -1,4 +1,4 @@
-// SegmentRegistry, Session bookkeeping, SwitchMetrics helpers.
+// Session bookkeeping, SwitchMetrics helpers.
 #include <gtest/gtest.h>
 
 #include "stream/metrics.hpp"
@@ -7,28 +7,6 @@
 namespace gs::stream {
 namespace {
 
-TEST(SegmentRegistry, AppendAssignsSequentialIds) {
-  SegmentRegistry registry;
-  EXPECT_EQ(registry.next_id(), 0);
-  const SegmentId a = registry.append(0, -45.0, kNoSegment);
-  const SegmentId b = registry.append(0, -44.9, kNoSegment);
-  EXPECT_EQ(a, 0);
-  EXPECT_EQ(b, 1);
-  EXPECT_EQ(registry.size(), 2u);
-  EXPECT_EQ(registry.next_id(), 2);
-}
-
-TEST(SegmentRegistry, InfoRoundTrip) {
-  SegmentRegistry registry;
-  registry.append(0, -1.0, kNoSegment);
-  const SegmentId id = registry.append(1, 0.0, /*prev_session_end=*/0);
-  const SegmentInfo& info = registry.info(id);
-  EXPECT_EQ(info.id, id);
-  EXPECT_EQ(info.session, 1);
-  EXPECT_DOUBLE_EQ(info.created_at, 0.0);
-  EXPECT_EQ(info.prev_session_end, 0);
-}
-
 TEST(Session, LifecycleFlags) {
   Session s;
   EXPECT_FALSE(s.started());
@@ -36,10 +14,8 @@ TEST(Session, LifecycleFlags) {
   s.first = 10;
   EXPECT_TRUE(s.started());
   EXPECT_FALSE(s.ended());
-  EXPECT_EQ(s.generated(15), 5u);
   s.last = 19;
   EXPECT_TRUE(s.ended());
-  EXPECT_EQ(s.generated(100), 10u);
 }
 
 TEST(SwitchMetrics, Averages) {

@@ -41,6 +41,33 @@ TEST(SwitchTimeline, BeginSwitchEndsSessionAndIndexesBoundary) {
   EXPECT_DOUBLE_EQ(timeline.metrics(0).switch_time, 0.25);
 }
 
+TEST(SwitchTimeline, SessionLookupFollowsTheGeneratedIdRanges) {
+  SwitchTimeline timeline = two_switch_timeline();
+  const auto generate = [&timeline](std::size_t k, int count) {
+    for (int i = 0; i < count; ++i) (void)timeline.append_segment(k);
+  };
+  generate(0, 50);  // ids 0..49
+  EXPECT_EQ(timeline.session_of(49), 0) << "session 0 is open";
+  EXPECT_EQ(timeline.switch_ending_at(kNoSegment), -1) << "no switch fired yet";
+  timeline.begin_switch(0, 0.0, timeline.next_id() - 1);
+  generate(1, 30);  // ids 50..79
+  timeline.begin_switch(1, 60.0, timeline.next_id() - 1);
+  generate(2, 20);  // ids 80..99, session 2 still streaming
+  EXPECT_EQ(timeline.next_id(), 100);
+  EXPECT_EQ(timeline.session(0).first, 0);
+  EXPECT_EQ(timeline.session(1).first, 50);
+  EXPECT_EQ(timeline.session(2).first, 80);
+  EXPECT_FALSE(timeline.session(2).ended());
+
+  for (SegmentId id = 0; id < 100; ++id) {
+    const SessionIndex expected = id < 50 ? 0 : id < 80 ? 1 : 2;
+    EXPECT_EQ(timeline.session_of(id), expected) << "id " << id;
+    const int ending = id == 49 ? 0 : id == 79 ? 1 : -1;
+    EXPECT_EQ(timeline.switch_ending_at(id), ending) << "id " << id;
+  }
+  EXPECT_EQ(timeline.switch_ending_at(kNoSegment), -1);
+}
+
 TEST(SwitchTimeline, RequiredPrefixClampsToShortFinalSession) {
   SwitchTimeline timeline = two_switch_timeline();
   timeline.session(0).first = 0;

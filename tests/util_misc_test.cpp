@@ -1,4 +1,4 @@
-// CSV writer, flags parser, thread pool, logging helpers.
+// CSV writer, flags parser, thread pool.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,7 +10,6 @@
 
 #include "util/csv.hpp"
 #include "util/flags.hpp"
-#include "util/logging.hpp"
 #include "util/thread_pool.hpp"
 
 namespace gs::util {
@@ -33,7 +32,6 @@ TEST(Csv, WritesRows) {
     CsvWriter csv(path);
     csv.write_row({"a", "b,c"});
     csv.write_row({"1", "2"});
-    csv.flush();
   }
   std::ifstream in(path);
   std::string line;
@@ -219,21 +217,6 @@ TEST(ThreadPool, RunBatchMoreLanesThanWork) {
   std::vector<std::atomic<int>> hits(3);
   pool.run_batch(3, 16, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Logging, ParseLevels) {
-  EXPECT_EQ(parse_log_level("debug"), LogLevel::kDebug);
-  EXPECT_EQ(parse_log_level("WARN"), LogLevel::kWarn);
-  EXPECT_EQ(parse_log_level("off"), LogLevel::kOff);
-  EXPECT_EQ(parse_log_level("garbage"), LogLevel::kInfo);
-}
-
-TEST(Logging, SetAndGetLevel) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  GS_LOG_DEBUG << "should be suppressed";
-  set_log_level(before);
 }
 
 }  // namespace
